@@ -298,6 +298,70 @@ let implementation_comparison () =
   ;
   print_endline "   speed penalty over the paper's transcription)"
 
+(* The spider binary search on the serve benchmark's cold-solve shape
+   (compute-bound profile, 4 legs, depth <= 3, n = 192): wall time and
+   minor words per [min_makespan] under each kernel.  The fast kernel
+   probes with one Moore–Hodgson pass over nodes built once at the
+   ceiling; the reference rebuilds every leg schedule and runs the
+   greedy allocator per probe. *)
+let spider_search () =
+  let n = 192 and legs = 4 and max_depth = 3 in
+  let spider =
+    Msts.Generator.spider (Msts.Prng.create 100) Msts.Generator.compute_bound_profile
+      ~legs ~max_depth
+  in
+  let per_solve kernel =
+    let run () =
+      let previous = Msts.Solve.kernel () in
+      Msts.Solve.set_kernel kernel;
+      Fun.protect
+        ~finally:(fun () -> Msts.Solve.set_kernel previous)
+        (fun () -> ignore (Msts.Spider_algorithm.min_makespan spider n))
+    in
+    run () (* warm-up, seen by the harness's sink *);
+    (* the measured runs go uninstrumented, as a serving daemon runs *)
+    let sink = Msts.Obs.current_sink () in
+    Msts.Obs.set_sink None;
+    Fun.protect ~finally:(fun () -> Msts.Obs.set_sink sink) @@ fun () ->
+    let iters = 50 in
+    let words = Gc.minor_words () in
+    let t0 = Unix.gettimeofday () in
+    for _ = 1 to iters do
+      run ()
+    done;
+    let us = (Unix.gettimeofday () -. t0) *. 1e6 /. float_of_int iters in
+    (us, (Gc.minor_words () -. words) /. float_of_int iters)
+  in
+  let fast_us, fast_words = per_solve Msts.Chain_kernel.Fast in
+  let reference_us, reference_words = per_solve Msts.Chain_kernel.Reference in
+  let table =
+    Msts.Table.create
+      ~title:
+        (Printf.sprintf
+           "spider search (min_makespan; compute-bound, %d legs, depth <= %d, n=%d)"
+           legs max_depth n)
+      ~columns:[ "kernel"; "us/solve"; "minor words/solve" ]
+  in
+  List.iter
+    (fun (name, us, words) ->
+      Msts.Table.add_row table
+        [ name; Printf.sprintf "%.0f" us; Printf.sprintf "%.0f" words ])
+    [ ("fast", fast_us, fast_words); ("reference", reference_us, reference_words) ];
+  Msts.Table.print table;
+  ( Msts.Json.Obj
+      [
+        ("n", Msts.Json.Int n);
+        ("legs", Msts.Json.Int legs);
+        ("max_depth", Msts.Json.Int max_depth);
+        ("fast_us", Msts.Json.Float fast_us);
+        ("reference_us", Msts.Json.Float reference_us);
+        ("fast_minor_words", Msts.Json.Float fast_words);
+        ("reference_minor_words", Msts.Json.Float reference_words);
+        ("minor_words_ratio", Msts.Json.Float (reference_words /. fast_words));
+      ],
+    fast_words,
+    reference_words )
+
 (* Fast vs reference kernel: head-to-head at fixed (n,p), allocation
    counts, and the p-scaling ratio check backing the complexity claim —
    the fast kernel doubles per doubling of p (linear), the reference
@@ -403,6 +467,7 @@ let kernel_comparison () =
   Printf.printf
     "  avg per-doubling growth: fast %.2fx, reference %.2fx (ideal 2.00 vs 4.00)\n"
     fast_ratio reference_ratio;
+  let spider_json, spider_fast_words, spider_reference_words = spider_search () in
   let json =
     Msts.Json.Obj
       [
@@ -436,6 +501,7 @@ let kernel_comparison () =
               ("ideal_linear", Msts.Json.Float 2.0);
               ("ideal_quadratic", Msts.Json.Float 4.0);
             ] );
+        ("spider_search", spider_json);
       ]
   in
   Out_channel.with_open_text "BENCH_kernel.json" (fun oc ->
@@ -443,10 +509,12 @@ let kernel_comparison () =
       Out_channel.output_char oc '\n');
   print_endline "  BENCH_kernel.json written";
   (* The acceptance gates: sub-quadratic p-scaling, >= 5x fewer
-     allocations.  Wall-clock speedup is reported but not asserted (CI
-     machines are noisy); the scaling exponent is the robust signal. *)
+     allocations for the chain solve and for the spider search.
+     Wall-clock speedup is reported but not asserted (CI machines are
+     noisy); the scaling exponent is the robust signal. *)
   assert (fast_ratio < reference_ratio);
-  assert (reference_bytes >= 5.0 *. fast_bytes)
+  assert (reference_bytes >= 5.0 *. fast_bytes);
+  assert (spider_reference_words >= 5.0 *. spider_fast_words)
 
 let all : (string * string * (unit -> unit)) list =
   [

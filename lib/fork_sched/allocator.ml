@@ -4,57 +4,68 @@ type allocation = {
   position : int;
 }
 
-(* Accepted nodes kept sorted by non-increasing [work]; ties keep insertion
-   order.  [prefix] is the sum of comm times strictly before each node. *)
-let emission_schedule accepted =
-  let rec loop prefix position = function
-    | [] -> []
-    | (node : Expansion.vnode) :: rest ->
-        { node; emission = prefix; position }
-        :: loop (prefix + node.comm) (position + 1) rest
+(* [accepted.(0 .. size − 1)] with transfers back-to-back from time 0. *)
+let emission_schedule accepted size =
+  let rec build i emission acc =
+    if i < 0 then acc
+    else
+      let node = accepted.(i) in
+      let emission = emission - node.Expansion.comm in
+      build (i - 1) emission ({ node; emission; position = i } :: acc)
   in
-  loop 0 0 accepted
-
-(* Feasibility of inserting [candidate]: it lands after every node with
-   strictly greater or equal work; its own transfer must end early enough,
-   and every node pushed later by its comm time must still fit. *)
-let try_insert accepted ~deadline (candidate : Expansion.vnode) =
-  let rec scan prefix before = function
-    | (node : Expansion.vnode) :: rest when node.work >= candidate.work ->
-        scan (prefix + node.comm) (node :: before) rest
-    | after ->
-        let own_ok = prefix + candidate.comm + candidate.work <= deadline in
-        let rec suffix_ok prefix = function
-          | [] -> true
-          | (node : Expansion.vnode) :: rest ->
-              prefix + node.comm + node.work <= deadline
-              && suffix_ok (prefix + node.comm) rest
-        in
-        if own_ok && suffix_ok (prefix + candidate.comm) after then
-          Some (List.rev_append before (candidate :: after))
-        else None
-  in
-  scan 0 [] accepted
+  let total = ref 0 in
+  for i = 0 to size - 1 do
+    total := !total + accepted.(i).Expansion.comm
+  done;
+  build (size - 1) !total []
 
 let allocate candidates ~deadline ~budget =
   if deadline < 0 then invalid_arg "Allocator.allocate: negative deadline";
   if budget < 0 then invalid_arg "Allocator.allocate: negative budget";
   Msts_obs.Obs.span "fork.allocate" ~args:[ ("deadline", string_of_int deadline) ]
   @@ fun () ->
-  let rec loop accepted count = function
-    | [] -> accepted
-    | _ when count >= budget -> accepted
-    | candidate :: rest -> (
-        Msts_obs.Obs.count "fork.insert_probes";
-        match try_insert accepted ~deadline candidate with
-        | Some accepted ->
-            Msts_obs.Obs.count "fork.nodes_accepted";
-            loop accepted (count + 1) rest
-        | None -> loop accepted count rest)
+  let total = List.length candidates in
+  Msts_obs.Obs.count ~n:total "fork.nodes_considered";
+  (* Accepted nodes kept sorted by non-increasing [work]; ties keep
+     insertion order.  At most [budget] are ever accepted. *)
+  let accepted =
+    Array.make (min budget total)
+      { Expansion.slave = 0; rank = 0; comm = 0; work = 0 }
   in
-  Msts_obs.Obs.count ~n:(List.length candidates) "fork.nodes_considered";
-  let accepted = loop [] 0 (Expansion.allocation_order candidates) in
-  emission_schedule accepted
+  let size = ref 0 in
+  (* Feasibility of inserting [candidate]: it lands after every node with
+     greater or equal work; its own transfer must end early enough, and
+     every node pushed later by its comm time must still fit. *)
+  let try_insert (candidate : Expansion.vnode) =
+    let pos = ref 0 and prefix = ref 0 in
+    while !pos < !size && accepted.(!pos).Expansion.work >= candidate.work do
+      prefix := !prefix + accepted.(!pos).Expansion.comm;
+      incr pos
+    done;
+    let finish = ref (!prefix + candidate.comm) in
+    let fits = ref (!finish + candidate.work <= deadline) in
+    let k = ref !pos in
+    while !fits && !k < !size do
+      let node = accepted.(!k) in
+      finish := !finish + node.Expansion.comm;
+      fits := !finish + node.Expansion.work <= deadline;
+      incr k
+    done;
+    if !fits then begin
+      Array.blit accepted !pos accepted (!pos + 1) (!size - !pos);
+      accepted.(!pos) <- candidate;
+      incr size
+    end;
+    !fits
+  in
+  List.iter
+    (fun candidate ->
+      if !size < budget then begin
+        Msts_obs.Obs.count "fork.insert_probes";
+        if try_insert candidate then Msts_obs.Obs.count "fork.nodes_accepted"
+      end)
+    (Expansion.allocation_order candidates);
+  emission_schedule accepted !size
 
 let max_tasks fork ~deadline ~budget =
   let nodes = Expansion.expand fork ~count:budget in

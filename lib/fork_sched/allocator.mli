@@ -20,9 +20,10 @@ type allocation = {
 val allocate :
   Expansion.vnode list -> deadline:int -> budget:int -> allocation list
 (** Accepted nodes in emission order (non-increasing [work], transfers
-    back-to-back from time 0).  Candidates are re-sorted internally, so any
-    order is accepted.  @raise Invalid_argument on negative deadline or
-    budget. *)
+    back-to-back from time 0): the list is sorted by [position], which
+    runs [0, 1, ...], so callers need not re-sort it.  Candidates are
+    re-sorted internally, so any order is accepted.
+    @raise Invalid_argument on negative deadline or budget. *)
 
 val max_tasks : Msts_platform.Fork.t -> deadline:int -> budget:int -> int
 (** Expand the fork ([budget] ranks per slave) and count the accepted

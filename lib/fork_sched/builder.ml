@@ -18,14 +18,9 @@ let realise fork allocations =
       comms = [| emission |];
     }
   in
-  (* Emission order = allocation order, so per-slave arrivals are sorted and
-     the ASAP fold above is well-defined. *)
-  let ordered =
-    List.sort
-      (fun a b -> Int.compare a.Allocator.position b.Allocator.position)
-      allocations
-  in
-  Spider_schedule.make spider (Array.of_list (List.map entry_of ordered))
+  (* Allocations come in emission order, so per-slave arrivals are sorted
+     and the ASAP fold above is well-defined. *)
+  Spider_schedule.make spider (Array.of_list (List.map entry_of allocations))
 
 let schedule fork ~deadline ~budget =
   let nodes = Expansion.expand fork ~count:budget in

@@ -15,16 +15,16 @@ let leg_schedules ?(budget = max_int) spider ~deadline =
         ~deadline)
 
 let virtual_fork spider ~deadline legs =
-  List.concat_map
-    (fun l -> Transform.virtual_nodes ~leg:l ~deadline legs.(l - 1))
-    (Msts_util.Intx.range 1 (Spider.legs spider))
+  let nodes =
+    List.concat_map
+      (fun l -> Transform.virtual_nodes ~leg:l ~deadline legs.(l - 1))
+      (Msts_util.Intx.range 1 (Spider.legs spider))
+  in
+  Obs.count ~n:(List.length nodes) "spider.virtual_nodes";
+  nodes
 
-let schedule ?(budget = max_int) spider ~deadline =
-  if deadline < 0 then invalid_arg "Spider algorithm: negative deadline";
-  if budget < 0 then invalid_arg "Spider algorithm: negative budget";
-  Obs.span "spider.schedule" ~args:[ ("deadline", string_of_int deadline) ]
-  @@ fun () ->
-  let legs = leg_schedules ~budget spider ~deadline in
+(* Steps 2–5 on given leg schedules. *)
+let assemble spider legs ~deadline ~budget =
   let nodes = virtual_fork spider ~deadline legs in
   let allocations = Allocator.allocate nodes ~deadline ~budget in
   let entry_of { Allocator.node; emission; _ } =
@@ -42,12 +42,14 @@ let schedule ?(budget = max_int) spider ~deadline =
       comms;
     }
   in
-  let ordered =
-    List.sort
-      (fun a b -> Int.compare a.Allocator.position b.Allocator.position)
-      allocations
-  in
-  Spider_schedule.make spider (Array.of_list (List.map entry_of ordered))
+  Spider_schedule.make spider (Array.of_list (List.map entry_of allocations))
+
+let schedule ?(budget = max_int) spider ~deadline =
+  if deadline < 0 then invalid_arg "Spider algorithm: negative deadline";
+  if budget < 0 then invalid_arg "Spider algorithm: negative budget";
+  Obs.span "spider.schedule" ~args:[ ("deadline", string_of_int deadline) ]
+  @@ fun () ->
+  assemble spider (leg_schedules ~budget spider ~deadline) ~deadline ~budget
 
 let max_tasks ?budget spider ~deadline =
   Spider_schedule.task_count (schedule ?budget spider ~deadline)
@@ -59,88 +61,127 @@ let makespan_upper_bound spider n =
   done;
   !best
 
-(* Leg cache for the binary search: the backward construction is shift
-   invariant — at horizon [d] it is the one at horizon [H], translated by
-   [H − d], truncated where the first emission would cross time 0.  So
-   each leg is constructed ONCE at the search ceiling, each placement is
-   stamped with its margin (the least deadline that admits it, strictly
-   increasing in placement order), and every probe reads its leg
-   schedules off the cache with a bisection and an O(tasks) shift instead
-   of re-running the kernel. *)
-module Leg_cache = struct
-  type leg = {
-    chain : Chain.t;
+(* The backward construction is shift invariant: at horizon [d] it is the
+   one at horizon [H], translated by [H − d] and truncated where a first
+   emission would cross time 0.  So a leg task emitted first at [C¹] at
+   [H] exists at [d] iff its margin [H − C¹] is at most [d], and its
+   virtual node then has comm [c₁] and work [d − (C¹ − (H − d)) − c₁ =
+   margin − c₁]: neither depends on [d].  Every probe's virtual fork is
+   the ceiling's, filtered by margin, and Moore–Hodgson counts it over an
+   order fixed once. *)
+module Ceiling = struct
+  type t = {
     horizon : int;
-    entries : Schedule.entry array;
-        (* placement order (latest emission first), dates absolute at
-           [horizon] *)
-    margins : int array; (* margins.(i) = horizon − first emission of i *)
+    budget : int;
+    legs : Schedule.t array; (* leg schedules at [horizon] *)
+    nodes : Msts_fork.Moore_hodgson.t;
   }
 
-  let build_leg chain ~horizon ~budget =
-    let construction = Msts_chain.Incremental.create chain ~horizon in
-    let placed = Msts_chain.Incremental.fill construction ~max_tasks:budget () in
-    let sched = Msts_chain.Incremental.schedule construction in
-    (* [sched] lists tasks in emission order; placement order is its
-       reverse. *)
-    let entries =
-      Array.init placed (fun i -> Schedule.entry sched (placed - i))
-    in
-    let margins =
-      Array.map
-        (fun e ->
-          horizon - Msts_schedule.Comm_vector.first_emission e.Schedule.comms)
-        entries
-    in
-    { chain; horizon; entries; margins }
+  let build ?(budget = max_int) spider ~horizon =
+    let legs = leg_schedules ~budget spider ~deadline:horizon in
+    let size = Array.fold_left (fun acc s -> acc + Schedule.task_count s) 0 legs in
+    let comm = Array.make size 0 and work = Array.make size 0 in
+    let next = ref 0 in
+    Array.iter
+      (fun sched ->
+        (* the virtual nodes of {!Transform.virtual_nodes} at [horizon] *)
+        let c1 = Chain.latency (Schedule.chain sched) 1 in
+        for task = 1 to Schedule.task_count sched do
+          let first =
+            Msts_schedule.Comm_vector.first_emission
+              (Schedule.entry sched task).Schedule.comms
+          in
+          comm.(!next) <- c1;
+          work.(!next) <- horizon - first - c1;
+          incr next
+        done)
+      legs;
+    { horizon; budget; legs; nodes = Msts_fork.Moore_hodgson.make ~comm ~work }
 
-  let build spider ~horizon ~budget =
-    Array.init (Spider.legs spider) (fun idx ->
-        build_leg (Spider.leg_chain spider (idx + 1)) ~horizon ~budget)
+  let check_deadline t deadline =
+    if deadline < 0 || deadline > t.horizon then
+      invalid_arg
+        (Printf.sprintf "Spider algorithm: deadline %d outside the ceiling 0..%d"
+           deadline t.horizon)
 
-  let leg_schedule_at { chain; horizon; entries; margins } ~deadline =
-    let m = Msts_util.Intx.count_leq margins deadline in
-    let shift = horizon - deadline in
-    Schedule.make chain
-      (Array.init m (fun j ->
-           let e = entries.(m - 1 - j) in
-           {
-             e with
-             Schedule.start = e.Schedule.start - shift;
-             comms = Array.map (fun t -> t - shift) e.Schedule.comms;
-           }))
+  let count t ~deadline =
+    check_deadline t deadline;
+    Msts_fork.Moore_hodgson.count t.nodes ~deadline ~budget:t.budget
 
-  let max_tasks cache spider ~deadline ~budget =
-    Obs.count ~n:(Array.length cache) "spider.leg_reuses";
-    let legs = Array.map (leg_schedule_at ~deadline) cache in
-    let nodes = virtual_fork spider ~deadline legs in
-    List.length (Allocator.allocate nodes ~deadline ~budget)
+  let leg_schedules t ~deadline =
+    check_deadline t deadline;
+    let shift = t.horizon - deadline in
+    Array.map
+      (fun sched ->
+        (* emission order: the tasks that survive the shift are a suffix *)
+        let entries = Schedule.entries sched in
+        let m = Array.length entries in
+        let first = ref 0 in
+        while
+          !first < m
+          && Msts_schedule.Comm_vector.first_emission entries.(!first).Schedule.comms
+             < shift
+        do
+          incr first
+        done;
+        Schedule.shift shift
+          (Schedule.make (Schedule.chain sched)
+             (Array.sub entries !first (m - !first))))
+      t.legs
 end
 
-let min_makespan spider n =
+(* The least deadline fitting [n] tasks, with the ceiling it was searched
+   over on the fast kernel. *)
+let search spider n =
   if n < 0 then invalid_arg "Spider algorithm: negative task count";
-  if n = 0 then 0
+  if n = 0 then (0, None)
   else begin
     Obs.span "spider.min_makespan" ~args:[ ("n", string_of_int n) ] @@ fun () ->
     let hi = makespan_upper_bound spider n in
     (* Warm start: every spider bound is provably <= OPT. *)
     let lo = Msts_schedule.Bounds.spider_combined_bound spider n in
-    let probe =
-      match Msts_chain.Kernel.default () with
-      | Msts_chain.Kernel.Reference ->
-          fun d ->
-            Obs.count "spider.search_probes";
-            max_tasks ~budget:n spider ~deadline:d >= n
-      | Msts_chain.Kernel.Fast ->
-          let cache = Leg_cache.build spider ~horizon:hi ~budget:n in
-          fun d ->
-            Obs.count "spider.search_probes";
-            Leg_cache.max_tasks cache spider ~deadline:d ~budget:n >= n
+    let least ~lo ~hi probe =
+      match Msts_util.Intx.binary_search_least ~lo ~hi probe with
+      | Some d -> d
+      | None -> hi (* unreachable: a master-only leg schedule meets [hi] *)
     in
-    match Msts_util.Intx.binary_search_least ~lo ~hi probe with
-    | Some d -> d
-    | None -> hi (* unreachable: a master-only leg schedule meets [hi] *)
+    match Msts_chain.Kernel.default () with
+    | Msts_chain.Kernel.Reference ->
+        ( least ~lo ~hi (fun d ->
+              Obs.count "spider.search_probes";
+              max_tasks ~budget:n spider ~deadline:d >= n),
+          None )
+    | Msts_chain.Kernel.Fast ->
+        let fits ceiling d =
+          Obs.count "spider.search_probes";
+          Obs.count ~n:(Array.length ceiling.Ceiling.legs) "spider.leg_reuses";
+          let fits = Ceiling.count ceiling ~deadline:d >= n in
+          Obs.count
+            ~n:(Msts_fork.Moore_hodgson.scanned ceiling.Ceiling.nodes)
+            "spider.probe_nodes";
+          fits
+        in
+        (* [hi] is often several times OPT while [lo] is within a few
+           percent of it, so the ceiling grows from [lo] by doubling gaps
+           until it fits [n]; each miss lifts [lo] past it. *)
+        let rec grow lo gap =
+          let horizon = min hi (lo + gap) in
+          let ceiling = Ceiling.build ~budget:n spider ~horizon in
+          if horizon = hi || fits ceiling horizon then (lo, horizon, ceiling)
+          else grow (horizon + 1) (2 * gap)
+        in
+        let lo, top, ceiling = grow lo (max 1 (lo / 16)) in
+        (least ~lo ~hi:top (fits ceiling), Some ceiling)
   end
 
+let min_makespan spider n = fst (search spider n)
+
 let schedule_tasks spider n =
-  schedule ~budget:n spider ~deadline:(min_makespan spider n)
+  match search spider n with
+  | deadline, None -> schedule ~budget:n spider ~deadline
+  | deadline, Some ceiling ->
+      Obs.span "spider.schedule" ~args:[ ("deadline", string_of_int deadline) ]
+      @@ fun () ->
+      let legs = Ceiling.leg_schedules ceiling ~deadline in
+      Obs.count ~n:(Array.length legs) "spider.leg_reuses";
+      assemble spider legs ~deadline ~budget:n

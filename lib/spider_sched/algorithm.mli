@@ -32,17 +32,57 @@ val schedule :
 
 val max_tasks : ?budget:int -> Msts_platform.Spider.t -> deadline:int -> int
 
+module Ceiling : sig
+  (** The binary search's probe, built once at a search ceiling [H].
+
+      The backward construction is shift invariant: at horizon [d] it is
+      the one at [H], translated by [H − d] and truncated where a first
+      emission would cross time 0.  So leg [l]'s [j]-th placement exists
+      at [d] iff its margin [H − C¹] is at most [d], and its virtual node
+      then has comm [c₁(l)] and work [margin − c₁(l)] — neither depends
+      on [d].  Every probe's virtual fork is this one node set filtered by
+      margin, with its due-date order fixed once, and
+      {!Msts_fork.Moore_hodgson} counts it in one pass.  That count is
+      the greedy allocator's ({!Msts_fork.Allocator.allocate}): both find
+      the most nodes the master's port can serve by the deadline. *)
+
+  type t
+
+  val build : ?budget:int -> Msts_platform.Spider.t -> horizon:int -> t
+  (** Leg schedules at [horizon] (at most [budget] tasks each) and the
+      node order: O(n·p·L) for [L] legs of depth at most [p], [n] the
+      tasks per leg. *)
+
+  val count : t -> deadline:int -> int
+  (** [max_tasks ~budget spider ~deadline] for [deadline] in
+      [\[0, horizon\]], without building a schedule: O(N·L) at worst
+      over the [N <= n·L] nodes, zero allocation.
+      @raise Invalid_argument outside [\[0, horizon\]]. *)
+
+  val leg_schedules : t -> deadline:int -> Msts_schedule.Schedule.t array
+  (** [leg_schedules ~budget spider ~deadline], read off the ceiling by a
+      shift.  @raise Invalid_argument outside [\[0, horizon\]]. *)
+end
+
 val min_makespan : Msts_platform.Spider.t -> int -> int
 (** Least deadline that fits [n] tasks (binary search over {!max_tasks};
     the staircase is monotone).  0 when [n = 0].  The search is
-    warm-started at {!Msts_schedule.Bounds.spider_combined_bound}; on the
-    fast kernel ({!Msts_chain.Kernel.default}) each leg's backward
-    construction runs once at the search ceiling and every probe replays
-    it by shift invariance ([spider.leg_reuses] counts the replays),
-    instead of re-running the deadline kernel per probe. *)
+    warm-started at [lo = ]{!Msts_schedule.Bounds.spider_combined_bound}.
+
+    On the fast kernel ({!Msts_chain.Kernel.default}) every probe is a
+    {!Ceiling.count} instead of a rebuild of the leg schedules and a run
+    of the allocator.  The ceiling starts at [lo + lo/16] (capped at
+    {!makespan_upper_bound}, which is often several times OPT while [lo]
+    is within a few percent of it); while it does not fit [n] tasks, [lo]
+    moves past it and the gap doubles.  Each probe bumps
+    [spider.leg_reuses] once per leg and [spider.probe_nodes] by the
+    nodes it scanned. *)
 
 val schedule_tasks : Msts_platform.Spider.t -> int -> Msts_schedule.Spider_schedule.t
-(** Optimal-makespan schedule for exactly [n] tasks. *)
+(** Optimal-makespan schedule for exactly [n] tasks: {!schedule} at
+    {!min_makespan}.  On the fast kernel its leg schedules come from the
+    search's {!Ceiling} ({!Ceiling.leg_schedules}) rather than being
+    rebuilt; the allocation is the same greedy run. *)
 
 val makespan_upper_bound : Msts_platform.Spider.t -> int -> int
 (** Cheap safe upper bound used to seed the binary search: best

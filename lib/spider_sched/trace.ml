@@ -45,9 +45,7 @@ let run ?(budget = max_int) spider ~deadline =
               (Schedule.entry leg_schedules.(leg - 1) leg_task).comms;
           virtual_work = node.Expansion.work;
         })
-      (List.sort
-         (fun a b -> Int.compare a.Allocator.position b.Allocator.position)
-         allocations)
+      allocations
   in
   {
     spider;

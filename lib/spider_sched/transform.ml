@@ -7,7 +7,6 @@ let virtual_nodes ~leg ~deadline sched =
   let chain = Schedule.chain sched in
   let c1 = Chain.latency chain 1 in
   let m = Schedule.task_count sched in
-  Msts_obs.Obs.count ~n:m "spider.virtual_nodes";
   List.map
     (fun task ->
       let first = Comm_vector.first_emission (Schedule.entry sched task).comms in

@@ -186,6 +186,184 @@ let spider_search_probes_drop () =
   Alcotest.(check bool) "legs are replayed from the cache" true
     (counter_total mem "spider.leg_reuses" > 0)
 
+(* ---------- the spider search probe: Moore–Hodgson over the ceiling ---------- *)
+
+module Ceiling = Msts.Spider_algorithm.Ceiling
+
+(* Spiders whose first links come from {1, 2}, so legs share [c₁] and
+   the probe's comm groups hold several legs. *)
+let tied_spider_gen =
+  QCheck.Gen.(
+    int_range 1 5 >>= fun legs ->
+    list_size (return legs)
+      ( int_range 1 2 >>= fun c1 ->
+        int_range 1 6 >>= fun w1 ->
+        list_size (int_range 0 2) (pair (int_range 1 6) (int_range 1 6))
+        >|= fun tail -> Msts.Chain.of_pairs ((c1, w1) :: tail) )
+    >|= Msts.Spider.of_legs)
+
+let tied_spider_arb =
+  QCheck.make
+    ~print:(fun (spider, n, budget) ->
+      Printf.sprintf "%s, n=%d, budget=%d" (Msts.Spider.to_string spider) n budget)
+    QCheck.Gen.(
+      triple tied_spider_gen (int_range 1 8)
+        (oneofl [ 0; 1; 3; 6; max_int ]))
+
+let greedy_count spider ~deadline ~budget =
+  let legs = Msts.Spider_algorithm.leg_schedules ~budget spider ~deadline in
+  List.length
+    (Msts.Fork_allocator.allocate
+       (Msts.Spider_algorithm.virtual_fork spider ~deadline legs)
+       ~deadline ~budget)
+
+(* Every deadline in [0, H]: the probe counts what the greedy allocator
+   accepts on that deadline's own virtual fork, and the ceiling's shifted
+   leg schedules are the ones the deadline kernel builds from scratch.
+   Budgets run from 0 to unbounded, so both sides of capacity occur. *)
+let probe_matches_greedy =
+  to_alcotest
+    (QCheck.Test.make ~count:150
+       ~name:"probe count = |Allocator.allocate (virtual_fork ...)| on [0, H]"
+       tied_spider_arb
+       (fun (spider, n, budget) ->
+         let horizon = Msts.Spider_algorithm.makespan_upper_bound spider n in
+         let ceiling = Ceiling.build ~budget spider ~horizon in
+         List.for_all
+           (fun deadline ->
+             let count = Ceiling.count ceiling ~deadline in
+             let expected = greedy_count spider ~deadline ~budget in
+             if count <> expected then
+               QCheck.Test.fail_reportf "deadline %d: probe %d, greedy %d"
+                 deadline count expected;
+             let replayed = Ceiling.leg_schedules ceiling ~deadline in
+             let built =
+               Msts.Spider_algorithm.leg_schedules ~budget spider ~deadline
+             in
+             Array.for_all2
+               (fun a b -> Msts.Plan.equal (Msts.Plan.Chain a) (Msts.Plan.Chain b))
+               replayed built)
+           (Msts.Intx.range 0 horizon)))
+
+(* Node-level: arbitrary virtual nodes, including c = 0 and W = 0 ones
+   (the chain model rejects c = 0 / w = 0 links, but the count itself
+   must not depend on positivity). *)
+let vnode_gen =
+  QCheck.Gen.(
+    list_size (int_range 0 12)
+      (map2
+         (fun comm work -> { Msts.Fork_expansion.slave = 1; rank = 0; comm; work })
+         (int_range 0 4) (int_range 0 12)))
+
+let count_of_nodes nodes =
+  let field f = Array.of_list (List.map f nodes) in
+  Msts.Fork_count.make
+    ~comm:(field (fun (v : Msts.Fork_expansion.vnode) -> v.comm))
+    ~work:(field (fun (v : Msts.Fork_expansion.vnode) -> v.work))
+
+let count_matches_greedy_on_nodes =
+  to_alcotest
+    (QCheck.Test.make ~count:400 ~name:"Moore-Hodgson count = greedy on raw nodes"
+       (QCheck.make
+          ~print:(fun (nodes, budget) ->
+            Printf.sprintf "budget %d: %s" budget
+              (String.concat "; "
+                 (List.map (Format.asprintf "%a" Msts.Fork_expansion.pp) nodes)))
+          QCheck.Gen.(pair vnode_gen (oneofl [ 0; 2; 5; max_int ])))
+       (fun (nodes, budget) ->
+         let t = count_of_nodes nodes in
+         List.for_all
+           (fun deadline ->
+             Msts.Fork_count.count t ~deadline ~budget
+             = List.length (Msts.Fork_allocator.allocate nodes ~deadline ~budget))
+           (Msts.Intx.range 0 20)))
+
+let degenerate_nodes () =
+  let node comm work = { Msts.Fork_expansion.slave = 1; rank = 0; comm; work } in
+  let nodes = [ node 0 0; node 0 0; node 0 3; node 2 0; node 2 0 ] in
+  let t = count_of_nodes nodes in
+  List.iter
+    (fun deadline ->
+      Alcotest.(check int)
+        (Printf.sprintf "deadline %d" deadline)
+        (List.length (Msts.Fork_allocator.allocate nodes ~deadline ~budget:max_int))
+        (Msts.Fork_count.count t ~deadline ~budget:max_int))
+    [ 0; 1; 2; 3; 4; 5 ];
+  Alcotest.(check int) "zero-cost nodes all fit at 0" 2
+    (Msts.Fork_count.count t ~deadline:0 ~budget:max_int);
+  Alcotest.check_raises "negative comm"
+    (Invalid_argument "Moore_hodgson.make: negative comm or work") (fun () ->
+      ignore (count_of_nodes [ node (-1) 0 ]));
+  (* the minimal legal leg, (c, w) = (1, 1), on every side of capacity *)
+  let spider = Msts.Spider.of_legs [ Msts.Chain.of_pairs [ (1, 1) ]; Msts.Chain.of_pairs [ (1, 1) ] ] in
+  let ceiling = Ceiling.build ~budget:4 spider ~horizon:6 in
+  List.iter
+    (fun deadline ->
+      Alcotest.(check int)
+        (Printf.sprintf "unit legs, deadline %d" deadline)
+        (greedy_count spider ~deadline ~budget:4)
+        (Ceiling.count ceiling ~deadline))
+    (Msts.Intx.range 0 6);
+  Alcotest.check_raises "past the ceiling"
+    (Invalid_argument "Spider algorithm: deadline 7 outside the ceiling 0..6")
+    (fun () -> ignore (Ceiling.count ceiling ~deadline:7))
+
+(* Fig. 2 spider, n = 12: the warm start is 16, OPT 18 and the master-only
+   ceiling 25.  The first ceiling (17) misses, the second (20) fits, and
+   the search answers from it exactly as the reference does. *)
+let ceiling_grows () =
+  let spider = Msts.Spider.of_legs [ figure2_chain; Msts.Chain.of_pairs [ (1, 2) ] ] in
+  let n = 12 in
+  let mem = Obs.Memory.create () in
+  let fast =
+    with_kernel Kernel.Fast (fun () ->
+        Obs.with_sink (Obs.Memory.sink mem) (fun () ->
+            Msts.Spider_algorithm.min_makespan spider n))
+  in
+  let builds =
+    match List.assoc_opt "spider.leg_schedules" (Obs.Memory.spans mem) with
+    | Some stat -> stat.Obs.Memory.calls
+    | None -> 0
+  in
+  Alcotest.(check int) "two ceilings built" 2 builds;
+  Alcotest.(check int) "reference answer"
+    (with_kernel Kernel.Reference (fun () -> Msts.Spider_algorithm.min_makespan spider n))
+    fast;
+  Alcotest.(check int) "OPT" 18 fast
+
+(* Gc.minor_words boxes its float result, so two back-to-back reads
+   calibrate the cost of the measurement itself. *)
+let calibrate () =
+  let a = Gc.minor_words () in
+  let b = Gc.minor_words () in
+  b -. a
+
+(* The cold-solve shape: after the build, probing every deadline of the
+   search range allocates nothing. *)
+let probe_allocation_free () =
+  let spider =
+    Msts.Generator.spider (Msts.Prng.create 100) Msts.Generator.compute_bound_profile
+      ~legs:4 ~max_depth:3
+  in
+  let n = 192 in
+  let horizon = Msts.Spider_algorithm.makespan_upper_bound spider n in
+  let ceiling = with_kernel Kernel.Fast (fun () -> Ceiling.build ~budget:n spider ~horizon) in
+  let lo = Msts.Bounds.spider_combined_bound spider n in
+  ignore (Ceiling.count ceiling ~deadline:horizon) (* warm-up *);
+  let probes = horizon - lo + 1 in
+  let fitting = ref 0 in
+  let baseline = calibrate () in
+  let before = Gc.minor_words () in
+  for deadline = lo to horizon do
+    if Ceiling.count ceiling ~deadline >= n then incr fitting
+  done;
+  let after = Gc.minor_words () in
+  let extra = after -. before -. baseline in
+  Alcotest.(check bool)
+    (Printf.sprintf "%d probes allocated %.0f minor words" probes extra)
+    true (extra <= 0.5);
+  Alcotest.(check bool) "the ceiling fits n" true (!fitting > 0)
+
 let suites =
   [
     ( "kernel.differential",
@@ -203,5 +381,13 @@ let suites =
       [
         case "chain deadline search probes drop (Fig. 2)" chain_search_probes_drop;
         case "spider search probes drop (Fig. 2 spider)" spider_search_probes_drop;
+      ] );
+    ( "kernel.spider_probe",
+      [
+        probe_matches_greedy;
+        count_matches_greedy_on_nodes;
+        case "degenerate nodes and unit legs" degenerate_nodes;
+        case "the ceiling grows past a miss (Fig. 2 spider)" ceiling_grows;
+        case "probes allocate nothing after the build" probe_allocation_free;
       ] );
   ]

@@ -753,6 +753,7 @@ let metric_names_documented () =
       "netsim.transfers";
       "netsim.transfer_us";
       "spider.search_probes";
+      "spider.probe_nodes";
       "pool.requests";
       "pool.queue_wait_us";
       "serve.requests";
