@@ -1,0 +1,188 @@
+(* Wire-codec costs on the serve benchmark's bulk-frames shapes: a batch
+   of 1200 problems over 16 distinct ones (four small platforms, four task
+   counts each) and a p=4 chain schedule of 1000 tasks.  Per frame it
+   measures wall time and minor words for
+
+     decode   Api.request_of_line on the ~68 KB batch frame
+     shard    Batch.shard on the decoded batch (fingerprints, dedupe,
+              cache probes)
+     encode   Json.to_string of the batch reply and of the schedule
+              reply
+
+   and writes them to BENCH_codec.json.  Only the word counts are gated,
+   because they do not depend on the host: each must stay a fixed factor
+   below the count the codec allocated before the per-frame platform
+   memo, the identity-keyed fingerprints and the allocation-light
+   scanner and printer (constants measured with this file on that code,
+   OCaml 5.1.1).  Wall time is reported, not asserted. *)
+
+type stage = {
+  name : string;
+  before_words : float;  (** per frame, before the rewrite *)
+  gate : float;  (** required reduction factor of the word count *)
+  run : unit -> unit;
+}
+
+let small_platforms () =
+  let profile = Msts.Generator.default_profile in
+  [|
+    Msts.Platform_format.Chain_platform
+      (Msts.Generator.chain (Msts.Prng.create 11) profile ~p:3);
+    Msts.Platform_format.Chain_platform
+      (Msts.Generator.chain (Msts.Prng.create 12) profile ~p:4);
+    Msts.Platform_format.Spider_platform
+      (Msts.Generator.spider (Msts.Prng.create 13) profile ~legs:3 ~max_depth:2);
+    Msts.Platform_format.Fork_platform
+      (Msts.Generator.fork (Msts.Prng.create 14) profile ~slaves:3);
+  |]
+
+let batch_problems () =
+  let platforms = small_platforms () in
+  let distinct =
+    Array.init 16 (fun i ->
+        Msts.Solve.problem ~tasks:(4 + (i / 4)) platforms.(i mod 4))
+  in
+  let problems = Array.init 1200 (fun i -> distinct.(i mod 16)) in
+  Msts.Prng.shuffle (Msts.Prng.create 1) problems;
+  problems
+
+let schedule_problem () =
+  let chain =
+    Msts.Generator.chain (Msts.Prng.create 200) Msts.Generator.default_profile ~p:4
+  in
+  Msts.Solve.problem ~tasks:1000 (Msts.Platform_format.Chain_platform chain)
+
+let request op = { Msts.Api.id = Some 1; trace = None; op }
+
+let reply_json op =
+  Msts.Api.encode_response
+    (Msts.Api.respond ~solver:Msts.Api.direct_solver (request op))
+
+(* Mean wall time (us) and minor words of one call, uninstrumented as a
+   serving daemon runs, after one warm-up call. *)
+let measure run =
+  run ();
+  let sink = Msts.Obs.current_sink () in
+  Msts.Obs.set_sink None;
+  Fun.protect ~finally:(fun () -> Msts.Obs.set_sink sink) @@ fun () ->
+  let iters = 30 in
+  let words = Gc.minor_words () in
+  let t0 = Unix.gettimeofday () in
+  for _ = 1 to iters do
+    run ()
+  done;
+  let us = (Unix.gettimeofday () -. t0) *. 1e6 /. float_of_int iters in
+  (us, (Gc.minor_words () -. words) /. float_of_int iters)
+
+let codec_scaling () =
+  let batch_line = Msts.Api.request_to_line (request (Msts.Api.Batch (batch_problems ()))) in
+  let decoded =
+    match Msts.Api.request_of_line batch_line with
+    | Ok { Msts.Api.op = Msts.Api.Batch problems; _ } -> problems
+    | _ -> failwith "codec-scaling: the batch frame did not decode"
+  in
+  let cache = Msts.Batch.cache ~capacity:256 in
+  let batch_reply = reply_json (Msts.Api.Batch decoded) in
+  let schedule_reply = reply_json (Msts.Api.Schedule (schedule_problem ())) in
+  let stages =
+    [
+      {
+        name = "decode";
+        before_words = 607018.;
+        gate = 3.0;
+        run = (fun () -> ignore (Msts.Api.request_of_line batch_line));
+      };
+      {
+        name = "shard";
+        before_words = 392955.;
+        gate = 5.0;
+        run = (fun () -> ignore (Msts.Batch.shard ~cache decoded));
+      };
+      {
+        name = "encode";
+        before_words = 42359.;
+        gate = 2.0;
+        run = (fun () -> ignore (Msts.Json.to_string batch_reply));
+      };
+      {
+        name = "encode_schedule";
+        before_words = 41339.;
+        gate = 2.0;
+        run = (fun () -> ignore (Msts.Json.to_string schedule_reply));
+      };
+    ]
+  in
+  let results = List.map (fun s -> (s, measure s.run)) stages in
+  let table =
+    Msts.Table.create
+      ~title:
+        (Printf.sprintf
+           "wire codec per frame (batch frame %d B, 1200 problems over 16; \
+            schedule reply %d B, p=4, n=1000)"
+           (String.length batch_line)
+           (String.length (Msts.Json.to_string schedule_reply)))
+      ~columns:[ "stage"; "us/frame"; "minor words/frame"; "before"; "reduction"; "gate" ]
+  in
+  List.iter
+    (fun (s, (us, words)) ->
+      Msts.Table.add_row table
+        [
+          s.name;
+          Printf.sprintf "%.0f" us;
+          Printf.sprintf "%.0f" words;
+          Printf.sprintf "%.0f" s.before_words;
+          Printf.sprintf "%.1fx" (s.before_words /. words);
+          Printf.sprintf ">= %.0fx" s.gate;
+        ])
+    results;
+  Msts.Table.print table;
+  let json =
+    Msts.Json.Obj
+      (("experiment", Msts.Json.String "codec")
+      :: ( "shapes",
+           Msts.Json.Obj
+             [
+               ("batch_problems", Msts.Json.Int (Array.length decoded));
+               ("distinct_problems", Msts.Json.Int 16);
+               ("distinct_platforms", Msts.Json.Int 4);
+               ("batch_frame_bytes", Msts.Json.Int (String.length batch_line));
+               ( "batch_reply_bytes",
+                 Msts.Json.Int (String.length (Msts.Json.to_string batch_reply)) );
+               ("schedule_p", Msts.Json.Int 4);
+               ("schedule_tasks", Msts.Json.Int 1000);
+               ( "schedule_reply_bytes",
+                 Msts.Json.Int (String.length (Msts.Json.to_string schedule_reply)) );
+             ] )
+      :: List.map
+           (fun (s, (us, words)) ->
+             ( s.name,
+               Msts.Json.Obj
+                 [
+                   ("us_per_frame", Msts.Json.Float us);
+                   ("minor_words_per_frame", Msts.Json.Float words);
+                   ("before_minor_words_per_frame", Msts.Json.Float s.before_words);
+                   ("words_reduction", Msts.Json.Float (s.before_words /. words));
+                   ("gate_reduction", Msts.Json.Float s.gate);
+                 ] ))
+           results)
+  in
+  Out_channel.with_open_text "BENCH_codec.json" (fun oc ->
+      Out_channel.output_string oc (Msts.Json.to_string ~pretty:true json);
+      Out_channel.output_char oc '\n');
+  print_endline "  BENCH_codec.json written";
+  List.iter
+    (fun (s, (_, words)) ->
+      if s.before_words < s.gate *. words then
+        failwith
+          (Printf.sprintf
+             "codec-scaling: %s allocates %.0f minor words per frame, gate is \
+              %.0f / %.0f"
+             s.name words s.before_words s.gate))
+    results
+
+let all : (string * string * (unit -> unit)) list =
+  [
+    ( "codec-scaling",
+      "wire codec on bulk-frames shapes: decode, shard, encode per frame",
+      codec_scaling );
+  ]

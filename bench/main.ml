@@ -15,7 +15,7 @@
 
 let registry =
   Experiments.all @ Ablations.all @ Faults.all @ Fuzz.all @ Batch_bench.all
-  @ Serve_bench.all @ Online_bench.all @ Timing.all
+  @ Serve_bench.all @ Online_bench.all @ Codec_bench.all @ Timing.all
 
 let counters_path name = Printf.sprintf "BENCH_%s.json" name
 

@@ -1557,13 +1557,8 @@ let online_cmd =
       if trimmed = "" || trimmed.[0] = '#' then ()
       else
         let response =
-          match Msts.Api.request_of_line line with
-          | Error e ->
-              {
-                Msts.Api.id = Msts.Api.frame_id line;
-                trace = Msts.Api.frame_trace line;
-                result = Error e;
-              }
+          match Msts.Api.request_or_rejection line with
+          | Error rejection -> rejection
           | Ok { Msts.Api.id; trace; op } ->
               let result =
                 if Msts_online.Service.handles op then

@@ -263,14 +263,28 @@ let opt_string_field kvs key =
   | Some (Json.String s) -> Ok (Some s)
   | Some _ -> bad "field %S must be a string" key
 
-let platform_field kvs =
-  let* text = string_field kvs "platform" in
+let platform_of_text text =
   match Parse.of_string text with
   | Ok platform -> Ok platform
   | Error msg -> Error (error Invalid_platform ("platform: " ^ msg))
 
-let problem_of_fields kvs =
-  let* platform = platform_field kvs in
+(* [memo] maps a platform text to its decoding within one frame, so a
+   batch repeating a text parses it once and its problems share one
+   platform value. *)
+let platform_field ?memo kvs =
+  let* text = string_field kvs "platform" in
+  match memo with
+  | None -> platform_of_text text
+  | Some memo -> (
+      match Hashtbl.find_opt memo text with
+      | Some decoded -> decoded
+      | None ->
+          let decoded = platform_of_text text in
+          Hashtbl.add memo text decoded;
+          decoded)
+
+let problem_of_fields ?memo kvs =
+  let* platform = platform_field ?memo kvs in
   let* tasks = opt_int_field kvs "tasks" in
   let* deadline = opt_int_field kvs "deadline" in
   Ok { Solve.platform; tasks; deadline }
@@ -299,10 +313,11 @@ let decode_op kvs name =
   | "batch" -> (
       match field kvs "problems" with
       | Some (Json.List items) ->
+          let memo = Hashtbl.create 16 in
           let rec decode acc = function
             | [] -> Ok (Batch (Array.of_list (List.rev acc)))
             | Json.Obj item :: rest ->
-                let* p = problem_of_fields item in
+                let* p = problem_of_fields ~memo item in
                 decode (p :: acc) rest
             | _ -> bad "every element of \"problems\" must be an object"
           in
@@ -421,17 +436,19 @@ let request_of_line line =
   let* json = parse_line line in
   decode_request json
 
-let frame_id line =
-  match Json.parse line with
-  | Ok (Json.Obj kvs) -> (
+(* Best-effort correlation of a frame that did not decode. *)
+let envelope_id = function
+  | Json.Obj kvs -> (
       match field kvs "id" with Some (Json.Int i) -> Some i | _ -> None)
   | _ -> None
 
-let frame_trace line =
-  match Json.parse line with
-  | Ok (Json.Obj kvs) -> (
+let envelope_trace = function
+  | Json.Obj kvs -> (
       match field kvs "trace" with Some (Json.String s) -> Some s | _ -> None)
   | _ -> None
+
+let frame_id line =
+  match Json.parse line with Ok json -> envelope_id json | Error _ -> None
 
 (* ---------- response codec ---------- *)
 
@@ -481,6 +498,16 @@ let response_to_line r = Json.to_string (encode_response r) ^ "\n"
 let response_of_line line =
   let* json = parse_line line in
   decode_response json
+
+let request_or_rejection line : (request, response) result =
+  match parse_line line with
+  | Error e -> Error { id = None; trace = None; result = Error e }
+  | Ok json -> (
+      match decode_request json with
+      | Ok request -> Ok request
+      | Error e ->
+          Error
+            { id = envelope_id json; trace = envelope_trace json; result = Error e })
 
 (* ---------- JSON renderings (the former per-subcommand CLI assembly,
    now the one shared definition) ---------- *)

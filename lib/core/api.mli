@@ -146,15 +146,13 @@ val request_to_line : request -> string
 (** Compact JSON, newline-terminated. *)
 
 val request_of_line : string -> (request, error) result
+(** Within a [batch] frame each distinct platform text is parsed once:
+    problems repeating a text share one physical {!Msts_platform.Parse.platform}.
+    Nothing is cached across frames. *)
 
 val frame_id : string -> int option
 (** Best-effort extraction of the correlation id from a frame that may
-    not decode as a full request — so error responses can still echo
-    it. *)
-
-val frame_trace : string -> string option
-(** Best-effort extraction of the [trace] context, same contract as
-    {!frame_id}. *)
+    not decode as a full request. *)
 
 type response = {
   id : int option;
@@ -166,6 +164,12 @@ val encode_response : response -> Msts_obs.Json.t
 val decode_response : Msts_obs.Json.t -> (response, error) result
 val response_to_line : response -> string
 val response_of_line : string -> (response, error) result
+
+val request_or_rejection : string -> (request, response) result
+(** {!request_of_line} for a server: a frame that does not decode comes
+    back as the error response answering it, with the [id] and [trace]
+    recovered best-effort from the same parse so the client can still
+    correlate it. *)
 
 (** {2 Execution} *)
 

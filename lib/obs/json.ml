@@ -9,24 +9,57 @@ type t =
 
 (* ---------- printing ---------- *)
 
+let hex_digits = "0123456789abcdef"
+
+(* Runs of characters that need no escape are copied in one
+   [add_substring] each. *)
 let escape buf s =
   Buffer.add_char buf '"';
-  String.iter
-    (fun c ->
-      match c with
+  let n = String.length s in
+  let run = ref 0 in
+  for i = 0 to n - 1 do
+    let c = String.unsafe_get s i in
+    if c = '"' || c = '\\' || Char.code c < 0x20 then begin
+      Buffer.add_substring buf s !run (i - !run);
+      (match c with
       | '"' -> Buffer.add_string buf "\\\""
       | '\\' -> Buffer.add_string buf "\\\\"
       | '\n' -> Buffer.add_string buf "\\n"
       | '\r' -> Buffer.add_string buf "\\r"
       | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
+      | c ->
+          Buffer.add_string buf "\\u00";
+          Buffer.add_char buf hex_digits.[Char.code c lsr 4];
+          Buffer.add_char buf hex_digits.[Char.code c land 0xf]);
+      run := i + 1
+    end
+  done;
+  Buffer.add_substring buf s !run (n - !run);
   Buffer.add_char buf '"'
 
+(* The decimal digits of [i], written right to left into [digits] (20
+   bytes: min_int's sign and 19 digits).  The value is kept non-positive
+   while it is cut down, so min_int needs no special case. *)
+let add_int buf digits i =
+  let len = Bytes.length digits in
+  let at = ref len in
+  let m = ref (if i < 0 then i else -i) in
+  let more = ref true in
+  while !more do
+    decr at;
+    Bytes.unsafe_set digits !at (Char.unsafe_chr (48 - (!m mod 10)));
+    m := !m / 10;
+    more := !m <> 0
+  done;
+  if i < 0 then begin
+    decr at;
+    Bytes.unsafe_set digits !at '-'
+  end;
+  Buffer.add_subbytes buf digits !at (len - !at)
+
 let float_repr x =
-  if Float.is_integer x && Float.abs x < 1e15 then Printf.sprintf "%.1f" x
+  if not (Float.is_finite x) then "null"
+  else if Float.is_integer x && Float.abs x < 1e15 then Printf.sprintf "%.1f" x
   else
     (* shortest decimal form that round-trips *)
     let short = Printf.sprintf "%.12g" x in
@@ -34,42 +67,56 @@ let float_repr x =
 
 let to_string ?(pretty = false) json =
   let buf = Buffer.create 256 in
+  (* per call, not per module: [to_string] runs on several domains *)
+  let digits = Bytes.create 20 in
   let indent depth =
     if pretty then begin
       Buffer.add_char buf '\n';
-      Buffer.add_string buf (String.make (2 * depth) ' ')
+      for _ = 1 to 2 * depth do
+        Buffer.add_char buf ' '
+      done
     end
   in
   let rec go depth = function
     | Null -> Buffer.add_string buf "null"
     | Bool b -> Buffer.add_string buf (if b then "true" else "false")
-    | Int i -> Buffer.add_string buf (string_of_int i)
+    | Int i -> add_int buf digits i
     | Float x -> Buffer.add_string buf (float_repr x)
     | String s -> escape buf s
     | List [] -> Buffer.add_string buf "[]"
-    | List items ->
+    | List (first :: rest) ->
         Buffer.add_char buf '[';
-        List.iteri
-          (fun i item ->
-            if i > 0 then Buffer.add_char buf ',';
-            indent (depth + 1);
-            go (depth + 1) item)
-          items;
+        item (depth + 1) first;
+        items (depth + 1) rest;
         indent depth;
         Buffer.add_char buf ']'
     | Obj [] -> Buffer.add_string buf "{}"
-    | Obj fields ->
+    | Obj (first :: rest) ->
         Buffer.add_char buf '{';
-        List.iteri
-          (fun i (key, value) ->
-            if i > 0 then Buffer.add_char buf ',';
-            indent (depth + 1);
-            escape buf key;
-            Buffer.add_string buf (if pretty then ": " else ":");
-            go (depth + 1) value)
-          fields;
+        field (depth + 1) first;
+        fields (depth + 1) rest;
         indent depth;
         Buffer.add_char buf '}'
+  and item depth value =
+    indent depth;
+    go depth value
+  and items depth = function
+    | [] -> ()
+    | value :: rest ->
+        Buffer.add_char buf ',';
+        item depth value;
+        items depth rest
+  and field depth (key, value) =
+    indent depth;
+    escape buf key;
+    Buffer.add_string buf (if pretty then ": " else ":");
+    go depth value
+  and fields depth = function
+    | [] -> ()
+    | kv :: rest ->
+        Buffer.add_char buf ',';
+        field depth kv;
+        fields depth rest
   in
   go 0 json;
   Buffer.contents buf
@@ -78,24 +125,38 @@ let to_string ?(pretty = false) json =
 
 exception Parse_error of int * string
 
+(* The scanner reads bytes in place: [peek] answers '\000' past the end
+   (only [parse_value] has to tell that apart from a NUL byte, which no
+   other branch accepts either), a string without escapes is one
+   [String.sub] and an integer of at most 18 digits is accumulated
+   inline.  Everything else takes the general path; offsets and messages
+   are those of the plain recursive-descent reading. *)
 let parse text =
   let n = String.length text in
   let pos = ref 0 in
   let fail msg = raise (Parse_error (!pos, msg)) in
-  let peek () = if !pos < n then Some text.[!pos] else None in
+  let peek () = if !pos < n then String.unsafe_get text !pos else '\000' in
   let advance () = incr pos in
-  let rec skip_ws () =
-    match peek () with
-    | Some (' ' | '\t' | '\n' | '\r') ->
-        advance ();
-        skip_ws ()
-    | _ -> ()
+  let skip_ws () =
+    while
+      !pos < n
+      &&
+      match String.unsafe_get text !pos with
+      | ' ' | '\t' | '\n' | '\r' -> true
+      | _ -> false
+    do
+      advance ()
+    done
   in
-  let expect c =
-    match peek () with
-    | Some d when d = c -> advance ()
-    | _ -> fail (Printf.sprintf "expected %C" c)
+  let skip_digits () =
+    while
+      !pos < n
+      && match String.unsafe_get text !pos with '0' .. '9' -> true | _ -> false
+    do
+      advance ()
+    done
   in
+  let expect c = if peek () = c then advance () else fail (Printf.sprintf "expected %C" c) in
   let literal word value =
     if !pos + String.length word <= n && String.sub text !pos (String.length word) = word
     then begin
@@ -104,9 +165,11 @@ let parse text =
     end
     else fail ("expected " ^ word)
   in
-  let parse_string () =
-    expect '"';
+  (* The general string reader: the opening quote is consumed and the
+     plain bytes from [start] up to the first escape are scanned. *)
+  let parse_escaped_string start =
     let buf = Buffer.create 16 in
+    Buffer.add_substring buf text start (!pos - start);
     let rec loop () =
       if !pos >= n then fail "unterminated string";
       let c = text.[!pos] in
@@ -155,58 +218,74 @@ let parse text =
     in
     loop ()
   in
+  let parse_string () =
+    expect '"';
+    let start = !pos in
+    while
+      !pos < n
+      && match String.unsafe_get text !pos with '"' | '\\' -> false | _ -> true
+    do
+      advance ()
+    done;
+    if !pos >= n then fail "unterminated string"
+    else if String.unsafe_get text !pos = '"' then begin
+      advance ();
+      String.sub text start (!pos - 1 - start)
+    end
+    else parse_escaped_string start
+  in
   let parse_number () =
     let start = !pos in
+    if peek () = '-' then advance ();
+    let digits_start = !pos in
+    skip_digits ();
+    let digits_stop = !pos in
     let is_float = ref false in
-    let consume_digits () =
-      while
-        match peek () with
-        | Some ('0' .. '9') ->
-            advance ();
-            true
-        | _ -> false
-      do
-        ()
-      done
-    in
-    (match peek () with Some '-' -> advance () | _ -> ());
-    consume_digits ();
+    if peek () = '.' then begin
+      is_float := true;
+      advance ();
+      skip_digits ()
+    end;
     (match peek () with
-    | Some '.' ->
+    | 'e' | 'E' ->
         is_float := true;
         advance ();
-        consume_digits ()
+        (match peek () with '+' | '-' -> advance () | _ -> ());
+        skip_digits ()
     | _ -> ());
-    (match peek () with
-    | Some ('e' | 'E') ->
-        is_float := true;
-        advance ();
-        (match peek () with Some ('+' | '-') -> advance () | _ -> ());
-        consume_digits ()
-    | _ -> ());
-    let s = String.sub text start (!pos - start) in
-    let float_or_fail s =
-      (* [float_of_string] would raise on bare punctuation like "." or
-         "-e5" that survives the scanner — keep the parser total. *)
-      match float_of_string_opt s with
-      | Some f -> Float f
-      | None -> fail "expected number"
-    in
-    if s = "" || s = "-" then fail "expected number"
-    else if !is_float then float_or_fail s
+    let digits = digits_stop - digits_start in
+    if (not !is_float) && digits >= 1 && digits <= 18 then begin
+      (* below 10^18 < max_int: no overflow, same value as int_of_string *)
+      let v = ref 0 in
+      for i = digits_start to digits_stop - 1 do
+        v := (10 * !v) + (Char.code (String.unsafe_get text i) - 48)
+      done;
+      Int (if digits_start > start then - !v else !v)
+    end
     else
-      match int_of_string_opt s with
-      | Some i -> Int i
-      | None -> float_or_fail s
+      let s = String.sub text start (!pos - start) in
+      let float_or_fail s =
+        (* [float_of_string] would raise on bare punctuation like "." or
+           "-e5" that survives the scanner — keep the parser total. *)
+        match float_of_string_opt s with
+        | Some f -> Float f
+        | None -> fail "expected number"
+      in
+      if s = "" || s = "-" then fail "expected number"
+      else if !is_float then float_or_fail s
+      else
+        match int_of_string_opt s with
+        | Some i -> Int i
+        | None -> float_or_fail s
   in
   let rec parse_value () =
     skip_ws ();
+    if !pos >= n then fail "unexpected end of input";
     match peek () with
-    | None -> fail "unexpected end of input"
-    | Some '{' ->
+    | '{' ->
         advance ();
         skip_ws ();
-        if peek () = Some '}' then begin
+        if peek () = '}' then begin
           advance ();
           Obj []
         end
@@ -219,20 +298,20 @@ let parse text =
             let value = parse_value () in
             skip_ws ();
             match peek () with
-            | Some ',' ->
+            | ',' ->
                 advance ();
                 fields ((key, value) :: acc)
-            | Some '}' ->
+            | '}' ->
                 advance ();
                 List.rev ((key, value) :: acc)
             | _ -> fail "expected ',' or '}'"
           in
           Obj (fields [])
         end
-    | Some '[' ->
+    | '[' ->
         advance ();
         skip_ws ();
-        if peek () = Some ']' then begin
+        if peek () = ']' then begin
           advance ();
           List []
         end
@@ -241,21 +320,21 @@ let parse text =
             let value = parse_value () in
             skip_ws ();
             match peek () with
-            | Some ',' ->
+            | ',' ->
                 advance ();
                 items (value :: acc)
-            | Some ']' ->
+            | ']' ->
                 advance ();
                 List.rev (value :: acc)
             | _ -> fail "expected ',' or ']'"
           in
           List (items [])
         end
-    | Some '"' -> String (parse_string ())
-    | Some 't' -> literal "true" (Bool true)
-    | Some 'f' -> literal "false" (Bool false)
-    | Some 'n' -> literal "null" Null
-    | Some _ -> parse_number ()
+    | '"' -> String (parse_string ())
+    | 't' -> literal "true" (Bool true)
+    | 'f' -> literal "false" (Bool false)
+    | 'n' -> literal "null" Null
+    | _ -> parse_number ()
   in
   match
     let v = parse_value () in

@@ -10,11 +10,33 @@ type request = {
 
 type outcome = (Msts_schedule.Plan.t, string) result
 
-let fingerprint { platform; tasks; deadline } =
-  let objective = function None -> "-" | Some v -> string_of_int v in
-  Printf.sprintf "%s\ntasks=%s deadline=%s"
-    (Parse.platform_to_string platform)
-    (objective tasks) (objective deadline)
+(* [buf] is the caller's, cleared here: [shard] reuses one per batch. *)
+let key buf text { tasks; deadline; _ } =
+  let objective = function
+    | None -> Buffer.add_char buf '-'
+    | Some v -> Buffer.add_string buf (string_of_int v)
+  in
+  Buffer.clear buf;
+  Buffer.add_string buf text;
+  Buffer.add_string buf "\ntasks=";
+  objective tasks;
+  Buffer.add_string buf " deadline=";
+  objective deadline;
+  Buffer.contents buf
+
+let fingerprint request =
+  key (Buffer.create 128) (Parse.platform_to_string request.platform) request
+
+(* Platform texts by physical identity: a batch decoded from one frame
+   shares a platform value among the problems that repeat its text, so
+   each distinct value is printed once.  Structurally equal copies hash
+   alike and are printed once each. *)
+module By_identity = Hashtbl.Make (struct
+  type t = Parse.platform
+
+  let equal = ( == )
+  let hash = Hashtbl.hash
+end)
 
 (* ---------- the shared cache ---------- *)
 
@@ -52,7 +74,22 @@ type plan = {
 
 let shard ?cache:shared requests =
   let n = Array.length requests in
-  let fingerprints = Array.map fingerprint requests in
+  let texts = By_identity.create 16 in
+  let buf = Buffer.create 128 in
+  let fingerprints =
+    Array.map
+      (fun request ->
+        let text =
+          match By_identity.find_opt texts request.platform with
+          | Some text -> text
+          | None ->
+              let text = Parse.platform_to_string request.platform in
+              By_identity.add texts request.platform text;
+              text
+        in
+        key buf text request)
+      requests
+  in
   let plan_cache =
     match shared with
     | Some c -> c
@@ -81,6 +118,7 @@ let shard ?cache:shared requests =
   { requests; fingerprints; resolutions;
     to_solve = Array.of_list (List.rev !to_solve); plan_cache }
 
+let fingerprints plan = Array.copy plan.fingerprints
 let shard_count plan = Array.length plan.to_solve
 let shard_request plan slot = plan.requests.(plan.to_solve.(slot))
 

@@ -103,7 +103,13 @@ type plan
 val shard : ?cache:cache -> request array -> plan
 (** Probe the cache and deduplicate, in submission order.  Like {!run},
     a missing [?cache] means a private throw-away cache sized to the
-    batch. *)
+    batch.  Each physically distinct platform value is printed once;
+    requests sharing one (as a decoded batch frame's repeats do) reuse
+    its text. *)
+
+val fingerprints : plan -> string array
+(** The cache key of every request, in submission order: pointwise equal
+    to {!fingerprint}. *)
 
 val shard_count : plan -> int
 (** Distinct uncached problems — the units to solve. *)

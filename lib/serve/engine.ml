@@ -522,10 +522,10 @@ let submit t ?conn ~reply request =
   else admit t c item
 
 let handle_line t ?conn ~reply line =
-  match Api.request_of_line line with
+  match Api.request_or_rejection line with
   | Ok request ->
       submit t ?conn ~reply:(fun r -> reply (Api.response_to_line r)) request
-  | Error e ->
+  | Error rejection ->
       Obs.count "serve.requests";
       t.rejected <- t.rejected + 1;
       Obs.count "serve.rejected";
@@ -535,13 +535,7 @@ let handle_line t ?conn ~reply line =
       (match conn with
       | Some c -> c.delivered <- c.delivered + 1
       | None -> t.default_conn.delivered <- t.default_conn.delivered + 1);
-      reply
-        (Api.response_to_line
-           {
-             Api.id = Api.frame_id line;
-             trace = Api.frame_trace line;
-             result = Error e;
-           })
+      reply (Api.response_to_line rejection)
 
 (* ---------- completion side ---------- *)
 

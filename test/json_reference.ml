@@ -1,0 +1,273 @@
+(* The JSON printer and parser as they stood before the allocation-light
+   rewrite of lib/obs/json.ml, kept verbatim as the oracle for the
+   differential suite in test_json.ml.  Only the type is shared, so the
+   two implementations consume and produce the same values. *)
+
+type t = Msts.Json.t =
+  | Null
+  | Bool of bool
+  | Int of int
+  | Float of float
+  | String of string
+  | List of t list
+  | Obj of (string * t) list
+
+(* ---------- printing ---------- *)
+
+let escape buf s =
+  Buffer.add_char buf '"';
+  String.iter
+    (fun c ->
+      match c with
+      | '"' -> Buffer.add_string buf "\\\""
+      | '\\' -> Buffer.add_string buf "\\\\"
+      | '\n' -> Buffer.add_string buf "\\n"
+      | '\r' -> Buffer.add_string buf "\\r"
+      | '\t' -> Buffer.add_string buf "\\t"
+      | c when Char.code c < 0x20 ->
+          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
+      | c -> Buffer.add_char buf c)
+    s;
+  Buffer.add_char buf '"'
+
+let float_repr x =
+  if Float.is_integer x && Float.abs x < 1e15 then Printf.sprintf "%.1f" x
+  else
+    (* shortest decimal form that round-trips *)
+    let short = Printf.sprintf "%.12g" x in
+    if float_of_string short = x then short else Printf.sprintf "%.17g" x
+
+let to_string ?(pretty = false) json =
+  let buf = Buffer.create 256 in
+  let indent depth =
+    if pretty then begin
+      Buffer.add_char buf '\n';
+      Buffer.add_string buf (String.make (2 * depth) ' ')
+    end
+  in
+  let rec go depth = function
+    | Null -> Buffer.add_string buf "null"
+    | Bool b -> Buffer.add_string buf (if b then "true" else "false")
+    | Int i -> Buffer.add_string buf (string_of_int i)
+    | Float x -> Buffer.add_string buf (float_repr x)
+    | String s -> escape buf s
+    | List [] -> Buffer.add_string buf "[]"
+    | List items ->
+        Buffer.add_char buf '[';
+        List.iteri
+          (fun i item ->
+            if i > 0 then Buffer.add_char buf ',';
+            indent (depth + 1);
+            go (depth + 1) item)
+          items;
+        indent depth;
+        Buffer.add_char buf ']'
+    | Obj [] -> Buffer.add_string buf "{}"
+    | Obj fields ->
+        Buffer.add_char buf '{';
+        List.iteri
+          (fun i (key, value) ->
+            if i > 0 then Buffer.add_char buf ',';
+            indent (depth + 1);
+            escape buf key;
+            Buffer.add_string buf (if pretty then ": " else ":");
+            go (depth + 1) value)
+          fields;
+        indent depth;
+        Buffer.add_char buf '}'
+  in
+  go 0 json;
+  Buffer.contents buf
+
+(* ---------- parsing ---------- *)
+
+exception Parse_error of int * string
+
+let parse text =
+  let n = String.length text in
+  let pos = ref 0 in
+  let fail msg = raise (Parse_error (!pos, msg)) in
+  let peek () = if !pos < n then Some text.[!pos] else None in
+  let advance () = incr pos in
+  let rec skip_ws () =
+    match peek () with
+    | Some (' ' | '\t' | '\n' | '\r') ->
+        advance ();
+        skip_ws ()
+    | _ -> ()
+  in
+  let expect c =
+    match peek () with
+    | Some d when d = c -> advance ()
+    | _ -> fail (Printf.sprintf "expected %C" c)
+  in
+  let literal word value =
+    if !pos + String.length word <= n && String.sub text !pos (String.length word) = word
+    then begin
+      pos := !pos + String.length word;
+      value
+    end
+    else fail ("expected " ^ word)
+  in
+  let parse_string () =
+    expect '"';
+    let buf = Buffer.create 16 in
+    let rec loop () =
+      if !pos >= n then fail "unterminated string";
+      let c = text.[!pos] in
+      advance ();
+      if c = '"' then Buffer.contents buf
+      else if c = '\\' then begin
+        (if !pos >= n then fail "unterminated escape");
+        let e = text.[!pos] in
+        advance ();
+        (match e with
+        | '"' -> Buffer.add_char buf '"'
+        | '\\' -> Buffer.add_char buf '\\'
+        | '/' -> Buffer.add_char buf '/'
+        | 'b' -> Buffer.add_char buf '\b'
+        | 'f' -> Buffer.add_char buf '\012'
+        | 'n' -> Buffer.add_char buf '\n'
+        | 'r' -> Buffer.add_char buf '\r'
+        | 't' -> Buffer.add_char buf '\t'
+        | 'u' ->
+            if !pos + 4 > n then fail "truncated \\u escape";
+            let hex = String.sub text !pos 4 in
+            pos := !pos + 4;
+            let code =
+              try int_of_string ("0x" ^ hex)
+              with _ -> fail "bad \\u escape"
+            in
+            (* Only BMP code points below 0x80 round-trip exactly; encode the
+               rest as UTF-8 so well-formedness checks still pass. *)
+            if code < 0x80 then Buffer.add_char buf (Char.chr code)
+            else if code < 0x800 then begin
+              Buffer.add_char buf (Char.chr (0xC0 lor (code lsr 6)));
+              Buffer.add_char buf (Char.chr (0x80 lor (code land 0x3F)))
+            end
+            else begin
+              Buffer.add_char buf (Char.chr (0xE0 lor (code lsr 12)));
+              Buffer.add_char buf (Char.chr (0x80 lor ((code lsr 6) land 0x3F)));
+              Buffer.add_char buf (Char.chr (0x80 lor (code land 0x3F)))
+            end
+        | _ -> fail "unknown escape");
+        loop ()
+      end
+      else begin
+        Buffer.add_char buf c;
+        loop ()
+      end
+    in
+    loop ()
+  in
+  let parse_number () =
+    let start = !pos in
+    let is_float = ref false in
+    let consume_digits () =
+      while
+        match peek () with
+        | Some ('0' .. '9') ->
+            advance ();
+            true
+        | _ -> false
+      do
+        ()
+      done
+    in
+    (match peek () with Some '-' -> advance () | _ -> ());
+    consume_digits ();
+    (match peek () with
+    | Some '.' ->
+        is_float := true;
+        advance ();
+        consume_digits ()
+    | _ -> ());
+    (match peek () with
+    | Some ('e' | 'E') ->
+        is_float := true;
+        advance ();
+        (match peek () with Some ('+' | '-') -> advance () | _ -> ());
+        consume_digits ()
+    | _ -> ());
+    let s = String.sub text start (!pos - start) in
+    let float_or_fail s =
+      (* [float_of_string] would raise on bare punctuation like "." or
+         "-e5" that survives the scanner — keep the parser total. *)
+      match float_of_string_opt s with
+      | Some f -> Float f
+      | None -> fail "expected number"
+    in
+    if s = "" || s = "-" then fail "expected number"
+    else if !is_float then float_or_fail s
+    else
+      match int_of_string_opt s with
+      | Some i -> Int i
+      | None -> float_or_fail s
+  in
+  let rec parse_value () =
+    skip_ws ();
+    match peek () with
+    | None -> fail "unexpected end of input"
+    | Some '{' ->
+        advance ();
+        skip_ws ();
+        if peek () = Some '}' then begin
+          advance ();
+          Obj []
+        end
+        else begin
+          let rec fields acc =
+            skip_ws ();
+            let key = parse_string () in
+            skip_ws ();
+            expect ':';
+            let value = parse_value () in
+            skip_ws ();
+            match peek () with
+            | Some ',' ->
+                advance ();
+                fields ((key, value) :: acc)
+            | Some '}' ->
+                advance ();
+                List.rev ((key, value) :: acc)
+            | _ -> fail "expected ',' or '}'"
+          in
+          Obj (fields [])
+        end
+    | Some '[' ->
+        advance ();
+        skip_ws ();
+        if peek () = Some ']' then begin
+          advance ();
+          List []
+        end
+        else begin
+          let rec items acc =
+            let value = parse_value () in
+            skip_ws ();
+            match peek () with
+            | Some ',' ->
+                advance ();
+                items (value :: acc)
+            | Some ']' ->
+                advance ();
+                List.rev (value :: acc)
+            | _ -> fail "expected ',' or ']'"
+          in
+          List (items [])
+        end
+    | Some '"' -> String (parse_string ())
+    | Some 't' -> literal "true" (Bool true)
+    | Some 'f' -> literal "false" (Bool false)
+    | Some 'n' -> literal "null" Null
+    | Some _ -> parse_number ()
+  in
+  match
+    let v = parse_value () in
+    skip_ws ();
+    if !pos <> n then fail "trailing garbage";
+    v
+  with
+  | v -> Ok v
+  | exception Parse_error (at, msg) ->
+      Error (Printf.sprintf "byte %d: %s" at msg)

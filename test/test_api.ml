@@ -466,6 +466,69 @@ let engine_malformed_frames_answered () =
   | None -> Alcotest.fail "malformed frame got no reply");
   Msts_serve.Engine.shutdown engine
 
+(* ---------- the per-frame platform memo ---------- *)
+
+let batch_frame texts =
+  let problem text =
+    Json.Obj [ ("platform", Json.String text); ("tasks", Json.Int 3) ]
+  in
+  Json.to_string
+    (Json.Obj
+       [ ("op", Json.String "batch"); ("problems", Json.List (List.map problem texts)) ])
+
+let batch_decode_shares_platforms () =
+  let a = "chain\n2 3\n3 5\n" and b = "fork\n1 4\n2 2\n" in
+  let texts = [ a; b; a; a; b ] in
+  let decode () =
+    match Api.request_of_line (batch_frame texts) with
+    | Ok { Api.op = Api.Batch problems; _ } ->
+        Array.map (fun p -> p.Msts.Solve.platform) problems
+    | _ -> Alcotest.fail "batch frame did not decode"
+  in
+  let platforms = decode () in
+  List.iteri
+    (fun i text ->
+      Alcotest.(check bool)
+        (Printf.sprintf "problem %d = Parse.of_string of its text" i)
+        true
+        (Ok platforms.(i) = Msts.Platform_format.of_string text))
+    texts;
+  Alcotest.(check bool) "repeats of a share one value" true
+    (platforms.(0) == platforms.(2) && platforms.(0) == platforms.(3));
+  Alcotest.(check bool) "repeats of b share one value" true
+    (platforms.(1) == platforms.(4));
+  Alcotest.(check bool) "distinct texts stay distinct" true
+    (platforms.(0) != platforms.(1));
+  Alcotest.(check bool) "nothing is cached across frames" true
+    ((decode ()).(0) != platforms.(0))
+
+let repeated_invalid_platform_error () =
+  let good = "chain\n2 3\n3 5\n" and bad = "chain\n2 x\n" in
+  let expected =
+    match Msts.Platform_format.of_string bad with
+    | Error msg -> Error { Api.code = Api.Invalid_platform; message = "platform: " ^ msg }
+    | Ok _ -> Alcotest.fail "the bad platform parsed"
+  in
+  let decode_error line =
+    match Api.request_of_line line with
+    | Ok _ -> Alcotest.fail "a frame with a bad platform decoded"
+    | Error e -> Error e
+  in
+  Alcotest.(check bool) "single-problem op reports the parse error" true
+    (decode_error
+       (Json.to_string
+          (Json.Obj [ ("op", Json.String "schedule"); ("platform", Json.String bad) ]))
+    = expected);
+  List.iter
+    (fun texts ->
+      Alcotest.(check bool) "batch reports the same first error" true
+        (decode_error (batch_frame texts) = expected))
+    [
+      [ bad; bad ];
+      [ good; bad; good; bad ];
+      [ good; good; bad; "spider\n"; bad ];
+    ]
+
 let suites =
   [
     ( "api.codecs",
@@ -483,6 +546,10 @@ let suites =
         case "trace context decoded, echoed, never injected"
           trace_context_echoed;
         case "bare metrics decodes as the control op" metrics_op_decoding;
+        case "batch decode shares repeated platforms"
+          batch_decode_shares_platforms;
+        case "repeated invalid platform: same first error"
+          repeated_invalid_platform_error;
       ] );
     ( "api.exec",
       [

@@ -202,6 +202,81 @@ let fingerprint_separates () =
     (Batch.fingerprint (Solve.problem ~tasks:5 platform))
     (List.hd fps)
 
+(* [shard] prints each physically distinct platform once; its keys must
+   still be [fingerprint]'s, whether the platforms are shared, equal
+   copies, or different. *)
+let shard_fingerprints_match () =
+  let text = "chain\n2 3\n3 5\n" in
+  let parse text =
+    match Msts.Platform_format.of_string text with
+    | Ok p -> p
+    | Error e -> Alcotest.fail e
+  in
+  let shared = parse text in
+  let copy = parse text in
+  Alcotest.(check bool) "copies are physically distinct" true (shared != copy);
+  let others =
+    [|
+      parse "fork\n1 4\n2 2\n";
+      parse "spider\nleg\n1 2\n2 3\nleg\n4 1\n";
+      parse "tree\n1 2 0\n2 3 1\n1 1 1\n";
+      parse "chain\n2 3\n3 6\n";
+    |]
+  in
+  let requests =
+    Array.concat
+      [
+        [|
+          Solve.problem ~tasks:5 shared;
+          Solve.problem ~tasks:5 copy;
+          Solve.problem ~tasks:5 shared;
+          Solve.problem ~deadline:9 shared;
+          Solve.problem ~tasks:5 ~deadline:9 copy;
+          Solve.problem shared;
+        |];
+        Array.map (Solve.problem ~tasks:3) others;
+        Array.map (Solve.problem ~tasks:3) others;
+      ]
+  in
+  let plan = Batch.shard requests in
+  Alcotest.(check (array string)) "shard keys = fingerprint"
+    (Array.map Batch.fingerprint requests)
+    (Batch.fingerprints plan);
+  (* equal copies dedupe like shared values: 4 objectives on the figure-2
+     chain plus the 4 other platforms *)
+  Alcotest.(check int) "distinct keys solved once" 8 (Batch.shard_count plan)
+
+let shard_fingerprints_match_random =
+  let pool =
+    Array.init 4 (fun seed ->
+        Msts.Platform_format.Chain_platform
+          (Msts.Generator.chain (Msts.Prng.create seed)
+             Msts.Generator.default_profile ~p:(1 + seed)))
+  in
+  let copy platform =
+    match
+      Msts.Platform_format.of_string (Msts.Platform_format.platform_to_string platform)
+    with
+    | Ok p -> p
+    | Error e -> failwith e
+  in
+  to_alcotest
+    (QCheck.Test.make ~count:200 ~name:"shard keys = fingerprint on shared and copied platforms"
+       QCheck.(
+         list_of_size Gen.(int_range 0 40)
+           (triple (int_bound 3) bool (option (int_bound 6))))
+       (fun picks ->
+         let requests =
+           Array.of_list
+             (List.map
+                (fun (k, fresh, tasks) ->
+                  let platform = if fresh then copy pool.(k) else pool.(k) in
+                  { Batch.platform; tasks; deadline = None })
+                picks)
+         in
+         Batch.fingerprints (Batch.shard requests)
+         = Array.map Batch.fingerprint requests))
+
 (* A cache too small for the batch still returns correct results and never
    exceeds its bound — eviction under pressure. *)
 let tiny_cache_under_pressure () =
@@ -365,6 +440,9 @@ let suites =
         case "hit returns the identical plan" cache_hit_returns_identical_plan;
         case "within-batch duplicates" duplicates_inside_one_batch;
         case "fingerprints separate close requests" fingerprint_separates;
+        case "shard keys = fingerprint, shared or copied platforms"
+          shard_fingerprints_match;
+        shard_fingerprints_match_random;
         case "tiny cache under eviction pressure" tiny_cache_under_pressure;
       ] );
     ( "batch.pool",
