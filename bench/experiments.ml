@@ -458,7 +458,7 @@ let buffer_sensitivity () =
         Array.of_list
           (List.map
              (fun plan ->
-               let report = Msts.Netsim.execute_plan_bounded ~buffer plan in
+               let report = Msts.Netsim.replay_routing ~buffer plan in
                float_of_int report.Msts.Netsim.realized_makespan
                /. float_of_int report.Msts.Netsim.planned_makespan)
              plans)

@@ -22,7 +22,7 @@
        {!Fork_builder}, {!Fork_count}, {!Spider_transform}, {!Spider_algorithm};}
     {- oracles and baselines: {!Asap}, {!Brute_force}, {!List_sched},
        {!Bounds}, {!Steady_state};}
-    {- execution substrate: {!Engine}, {!Resource}, {!Netsim};}
+    {- execution substrate: {!Engine}, {!Netsim};}
     {- observability: {!Obs} (spans, counters, Chrome traces), {!Json};}
     {- utilities: {!Prng}, {!Heap}, {!Stats}, {!Table}, {!Intx}.} } *)
 
@@ -96,7 +96,6 @@ module Steady_state = Msts_baseline.Steady_state
 
 (* Execution substrate *)
 module Engine = Msts_sim.Engine
-module Resource = Msts_sim.Resource
 module Netsim = Msts_sim.Netsim
 module Fault = Msts_sim.Fault
 module Replan = Msts_sim.Replan

@@ -21,12 +21,21 @@ let create () =
 
 let now t = t.clock
 
-let schedule_at t time action =
+let claim t =
+  let seq = t.next_seq in
+  t.next_seq <- seq + 1;
+  seq
+
+let push t fn time seq action =
   if time < t.clock then
     invalid_arg
-      (Printf.sprintf "Engine.schedule_at: time %d is before now (%d)" time t.clock);
-  Msts_util.Heap.push t.queue { time; seq = t.next_seq; action };
-  t.next_seq <- t.next_seq + 1
+      (Printf.sprintf "Engine.%s: time %d is before now (%d)" fn time t.clock);
+  Msts_util.Heap.push t.queue { time; seq; action }
+
+let schedule_at t time action = push t "schedule_at" time (claim t) action
+
+let schedule_claimed t time ~claim action =
+  push t "schedule_claimed" time claim action
 
 let schedule_after t delay action =
   if delay < 0 then invalid_arg "Engine.schedule_after: negative delay";

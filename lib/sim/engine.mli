@@ -16,6 +16,18 @@ val schedule_at : t -> int -> (unit -> unit) -> unit
 (** Run a callback at an absolute time. @raise Invalid_argument if the time
     is before {!now}. *)
 
+val claim : t -> int
+(** Take the tie-break rank an event scheduled right now would get.  An
+    event scheduled later with {!schedule_claimed} orders among same-time
+    events as if it had been scheduled at the claim: a FIFO resource
+    claims a rank when an operation is requested and schedules its start
+    once it knows the date, so operations that become startable at the
+    same instant start in request order. *)
+
+val schedule_claimed : t -> int -> claim:int -> (unit -> unit) -> unit
+(** {!schedule_at} with a rank from {!claim}.  @raise Invalid_argument if
+    the time is before {!now}. *)
+
 val schedule_after : t -> int -> (unit -> unit) -> unit
 (** Relative variant. @raise Invalid_argument on a negative delay. *)
 

@@ -1,9 +1,10 @@
 (** Event-driven execution of master-slave platforms.
 
-    An independent execution substrate for the scheduling model: the master,
-    every link and every processor become FIFO unit resources on the event
-    engine, tasks are store-and-forward messages, and the one-port rule is
-    enforced by construction.  Three entry points:
+    An independent execution substrate for the scheduling model: the master's
+    port, every link and every processor are unit-capacity FIFO resources on
+    the event engine, tasks are store-and-forward messages, and the one-port
+    rule is enforced by construction.  A single executor runs every entry
+    point below; each only chooses what the master emits and when:
 
     - {!run_sequence_spider} / {!run_sequence_chain}: eager execution of a
       destination sequence.  Must coincide exactly with the analytic ASAP
@@ -13,11 +14,18 @@
       a schedule and let the rest flow eagerly.  For a feasible plan the
       realised completion of every task is never later than planned — this
       validates schedules by actually executing them.
+    - {!replay_routing}: a plan's routing and emission order under finite
+      buffers or on a degraded platform, dates recomputed eagerly.
     - {!pull_policy}: an online, demand-driven master (the SETI@home-style
       baseline): idle processors request work, the master serves requests
       first-come-first-served.  No global knowledge, no optimality.
+    - {!replay_under_faults} / {!pull_under_faults}: the same under a
+      scripted trace of mid-run faults.
 
-    Every executor is instrumented for {!Msts_trace.Trace}: run it inside
+    Operations that become startable at the same instant start in request
+    order, as if every request had reserved its slot on arrival.
+
+    Every entry point is instrumented for {!Msts_trace.Trace}: run it inside
     {!Msts_trace.Trace.with_recorder} and each grant, completion, abort and
     task return becomes a typed trace event, ready for the segment-algebra
     invariant checker.  Without a recorder the hooks are no-ops. *)
@@ -73,10 +81,6 @@ val replay_routing :
     @raise Invalid_argument if [buffer < 1] or [on] has a different
     shape. *)
 
-val execute_plan_bounded :
-  buffer:int -> Msts_schedule.Spider_schedule.t -> execution_report
-(** [replay_routing ~buffer] on the plan's own platform. *)
-
 val degrade :
   ?latency_factor:int -> Msts_platform.Spider.t ->
   address:Msts_platform.Spider.address -> work_factor:int ->
@@ -89,7 +93,7 @@ val degrade :
 
 (** {2 Mid-run faults}
 
-    The executors above fix the platform before the run.  The two below
+    The entry points above fix the platform before the run.  The two below
     accept a {!Fault.trace} of scripted mid-run events — slowdowns that
     stretch operations already in flight, transient transfer drops with
     retry after a backoff, and permanent crashes that cut off a leg's
@@ -98,7 +102,9 @@ val degrade :
     which re-issues them from its own copy of the input data; completed
     results survive.  With an empty trace both reproduce their fault-free
     counterparts ({!replay_routing}, {!pull_policy} with [buffer = 1])
-    exactly. *)
+    exactly.  Under faults an operation starts the moment its resource
+    frees, so same-instant ties may break differently from a fault-free
+    run. *)
 
 type fault_report = {
   observed : Msts_schedule.Spider_schedule.t;

@@ -15,7 +15,7 @@ let bounded_feasible_and_complete =
          let plan =
            Msts.Spider_schedule.of_chain_schedule (Msts.Chain_algorithm.schedule chain n)
          in
-         let report = Msts.Netsim.execute_plan_bounded ~buffer plan in
+         let report = Msts.Netsim.replay_routing ~buffer plan in
          Msts.Spider_schedule.task_count report.Msts.Netsim.realized = n
          && check_spider_feasible report.Msts.Netsim.realized))
 
@@ -29,7 +29,7 @@ let large_buffer_matches_unbounded =
          let plan =
            Msts.Spider_schedule.of_chain_schedule (Msts.Chain_algorithm.schedule chain n)
          in
-         let bounded = Msts.Netsim.execute_plan_bounded ~buffer:n plan in
+         let bounded = Msts.Netsim.replay_routing ~buffer:n plan in
          (* with n slots nothing can stall, so the eager replay meets the
             plan (it may even beat it by compressing idle port time) *)
          bounded.Msts.Netsim.realized_makespan
@@ -50,7 +50,7 @@ let bounded_at_least_optimal =
          let optimum = Msts.Spider_schedule.makespan plan in
          List.for_all
            (fun b ->
-             (Msts.Netsim.execute_plan_bounded ~buffer:b plan).Msts.Netsim
+             (Msts.Netsim.replay_routing ~buffer:b plan).Msts.Netsim
                .realized_makespan
              >= optimum)
            [ 1; 2; 4 ]))
@@ -68,7 +68,7 @@ let buffers_help_on_average () =
       (fun idx b ->
         total.(idx) <-
           total.(idx)
-          + (Msts.Netsim.execute_plan_bounded ~buffer:b plan).Msts.Netsim
+          + (Msts.Netsim.replay_routing ~buffer:b plan).Msts.Netsim
               .realized_makespan)
       [ 1; 2; 4 ]
   done;
@@ -86,7 +86,7 @@ let bounded_at_least_lower_bound =
          let plan =
            Msts.Spider_schedule.of_chain_schedule (Msts.Chain_algorithm.schedule chain n)
          in
-         let report = Msts.Netsim.execute_plan_bounded ~buffer:1 plan in
+         let report = Msts.Netsim.replay_routing ~buffer:1 plan in
          report.Msts.Netsim.realized_makespan >= Msts.Bounds.port_bound chain n))
 
 let stall_example () =
@@ -97,8 +97,8 @@ let stall_example () =
   let plan =
     Msts.Spider_schedule.of_chain_schedule (Msts.Chain_algorithm.schedule chain n)
   in
-  let b1 = (Msts.Netsim.execute_plan_bounded ~buffer:1 plan).Msts.Netsim.realized_makespan in
-  let b4 = (Msts.Netsim.execute_plan_bounded ~buffer:4 plan).Msts.Netsim.realized_makespan in
+  let b1 = (Msts.Netsim.replay_routing ~buffer:1 plan).Msts.Netsim.realized_makespan in
+  let b4 = (Msts.Netsim.replay_routing ~buffer:4 plan).Msts.Netsim.realized_makespan in
   Alcotest.(check bool)
     (Printf.sprintf "b=4 (%d) is no slower than b=1 (%d)" b4 b1)
     true (b4 <= b1)
@@ -109,8 +109,8 @@ let rejects_bad_buffer () =
       (Msts.Chain_algorithm.schedule figure2_chain 2)
   in
   Alcotest.check_raises "buffer 0"
-    (Invalid_argument "Msts.Netsim.execute_plan_bounded: buffer must be >= 1") (fun () ->
-      ignore (Msts.Netsim.execute_plan_bounded ~buffer:0 plan))
+    (Invalid_argument "Msts.Netsim.replay_routing: buffer must be >= 1") (fun () ->
+      ignore (Msts.Netsim.replay_routing ~buffer:0 plan))
 
 let suites =
   [

@@ -1,7 +1,7 @@
 (* Mid-run fault injection and online replanning: trace parsing, the
    dynamic platform state, the faulty executor's semantics against
    hand-computed scenarios, and the differential/refinement properties
-   tying it back to the fault-free executors. *)
+   tying it back to the fault-free oracles. *)
 
 open Helpers
 
@@ -287,28 +287,30 @@ let snapshot_partitions_tasks () =
 let no_fault_refinement =
   to_alcotest
     (QCheck.Test.make ~count:150
-       ~name:"empty trace: replay_under_faults = replay_routing, exactly"
+       ~name:"empty trace: replay_under_faults = analytic ASAP of the plan's routing"
        (spider_with_n_arb ~max_legs:3 ~max_depth:3 ~max_n:7 ())
        (fun (spider, n) ->
          let plan = Msts.Spider_algorithm.schedule_tasks spider n in
-         let base = Msts.Netsim.replay_routing plan in
+         let base =
+           Msts.Asap.spider_of_sequence spider
+             (Array.map
+                (fun (e : Msts.Spider_schedule.entry) -> e.address)
+                (Msts.Spider_schedule.entries plan))
+         in
          let f = Msts.Netsim.replay_under_faults plan in
-         if
-           f.Msts.Netsim.observed_makespan
-           <> base.Msts.Netsim.realized_makespan
-         then
+         if f.Msts.Netsim.observed_makespan <> Msts.Spider_schedule.makespan base then
            QCheck.Test.fail_reportf "makespan %d <> %d"
-             f.Msts.Netsim.observed_makespan base.Msts.Netsim.realized_makespan;
+             f.Msts.Netsim.observed_makespan (Msts.Spider_schedule.makespan base);
          Msts.Spider_schedule.entries f.Msts.Netsim.observed
-         = Msts.Spider_schedule.entries base.Msts.Netsim.realized))
+         = Msts.Spider_schedule.entries base))
 
 let pull_no_fault_refinement =
   to_alcotest
     (QCheck.Test.make ~count:150
-       ~name:"empty trace: pull_under_faults = pull_policy ~buffer:1, exactly"
+       ~name:"empty trace: pull_under_faults = reference pull policy ~buffer:1"
        (spider_with_n_arb ~max_legs:3 ~max_depth:3 ~max_n:7 ())
        (fun (spider, n) ->
-         let base = Msts.Netsim.pull_policy ~buffer:1 spider ~tasks:n in
+         let base = Netsim_reference.pull_policy ~buffer:1 spider ~tasks:n in
          let f = Msts.Netsim.pull_under_faults spider ~tasks:n in
          Msts.Spider_schedule.entries f.Msts.Netsim.observed
          = Msts.Spider_schedule.entries base))

@@ -1,4 +1,4 @@
-(* Tests for the discrete-event substrate: engine, resources, and the
+(* Tests for the discrete-event substrate: the engine and the
    master-slave network simulation. *)
 
 open Helpers
@@ -91,42 +91,6 @@ let engine_counts_cascades () =
   Msts.Engine.schedule_at e 5 (fun () -> ());
   Msts.Engine.run e;
   Alcotest.(check int) "seven total" 7 (Msts.Engine.events_processed e)
-
-(* ---------- resource ---------- *)
-
-let resource_fifo () =
-  let e = Msts.Engine.create () in
-  let r = Msts.Resource.create e ~name:"port" in
-  let starts = ref [] in
-  List.iter
-    (fun tag ->
-      Msts.Resource.request r ~duration:3 ~tag ~on_start:(fun t ->
-          starts := (tag, t) :: !starts))
-    [ 1; 2; 3 ];
-  Msts.Engine.run e;
-  Alcotest.(check (list (pair int int))) "sequential grants"
-    [ (1, 0); (2, 3); (3, 6) ]
-    (List.rev !starts);
-  Alcotest.(check int) "served" 3 (Msts.Resource.served r);
-  Alcotest.(check int) "idle at" 9 (Msts.Resource.idle_until r);
-  Alcotest.(check bool) "log disjoint" true
-    (Msts.Intervals.are_disjoint (Msts.Resource.busy_log r))
-
-let resource_respects_now () =
-  let e = Msts.Engine.create () in
-  let r = Msts.Resource.create e ~name:"r" in
-  let granted = ref (-1) in
-  Msts.Engine.schedule_at e 10 (fun () ->
-      Msts.Resource.request r ~duration:2 ~tag:1 ~on_start:(fun t -> granted := t));
-  Msts.Engine.run e;
-  Alcotest.(check int) "not before request time" 10 !granted
-
-let resource_rejects_negative () =
-  let e = Msts.Engine.create () in
-  let r = Msts.Resource.create e ~name:"r" in
-  Alcotest.check_raises "negative duration"
-    (Invalid_argument "Resource.request: negative duration") (fun () ->
-      Msts.Resource.request r ~duration:(-1) ~tag:0 ~on_start:(fun _ -> ()))
 
 (* ---------- netsim vs analytic ASAP ---------- *)
 
@@ -255,12 +219,6 @@ let suites =
         case "step" engine_step;
         case "negative delay rejected" engine_rejects_negative_delay;
         case "events_processed counts cascades" engine_counts_cascades;
-      ] );
-    ( "sim.resource",
-      [
-        case "FIFO grants" resource_fifo;
-        case "grants respect current time" resource_respects_now;
-        case "negative duration rejected" resource_rejects_negative;
       ] );
     ( "sim.netsim",
       [
