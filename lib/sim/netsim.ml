@@ -32,12 +32,13 @@ type fault_report = {
    Without faults, each operation claims an engine rank when it is
    requested, its start is an engine event at (start date, that rank) and
    its completion an event scheduled when it starts.  Same-instant events
-   then run exactly as if every request had reserved its slot up front,
-   which is the order the schedules of the fault-free entry points are
-   defined by (ties included).  A fault trace stretches and cuts
-   operations after they would have been reserved, so there is no such
-   order to keep: under faults an operation starts as soon as its resource
-   frees, inside the event that frees it, one event per operation. *)
+   then run exactly as if every request had reserved its slot on arrival;
+   that order, ties included, defines the schedules of the fault-free
+   entry points (test/netsim_reference.ml pins it).  A fault trace
+   stretches and cuts operations after they would have been reserved, so
+   there is no such order to keep: under faults an operation starts as
+   soon as its resource frees, inside the event that frees it, one event
+   per operation. *)
 
 type tstate =
   | At_master

@@ -1,8 +1,9 @@
-(* Differential suite: every public Netsim executor against the frozen
+(* Differential suite: every public Netsim entry point against the frozen
    reservation-based executors of netsim_reference.ml, on random spiders,
    plans, buffers and degraded platforms.  Each pair must agree on every
    schedule entry and on the number of recorded trace events, and the
-   recorded trace must pass the invariant checker. *)
+   recorded trace must pass the invariant checker.  Also unit tests of the
+   reference's resource and of the engine ranks the executor relies on. *)
 
 open Helpers
 module Ref = Netsim_reference
@@ -42,6 +43,23 @@ let resource_rejects_negative () =
   Alcotest.check_raises "negative duration"
     (Invalid_argument "Resource.request: negative duration") (fun () ->
       Ref.Resource.request r ~duration:(-1) ~tag:0 ~on_start:(fun _ -> ()))
+
+(* ---------- claimed engine ranks ---------- *)
+
+(* An event scheduled with an earlier claim runs before same-time events
+   scheduled after the claim, whenever it was itself scheduled. *)
+let claimed_rank_orders_ties () =
+  let e = Msts.Engine.create () in
+  let log = ref [] in
+  let early = Msts.Engine.claim e in
+  Msts.Engine.schedule_at e 5 (fun () -> log := "plain" :: !log);
+  Msts.Engine.schedule_at e 1 (fun () ->
+      Msts.Engine.schedule_claimed e 5 ~claim:early (fun () -> log := "claimed" :: !log));
+  Msts.Engine.run e;
+  Alcotest.(check (list string)) "claim order" [ "claimed"; "plain" ] (List.rev !log);
+  Alcotest.check_raises "past"
+    (Invalid_argument "Engine.schedule_claimed: time 3 is before now (5)") (fun () ->
+      Msts.Engine.schedule_claimed e 3 ~claim:(Msts.Engine.claim e) ignore)
 
 (* ---------- generators ---------- *)
 
@@ -201,6 +219,7 @@ let suites =
         case "grants respect current time" resource_respects_now;
         case "negative duration rejected" resource_rejects_negative;
       ] );
+    ("sim.claim", [ case "claimed ranks order ties" claimed_rank_orders_ties ]);
     ( "sim.reference",
       [
         sequence_matches_reference;
