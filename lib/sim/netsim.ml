@@ -1,6 +1,5 @@
 module Spider = Msts_platform.Spider
 module Chain = Msts_platform.Chain
-module Schedule = Msts_schedule.Schedule
 module Spider_schedule = Msts_schedule.Spider_schedule
 module Plan = Msts_schedule.Plan
 module Obs = Msts_obs.Obs
@@ -119,7 +118,9 @@ let run ?max_events ?(buffer = max_int) ~fn spider mode trace decide =
   let engine = Engine.create () in
   (* trace recorder shorthand: events dated at the engine's current time *)
   let tracing = Trace.recording () in
-  let memit id kind = if tracing then Trace.emit ~time:(Engine.now engine) ~task:id kind in
+  let memit id kind =
+    if tracing then Trace.emit ~time:(Engine.now engine) ~task:id kind
+  in
   let state = Fault.init spider in
   let legs = Spider.legs spider in
   let port = fres_create () in
@@ -160,7 +161,9 @@ let run ?max_events ?(buffer = max_int) ~fn spider mode trace decide =
         match Queue.take_opt g.blocked with Some k -> k () | None -> g.free <- g.free + 1)
     | _ -> ()
   in
-  let n = match mode with Plan { dests; _ } -> Array.length dests | Pull { tasks; _ } -> tasks in
+  let n =
+    match mode with Plan { dests; _ } -> Array.length dests | Pull { tasks; _ } -> tasks
+  in
   let tasks =
     Array.init n (fun idx ->
         {
@@ -342,7 +345,9 @@ let run ?max_events ?(buffer = max_int) ~fn spider mode trace decide =
           match List.find_opt (fun id -> (task id).earliest <= at) ids with
           | Some id -> Some (task id, at)
           | None ->
-              let tmin = List.fold_left (fun m id -> min m (task id).earliest) max_int ids in
+              let tmin =
+                List.fold_left (fun m id -> min m (task id).earliest) max_int ids
+              in
               Some (task (List.find (fun id -> (task id).earliest = tmin) ids), tmin))
     in
     match mode with
@@ -691,15 +696,10 @@ let run_sequence_spider spider seq =
     .observed
 
 let run_sequence_chain chain seq =
-  let spider = Spider.of_chain chain in
-  let sched =
-    run_sequence_spider spider (Array.map (fun depth -> { Spider.leg = 1; depth }) seq)
-  in
-  Schedule.make chain
-    (Array.map
-       (fun (e : Spider_schedule.entry) ->
-         { Schedule.proc = e.address.Spider.depth; start = e.start; comms = e.comms })
-       (Spider_schedule.entries sched))
+  Spider_schedule.leg_schedule
+    (run_sequence_spider (Spider.of_chain chain)
+       (Array.map (fun depth -> { Spider.leg = 1; depth }) seq))
+    1
 
 let report_of plan (r : fault_report) =
   let realized = r.observed in
@@ -771,7 +771,8 @@ let replay_under_faults ?max_events ?(trace = []) ?decide plan =
   let fn = "Msts.Netsim.replay_under_faults" in
   let spider = Spider_schedule.spider plan in
   validate fn spider trace;
-  faulty_span "plan" trace @@ fun () -> run_plan ?max_events ~trace ?decide ~fn spider plan
+  faulty_span "plan" trace @@ fun () ->
+  run_plan ?max_events ~trace ?decide ~fn spider plan
 
 let pull_under_faults ?max_events ?(trace = []) spider ~tasks =
   let fn = "Msts.Netsim.pull_under_faults" in
