@@ -374,7 +374,7 @@ let run ?max_events ?(buffer = max_int) ~fn spider mode trace decide =
             | None -> None))
   (* Schedule the master's next emission, replacing any pending one; every
      change to the queue that could alter the choice re-arms it.  Under
-     faults: emit now if the port is free, else wake up when a backoff
+     faults: send now if the port is free, else wake up when a backoff
      expires (the port's completion re-arms). *)
   and arm_port () =
     incr port_epoch;
@@ -387,14 +387,14 @@ let run ?max_events ?(buffer = max_int) ~fn spider mode trace decide =
           let epoch = !port_epoch in
           Engine.schedule_claimed engine date ~claim:rank (fun () ->
               if !port_epoch = epoch then begin
-                emit t ~rank ~ready;
+                send t ~rank ~ready;
                 arm_port ()
               end)
         end
         else if port.busy = None then
-          if date = Engine.now engine then emit t ~rank ~ready
+          if date = Engine.now engine then send t ~rank ~ready
           else Engine.schedule_at engine date arm_port
-  and emit t ~rank ~ready =
+  and send t ~rank ~ready =
     (match mode with
     | Plan _ -> unqueue t
     | Pull _ ->
