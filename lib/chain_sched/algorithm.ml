@@ -122,6 +122,7 @@ let fast_schedule chain n =
     let start = Kernel.commit chain ~hull:st.hull ~occupancy:st.occupancy sc ~proc in
     entries.(task - 1) <- { Schedule.proc; start; comms }
   done;
+  Kernel.flush sc;
   Schedule.normalise (Schedule.make chain entries)
 
 let schedule ?kernel ?on_step chain n =
@@ -148,7 +149,8 @@ let makespan ?kernel chain n =
             Kernel.commit chain ~hull:st.hull ~occupancy:st.occupancy sc ~proc
           in
           if task = 1 then first_emission := Kernel.first_emission sc
-        done
+        done;
+        Kernel.flush sc
     | Kernel.Reference ->
         for task = n downto 1 do
           let _, vector, _ = place_light ~select chain st in

@@ -110,12 +110,19 @@ let add_task_fast t ~min_emission =
     true
   end
 
-let add_task_from t ~min_emission =
+let add_task_unflushed t ~min_emission =
   if t.full then false
   else
     match t.kernel with
     | Kernel.Reference -> add_task_reference t ~min_emission
     | Kernel.Fast -> add_task_fast t ~min_emission
+
+(* Each public call emits the fast kernel's counters once; [fill] flushes
+   once for the whole run. *)
+let add_task_from t ~min_emission =
+  let added = add_task_unflushed t ~min_emission in
+  Kernel.flush t.sc;
+  added
 
 let add_task t = add_task_from t ~min_emission:0
 
@@ -179,7 +186,8 @@ let earliest_emission t =
   if t.placed = 0 then None else Some (emission_at t (t.placed - 1))
 
 let fill t ?(max_tasks = max_int) () =
-  while t.placed < max_tasks && add_task t do
+  while t.placed < max_tasks && add_task_unflushed t ~min_emission:0 do
     ()
   done;
+  Kernel.flush t.sc;
   t.placed

@@ -15,9 +15,17 @@ let selected = Atomic.make Fast
 let set_default k = Atomic.set selected k
 let default () = Atomic.get selected
 
-type scratch = { mutable vals : int array }
+(* Besides the sweep buffer, the scratch tallies the construction's
+   counters; {!flush} emits each total as one counter event, so a
+   placement costs no sink traffic. *)
+type scratch = {
+  mutable vals : int array;
+  mutable scans : int;
+  mutable placed : int;
+  mutable hull_updates : int;
+}
 
-let scratch () = { vals = [||] }
+let scratch () = { vals = [||]; scans = 0; placed = 0; hull_updates = 0 }
 
 (* Candidate [k]'s own value at coordinate [k]:
    min(o_k − w_k, h_k) − c_k, the latest arrival compatible with both the
@@ -42,10 +50,7 @@ let sweep chain ~hull ~occupancy sc =
   let p = Chain.length chain in
   if Array.length sc.vals < p then sc.vals <- Array.make p 0;
   let vals = sc.vals in
-  (* The [~n:..] application boxes its optional argument; skipping it when
-     no sink is installed keeps the sweep allocation-free in steady state
-     (asserted by the online bench via [Gc.minor_words]). *)
-  if Obs.enabled () then Obs.count ~n:p "chain.candidate_scans";
+  sc.scans <- sc.scans + p;
   let best = ref p in
   let tracked = ref (seed chain ~hull ~occupancy p) in
   vals.(p - 1) <- !tracked;
@@ -71,7 +76,22 @@ let commit chain ~hull ~occupancy sc ~proc =
   let start = occupancy.(proc - 1) - Chain.work chain proc in
   occupancy.(proc - 1) <- start;
   Array.blit sc.vals 0 hull 0 proc;
-  Obs.count "chain.tasks_placed";
-  if Obs.enabled () then Obs.count ~n:proc "chain.hull_updates";
-  Obs.count "chain.kernel.fast_placements";
+  sc.placed <- sc.placed + 1;
+  sc.hull_updates <- sc.hull_updates + proc;
   start
+
+let flush sc =
+  (* The [~n:..] applications box their optional argument; skipping them
+     when no sink is installed keeps a construction allocation-free in
+     steady state (asserted by the online bench via [Gc.minor_words]). *)
+  if Obs.enabled () then begin
+    if sc.scans > 0 then Obs.count ~n:sc.scans "chain.candidate_scans";
+    if sc.placed > 0 then begin
+      Obs.count ~n:sc.placed "chain.tasks_placed";
+      Obs.count ~n:sc.hull_updates "chain.hull_updates";
+      Obs.count ~n:sc.placed "chain.kernel.fast_placements"
+    end
+  end;
+  sc.scans <- 0;
+  sc.placed <- 0;
+  sc.hull_updates <- 0

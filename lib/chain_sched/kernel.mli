@@ -9,8 +9,9 @@
     so the Definition 3 winner can be decided with one scalar comparison
     per processor during a single O(p) backward sweep over a reusable
     scratch buffer — no per-task allocation beyond the chosen vector
-    itself.  Both kernels produce byte-identical schedules (enforced by
-    the differential test suite).
+    itself, and no per-task counter event: the scratch tallies them.
+    Both kernels produce byte-identical schedules (enforced by the
+    differential test suite).
 
     The selected kernel is a process-wide atomic so batch-solver domains
     and the CLI share one switch; call sites can override it per call
@@ -27,7 +28,9 @@ val default : unit -> t
 val set_default : t -> unit
 
 type scratch
-(** Reusable buffer for the fast sweep; grows to the largest [p] seen. *)
+(** Reusable buffer for the fast sweep; grows to the largest [p] seen.
+    It also tallies the construction's [chain.*] counters until
+    {!flush}. *)
 
 val scratch : unit -> scratch
 
@@ -58,5 +61,12 @@ val commit :
   Msts_platform.Chain.t ->
   hull:int array -> occupancy:int array -> scratch -> proc:int -> int
 (** Apply the placement the last {!sweep} decided: update occupancy and
-    hull in place exactly as {!Algorithm.place} would, bump the same
-    counters, and return the task's start time. *)
+    hull in place exactly as {!Algorithm.place} would, tally the same
+    counters in the scratch, and return the task's start time. *)
+
+val flush : scratch -> unit
+(** Emit the counters tallied since the last flush — [chain.candidate_scans],
+    [chain.tasks_placed], [chain.hull_updates] and
+    [chain.kernel.fast_placements], one counter event each, none for a
+    zero total — and reset them.  Constructions call it once at their
+    end; with no sink installed it only resets, allocating nothing. *)

@@ -819,7 +819,8 @@ let exec_check ~solver { Solve.platform; tasks; deadline } ~trace:do_trace ~seed
     Ok (Checked { plan; oracle; sections; ok })
 
 let exec_profile ~platform ~tasks:n ~deadline ~workload ~seed ~events =
-  let mem = Obs.Memory.create () in
+  (* No per-scope tables: the reply serializes only the global ones. *)
+  let mem = Obs.Memory.create ~max_scopes:0 () in
   let problem =
     match deadline with
     | Some d -> Solve.problem ~deadline:d platform

@@ -33,7 +33,7 @@ let allocate candidates ~deadline ~budget =
       { Expansion.slave = 0; rank = 0; comm = 0; work = 0 }
   in
   let size = ref 0 in
-  (* Feasibility of inserting [candidate]: it lands after every node with
+  (* Insert [candidate] if feasible: it lands after every node with
      greater or equal work; its own transfer must end early enough, and
      every node pushed later by its comm time must still fit. *)
   let try_insert (candidate : Expansion.vnode) =
@@ -55,16 +55,18 @@ let allocate candidates ~deadline ~budget =
       Array.blit accepted !pos accepted (!pos + 1) (!size - !pos);
       accepted.(!pos) <- candidate;
       incr size
-    end;
-    !fits
+    end
   in
+  let probes = ref 0 in
   List.iter
     (fun candidate ->
       if !size < budget then begin
-        Msts_obs.Obs.count "fork.insert_probes";
-        if try_insert candidate then Msts_obs.Obs.count "fork.nodes_accepted"
+        incr probes;
+        try_insert candidate
       end)
     (Expansion.allocation_order candidates);
+  if !probes > 0 then Msts_obs.Obs.count ~n:!probes "fork.insert_probes";
+  if !size > 0 then Msts_obs.Obs.count ~n:!size "fork.nodes_accepted";
   emission_schedule accepted !size
 
 let max_tasks fork ~deadline ~budget =

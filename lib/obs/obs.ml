@@ -363,10 +363,13 @@ module Memory = struct
     (* The raw log is bounded (oldest events drop out); every aggregate
        below stays exact because it is updated incrementally here, never
        recomputed from the log. *)
-    Queue.push ev t.log;
-    if Queue.length t.log > t.max_events then begin
-      ignore (Queue.pop t.log);
-      t.dropped <- t.dropped + 1
+    if t.max_events = 0 then t.dropped <- t.dropped + 1
+    else begin
+      Queue.push ev t.log;
+      if Queue.length t.log > t.max_events then begin
+        ignore (Queue.pop t.log);
+        t.dropped <- t.dropped + 1
+      end
     end;
     match ev with
     | Count { name; delta; scope; _ } ->

@@ -206,7 +206,7 @@ let create cfg =
     served = 0;
     rejected = 0;
     timeouts = 0;
-    metrics = Obs.Memory.create ~max_events:0 ();
+    metrics = Obs.Memory.create ~max_events:0 ~max_scopes:0 ();
     req_queue_wait = Obs.Histogram.create ();
     req_solve = Obs.Histogram.create ();
     req_encode = Obs.Histogram.create ();

@@ -208,9 +208,12 @@ val slow_requests : t -> slow_entry list
 (** The top-[slow_log] slowest dispatched requests, slowest first. *)
 
 val metrics_sink : t -> Msts.Obs.sink
-(** The engine's aggregating metrics sink (a log-less {!Msts.Obs.Memory}).
-    The server tees every event into it so {!exposition} carries the full
-    counter/histogram families; it is always safe to feed. *)
+(** The engine's aggregating metrics sink (a {!Msts.Obs.Memory} with no
+    raw log and no per-scope tables: per-request data lives in the
+    scope-stamped event stream, the slow log and the [request.*]
+    histograms).  The server tees every event into it so {!exposition}
+    carries the full counter/histogram families; it is always safe to
+    feed. *)
 
 val exposition : t -> string
 (** The live Prometheus text exposition ({!Msts.Obs.Prometheus}): all

@@ -48,11 +48,10 @@ let step t =
       Msts_obs.Obs.record "engine.event_gap_us" (ev.time - t.clock);
       t.clock <- ev.time;
       t.processed <- t.processed + 1;
-      Msts_obs.Obs.count "engine.events";
       ev.action ();
       true
 
-let run ?max_events t =
+let drain ?max_events t =
   match max_events with
   | None -> while step t do () done
   | Some budget ->
@@ -70,5 +69,15 @@ let run ?max_events t =
                (Msts_util.Heap.length t.queue));
         if step t then decr remaining else running := false
       done
+
+(* [engine.events] is tallied in [processed] and emitted once per run,
+   also when the run fails, instead of once per event. *)
+let run ?max_events t =
+  let before = t.processed in
+  Fun.protect
+    ~finally:(fun () ->
+      let n = t.processed - before in
+      if n > 0 then Msts_obs.Obs.count ~n "engine.events")
+    (fun () -> drain ?max_events t)
 
 let events_processed t = t.processed

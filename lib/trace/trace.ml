@@ -110,10 +110,18 @@ end
 let the_recorder : Recorder.t option Domain.DLS.key =
   Domain.DLS.new_key (fun () -> None)
 
-let with_recorder r f =
+(* [trace.events] is emitted once per installation, as the number of
+   events recorded meanwhile, instead of once per [emit]. *)
+let with_recorder (r : Recorder.t) f =
   let saved = Domain.DLS.get the_recorder in
+  let before = r.next_seq in
   Domain.DLS.set the_recorder (Some r);
-  Fun.protect ~finally:(fun () -> Domain.DLS.set the_recorder saved) f
+  Fun.protect
+    ~finally:(fun () ->
+      Domain.DLS.set the_recorder saved;
+      let n = r.next_seq - before in
+      if n > 0 then Obs.count ~n "trace.events")
+    f
 
 let recording () = Option.is_some (Domain.DLS.get the_recorder)
 
@@ -122,8 +130,7 @@ let emit ~time ~task kind =
   | None -> ()
   | Some r ->
       r.rev <- { time; seq = r.next_seq; task; kind } :: r.rev;
-      r.next_seq <- r.next_seq + 1;
-      Obs.count "trace.events"
+      r.next_seq <- r.next_seq + 1
 
 let recorded (r : Recorder.t) = of_events (List.rev r.rev)
 

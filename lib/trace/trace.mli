@@ -108,7 +108,9 @@ end
 val with_recorder : Recorder.t -> (unit -> 'a) -> 'a
 (** Route every {!emit} in the callback (simulator instrumentation) into
     the recorder.  Like the [Obs] sink the hook is domain-local; nesting
-    restores the previous recorder on exit. *)
+    restores the previous recorder on exit.  On exit, also on exceptions,
+    the events recorded meanwhile are counted as one [trace.events]
+    increment. *)
 
 val recording : unit -> bool
 (** Whether a recorder is installed on this domain — lets instrumentation
@@ -117,7 +119,7 @@ val recording : unit -> bool
 
 val emit : time:int -> task:int -> kind -> unit
 (** Append one event to the installed recorder; a no-op without one.
-    Counts [trace.events]. *)
+    {!with_recorder} counts it as a [trace.events] on exit. *)
 
 val recorded : Recorder.t -> t
 (** The trace recorded so far, in canonical order. *)

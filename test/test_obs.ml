@@ -279,6 +279,24 @@ let memory_cap_bounds_log () =
   | Obs.Value { name = "v"; value = 5; _ } :: _ -> ()
   | _ -> Alcotest.fail "newest event not retained"
 
+(* A log-less sink (the daemon's metrics sink) stores no event at all but
+   still counts each one as dropped, and its aggregates stay exact. *)
+let memory_without_log () =
+  let mem = Obs.Memory.create ~max_events:0 ~max_scopes:0 () in
+  Obs.with_sink (Obs.Memory.sink mem) (fun () ->
+      Obs.Scope.with_scope (Obs.Scope.fresh ()) (fun () ->
+          for _ = 1 to 10 do
+            Obs.count "n"
+          done;
+          Obs.record "v" 5));
+  Alcotest.(check int) "nothing stored" 0 (Obs.Memory.stored_events mem);
+  Alcotest.(check int) "every event dropped" 11 (Obs.Memory.dropped_events mem);
+  Alcotest.(check int) "counter exact" 10 (Obs.Memory.counter mem "n");
+  Alcotest.(check (list int)) "no scope tables" [] (Obs.Memory.scopes mem);
+  match Obs.Memory.histogram mem "v" with
+  | Some h -> Alcotest.(check int) "histogram exact" 1 (Obs.Histogram.count h)
+  | None -> Alcotest.fail "histogram missing"
+
 (* ---------- streaming sink ---------- *)
 
 let streaming_sink_bounded () =
@@ -611,6 +629,124 @@ let chrome_trace_execution_valid () =
             stacks
       | _ -> Alcotest.fail "traceEvents missing")
 
+(* ---------- tallied counters: one event per run ---------- *)
+
+(* The counter events [f] emits, in order, as (name, delta) pairs. *)
+let counter_events f =
+  let seen = ref [] in
+  let sink = function
+    | Obs.Count { name; delta; _ } -> seen := (name, delta) :: !seen
+    | _ -> ()
+  in
+  let result = Obs.with_sink sink f in
+  (result, List.rev !seen)
+
+(* Each counter name [f] emits appears in exactly one event: the hot
+   loops tally and emit once per call.  Returns [name]'s total. *)
+let once label events name =
+  List.iter
+    (fun (n, _) ->
+      let k = List.length (List.filter (fun (m, _) -> m = n) events) in
+      if k <> 1 then Alcotest.failf "%s: %d %s events, want 1" label k n)
+    events;
+  match List.assoc_opt name events with
+  | Some total -> total
+  | None -> Alcotest.failf "%s: no %s event" label name
+
+let tallied_once n () =
+  let label call = Printf.sprintf "%s, n=%d" call n in
+  let chain = figure2_chain in
+  let spider =
+    Msts.Spider.of_legs [ figure2_chain; Msts.Chain.of_pairs [ (1, 2) ] ]
+  in
+  let plan = Msts.Plan.Spider (Msts.Spider_algorithm.schedule_tasks spider n) in
+  let placed call f =
+    let _, evs = counter_events f in
+    Alcotest.(check int) (label call) n
+      (once (label call) evs "chain.tasks_placed");
+    List.iter
+      (fun name -> ignore (once (label call) evs name))
+      [
+        "chain.candidate_scans";
+        "chain.hull_updates";
+        "chain.kernel.fast_placements";
+      ]
+  in
+  placed "Algorithm.schedule" (fun () ->
+      ignore (Msts.Chain_algorithm.schedule chain n));
+  placed "Algorithm.makespan" (fun () ->
+      ignore (Msts.Chain_algorithm.makespan chain n));
+  placed "Incremental.fill" (fun () ->
+      let horizon = Msts.Chain.master_only_makespan chain n in
+      let inc = Msts.Chain_incremental.create chain ~horizon in
+      Alcotest.(check int) "fill places n" n
+        (Msts.Chain_incremental.fill inc ~max_tasks:n ()));
+  let inc =
+    Msts.Chain_incremental.create chain
+      ~horizon:(Msts.Chain.master_only_makespan chain n)
+  in
+  for _ = 1 to n do
+    let _, evs =
+      counter_events (fun () -> Msts.Chain_incremental.add_task inc)
+    in
+    Alcotest.(check int) (label "Incremental.add_task") 1
+      (once (label "Incremental.add_task") evs "chain.tasks_placed")
+  done;
+  let nodes =
+    Msts.Fork_expansion.expand (Msts.Fork.of_pairs [ (1, 2); (2, 3) ]) ~count:n
+  in
+  let accepted, evs =
+    counter_events (fun () ->
+        Msts.Fork_allocator.allocate nodes ~deadline:(3 * n) ~budget:n)
+  in
+  ignore (once (label "Allocator.allocate") evs "fork.insert_probes");
+  Alcotest.(check int) (label "Allocator.allocate") (List.length accepted)
+    (once (label "Allocator.allocate") evs "fork.nodes_accepted");
+  let _, evs = counter_events (fun () -> Msts.Netsim.execute plan) in
+  ignore (once (label "Netsim.execute") evs "engine.events");
+  let _, evs =
+    counter_events (fun () -> Msts.Netsim.pull_policy spider ~tasks:n)
+  in
+  ignore (once (label "Netsim.pull_policy") evs "engine.events");
+  let r = Msts.Trace.Recorder.create () in
+  let _, evs =
+    counter_events (fun () ->
+        Msts.Trace.with_recorder r (fun () -> Msts.Netsim.execute plan))
+  in
+  Alcotest.(check int) (label "Trace.with_recorder")
+    (Msts.Trace.Recorder.event_count r)
+    (once (label "Trace.with_recorder") evs "trace.events");
+  let e = Msts.Engine.create () in
+  for time = 1 to n do
+    Msts.Engine.schedule_at e time ignore
+  done;
+  let (), evs = counter_events (fun () -> Msts.Engine.run e) in
+  Alcotest.(check int) (label "Engine.run")
+    (Msts.Engine.events_processed e)
+    (once (label "Engine.run") evs "engine.events")
+
+(* A run that exhausts its budget still reports the events it ran, and a
+   later run on the same engine reports only its own. *)
+let engine_budget_tallied () =
+  let e = Msts.Engine.create () in
+  let rec tick () = Msts.Engine.schedule_after e 1 tick in
+  Msts.Engine.schedule_at e 0 tick;
+  let (), evs =
+    counter_events (fun () ->
+        match Msts.Engine.run ~max_events:7 e with
+        | () -> Alcotest.fail "the budget should run out"
+        | exception Failure _ -> ())
+  in
+  Alcotest.(check (list (pair string int)))
+    "one tally of the budget" [ ("engine.events", 7) ] evs;
+  Alcotest.(check int) "= events_processed" 7 (Msts.Engine.events_processed e);
+  let (), evs =
+    counter_events (fun () ->
+        try Msts.Engine.run ~max_events:3 e with Failure _ -> ())
+  in
+  Alcotest.(check (list (pair string int)))
+    "the second run counts its own events" [ ("engine.events", 3) ] evs
+
 (* ---------- metric-name drift guard ---------- *)
 
 (* A corpus touching every instrumented subsystem: chain and spider
@@ -930,6 +1066,7 @@ let suites =
     ( "obs.bounded",
       [
         case "raw log capped, aggregates exact" memory_cap_bounds_log;
+        case "log-less memory sink stores nothing" memory_without_log;
         case "streaming sink bounded buffer + JSONL" streaming_sink_bounded;
         case "streaming rejects flush_every < 1" streaming_rejects_bad_flush_every;
         case "ring keeps the newest N" ring_keeps_last_n;
@@ -963,6 +1100,12 @@ let suites =
         case "chrome trace of an execution validates" chrome_trace_execution_valid;
         case "json roundtrip" json_roundtrip;
         case "json rejects garbage" json_rejects_garbage;
+      ] );
+    ( "obs.tallies",
+      [
+        case "one counter event per call, n=5" (tallied_once 5);
+        case "one counter event per call, n=500" (tallied_once 500);
+        case "exhausted engine budget still tallied" engine_budget_tallied;
       ] );
     ( "obs.drift",
       [ case "metric names match docs/OBSERVABILITY.md" metric_names_documented ] );
