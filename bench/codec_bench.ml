@@ -8,13 +8,17 @@
               cache probes)
      encode   Json.to_string of the batch reply and of the schedule
               reply
+     write    Api.response_line of the batch reply and of the schedule
+              reply: the whole wire frame, written without a tree
 
    and writes them to BENCH_codec.json.  Only the word counts are gated,
    because they do not depend on the host: each must stay a fixed factor
    below the count the codec allocated before the per-frame platform
    memo, the identity-keyed fingerprints and the allocation-light
    scanner and printer (constants measured with this file on that code,
-   OCaml 5.1.1).  Wall time is reported, not asserted. *)
+   OCaml 5.1.1).  The write stages' "before" is building the reply tree
+   and printing its frame (Api.json_of_reply, then Api.response_to_line)
+   on the Buffer-based printer.  Wall time is reported, not asserted. *)
 
 type stage = {
   name : string;
@@ -58,6 +62,15 @@ let reply_json op =
   Msts.Api.encode_response
     (Msts.Api.respond ~solver:Msts.Api.direct_solver (request op))
 
+(* The reply and its frame writer, checked once against the reference
+   encoder so the stage times the bytes the daemon sends. *)
+let frame_writer op =
+  let result = Msts.Api.exec ~solver:Msts.Api.direct_solver op in
+  let write () = Msts.Api.response_line ~id:(Some 1) ~trace:None result in
+  if write () <> Msts.Api.response_to_line (Msts.Api.respond ~solver:Msts.Api.direct_solver (request op))
+  then failwith ("codec-scaling: the written " ^ Msts.Api.op_name op ^ " frame differs");
+  fun () -> ignore (write ())
+
 (* Mean wall time (us) and minor words of one call, uninstrumented as a
    serving daemon runs, after one warm-up call. *)
 let measure run =
@@ -84,6 +97,8 @@ let codec_scaling () =
   let cache = Msts.Batch.cache ~capacity:256 in
   let batch_reply = reply_json (Msts.Api.Batch decoded) in
   let schedule_reply = reply_json (Msts.Api.Schedule (schedule_problem ())) in
+  let write_batch = frame_writer (Msts.Api.Batch decoded) in
+  let write_schedule = frame_writer (Msts.Api.Schedule (schedule_problem ())) in
   let stages =
     [
       {
@@ -109,6 +124,13 @@ let codec_scaling () =
         before_words = 41339.;
         gate = 2.0;
         run = (fun () -> ignore (Msts.Json.to_string schedule_reply));
+      };
+      { name = "write"; before_words = 50788.; gate = 5.0; run = write_batch };
+      {
+        name = "write_schedule";
+        before_words = 52369.;
+        gate = 100.0;
+        run = write_schedule;
       };
     ]
   in
@@ -183,6 +205,6 @@ let codec_scaling () =
 let all : (string * string * (unit -> unit)) list =
   [
     ( "codec-scaling",
-      "wire codec on bulk-frames shapes: decode, shard, encode per frame",
+      "wire codec on bulk-frames shapes: decode, shard, encode, write per frame",
       codec_scaling );
   ]

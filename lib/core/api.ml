@@ -745,6 +745,128 @@ let json_of_reply = function
         ]
   | Bye -> Json.Obj [ ("shutting_down", Json.Bool true) ]
 
+(* ---------- the wire writer ---------- *)
+
+(* [response_line] writes the frame [response_to_line] prints from the
+   tree, field by field, for the replies whose payload grows with the
+   task count; every other reply is spliced in from [json_of_reply].
+   test/test_api.ml checks the two byte for byte. *)
+module W = Json.Writer
+
+let write_comms w comms =
+  W.char w '[';
+  for i = 0 to Array.length comms - 1 do
+    if i > 0 then W.char w ',';
+    W.int w comms.(i)
+  done;
+  W.char w ']'
+
+let write_entry w plan i =
+  W.raw w "{\"task\":";
+  W.int w i;
+  (match plan with
+  | Plan.Chain sched ->
+      let e = Schedule.entry sched i in
+      W.raw w ",\"proc\":";
+      W.int w e.Schedule.proc;
+      W.raw w ",\"start\":";
+      W.int w e.Schedule.start;
+      W.raw w ",\"comms\":";
+      write_comms w e.Schedule.comms
+  | Plan.Spider sched ->
+      let e = Spider_schedule.entry sched i in
+      W.raw w ",\"leg\":";
+      W.int w e.Spider_schedule.address.Spider.leg;
+      W.raw w ",\"depth\":";
+      W.int w e.Spider_schedule.address.Spider.depth;
+      W.raw w ",\"start\":";
+      W.int w e.Spider_schedule.start;
+      W.raw w ",\"comms\":";
+      write_comms w e.Spider_schedule.comms);
+  W.char w '}'
+
+let write_plan w ~deadline plan =
+  W.char w '{';
+  (match deadline with
+  | None -> ()
+  | Some d ->
+      W.raw w "\"deadline\":";
+      W.int w d;
+      W.char w ',');
+  W.raw w
+    (match plan with
+    | Plan.Chain _ -> "\"kind\":\"chain\",\"tasks\":"
+    | Plan.Spider _ -> "\"kind\":\"spider\",\"tasks\":");
+  let n = Plan.task_count plan in
+  W.int w n;
+  W.raw w ",\"makespan\":";
+  W.int w (Plan.makespan plan);
+  W.raw w ",\"entries\":[";
+  for i = 1 to n do
+    if i > 1 then W.char w ',';
+    write_entry w plan i
+  done;
+  W.raw w "]}"
+
+let write_batched w ~problems ~outcomes ~(stats : Batch.stats) ~cache_capacity =
+  W.raw w "{\"instances\":";
+  W.int w stats.requests;
+  W.raw w ",\"cache\":{\"capacity\":";
+  W.int w cache_capacity;
+  W.raw w ",\"hits\":";
+  W.int w stats.cache_hits;
+  W.raw w ",\"misses\":";
+  W.int w stats.cache_misses;
+  W.raw w "},\"results\":[";
+  for i = 0 to Array.length outcomes - 1 do
+    if i > 0 then W.char w ',';
+    W.raw w "{\"instance\":";
+    W.int w (i + 1);
+    W.raw w ",\"kind\":\"";
+    W.raw w (platform_kind problems.(i).Solve.platform);
+    (match outcomes.(i) with
+    | Ok plan ->
+        W.raw w "\",\"tasks\":";
+        W.int w (Plan.task_count plan);
+        W.raw w ",\"makespan\":";
+        W.int w (Plan.makespan plan)
+    | Error msg ->
+        W.raw w "\",\"error\":";
+        W.string w msg);
+    W.char w '}'
+  done;
+  W.raw w "]}"
+
+let response_line ~id ~trace result =
+  W.to_string @@ fun w ->
+  W.raw w "{\"v\":";
+  W.int w version;
+  (match id with
+  | None -> ()
+  | Some i ->
+      W.raw w ",\"id\":";
+      W.int w i);
+  (match trace with
+  | None -> ()
+  | Some s ->
+      W.raw w ",\"trace\":";
+      W.string w s);
+  (match result with
+  | Ok reply -> (
+      W.raw w ",\"ok\":";
+      match reply with
+      | Solved { plan; deadline } -> write_plan w ~deadline plan
+      | Batched { problems; outcomes; stats; cache_capacity } ->
+          write_batched w ~problems ~outcomes ~stats ~cache_capacity
+      | reply -> W.value w (json_of_reply reply))
+  | Error { code; message } ->
+      W.raw w ",\"error\":{\"code\":";
+      W.string w (error_code_to_string code);
+      W.raw w ",\"message\":";
+      W.string w message;
+      W.char w '}');
+  W.raw w "}\n"
+
 (* ---------- execution ---------- *)
 
 type solver = problem array -> Batch.outcome array * Batch.stats
@@ -802,7 +924,13 @@ let exec_check ~solver { Solve.platform; tasks; deadline } ~trace:do_trace ~seed
         let execution =
           audit "recorded execution" (record (fun () -> Netsim.execute plan))
         in
-        let splan = Spider_algorithm.schedule_tasks spider n in
+        (* A task-count solve on a non-chain platform already is this
+           schedule; chains and deadline problems solve it anew. *)
+        let splan =
+          match (plan, deadline) with
+          | Plan.Spider s, None -> s
+          | _ -> Spider_algorithm.schedule_tasks spider n
+        in
         let horizon = Spider_schedule.makespan splan in
         let ftrace = Fault.random (Prng.create seed) spider ~events ~horizon in
         let faulted =

@@ -216,6 +216,14 @@ val json_of_reply : reply -> Msts_obs.Json.t
 (** The canonical JSON document for a reply — exactly what the CLI's
     [--format=json] prints and what the daemon puts in the [ok] field. *)
 
+val response_line :
+  id:int option -> trace:string option -> (reply, error) result -> string
+(** The newline-terminated wire frame answering a request: byte for byte
+    [response_to_line { id; trace; result = Result.map json_of_reply result }],
+    but [Solved] and [Batched] payloads are written straight to bytes
+    through {!Msts_obs.Json.Writer}, with no tree in between.  The daemon
+    calls it on the worker domain that ran the solve. *)
+
 type solver = problem array -> Msts_pool.Batch.outcome array * Msts_pool.Batch.stats
 (** How {!exec} solves: the CLI plugs {!direct_solver} (plain sequential
     [Solve.solve], no pool, no cache — identical behaviour to the

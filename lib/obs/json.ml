@@ -9,117 +9,184 @@ type t =
 
 (* ---------- printing ---------- *)
 
-let hex_digits = "0123456789abcdef"
+module Writer = struct
+  type json = t
 
-(* Runs of characters that need no escape are copied in one
-   [add_substring] each. *)
-let escape buf s =
-  Buffer.add_char buf '"';
-  let n = String.length s in
-  let run = ref 0 in
-  for i = 0 to n - 1 do
-    let c = String.unsafe_get s i in
-    if c = '"' || c = '\\' || Char.code c < 0x20 then begin
-      Buffer.add_substring buf s !run (i - !run);
-      (match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c ->
-          Buffer.add_string buf "\\u00";
-          Buffer.add_char buf hex_digits.[Char.code c lsr 4];
-          Buffer.add_char buf hex_digits.[Char.code c land 0xf]);
-      run := i + 1
-    end
-  done;
-  Buffer.add_substring buf s !run (n - !run);
-  Buffer.add_char buf '"'
+  type t = {
+    mutable buf : Bytes.t;
+    mutable len : int;
+    mutable busy : bool; (* lent out by [to_string] *)
+    digits : Bytes.t; (* 20 bytes: min_int's sign and 19 digits *)
+  }
 
-(* The decimal digits of [i], written right to left into [digits] (20
-   bytes: min_int's sign and 19 digits).  The value is kept non-positive
-   while it is cut down, so min_int needs no special case. *)
-let add_int buf digits i =
-  let len = Bytes.length digits in
-  let at = ref len in
-  let m = ref (if i < 0 then i else -i) in
-  let more = ref true in
-  while !more do
-    decr at;
-    Bytes.unsafe_set digits !at (Char.unsafe_chr (48 - (!m mod 10)));
-    m := !m / 10;
-    more := !m <> 0
-  done;
-  if i < 0 then begin
-    decr at;
-    Bytes.unsafe_set digits !at '-'
-  end;
-  Buffer.add_subbytes buf digits !at (len - !at)
+  let create capacity =
+    { buf = Bytes.create capacity; len = 0; busy = false; digits = Bytes.create 20 }
 
-let float_repr x =
-  if not (Float.is_finite x) then "null"
-  else if Float.is_integer x && Float.abs x < 1e15 then Printf.sprintf "%.1f" x
-  else
-    (* shortest decimal form that round-trips *)
-    let short = Printf.sprintf "%.12g" x in
-    if float_of_string short = x then short else Printf.sprintf "%.17g" x
+  let grow w need =
+    let cap = ref (Bytes.length w.buf) in
+    while !cap < w.len + need do
+      cap := 2 * !cap
+    done;
+    let buf = Bytes.create !cap in
+    Bytes.blit w.buf 0 buf 0 w.len;
+    w.buf <- buf
 
-let to_string ?(pretty = false) json =
-  let buf = Buffer.create 256 in
-  (* per call, not per module: [to_string] runs on several domains *)
-  let digits = Bytes.create 20 in
-  let indent depth =
-    if pretty then begin
-      Buffer.add_char buf '\n';
-      for _ = 1 to 2 * depth do
-        Buffer.add_char buf ' '
-      done
-    end
-  in
-  let rec go depth = function
-    | Null -> Buffer.add_string buf "null"
-    | Bool b -> Buffer.add_string buf (if b then "true" else "false")
-    | Int i -> add_int buf digits i
-    | Float x -> Buffer.add_string buf (float_repr x)
-    | String s -> escape buf s
-    | List [] -> Buffer.add_string buf "[]"
-    | List (first :: rest) ->
-        Buffer.add_char buf '[';
-        item (depth + 1) first;
-        items (depth + 1) rest;
-        indent depth;
-        Buffer.add_char buf ']'
-    | Obj [] -> Buffer.add_string buf "{}"
-    | Obj (first :: rest) ->
-        Buffer.add_char buf '{';
-        field (depth + 1) first;
-        fields (depth + 1) rest;
-        indent depth;
-        Buffer.add_char buf '}'
-  and item depth value =
-    indent depth;
-    go depth value
-  and items depth = function
-    | [] -> ()
-    | value :: rest ->
-        Buffer.add_char buf ',';
-        item depth value;
-        items depth rest
-  and field depth (key, value) =
-    indent depth;
-    escape buf key;
-    Buffer.add_string buf (if pretty then ": " else ":");
-    go depth value
-  and fields depth = function
-    | [] -> ()
-    | kv :: rest ->
-        Buffer.add_char buf ',';
-        field depth kv;
-        fields depth rest
-  in
-  go 0 json;
-  Buffer.contents buf
+  let[@inline] reserve w need =
+    if w.len + need > Bytes.length w.buf then grow w need
+
+  let char w c =
+    reserve w 1;
+    Bytes.unsafe_set w.buf w.len c;
+    w.len <- w.len + 1
+
+  let raw_sub w s off n =
+    reserve w n;
+    Bytes.unsafe_blit_string s off w.buf w.len n;
+    w.len <- w.len + n
+
+  let raw w s = raw_sub w s 0 (String.length s)
+
+  let hex_digits = "0123456789abcdef"
+
+  (* Runs of characters that need no escape are copied in one blit
+     each. *)
+  let string w s =
+    char w '"';
+    let n = String.length s in
+    let run = ref 0 in
+    for i = 0 to n - 1 do
+      let c = String.unsafe_get s i in
+      if c = '"' || c = '\\' || Char.code c < 0x20 then begin
+        raw_sub w s !run (i - !run);
+        (match c with
+        | '"' -> raw w "\\\""
+        | '\\' -> raw w "\\\\"
+        | '\n' -> raw w "\\n"
+        | '\r' -> raw w "\\r"
+        | '\t' -> raw w "\\t"
+        | c ->
+            raw w "\\u00";
+            char w hex_digits.[Char.code c lsr 4];
+            char w hex_digits.[Char.code c land 0xf]);
+        run := i + 1
+      end
+    done;
+    raw_sub w s !run (n - !run);
+    char w '"'
+
+  (* The decimal digits are written right to left into [digits].  The
+     value is kept non-positive while it is cut down, so min_int needs no
+     special case. *)
+  let int w i =
+    let digits = w.digits in
+    let len = Bytes.length digits in
+    let at = ref len in
+    let m = ref (if i < 0 then i else -i) in
+    let more = ref true in
+    while !more do
+      decr at;
+      Bytes.unsafe_set digits !at (Char.unsafe_chr (48 - (!m mod 10)));
+      m := !m / 10;
+      more := !m <> 0
+    done;
+    if i < 0 then begin
+      decr at;
+      Bytes.unsafe_set digits !at '-'
+    end;
+    let n = len - !at in
+    reserve w n;
+    Bytes.unsafe_blit digits !at w.buf w.len n;
+    w.len <- w.len + n
+
+  let float w x =
+    if not (Float.is_finite x) then raw w "null"
+    else if Float.is_integer x && Float.abs x < 1e15 then
+      raw w (Printf.sprintf "%.1f" x)
+    else
+      (* shortest decimal form that round-trips *)
+      let short = Printf.sprintf "%.12g" x in
+      raw w (if float_of_string short = x then short else Printf.sprintf "%.17g" x)
+
+  let value ?(pretty = false) w (json : json) =
+    let indent depth =
+      if pretty then begin
+        reserve w (1 + (2 * depth));
+        Bytes.unsafe_set w.buf w.len '\n';
+        Bytes.unsafe_fill w.buf (w.len + 1) (2 * depth) ' ';
+        w.len <- w.len + 1 + (2 * depth)
+      end
+    in
+    let rec go depth = function
+      | Null -> raw w "null"
+      | Bool b -> raw w (if b then "true" else "false")
+      | Int i -> int w i
+      | Float x -> float w x
+      | String s -> string w s
+      | List [] -> raw w "[]"
+      | List (first :: rest) ->
+          char w '[';
+          item (depth + 1) first;
+          items (depth + 1) rest;
+          indent depth;
+          char w ']'
+      | Obj [] -> raw w "{}"
+      | Obj (first :: rest) ->
+          char w '{';
+          field (depth + 1) first;
+          fields (depth + 1) rest;
+          indent depth;
+          char w '}'
+    and item depth value =
+      indent depth;
+      go depth value
+    and items depth = function
+      | [] -> ()
+      | value :: rest ->
+          char w ',';
+          item depth value;
+          items depth rest
+    and field depth (key, value) =
+      indent depth;
+      string w key;
+      raw w (if pretty then ": " else ":");
+      go depth value
+    and fields depth = function
+      | [] -> ()
+      | kv :: rest ->
+          char w ',';
+          field depth kv;
+          fields depth rest
+    in
+    go 0 json
+
+  (* One scratch writer per domain, reused across calls.  A nested call
+     (a [to_string] inside another's [f]) gets a fresh writer, and a
+     buffer grown past [retain] is dropped so one huge reply does not pin
+     its memory. *)
+  let initial = 4096
+  let retain = 1 lsl 20
+  let scratch = Domain.DLS.new_key (fun () -> create initial)
+
+  let to_string f =
+    let shared = Domain.DLS.get scratch in
+    let w = if shared.busy then create initial else shared in
+    w.busy <- true;
+    w.len <- 0;
+    let release () =
+      w.busy <- false;
+      if Bytes.length w.buf > retain then w.buf <- Bytes.create initial
+    in
+    match f w with
+    | () ->
+        let s = Bytes.sub_string w.buf 0 w.len in
+        release ();
+        s
+    | exception exn ->
+        release ();
+        raise exn
+end
+
+let to_string ?pretty json = Writer.to_string (fun w -> Writer.value ?pretty w json)
 
 (* ---------- parsing ---------- *)
 

@@ -1,7 +1,8 @@
 (** Minimal JSON values: the shared encoder behind every [--format=json]
-    CLI output, the Chrome-trace exporter and the bench counter dumps.
+    CLI output, the wire codec, the Chrome-trace exporter and the bench
+    counter dumps.
 
-    Deliberately tiny — no external dependency, no streaming.  The printer
+    Deliberately tiny — no external dependency.  The printer
     escapes strings per RFC 8259; integers print as integers, finite
     floats with enough digits to round-trip, and nan and the infinities
     as [null] (JSON has no spelling for them).  The parser accepts exactly
@@ -9,15 +10,17 @@
     JSON), so a written trace can be re-read and validated without another
     library.
 
-    Both directions are on the serve daemon's hot path and allocate little:
-    the printer copies unescaped runs whole and writes integers through a
-    per-call digit buffer; the scanner reads bytes in place, takes a
-    string without escapes as one [String.sub] and reads integers of up to
-    18 digits inline.  Neither keeps module-level mutable state, so both
-    are safe to call from several domains at once.  Error offsets and
-    messages are those of a plain recursive-descent reading;
-    test/test_json.ml checks both directions byte for byte against that
-    earlier implementation. *)
+    Both directions are on the serve daemon's hot path and allocate little.
+    There is one printer, {!Writer}: a growable byte buffer, reused per
+    domain, that copies unescaped runs whole and writes integers in place.
+    {!to_string} walks a tree into it; hot callers write their documents
+    into it directly without building a tree.  The scanner reads bytes in
+    place, takes a string without escapes as one [String.sub] and reads
+    integers of up to 18 digits inline.  Neither keeps state shared
+    between domains, so both are safe to call from several domains at
+    once.  Error offsets and messages are those of a plain
+    recursive-descent reading; test/test_json.ml checks both directions
+    byte for byte against that earlier implementation. *)
 
 type t =
   | Null
@@ -27,6 +30,36 @@ type t =
   | String of string
   | List of t list
   | Obj of (string * t) list
+
+(** The one printer: a growable byte writer.  Every [to_string] output is
+    produced by walking its tree through {!Writer.value}, so a document
+    written piece by piece with the same calls is byte-identical to the
+    tree's printing. *)
+module Writer : sig
+  type json := t
+  type t
+
+  val to_string : (t -> unit) -> string
+  (** [to_string f] runs [f] on this domain's scratch writer and returns
+      what it wrote.  The scratch buffer is reused by the next call on the
+      same domain; a nested call gets a fresh writer.  Safe to call from
+      several domains at once. *)
+
+  val char : t -> char -> unit
+  val raw : t -> string -> unit
+  (** Bytes copied verbatim: JSON punctuation and field names that need
+      no escaping. *)
+
+  val string : t -> string -> unit
+  (** A JSON string literal, quoted and escaped. *)
+
+  val int : t -> int -> unit
+
+  val value : ?pretty:bool -> t -> json -> unit
+  (** The compact (or, with [pretty], two-space indented) printing of a
+      tree, spliced in at the current position.  Pretty indentation
+      starts at depth 0. *)
+end
 
 val to_string : ?pretty:bool -> t -> string
 (** Serialise.  [pretty] (default false) indents with two spaces.  A

@@ -99,31 +99,57 @@ let spider_capacity_bound spider n =
     | None -> hi
   end
 
+(* One leg of the spider fluid relaxation: its first-hop cost and every
+   hop's latency and work, as floats. *)
+type fluid_leg = { c1 : float; latency : float array; work : float array }
+
+(* The legs by ascending first-hop cost, ties in leg order. *)
+let fluid_legs spider =
+  let legs =
+    Array.init (Spider.legs spider) (fun i ->
+        let chain = Spider.leg_chain spider (i + 1) in
+        let hop f =
+          Array.init (Chain.length chain) (fun j ->
+              float_of_int (f chain (j + 1)))
+        in
+        {
+          c1 = float_of_int (Chain.latency chain 1);
+          latency = hop Chain.latency;
+          work = hop Chain.work;
+        })
+  in
+  Array.stable_sort (fun a b -> Float.compare a.c1 b.c1) legs;
+  legs
+
+(* [fluid_load] of one leg, innermost hop first: the same operations as
+   the recursion, so the same float. *)
+let leg_fluid_load leg m =
+  let g = ref 0.0 in
+  for j = Array.length leg.latency - 1 downto 0 do
+    let direct = m /. leg.latency.(j) and via = (m /. leg.work.(j)) +. !g in
+    g := if direct <= via then direct else via
+  done;
+  !g
+
 (* max load deliverable through the master's port within horizon [m]:
    fractional knapsack by ascending first-hop cost, each leg capped by its
    own fluid capacity *)
-let spider_fluid_load spider m =
-  let legs =
-    List.map
-      (fun l ->
-        let chain = Spider.leg_chain spider l in
-        (float_of_int (Chain.latency chain 1), fluid_load chain m))
-      (List.init (Spider.legs spider) (fun i -> i + 1))
-  in
-  let sorted = List.sort (fun (ca, _) (cb, _) -> compare ca cb) legs in
-  let total, _ =
-    List.fold_left
-      (fun (total, port_left) (c1, cap) ->
-        let load = min cap (port_left /. c1) in
-        (total +. load, port_left -. (load *. c1)))
-      (0.0, m) sorted
-  in
-  total
+let spider_fluid_load legs m =
+  let total = ref 0.0 and port_left = ref m in
+  for l = 0 to Array.length legs - 1 do
+    let leg = legs.(l) in
+    let cap = leg_fluid_load leg m and share = !port_left /. leg.c1 in
+    let load = if cap <= share then cap else share in
+    total := !total +. load;
+    port_left := !port_left -. (load *. leg.c1)
+  done;
+  !total
 
 let spider_fluid_bound spider n =
   if n < 0 then invalid_arg "Bounds.spider_fluid_bound: negative n";
   if n = 0 then 0.0
   else begin
+    let legs = fluid_legs spider in
     let target = float_of_int n in
     let lo = ref 0.0
     and hi =
@@ -133,7 +159,7 @@ let spider_fluid_bound spider n =
     in
     for _ = 1 to 60 do
       let mid = 0.5 *. (!lo +. !hi) in
-      if spider_fluid_load spider mid >= target then hi := mid else lo := mid
+      if spider_fluid_load legs mid >= target then hi := mid else lo := mid
     done;
     !hi
   end

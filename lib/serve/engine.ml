@@ -45,7 +45,7 @@ type conn = {
 
 and item = {
   request : Api.request;
-  reply : Api.response -> unit;
+  reply : string -> unit;
   enqueued_us : int;
   iconn : conn;
 }
@@ -77,10 +77,12 @@ and batch_job = {
   mutable last_done_us : int;
 }
 
-(* What a worker hands back through the ticket, timestamped on the
-   worker so [request.solve_us] survives the move off the I/O domain. *)
+(* What a worker hands back through the ticket: the finished wire frame,
+   timestamped on the worker so [request.solve_us] (the solve and the
+   writing of its reply) survives the move off the I/O domain. *)
 type whole_done = {
-  w_result : (Json.t, Api.error) result;
+  w_line : string;
+  w_ok : bool;
   w_stats : Msts.Batch.stats option;
   w_picked_us : int;
   w_done_us : int;
@@ -368,21 +370,28 @@ let inline_solver t problems =
   Msts.Batch.run ~jobs:1 ~cache:t.cache ~solve:Api.guarded_solve problems
 
 (* Every response funnels through here: the one place that counts. *)
-let deliver t item response =
+let deliver t item ~ok line =
   t.served <- t.served + 1;
   item.iconn.delivered <- item.iconn.delivered + 1;
   Obs.count "serve.responses";
-  (match response.Api.result with
-  | Ok _ -> ()
-  | Error _ -> Obs.count "serve.errors");
-  item.reply response
+  if not ok then Obs.count "serve.errors";
+  item.reply line
 
 (* Responses echo the client's trace context (or nothing): the engine
    never injects its internally assigned labels into the wire, so
    trace-less clients get byte-identical frames. *)
+let reply_line item result =
+  Api.response_line ~id:item.request.Api.id ~trace:item.request.Api.trace
+    result
+
 let answer t item result =
-  deliver t item
-    { Api.id = item.request.Api.id; trace = item.request.Api.trace; result }
+  deliver t item ~ok:(Result.is_ok result) (reply_line item result)
+
+(* Online operations answer with a ready payload tree. *)
+let answer_json t item result =
+  deliver t item ~ok:(Result.is_ok result)
+    (Api.response_to_line
+       { Api.id = item.request.Api.id; trace = item.request.Api.trace; result })
 
 (* The telemetry label for a request: the client's trace context when
    supplied, an engine-assigned "r<n>" otherwise. *)
@@ -489,27 +498,18 @@ let submit t ?conn ~reply request =
   let item = { request; reply; enqueued_us = Obs.now_us (); iconn = c } in
   if Api.is_control request.Api.op then begin
     (match request.Api.op with Api.Shutdown -> t.stopping <- true | _ -> ());
-    let result =
-      match Api.exec ~solver:(inline_solver t) request.Api.op with
-      | Ok (Api.Stats_info _) -> Ok (stats_json t)
-      | Ok (Api.Metrics_text _) ->
-          Ok (Api.json_of_reply (Api.Metrics_text (exposition t)))
-      | Ok reply -> Ok (Api.json_of_reply reply)
-      | Error e -> Error e
-    in
-    deliver t item { Api.id = request.Api.id; trace = request.Api.trace; result }
+    answer t item
+      (match Api.exec ~solver:(inline_solver t) request.Api.op with
+      | Ok (Api.Stats_info _) -> Ok (Api.Stats_info (stats_json t))
+      | Ok (Api.Metrics_text _) -> Ok (Api.Metrics_text (exposition t))
+      | result -> result)
   end
   else if Msts_online.Service.handles request.Api.op then
     (* Online operations are session state transitions: cheap (O(p) per
        arrival), ordered, and answered synchronously — including while
        draining, so a SIGTERM mid-session never drops a delta.  The queue
        and its admission control are for solve work only. *)
-    deliver t item
-      {
-        Api.id = request.Api.id;
-        trace = request.Api.trace;
-        result = Msts_online.Service.exec t.online request.Api.op;
-      }
+    answer_json t item (Msts_online.Service.exec t.online request.Api.op)
   else if t.stopping then
     refuse t item Api.Shutting_down "server is draining; request not admitted"
   else if t.queued_requests >= t.cfg.queue_cap then
@@ -523,8 +523,7 @@ let submit t ?conn ~reply request =
 
 let handle_line t ?conn ~reply line =
   match Api.request_or_rejection line with
-  | Ok request ->
-      submit t ?conn ~reply:(fun r -> reply (Api.response_to_line r)) request
+  | Ok request -> submit t ?conn ~reply request
   | Error rejection ->
       Obs.count "serve.requests";
       t.rejected <- t.rejected + 1;
@@ -546,10 +545,12 @@ let finish_whole t wf outcome =
     | Ok d -> d
     | Error exn ->
         {
-          w_result =
-            Error
-              (Api.error Api.Internal
-                 ("worker raised: " ^ Printexc.to_string exn));
+          w_line =
+            reply_line wf.w_item
+              (Error
+                 (Api.error Api.Internal
+                    ("worker raised: " ^ Printexc.to_string exn)));
+          w_ok = false;
           w_stats = None;
           w_picked_us = wf.w_launched_us;
           w_done_us = now;
@@ -564,7 +565,7 @@ let finish_whole t wf outcome =
     ~args:[ ("op", wf.w_op); ("trace", wf.w_label) ]
   @@ fun () ->
   let deliver_from = Obs.now_us () in
-  answer t wf.w_item d.w_result;
+  deliver t wf.w_item ~ok:d.w_ok d.w_line;
   let delivered = Obs.now_us () in
   record_request t ~label:wf.w_label ~op:wf.w_op
     ~queue_wait_us:(max 0 (wf.w_launched_us - wf.w_item.enqueued_us))
@@ -578,21 +579,20 @@ let finalize_batch t job =
   @@ fun () ->
   let deliver_from = Obs.now_us () in
   let result =
-    try
-      let outcomes, stats =
-        Msts.Batch.assemble job.plan ~jobs:(Msts.Pool.jobs t.pool)
-          ~solved:job.solved ~wait_us:job.wait_us ~busy_us:job.busy_us
-      in
-      Ok
-        (Api.json_of_reply
-           (Api.Batched
-              {
-                problems = job.b_problems;
-                outcomes;
-                stats;
-                cache_capacity = t.cfg.cache_capacity;
-              }))
-    with exn -> Error (Api.error Api.Internal (Printexc.to_string exn))
+    match
+      Msts.Batch.assemble job.plan ~jobs:(Msts.Pool.jobs t.pool)
+        ~solved:job.solved ~wait_us:job.wait_us ~busy_us:job.busy_us
+    with
+    | outcomes, stats ->
+        Ok
+          (Api.Batched
+             {
+               problems = job.b_problems;
+               outcomes;
+               stats;
+               cache_capacity = t.cfg.cache_capacity;
+             })
+    | exception exn -> Error (Api.error Api.Internal (Printexc.to_string exn))
   in
   answer t job.b_item result;
   let delivered = Obs.now_us () in
@@ -718,15 +718,13 @@ let launch_whole t c item now =
   let thunk () =
     let picked = Obs.now_us () in
     let result =
-      match
-        Api.exec ~cache_capacity:t.cfg.cache_capacity ~solver
-          item.request.Api.op
-      with
-      | Ok reply -> Ok (Api.json_of_reply reply)
-      | Error e -> Error e
+      Api.exec ~cache_capacity:t.cfg.cache_capacity ~solver item.request.Api.op
     in
+    (* written before the clock is read: the writing is solve time *)
+    let line = reply_line item result in
     {
-      w_result = result;
+      w_line = line;
+      w_ok = Result.is_ok result;
       w_stats = !stats_ref;
       w_picked_us = picked;
       w_done_us = Obs.now_us ();

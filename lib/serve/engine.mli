@@ -18,9 +18,11 @@
     {e non-blocking}: it collects finished worker tickets
     ({!Msts.Pool.poll}), pumps the fairness scheduler to launch new units
     ({!Msts.Pool.submit}), and collects again — solves run on worker
-    domains while the caller keeps reading and writing frames.  Responses
-    are delivered through the per-request [reply] callback, always on the
-    calling domain, as completions arrive.
+    domains while the caller keeps reading and writing frames.  Each
+    worker also writes its solve's response frame, so what comes back
+    through the ticket is wire bytes.  Responses are delivered through
+    the per-request [reply] callback, always on the calling domain, as
+    completions arrive.
 
     Fairness: each visit of the round-robin ring tops a connection's
     deficit up by [quantum] and launches one unit per credit, so a
@@ -46,7 +48,10 @@
     to their request; delivery happens inside a [serve.request] span
     (args: op name and trace label).  The latency breakdown is recorded
     as the [request.queue_wait_us] / [request.solve_us] /
-    [request.encode_us] histograms — both through {!Msts.Obs.record}
+    [request.encode_us] histograms ([solve_us] covers the worker's solve
+    and the writing of its reply; [encode_us] the delivery on this
+    domain, which for a batch includes assembling and writing its
+    reply) — both through {!Msts.Obs.record}
     (scoped, sink-visible) and into engine-side histograms that feed
     {!stats_json} and {!exposition} even with no sink installed.  The
     slowest requests are kept in a bounded top-K log
@@ -116,9 +121,11 @@ val conn_id : conn -> int
 (** Stable id, as reported in {!stats_json}'s ["connections"]. *)
 
 val submit :
-  t -> ?conn:conn -> reply:(Msts.Api.response -> unit) -> Msts.Api.request -> unit
+  t -> ?conn:conn -> reply:(string -> unit) -> Msts.Api.request -> unit
 (** Admit one request on [conn] (default: the shared implicit
-    connection).  Control operations ([Ping]/[Stats]/[Shutdown]) are
+    connection).  [reply] receives the newline-terminated response frame
+    ({!Msts.Api.response_line}); a solve's frame is written on the worker
+    domain that ran it, so the calling domain only hands bytes on.  Control operations ([Ping]/[Stats]/[Shutdown]) are
     answered synchronously — [Shutdown] flips {!stopping} and answers
     [Bye].  Online operations ([Online_*]) are answered synchronously by
     the engine's {!Msts_online.Service} — also while draining, so an

@@ -134,7 +134,6 @@ let run cfg =
        | None -> []
        | Some (_, _, s) -> [ Obs.Streaming.sink s ])
   in
-  Obs.set_sink (Some (Obs.tee sinks));
   let close_telemetry () =
     Obs.set_sink None;
     Option.iter
@@ -143,6 +142,25 @@ let run cfg =
         Out_channel.close oc)
       telemetry
   in
+  let engine = Engine.create cfg.engine in
+  (* The engine's aggregating metrics sink joins the tee so the live
+     exposition (metrics op, --metrics-out) sees every serve.* /
+     online.* / solve event emitted on this domain. *)
+  Obs.set_sink (Some (Obs.tee (Engine.metrics_sink engine :: sinks)));
+  let last_metrics = ref 0.0 in
+  let maybe_write_metrics ~force =
+    Option.iter
+      (fun path ->
+        let now = Unix.gettimeofday () in
+        if force || now -. !last_metrics >= cfg.metrics_interval then begin
+          last_metrics := now;
+          write_metrics_file engine path
+        end)
+      cfg.metrics_out
+  in
+  (* The scrape file exists before the socket does: a client that sees
+     the socket can rely on it. *)
+  maybe_write_metrics ~force:true;
   match
     let listen_fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
     (try
@@ -161,27 +179,11 @@ let run cfg =
   with
   | Error msg ->
       Printf.eprintf "msts serve: cannot bind %s: %s\n%!" cfg.socket_path msg;
+      Engine.shutdown engine;
       close_telemetry ();
       restore_signals ();
       2
   | Ok listen_fd -> (
-      let engine = Engine.create cfg.engine in
-      (* The engine's aggregating metrics sink joins the tee so the live
-         exposition (metrics op, --metrics-out) sees every serve.* /
-         online.* / solve event emitted on this domain. *)
-      Obs.set_sink (Some (Obs.tee (Engine.metrics_sink engine :: sinks)));
-      let last_metrics = ref 0.0 in
-      let maybe_write_metrics ~force =
-        Option.iter
-          (fun path ->
-            let now = Unix.gettimeofday () in
-            if force || now -. !last_metrics >= cfg.metrics_interval then begin
-              last_metrics := now;
-              write_metrics_file engine path
-            end)
-          cfg.metrics_out
-      in
-      maybe_write_metrics ~force:true;
       if not cfg.quiet then
         Printf.printf "msts serve: listening on %s (jobs=%d, cache=%d, queue=%d)\n%!"
           cfg.socket_path cfg.engine.Engine.jobs cfg.engine.Engine.cache_capacity

@@ -23,8 +23,9 @@
     Prometheus exposition: the [metrics] control op, and — with
     [metrics_out = Some file] — a periodic atomic rewrite of [file]
     (write to [file.tmp], rename; a scraper never reads a torn document)
-    at boot, every [metrics_interval] seconds, and once more after the
-    final drain. *)
+    at boot, before the socket is bound (so a client that sees the socket
+    also finds the file), every [metrics_interval] seconds, and once more
+    after the final drain. *)
 
 type config = {
   socket_path : string;

@@ -87,3 +87,10 @@ let check_spider_feasible ?(require_nonnegative = true) sched =
   | [] -> true
   | violations ->
       QCheck.Test.fail_reportf "infeasible: %s" (String.concat "; " violations)
+
+(* The serve engine answers with wire frames; tests that inspect a
+   result decode the frame back. *)
+let response_of_frame line =
+  match Msts.Api.response_of_line line with
+  | Ok r -> r
+  | Error e -> Alcotest.failf "undecodable reply %S: %s" line e.Msts.Api.message

@@ -313,6 +313,111 @@ let engine_wire_equals_direct () =
     ];
   Msts_serve.Engine.shutdown engine
 
+(* ---------- the wire writer against the reference encoder ---------- *)
+
+let wire_id_gen =
+  Gen.(
+    frequency
+      [
+        (1, return None);
+        (2, map Option.some (oneofl [ 0; -1; -42; 1_000_000_007; max_int; min_int ]));
+        (2, map Option.some int);
+      ])
+
+(* quotes, backslashes, control bytes, UTF-8 and stray high bytes *)
+let wire_string_gen =
+  Gen.(
+    oneof
+      [
+        string_size ~gen:char (int_range 0 16);
+        oneofl
+          [ ""; "\""; "\\"; "a\"b\\c"; "\n\r\t\000\031\127"; "héllo ✓ 調度"; "\xff\xfe" ];
+      ])
+
+let wire_trace_gen = Gen.opt wire_string_gen
+
+let plan_op_gen =
+  Gen.(
+    problem_gen >>= fun p ->
+    oneofl [ Api.Schedule p; Api.Deadline p ])
+
+(* Operations whose replies exercise every payload: the written ones
+   (plans with and without a deadline, batches) often, the spliced ones
+   (report, check, profile, control and refused operations) through
+   [op_gen]. *)
+let wire_op_gen =
+  Gen.(
+    frequency
+      [
+        (4, plan_op_gen);
+        ( 2,
+          map (fun ps -> Api.Batch (Array.of_list ps))
+            (list_size (int_range 0 8) problem_gen) );
+        (4, op_gen);
+      ])
+
+let writer_matches_reference result id trace =
+  let reference =
+    Api.response_to_line
+      { Api.id; trace; result = Result.map Api.json_of_reply result }
+  in
+  let written = Api.response_line ~id ~trace result in
+  written = reference
+  || QCheck.Test.fail_reportf "written:\n%s\nreference:\n%s" written reference
+
+let response_line_matches_tree =
+  to_alcotest
+    (QCheck.Test.make ~count:300
+       ~name:"response_line = response_to_line of the reply tree"
+       (QCheck.make
+          ~print:(fun (id, trace, op) -> request_print { Api.id; trace; op })
+          Gen.(triple wire_id_gen wire_trace_gen wire_op_gen))
+       (fun (id, trace, op) ->
+         writer_matches_reference
+           (Api.exec ~cache_capacity:4 ~solver:Api.direct_solver op)
+           id trace))
+
+(* Batch replies assembled by hand: solved and failed outcomes in any
+   mix, failure messages with bytes that need escaping, any stats. *)
+let batched_line_matches_tree =
+  let outcome_gen =
+    Gen.(
+      problem_gen >>= fun problem ->
+      wire_string_gen >|= fun msg ->
+      ( problem,
+        match Msts.Solve.solve problem with
+        | Ok plan when String.length msg mod 2 = 0 -> Ok plan
+        | _ -> Error msg ))
+  in
+  let stats_gen =
+    Gen.(
+      map3
+        (fun requests (cache_hits, cache_misses) jobs ->
+          {
+            Msts.Batch.jobs;
+            requests;
+            cache_hits;
+            cache_misses;
+            queue_wait_us = 0;
+            busy_us = 0;
+          })
+        nat (pair nat nat) (int_range 1 4))
+  in
+  to_alcotest
+    (QCheck.Test.make ~count:200
+       ~name:"response_line = response_to_line on mixed batch replies"
+       (QCheck.make
+          Gen.(
+            pair
+              (triple wire_id_gen wire_trace_gen (list_size (int_range 0 10) outcome_gen))
+              (pair stats_gen nat)))
+       (fun ((id, trace, items), (stats, cache_capacity)) ->
+         let problems = Array.of_list (List.map fst items) in
+         let outcomes = Array.of_list (List.map snd items) in
+         writer_matches_reference
+           (Ok (Api.Batched { problems; outcomes; stats; cache_capacity }))
+           id trace))
+
 (* ---------- trace context and the metrics control op ---------- *)
 
 let contains s sub =
@@ -401,7 +506,7 @@ let engine_serves_metrics_dump () =
   let engine = Msts_serve.Engine.create engine_config in
   let got = ref None in
   Msts_serve.Engine.submit engine
-    ~reply:(fun r -> got := Some r)
+    ~reply:(fun line -> got := Some (response_of_frame line))
     { Api.id = Some 1; trace = None; op = Api.Metrics_dump };
   (match !got with
   | Some { Api.result = Ok (Json.Obj fields); _ } -> (
@@ -423,7 +528,7 @@ let engine_admission_control () =
       { engine_config with Msts_serve.Engine.queue_cap = 1 }
   in
   let responses = ref [] in
-  let reply r = responses := r :: !responses in
+  let reply line = responses := response_of_frame line :: !responses in
   let submit () =
     Msts_serve.Engine.submit engine ~reply
       { Api.id = None; trace = None; op = Api.Schedule (figure2_problem ()) }
@@ -554,6 +659,8 @@ let suites =
     ( "api.exec",
       [
         exec_matches_solve;
+        response_line_matches_tree;
+        batched_line_matches_tree;
         case "engine wire responses = direct exec bytes"
           engine_wire_equals_direct;
         case "admission control: overload, drain, shutting down"

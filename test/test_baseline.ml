@@ -176,6 +176,63 @@ let spider_fluid_single_leg_consistent =
            -. Msts.Bounds.fluid_bound chain n)
          < 1e-6))
 
+(* The list-based spider fluid bound the array version replaced: every
+   leg's recursive chain load, sorted by first-hop cost at each probe. *)
+let reference_spider_fluid_bound spider n =
+  let fluid_load chain m =
+    let p = Msts.Chain.length chain in
+    let rec g j =
+      if j > p then 0.0
+      else
+        min
+          (m /. float_of_int (Msts.Chain.latency chain j))
+          ((m /. float_of_int (Msts.Chain.work chain j)) +. g (j + 1))
+    in
+    g 1
+  in
+  let spider_fluid_load m =
+    let legs =
+      List.map
+        (fun l ->
+          let chain = Msts.Spider.leg_chain spider l in
+          (float_of_int (Msts.Chain.latency chain 1), fluid_load chain m))
+        (List.init (Msts.Spider.legs spider) (fun i -> i + 1))
+    in
+    let sorted = List.sort (fun (ca, _) (cb, _) -> compare ca cb) legs in
+    fst
+      (List.fold_left
+         (fun (total, port_left) (c1, cap) ->
+           let load = min cap (port_left /. c1) in
+           (total +. load, port_left -. (load *. c1)))
+         (0.0, m) sorted)
+  in
+  if n = 0 then 0.0
+  else begin
+    let target = float_of_int n in
+    let lo = ref 0.0
+    and hi =
+      ref
+        (float_of_int
+           (Msts.Chain.master_only_makespan (Msts.Spider.leg_chain spider 1) n))
+    in
+    for _ = 1 to 60 do
+      let mid = 0.5 *. (!lo +. !hi) in
+      if spider_fluid_load mid >= target then hi := mid else lo := mid
+    done;
+    !hi
+  end
+
+let spider_fluid_matches_reference =
+  Helpers.to_alcotest
+    (QCheck.Test.make ~count:300
+       ~name:"spider fluid bound = the list-based reference, bit for bit"
+       (spider_with_n_arb ~max_legs:6 ~max_depth:4 ~max_n:400 ~max_val:12 ())
+       (fun (spider, n) ->
+         let got = Msts.Bounds.spider_fluid_bound spider n
+         and want = reference_spider_fluid_bound spider n in
+         Int64.equal (Int64.bits_of_float got) (Int64.bits_of_float want)
+         || QCheck.Test.fail_reportf "got %h, reference %h" got want))
+
 let bounds_known_instance () =
   (* Figure 2 chain, n=5: optimal is 14 *)
   Alcotest.(check bool) "port bound" true (Msts.Bounds.port_bound figure2_chain 5 <= 14);
@@ -293,6 +350,7 @@ let suites =
         spider_bounds_below_optimal;
         spider_fluid_below_optimal;
         spider_fluid_single_leg_consistent;
+        spider_fluid_matches_reference;
         case "figure-2 values" bounds_known_instance;
         case "single processor tightness" bounds_single_processor_tight;
       ] );

@@ -244,6 +244,34 @@ let concurrent_printing_identical () =
         (Domain.join domain))
     domains
 
+(* The per-domain scratch writer is lent out, not shared: a print
+   nested inside another, a print after one that raised, and one past
+   the retained size all produce the reference bytes. *)
+let scratch_writer_reuse () =
+  let tree = Json.Obj [ ("a", Json.List [ Json.Int (-7); Json.String "q\"\\" ]) ] in
+  let want = Json_reference.to_string tree in
+  let nested =
+    Json.Writer.to_string (fun w ->
+        Json.Writer.raw w "[";
+        Json.Writer.raw w (Json.to_string tree);
+        Json.Writer.char w ',';
+        Json.Writer.value w tree;
+        Json.Writer.raw w "]")
+  in
+  Alcotest.(check string) "nested print" ("[" ^ want ^ "," ^ want ^ "]") nested;
+  (match
+     Json.Writer.to_string (fun w ->
+         Json.Writer.int w 42;
+         failwith "mid-write")
+   with
+  | _ -> Alcotest.fail "the writer swallowed an exception"
+  | exception Failure _ -> ());
+  Alcotest.(check string) "print after a raise" want (Json.to_string tree);
+  let huge = Json.String (String.make (3 lsl 20) 'x') in
+  Alcotest.(check string) "print past the retained size"
+    (Json_reference.to_string huge) (Json.to_string huge);
+  Alcotest.(check string) "print after the huge one" want (Json.to_string tree)
+
 let suites =
   [
     ( "json.differential",
@@ -254,5 +282,7 @@ let suites =
         case "edge cases match the reference" edge_cases_match_reference;
         case "non-finite floats print as null" non_finite_floats_print_null;
         case "concurrent to_string is identical" concurrent_printing_identical;
+        case "scratch writer: nested, after a raise, oversized"
+          scratch_writer_reuse;
       ] );
   ]

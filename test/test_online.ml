@@ -606,7 +606,7 @@ let engine_serves_online_while_draining () =
   let ask op =
     let got = ref None in
     Msts_serve.Engine.submit engine
-      ~reply:(fun r -> got := Some r)
+      ~reply:(fun line -> got := Some (response_of_frame line))
       { Api.id = None; trace = None; op };
     match !got with
     | Some r -> r.Api.result

@@ -32,8 +32,8 @@ let greedy_cannot_starve_polite () =
   let order = ref [] in
   let submit conn tag tasks =
     Engine.submit engine ~conn
-      ~reply:(fun r ->
-        match r.Api.result with
+      ~reply:(fun line ->
+        match (response_of_frame line).Api.result with
         | Ok _ -> order := tag :: !order
         | Error e -> Alcotest.failf "%s failed: %s" tag e.Api.message)
       (request ~trace:tag (schedule ~tasks ()))
@@ -97,8 +97,8 @@ let per_conn_queue_cap () =
   let errors = ref [] in
   let submit conn =
     Engine.submit engine ~conn
-      ~reply:(fun r ->
-        match r.Api.result with
+      ~reply:(fun line ->
+        match (response_of_frame line).Api.result with
         | Error e -> errors := e :: !errors
         | Ok _ -> ())
       (request (schedule ()))
@@ -248,8 +248,8 @@ let drain_answers_inflight_worker_solves () =
   let conn_a = Engine.open_conn engine in
   let conn_b = Engine.open_conn engine in
   let replies = ref 0 in
-  let reply r =
-    (match r.Api.result with
+  let reply line =
+    (match (response_of_frame line).Api.result with
     | Ok _ -> ()
     | Error e -> Alcotest.failf "drained request failed: %s" e.Api.message);
     incr replies
