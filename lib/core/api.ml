@@ -268,26 +268,45 @@ let platform_of_text text =
   | Ok platform -> Ok platform
   | Error msg -> Error (error Invalid_platform ("platform: " ^ msg))
 
-(* [memo] maps a platform text to its decoding within one frame, so a
-   batch repeating a text parses it once and its problems share one
-   platform value. *)
-let platform_field ?memo kvs =
+let platform_field kvs =
   let* text = string_field kvs "platform" in
-  match memo with
-  | None -> platform_of_text text
-  | Some memo -> (
-      match Hashtbl.find_opt memo text with
-      | Some decoded -> decoded
-      | None ->
-          let decoded = platform_of_text text in
-          Hashtbl.add memo text decoded;
-          decoded)
+  platform_of_text text
 
-let problem_of_fields ?memo kvs =
-  let* platform = platform_field ?memo kvs in
+let problem_of_fields kvs =
+  let* platform = platform_field kvs in
   let* tasks = opt_int_field kvs "tasks" in
   let* deadline = opt_int_field kvs "deadline" in
   Ok { Solve.platform; tasks; deadline }
+
+(* A batch frame's memo, per platform text: its decoding and the problems
+   already built on it, by objective.  A text is parsed once, and elements
+   equal in (text, tasks, deadline) share one problem value. *)
+type memo_entry = {
+  decoded : (Parse.platform, error) result;
+  problems : (int option * int option, Solve.problem) Hashtbl.t;
+}
+
+let memo_problem memo kvs =
+  let* text = string_field kvs "platform" in
+  let entry =
+    match Hashtbl.find_opt memo text with
+    | Some entry -> entry
+    | None ->
+        let entry =
+          { decoded = platform_of_text text; problems = Hashtbl.create 4 }
+        in
+        Hashtbl.add memo text entry;
+        entry
+  in
+  let* platform = entry.decoded in
+  let* tasks = opt_int_field kvs "tasks" in
+  let* deadline = opt_int_field kvs "deadline" in
+  match Hashtbl.find_opt entry.problems (tasks, deadline) with
+  | Some problem -> Ok problem
+  | None ->
+      let problem = { Solve.platform; tasks; deadline } in
+      Hashtbl.add entry.problems (tasks, deadline) problem;
+      Ok problem
 
 let decode_op kvs name =
   match name with
@@ -317,7 +336,7 @@ let decode_op kvs name =
           let rec decode acc = function
             | [] -> Ok (Batch (Array.of_list (List.rev acc)))
             | Json.Obj item :: rest ->
-                let* p = problem_of_fields ~memo item in
+                let* p = memo_problem memo item in
                 decode (p :: acc) rest
             | _ -> bad "every element of \"problems\" must be an object"
           in

@@ -147,8 +147,9 @@ val request_to_line : request -> string
 
 val request_of_line : string -> (request, error) result
 (** Within a [batch] frame each distinct platform text is parsed once:
-    problems repeating a text share one physical {!Msts_platform.Parse.platform}.
-    Nothing is cached across frames. *)
+    problems repeating a text share one physical {!Msts_platform.Parse.platform},
+    and elements equal in (platform text, [tasks], [deadline]) decode to
+    one physical problem.  Nothing is cached across frames. *)
 
 val frame_id : string -> int option
 (** Best-effort extraction of the correlation id from a frame that may

@@ -285,6 +285,57 @@ let parse text =
     in
     loop ()
   in
+  (* A string whose escapes each stand for one character (a backslash
+     then one of the eight letters and marks below) is measured first,
+     then unescaped into one string of the exact size.  [stop] is the
+     closing quote, [escapes] the count of escapes; the bytes are known
+     good. *)
+  let unescape start stop escapes =
+    let out = Bytes.create (stop - start - escapes) in
+    let i = ref start and o = ref 0 in
+    while !i < stop do
+      let c = String.unsafe_get text !i in
+      if c = '\\' then begin
+        Bytes.unsafe_set out !o
+          (match String.unsafe_get text (!i + 1) with
+          | 'b' -> '\b'
+          | 'f' -> '\012'
+          | 'n' -> '\n'
+          | 'r' -> '\r'
+          | 't' -> '\t'
+          | c -> c);
+        i := !i + 2
+      end
+      else begin
+        Bytes.unsafe_set out !o c;
+        incr i
+      end;
+      incr o
+    done;
+    Bytes.unsafe_to_string out
+  in
+  (* [pos] is on the first backslash.  Anything but single-character
+     escapes up to the closing quote goes back to the general reader,
+     from the same start, so its results and errors are unchanged. *)
+  let parse_escapes start =
+    let i = ref !pos and escapes = ref 0 and stop = ref (-1) in
+    while !stop < 0 && !i < n do
+      match String.unsafe_get text !i with
+      | '"' -> stop := !i
+      | '\\' -> (
+          match if !i + 1 < n then String.unsafe_get text (!i + 1) else 'u' with
+          | '"' | '\\' | '/' | 'b' | 'f' | 'n' | 'r' | 't' ->
+              incr escapes;
+              i := !i + 2
+          | _ -> i := n)
+      | _ -> incr i
+    done;
+    if !stop < 0 then parse_escaped_string start
+    else begin
+      pos := !stop + 1;
+      unescape start !stop !escapes
+    end
+  in
   let parse_string () =
     expect '"';
     let start = !pos in
@@ -299,7 +350,7 @@ let parse text =
       advance ();
       String.sub text start (!pos - 1 - start)
     end
-    else parse_escaped_string start
+    else parse_escapes start
   in
   let parse_number () =
     let start = !pos in

@@ -27,15 +27,27 @@ let key buf text { tasks; deadline; _ } =
 let fingerprint request =
   key (Buffer.create 128) (Parse.platform_to_string request.platform) request
 
-(* Platform texts by physical identity: a batch decoded from one frame
-   shares a platform value among the problems that repeat its text, so
-   each distinct value is printed once.  Structurally equal copies hash
-   alike and are printed once each. *)
-module By_identity = Hashtbl.Make (struct
-  type t = Parse.platform
+(* Values by physical identity.  A batch decoded from one frame shares
+   one problem value among its equal elements, and one platform value
+   among the problems that repeat its text, so each distinct problem is
+   keyed and resolved once and each distinct platform printed once.
+   Structurally equal copies hash alike and are handled once each. *)
+module By_identity (T : sig
+  type t
+end) =
+Hashtbl.Make (struct
+  type t = T.t
 
   let equal = ( == )
   let hash = Hashtbl.hash
+end)
+
+module Platforms = By_identity (struct
+  type t = Parse.platform
+end)
+
+module Problems = By_identity (struct
+  type t = request
 end)
 
 (* ---------- the shared cache ---------- *)
@@ -74,47 +86,57 @@ type plan = {
 
 let shard ?cache:shared requests =
   let n = Array.length requests in
-  let texts = By_identity.create 16 in
-  let buf = Buffer.create 128 in
-  let fingerprints =
-    Array.map
-      (fun request ->
-        let text =
-          match By_identity.find_opt texts request.platform with
-          | Some text -> text
-          | None ->
-              let text = Parse.platform_to_string request.platform in
-              By_identity.add texts request.platform text;
-              text
-        in
-        key buf text request)
-      requests
-  in
   let plan_cache =
     match shared with
     | Some c -> c
     | None -> cache ~capacity:(max 1 n)
   in
+  let texts = Platforms.create 16 in
+  let firsts = Problems.create 16 in
+  let buf = Buffer.create 128 in
+  let fingerprints = Array.make n "" in
+  let resolutions = Array.make n (Duplicate 0) in
   (* Sequential coordinator pass: duplicate detection and cache probes in
-     submission order — the source of the determinism guarantee. *)
-  let first_of = Hashtbl.create (2 * n) in
+     submission order — the source of the determinism guarantee.  A
+     value seen before copies the key and resolution of its first
+     occurrence, whose first equal key is this one's too. *)
+  let first_of = Hashtbl.create 16 in
   let to_solve = ref [] in
   let n_solve = ref 0 in
-  let resolutions =
-    Array.init n (fun i ->
-        let fp = fingerprints.(i) in
-        match Hashtbl.find_opt first_of fp with
-        | Some j -> Duplicate j
-        | None -> (
-            Hashtbl.add first_of fp i;
-            match cache_find plan_cache fp with
-            | Some outcome -> Cached outcome
-            | None ->
-                let slot = !n_solve in
-                incr n_solve;
-                to_solve := i :: !to_solve;
-                Fresh slot))
-  in
+  for i = 0 to n - 1 do
+    let request = requests.(i) in
+    match Problems.find_opt firsts request with
+    | Some j ->
+        fingerprints.(i) <- fingerprints.(j);
+        resolutions.(i) <-
+          (match resolutions.(j) with
+          | Duplicate k -> Duplicate k
+          | Cached _ | Fresh _ -> Duplicate j)
+    | None ->
+        Problems.add firsts request i;
+        let text =
+          match Platforms.find_opt texts request.platform with
+          | Some text -> text
+          | None ->
+              let text = Parse.platform_to_string request.platform in
+              Platforms.add texts request.platform text;
+              text
+        in
+        let fp = key buf text request in
+        fingerprints.(i) <- fp;
+        resolutions.(i) <-
+          (match Hashtbl.find_opt first_of fp with
+          | Some j -> Duplicate j
+          | None -> (
+              Hashtbl.add first_of fp i;
+              match cache_find plan_cache fp with
+              | Some outcome -> Cached outcome
+              | None ->
+                  let slot = !n_solve in
+                  incr n_solve;
+                  to_solve := i :: !to_solve;
+                  Fresh slot))
+  done;
   { requests; fingerprints; resolutions;
     to_solve = Array.of_list (List.rev !to_solve); plan_cache }
 

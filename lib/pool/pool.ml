@@ -170,11 +170,18 @@ let submit t f =
     Obs.Scope.set scope;
     let outcome = try Ok (f ()) with e -> Error e in
     Obs.Scope.set Obs.Scope.none;
-    Atomic.set ticket (Some outcome);
-    signal_completion t
+    Atomic.set ticket (Some outcome)
   in
-  if t.size <= 1 || Array.length t.workers = 0 then run ()
-  else enqueue_task t run;
+  if t.size <= 1 || Array.length t.workers = 0 then begin
+    (* Inline: the ticket is complete before anyone could wait on it or
+       sleep on the pipe, so only the count records it. *)
+    run ();
+    Atomic.incr t.completions
+  end
+  else
+    enqueue_task t (fun () ->
+        run ();
+        signal_completion t);
   ticket
 
 let poll ticket = Atomic.get ticket

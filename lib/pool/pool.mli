@@ -53,7 +53,9 @@ val map : t -> ('a -> 'b) -> 'a array -> 'b array
     On a pool with no worker domains ([jobs <= 1], or after {!shutdown})
     the thunk runs inline on the caller and the ticket is already
     completed when [submit] returns — the degenerate case a single-core
-    deployment exercises, with the exact same observable protocol. *)
+    deployment exercises, with the exact same observable protocol except
+    that an inline completion is counted by {!drain_completions} without
+    writing {!completion_fd}: nobody can be asleep waiting for it. *)
 
 type 'a ticket
 (** A handle to one submitted thunk's eventual result. *)
@@ -75,9 +77,9 @@ val await : t -> 'a ticket -> ('a, exn) result
 val completion_fd : t -> Unix.file_descr
 (** The read end of the pool's completion self-pipe, created on first
     use (pools that are only [map]ed over never pay for it).  It becomes
-    readable when a submitted thunk completes; owned by the pool and
-    closed by {!shutdown} — do not close or read it directly, call
-    {!drain_completions}. *)
+    readable when a submitted thunk completes on a worker domain; owned
+    by the pool and closed by {!shutdown} — do not close or read it
+    directly, call {!drain_completions}. *)
 
 val drain_completions : t -> int
 (** Consume all pending wake-up bytes (non-blocking) and return how many

@@ -242,8 +242,8 @@ let open_conn t =
   Hashtbl.replace t.conns c.cid c;
   c
 
-(* A closed connection's queued units are still processed (the replies
-   land in a dead letter box); the record is forgotten once drained. *)
+(* A closed connection's record is forgotten once its in-flight units
+   are collected. *)
 let maybe_forget t c =
   if
     (not c.open_) && c.cid <> 0
@@ -251,8 +251,28 @@ let maybe_forget t c =
     && c.c_inflight = 0
   then Hashtbl.remove t.conns c.cid
 
+(* Account one request leaving the queue (its last queued unit popped). *)
+let request_dequeued t c =
+  t.queued_requests <- t.queued_requests - 1;
+  c.queued_reqs <- c.queued_reqs - 1
+
+(* Nobody is left to read the replies of a closed connection's queued
+   units, so they are dropped unlaunched.  A batch with shards in flight
+   never reaches [remaining = 0] and is never assembled.  The ring may
+   still hold the cid; the pump skips it like any emptied queue. *)
 let close_conn t c =
   c.open_ <- false;
+  let purged = Queue.length c.q in
+  Queue.iter
+    (function
+      | Whole _ -> request_dequeued t c
+      | Shard (job, _) | Finish job ->
+          job.b_queued_units <- job.b_queued_units - 1;
+          if job.b_queued_units = 0 then request_dequeued t c)
+    c.q;
+  Queue.clear c.q;
+  t.queued_units <- t.queued_units - purged;
+  if purged > 0 then Obs.count ~n:purged "serve.purged";
   maybe_forget t c
 
 let conn_id c = c.cid
@@ -758,11 +778,6 @@ let launch_shard t c job slot now =
   in
   track t c
     (F_shard { s_job = job; s_slot = slot; s_launched_us = now; s_ticket = ticket })
-
-(* Account one request leaving the queue (its last queued unit popped). *)
-let request_dequeued t c =
-  t.queued_requests <- t.queued_requests - 1;
-  c.queued_reqs <- c.queued_reqs - 1
 
 (* Process one popped unit.  Returns [true] when the unit did real work
    (and must be charged against the conn's deficit and the round's

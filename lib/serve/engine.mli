@@ -32,7 +32,8 @@
 
     Telemetry (all emitted on the engine's domain, catalogued in
     docs/OBSERVABILITY.md): counters [serve.requests], [serve.accepted],
-    [serve.rejected], [serve.timeouts], [serve.responses], [serve.errors];
+    [serve.rejected], [serve.timeouts], [serve.responses], [serve.errors],
+    [serve.purged];
     histograms [serve.queue_wait_us] (admission-to-launch latency, one
     sample per request), [serve.batch_size] (units launched per pump),
     [serve.inflight] (in-flight units after each pump),
@@ -113,9 +114,11 @@ val open_conn : t -> conn
 (** Register a new connection (its own queue, deficit and counters). *)
 
 val close_conn : t -> conn -> unit
-(** The peer is gone.  Already-queued work is still processed (replies
-    land in the closed socket's dead-letter buffer); the record is
-    forgotten once its queue and in-flight units drain. *)
+(** The peer is gone.  Its queued units are dropped unlaunched and
+    unanswered (counted in [serve.purged]), so {!pending} no longer
+    includes its requests; units already in flight finish, and the
+    record is forgotten once they are collected.  A batch with shards
+    already in flight is never assembled. *)
 
 val conn_id : conn -> int
 (** Stable id, as reported in {!stats_json}'s ["connections"]. *)

@@ -32,62 +32,28 @@ let write_metrics_file engine path =
   with Sys_error msg ->
     Printf.eprintf "msts serve: cannot write metrics to %s: %s\n%!" path msg
 
-(* One connected client: accumulated input bytes (split on '\n'), an
-   output backlog drained as the socket accepts writes, and the engine's
-   per-connection scheduling handle. *)
+(* One connected client: its unfinished input line, its unsent replies
+   and the engine's per-connection scheduling handle. *)
 type client = {
   fd : Unix.file_descr;
   conn : Engine.conn;
-  inbuf : Buffer.t;
-  mutable out : string;
-  mutable out_off : int;
+  input : Framing.input;
+  out : Framing.output;
   mutable dead : bool;
 }
 
-let queue_out client line =
-  if not client.dead then
-    client.out <- String.sub client.out client.out_off
-                    (String.length client.out - client.out_off) ^ line;
-  if not client.dead then client.out_off <- 0
+let queue_out client line = if not client.dead then Framing.push client.out line
+let has_out client = not (Framing.is_empty client.out)
 
-let has_out client = String.length client.out - client.out_off > 0
+(* Takes as much as the socket accepts; never blocks. *)
+let write_to client buf off len =
+  try Unix.write client.fd buf off len with
+  | Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _) -> 0
+  | Unix.Unix_error ((Unix.EPIPE | Unix.ECONNRESET), _, _) ->
+      client.dead <- true;
+      0
 
-let flush_out client =
-  (* Write as much of the backlog as the socket takes; never blocks. *)
-  try
-    let len = String.length client.out - client.out_off in
-    if len > 0 then begin
-      let n =
-        Unix.write_substring client.fd client.out client.out_off len
-      in
-      client.out_off <- client.out_off + n;
-      if client.out_off = String.length client.out then begin
-        client.out <- "";
-        client.out_off <- 0
-      end
-    end
-  with
-  | Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _) -> ()
-  | Unix.Unix_error ((Unix.EPIPE | Unix.ECONNRESET), _, _) -> client.dead <- true
-
-(* Feed freshly read bytes to the engine, one complete line at a time;
-   a trailing partial line waits in [inbuf] for the next read. *)
-let consume engine client bytes n =
-  Buffer.add_subbytes client.inbuf bytes 0 n;
-  let data = Buffer.contents client.inbuf in
-  Buffer.clear client.inbuf;
-  let rec split from =
-    match String.index_from_opt data from '\n' with
-    | None ->
-        Buffer.add_substring client.inbuf data from (String.length data - from)
-    | Some nl ->
-        let line = String.sub data from (nl - from) in
-        if String.trim line <> "" then
-          Engine.handle_line engine ~conn:client.conn
-            ~reply:(queue_out client) line;
-        split (nl + 1)
-  in
-  split 0
+let flush_out client = Framing.flush client.out ~write:(write_to client)
 
 let read_chunk = Bytes.create 65536
 
@@ -97,7 +63,9 @@ let rec sweep_client engine client =
   match Unix.read client.fd read_chunk 0 (Bytes.length read_chunk) with
   | 0 -> `Eof
   | n ->
-      consume engine client read_chunk n;
+      Framing.feed client.input read_chunk 0 n (fun line ->
+          Engine.handle_line engine ~conn:client.conn
+            ~reply:(queue_out client) line);
       sweep_client engine client
   | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _)
     ->
@@ -210,9 +178,8 @@ let run cfg =
                 {
                   fd;
                   conn = Engine.open_conn engine;
-                  inbuf = Buffer.create 256;
-                  out = "";
-                  out_off = 0;
+                  input = Framing.input ();
+                  out = Framing.output ();
                   dead = false;
                 }
                 :: !clients;

@@ -634,6 +634,42 @@ let repeated_invalid_platform_error () =
       [ good; good; bad; "spider\n"; bad ];
     ]
 
+(* A batch element reports its first bad field in the order a single
+   problem does (platform, then tasks, then deadline), whether or not its
+   platform text was decoded before in the same frame. *)
+let batch_field_errors_in_order () =
+  let good = Json.String "chain\n2 3\n3 5\n" in
+  let bad_elements =
+    [
+      [ ("platform", Json.String "chain\n2 x\n"); ("tasks", Json.String "t") ];
+      [ ("platform", Json.Int 5); ("tasks", Json.String "t") ];
+      [ ("platform", good); ("tasks", Json.String "t"); ("deadline", Json.String "d") ];
+      [ ("platform", good); ("deadline", Json.String "d"); ("tasks", Json.Int 3) ];
+      [ ("platform", good); ("tasks", Json.Int 3); ("deadline", Json.Bool true) ];
+    ]
+  in
+  let decode_error json =
+    match Api.request_of_line (Json.to_string json) with
+    | Ok _ -> Alcotest.fail "a frame with a bad field decoded"
+    | Error e -> e
+  in
+  List.iter
+    (fun fields ->
+      let alone = decode_error (Json.Obj (("op", Json.String "schedule") :: fields)) in
+      List.iter
+        (fun before ->
+          let batch =
+            Json.Obj
+              [
+                ("op", Json.String "batch");
+                ("problems", Json.List (before @ [ Json.Obj fields ]));
+              ]
+          in
+          Alcotest.(check string) "same first error" alone.Api.message
+            (decode_error batch).Api.message)
+        [ []; [ Json.Obj [ ("platform", good); ("tasks", Json.Int 3) ] ] ])
+    bad_elements
+
 let suites =
   [
     ( "api.codecs",
@@ -655,6 +691,8 @@ let suites =
           batch_decode_shares_platforms;
         case "repeated invalid platform: same first error"
           repeated_invalid_platform_error;
+        case "batch field errors keep their order"
+          batch_field_errors_in_order;
       ] );
     ( "api.exec",
       [

@@ -426,6 +426,133 @@ let assemble_rejects_mis_sized_solved () =
            ~solved:(Array.make (Batch.shard_count plan + 1) (Error "x"))
            ~wait_us:[||] ~busy_us:[||]))
 
+(* ---------- by-value sharding against the fingerprint-keyed oracle ---------- *)
+
+let parse_platform text =
+  match Msts.Platform_format.of_string text with
+  | Ok p -> p
+  | Error e -> failwith e
+
+let oracle_texts =
+  [| "chain\n2 3\n3 5\n"; "fork\n1 4\n2 2\n"; "spider\nleg\n1 2\n2 3\nleg\n4 1\n" |]
+
+(* Each pick is (platform, how, tasks, deadline): [how] 0 builds a new
+   problem on the shared platform value, 1 on a freshly parsed copy of
+   it, and 2 reuses the problem value of an earlier pick (if any).  Both
+   coordinators start from caches warmed alike, so probes hit, miss and
+   evict in step. *)
+let shard_matches_reference =
+  let shared = Array.map parse_platform oracle_texts in
+  let objective = QCheck.(option (int_range 1 4)) in
+  to_alcotest
+    (QCheck.Test.make ~count:200
+       ~name:"shard = fingerprint-keyed reference: keys, slots, probes, outcomes"
+       QCheck.(
+         pair
+           (list_of_size Gen.(int_range 0 40)
+              (quad (int_bound 2) (int_bound 2) objective
+                 (option (int_range 8 30))))
+           (list_of_size Gen.(int_range 0 6) (pair (int_bound 2) objective)))
+       (fun (picks, warm) ->
+         let built = ref [] in
+         let requests =
+           Array.of_list
+             (List.map
+                (fun (k, how, tasks, deadline) ->
+                  let problem =
+                    match (how, !built) with
+                    | 2, (_ :: _ as earlier) ->
+                        List.nth earlier (List.length earlier * (k + 1) / 4)
+                    | 1, _ ->
+                        { Batch.platform = parse_platform oracle_texts.(k); tasks; deadline }
+                    | _ -> { Batch.platform = shared.(k); tasks; deadline }
+                  in
+                  built := problem :: !built;
+                  problem)
+                picks)
+         in
+         let cache = Batch.cache ~capacity:8 in
+         let ref_cache = Msts.Lru.create ~capacity:8 in
+         let warm =
+           Array.of_list
+             (List.map
+                (fun (k, tasks) -> { Batch.platform = shared.(k); tasks; deadline = None })
+                warm)
+         in
+         ignore (Batch.run ~jobs:1 ~cache ~solve:Solve.solve warm);
+         (let rplan = Batch_reference.shard ref_cache warm in
+          ignore
+            (Batch_reference.assemble rplan
+               ~solved:
+                 (Array.init (Batch_reference.shard_count rplan) (fun slot ->
+                      Solve.solve (Batch_reference.shard_request rplan slot)))));
+         let plan = Batch.shard ~cache requests in
+         let rplan = Batch_reference.shard ref_cache requests in
+         let k = Batch.shard_count plan in
+         let solved =
+           Array.init k (fun slot -> Solve.solve (Batch.shard_request plan slot))
+         in
+         let outcomes, stats =
+           Batch.assemble plan ~jobs:1 ~solved ~wait_us:(Array.make k 0)
+             ~busy_us:(Array.make k 0)
+         in
+         let ref_outcomes, (hits, misses) = Batch_reference.assemble rplan ~solved in
+         Batch.fingerprints plan = rplan.Batch_reference.fingerprints
+         && k = Batch_reference.shard_count rplan
+         && List.for_all
+              (fun slot ->
+                Batch.shard_request plan slot == Batch_reference.shard_request rplan slot)
+              (List.init k Fun.id)
+         && Array.for_all2 outcome_equal outcomes ref_outcomes
+         && stats.Batch.cache_hits = hits
+         && stats.Batch.cache_misses = misses
+         && Batch.cache_length cache = Msts.Lru.length ref_cache))
+
+(* A decoded batch's problems are those of decoding each element alone,
+   and two of them are one value exactly when their platform text, tasks
+   and deadline are equal. *)
+let decoded_batch_shares_equal_problems =
+  let api_request op = { Msts.Api.id = None; trace = None; op } in
+  let objective = QCheck.(option (int_range 1 3)) in
+  to_alcotest
+    (QCheck.Test.make ~count:200 ~name:"decoded batch: element-wise values, shared iff equal"
+       QCheck.(
+         list_of_size Gen.(int_range 0 30) (triple (int_bound 2) objective objective))
+       (fun picks ->
+         let problems =
+           Array.of_list
+             (List.map
+                (fun (k, tasks, deadline) ->
+                  { Batch.platform = parse_platform oracle_texts.(k); tasks; deadline })
+                picks)
+         in
+         let decode op =
+           match Msts.Api.request_of_line (Msts.Api.request_to_line (api_request op)) with
+           | Ok { Msts.Api.op; _ } -> op
+           | Error e -> failwith e.Msts.Api.message
+         in
+         let decoded =
+           match decode (Msts.Api.Batch problems) with
+           | Msts.Api.Batch decoded -> decoded
+           | _ -> failwith "not a batch"
+         in
+         let alone =
+           Array.map
+             (fun p ->
+               match decode (Msts.Api.Schedule p) with
+               | Msts.Api.Schedule q -> q
+               | _ -> failwith "not a schedule")
+             problems
+         in
+         let picks = Array.of_list picks in
+         decoded = alone
+         && Array.for_all Fun.id
+              (Array.mapi
+                 (fun i p ->
+                   Array.for_all Fun.id
+                     (Array.mapi (fun j q -> (p == q) = (picks.(i) = picks.(j))) decoded))
+                 decoded)))
+
 let suites =
   [
     ( "batch.differential",
@@ -466,5 +593,7 @@ let suites =
           shard_assemble_equals_run;
         case "assemble rejects a mis-sized solved array"
           assemble_rejects_mis_sized_solved;
+        shard_matches_reference;
+        decoded_batch_shares_equal_problems;
       ] );
   ]

@@ -198,6 +198,8 @@ let edge_cases_match_reference () =
       "99999999999999999999999"; "\"\\u00e9\\u0001\\uffff\""; "\"\\u12\"";
       "\"\\uzzzz\""; "\"abc"; "\"ab\\"; "\"\\q\""; "[1,]"; "{\"a\" 1}";
       "{\"a\":1,}"; "[1 2]"; "nul"; "truex"; "[] x"; "{\"\000\":\"\255\"}";
+      "\"a\\n\\t\\\"b\\/\\\\\\b\\f\\r\""; "\"\\n\\u0041\\n\""; "\"\\n\\q\"";
+      "\"x\\n"; "\"x\\n\\"; "\"\\n\\u00\""; "[\"\\n\",\"\\t\\u00e9\"]";
     ]
 
 let non_finite_floats_print_null () =

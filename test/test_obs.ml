@@ -839,6 +839,10 @@ let corpus () =
   ignore (Msts_serve.Engine.dispatch engine) (* both queued solves time out *);
   ask schedule;
   ignore (Msts_serve.Engine.dispatch engine) (* live solve at wait 0 *);
+  (let gone = Msts_serve.Engine.open_conn engine in
+   Msts_serve.Engine.handle_line engine ~conn:gone ~reply:sink
+     (Msts.Api.request_to_line { Msts.Api.id = None; trace = None; op = schedule });
+   Msts_serve.Engine.close_conn engine gone (* its queued solve is purged *));
   Msts_serve.Engine.shutdown engine
 
 (* Backticked lowercase dotted tokens of docs/OBSERVABILITY.md (the test
@@ -898,6 +902,7 @@ let metric_names_documented () =
       "serve.timeouts";
       "serve.responses";
       "serve.errors";
+      "serve.purged";
       "serve.queue_wait_us";
       "serve.batch_size";
       "serve.inflight";

@@ -275,6 +275,59 @@ let drain_answers_inflight_worker_solves () =
   Alcotest.(check int) "no requests left" 0 (Engine.pending engine);
   Engine.shutdown engine
 
+(* A closed connection's queued units are dropped unlaunched: no solve
+   runs for them, the engine's and the other connection's counts stay
+   consistent, and drain terminates. *)
+let close_conn_purges_queued_work () =
+  let mem = Msts.Obs.Memory.create () in
+  Msts.Obs.with_sink (Msts.Obs.Memory.sink mem) @@ fun () ->
+  let engine = Engine.create lockstep_config in
+  let gone = Engine.open_conn engine in
+  let stays = Engine.open_conn engine in
+  let answered = ref [] in
+  let submit conn tag op =
+    Engine.submit engine ~conn ~reply:(fun _ -> answered := tag :: !answered)
+      (request op)
+  in
+  for i = 1 to 3 do
+    submit gone "gone" (schedule ~tasks:i ())
+  done;
+  submit gone "gone" (batch_op 5) (* four distinct problems: four shards *);
+  submit stays "stays" (schedule ~tasks:9 ());
+  Alcotest.(check int) "one unit per dispatch" 1 (Engine.dispatch engine);
+  let solves () = Msts.Obs.Memory.counter mem "pool.solves" in
+  Alcotest.(check int) "one solve so far" 1 (solves ());
+  Engine.close_conn engine gone;
+  Alcotest.(check int) "six units purged" 6
+    (Msts.Obs.Memory.counter mem "serve.purged");
+  Alcotest.(check int) "only the open conn's request pending" 1
+    (Engine.pending engine);
+  Alcotest.(check bool) "still runnable" true (Engine.runnable engine);
+  ignore (Engine.drain engine);
+  Alcotest.(check int) "purged work never solved" 2 (solves ());
+  Alcotest.(check (list string)) "replies" [ "stays"; "gone" ] !answered;
+  Alcotest.(check int) "nothing pending" 0 (Engine.pending engine);
+  Alcotest.(check bool) "nothing runnable" false (Engine.runnable engine);
+  Engine.shutdown engine;
+  (* On worker domains: a batch whose first shard is in flight when its
+     connection closes loses its queued shards; the in-flight one
+     finishes, the batch is never assembled, and drain terminates. *)
+  let engine =
+    Engine.create { Engine.default_config with jobs = 2; max_batch = 1 }
+  in
+  let gone = Engine.open_conn engine in
+  let replies = ref 0 in
+  Engine.submit engine ~conn:gone ~reply:(fun _ -> incr replies)
+    (request (batch_op 8));
+  ignore (Engine.dispatch engine);
+  Alcotest.(check int) "first shard launched" 1 (Engine.inflight engine);
+  Engine.close_conn engine gone;
+  Alcotest.(check int) "batch no longer pending" 0 (Engine.pending engine);
+  Alcotest.(check int) "drain delivers nothing" 0 (Engine.drain engine);
+  Alcotest.(check int) "no reply" 0 !replies;
+  Alcotest.(check int) "no units left" 0 (Engine.inflight engine);
+  Engine.shutdown engine
+
 let suites =
   [
     ( "serve.fairness",
@@ -300,5 +353,7 @@ let suites =
           stats_exposes_fairness_state;
         case "drain answers solves mid-flight on worker domains"
           drain_answers_inflight_worker_solves;
+        case "closing a connection purges its queued units"
+          close_conn_purges_queued_work;
       ] );
   ]
