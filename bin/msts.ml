@@ -507,7 +507,7 @@ let tree_cmd =
           [ "lower bound"; string_of_int (Msts.Tree_search.lower_bound tree n) ];
         Msts.Table.print table;
         Printf.printf "steady-state rate of the full tree: %.4f tasks/unit\n"
-          (Msts.Tree_steady.throughput tree)
+          (Msts.Steady_state.tree_throughput tree)
     | _ ->
         Printf.eprintf "error: `msts tree` expects a tree platform\n";
         exit 2

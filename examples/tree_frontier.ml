@@ -34,7 +34,7 @@ let () =
   Printf.printf "Tree platform: %s\n" (Msts.Tree.to_string tree);
   Printf.printf "%d processors, depth %d, steady-state rate %.3f tasks/unit\n\n"
     (Msts.Tree.processor_count tree) (Msts.Tree.depth tree)
-    (Msts.Tree_steady.throughput tree);
+    (Msts.Steady_state.tree_throughput tree);
 
   let n = 24 in
   let table =

@@ -27,21 +27,9 @@ let activation_threshold chain ~k ~max_n =
 
 let depth_profile chain ~ns = List.map (fun n -> (n, tasks_per_processor chain n)) ns
 
-(* The steady-state recursion rho_j = min(1/c_j, 1/w_j + rho_{j+1}), kept
-   local: the full analysis lives in Msts_baseline.Steady_state, which sits
-   above this library in the dependency order. *)
-let throughput chain =
-  let p = Chain.length chain in
-  let rec rho j =
-    if j > p then 0.0
-    else
-      min
-        (1.0 /. float_of_int (Chain.latency chain j))
-        ((1.0 /. float_of_int (Chain.work chain j)) +. rho (j + 1))
-  in
-  rho 1
-
 let efficiency chain n =
   if n <= 0 then 0.0
   else
-    float_of_int n /. (float_of_int (Algorithm.makespan chain n) *. throughput chain)
+    float_of_int n
+    /. (float_of_int (Algorithm.makespan chain n)
+       *. Msts_schedule.Steady_state.chain_throughput chain)

@@ -59,6 +59,8 @@ module Svg = Msts_schedule.Svg
 module Serial = Msts_schedule.Serial
 module Metrics = Msts_schedule.Metrics
 module Plan = Msts_schedule.Plan
+module Bounds = Msts_schedule.Bounds
+module Steady_state = Msts_schedule.Steady_state
 
 (* The paper's algorithms *)
 module Chain_algorithm = Msts_chain.Algorithm
@@ -84,15 +86,12 @@ module Tree_schedule = Msts_tree.Tree_schedule
 module Tree_asap = Msts_tree.Asap
 module Tree_heuristics = Msts_tree.Heuristics
 module Tree_search = Msts_tree.Search
-module Tree_steady = Msts_tree.Steady
 
 (* Oracles and baselines *)
 module Asap = Msts_baseline.Asap
 module Brute_force = Msts_baseline.Brute_force
 module List_sched = Msts_baseline.List_sched
 module Local_search = Msts_baseline.Local_search
-module Bounds = Msts_baseline.Bounds
-module Steady_state = Msts_baseline.Steady_state
 
 (* Execution substrate *)
 module Engine = Msts_sim.Engine

@@ -52,6 +52,17 @@ let to_spider t =
   if is_spider t then Some (Spider.of_legs (List.map path_to_chain t.roots_))
   else None
 
+let of_spider spider =
+  let leg l =
+    List.fold_right
+      (fun (latency, work) children -> [ { latency; work; children } ])
+      (Chain.to_pairs (Spider.leg_chain spider l))
+      []
+  in
+  {
+    roots_ = List.concat_map leg (List.init (Spider.legs spider) (fun l -> l + 1));
+  }
+
 type extraction_policy = Fastest_processor | Cheapest_link | Best_rate
 
 let rec subtree_rate n =

@@ -42,6 +42,10 @@ val is_spider : t -> bool
 val to_spider : t -> Spider.t option
 (** Exact conversion when {!is_spider} holds. *)
 
+val of_spider : Spider.t -> t
+(** The tree whose master children are the legs' first processors, each
+    leg a path, in leg order: [to_spider (of_spider s)] is [Some s]. *)
+
 (** Which child continues a leg when a node branches during extraction. *)
 type extraction_policy =
   | Fastest_processor  (** follow the child with the smallest work time *)

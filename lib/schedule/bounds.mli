@@ -23,7 +23,12 @@ val fluid_bound : Msts_platform.Chain.t -> int -> float
     [M], deliverable load beyond link [j] is
     [g(j) = min(M/c_j, M/w_j + g(j+1))]; the bound is the least [M] (real)
     with [g(1) >= n].  A valid relaxation: any integral schedule is a
-    fluid one. *)
+    fluid one.
+
+    The load is positively homogeneous in [M]:
+    [min(M·a, M·b + M·g) = M·min(a, b + g)], so [g(1)] is [M·ρ] with ρ the
+    steady-state rate {!Steady_state.chain_throughput}, and the least [M]
+    is exactly [n /. ρ] — which is what this returns (0.0 when [n = 0]). *)
 
 val combined_bound : Msts_platform.Chain.t -> int -> int
 (** Max of the integer bounds (port, capacity, and ⌈fluid⌉). *)
@@ -41,7 +46,12 @@ val spider_fluid_bound : Msts_platform.Spider.t -> int -> float
     fluid load [g(1)] within horizon [M], and the master's port carries at
     most [M] time units of first-hop traffic ([Σ load_l·c₁(l) ≤ M]).
     Maximising total load under both caps is a fractional knapsack solved
-    greedily by ascending [c₁]; the bound is the least [M] reaching [n]. *)
+    greedily by ascending [c₁]; the bound is the least [M] reaching [n].
+
+    Every leg load is [M] times its rate and the port budget is [M], so
+    the knapsack at horizon [M] is [M] times the one at horizon 1, which
+    is {!Steady_state.spider_throughput}: the bound is exactly
+    [n /. spider_throughput] (0.0 when [n = 0]). *)
 
 val spider_combined_bound : Msts_platform.Spider.t -> int -> int
 (** Max of the spider bounds (port, capacity, ⌈fluid⌉). *)

@@ -1,0 +1,58 @@
+module Chain = Msts_platform.Chain
+module Spider = Msts_platform.Spider
+module Tree = Msts_platform.Tree
+
+(* Fractional knapsack over one unit port: [children] are (link latency,
+   rate cap) pairs; a unit of rate to a child behind link [c] uses [c] of
+   the port.  Children are served by ascending latency, ties in input
+   order, and the total is summed in that same order.  Returns the total
+   and each child's share, in input order. *)
+let share_port children =
+  let children = Array.of_list children in
+  let order = Array.init (Array.length children) Fun.id in
+  Array.stable_sort
+    (fun a b -> Int.compare (fst children.(a)) (fst children.(b)))
+    order;
+  let shares = Array.make (Array.length children) 0.0 in
+  let total = ref 0.0 and port_left = ref 1.0 in
+  Array.iter
+    (fun i ->
+      let latency, cap = children.(i) in
+      let c = float_of_int latency in
+      let rate = min cap (!port_left /. c) in
+      shares.(i) <- rate;
+      total := !total +. rate;
+      port_left := !port_left -. (rate *. c))
+    order;
+  (!total, shares)
+
+(* The rate of the subtree hanging from [v], numbering nodes in preorder
+   from [!next] and handing each node's rate to [note]. *)
+let rec node_rate note next (v : Tree.node) =
+  let id = !next in
+  incr next;
+  let port, _ = share_port (children_rates note next v.Tree.children) in
+  let rate =
+    min
+      (1.0 /. float_of_int v.Tree.latency)
+      ((1.0 /. float_of_int v.Tree.work) +. port)
+  in
+  note id rate;
+  rate
+
+and children_rates note next children =
+  List.map (fun (c : Tree.node) -> (c.Tree.latency, node_rate note next c)) children
+
+let master_port ?(note = fun _ _ -> ()) tree =
+  share_port (children_rates note (ref 1) (Tree.roots tree))
+
+let tree_throughput tree = fst (master_port tree)
+
+let subtree_rates tree =
+  let rates = Array.make (Tree.processor_count tree) 0.0 in
+  ignore (master_port ~note:(fun id rate -> rates.(id - 1) <- rate) tree);
+  List.mapi (fun i rate -> (i + 1, rate)) (Array.to_list rates)
+
+let spider_throughput spider = tree_throughput (Tree.of_spider spider)
+let spider_leg_rates spider = snd (master_port (Tree.of_spider spider))
+let chain_throughput chain = spider_throughput (Spider.of_chain chain)

@@ -32,18 +32,30 @@ let write_metrics_file engine path =
   with Sys_error msg ->
     Printf.eprintf "msts serve: cannot write metrics to %s: %s\n%!" path msg
 
-(* One connected client: its unfinished input line, its unsent replies
-   and the engine's per-connection scheduling handle. *)
+(* One connected client: its unfinished input line, its unsent replies,
+   the frames still awaiting one, and the engine's per-connection
+   scheduling handle.  [eof] is set once the peer closed its write end:
+   the fd is no longer read, and the connection stays open until every
+   frame it sent has been answered and written. *)
 type client = {
   fd : Unix.file_descr;
   conn : Engine.conn;
   input : Framing.input;
   out : Framing.output;
+  mutable awaiting : int;
+  mutable eof : bool;
   mutable dead : bool;
 }
 
-let queue_out client line = if not client.dead then Framing.push client.out line
+let queue_out client line =
+  client.awaiting <- client.awaiting - 1;
+  if not client.dead then Framing.push client.out line
+
 let has_out client = not (Framing.is_empty client.out)
+
+(* A half-closed client whose every reply has left. *)
+let finished client =
+  client.eof && client.awaiting = 0 && not (has_out client)
 
 (* Takes as much as the socket accepts; never blocks. *)
 let write_to client buf off len =
@@ -64,6 +76,7 @@ let rec sweep_client engine client =
   | 0 -> `Eof
   | n ->
       Framing.feed client.input read_chunk 0 n (fun line ->
+          client.awaiting <- client.awaiting + 1;
           Engine.handle_line engine ~conn:client.conn
             ~reply:(queue_out client) line);
       sweep_client engine client
@@ -161,11 +174,12 @@ let run cfg =
         clients :=
           List.filter
             (fun c ->
-              if c.dead then begin
+              let drop = c.dead || finished c in
+              if drop then begin
                 close_quietly c.fd;
                 Engine.close_conn engine c.conn
               end;
-              not c.dead)
+              not drop)
             !clients
       in
       let accept_all () =
@@ -180,6 +194,8 @@ let run cfg =
                   conn = Engine.open_conn engine;
                   input = Framing.input ();
                   out = Framing.output ();
+                  awaiting = 0;
+                  eof = false;
                   dead = false;
                 }
                 :: !clients;
@@ -199,7 +215,9 @@ let run cfg =
              would, so responses leave as soon as they exist. *)
           let read_fds =
             listen_fd :: Engine.wakeup_fd engine
-            :: List.map (fun c -> c.fd) !clients
+            :: List.filter_map
+                 (fun c -> if c.eof then None else Some c.fd)
+                 !clients
           in
           let write_fds =
             List.filter_map
@@ -216,7 +234,7 @@ let run cfg =
             (fun c ->
               if (not c.dead) && List.mem c.fd readable then
                 match sweep_client engine c with
-                | `Eof -> if not (has_out c) then c.dead <- true
+                | `Eof -> c.eof <- true
                 | `More -> ())
             !clients;
           ignore (Engine.dispatch engine);
@@ -232,7 +250,8 @@ let run cfg =
         (* Frames already written by clients are in-flight: sweep them in
            before refusing new work, then drain to the last response. *)
         List.iter
-          (fun c -> if not c.dead then ignore (sweep_client engine c))
+          (fun c ->
+            if not (c.dead || c.eof) then ignore (sweep_client engine c))
           !clients;
         Engine.stop engine;
         let drained = Engine.drain engine in

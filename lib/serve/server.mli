@@ -13,7 +13,9 @@
     dropped), stop admitting, drain the queue to completion, flush every
     response out, then close, unlink the socket and exit 0.  A malformed
     frame never closes a connection — it is answered with a structured
-    [`bad_request] error.
+    [`bad_request] error.  A client that shuts down its write end is no
+    longer read; its connection closes once every frame it sent has been
+    answered and the replies written.
 
     Telemetry: with [telemetry = Some path] every [Obs] event streams to
     [path] as JSONL ({!Msts.Obs.Streaming}); a last-N {!Msts.Obs.Ring}

@@ -27,44 +27,9 @@ let port_utilisation spider n =
 
 let split_profile spider ~ns = List.map (fun n -> (n, tasks_per_leg spider n)) ns
 
-(* Local copy of the bandwidth-centric rates (the full analysis lives in
-   Msts_baseline.Steady_state, above this library in the dependency
-   order). *)
-let steady_rates spider =
-  let chain_rate chain =
-    let p = Msts_platform.Chain.length chain in
-    let rec rho j =
-      if j > p then 0.0
-      else
-        min
-          (1.0 /. float_of_int (Msts_platform.Chain.latency chain j))
-          ((1.0 /. float_of_int (Msts_platform.Chain.work chain j)) +. rho (j + 1))
-    in
-    rho 1
-  in
-  let legs = Spider.legs spider in
-  let order = Array.init legs (fun idx -> idx) in
-  Array.sort
-    (fun a b ->
-      Int.compare
-        (Msts_platform.Chain.latency (Spider.leg_chain spider (a + 1)) 1)
-        (Msts_platform.Chain.latency (Spider.leg_chain spider (b + 1)) 1))
-    order;
-  let rates = Array.make legs 0.0 in
-  let port_left = ref 1.0 in
-  Array.iter
-    (fun idx ->
-      let chain = Spider.leg_chain spider (idx + 1) in
-      let c1 = float_of_int (Msts_platform.Chain.latency chain 1) in
-      let rate = min (chain_rate chain) (!port_left /. c1) in
-      rates.(idx) <- rate;
-      port_left := !port_left -. (rate *. c1))
-    order;
-  rates
-
 let rate_agreement spider n =
   let counts = tasks_per_leg spider n in
-  let rates = steady_rates spider in
+  let rates = Msts_schedule.Steady_state.spider_leg_rates spider in
   let total_rate = Array.fold_left ( +. ) 0.0 rates in
   Array.mapi
     (fun idx count ->

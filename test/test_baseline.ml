@@ -176,20 +176,41 @@ let spider_fluid_single_leg_consistent =
            -. Msts.Bounds.fluid_bound chain n)
          < 1e-6))
 
-(* The list-based spider fluid bound the array version replaced: every
-   leg's recursive chain load, sorted by first-hop cost at each probe. *)
-let reference_spider_fluid_bound spider n =
-  let fluid_load chain m =
-    let p = Msts.Chain.length chain in
-    let rec g j =
-      if j > p then 0.0
-      else
-        min
-          (m /. float_of_int (Msts.Chain.latency chain j))
-          ((m /. float_of_int (Msts.Chain.work chain j)) +. g (j + 1))
-    in
-    g 1
+(* The fluid bounds as they were first written: the least horizon M whose
+   fluid load reaches n, by 60 bisection steps from 0 up to the master-only
+   makespan.  The library now returns the closed form n /. rho; these
+   references check it against the definition. *)
+let fluid_load chain m =
+  let p = Msts.Chain.length chain in
+  let rec g j =
+    if j > p then 0.0
+    else
+      min
+        (m /. float_of_int (Msts.Chain.latency chain j))
+        ((m /. float_of_int (Msts.Chain.work chain j)) +. g (j + 1))
   in
+  g 1
+
+let bisect_fluid ~hi ~load n =
+  if n = 0 then 0.0
+  else begin
+    let target = float_of_int n in
+    let lo = ref 0.0 and hi = ref (float_of_int hi) in
+    for _ = 1 to 60 do
+      let mid = 0.5 *. (!lo +. !hi) in
+      if load mid >= target then hi := mid else lo := mid
+    done;
+    !hi
+  end
+
+let reference_chain_fluid_bound chain n =
+  bisect_fluid
+    ~hi:(Msts.Chain.master_only_makespan chain n)
+    ~load:(fluid_load chain) n
+
+(* Every leg's recursive chain load, sorted by first-hop cost at each
+   probe, packed into the port's horizon greedily. *)
+let reference_spider_fluid_bound spider n =
   let spider_fluid_load m =
     let legs =
       List.map
@@ -206,32 +227,58 @@ let reference_spider_fluid_bound spider n =
            (total +. load, port_left -. (load *. c1)))
          (0.0, m) sorted)
   in
-  if n = 0 then 0.0
-  else begin
-    let target = float_of_int n in
-    let lo = ref 0.0
-    and hi =
-      ref
-        (float_of_int
-           (Msts.Chain.master_only_makespan (Msts.Spider.leg_chain spider 1) n))
-    in
-    for _ = 1 to 60 do
-      let mid = 0.5 *. (!lo +. !hi) in
-      if spider_fluid_load mid >= target then hi := mid else lo := mid
-    done;
-    !hi
-  end
+  bisect_fluid
+    ~hi:(Msts.Chain.master_only_makespan (Msts.Spider.leg_chain spider 1) n)
+    ~load:spider_fluid_load n
+
+let relative_gap got want =
+  if want = 0.0 then abs_float got else abs_float (got -. want) /. want
+
+let ceil_fluid bound = int_of_float (ceil (bound -. 1e-9))
+
+let chain_fluid_matches_reference =
+  Helpers.to_alcotest
+    (QCheck.Test.make ~count:300
+       ~name:"chain fluid bound n/rho = the bisection reference within 1e-12"
+       (chain_with_n_arb ~max_p:8 ~max_n:400 ~max_val:12 ())
+       (fun (chain, n) ->
+         let got = Msts.Bounds.fluid_bound chain n
+         and want = reference_chain_fluid_bound chain n in
+         relative_gap got want <= 1e-12
+         || QCheck.Test.fail_reportf "got %h, reference %h" got want))
 
 let spider_fluid_matches_reference =
   Helpers.to_alcotest
     (QCheck.Test.make ~count:300
-       ~name:"spider fluid bound = the list-based reference, bit for bit"
+       ~name:"spider fluid bound n/rho = the bisection reference within 1e-12"
        (spider_with_n_arb ~max_legs:6 ~max_depth:4 ~max_n:400 ~max_val:12 ())
        (fun (spider, n) ->
          let got = Msts.Bounds.spider_fluid_bound spider n
          and want = reference_spider_fluid_bound spider n in
-         Int64.equal (Int64.bits_of_float got) (Int64.bits_of_float want)
+         relative_gap got want <= 1e-12
          || QCheck.Test.fail_reportf "got %h, reference %h" got want))
+
+let combined_bounds_match_reference =
+  Helpers.to_alcotest
+    (QCheck.Test.make ~count:300
+       ~name:"combined bounds = the max rebuilt from the bisection references"
+       (spider_with_n_arb ~max_legs:6 ~max_depth:4 ~max_n:400 ~max_val:12 ())
+       (fun (spider, n) ->
+         let chain = Msts.Spider.leg_chain spider 1 in
+         let chain_want =
+           max (Msts.Bounds.port_bound chain n)
+             (max (Msts.Bounds.capacity_bound chain n)
+                (ceil_fluid (reference_chain_fluid_bound chain n)))
+         and spider_want =
+           max (Msts.Bounds.spider_port_bound spider n)
+             (max (Msts.Bounds.spider_capacity_bound spider n)
+                (ceil_fluid (reference_spider_fluid_bound spider n)))
+         in
+         (Msts.Bounds.combined_bound chain n = chain_want
+         && Msts.Bounds.spider_combined_bound spider n = spider_want)
+         || QCheck.Test.fail_reportf "chain %d vs %d, spider %d vs %d"
+              (Msts.Bounds.combined_bound chain n) chain_want
+              (Msts.Bounds.spider_combined_bound spider n) spider_want))
 
 let bounds_known_instance () =
   (* Figure 2 chain, n=5: optimal is 14 *)
@@ -263,9 +310,12 @@ let throughput_known_values () =
     (Msts.Steady_state.chain_throughput figure2_chain)
 
 let throughput_prefixes () =
-  let rho = Msts.Steady_state.chain_prefix_throughputs figure2_chain in
-  Alcotest.(check int) "length" 2 (Array.length rho);
-  Alcotest.(check (Alcotest.float 1e-9)) "rho2" 0.2 rho.(1)
+  (* the path tree's node j hangs the suffix from link j: its rate is rho(j) *)
+  let path = Msts.Tree.of_spider (Msts.Spider.of_chain figure2_chain) in
+  let rho = Msts.Steady_state.subtree_rates path in
+  Alcotest.(check (list int)) "preorder ids" [ 1; 2 ] (List.map fst rho);
+  Alcotest.(check (Alcotest.float 1e-9)) "rho1" 0.5 (List.assoc 1 rho);
+  Alcotest.(check (Alcotest.float 1e-9)) "rho2" 0.2 (List.assoc 2 rho)
 
 let throughput_bounded_by_port =
   Helpers.to_alcotest
@@ -350,7 +400,9 @@ let suites =
         spider_bounds_below_optimal;
         spider_fluid_below_optimal;
         spider_fluid_single_leg_consistent;
+        chain_fluid_matches_reference;
         spider_fluid_matches_reference;
+        combined_bounds_match_reference;
         case "figure-2 values" bounds_known_instance;
         case "single processor tightness" bounds_single_processor_tight;
       ] );

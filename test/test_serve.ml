@@ -328,6 +328,86 @@ let close_conn_purges_queued_work () =
   Alcotest.(check int) "no units left" 0 (Engine.inflight engine);
   Engine.shutdown engine
 
+(* ---------- the socket loop ---------- *)
+
+(* Read frames until the daemon closes the connection, giving up after
+   [timeout] seconds without a byte. *)
+let read_frames ?(timeout = 10.0) fd =
+  let buf = Buffer.create 256 and chunk = Bytes.create 4096 in
+  let rec go () =
+    match Unix.select [ fd ] [] [] timeout with
+    | [], _, _ -> Alcotest.fail "no reply and no close from the daemon"
+    | _ -> (
+        match Unix.read fd chunk 0 (Bytes.length chunk) with
+        | 0 -> ()
+        | n ->
+            Buffer.add_subbytes buf chunk 0 n;
+            go ()
+        | exception Unix.Unix_error (Unix.ECONNRESET, _, _) -> ())
+  in
+  go ();
+  List.filter (( <> ) "") (String.split_on_char '\n' (Buffer.contents buf))
+
+let send_all fd line =
+  let line = line ^ "\n" in
+  let rec go off =
+    if off < String.length line then
+      go (off + Unix.write_substring fd line off (String.length line - off))
+  in
+  go 0
+
+(* A client that sends its frames and then shuts down its write end
+   still gets every reply before the daemon closes the connection. *)
+let half_closed_client_gets_replies () =
+  let socket_path =
+    Filename.concat
+      (Filename.get_temp_dir_name ())
+      (Printf.sprintf "msts-half-close-%d.sock" (Unix.getpid ()))
+  in
+  let cfg =
+    { (Msts_serve.Server.default_config ~socket_path) with quiet = true }
+  in
+  let server = Domain.spawn (fun () -> Msts_serve.Server.run cfg) in
+  let rec await_socket tries =
+    if Sys.file_exists socket_path then ()
+    else if tries = 0 then Alcotest.fail "daemon never bound its socket"
+    else begin
+      Unix.sleepf 0.02;
+      await_socket (tries - 1)
+    end
+  in
+  let connect () =
+    let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+    Unix.connect fd (Unix.ADDR_UNIX socket_path);
+    fd
+  in
+  let exchange frames =
+    let fd = connect () in
+    Fun.protect
+      ~finally:(fun () -> Unix.close fd)
+      (fun () ->
+        List.iter (fun op -> send_all fd (Api.request_to_line (request op))) frames;
+        Unix.shutdown fd Unix.SHUTDOWN_SEND;
+        read_frames fd)
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      (try ignore (exchange [ Api.Shutdown ]) with _ -> ());
+      ignore (Domain.join server))
+    (fun () ->
+      await_socket 500;
+      (match exchange [ schedule ~tasks:9 () ] with
+      | [ frame ] -> (
+          match (response_of_frame frame).Api.result with
+          | Ok _ -> ()
+          | Error e -> Alcotest.failf "schedule failed: %s" e.Api.message)
+      | frames ->
+          Alcotest.failf "schedule alone: %d replies, expected 1"
+            (List.length frames));
+      Alcotest.(check int) "ping then two schedules: every reply" 3
+        (List.length
+           (exchange [ Api.Ping; schedule ~tasks:5 (); schedule ~tasks:7 () ])))
+
 let suites =
   [
     ( "serve.fairness",
@@ -355,5 +435,7 @@ let suites =
           drain_answers_inflight_worker_solves;
         case "closing a connection purges its queued units"
           close_conn_purges_queued_work;
+        case "a half-closed client still gets every reply"
+          half_closed_client_gets_replies;
       ] );
   ]

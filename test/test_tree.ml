@@ -265,44 +265,60 @@ let search_on_path_equals_chain =
 
 (* ---------- steady state ---------- *)
 
+let same_float a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
+
+let rec path_nodes = function
+  | [] -> []
+  | (c, w) :: rest ->
+      [ Msts.Tree.node ~latency:c ~work:w ~children:(path_nodes rest) () ]
+
+(* rho(j) = min(1/c_j, 1/w_j + rho(j+1)), written out over the chain *)
+let chain_recursion chain =
+  let p = Msts.Chain.length chain in
+  let rec rho j =
+    if j > p then 0.0
+    else
+      min
+        (1.0 /. float_of_int (Msts.Chain.latency chain j))
+        ((1.0 /. float_of_int (Msts.Chain.work chain j)) +. rho (j + 1))
+  in
+  rho 1
+
 let steady_path_equals_chain =
   Helpers.to_alcotest
-    (QCheck.Test.make ~count:100 ~name:"tree steady state on a path equals the chain's"
+    (QCheck.Test.make ~count:100
+       ~name:"tree steady state on a path equals the chain's"
        (chain_arb ~max_p:5 ())
        (fun chain ->
-         let rec to_nodes = function
-           | [] -> []
-           | (c, w) :: rest ->
-               [ Msts.Tree.node ~latency:c ~work:w ~children:(to_nodes rest) () ]
-         in
-         let tree = Msts.Tree.make (to_nodes (Msts.Chain.to_pairs chain)) in
-         abs_float
-           (Msts.Tree_steady.throughput tree -. Msts.Steady_state.chain_throughput chain)
-         < 1e-9))
+         let tree = Msts.Tree.make (path_nodes (Msts.Chain.to_pairs chain)) in
+         let rho = chain_recursion chain in
+         same_float (Msts.Steady_state.tree_throughput tree) rho
+         && same_float (Msts.Steady_state.chain_throughput chain) rho))
+
+let of_spider_round_trips =
+  Helpers.to_alcotest
+    (QCheck.Test.make ~count:200 ~name:"Tree.to_spider (Tree.of_spider s) = Some s"
+       (spider_arb ~max_legs:5 ~max_depth:4 ())
+       (fun spider ->
+         match Msts.Tree.to_spider (Msts.Tree.of_spider spider) with
+         | Some back -> Msts.Spider.equal back spider
+         | None -> false))
 
 let steady_spider_equals_spider =
   Helpers.to_alcotest
-    (QCheck.Test.make ~count:100
+    (QCheck.Test.make ~count:200
        ~name:"tree steady state on a spider shape equals the spider's"
-       (spider_arb ~max_legs:3 ~max_depth:3 ())
+       (spider_arb ~max_legs:5 ~max_depth:3 ~max_val:4 ())
        (fun spider ->
-         let leg_to_nodes chain =
-           let rec to_nodes = function
-             | [] -> []
-             | (c, w) :: rest ->
-                 [ Msts.Tree.node ~latency:c ~work:w ~children:(to_nodes rest) () ]
-           in
-           List.hd (to_nodes (Msts.Chain.to_pairs chain))
-         in
-         let tree =
+         let built =
            Msts.Tree.make
-             (List.init (Msts.Spider.legs spider) (fun idx ->
-                  leg_to_nodes (Msts.Spider.leg_chain spider (idx + 1))))
+             (List.concat_map
+                (fun l -> path_nodes (Msts.Chain.to_pairs (Msts.Spider.leg_chain spider l)))
+                (List.init (Msts.Spider.legs spider) (fun l -> l + 1)))
          in
-         abs_float
-           (Msts.Tree_steady.throughput tree
-           -. Msts.Steady_state.spider_throughput spider)
-         < 1e-9))
+         let rho = Msts.Steady_state.spider_throughput spider in
+         same_float (Msts.Steady_state.tree_throughput (Msts.Tree.of_spider spider)) rho
+         && same_float (Msts.Steady_state.tree_throughput built) rho))
 
 let steady_bounded_by_master_port =
   Helpers.to_alcotest
@@ -316,10 +332,10 @@ let steady_bounded_by_master_port =
              max_int
              (Msts.Tree_flat.children flat 0)
          in
-         Msts.Tree_steady.throughput tree <= (1.0 /. float_of_int min_c) +. 1e-9))
+         Msts.Steady_state.tree_throughput tree <= (1.0 /. float_of_int min_c) +. 1e-9))
 
 let steady_subtree_rates_positive () =
-  let rates = Msts.Tree_steady.subtree_rates sample_tree in
+  let rates = Msts.Steady_state.subtree_rates sample_tree in
   Alcotest.(check int) "one rate per node" 5 (List.length rates);
   List.iter
     (fun (_, r) -> Alcotest.(check bool) "positive" true (r > 0.0))
@@ -355,6 +371,7 @@ let suites =
     ( "tree.steady",
       [
         steady_path_equals_chain;
+        of_spider_round_trips;
         steady_spider_equals_spider;
         steady_bounded_by_master_port;
         case "subtree rates" steady_subtree_rates_positive;
