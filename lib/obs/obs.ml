@@ -8,6 +8,13 @@ type event =
   | Span_end of { name : string; ts : int; scope : int }
   | Count of { name : string; delta : int; ts : int; scope : int }
   | Value of { name : string; value : int; ts : int; scope : int }
+  | Samples of {
+      name : string;
+      values : int array;
+      counts : int array;
+      ts : int;
+      scope : int;
+    }
 
 type sink = event -> unit
 
@@ -111,6 +118,20 @@ let record name value =
       sink
         (Value { name; value; ts = now_us (); scope = Domain.DLS.get Scope.the_scope })
 
+let samples name ~values ~counts =
+  match Domain.DLS.get the_sink with
+  | None -> ()
+  | Some sink ->
+      sink
+        (Samples
+           {
+             name;
+             values;
+             counts;
+             ts = now_us ();
+             scope = Domain.DLS.get Scope.the_scope;
+           })
+
 (* ---------- event serialisation (JSONL sinks, post-mortem dumps) ---------- *)
 
 (* Unscoped events omit the "sc" member entirely, keeping unscoped JSONL
@@ -151,6 +172,17 @@ let event_to_json = function
              ("ev", Json.String "V");
              ("name", Json.String name);
              ("value", Json.Int value);
+             ("ts", Json.Int ts);
+           ])
+  | Samples { name; values; counts; ts; scope } ->
+      let ints a = Json.List (Array.to_list (Array.map (fun v -> Json.Int v) a)) in
+      Json.Obj
+        (scope_field scope
+           [
+             ("ev", Json.String "S");
+             ("name", Json.String name);
+             ("values", ints values);
+             ("counts", ints counts);
              ("ts", Json.Int ts);
            ])
 
@@ -194,19 +226,26 @@ module Histogram = struct
       let g = (idx / 16) - 1 in
       (idx - (g * 16)) lsl g
 
-  let add t v =
-    let v = max 0 v in
-    t.buckets.(bucket_of v) <- t.buckets.(bucket_of v) + 1;
-    if t.count = 0 then begin
-      t.min_v <- v;
-      t.max_v <- v
+  (* [n] samples of one value leave exactly the state [n] single adds
+     would: every field is a sum, a min or a max. *)
+  let add_many t v ~n =
+    if n > 0 then begin
+      let v = max 0 v in
+      let b = bucket_of v in
+      t.buckets.(b) <- t.buckets.(b) + n;
+      if t.count = 0 then begin
+        t.min_v <- v;
+        t.max_v <- v
+      end
+      else begin
+        if v < t.min_v then t.min_v <- v;
+        if v > t.max_v then t.max_v <- v
+      end;
+      t.count <- t.count + n;
+      t.sum <- t.sum + (v * n)
     end
-    else begin
-      if v < t.min_v then t.min_v <- v;
-      if v > t.max_v then t.max_v <- v
-    end;
-    t.count <- t.count + 1;
-    t.sum <- t.sum + v
+
+  let add t v = add_many t v ~n:1
 
   let count t = t.count
   let sum t = t.sum
@@ -387,6 +426,12 @@ module Memory = struct
         Option.iter
           (fun agg -> Histogram.add (hist_in agg.sc_hists name) value)
           (scope_agg_in t scope)
+    | Samples { name; values; counts; scope; _ } ->
+        let absorb h =
+          Array.iteri (fun i v -> Histogram.add_many h v ~n:counts.(i)) values
+        in
+        absorb (hist_in t.hists name);
+        Option.iter (fun agg -> absorb (hist_in agg.sc_hists name)) (scope_agg_in t scope)
     | Span_begin { name; ts; _ } ->
         t.stack <- (name, ts) :: t.stack;
         t.max_depth <- max t.max_depth (List.length t.stack)
@@ -585,6 +630,22 @@ module Memory = struct
              ]
             @ common ts scope
             @ [ ("args", Json.Obj [ ("value", Json.Int value) ]) ])
+      | Samples { name; values; counts; ts; scope } ->
+          (* a run's samples: one point carrying their count and sum *)
+          let count = Array.fold_left ( + ) 0 counts in
+          let sum = ref 0 in
+          Array.iteri (fun i v -> sum := !sum + (v * counts.(i))) values;
+          Json.Obj
+            ([
+               ("name", Json.String name);
+               ("cat", Json.String "msts");
+               ("ph", Json.String "C");
+             ]
+            @ common ts scope
+            @ [
+                ( "args",
+                  Json.Obj [ ("count", Json.Int count); ("sum", Json.Int !sum) ] );
+              ])
     in
     let metadata =
       [ ("process_name", Json.String process_name) ]

@@ -40,10 +40,22 @@ type event =
   | Span_end of { name : string; ts : int; scope : int }
   | Count of { name : string; delta : int; ts : int; scope : int }
   | Value of { name : string; value : int; ts : int; scope : int }
+  | Samples of {
+      name : string;
+      values : int array;
+      counts : int array;
+      ts : int;
+      scope : int;
+    }
       (** timestamps in microseconds; [Value] carries one histogram
           sample (a duration, a queue wait, a gap — any non-negative
-          magnitude).  [scope] attributes the event to a request scope
-          ({!Scope}); {!Scope.none} (0) means unscoped. *)
+          magnitude).  [Samples] carries many samples of one histogram
+          at once as an exact multiset: [values] non-negative and
+          strictly ascending, [counts.(i) >= 1] copies of [values.(i)].
+          The simulator hands each run's simulated-time samples over this
+          way, one event per histogram per run.  [scope] attributes the
+          event to a request scope ({!Scope}); {!Scope.none} (0) means
+          unscoped. *)
 
 type sink = event -> unit
 
@@ -123,9 +135,17 @@ val record : string -> int -> unit
     are clamped to 0 by the aggregating sinks).  Free when no sink is
     installed. *)
 
+val samples : string -> values:int array -> counts:int array -> unit
+(** [samples name ~values ~counts] emits one {!Samples} event: [counts.(i)]
+    samples of [values.(i)] for [name], in the shape the constructor
+    documents (the arrays are not copied or checked).  An aggregating sink
+    ends in the same histogram state as after the equivalent {!record}s.
+    Free when no sink is installed. *)
+
 val event_to_json : event -> Json.t
-(** One event as a compact JSON object ([{"ev": "B"|"E"|"C"|"V", "name",
-    "ts", ...}]) — the line format of the {!Streaming} sink and
+(** One event as a compact JSON object ([{"ev": "B"|"E"|"C"|"V"|"S",
+    "name", "ts", ...}]; a {!Samples} event carries ["values"] and
+    ["counts"] lists) — the line format of the {!Streaming} sink and
     {!Ring.to_jsonl}. *)
 
 (** {2 Histograms} *)
@@ -142,6 +162,10 @@ module Histogram : sig
   val create : unit -> t
   val add : t -> int -> unit
   (** Absorb one sample ([max 0 v]). *)
+
+  val add_many : t -> int -> n:int -> unit
+  (** Absorb [n] copies of one sample: the same state as [n] calls of
+      {!add} (nothing when [n <= 0]). *)
 
   val count : t -> int
   val sum : t -> int
@@ -282,7 +306,8 @@ module Memory : sig
       format with a ["traceEvents"] array of [B]/[E] duration events and
       [C] counter samples), loadable in [about:tracing] and Perfetto.
       Counter samples carry running totals; value recordings become their
-      own sample tracks.  When the raw log overflowed its cap the metadata
+      own sample tracks, and a {!Samples} event one point on its track
+      with the [count] and [sum] of its samples.  When the raw log overflowed its cap the metadata
       carries ["dropped_events"]. *)
 end
 

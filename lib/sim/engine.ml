@@ -5,6 +5,7 @@ type t = {
   mutable clock : int;
   mutable next_seq : int;
   mutable processed : int;
+  mutable gaps : Tally.t option; (* [engine.event_gap_us], inside [run] *)
 }
 
 let compare_events a b =
@@ -17,6 +18,7 @@ let create () =
     clock = 0;
     next_seq = 0;
     processed = 0;
+    gaps = None;
   }
 
 let now t = t.clock
@@ -45,7 +47,7 @@ let step t =
   match Msts_util.Heap.pop t.queue with
   | None -> false
   | Some ev ->
-      Msts_obs.Obs.record "engine.event_gap_us" (ev.time - t.clock);
+      (match t.gaps with Some g -> Tally.add g (ev.time - t.clock) | None -> ());
       t.clock <- ev.time;
       t.processed <- t.processed + 1;
       ev.action ();
@@ -70,14 +72,18 @@ let drain ?max_events t =
         if step t then decr remaining else running := false
       done
 
-(* [engine.events] is tallied in [processed] and emitted once per run,
-   also when the run fails, instead of once per event. *)
+(* [engine.events] is tallied in [processed] and the event gaps in
+   [gaps]; both are emitted once per run, also when the run fails.  With
+   no sink installed there is no gap tally. *)
 let run ?max_events t =
   let before = t.processed in
+  t.gaps <- (if Msts_obs.Obs.enabled () then Some (Tally.create ()) else None);
   Fun.protect
     ~finally:(fun () ->
       let n = t.processed - before in
-      if n > 0 then Msts_obs.Obs.count ~n "engine.events")
+      if n > 0 then Msts_obs.Obs.count ~n "engine.events";
+      Option.iter (fun g -> Tally.emit g "engine.event_gap_us") t.gaps;
+      t.gaps <- None)
     (fun () -> drain ?max_events t)
 
 let events_processed t = t.processed

@@ -37,14 +37,18 @@ val run : ?max_events:int -> t -> unit
     interleavings — where a buggy callback could schedule events forever:
     once the budget is spent with events still queued, the run fails with
     a diagnostic naming the simulated time and queue depth instead of
-    hanging.  Counts the events it executed as one [engine.events]
-    increment when it returns or raises.  @raise Invalid_argument if
-    [max_events < 1]; @raise Failure when the budget is exhausted. *)
+    hanging.  When it returns or raises, it counts the events it
+    executed as one [engine.events] increment and hands their
+    [engine.event_gap_us] samples (the simulated-clock advance each event
+    caused, tallied by {!step} as exact value counts) to the sinks as one
+    [Samples] event.  With no sink installed at the start of the run
+    nothing is tallied.  @raise Invalid_argument if [max_events < 1];
+    @raise Failure when the budget is exhausted. *)
 
 val step : t -> bool
 (** Execute the single next event; [false] when the queue was empty.
-    Records its [engine.event_gap_us] sample but leaves [engine.events]
-    to {!run}. *)
+    Inside {!run} it tallies the event's gap; called on its own it
+    records nothing (both engine metrics belong to {!run}). *)
 
 val events_processed : t -> int
 (** Total callbacks executed (cheap sanity metric for tests). *)

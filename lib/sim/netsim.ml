@@ -137,6 +137,7 @@ let run ?max_events ?(buffer = max_int) ~fn spider mode trace decide =
   let executions = ref 0 and transfers = ref 0 and waits = ref 0
   and buffer_waits = ref 0 and aborted = ref 0 and returned = ref 0
   and retries = ref 0 in
+  let transfer_us = if Obs.enabled () then Some (Tally.create ()) else None in
   (* A task takes a slot at the next node before moving there; the slot
      frees when its outgoing transfer completes or its execution starts,
      and passes straight to the oldest blocked task. *)
@@ -278,7 +279,7 @@ let run ?max_events ?(buffer = max_int) ~fn spider mode trace decide =
           Chain.latency (leg_chain leg) hop
           * Fault.link_factor state { Spider.leg; depth = hop }
         in
-        Obs.record "netsim.transfer_us" d;
+        (match transfer_us with Some tl -> Tally.add tl d | None -> ());
         d
     | Trace.Compute { leg; depth } ->
         Chain.work (leg_chain leg) depth * Fault.proc_factor state { Spider.leg; depth }
@@ -634,18 +635,22 @@ let run ?max_events ?(buffer = max_int) ~fn spider mode trace decide =
             ask addr
           done)
         (Spider.addresses spider));
-  Engine.run ?max_events engine;
-  List.iter
-    (fun (name, n) -> if !n > 0 then Obs.count ~n:!n name)
-    [
-      ("netsim.executions", executions);
-      ("netsim.transfers", transfers);
-      ("netsim.resource_waits", waits);
-      ("netsim.buffer_waits", buffer_waits);
-      ("netsim.aborted_ops", aborted);
-      ("netsim.returned_tasks", returned);
-      ("netsim.transfer_retries", retries);
-    ];
+  (* the tallies are reported also when the run fails (event budget) *)
+  Fun.protect
+    ~finally:(fun () ->
+      List.iter
+        (fun (name, n) -> if !n > 0 then Obs.count ~n:!n name)
+        [
+          ("netsim.executions", executions);
+          ("netsim.transfers", transfers);
+          ("netsim.resource_waits", waits);
+          ("netsim.buffer_waits", buffer_waits);
+          ("netsim.aborted_ops", aborted);
+          ("netsim.returned_tasks", returned);
+          ("netsim.transfer_retries", retries);
+        ];
+      Option.iter (fun tl -> Tally.emit tl "netsim.transfer_us") transfer_us)
+    (fun () -> Engine.run ?max_events engine);
   Array.iter
     (fun t ->
       match t.st with

@@ -747,6 +747,298 @@ let engine_budget_tallied () =
   Alcotest.(check (list (pair string int)))
     "the second run counts its own events" [ ("engine.events", 3) ] evs
 
+(* ---------- simulated-time samples: one event per histogram per run ---------- *)
+
+(* Every event [f] emits, in order. *)
+let all_events f =
+  let seen = ref [] in
+  let result = Obs.with_sink (fun ev -> seen := ev :: !seen) f in
+  (result, List.rev !seen)
+
+let counter_total events name =
+  List.fold_left
+    (fun acc -> function
+      | Obs.Count { name = n; delta; _ } when n = name -> acc + delta
+      | _ -> acc)
+    0 events
+
+(* The single [Samples] event of [name] among [events], checked for its
+   documented shape, as (sample count, sample sum).  A per-sample [Value]
+   of that name fails. *)
+let samples_once label events name =
+  let found =
+    List.filter_map
+      (function
+        | Obs.Samples { name = n; values; counts; _ } when n = name ->
+            Some (values, counts)
+        | Obs.Value { name = n; _ } when n = name ->
+            Alcotest.failf "%s: a per-sample %s event" label name
+        | _ -> None)
+      events
+  in
+  match found with
+  | [ (values, counts) ] ->
+      Array.iteri
+        (fun i v ->
+          if v < 0 || (i > 0 && values.(i - 1) >= v) || counts.(i) < 1 then
+            Alcotest.failf "%s: %s is not an ascending multiset" label name)
+        values;
+      let count = Array.fold_left ( + ) 0 counts in
+      let sum = ref 0 in
+      Array.iteri (fun i v -> sum := !sum + (v * counts.(i))) values;
+      (count, !sum)
+  | l -> Alcotest.failf "%s: %d %s events, want 1" label (List.length l) name
+
+(* One simulator run's invariants: one event per histogram, one gap per
+   executed event, gaps telescoping to the final clock (when [clock] is
+   known; otherwise at least [at_least]) and, without faults, one transfer
+   sample per transfer. *)
+let check_gaps label ?clock ?(at_least = 0) events =
+  let gaps, gap_sum = samples_once label events "engine.event_gap_us" in
+  Alcotest.(check int)
+    (label ^ ": gap count = engine.events")
+    (counter_total events "engine.events")
+    gaps;
+  match clock with
+  | Some c -> Alcotest.(check int) (label ^ ": gaps sum to the final clock") c gap_sum
+  | None ->
+      if gap_sum < at_least then
+        Alcotest.failf "%s: gaps sum to %d < %d" label gap_sum at_least
+
+let check_run label ?clock ?at_least ?(faults = false) events =
+  check_gaps label ?clock ?at_least events;
+  let transfers, _ = samples_once label events "netsim.transfer_us" in
+  if not faults then
+    Alcotest.(check int)
+      (label ^ ": transfer count = netsim.transfers")
+      (counter_total events "netsim.transfers")
+      transfers
+
+let last_fault trace = List.fold_left (fun m e -> max m e.Msts.Fault.at) 0 trace
+
+let samples_per_run =
+  QCheck.Test.make ~name:"one histogram event per name per run, exact counts"
+    ~count:150
+    QCheck.(pair (spider_with_n_arb ~max_legs:3 ~max_depth:3 ~max_n:12 ()) small_nat)
+    (fun ((spider, n), seed) ->
+      let plan = Msts.Spider_algorithm.schedule_tasks spider n in
+      let makespan = Msts.Spider_schedule.makespan in
+      if n > 0 then begin
+        let r, evs = all_events (fun () -> Msts.Netsim.execute (Msts.Plan.Spider plan)) in
+        check_run "execute" ~clock:r.Msts.Netsim.realized_makespan evs;
+        let r, evs =
+          all_events (fun () -> Msts.Netsim.replay_routing ~buffer:(1 + (seed mod 3)) plan)
+        in
+        check_run "replay_routing" ~clock:r.Msts.Netsim.realized_makespan evs;
+        let seq =
+          Array.map
+            (fun (e : Msts.Spider_schedule.entry) -> e.address)
+            (Msts.Spider_schedule.entries plan)
+        in
+        let s, evs = all_events (fun () -> Msts.Netsim.run_sequence_spider spider seq) in
+        check_run "run_sequence_spider" ~clock:(makespan s) evs;
+        let chain = Msts.Spider.leg_chain spider 1 in
+        let depths = Array.init n (fun i -> 1 + (i mod Msts.Chain.length chain)) in
+        let s, evs = all_events (fun () -> Msts.Netsim.run_sequence_chain chain depths) in
+        check_run "run_sequence_chain" ~clock:(Msts.Schedule.makespan s) evs;
+        let s, evs =
+          all_events (fun () -> Msts.Netsim.pull_policy ~buffer:2 spider ~tasks:n)
+        in
+        check_run "pull_policy" ~clock:(makespan s) evs;
+        let trace =
+          Msts.Fault.random (Msts.Prng.create seed) spider ~events:3
+            ~horizon:(max 1 (makespan plan))
+        in
+        (match all_events (fun () -> Msts.Netsim.replay_under_faults ~trace plan) with
+        | r, evs ->
+            check_run "replay_under_faults" ~faults:true
+              ~at_least:(max r.Msts.Netsim.observed_makespan (last_fault trace))
+              evs
+        | exception Invalid_argument _ -> ());
+        match
+          all_events (fun () -> Msts.Netsim.pull_under_faults ~trace spider ~tasks:n)
+        with
+        | r, evs ->
+            check_run "pull_under_faults" ~faults:true
+              ~at_least:(max r.Msts.Netsim.observed_makespan (last_fault trace))
+              evs
+        | exception Invalid_argument _ -> ()
+      end;
+      let e = Msts.Engine.create () in
+      for i = 1 to n do
+        Msts.Engine.schedule_at e (i * (seed + i)) ignore
+      done;
+      let (), evs = all_events (fun () -> Msts.Engine.run e) in
+      if n > 0 then check_gaps "Engine.run" ~clock:(Msts.Engine.now e) evs
+      else if evs <> [] then Alcotest.fail "an empty run emitted events";
+      true)
+
+(* A tally hands over exactly the multiset it was given, once. *)
+let tally_exact =
+  QCheck.Test.make ~name:"a tally emits the exact multiset, then empties" ~count:300
+    QCheck.(list (int_range (-3) 5000))
+    (fun samples ->
+      let t = Msts_sim.Tally.create () in
+      List.iter (Msts_sim.Tally.add t) samples;
+      let (), evs = all_events (fun () -> Msts_sim.Tally.emit t "x") in
+      let (), again = all_events (fun () -> Msts_sim.Tally.emit t "x") in
+      let expected =
+        List.map (max 0) samples |> List.sort compare
+        |> List.fold_left
+             (fun acc v ->
+               match acc with
+               | (w, k) :: rest when w = v -> (w, k + 1) :: rest
+               | _ -> (v, 1) :: acc)
+             []
+        |> List.rev
+      in
+      let got =
+        match evs with
+        | [] -> []
+        | [ Obs.Samples { name = "x"; values; counts; _ } ] ->
+            List.combine (Array.to_list values) (Array.to_list counts)
+        | _ -> QCheck.Test.fail_report "not one Samples event"
+      in
+      got = expected && again = [])
+
+(* [n] copies through [add_many] leave exactly the state of [n] [add]s. *)
+let hist_add_many_exact =
+  QCheck.Test.make ~name:"add_many = repeated add" ~count:300
+    QCheck.(list (pair (int_range (-10) 1_000_000) (int_range (-1) 40)))
+    (fun pairs ->
+      let a = Obs.Histogram.create () and b = Obs.Histogram.create () in
+      List.iter
+        (fun (v, n) ->
+          Obs.Histogram.add_many a v ~n;
+          for _ = 1 to n do
+            Obs.Histogram.add b v
+          done)
+        pairs;
+      let state h =
+        ( Obs.Histogram.buckets h,
+          Obs.Histogram.count h,
+          Obs.Histogram.sum h,
+          Obs.Histogram.min_value h,
+          Obs.Histogram.max_value h )
+      in
+      state a = state b)
+
+(* Every reader of a Memory sink -- global and per-scope histograms, the
+   JSON and table views, the Prometheus exposition -- sees a Samples event
+   exactly as the Values it summarises. *)
+let samples_read_as_values () =
+  let scope = Obs.Scope.fresh () in
+  let values = [| 0; 3; 17; 250 |] and counts = [| 2; 1; 5; 1 |] in
+  let feed emit =
+    let mem = Obs.Memory.create () in
+    Obs.with_sink (Obs.Memory.sink mem) (fun () ->
+        Obs.Scope.with_scope scope emit);
+    mem
+  in
+  let by_values =
+    feed (fun () ->
+        Array.iteri
+          (fun i v ->
+            for _ = 1 to counts.(i) do
+              Obs.record "h" v
+            done)
+          values)
+  in
+  let by_samples = feed (fun () -> Obs.samples "h" ~values ~counts) in
+  let views mem =
+    let hist = function
+      | Some h -> Obs.Histogram.(buckets h, count h, sum h, min_value h, max_value h)
+      | None -> Alcotest.fail "histogram missing"
+    in
+    ( hist (Obs.Memory.histogram mem "h"),
+      hist (Obs.Memory.scope_histogram mem scope "h"),
+      Json.to_string (Obs.Memory.to_json mem),
+      Obs.Memory.histogram_rows mem,
+      Obs.Prometheus.of_memory mem )
+  in
+  Alcotest.(check bool) "identical views" true (views by_values = views by_samples);
+  Alcotest.(check int) "one event" 1 (Obs.Memory.stored_events by_samples)
+
+(* One line, one ring slot and one Chrome counter point per event. *)
+let samples_event_shapes () =
+  let r = Obs.Ring.create () in
+  let mem = Obs.Memory.create () in
+  Obs.set_clock (Some (fun () -> 7));
+  Fun.protect ~finally:(fun () -> Obs.set_clock None) (fun () ->
+      Obs.with_sink
+        (Obs.tee [ Obs.Ring.sink r; Obs.Memory.sink mem ])
+        (fun () -> Obs.samples "g" ~values:[| 1; 4 |] ~counts:[| 3; 2 |]));
+  Alcotest.(check string) "JSONL line"
+    "{\"ev\":\"S\",\"name\":\"g\",\"values\":[1,4],\"counts\":[3,2],\"ts\":7}\n"
+    (Obs.Ring.to_jsonl r);
+  match Json.member "traceEvents" (Obs.Memory.chrome_trace mem) with
+  | Some (Json.List [ point ]) ->
+      Alcotest.(check (option string)) "counter phase" (Some "\"C\"")
+        (Option.map Json.to_string (Json.member "ph" point));
+      Alcotest.(check (option string)) "count and sum"
+        (Some "{\"count\":5,\"sum\":11}")
+        (Option.map Json.to_string (Json.member "args" point))
+  | _ -> Alcotest.fail "want exactly one trace event"
+
+(* With no sink installed no tally exists: a run allocates the same minor
+   words whether its samples take one value or many.  With a sink, the
+   many-valued run's tally tables are larger, so the measurement sees
+   them. *)
+let no_sink_no_tally () =
+  Alcotest.(check bool) "no sink installed" false (Obs.enabled ());
+  let words f =
+    let baseline = calibrate () in
+    let before = Gc.minor_words () in
+    f ();
+    Gc.minor_words () -. before -. baseline
+  in
+  let engine_run gap =
+    let e = Msts.Engine.create () in
+    for i = 1 to 200 do
+      Msts.Engine.schedule_at e (gap i) ignore
+    done;
+    words (fun () -> Msts.Engine.run e)
+  in
+  let flat i = i and spread i = i * i in
+  Alcotest.(check (float 0.))
+    "Engine.run" (engine_run flat) (engine_run spread);
+  let fork latency =
+    Msts.Spider.of_legs
+      (List.init 40 (fun i -> Msts.Chain.of_pairs [ (latency (i + 1), 10_000) ]))
+  in
+  let seq = Array.init 40 (fun i -> { Msts.Spider.leg = i + 1; depth = 1 }) in
+  let netsim latency =
+    let spider = fork latency in
+    words (fun () -> ignore (Msts.Netsim.run_sequence_spider spider seq))
+  in
+  let same _ = 3 and distinct l = l in
+  Alcotest.(check (float 0.))
+    "Netsim.run_sequence_spider" (netsim same) (netsim distinct);
+  Obs.with_sink ignore (fun () ->
+      Alcotest.(check bool)
+        "with a sink the tables show" true
+        (engine_run spread > engine_run flat && netsim distinct > netsim same))
+
+(* A simulation that exhausts its event budget still reports every netsim
+   tally and both histograms. *)
+let netsim_budget_tallied () =
+  let spider =
+    Msts.Spider.of_legs [ figure2_chain; Msts.Chain.of_pairs [ (1, 2) ] ]
+  in
+  let plan = Msts.Spider_algorithm.schedule_tasks spider 30 in
+  let (), evs =
+    all_events (fun () ->
+        match Msts.Netsim.replay_under_faults ~max_events:40 plan with
+        | _ -> Alcotest.fail "the budget should run out"
+        | exception Failure _ -> ())
+  in
+  Alcotest.(check int) "engine.events" 40 (counter_total evs "engine.events");
+  List.iter
+    (fun name ->
+      if counter_total evs name = 0 then Alcotest.failf "%s lost" name)
+    [ "netsim.transfers"; "netsim.executions" ];
+  check_run "replay_under_faults, budget 40" ~at_least:0 evs
+
 (* ---------- metric-name drift guard ---------- *)
 
 (* A corpus touching every instrumented subsystem: chain and spider
@@ -1067,6 +1359,10 @@ let suites =
         to_alcotest hist_quantile_error_bound;
         case "record feeds memory histograms" record_feeds_histograms;
         case "span durations feed histograms" span_duration_histograms;
+        to_alcotest hist_add_many_exact;
+        case "samples read exactly as values" samples_read_as_values;
+        case "samples: one JSONL line, one ring slot, one trace point"
+          samples_event_shapes;
       ] );
     ( "obs.bounded",
       [
@@ -1111,6 +1407,10 @@ let suites =
         case "one counter event per call, n=5" (tallied_once 5);
         case "one counter event per call, n=500" (tallied_once 500);
         case "exhausted engine budget still tallied" engine_budget_tallied;
+        case "exhausted netsim budget still tallied" netsim_budget_tallied;
+        to_alcotest tally_exact;
+        to_alcotest samples_per_run;
+        case "no sink, no tally" no_sink_no_tally;
       ] );
     ( "obs.drift",
       [ case "metric names match docs/OBSERVABILITY.md" metric_names_documented ] );
