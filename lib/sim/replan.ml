@@ -93,6 +93,11 @@ let replay ?(trace = []) plan =
   let history = ref [] in (* newest first *)
   let replans = ref 0 and considered = ref 0 in
   let final_intent = ref None in
+  (* The cost of the branch chosen at the last evaluated fault event.
+     Scripted decisions keep once they run out, so that continuation is
+     also keep-forever from every later event: it need not be simulated
+     again. *)
+  let chosen_cost = ref None in
   let decide snap =
     (* Lookahead selection: simulate the whole remaining run (under the
        known trace, keeping from here on) once per candidate and keep the
@@ -105,17 +110,23 @@ let replay ?(trace = []) plan =
       | Some (redirect_list, residual_plan, leg_map) ->
           incr considered;
           Obs.count "replan.considered";
-          let keep_cost = eval plan trace (h @ [ Fault.Keep ]) in
+          let keep_cost =
+            match !chosen_cost with
+            | Some cost -> cost
+            | None -> eval plan trace (h @ [ Fault.Keep ])
+          in
           let redirect = Fault.Redirect redirect_list in
           let redirect_cost = eval plan trace (h @ [ redirect ]) in
           if redirect_cost < keep_cost then begin
             incr replans;
             Obs.count "replan.adopted";
             final_intent := Some (splice plan snap residual_plan leg_map);
+            chosen_cost := Some redirect_cost;
             redirect
           end
           else begin
             Obs.count "replan.rejected";
+            chosen_cost := Some keep_cost;
             Fault.Keep
           end
     in

@@ -367,6 +367,51 @@ let replan_never_worse =
          && Array.for_all (fun c -> c > 0)
               smart.Msts.Replan.report.Msts.Netsim.completions))
 
+(* The memoised keep cost changes no decision: against the frozen
+   two-lookahead replay, same report, replans, considered and intent. *)
+let replan_matches_reference =
+  to_alcotest
+    (QCheck.Test.make ~count:60
+       ~name:"Replan.replay = the two-lookahead reference"
+       QCheck.(
+         triple
+           (spider_arb ~max_legs:4 ~max_depth:3 ())
+           (int_range 10 69) (pair (int_range 1 8) small_nat))
+       (fun (spider, n, (events, seed)) ->
+         let spider =
+           if Msts.Spider.legs spider >= 2 then spider
+           else Msts.Spider.of_legs [ Msts.Spider.leg_chain spider 1; figure2_chain ]
+         in
+         let plan = Msts.Spider_algorithm.schedule_tasks spider n in
+         let horizon = max 1 (Msts.Spider_schedule.makespan plan) in
+         let trace =
+           Msts.Fault.random (Msts.Prng.create seed) spider ~events ~horizon
+         in
+         let run replay = try Ok (replay ()) with e -> Error e in
+         match
+           ( run (fun () -> Msts.Replan.replay ~trace plan),
+             run (fun () -> Replan_reference.replay ~trace plan) )
+         with
+         | Ok a, Ok b ->
+             let report (o : Msts.Replan.outcome) =
+               let r = o.report in
+               ( Msts.Spider_schedule.entries r.Msts.Netsim.observed,
+                 r.Msts.Netsim.observed_makespan,
+                 r.Msts.Netsim.completions,
+                 r.Msts.Netsim.aborted_ops,
+                 r.Msts.Netsim.returned_tasks,
+                 r.Msts.Netsim.transfer_retries )
+             in
+             let intent (o : Msts.Replan.outcome) =
+               Option.map Msts.Spider_schedule.entries o.final_intent
+             in
+             report a = report b
+             && a.replans = b.replans
+             && a.considered = b.considered
+             && intent a = intent b
+         | Error a, Error b -> Printexc.to_string a = Printexc.to_string b
+         | _ -> false))
+
 let pull_survives_random_traces =
   to_alcotest
     (QCheck.Test.make ~count:60
@@ -429,6 +474,7 @@ let suites =
         pull_no_fault_refinement;
         slow_at_zero_is_degrade;
         replan_never_worse;
+        replan_matches_reference;
         pull_survives_random_traces;
         case "final intent covers all tasks" final_intent_covers_all_tasks;
       ] );
