@@ -252,7 +252,7 @@ let implementation_comparison () =
         Test.make ~name:"production"
           (Staged.stage (fun () -> ignore (Msts.Chain_algorithm.schedule chain n)));
         Test.make ~name:"figure-3 transcription"
-          (Staged.stage (fun () -> ignore (Msts.Chain_pseudocode.schedule chain n)));
+          (Staged.stage (fun () -> ignore (Chain_pseudocode.schedule chain n)));
         Test.make ~name:"incremental (deadline fill)"
           (Staged.stage (fun () ->
                let c =

@@ -67,7 +67,6 @@ module Chain_algorithm = Msts_chain.Algorithm
 module Chain_kernel = Msts_chain.Kernel
 module Chain_deadline = Msts_chain.Deadline
 module Chain_incremental = Msts_chain.Incremental
-module Chain_pseudocode = Msts_chain.Pseudocode
 module Chain_analysis = Msts_chain.Analysis
 module Chain_lemmas = Msts_chain.Lemmas
 module Chain_trace = Msts_chain.Trace

@@ -1,7 +1,7 @@
 (** Literal transcription of the paper's Figure 3 pseudo-code.
 
-    {!Algorithm} is the production implementation (arrays, no intermediate
-    allocation, shared candidate machinery).  This module is a deliberate,
+    [Msts.Chain_algorithm] is the production implementation (arrays, no
+    intermediate allocation, shared candidate machinery).  This module is a deliberate,
     line-by-line transcription of the pseudo-code as printed — including
     its quirks: communication vectors initialised to an all-zero vector of
     length [p], candidate replacement by strict [≺] comparison while
@@ -10,8 +10,9 @@
     must produce the same schedule, which ties the code base back to the
     paper's own text.
 
-    Do not use this in production: it allocates lists per candidate and is
-    noticeably slower. *)
+    It lives beside the tests, not in the library: it allocates lists per
+    candidate and is noticeably slower.  test/stress and the bench-impl
+    experiment reach it with [copy_files]. *)
 
-val schedule : Msts_platform.Chain.t -> int -> Msts_schedule.Schedule.t
+val schedule : Msts.Chain.t -> int -> Msts.Schedule.t
 (** Figure 3, verbatim.  @raise Invalid_argument if [n < 0]. *)

@@ -66,7 +66,7 @@ let () =
     if
       not
         (Msts.Schedule.equal
-           (Msts.Chain_pseudocode.schedule chain n)
+           (Chain_pseudocode.schedule chain n)
            (Msts.Chain_algorithm.schedule chain n))
     then fail "pseudocode divergence %d: %s n=%d" i (Msts.Chain.to_string chain) n
   done;

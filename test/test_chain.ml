@@ -285,11 +285,11 @@ let pseudocode_matches_production =
        (chain_with_n_arb ~max_p:6 ~max_n:20 ~max_val:15 ())
        (fun (chain, n) ->
          Msts.Schedule.equal
-           (Msts.Chain_pseudocode.schedule chain n)
+           (Chain_pseudocode.schedule chain n)
            (Msts.Chain_algorithm.schedule chain n)))
 
 let pseudocode_figure2 () =
-  let s = Msts.Chain_pseudocode.schedule figure2_chain 5 in
+  let s = Chain_pseudocode.schedule figure2_chain 5 in
   Alcotest.(check int) "makespan 14" 14 (Msts.Schedule.makespan s);
   Alcotest.(check bool) "identical to production" true
     (Msts.Schedule.equal s (Msts.Chain_algorithm.schedule figure2_chain 5))
@@ -308,7 +308,7 @@ let pseudocode_extremes =
               (int_range 0 12)))
        (fun (chain, n) ->
          Msts.Schedule.equal
-           (Msts.Chain_pseudocode.schedule chain n)
+           (Chain_pseudocode.schedule chain n)
            (Msts.Chain_algorithm.schedule chain n)))
 
 (* ---------- trace ---------- *)
