@@ -431,7 +431,9 @@ module Memory = struct
           Array.iteri (fun i v -> Histogram.add_many h v ~n:counts.(i)) values
         in
         absorb (hist_in t.hists name);
-        Option.iter (fun agg -> absorb (hist_in agg.sc_hists name)) (scope_agg_in t scope)
+        Option.iter
+          (fun agg -> absorb (hist_in agg.sc_hists name))
+          (scope_agg_in t scope)
     | Span_begin { name; ts; _ } ->
         t.stack <- (name, ts) :: t.stack;
         t.max_depth <- max t.max_depth (List.length t.stack)

@@ -2,12 +2,12 @@
     value recordings (histograms) and pluggable sinks.
 
     The library's hot paths (chain placement, fork allocation, the event
-    engine, the network executors, the replanner) call {!span}, {!count}
-    and {!record} unconditionally.  With no sink installed — the default,
-    the "null sink" — all three are a single mutable-field read and a
-    branch: no clock is read, nothing allocates, and no behaviour changes
-    (the instrumentation only observes; the test suite asserts outputs are
-    identical with and without a sink).
+    engine, the network executors, the replanner) call {!span}, {!count},
+    {!record} and {!samples} unconditionally.  With no sink installed —
+    the default, the "null sink" — each is a single mutable-field read
+    and a branch: no clock is read, nothing allocates, and no behaviour
+    changes (the instrumentation only observes; the test suite asserts
+    outputs are identical with and without a sink).
 
     With a sink installed every event carries a timestamp from a
     non-decreasing (monotonised wall) microsecond clock, overridable for
@@ -307,8 +307,8 @@ module Memory : sig
       [C] counter samples), loadable in [about:tracing] and Perfetto.
       Counter samples carry running totals; value recordings become their
       own sample tracks, and a {!Samples} event one point on its track
-      with the [count] and [sum] of its samples.  When the raw log overflowed its cap the metadata
-      carries ["dropped_events"]. *)
+      with the [count] and [sum] of its samples.  When the raw log
+      overflowed its cap the metadata carries ["dropped_events"]. *)
 end
 
 (** Constant-memory streaming sink: events are serialised to one JSON line

@@ -117,16 +117,15 @@ let replay ?(trace = []) plan =
           in
           let redirect = Fault.Redirect redirect_list in
           let redirect_cost = eval plan trace (h @ [ redirect ]) in
+          chosen_cost := Some (min redirect_cost keep_cost);
           if redirect_cost < keep_cost then begin
             incr replans;
             Obs.count "replan.adopted";
             final_intent := Some (splice plan snap residual_plan leg_map);
-            chosen_cost := Some redirect_cost;
             redirect
           end
           else begin
             Obs.count "replan.rejected";
-            chosen_cost := Some keep_cost;
             Fault.Keep
           end
     in

@@ -653,6 +653,71 @@ let once label events name =
   | Some total -> total
   | None -> Alcotest.failf "%s: no %s event" label name
 
+(* Every event [f] emits, in order. *)
+let all_events f =
+  let seen = ref [] in
+  let result = Obs.with_sink (fun ev -> seen := ev :: !seen) f in
+  (result, List.rev !seen)
+
+let counter_total events name =
+  List.fold_left
+    (fun acc -> function
+      | Obs.Count { name = n; delta; _ } when n = name -> acc + delta
+      | _ -> acc)
+    0 events
+
+(* The single [Samples] event of [name] among [events], checked for its
+   documented shape, as (sample count, sample sum).  A per-sample [Value]
+   of that name fails. *)
+let samples_once label events name =
+  let found =
+    List.filter_map
+      (function
+        | Obs.Samples { name = n; values; counts; _ } when n = name ->
+            Some (values, counts)
+        | Obs.Value { name = n; _ } when n = name ->
+            Alcotest.failf "%s: a per-sample %s event" label name
+        | _ -> None)
+      events
+  in
+  match found with
+  | [ (values, counts) ] ->
+      Array.iteri
+        (fun i v ->
+          if v < 0 || (i > 0 && values.(i - 1) >= v) || counts.(i) < 1 then
+            Alcotest.failf "%s: %s is not an ascending multiset" label name)
+        values;
+      let count = Array.fold_left ( + ) 0 counts in
+      let sum = ref 0 in
+      Array.iteri (fun i v -> sum := !sum + (v * counts.(i))) values;
+      (count, !sum)
+  | l -> Alcotest.failf "%s: %d %s events, want 1" label (List.length l) name
+
+(* One simulator run's invariants: one event per histogram, one gap per
+   executed event, gaps telescoping to the final clock (when [clock] is
+   known; otherwise at least [at_least]) and, without faults, one transfer
+   sample per transfer. *)
+let check_gaps label ?clock ?(at_least = 0) events =
+  let gaps, gap_sum = samples_once label events "engine.event_gap_us" in
+  Alcotest.(check int)
+    (label ^ ": gap count = engine.events")
+    (counter_total events "engine.events")
+    gaps;
+  match clock with
+  | Some c -> Alcotest.(check int) (label ^ ": gaps sum to the final clock") c gap_sum
+  | None ->
+      if gap_sum < at_least then
+        Alcotest.failf "%s: gaps sum to %d < %d" label gap_sum at_least
+
+let check_run label ?clock ?at_least ?(faults = false) events =
+  check_gaps label ?clock ?at_least events;
+  let transfers, _ = samples_once label events "netsim.transfer_us" in
+  if not faults then
+    Alcotest.(check int)
+      (label ^ ": transfer count = netsim.transfers")
+      (counter_total events "netsim.transfers")
+      transfers
+
 let tallied_once n () =
   let label call = Printf.sprintf "%s, n=%d" call n in
   let chain = figure2_chain in
@@ -725,94 +790,52 @@ let tallied_once n () =
     (Msts.Engine.events_processed e)
     (once (label "Engine.run") evs "engine.events")
 
-(* A run that exhausts its budget still reports the events it ran, and a
-   later run on the same engine reports only its own. *)
+(* A run that exhausts its budget still reports the events it ran (and
+   their gaps), and a later run on the same engine reports only its own;
+   a simulation that exhausts its budget still reports every netsim
+   tally. *)
 let engine_budget_tallied () =
   let e = Msts.Engine.create () in
   let rec tick () = Msts.Engine.schedule_after e 1 tick in
   Msts.Engine.schedule_at e 0 tick;
   let (), evs =
-    counter_events (fun () ->
+    all_events (fun () ->
         match Msts.Engine.run ~max_events:7 e with
         | () -> Alcotest.fail "the budget should run out"
         | exception Failure _ -> ())
   in
   Alcotest.(check (list (pair string int)))
-    "one tally of the budget" [ ("engine.events", 7) ] evs;
+    "one tally of the budget" [ ("engine.events", 7) ]
+    (List.filter_map
+       (function Obs.Count { name; delta; _ } -> Some (name, delta) | _ -> None)
+       evs);
+  check_gaps "Engine.run, budget 7" ~clock:(Msts.Engine.now e) evs;
   Alcotest.(check int) "= events_processed" 7 (Msts.Engine.events_processed e);
   let (), evs =
     counter_events (fun () ->
         try Msts.Engine.run ~max_events:3 e with Failure _ -> ())
   in
   Alcotest.(check (list (pair string int)))
-    "the second run counts its own events" [ ("engine.events", 3) ] evs
+    "the second run counts its own events" [ ("engine.events", 3) ] evs;
+  (* a simulation: every netsim tally and both histograms survive *)
+  let spider =
+    Msts.Spider.of_legs [ figure2_chain; Msts.Chain.of_pairs [ (1, 2) ] ]
+  in
+  let plan = Msts.Spider_algorithm.schedule_tasks spider 30 in
+  let (), evs =
+    all_events (fun () ->
+        match Msts.Netsim.replay_under_faults ~max_events:40 plan with
+        | _ -> Alcotest.fail "the budget should run out"
+        | exception Failure _ -> ())
+  in
+  Alcotest.(check int) "netsim engine.events" 40 (counter_total evs "engine.events");
+  List.iter
+    (fun name ->
+      if counter_total evs name = 0 then Alcotest.failf "%s lost" name)
+    [ "netsim.transfers"; "netsim.executions" ];
+  check_run "replay_under_faults, budget 40" evs
 
 (* ---------- simulated-time samples: one event per histogram per run ---------- *)
-
-(* Every event [f] emits, in order. *)
-let all_events f =
-  let seen = ref [] in
-  let result = Obs.with_sink (fun ev -> seen := ev :: !seen) f in
-  (result, List.rev !seen)
-
-let counter_total events name =
-  List.fold_left
-    (fun acc -> function
-      | Obs.Count { name = n; delta; _ } when n = name -> acc + delta
-      | _ -> acc)
-    0 events
-
-(* The single [Samples] event of [name] among [events], checked for its
-   documented shape, as (sample count, sample sum).  A per-sample [Value]
-   of that name fails. *)
-let samples_once label events name =
-  let found =
-    List.filter_map
-      (function
-        | Obs.Samples { name = n; values; counts; _ } when n = name ->
-            Some (values, counts)
-        | Obs.Value { name = n; _ } when n = name ->
-            Alcotest.failf "%s: a per-sample %s event" label name
-        | _ -> None)
-      events
-  in
-  match found with
-  | [ (values, counts) ] ->
-      Array.iteri
-        (fun i v ->
-          if v < 0 || (i > 0 && values.(i - 1) >= v) || counts.(i) < 1 then
-            Alcotest.failf "%s: %s is not an ascending multiset" label name)
-        values;
-      let count = Array.fold_left ( + ) 0 counts in
-      let sum = ref 0 in
-      Array.iteri (fun i v -> sum := !sum + (v * counts.(i))) values;
-      (count, !sum)
-  | l -> Alcotest.failf "%s: %d %s events, want 1" label (List.length l) name
-
-(* One simulator run's invariants: one event per histogram, one gap per
-   executed event, gaps telescoping to the final clock (when [clock] is
-   known; otherwise at least [at_least]) and, without faults, one transfer
-   sample per transfer. *)
-let check_gaps label ?clock ?(at_least = 0) events =
-  let gaps, gap_sum = samples_once label events "engine.event_gap_us" in
-  Alcotest.(check int)
-    (label ^ ": gap count = engine.events")
-    (counter_total events "engine.events")
-    gaps;
-  match clock with
-  | Some c -> Alcotest.(check int) (label ^ ": gaps sum to the final clock") c gap_sum
-  | None ->
-      if gap_sum < at_least then
-        Alcotest.failf "%s: gaps sum to %d < %d" label gap_sum at_least
-
-let check_run label ?clock ?at_least ?(faults = false) events =
-  check_gaps label ?clock ?at_least events;
-  let transfers, _ = samples_once label events "netsim.transfer_us" in
-  if not faults then
-    Alcotest.(check int)
-      (label ^ ": transfer count = netsim.transfers")
-      (counter_total events "netsim.transfers")
-      transfers
 
 let last_fault trace = List.fold_left (fun m e -> max m e.Msts.Fault.at) 0 trace
 
@@ -1018,26 +1041,6 @@ let no_sink_no_tally () =
       Alcotest.(check bool)
         "with a sink the tables show" true
         (engine_run spread > engine_run flat && netsim distinct > netsim same))
-
-(* A simulation that exhausts its event budget still reports every netsim
-   tally and both histograms. *)
-let netsim_budget_tallied () =
-  let spider =
-    Msts.Spider.of_legs [ figure2_chain; Msts.Chain.of_pairs [ (1, 2) ] ]
-  in
-  let plan = Msts.Spider_algorithm.schedule_tasks spider 30 in
-  let (), evs =
-    all_events (fun () ->
-        match Msts.Netsim.replay_under_faults ~max_events:40 plan with
-        | _ -> Alcotest.fail "the budget should run out"
-        | exception Failure _ -> ())
-  in
-  Alcotest.(check int) "engine.events" 40 (counter_total evs "engine.events");
-  List.iter
-    (fun name ->
-      if counter_total evs name = 0 then Alcotest.failf "%s lost" name)
-    [ "netsim.transfers"; "netsim.executions" ];
-  check_run "replay_under_faults, budget 40" ~at_least:0 evs
 
 (* ---------- metric-name drift guard ---------- *)
 
@@ -1407,7 +1410,6 @@ let suites =
         case "one counter event per call, n=5" (tallied_once 5);
         case "one counter event per call, n=500" (tallied_once 500);
         case "exhausted engine budget still tallied" engine_budget_tallied;
-        case "exhausted netsim budget still tallied" netsim_budget_tallied;
         to_alcotest tally_exact;
         to_alcotest samples_per_run;
         case "no sink, no tally" no_sink_no_tally;
