@@ -670,8 +670,158 @@ let batch_field_errors_in_order () =
         [ []; [ Json.Obj [ ("platform", good); ("tasks", Json.Int 3) ] ] ])
     bad_elements
 
+(* ---------- wire semantics of a request frame ---------- *)
+
+(* What docs/API.md promises about a frame's members: their order is
+   free, unknown ones are ignored, the first of a repeated one counts,
+   names may be escaped, and a syntax error anywhere wins over any field
+   error. *)
+
+let chain_text = "chain\n2 3\n3 5\n"
+let chain_json = Json.to_string (Json.String chain_text)
+
+let decoded line =
+  match Api.request_of_line line with
+  | Ok r -> r
+  | Error e -> Alcotest.failf "%s did not decode: %s" line e.Api.message
+
+let decode_error line =
+  match Api.request_of_line line with
+  | Ok _ -> Alcotest.failf "%s decoded" line
+  | Error e -> e
+
+let chain_problem tasks =
+  Msts.Solve.problem ~tasks (Msts.Platform_format.of_string chain_text |> Result.get_ok)
+
+let members_in_any_order () =
+  (match
+     decoded
+       (Printf.sprintf {|{"problems":[{"tasks":3,"platform":%s}],"id":5,"op":"batch","v":1}|}
+          chain_json)
+   with
+  | { Api.id = Some 5; trace = None; op = Api.Batch [| p |] } ->
+      Alcotest.(check bool) "batch before op" true (p = chain_problem 3)
+  | _ -> Alcotest.fail "batch with op after problems");
+  match
+    decoded
+      (Printf.sprintf {|{"tasks":4,"trace":"t","platform":%s,"op":"schedule","v":1}|}
+         chain_json)
+  with
+  | { Api.id = None; trace = Some "t"; op = Api.Schedule p } ->
+      Alcotest.(check bool) "schedule fields before op" true (p = chain_problem 4)
+  | _ -> Alcotest.fail "schedule with op and v last"
+
+let unknown_members_ignored () =
+  (match
+     decoded
+       {|{"op":"ping","extra":{"a":[1,2.5,{"b":null}],"c":"é"},"x":true,"id":2}|}
+   with
+  | { Api.id = Some 2; op = Api.Ping; _ } -> ()
+  | _ -> Alcotest.fail "unknown top-level members changed the ping");
+  match
+    decoded
+      (Printf.sprintf
+         {|{"op":"batch","problems":[{"colour":[],"platform":%s,"size":{"w":1},"tasks":2}]}|}
+         chain_json)
+  with
+  | { Api.op = Api.Batch [| p |]; _ } ->
+      Alcotest.(check bool) "unknown element members ignored" true (p = chain_problem 2)
+  | _ -> Alcotest.fail "unknown element members changed the batch"
+
+let repeated_member_first_wins () =
+  (match decoded {|{"op":"ping","op":"stats","id":1,"id":"x"}|} with
+  | { Api.id = Some 1; op = Api.Ping; _ } -> ()
+  | _ -> Alcotest.fail "a repeated top-level member: the first did not win");
+  Alcotest.(check string) "a bad first occurrence is reported"
+    "field \"id\" must be an integer"
+    (decode_error {|{"id":"x","id":1,"op":"ping"}|}).Api.message;
+  match
+    decoded
+      (Printf.sprintf
+         {|{"op":"batch","problems":[{"platform":%s,"tasks":3,"platform":"garbage","tasks":"x"}]}|}
+         chain_json)
+  with
+  | { Api.op = Api.Batch [| p |]; _ } ->
+      Alcotest.(check bool) "repeated element members: first wins" true (p = chain_problem 3)
+  | _ -> Alcotest.fail "a repeated platform inside an element"
+
+let escaped_member_names () =
+  (match decoded {|{"\u006fp":"ping","\u0069d":3}|} with
+  | { Api.id = Some 3; op = Api.Ping; _ } -> ()
+  | _ -> Alcotest.fail "escaped envelope names");
+  (match
+     decoded
+       (Printf.sprintf {|{"op":"schedule","pl\u0061tform":%s,"t\u0061sks":2}|} chain_json)
+   with
+  | { Api.op = Api.Schedule p; _ } ->
+      Alcotest.(check bool) "escaped field names" true (p = chain_problem 2)
+  | _ -> Alcotest.fail "escaped field names");
+  match
+    decoded
+      (Printf.sprintf
+         {|{"op":"batch","problems":[{"platform":%s,"tasks":2},{"pl\u0061tform":"ch\u0061in\n2 3\n3 5\n","tasks":2}]}|}
+         chain_json)
+  with
+  | { Api.op = Api.Batch [| p; q |]; _ } ->
+      Alcotest.(check bool) "escaped element names" true (p = chain_problem 2);
+      Alcotest.(check bool) "texts equal once unescaped share one problem" true (p == q)
+  | _ -> Alcotest.fail "escaped element names"
+
+let syntax_error_wins () =
+  let expect_syntax line =
+    let want =
+      match Json.parse line with
+      | Error msg -> "malformed frame: " ^ msg
+      | Ok _ -> Alcotest.failf "%s parsed" line
+    in
+    let e = decode_error line in
+    Alcotest.(check string) line want e.Api.message;
+    Alcotest.(check bool) "bad_request" true (e.Api.code = Api.Bad_request)
+  in
+  List.iter expect_syntax
+    [
+      {|{"v":2,"op":"ping",}|};
+      {|{"op":"schedule","platform":12,"tasks":3,}|};
+      {|{"op":"nope","id":"x"} x|};
+      {|{"op":"batch","problems":[{"tasks":3},{"platform":"chain\n2 3\n","tasks":1}],"x":[1 2]}|};
+      {|{"op":"batch","problems":[7,{"platform":"a\q"}]}|};
+      {|[1,{"op":"ping"},]|};
+    ]
+
+let rejection_correlation () =
+  let rejected line =
+    match Api.request_or_rejection line with
+    | Ok _ -> Alcotest.failf "%s decoded" line
+    | Error { Api.id; trace; result = Error e } -> (id, trace, e.Api.code)
+    | Error _ -> Alcotest.failf "%s rejected without an error" line
+  in
+  let check line want =
+    Alcotest.(check bool) line true (rejected line = want)
+  in
+  check {|{"id":"7","trace":"t","op":"nope"}|} (None, Some "t", Api.Bad_request);
+  check {|{"id":7,"trace":5,"op":"nope"}|} (Some 7, None, Api.Bad_request);
+  check {|{"id":7.0,"trace":["t"],"op":"ping","platform":1}|} (None, None, Api.Bad_request);
+  check {|{"v":2,"id":3,"trace":"x","op":"ping"}|} (Some 3, Some "x", Api.Unsupported_version);
+  check {|{"trace":"a","trace":"b","id":1,"id":2,"v":"1"}|} (Some 1, Some "a", Api.Bad_request);
+  check {|{"id":3,"trace":"x","op":"ping"|} (None, None, Api.Bad_request);
+  check {|[{"id":3,"trace":"x"}]|} (None, None, Api.Bad_request);
+  Alcotest.(check (option int)) "frame_id of a rejected frame" (Some 3)
+    (Api.frame_id {|{"v":2,"id":3,"op":"ping"}|});
+  Alcotest.(check (option int)) "frame_id of a malformed frame" None
+    (Api.frame_id {|{"id":3,"op":"ping"|})
+
 let suites =
   [
+    ( "api.wire",
+      [
+        case "members in any order: op after problems, v last" members_in_any_order;
+        case "unknown members are ignored" unknown_members_ignored;
+        case "a repeated member: the first occurrence wins" repeated_member_first_wins;
+        case "escaped member names" escaped_member_names;
+        case "a syntax error wins over an earlier field error" syntax_error_wins;
+        case "rejections correlate only an Int id and a String trace"
+          rejection_correlation;
+      ] );
     ( "api.codecs",
       [
         request_roundtrip;
