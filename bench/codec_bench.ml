@@ -4,6 +4,9 @@
    measures wall time and minor words for
 
      decode   Api.request_of_line on the ~68 KB batch frame
+     decode_schedule
+              Api.request_of_line on a cold-solve frame: one heavy
+              spider and a task count, ~140 B
      shard    Batch.shard on the decoded batch (fingerprints, dedupe,
               cache probes)
      encode   Json.to_string of the batch reply and of the schedule
@@ -20,11 +23,14 @@
    scanner and printer (constants measured with this file on that code,
    OCaml 5.1.1).  The write stages' "before" is building the reply tree
    and printing its frame (Api.json_of_reply, then Api.response_to_line)
-   on the Buffer-based printer.  The framing stage counts every word it
-   allocates, minor or major (a frame-sized string goes straight to the
-   major heap): its "before" is the splitter that copied the whole input
-   buffer on every read, and its gate is one copy of the frame.  Wall
-   time is reported, not asserted. *)
+   on the Buffer-based printer.  decode_schedule's "before" is the count
+   of the tree decoder (Json.parse, then a walk of the tree) that the
+   pull reader replaced, and its gate only keeps small frames from
+   allocating more than they did then.  The framing stage counts every
+   word it allocates, minor or major (a frame-sized string goes straight
+   to the major heap): its "before" is the splitter that copied the whole
+   input buffer on every read, and its gate is one copy of the frame.
+   Wall time is reported, not asserted. *)
 
 type stage = {
   name : string;
@@ -62,6 +68,15 @@ let schedule_problem () =
     Msts.Generator.chain (Msts.Prng.create 200) Msts.Generator.default_profile ~p:4
   in
   Msts.Solve.problem ~tasks:1000 (Msts.Platform_format.Chain_platform chain)
+
+(* The cold-solve frame shape: one heavy spider (the compute-bound
+   profile, 4 legs, depth <= 3) and a task count. *)
+let cold_problem () =
+  let spider =
+    Msts.Generator.spider (Msts.Prng.create 100) Msts.Generator.compute_bound_profile
+      ~legs:4 ~max_depth:3
+  in
+  Msts.Solve.problem ~tasks:200 (Msts.Platform_format.Spider_platform spider)
 
 let request op = { Msts.Api.id = Some 1; trace = None; op }
 
@@ -127,6 +142,10 @@ let framing line =
 
 let codec_scaling () =
   let batch_line = Msts.Api.request_to_line (request (Msts.Api.Batch (batch_problems ()))) in
+  let schedule_line = Msts.Api.request_to_line (request (Msts.Api.Schedule (cold_problem ()))) in
+  (match Msts.Api.request_of_line schedule_line with
+  | Ok { Msts.Api.op = Msts.Api.Schedule _; _ } -> ()
+  | _ -> failwith "codec-scaling: the schedule frame did not decode");
   let decoded =
     match Msts.Api.request_of_line batch_line with
     | Ok { Msts.Api.op = Msts.Api.Batch problems; _ } -> problems
@@ -146,9 +165,16 @@ let codec_scaling () =
       {
         name = "decode";
         before_words = 607018.;
-        gate = 4.0;
+        gate = 40.0;
         major = false;
         run = (fun () -> ignore (Msts.Api.request_of_line batch_line));
+      };
+      {
+        name = "decode_schedule";
+        before_words = 1014.;
+        gate = 1.0;
+        major = false;
+        run = (fun () -> ignore (Msts.Api.request_of_line schedule_line));
       };
       {
         name = "shard";
@@ -222,6 +248,7 @@ let codec_scaling () =
                ("distinct_problems", Msts.Json.Int 16);
                ("distinct_platforms", Msts.Json.Int 4);
                ("batch_frame_bytes", Msts.Json.Int (String.length batch_line));
+               ("schedule_frame_bytes", Msts.Json.Int (String.length schedule_line));
                ( "batch_reply_bytes",
                  Msts.Json.Int (String.length (Msts.Json.to_string batch_reply)) );
                ("schedule_p", Msts.Json.Int 4);

@@ -230,128 +230,395 @@ let encode_request { id; trace; op } =
 let ( let* ) r f = match r with Ok v -> f v | Error e -> Error e
 
 let bad fmt = Printf.ksprintf (fun m -> Error (error Bad_request m)) fmt
+let not_object = error Bad_request "frame must be a JSON object"
+let missing kind key = error Bad_request (Printf.sprintf "missing %s field %S" kind key)
+let not_int key = error Bad_request (Printf.sprintf "field %S must be an integer" key)
+let not_string key = error Bad_request (Printf.sprintf "field %S must be a string" key)
 
-let field kvs key = List.assoc_opt key kvs
-
-let int_field kvs key =
-  match field kvs key with
-  | None -> bad "missing integer field %S" key
-  | Some (Json.Int i) -> Ok i
-  | Some _ -> bad "field %S must be an integer" key
-
-let opt_int_field kvs key =
-  match field kvs key with
-  | None -> Ok None
-  | Some (Json.Int i) -> Ok (Some i)
-  | Some _ -> bad "field %S must be an integer" key
-
-let opt_bool_field kvs key ~default =
-  match field kvs key with
-  | None -> Ok default
-  | Some (Json.Bool b) -> Ok b
-  | Some _ -> bad "field %S must be a boolean" key
-
-let string_field kvs key =
-  match field kvs key with
-  | None -> bad "missing string field %S" key
-  | Some (Json.String s) -> Ok s
-  | Some _ -> bad "field %S must be a string" key
-
-let opt_string_field kvs key =
-  match field kvs key with
-  | None -> Ok None
-  | Some (Json.String s) -> Ok (Some s)
-  | Some _ -> bad "field %S must be a string" key
+let check_version v =
+  if v = version then Ok ()
+  else
+    Error
+      (error Unsupported_version
+         (Printf.sprintf "protocol version %d not supported (this is version %d)" v
+            version))
 
 let platform_of_text text =
   match Parse.of_string text with
   | Ok platform -> Ok platform
   | Error msg -> Error (error Invalid_platform ("platform: " ^ msg))
 
-let platform_field kvs =
-  let* text = string_field kvs "platform" in
-  platform_of_text text
+(* ---------- request decoding ---------- *)
 
-let problem_of_fields kvs =
-  let* platform = platform_field kvs in
-  let* tasks = opt_int_field kvs "tasks" in
-  let* deadline = opt_int_field kvs "deadline" in
-  Ok { Solve.platform; tasks; deadline }
+(* A request is read straight from the frame's bytes by a [Json.Reader];
+   no tree is built.  What it decodes to is what the tree decoder gave
+   (test/api_reference.ml keeps that decoder as the oracle): a syntax
+   error anywhere in the frame wins over any field error, members come in
+   any order, unknown ones are skipped but checked, the first of a
+   repeated one counts, and field errors come in the order the fields are
+   checked, not in byte order.  So one pass over the frame notes where
+   each known member's first occurrence starts, and the fields are read
+   from there once the whole frame is known to be well formed.  A batch's
+   "problems", the one member that grows, is decoded during that pass when
+   "op" has already named a batch, as every encoder writes it. *)
 
-(* A batch frame's memo, per platform text: its decoding and the problems
-   already built on it, by objective.  A text is parsed once, and elements
-   equal in (text, tasks, deadline) share one problem value. *)
+module R = Json.Reader
+
+let members =
+  [|
+    "v"; "id"; "trace"; "op"; "platform"; "tasks"; "deadline"; "problems";
+    "planned"; "traced"; "seed"; "events"; "workload"; "capacity"; "session";
+    "time"; "at"; "work_factor";
+  |]
+
+let rec member_index name i =
+  if String.equal members.(i) name then i else member_index name (i + 1)
+let op_member = member_index "op" 0
+let problems_member = member_index "problems" 0
+
+(* The member named by the key just read, or -1. *)
+let rec member_of_key r i =
+  if i = Array.length members then -1
+  else if R.span_is r members.(i) then i
+  else member_of_key r (i + 1)
+
+(* An integer, or a string as the current span; a value of another kind
+   is consumed and answers false. *)
+let read_int r =
+  match R.peek r with
+  | `Number -> R.number r
+  | _ ->
+      R.skip r;
+      false
+
+let read_span r =
+  match R.peek r with
+  | `String ->
+      R.span r;
+      true
+  | _ ->
+      R.skip r;
+      false
+
+(* A batch frame's memo.  Each distinct platform text is parsed once,
+   and elements equal in (text, tasks, deadline) share one problem value.
+   A text is found by its spelling, the span's bytes as written, compared
+   in place, so a repeated element allocates nothing; a spelling met for
+   the first time is unescaped and filed under its text, so spellings of
+   one text share its entry. *)
+module Int_table = Hashtbl.Make (struct
+  type t = int
+
+  let equal = Int.equal
+  let hash h = h (* keys are hashes already *)
+end)
+
 type memo_entry = {
   decoded : (Parse.platform, error) result;
-  problems : (int option * int option, Solve.problem) Hashtbl.t;
+  problems : Solve.problem list Int_table.t;  (** by {!objective_hash} *)
 }
 
-let memo_problem memo kvs =
-  let* text = string_field kvs "platform" in
-  let entry =
-    match Hashtbl.find_opt memo text with
-    | Some entry -> entry
-    | None ->
-        let entry =
-          { decoded = platform_of_text text; problems = Hashtbl.create 4 }
-        in
-        Hashtbl.add memo text entry;
-        entry
-  in
-  let* platform = entry.decoded in
-  let* tasks = opt_int_field kvs "tasks" in
-  let* deadline = opt_int_field kvs "deadline" in
-  match Hashtbl.find_opt entry.problems (tasks, deadline) with
-  | Some problem -> Ok problem
-  | None ->
-      let problem = { Solve.platform; tasks; deadline } in
-      Hashtbl.add entry.problems (tasks, deadline) problem;
-      Ok problem
+type memo = {
+  spellings : (string * memo_entry) list Int_table.t;
+      (** by [Json.Reader.spelling_hash] *)
+  texts : (string, memo_entry) Hashtbl.t;
+}
 
-let decode_op kvs name =
+let bucket table h = try Int_table.find table h with Not_found -> []
+
+let rec find_spelling r = function
+  | [] -> raise_notrace Not_found
+  | (spelling, entry) :: rest ->
+      if R.spelled r spelling then entry else find_spelling r rest
+
+(* The entry of the platform text that is the current span. *)
+let memo_entry memo r =
+  let h = R.spelling_hash r in
+  let spellings = bucket memo.spellings h in
+  try find_spelling r spellings
+  with Not_found ->
+    let text = R.span_text r in
+    let entry =
+      match Hashtbl.find_opt memo.texts text with
+      | Some entry -> entry
+      | None ->
+          let entry = { decoded = platform_of_text text; problems = Int_table.create 4 } in
+          Hashtbl.add memo.texts text entry;
+          entry
+    in
+    Int_table.replace memo.spellings h ((R.spelling r, entry) :: spellings);
+    entry
+
+type seen = Absent | Present | Wrong
+
+(* What one batch element's members held: its members may come in any
+   order, so they are checked once the element is closed. *)
+type element = {
+  mutable platform_seen : seen;
+  mutable entry : memo_entry;  (** when [platform_seen = Present] *)
+  mutable tasks_seen : seen;
+  mutable tasks_value : int;
+  mutable deadline_seen : seen;
+  mutable deadline_value : int;
+}
+
+let is_absent = function Absent -> true | Present | Wrong -> false
+let objective seen value = match seen with Present -> Some value | Absent | Wrong -> None
+
+let same_objective seen value = function
+  | Some v -> (match seen with Present -> v = value | Absent | Wrong -> false)
+  | None -> is_absent seen
+
+let objective_hash e =
+  let part seen value = match seen with Present -> value | Absent | Wrong -> min_int in
+  ((part e.tasks_seen e.tasks_value * 65_599) + part e.deadline_seen e.deadline_value)
+  land max_int
+
+let rec find_problem e = function
+  | [] -> raise_notrace Not_found
+  | (p : Solve.problem) :: rest ->
+      if
+        same_objective e.tasks_seen e.tasks_value p.tasks
+        && same_objective e.deadline_seen e.deadline_value p.deadline
+      then p
+      else find_problem e rest
+
+let memo_problem e platform =
+  let table = e.entry.problems in
+  let h = objective_hash e in
+  let bucket = bucket table h in
+  try find_problem e bucket
+  with Not_found ->
+    let problem =
+      {
+        Solve.platform;
+        tasks = objective e.tasks_seen e.tasks_value;
+        deadline = objective e.deadline_seen e.deadline_value;
+      }
+    in
+    Int_table.replace table h (problem :: bucket);
+    problem
+
+exception Rejected of error
+
+(* One element, read in place; its first bad field, in the order a single
+   problem's fields are checked (platform, tasks, deadline), is raised
+   once the element has been read. *)
+let decode_element memo r e =
+  match R.peek r with
+  | `Object ->
+      e.platform_seen <- Absent;
+      e.tasks_seen <- Absent;
+      e.deadline_seen <- Absent;
+      if R.first_member r then begin
+        let more = ref true in
+        while !more do
+          (if R.span_is r "platform" && is_absent e.platform_seen then
+             e.platform_seen <-
+               (if read_span r then begin
+                  e.entry <- memo_entry memo r;
+                  Present
+                end
+                else Wrong)
+           else if R.span_is r "tasks" && is_absent e.tasks_seen then
+             e.tasks_seen <-
+               (if read_int r then begin
+                  e.tasks_value <- R.int_value r;
+                  Present
+                end
+                else Wrong)
+           else if R.span_is r "deadline" && is_absent e.deadline_seen then
+             e.deadline_seen <-
+               (if read_int r then begin
+                  e.deadline_value <- R.int_value r;
+                  Present
+                end
+                else Wrong)
+           else R.skip r);
+          more := R.next_member r
+        done
+      end;
+      let platform =
+        match e.platform_seen with
+        | Absent -> raise (Rejected (missing "string" "platform"))
+        | Wrong -> raise (Rejected (not_string "platform"))
+        | Present -> (
+            match e.entry.decoded with Ok p -> p | Error err -> raise (Rejected err))
+      in
+      (match e.tasks_seen with Wrong -> raise (Rejected (not_int "tasks")) | _ -> ());
+      (match e.deadline_seen with
+      | Wrong -> raise (Rejected (not_int "deadline"))
+      | _ -> ());
+      memo_problem e platform
+  | _ ->
+      R.skip r;
+      raise
+        (Rejected (error Bad_request "every element of \"problems\" must be an object"))
+
+(* The "problems" array the reader is on, read to its end: after the
+   first bad element the rest are only checked. *)
+let decode_problems r =
+  let memo = { spellings = Int_table.create 16; texts = Hashtbl.create 16 } in
+  let e =
+    {
+      platform_seen = Absent;
+      entry = { decoded = Error not_object; problems = Int_table.create 1 };
+      tasks_seen = Absent;
+      tasks_value = 0;
+      deadline_seen = Absent;
+      deadline_value = 0;
+    }
+  in
+  let problems = ref [||] and count = ref 0 and failure = ref None in
+  if R.first_item r then begin
+    let more = ref true in
+    while !more do
+      (match !failure with
+      | Some _ -> R.skip r
+      | None -> (
+          match decode_element memo r e with
+          | problem ->
+              if !count = Array.length !problems then begin
+                let grown = Array.make (max 16 (2 * !count)) problem in
+                Array.blit !problems 0 grown 0 !count;
+                problems := grown
+              end;
+              !problems.(!count) <- problem;
+              incr count
+          | exception Rejected err -> failure := Some err));
+      more := R.next_item r
+    done
+  end;
+  match !failure with
+  | Some err -> Error err
+  | None -> Ok (Array.sub !problems 0 !count)
+
+type frame = {
+  r : R.t;
+  at : int array;  (** where each of [members] first occurs, or -1 *)
+  mutable batch : (problem array, error) result option;
+      (** "problems", when decoded during the pass *)
+}
+
+(* The pass over the whole frame: [None] when it is not an object. *)
+let scan r =
+  match R.peek r with
+  | `Object ->
+      let f = { r; at = Array.make (Array.length members) (-1); batch = None } in
+      let is_batch = ref false in
+      if R.first_member r then begin
+        let more = ref true in
+        while !more do
+          let k = member_of_key r 0 in
+          (if k < 0 || f.at.(k) >= 0 then R.skip r
+           else begin
+             f.at.(k) <- R.position r;
+             if k = op_member then is_batch := read_span r && R.span_is r "batch"
+             else if k = problems_member && !is_batch then
+               match R.peek r with
+               | `Array -> f.batch <- Some (decode_problems r)
+               | _ -> R.skip r
+             else R.skip r
+           end);
+          more := R.next_member r
+        done
+      end;
+      R.finish r;
+      Some f
+  | _ ->
+      R.skip r;
+      R.finish r;
+      None
+
+(* Field readers: each moves to its member's first occurrence. *)
+
+let find f key =
+  let at = f.at.(member_index key 0) in
+  at >= 0
+  && begin
+       R.seek f.r at;
+       true
+     end
+
+let opt_int f key =
+  if not (find f key) then Ok None
+  else if read_int f.r then Ok (Some (R.int_value f.r))
+  else Error (not_int key)
+
+let int_field f key =
+  if not (find f key) then Error (missing "integer" key)
+  else if read_int f.r then Ok (R.int_value f.r)
+  else Error (not_int key)
+
+let opt_string f key =
+  if not (find f key) then Ok None
+  else if read_span f.r then Ok (Some (R.span_text f.r))
+  else Error (not_string key)
+
+let string_field f key =
+  match opt_string f key with
+  | Ok None -> Error (missing "string" key)
+  | Ok (Some s) -> Ok s
+  | Error e -> Error e
+
+let opt_bool f key ~default =
+  if not (find f key) then Ok default
+  else
+    match R.peek f.r with
+    | `Bool -> Ok (R.bool f.r)
+    | _ -> bad "field %S must be a boolean" key
+
+let platform_field f =
+  let* text = string_field f "platform" in
+  platform_of_text text
+
+let problem_field f =
+  let* platform = platform_field f in
+  let* tasks = opt_int f "tasks" in
+  let* deadline = opt_int f "deadline" in
+  Ok { Solve.platform; tasks; deadline }
+
+let decode_op f name =
   match name with
   | "ping" -> Ok Ping
   | "stats" -> Ok Stats
   | "shutdown" -> Ok Shutdown
   | "schedule" ->
-      let* p = problem_of_fields kvs in
+      let* p = problem_field f in
       Ok (Schedule p)
   | "deadline" ->
-      let* p = problem_of_fields kvs in
+      let* p = problem_field f in
       Ok (Deadline p)
-  | "metrics" -> (
+  | "metrics" ->
       (* Two ops share the wire name: with a platform this is the solve
          metrics of a plan; without one it is the control op dumping the
          daemon's live telemetry.  Unambiguous because the solve form
          always requires "platform". *)
-      match field kvs "platform" with
-      | None -> Ok Metrics_dump
-      | Some _ ->
-          let* p = problem_of_fields kvs in
-          Ok (Metrics p))
-  | "batch" -> (
-      match field kvs "problems" with
-      | Some (Json.List items) ->
-          let memo = Hashtbl.create 16 in
-          let rec decode acc = function
-            | [] -> Ok (Batch (Array.of_list (List.rev acc)))
-            | Json.Obj item :: rest ->
-                let* p = memo_problem memo item in
-                decode (p :: acc) rest
-            | _ -> bad "every element of \"problems\" must be an object"
-          in
-          decode [] items
-      | Some _ -> bad "field \"problems\" must be a list"
-      | None -> bad "missing list field \"problems\"")
+      if f.at.(member_index "platform" 0) < 0 then Ok Metrics_dump
+      else
+        let* p = problem_field f in
+        Ok (Metrics p)
+  | "batch" ->
+      let* problems =
+        match f.batch with
+        | Some decoded -> decoded
+        | None -> (
+            if not (find f "problems") then Error (missing "list" "problems")
+            else
+              match R.peek f.r with
+              | `Array -> decode_problems f.r
+              | _ -> bad "field \"problems\" must be a list")
+      in
+      Ok (Batch problems)
   | "report" ->
-      let* problem = problem_of_fields kvs in
-      let* planned = opt_bool_field kvs "planned" ~default:false in
+      let* problem = problem_field f in
+      let* planned = opt_bool f "planned" ~default:false in
       Ok (Report { problem; planned })
   | "check" ->
-      let* problem = problem_of_fields kvs in
-      let* trace = opt_bool_field kvs "traced" ~default:false in
-      let* seed = opt_int_field kvs "seed" in
-      let* events = opt_int_field kvs "events" in
+      let* problem = problem_field f in
+      let* trace = opt_bool f "traced" ~default:false in
+      let* seed = opt_int f "seed" in
+      let* events = opt_int f "events" in
       Ok
         (Check
            {
@@ -361,22 +628,18 @@ let decode_op kvs name =
              events = Option.value events ~default:3;
            })
   | "profile" ->
-      let* platform = platform_field kvs in
-      let* tasks = int_field kvs "tasks" in
-      let* deadline = opt_int_field kvs "deadline" in
-      let* workload_name =
-        match field kvs "workload" with
-        | None -> Ok "execute"
-        | Some (Json.String s) -> Ok s
-        | Some _ -> bad "field \"workload\" must be a string"
-      in
+      let* platform = platform_field f in
+      let* tasks = int_field f "tasks" in
+      let* deadline = opt_int f "deadline" in
+      let* workload_name = opt_string f "workload" in
+      let workload_name = Option.value workload_name ~default:"execute" in
       let* workload =
         match workload_of_string workload_name with
         | Some w -> Ok w
         | None -> bad "unknown workload %S" workload_name
       in
-      let* seed = opt_int_field kvs "seed" in
-      let* events = opt_int_field kvs "events" in
+      let* seed = opt_int f "seed" in
+      let* events = opt_int f "events" in
       Ok
         (Profile
            {
@@ -388,86 +651,78 @@ let decode_op kvs name =
              events = Option.value events ~default:4;
            })
   | "online-open" ->
-      let* platform = platform_field kvs in
-      let* deadline = int_field kvs "deadline" in
-      let* capacity = opt_int_field kvs "capacity" in
+      let* platform = platform_field f in
+      let* deadline = int_field f "deadline" in
+      let* capacity = opt_int f "capacity" in
       Ok
         (Online_open
            { platform; deadline; capacity = Option.value capacity ~default:0 })
   | "online-submit" ->
-      let* session = int_field kvs "session" in
-      let* tasks = int_field kvs "tasks" in
+      let* session = int_field f "session" in
+      let* tasks = int_field f "tasks" in
       Ok (Online_submit { session; tasks })
   | "online-advance" ->
-      let* session = int_field kvs "session" in
-      let* time = int_field kvs "time" in
+      let* session = int_field f "session" in
+      let* time = int_field f "time" in
       Ok (Online_advance { session; time })
   | "online-extend" ->
-      let* session = int_field kvs "session" in
-      let* deadline = int_field kvs "deadline" in
+      let* session = int_field f "session" in
+      let* deadline = int_field f "deadline" in
       Ok (Online_extend { session; deadline })
   | "online-degrade" ->
-      let* session = int_field kvs "session" in
-      let* at = int_field kvs "at" in
-      let* work_factor = int_field kvs "work_factor" in
+      let* session = int_field f "session" in
+      let* at = int_field f "at" in
+      let* work_factor = int_field f "work_factor" in
       Ok (Online_degrade { session; at; work_factor })
   | "online-plan" ->
-      let* session = int_field kvs "session" in
+      let* session = int_field f "session" in
       Ok (Online_plan { session })
   | "online-close" ->
-      let* session = int_field kvs "session" in
+      let* session = int_field f "session" in
       Ok (Online_close { session })
   | other -> bad "unknown op %S" other
 
-let decode_envelope json =
-  match json with
-  | Json.Obj kvs -> (
-      let* () =
-        match field kvs "v" with
-        | None -> Ok () (* absent = current version *)
-        | Some (Json.Int v) when v = version -> Ok ()
-        | Some (Json.Int v) ->
-            Error
-              (error Unsupported_version
-                 (Printf.sprintf "protocol version %d not supported (this is version %d)"
-                    v version))
-        | Some _ -> bad "field \"v\" must be an integer"
-      in
-      let* id = opt_int_field kvs "id" in
-      Ok (kvs, id))
-  | _ -> bad "frame must be a JSON object"
-
-let decode_request json =
-  let* kvs, id = decode_envelope json in
-  let* trace = opt_string_field kvs "trace" in
-  let* name = string_field kvs "op" in
-  let* op = decode_op kvs name in
+let decode_request f =
+  let* () =
+    if not (find f "v") then Ok () (* absent = current version *)
+    else if read_int f.r then check_version (R.int_value f.r)
+    else bad "field \"v\" must be an integer"
+  in
+  let* id = opt_int f "id" in
+  let* trace = opt_string f "trace" in
+  let* name = string_field f "op" in
+  let* op = decode_op f name in
   Ok { id; trace; op }
+
+(* A frame's request, or the error answering it with the best-effort
+   correlation the frame carries: its first "id" if that is an integer,
+   its first "trace" if that is a string. *)
+let decode line =
+  let decoded =
+    R.read line (fun r ->
+        match scan r with
+        | None -> Error (not_object, None, None)
+        | Some f -> (
+            match decode_request f with
+            | Ok request -> Ok request
+            | Error e ->
+                let id = if find f "id" && read_int r then Some (R.int_value r) else None in
+                let trace =
+                  if find f "trace" && read_span r then Some (R.span_text r) else None
+                in
+                Error (e, id, trace)))
+  in
+  match decoded with
+  | Ok decoded -> decoded
+  | Error msg -> Error (error Bad_request ("malformed frame: " ^ msg), None, None)
 
 let request_to_line r = Json.to_string (encode_request r) ^ "\n"
 
-let parse_line line =
-  match Json.parse line with
-  | Ok json -> Ok json
-  | Error msg -> bad "malformed frame: %s" msg
-
 let request_of_line line =
-  let* json = parse_line line in
-  decode_request json
-
-(* Best-effort correlation of a frame that did not decode. *)
-let envelope_id = function
-  | Json.Obj kvs -> (
-      match field kvs "id" with Some (Json.Int i) -> Some i | _ -> None)
-  | _ -> None
-
-let envelope_trace = function
-  | Json.Obj kvs -> (
-      match field kvs "trace" with Some (Json.String s) -> Some s | _ -> None)
-  | _ -> None
+  match decode line with Ok request -> Ok request | Error (e, _, _) -> Error e
 
 let frame_id line =
-  match Json.parse line with Ok json -> envelope_id json | Error _ -> None
+  match decode line with Ok request -> request.id | Error (_, id, _) -> id
 
 (* ---------- response codec ---------- *)
 
@@ -494,6 +749,44 @@ let encode_response { id; trace; result } =
                 ] ));
       ])
 
+let field kvs key = List.assoc_opt key kvs
+
+let opt_int_field kvs key =
+  match field kvs key with
+  | None -> Ok None
+  | Some (Json.Int i) -> Ok (Some i)
+  | Some _ -> Error (not_int key)
+
+let opt_string_field kvs key =
+  match field kvs key with
+  | None -> Ok None
+  | Some (Json.String s) -> Ok (Some s)
+  | Some _ -> Error (not_string key)
+
+let string_field kvs key =
+  match opt_string_field kvs key with
+  | Ok None -> Error (missing "string" key)
+  | Ok (Some s) -> Ok s
+  | Error e -> Error e
+
+let decode_envelope json =
+  match json with
+  | Json.Obj kvs ->
+      let* () =
+        match field kvs "v" with
+        | None -> Ok () (* absent = current version *)
+        | Some (Json.Int v) -> check_version v
+        | Some _ -> bad "field \"v\" must be an integer"
+      in
+      let* id = opt_int_field kvs "id" in
+      Ok (kvs, id)
+  | _ -> Error not_object
+
+let parse_line line =
+  match Json.parse line with
+  | Ok json -> Ok json
+  | Error msg -> bad "malformed frame: %s" msg
+
 let decode_response json =
   let* kvs, id = decode_envelope json in
   let* trace = opt_string_field kvs "trace" in
@@ -519,14 +812,9 @@ let response_of_line line =
   decode_response json
 
 let request_or_rejection line : (request, response) result =
-  match parse_line line with
-  | Error e -> Error { id = None; trace = None; result = Error e }
-  | Ok json -> (
-      match decode_request json with
-      | Ok request -> Ok request
-      | Error e ->
-          Error
-            { id = envelope_id json; trace = envelope_trace json; result = Error e })
+  match decode line with
+  | Ok request -> Ok request
+  | Error (e, id, trace) -> Error { id; trace; result = Error e }
 
 (* ---------- JSON renderings (the former per-subcommand CLI assembly,
    now the one shared definition) ---------- *)

@@ -10,12 +10,12 @@
     through a live [msts serve] socket is byte-identical to the same
     request answered by the CLI, because both are the same code path.
 
-    Codecs are {e total}: {!decode_request} and {!decode_response} map any
-    JSON value (and {!request_of_line} any byte string) to either a value
-    or a structured {!error} — a malformed or truncated frame becomes
-    [`bad_request`], an unknown protocol version [`unsupported_version`];
-    nothing raises.  Encoding then decoding is the identity (QCheck-tested
-    in [test/test_api.ml]).
+    Codecs are {e total}: {!request_of_line} maps any byte string, and
+    {!decode_response} any JSON value, to either a value or a structured
+    {!error} — a malformed or truncated frame becomes [`bad_request`], an
+    unknown protocol version [`unsupported_version`]; nothing raises.
+    Encoding then decoding is the identity (QCheck-tested in
+    [test/test_api.ml]).
 
     Error classification follows the repo-wide prefix convention: an
     [Invalid_argument] whose message starts with ["Msts."] (the
@@ -141,15 +141,25 @@ type request = { id : int option; trace : string option; op : op }
 (** {2 Wire codecs (JSONL framing: one JSON document per line)} *)
 
 val encode_request : request -> Msts_obs.Json.t
-val decode_request : Msts_obs.Json.t -> (request, error) result
 val request_to_line : request -> string
 (** Compact JSON, newline-terminated. *)
 
 val request_of_line : string -> (request, error) result
-(** Within a [batch] frame each distinct platform text is parsed once:
-    problems repeating a text share one physical {!Msts_platform.Parse.platform},
-    and elements equal in (platform text, [tasks], [deadline]) decode to
-    one physical problem.  Nothing is cached across frames. *)
+(** Decodes a frame straight from its bytes through
+    {!Msts_obs.Json.Reader}, building no JSON tree.  Members may come in
+    any order; unknown ones are skipped (their syntax still checked); the
+    first occurrence of a repeated member counts; member names may be
+    escaped.  A syntax error anywhere in the frame is reported before any
+    field error, and field errors come in a fixed check order: ["v"],
+    ["id"], ["trace"], ["op"], then the operation's fields (for a batch,
+    element by element, each as [platform], [tasks], [deadline]).
+
+    Within a [batch] frame each distinct platform text is parsed once:
+    problems repeating a text (however it is escaped) share one physical
+    {!Msts_platform.Parse.platform}, and elements equal in (platform
+    text, [tasks], [deadline]) decode to one physical problem; a repeated
+    element allocates nothing beyond its array slot.  Nothing is cached
+    across frames. *)
 
 val frame_id : string -> int option
 (** Best-effort extraction of the correlation id from a frame that may
@@ -169,8 +179,10 @@ val response_of_line : string -> (response, error) result
 val request_or_rejection : string -> (request, response) result
 (** {!request_of_line} for a server: a frame that does not decode comes
     back as the error response answering it, with the [id] and [trace]
-    recovered best-effort from the same parse so the client can still
-    correlate it. *)
+    recovered best-effort from the same reading so the client can still
+    correlate it: the first ["id"] when it is an integer, the first
+    ["trace"] when it is a string, neither when the frame is malformed or
+    not an object. *)
 
 (** {2 Execution} *)
 

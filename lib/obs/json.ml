@@ -188,188 +188,264 @@ end
 
 let to_string ?pretty json = Writer.to_string (fun w -> Writer.value ?pretty w json)
 
-(* ---------- parsing ---------- *)
+(* ---------- reading ---------- *)
 
-exception Parse_error of int * string
+module Reader = struct
+  exception Error of int * string
 
-(* The scanner reads bytes in place: [peek] answers '\000' past the end
-   (only [parse_value] has to tell that apart from a NUL byte, which no
-   other branch accepts either), a string without escapes is one
-   [String.sub] and an integer of at most 18 digits is accumulated
-   inline.  Everything else takes the general path; offsets and messages
-   are those of the plain recursive-descent reading. *)
-let parse text =
-  let n = String.length text in
-  let pos = ref 0 in
-  let fail msg = raise (Parse_error (!pos, msg)) in
-  let peek () = if !pos < n then String.unsafe_get text !pos else '\000' in
-  let advance () = incr pos in
-  let skip_ws () =
+  type t = {
+    text : string;
+    mutable pos : int;
+    (* The last string read, between its quotes: its bytes are
+       [text.[start .. stop - 1]], [length] bytes once unescaped, so it has
+       an escape exactly when [length < stop - start]. *)
+    mutable start : int;
+    mutable stop : int;
+    mutable length : int;
+    (* The last number read. *)
+    mutable int_value : int;
+    mutable float_value : float;
+  }
+
+  let fail r msg = raise (Error (r.pos, msg))
+
+  (* '\000' past the end: no branch that reads it accepts a NUL byte
+     either. *)
+  let[@inline] byte r =
+    if r.pos < String.length r.text then String.unsafe_get r.text r.pos else '\000'
+
+  let skip_ws r =
+    let text = r.text in
+    let n = String.length text in
     while
-      !pos < n
+      r.pos < n
       &&
-      match String.unsafe_get text !pos with
+      match String.unsafe_get text r.pos with
       | ' ' | '\t' | '\n' | '\r' -> true
       | _ -> false
     do
-      advance ()
+      r.pos <- r.pos + 1
     done
-  in
-  let skip_digits () =
-    while
-      !pos < n
-      && match String.unsafe_get text !pos with '0' .. '9' -> true | _ -> false
-    do
-      advance ()
-    done
-  in
-  let expect c = if peek () = c then advance () else fail (Printf.sprintf "expected %C" c) in
-  let literal word value =
-    if !pos + String.length word <= n && String.sub text !pos (String.length word) = word
-    then begin
-      pos := !pos + String.length word;
-      value
-    end
-    else fail ("expected " ^ word)
-  in
-  (* The general string reader: the opening quote is consumed and the
-     plain bytes from [start] up to the first escape are scanned. *)
-  let parse_escaped_string start =
-    let buf = Buffer.create 16 in
-    Buffer.add_substring buf text start (!pos - start);
-    let rec loop () =
-      if !pos >= n then fail "unterminated string";
-      let c = text.[!pos] in
-      advance ();
-      if c = '"' then Buffer.contents buf
-      else if c = '\\' then begin
-        (if !pos >= n then fail "unterminated escape");
-        let e = text.[!pos] in
-        advance ();
-        (match e with
-        | '"' -> Buffer.add_char buf '"'
-        | '\\' -> Buffer.add_char buf '\\'
-        | '/' -> Buffer.add_char buf '/'
-        | 'b' -> Buffer.add_char buf '\b'
-        | 'f' -> Buffer.add_char buf '\012'
-        | 'n' -> Buffer.add_char buf '\n'
-        | 'r' -> Buffer.add_char buf '\r'
-        | 't' -> Buffer.add_char buf '\t'
+
+  let expect r c =
+    if byte r = c then r.pos <- r.pos + 1 else fail r (Printf.sprintf "expected %C" c)
+
+  let literal r word =
+    let n = String.length word in
+    if r.pos + n <= String.length r.text && String.sub r.text r.pos n = word then
+      r.pos <- r.pos + n
+    else fail r ("expected " ^ word)
+
+  let position r = r.pos
+  let seek r pos = r.pos <- pos
+
+  let peek r =
+    skip_ws r;
+    if r.pos >= String.length r.text then fail r "unexpected end of input";
+    match String.unsafe_get r.text r.pos with
+    | '{' -> `Object
+    | '[' -> `Array
+    | '"' -> `String
+    | 't' | 'f' -> `Bool
+    | 'n' -> `Null
+    | _ -> `Number
+
+  let bool r =
+    if byte r = 't' then (
+      literal r "true";
+      true)
+    else (
+      literal r "false";
+      false)
+
+  let null r = literal r "null"
+
+  (* ---------- strings ---------- *)
+
+  (* The code point of the four hex digits at [i], or -1. *)
+  let hex4 text i =
+    let code = ref 0 in
+    for k = i to i + 3 do
+      let d =
+        match String.unsafe_get text k with
+        | '0' .. '9' as c -> Char.code c - 48
+        | 'a' .. 'f' as c -> Char.code c - 87
+        | 'A' .. 'F' as c -> Char.code c - 55
+        | _ -> -1
+      in
+      code := if d < 0 || !code < 0 then -1 else (16 * !code) + d
+    done;
+    !code
+
+  (* \u escapes are written as UTF-8: only code points below 0x80 read
+     back as one byte. *)
+  let utf8_length code = if code < 0x80 then 1 else if code < 0x800 then 2 else 3
+
+  (* Runs up to the first quote or backslash are scanned in a tight loop;
+     each escape is checked where it stands, so the first malformed one
+     fails at its own offset. *)
+  let span r =
+    expect r '"';
+    let text = r.text in
+    let n = String.length text in
+    let start = r.pos in
+    let i = ref start in
+    let length = ref 0 in
+    let closed = ref false in
+    while not !closed do
+      let run = !i in
+      while !i < n && match String.unsafe_get text !i with '"' | '\\' -> false | _ -> true do
+        incr i
+      done;
+      length := !length + (!i - run);
+      r.pos <- !i;
+      if !i >= n then fail r "unterminated string";
+      let c = String.unsafe_get text !i in
+      incr i;
+      if c = '"' then closed := true
+      else begin
+        r.pos <- !i;
+        if !i >= n then fail r "unterminated escape";
+        let e = String.unsafe_get text !i in
+        incr i;
+        r.pos <- !i;
+        match e with
+        | '"' | '\\' | '/' | 'b' | 'f' | 'n' | 'r' | 't' -> incr length
         | 'u' ->
-            if !pos + 4 > n then fail "truncated \\u escape";
-            let hex = String.sub text !pos 4 in
-            pos := !pos + 4;
-            let code =
-              try int_of_string ("0x" ^ hex)
-              with _ -> fail "bad \\u escape"
-            in
-            (* Only BMP code points below 0x80 round-trip exactly; encode the
-               rest as UTF-8 so well-formedness checks still pass. *)
-            if code < 0x80 then Buffer.add_char buf (Char.chr code)
+            if !i + 4 > n then fail r "truncated \\u escape";
+            let code = hex4 text !i in
+            i := !i + 4;
+            r.pos <- !i;
+            if code < 0 then fail r "bad \\u escape";
+            length := !length + utf8_length code
+        | _ -> fail r "unknown escape"
+      end
+    done;
+    r.pos <- !i;
+    r.start <- start;
+    r.stop <- !i - 1;
+    r.length <- !length
+
+  let[@inline] escaped r = r.length < r.stop - r.start
+
+  let[@inline] put out o c =
+    Bytes.unsafe_set out o c;
+    o + 1
+
+  let unescape r =
+    let text = r.text and out = Bytes.create r.length in
+    let i = ref r.start and o = ref 0 in
+    while !i < r.stop do
+      let c = String.unsafe_get text !i in
+      if c <> '\\' then begin
+        o := put out !o c;
+        incr i
+      end
+      else begin
+        (match String.unsafe_get text (!i + 1) with
+        | 'b' -> o := put out !o '\b'
+        | 'f' -> o := put out !o '\012'
+        | 'n' -> o := put out !o '\n'
+        | 'r' -> o := put out !o '\r'
+        | 't' -> o := put out !o '\t'
+        | 'u' ->
+            let code = hex4 text (!i + 2) in
+            if code < 0x80 then o := put out !o (Char.chr code)
             else if code < 0x800 then begin
-              Buffer.add_char buf (Char.chr (0xC0 lor (code lsr 6)));
-              Buffer.add_char buf (Char.chr (0x80 lor (code land 0x3F)))
+              o := put out !o (Char.chr (0xC0 lor (code lsr 6)));
+              o := put out !o (Char.chr (0x80 lor (code land 0x3F)))
             end
             else begin
-              Buffer.add_char buf (Char.chr (0xE0 lor (code lsr 12)));
-              Buffer.add_char buf (Char.chr (0x80 lor ((code lsr 6) land 0x3F)));
-              Buffer.add_char buf (Char.chr (0x80 lor (code land 0x3F)))
-            end
-        | _ -> fail "unknown escape");
-        loop ()
-      end
-      else begin
-        Buffer.add_char buf c;
-        loop ()
-      end
-    in
-    loop ()
-  in
-  (* A string whose escapes each stand for one character (a backslash
-     then one of the eight letters and marks below) is measured first,
-     then unescaped into one string of the exact size.  [stop] is the
-     closing quote, [escapes] the count of escapes; the bytes are known
-     good. *)
-  let unescape start stop escapes =
-    let out = Bytes.create (stop - start - escapes) in
-    let i = ref start and o = ref 0 in
-    while !i < stop do
-      let c = String.unsafe_get text !i in
-      if c = '\\' then begin
-        Bytes.unsafe_set out !o
-          (match String.unsafe_get text (!i + 1) with
-          | 'b' -> '\b'
-          | 'f' -> '\012'
-          | 'n' -> '\n'
-          | 'r' -> '\r'
-          | 't' -> '\t'
-          | c -> c);
+              o := put out !o (Char.chr (0xE0 lor (code lsr 12)));
+              o := put out !o (Char.chr (0x80 lor ((code lsr 6) land 0x3F)));
+              o := put out !o (Char.chr (0x80 lor (code land 0x3F)))
+            end;
+            i := !i + 4
+        | c -> o := put out !o c);
         i := !i + 2
       end
-      else begin
-        Bytes.unsafe_set out !o c;
-        incr i
-      end;
-      incr o
     done;
     Bytes.unsafe_to_string out
-  in
-  (* [pos] is on the first backslash.  Anything but single-character
-     escapes up to the closing quote goes back to the general reader,
-     from the same start, so its results and errors are unchanged. *)
-  let parse_escapes start =
-    let i = ref !pos and escapes = ref 0 and stop = ref (-1) in
-    while !stop < 0 && !i < n do
-      match String.unsafe_get text !i with
-      | '"' -> stop := !i
-      | '\\' -> (
-          match if !i + 1 < n then String.unsafe_get text (!i + 1) else 'u' with
-          | '"' | '\\' | '/' | 'b' | 'f' | 'n' | 'r' | 't' ->
-              incr escapes;
-              i := !i + 2
-          | _ -> i := n)
-      | _ -> incr i
+
+  let span_text r =
+    if escaped r then unescape r else String.sub r.text r.start r.length
+
+  (* [text.[at .. at + n - 1]] = [s.[0 .. n - 1]], eight bytes a step. *)
+  let same_bytes text at s n =
+    let i = ref 0 in
+    while !i + 8 <= n && String.get_int64_ne text (at + !i) = String.get_int64_ne s !i do
+      i := !i + 8
     done;
-    if !stop < 0 then parse_escaped_string start
-    else begin
-      pos := !stop + 1;
-      unescape start !stop !escapes
-    end
-  in
-  let parse_string () =
-    expect '"';
-    let start = !pos in
-    while
-      !pos < n
-      && match String.unsafe_get text !pos with '"' | '\\' -> false | _ -> true
-    do
-      advance ()
+    while !i < n && String.unsafe_get text (at + !i) = String.unsafe_get s !i do
+      incr i
     done;
-    if !pos >= n then fail "unterminated string"
-    else if String.unsafe_get text !pos = '"' then begin
-      advance ();
-      String.sub text start (!pos - 1 - start)
-    end
-    else parse_escapes start
-  in
-  let parse_number () =
-    let start = !pos in
-    if peek () = '-' then advance ();
-    let digits_start = !pos in
-    skip_digits ();
-    let digits_stop = !pos in
+    !i = n
+
+  let span_is r s =
+    r.length = String.length s
+    && if escaped r then String.equal (unescape r) s else same_bytes r.text r.start s r.length
+
+  let spelling r = String.sub r.text r.start (r.stop - r.start)
+
+  let spelled r s =
+    let n = r.stop - r.start in
+    String.length s = n && same_bytes r.text r.start s n
+
+  (* Eight bytes a step: each word is xored in, multiplied by the 64-bit
+     FNV prime and folded so its high bits reach the low ones, which pick
+     a hash table's bucket. *)
+  let spelling_hash r =
+    let text = r.text and stop = r.stop in
+    let mix h w =
+      let x = (h lxor w) * 0x100000001b3 in
+      x lxor (x lsr 29)
+    in
+    let h = ref (stop - r.start) and i = ref r.start in
+    while !i + 8 <= stop do
+      h := mix !h (Int64.to_int (String.get_int64_ne text !i));
+      i := !i + 8
+    done;
+    while !i < stop do
+      h := mix !h (Char.code (String.unsafe_get text !i));
+      incr i
+    done;
+    !h land max_int
+
+  let string r =
+    span r;
+    span_text r
+
+  (* ---------- numbers ---------- *)
+
+  let skip_digits r =
+    let text = r.text in
+    let n = String.length text in
+    while r.pos < n && match String.unsafe_get text r.pos with '0' .. '9' -> true | _ -> false do
+      r.pos <- r.pos + 1
+    done
+
+  (* An integer of at most 18 digits is accumulated inline; anything else
+     goes through [int_of_string] and [float_of_string], whose verdicts
+     decide between Int, Float and an error. *)
+  let number r =
+    let text = r.text in
+    let start = r.pos in
+    if byte r = '-' then r.pos <- r.pos + 1;
+    let digits_start = r.pos in
+    skip_digits r;
+    let digits_stop = r.pos in
     let is_float = ref false in
-    if peek () = '.' then begin
+    if byte r = '.' then begin
       is_float := true;
-      advance ();
-      skip_digits ()
+      r.pos <- r.pos + 1;
+      skip_digits r
     end;
-    (match peek () with
+    (match byte r with
     | 'e' | 'E' ->
         is_float := true;
-        advance ();
-        (match peek () with '+' | '-' -> advance () | _ -> ());
-        skip_digits ()
+        r.pos <- r.pos + 1;
+        (match byte r with '+' | '-' -> r.pos <- r.pos + 1 | _ -> ());
+        skip_digits r
     | _ -> ());
     let digits = digits_stop - digits_start in
     if (not !is_float) && digits >= 1 && digits <= 18 then begin
@@ -378,91 +454,160 @@ let parse text =
       for i = digits_start to digits_stop - 1 do
         v := (10 * !v) + (Char.code (String.unsafe_get text i) - 48)
       done;
-      Int (if digits_start > start then - !v else !v)
+      r.int_value <- (if digits_start > start then - !v else !v);
+      true
     end
     else
-      let s = String.sub text start (!pos - start) in
+      let s = String.sub text start (r.pos - start) in
+      (* [float_of_string] would raise on bare punctuation like "." or
+         "-e5" that survives the scanner *)
       let float_or_fail s =
-        (* [float_of_string] would raise on bare punctuation like "." or
-           "-e5" that survives the scanner — keep the parser total. *)
         match float_of_string_opt s with
-        | Some f -> Float f
-        | None -> fail "expected number"
+        | Some f ->
+            r.float_value <- f;
+            false
+        | None -> fail r "expected number"
       in
-      if s = "" || s = "-" then fail "expected number"
+      if s = "" || s = "-" then fail r "expected number"
       else if !is_float then float_or_fail s
       else
         match int_of_string_opt s with
-        | Some i -> Int i
+        | Some i ->
+            r.int_value <- i;
+            true
         | None -> float_or_fail s
-  in
-  let rec parse_value () =
-    skip_ws ();
-    if !pos >= n then fail "unexpected end of input";
-    match peek () with
-    | '{' ->
-        advance ();
-        skip_ws ();
-        if peek () = '}' then begin
-          advance ();
-          Obj []
+
+  let int_value r = r.int_value
+  let float_value r = r.float_value
+
+  (* ---------- containers ---------- *)
+
+  let key r =
+    skip_ws r;
+    span r;
+    skip_ws r;
+    expect r ':'
+
+  let first_member r =
+    r.pos <- r.pos + 1;
+    skip_ws r;
+    if byte r = '}' then begin
+      r.pos <- r.pos + 1;
+      false
+    end
+    else begin
+      key r;
+      true
+    end
+
+  let next_member r =
+    skip_ws r;
+    match byte r with
+    | ',' ->
+        r.pos <- r.pos + 1;
+        key r;
+        true
+    | '}' ->
+        r.pos <- r.pos + 1;
+        false
+    | _ -> fail r "expected ',' or '}'"
+
+  let first_item r =
+    r.pos <- r.pos + 1;
+    skip_ws r;
+    if byte r = ']' then begin
+      r.pos <- r.pos + 1;
+      false
+    end
+    else true
+
+  let next_item r =
+    skip_ws r;
+    match byte r with
+    | ',' ->
+        r.pos <- r.pos + 1;
+        true
+    | ']' ->
+        r.pos <- r.pos + 1;
+        false
+    | _ -> fail r "expected ',' or ']'"
+
+  let rec skip r =
+    match peek r with
+    | `Object ->
+        if first_member r then begin
+          skip r;
+          while next_member r do
+            skip r
+          done
         end
-        else begin
-          let rec fields acc =
-            skip_ws ();
-            let key = parse_string () in
-            skip_ws ();
-            expect ':';
-            let value = parse_value () in
-            skip_ws ();
-            match peek () with
-            | ',' ->
-                advance ();
-                fields ((key, value) :: acc)
-            | '}' ->
-                advance ();
-                List.rev ((key, value) :: acc)
-            | _ -> fail "expected ',' or '}'"
+    | `Array ->
+        if first_item r then begin
+          skip r;
+          while next_item r do
+            skip r
+          done
+        end
+    | `String -> span r
+    | `Number -> ignore (number r)
+    | `Bool -> ignore (bool r)
+    | `Null -> null r
+
+  let finish r =
+    skip_ws r;
+    if r.pos <> String.length r.text then fail r "trailing garbage"
+
+  let read text f =
+    let r =
+      {
+        text;
+        pos = 0;
+        start = 0;
+        stop = 0;
+        length = 0;
+        int_value = 0;
+        float_value = 0.;
+      }
+    in
+    match f r with
+    | v -> Ok v
+    | exception Error (at, msg) -> Error (Printf.sprintf "byte %d: %s" at msg)
+end
+
+let parse text =
+  let module R = Reader in
+  let rec value r =
+    match R.peek r with
+    | `Object ->
+        if R.first_member r then begin
+          let rec members acc =
+            let key = R.span_text r in
+            let acc = (key, value r) :: acc in
+            if R.next_member r then members acc else List.rev acc
           in
-          Obj (fields [])
+          Obj (members [])
         end
-    | '[' ->
-        advance ();
-        skip_ws ();
-        if peek () = ']' then begin
-          advance ();
-          List []
-        end
-        else begin
+        else Obj []
+    | `Array ->
+        if R.first_item r then begin
           let rec items acc =
-            let value = parse_value () in
-            skip_ws ();
-            match peek () with
-            | ',' ->
-                advance ();
-                items (value :: acc)
-            | ']' ->
-                advance ();
-                List.rev (value :: acc)
-            | _ -> fail "expected ',' or ']'"
+            let acc = value r :: acc in
+            if R.next_item r then items acc else List.rev acc
           in
           List (items [])
         end
-    | '"' -> String (parse_string ())
-    | 't' -> literal "true" (Bool true)
-    | 'f' -> literal "false" (Bool false)
-    | 'n' -> literal "null" Null
-    | _ -> parse_number ()
+        else List []
+    | `String -> String (R.string r)
+    | `Number -> if R.number r then Int (R.int_value r) else Float (R.float_value r)
+    | `Bool -> Bool (R.bool r)
+    | `Null ->
+        R.null r;
+        Null
   in
-  match
-    let v = parse_value () in
-    skip_ws ();
-    if !pos <> n then fail "trailing garbage";
-    v
-  with
-  | v -> Ok v
-  | exception Parse_error (at, msg) ->
-      Error (Printf.sprintf "byte %d: %s" at msg)
+  R.read text (fun r ->
+      let v = value r in
+      R.finish r;
+      v)
 
 let member key = function
   | Obj fields -> List.assoc_opt key fields

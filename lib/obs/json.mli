@@ -14,13 +14,15 @@
     There is one printer, {!Writer}: a growable byte buffer, reused per
     domain, that copies unescaped runs whole and writes integers in place.
     {!to_string} walks a tree into it; hot callers write their documents
-    into it directly without building a tree.  The scanner reads bytes in
-    place, takes a string without escapes as one [String.sub] and reads
-    integers of up to 18 digits inline.  Neither keeps state shared
-    between domains, so both are safe to call from several domains at
-    once.  Error offsets and messages are those of a plain
-    recursive-descent reading; test/test_json.ml checks both directions
-    byte for byte against that earlier implementation. *)
+    into it directly without building a tree.  There is one lexer,
+    {!Reader}: a pull reader over the bytes in place, which reads integers
+    of up to 18 digits inline and leaves a string as a span of the
+    document until a caller asks for its text.  {!parse} builds a tree
+    with it; the request decoder reads frames with it directly.  Neither
+    keeps state shared between domains, so both are safe to call from
+    several domains at once.  Error offsets and messages are those of a
+    plain recursive-descent reading; test/test_json.ml checks both
+    directions byte for byte against that earlier implementation. *)
 
 type t =
   | Null
@@ -65,10 +67,101 @@ val to_string : ?pretty:bool -> t -> string
 (** Serialise.  [pretty] (default false) indents with two spaces.  A
     non-finite [Float] prints as [null], so the output always parses. *)
 
+(** The one lexer: a pull reader over a document's bytes, the mirror of
+    {!Writer}.  A caller asks for the next value's kind with {!peek} and
+    reads it with the matching call — containers member by member, a
+    string as a span of the document compared and hashed in place, a
+    number into {!int_value} or {!float_value} — or validates and drops
+    it with {!skip}.  Reading allocates nothing but what a caller asks to
+    keep: {!span_text}, {!string}, and the float of a non-integer number.
+
+    Every reading function raises on the first malformed byte; {!read}
+    turns that into ["byte N: message"].  Offsets and messages are those
+    of a plain recursive-descent reading, whichever functions read the
+    bytes: a value skipped fails where reading it would have.  {!parse}
+    is the tree built by reading every value. *)
+module Reader : sig
+  type t
+
+  val read : string -> (t -> 'a) -> ('a, string) result
+  (** [read text f] runs [f] on a reader at the start of [text].  A
+      syntax error raised while [f] reads comes back as
+      [Error "byte N: message"]; [f] should end with {!finish}. *)
+
+  val finish : t -> unit
+  (** Only whitespace may follow ("trailing garbage"). *)
+
+  val position : t -> int
+  val seek : t -> int -> unit
+  (** Where the reader is, and a move back there: a value read once may be
+      read again from the position before it. *)
+
+  val peek : t -> [ `Object | `Array | `String | `Number | `Bool | `Null ]
+  (** Skips whitespace and names the next value by its first byte,
+      without consuming it; fails at the end of the text.  A byte that
+      starts no other kind is a [`Number], and reading it says what is
+      wrong. *)
+
+  val skip : t -> unit
+  (** Reads the next value, whatever it is, and drops it. *)
+
+  val first_member : t -> bool
+  (** On an object's ['{']: reads it and the first member's key, which is
+      then the current span (below).  [false] for an empty object, which
+      is then consumed.  The member's value is read next. *)
+
+  val next_member : t -> bool
+  (** After a member's value: [true] and the next key, or [false] at the
+      closing ['}']. *)
+
+  val first_item : t -> bool
+  (** On an array's ['[']: [true] when an item follows, to be read next;
+      [false] for an empty array, which is then consumed. *)
+
+  val next_item : t -> bool
+  (** After an item: [true] when another follows, [false] at [']']. *)
+
+  val span : t -> unit
+  (** Reads a string, checking its escapes, and makes it the current
+      span without unescaping it. *)
+
+  val span_text : t -> string
+  (** The current span, unescaped. *)
+
+  val span_is : t -> string -> bool
+  (** [span_is r s]: the current span unescapes to [s].  In place when
+      the span has no escape. *)
+
+  val spelling : t -> string
+  (** The current span as written: its bytes between the quotes, escapes
+      and all.  Two spans spelled alike have the same text; two with the
+      same text may be spelled differently. *)
+
+  val spelled : t -> string -> bool
+  (** [spelled r s]: the current span is written as [s].  In place. *)
+
+  val spelling_hash : t -> int
+  (** A non-negative hash of the current span as written.  In place. *)
+
+  val string : t -> string
+  (** {!span}, then {!span_text}. *)
+
+  val number : t -> bool
+  (** Reads a number: [true] for an integer, whose value is then
+      {!int_value}; [false] for a float (a fraction, an exponent, or an
+      integer beyond [int]), then {!float_value}. *)
+
+  val int_value : t -> int
+  val float_value : t -> float
+
+  val bool : t -> bool
+  val null : t -> unit
+end
+
 val parse : string -> (t, string) result
-(** Recursive-descent parser for ordinary JSON documents; errors carry a
-    byte offset.  Numbers with a fraction or exponent become [Float],
-    anything else [Int]. *)
+(** The tree of a JSON document, read through {!Reader}: errors are its
+    ["byte N: message"].  Numbers with a fraction or exponent become
+    [Float], anything else [Int]. *)
 
 val member : string -> t -> t option
 (** [member key json] is the value bound to [key] when [json] is an

@@ -1,7 +1,8 @@
 (* The JSON printer and parser as they stood before the allocation-light
-   rewrite of lib/obs/json.ml, kept verbatim as the oracle for the
-   differential suite in test_json.ml.  Only the type is shared, so the
-   two implementations consume and produce the same values. *)
+   rewrite of lib/obs/json.ml, kept as the oracle for the differential
+   suite in test_json.ml.  Only the type is shared, so the two
+   implementations consume and produce the same values.  One fix since:
+   a \u escape needs exactly four hex digits, as in the library. *)
 
 type t = Msts.Json.t =
   | Null
@@ -134,9 +135,12 @@ let parse text =
             if !pos + 4 > n then fail "truncated \\u escape";
             let hex = String.sub text !pos 4 in
             pos := !pos + 4;
+            (* exactly four hex digits: [int_of_string] alone would also
+               take underscores *)
             let code =
-              try int_of_string ("0x" ^ hex)
-              with _ -> fail "bad \\u escape"
+              if String.for_all (function '0' .. '9' | 'a' .. 'f' | 'A' .. 'F' -> true | _ -> false) hex
+              then int_of_string ("0x" ^ hex)
+              else fail "bad \\u escape"
             in
             (* Only BMP code points below 0x80 round-trip exactly; encode the
                rest as UTF-8 so well-formedness checks still pass. *)

@@ -810,6 +810,182 @@ let rejection_correlation () =
   Alcotest.(check (option int)) "frame_id of a malformed frame" None
     (Api.frame_id {|{"id":3,"op":"ping"|})
 
+(* ---------- the reader-based decoder against the tree decoder ---------- *)
+
+(* Batches drawn from a small pool, so elements repeat: equal ones must
+   share one problem, and texts one platform. *)
+let pooled_batch_gen =
+  Gen.(
+    list_size (int_range 1 3) problem_gen >>= fun pool ->
+    let pool = Array.of_list pool in
+    list_size (int_range 0 12)
+      (triple (int_bound (Array.length pool - 1)) (opt (int_range 0 3)) (opt (int_range 0 3)))
+    >|= fun picks ->
+    Api.Batch
+      (Array.of_list
+         (List.map
+            (fun (k, tasks, deadline) -> { (pool.(k)) with Msts.Solve.tasks; deadline })
+            picks)))
+
+let junk =
+  [|
+    Json.Int 7; Json.Int (-3); Json.String "x"; Json.Bool true; Json.Null; Json.Float 1.5;
+    Json.List []; Json.Obj [ ("a", Json.Int 1) ]; Json.String "chain\n1 1\n";
+    Json.String "batch"; Json.String "ping";
+  |]
+
+(* A request's tree reshaped the ways a client may write it, or get
+   wrong: members of the frame and of batch elements shuffled, given
+   values of other kinds, repeated with other values (before or after the
+   original) and joined by unknown ones. *)
+let reshape rng json =
+  let pick a = a.(Random.State.int rng (Array.length a)) in
+  let insert x l =
+    let at = Random.State.int rng (List.length l + 1) in
+    List.filteri (fun i _ -> i < at) l @ (x :: List.filteri (fun i _ -> i >= at) l)
+  in
+  let rec go depth = function
+    | Json.Obj kvs when depth <= 2 ->
+        let kvs =
+          List.map
+            (fun (k, v) ->
+              (k, if Random.State.int rng 8 = 0 then pick junk else go (depth + 1) v))
+            kvs
+        in
+        let kvs =
+          if Random.State.bool rng then
+            List.map snd
+              (List.sort compare (List.map (fun kv -> (Random.State.bits rng, kv)) kvs))
+          else kvs
+        in
+        let kvs =
+          if kvs <> [] && Random.State.int rng 3 = 0 then
+            insert (fst (pick (Array.of_list kvs)), pick junk) kvs
+          else kvs
+        in
+        if Random.State.int rng 4 = 0 then insert ("extra", pick junk) kvs |> fun l -> Json.Obj l
+        else Json.Obj kvs
+    | Json.List items when depth <= 2 -> Json.List (List.map (go (depth + 1)) items)
+    | v -> v
+  in
+  go 0 json
+
+(* Compact printing with some letters of keys and strings spelled as \u
+   escapes, chosen by the bits of [escape]. *)
+let print_escaped ~escape json =
+  let buf = Buffer.create 256 in
+  let str s =
+    Buffer.add_char buf '"';
+    String.iteri
+      (fun i c ->
+        match c with
+        | ('a' .. 'z' | '_') when (escape lsr (i mod 24)) land 1 = 1 ->
+            Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
+        | c ->
+            let quoted = Json.to_string (Json.String (String.make 1 c)) in
+            Buffer.add_string buf (String.sub quoted 1 (String.length quoted - 2)))
+      s;
+    Buffer.add_char buf '"'
+  in
+  let rec go = function
+    | Json.Obj kvs ->
+        Buffer.add_char buf '{';
+        List.iteri
+          (fun i (k, v) ->
+            if i > 0 then Buffer.add_char buf ',';
+            str k;
+            Buffer.add_char buf ':';
+            go v)
+          kvs;
+        Buffer.add_char buf '}'
+    | Json.List items ->
+        Buffer.add_char buf '[';
+        List.iteri
+          (fun i v ->
+            if i > 0 then Buffer.add_char buf ',';
+            go v)
+          items;
+        Buffer.add_char buf ']'
+    | Json.String s -> str s
+    | leaf -> Buffer.add_string buf (Json.to_string leaf)
+  in
+  go json;
+  Buffer.contents buf
+
+(* Byte-level damage biased towards the bytes the reader branches on:
+   truncation, deletion, insertion and replacement. *)
+let damage rng line =
+  let significant = "{}[]\",:\\ -.e0123456789tfnu" in
+  let byte () =
+    if Random.State.int rng 4 = 0 then Char.chr (Random.State.int rng 128)
+    else significant.[Random.State.int rng (String.length significant)]
+  in
+  let n = String.length line in
+  if n = 0 then line
+  else
+    let at = Random.State.int rng n in
+    let before = String.sub line 0 at and after = String.sub line (at + 1) (n - at - 1) in
+    match Random.State.int rng 4 with
+    | 0 -> before
+    | 1 -> before ^ after
+    | 2 -> before ^ String.make 1 (byte ()) ^ String.sub line at (n - at)
+    | _ -> before ^ String.make 1 (byte ()) ^ after
+
+let frame_of (request, seed, shape) =
+  let rng = Random.State.make [| seed |] in
+  let json = Api.encode_request request in
+  let json = if shape land 1 = 1 then reshape rng json else json in
+  let escape = if shape land 2 = 2 then Random.State.bits rng else 0 in
+  let line = print_escaped ~escape json in
+  let rec hurt k line = if k = 0 then line else hurt (k - 1) (damage rng line) in
+  hurt (if shape land 4 = 4 then 1 + Random.State.int rng 3 else 0) line
+
+let differential_request_gen =
+  Gen.(
+    triple
+      (map3
+         (fun id trace op -> { Api.id; trace; op })
+         (opt (int_range (-5) 1_000_000))
+         trace_gen
+         (frequency [ (3, op_gen); (2, pooled_batch_gen) ]))
+      int (int_bound 7))
+
+(* For each pair of problems: are they one value, and is their platform. *)
+let sharing problems =
+  Array.map
+    (fun (p : Msts.Solve.problem) ->
+      Array.map
+        (fun (q : Msts.Solve.problem) -> (p == q, p.platform == q.platform))
+        problems)
+    problems
+
+let decoder_matches_reference =
+  to_alcotest
+    (QCheck.Test.make ~count:2000
+       ~name:"reader decoder = tree decoder on reshaped, escaped and damaged frames"
+       (QCheck.make ~print:(fun x -> String.escaped (frame_of x)) differential_request_gen)
+       (fun x ->
+         let line = frame_of x in
+         let show = function
+           | Ok r -> "Ok " ^ Api.request_to_line r
+           | Error (r : Api.response) -> "Error " ^ Api.response_to_line r
+         in
+         let got = Api.request_or_rejection line
+         and want = Api_reference.request_or_rejection line in
+         let same =
+           match (got, want) with
+           | Ok a, Ok b -> (
+               a = b
+               &&
+               match (a.Api.op, b.Api.op) with
+               | Api.Batch pa, Api.Batch pb -> sharing pa = sharing pb
+               | _ -> true)
+           | Error a, Error b -> a = b
+           | _ -> false
+         in
+         (same && Api.request_of_line line = Api_reference.request_of_line line)
+         || QCheck.Test.fail_reportf "got  %s\nwant %s" (show got) (show want)))
+
 let suites =
   [
     ( "api.wire",
@@ -821,6 +997,7 @@ let suites =
         case "a syntax error wins over an earlier field error" syntax_error_wins;
         case "rejections correlate only an Int id and a String trace"
           rejection_correlation;
+        decoder_matches_reference;
       ] );
     ( "api.codecs",
       [

@@ -86,7 +86,7 @@ let tree_arb = QCheck.make ~print:(fun t -> Json_reference.to_string t) any_tree
 
 (* Frames: printed trees and wire requests, then a few byte-level
    mutations biased towards the characters the scanner branches on. *)
-let significant = "{}[]\",:\\/ \t\n\r-+.eE0123456789tfnulbu"
+let significant = "{}[]\",:\\/ \t\n\r-+.eE0123456789tfnulbu_"
 
 let mutate_gen text =
   Gen.(
@@ -199,7 +199,26 @@ let edge_cases_match_reference () =
       "\"\\uzzzz\""; "\"abc"; "\"ab\\"; "\"\\q\""; "[1,]"; "{\"a\" 1}";
       "{\"a\":1,}"; "[1 2]"; "nul"; "truex"; "[] x"; "{\"\000\":\"\255\"}";
       "\"a\\n\\t\\\"b\\/\\\\\\b\\f\\r\""; "\"\\n\\u0041\\n\""; "\"\\n\\q\"";
-      "\"x\\n"; "\"x\\n\\"; "\"\\n\\u00\""; "[\"\\n\",\"\\t\\u00e9\"]";
+      "\"x\\n"; "\"x\\n\\"; "\"\\n\\u00\""; "[\"\\n\",\"\\t\\u00e9\"]"; "\"\\u0_41\"";
+      "\"\\u00_4\"";
+    ]
+
+(* [int_of_string "0x…"] takes underscores: a \u escape must be four hex
+   digits, and anything else fails after them, where it always did. *)
+let unicode_escapes_need_four_hex_digits () =
+  List.iter
+    (fun (text, want) ->
+      Alcotest.(check (result string string)) text want
+        (Result.map
+           (function Json.String s -> s | v -> Json.to_string v)
+           (Json.parse text)))
+    [
+      ({|"\u0041\u00e9"|}, Ok "A\xc3\xa9");
+      ({|"\u00AF"|}, Ok "\xc2\xaf");
+      ({|"\u0_41"|}, Error "byte 7: bad \\u escape");
+      ({|"\u00_4"|}, Error "byte 7: bad \\u escape");
+      ({|"a\u+041"|}, Error "byte 8: bad \\u escape");
+      ({|"\u 041"|}, Error "byte 7: bad \\u escape");
     ]
 
 let non_finite_floats_print_null () =
@@ -282,6 +301,8 @@ let suites =
         parser_matches_reference_on_trees;
         parser_matches_reference_on_frames;
         case "edge cases match the reference" edge_cases_match_reference;
+        case "\\u escapes need exactly four hex digits"
+          unicode_escapes_need_four_hex_digits;
         case "non-finite floats print as null" non_finite_floats_print_null;
         case "concurrent to_string is identical" concurrent_printing_identical;
         case "scratch writer: nested, after a raise, oversized"
