@@ -411,10 +411,6 @@ module Reader = struct
     done;
     !h land max_int
 
-  let string r =
-    span r;
-    span_text r
-
   (* ---------- numbers ---------- *)
 
   let skip_digits r =
@@ -597,7 +593,9 @@ let parse text =
           List (items [])
         end
         else List []
-    | `String -> String (R.string r)
+    | `String ->
+        R.span r;
+        String (R.span_text r)
     | `Number -> if R.number r then Int (R.int_value r) else Float (R.float_value r)
     | `Bool -> Bool (R.bool r)
     | `Null ->

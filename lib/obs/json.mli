@@ -73,7 +73,8 @@ val to_string : ?pretty:bool -> t -> string
     string as a span of the document compared and hashed in place, a
     number into {!int_value} or {!float_value} — or validates and drops
     it with {!skip}.  Reading allocates nothing but what a caller asks to
-    keep: {!span_text}, {!string}, and the float of a non-integer number.
+    keep ({!span_text}, {!spelling}), the float of a non-integer number,
+    and the text {!span_is} unescapes to compare a span with an escape.
 
     Every reading function raises on the first malformed byte; {!read}
     turns that into ["byte N: message"].  Offsets and messages are those
@@ -142,9 +143,6 @@ module Reader : sig
 
   val spelling_hash : t -> int
   (** A non-negative hash of the current span as written.  In place. *)
-
-  val string : t -> string
-  (** {!span}, then {!span_text}. *)
 
   val number : t -> bool
   (** Reads a number: [true] for an integer, whose value is then

@@ -788,6 +788,30 @@ let syntax_error_wins () =
       {|[1,{"op":"ping"},]|};
     ]
 
+(* Integers are what the tree decoder took for Json.Int: a fraction, an
+   exponent or a value beyond int makes a float, whatever it equals. *)
+let integer_fields () =
+  let session text =
+    Api.request_of_line (Printf.sprintf {|{"op":"online-plan","session":%s}|} text)
+  in
+  List.iter
+    (fun text ->
+      match session text with
+      | Error e ->
+          Alcotest.(check string) text "field \"session\" must be an integer" e.Api.message
+      | Ok _ -> Alcotest.failf "session %s decoded" text)
+    [ "4.0"; "1e400"; "4e0"; "9999999999999999999"; "-4611686018427387905" ];
+  List.iter
+    (fun (text, want) ->
+      match session text with
+      | Ok { Api.op = Api.Online_plan { session }; _ } ->
+          Alcotest.(check int) text want session
+      | _ -> Alcotest.failf "session %s did not decode" text)
+    [
+      ("-0", 0); ("007", 7); ("999999999999999999", 999_999_999_999_999_999);
+      ("4611686018427387903", max_int); ("-4611686018427387904", min_int);
+    ]
+
 let rejection_correlation () =
   let rejected line =
     match Api.request_or_rejection line with
@@ -995,6 +1019,7 @@ let suites =
         case "a repeated member: the first occurrence wins" repeated_member_first_wins;
         case "escaped member names" escaped_member_names;
         case "a syntax error wins over an earlier field error" syntax_error_wins;
+        case "integers are the tree decoder's Int, not Float" integer_fields;
         case "rejections correlate only an Int id and a String trace"
           rejection_correlation;
         decoder_matches_reference;
