@@ -355,11 +355,11 @@ type seen = Absent | Present | Wrong
    order, so they are checked once the element is closed. *)
 type element = {
   mutable platform_seen : seen;
-  mutable entry : memo_entry;  (** when [platform_seen = Present] *)
+  mutable entry : memo_entry;  (** meaningful when [platform_seen = Present] *)
   mutable tasks_seen : seen;
-  mutable tasks_value : int;
+  mutable tasks_value : int;  (** meaningful when [tasks_seen = Present] *)
   mutable deadline_seen : seen;
-  mutable deadline_value : int;
+  mutable deadline_value : int;  (** meaningful when [deadline_seen = Present] *)
 }
 
 let is_absent = function Absent -> true | Present | Wrong -> false
@@ -413,27 +413,21 @@ let decode_element memo r e =
       if R.first_member r then begin
         let more = ref true in
         while !more do
-          (if R.span_is r "platform" && is_absent e.platform_seen then
-             e.platform_seen <-
-               (if read_span r then begin
-                  e.entry <- memo_entry memo r;
-                  Present
-                end
-                else Wrong)
-           else if R.span_is r "tasks" && is_absent e.tasks_seen then
-             e.tasks_seen <-
-               (if read_int r then begin
-                  e.tasks_value <- R.int_value r;
-                  Present
-                end
-                else Wrong)
-           else if R.span_is r "deadline" && is_absent e.deadline_seen then
-             e.deadline_seen <-
-               (if read_int r then begin
-                  e.deadline_value <- R.int_value r;
-                  Present
-                end
-                else Wrong)
+          (if R.span_is r "platform" && is_absent e.platform_seen then begin
+             if read_span r then begin
+               e.platform_seen <- Present;
+               e.entry <- memo_entry memo r
+             end
+             else e.platform_seen <- Wrong
+           end
+           else if R.span_is r "tasks" && is_absent e.tasks_seen then begin
+             e.tasks_seen <- (if read_int r then Present else Wrong);
+             e.tasks_value <- R.int_value r
+           end
+           else if R.span_is r "deadline" && is_absent e.deadline_seen then begin
+             e.deadline_seen <- (if read_int r then Present else Wrong);
+             e.deadline_value <- R.int_value r
+           end
            else R.skip r);
           more := R.next_member r
         done
@@ -545,7 +539,7 @@ let opt_int f key =
   else if read_int f.r then Ok (Some (R.int_value f.r))
   else Error (not_int key)
 
-let int_field f key =
+let req_int f key =
   if not (find f key) then Error (missing "integer" key)
   else if read_int f.r then Ok (R.int_value f.r)
   else Error (not_int key)
@@ -555,7 +549,7 @@ let opt_string f key =
   else if read_span f.r then Ok (Some (R.span_text f.r))
   else Error (not_string key)
 
-let string_field f key =
+let req_string f key =
   match opt_string f key with
   | Ok None -> Error (missing "string" key)
   | Ok (Some s) -> Ok s
@@ -568,12 +562,12 @@ let opt_bool f key ~default =
     | `Bool -> Ok (R.bool f.r)
     | _ -> bad "field %S must be a boolean" key
 
-let platform_field f =
-  let* text = string_field f "platform" in
+let req_platform f =
+  let* text = req_string f "platform" in
   platform_of_text text
 
-let problem_field f =
-  let* platform = platform_field f in
+let req_problem f =
+  let* platform = req_platform f in
   let* tasks = opt_int f "tasks" in
   let* deadline = opt_int f "deadline" in
   Ok { Solve.platform; tasks; deadline }
@@ -584,10 +578,10 @@ let decode_op f name =
   | "stats" -> Ok Stats
   | "shutdown" -> Ok Shutdown
   | "schedule" ->
-      let* p = problem_field f in
+      let* p = req_problem f in
       Ok (Schedule p)
   | "deadline" ->
-      let* p = problem_field f in
+      let* p = req_problem f in
       Ok (Deadline p)
   | "metrics" ->
       (* Two ops share the wire name: with a platform this is the solve
@@ -596,7 +590,7 @@ let decode_op f name =
          always requires "platform". *)
       if f.at.(member_index "platform" 0) < 0 then Ok Metrics_dump
       else
-        let* p = problem_field f in
+        let* p = req_problem f in
         Ok (Metrics p)
   | "batch" ->
       let* problems =
@@ -611,11 +605,11 @@ let decode_op f name =
       in
       Ok (Batch problems)
   | "report" ->
-      let* problem = problem_field f in
+      let* problem = req_problem f in
       let* planned = opt_bool f "planned" ~default:false in
       Ok (Report { problem; planned })
   | "check" ->
-      let* problem = problem_field f in
+      let* problem = req_problem f in
       let* trace = opt_bool f "traced" ~default:false in
       let* seed = opt_int f "seed" in
       let* events = opt_int f "events" in
@@ -628,8 +622,8 @@ let decode_op f name =
              events = Option.value events ~default:3;
            })
   | "profile" ->
-      let* platform = platform_field f in
-      let* tasks = int_field f "tasks" in
+      let* platform = req_platform f in
+      let* tasks = req_int f "tasks" in
       let* deadline = opt_int f "deadline" in
       let* workload_name = opt_string f "workload" in
       let workload_name = Option.value workload_name ~default:"execute" in
@@ -651,34 +645,34 @@ let decode_op f name =
              events = Option.value events ~default:4;
            })
   | "online-open" ->
-      let* platform = platform_field f in
-      let* deadline = int_field f "deadline" in
+      let* platform = req_platform f in
+      let* deadline = req_int f "deadline" in
       let* capacity = opt_int f "capacity" in
       Ok
         (Online_open
            { platform; deadline; capacity = Option.value capacity ~default:0 })
   | "online-submit" ->
-      let* session = int_field f "session" in
-      let* tasks = int_field f "tasks" in
+      let* session = req_int f "session" in
+      let* tasks = req_int f "tasks" in
       Ok (Online_submit { session; tasks })
   | "online-advance" ->
-      let* session = int_field f "session" in
-      let* time = int_field f "time" in
+      let* session = req_int f "session" in
+      let* time = req_int f "time" in
       Ok (Online_advance { session; time })
   | "online-extend" ->
-      let* session = int_field f "session" in
-      let* deadline = int_field f "deadline" in
+      let* session = req_int f "session" in
+      let* deadline = req_int f "deadline" in
       Ok (Online_extend { session; deadline })
   | "online-degrade" ->
-      let* session = int_field f "session" in
-      let* at = int_field f "at" in
-      let* work_factor = int_field f "work_factor" in
+      let* session = req_int f "session" in
+      let* at = req_int f "at" in
+      let* work_factor = req_int f "work_factor" in
       Ok (Online_degrade { session; at; work_factor })
   | "online-plan" ->
-      let* session = int_field f "session" in
+      let* session = req_int f "session" in
       Ok (Online_plan { session })
   | "online-close" ->
-      let* session = int_field f "session" in
+      let* session = req_int f "session" in
       Ok (Online_close { session })
   | other -> bad "unknown op %S" other
 
@@ -690,7 +684,7 @@ let decode_request f =
   in
   let* id = opt_int f "id" in
   let* trace = opt_string f "trace" in
-  let* name = string_field f "op" in
+  let* name = req_string f "op" in
   let* op = decode_op f name in
   Ok { id; trace; op }
 
