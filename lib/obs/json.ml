@@ -207,7 +207,8 @@ module Reader = struct
     mutable float_value : float;
   }
 
-  let fail r msg = raise (Error (r.pos, msg))
+  let fail_at at msg = raise (Error (at, msg))
+  let fail r msg = fail_at r.pos msg
 
   (* '\000' past the end: no branch that reads it accepts a NUL byte
      either. *)
@@ -298,27 +299,23 @@ module Reader = struct
         incr i
       done;
       length := !length + (!i - run);
-      r.pos <- !i;
-      if !i >= n then fail r "unterminated string";
+      if !i >= n then fail_at !i "unterminated string";
       let c = String.unsafe_get text !i in
       incr i;
       if c = '"' then closed := true
       else begin
-        r.pos <- !i;
-        if !i >= n then fail r "unterminated escape";
+        if !i >= n then fail_at !i "unterminated escape";
         let e = String.unsafe_get text !i in
         incr i;
-        r.pos <- !i;
         match e with
         | '"' | '\\' | '/' | 'b' | 'f' | 'n' | 'r' | 't' -> incr length
         | 'u' ->
-            if !i + 4 > n then fail r "truncated \\u escape";
+            if !i + 4 > n then fail_at !i "truncated \\u escape";
             let code = hex4 text !i in
             i := !i + 4;
-            r.pos <- !i;
-            if code < 0 then fail r "bad \\u escape";
+            if code < 0 then fail_at !i "bad \\u escape";
             length := !length + utf8_length code
-        | _ -> fail r "unknown escape"
+        | _ -> fail_at !i "unknown escape"
       end
     done;
     r.pos <- !i;
