@@ -25,11 +25,3 @@ let activation_threshold chain ~k ~max_n =
   in
   scan 1
 
-let depth_profile chain ~ns = List.map (fun n -> (n, tasks_per_processor chain n)) ns
-
-let efficiency chain n =
-  if n <= 0 then 0.0
-  else
-    float_of_int n
-    /. (float_of_int (Algorithm.makespan chain n)
-       *. Msts_schedule.Steady_state.chain_throughput chain)

@@ -1,9 +1,9 @@
 (** How optimal schedules use a chain.
 
     The questions a platform owner asks once makespans are optimal: which
-    processors actually receive work, how the load spreads as the batch
-    grows, and how close a finite batch gets to the steady-state rate.
-    Everything here just runs the §3 algorithm and summarises the result. *)
+    processors actually receive work, and how deep the load reaches as the
+    batch grows.  Everything here just runs the §3 algorithm and summarises
+    the result. *)
 
 val tasks_per_processor : Msts_platform.Chain.t -> int -> int array
 (** Index [k-1]: tasks executed on processor [k] in the optimal [n]-task
@@ -17,12 +17,3 @@ val activation_threshold :
 (** Least [n ≤ max_n] whose optimal schedule gives processor [k] work, if
     any.  A deep processor activates once nearer ones saturate; the
     threshold marks the crossover the layered-network example studies. *)
-
-val depth_profile :
-  Msts_platform.Chain.t -> ns:int list -> (int * int array) list
-(** [(n, tasks_per_processor n)] for each requested [n]. *)
-
-val efficiency : Msts_platform.Chain.t -> int -> float
-(** [n / (makespan(n) · ρ)] where ρ is the steady-state throughput: 1.0
-    means the batch already runs at the asymptotic rate, small values mean
-    start-up/wind-down dominate. *)

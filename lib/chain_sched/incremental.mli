@@ -33,7 +33,8 @@ val add_task : t -> bool
     [false] — and places nothing — when the task's first emission would
     fall before time 0, i.e. the horizon is full.  On the fast kernel a
     single O(p) sweep both probes and places; the reference kernel probes
-    with a full candidate scan before committing. *)
+    with a full candidate scan before committing.  Documented in
+    docs/ONLINE.md and docs/TUTORIAL.md. *)
 
 val add_task_from : t -> min_emission:int -> bool
 (** {!add_task} with an explicit floor: refuse (returning [false]) when

@@ -20,11 +20,6 @@ let run chain n =
     result;
   }
 
-let step_for t task =
-  match List.find_opt (fun s -> s.Algorithm.task = task) t.steps with
-  | Some s -> s
-  | None -> raise Not_found
-
 let render t =
   let buf = Buffer.create 512 in
   Printf.bprintf buf

@@ -17,10 +17,6 @@ type t = {
 val run : Msts_platform.Chain.t -> int -> t
 (** Full construction of the [n]-task schedule with recording. *)
 
-val step_for : t -> int -> Algorithm.step
-(** The placement of a given task (paper numbering).
-    @raise Not_found if the task was not placed. *)
-
 val render : t -> string
 (** Multi-line narrative: per task, the candidate vector for each target
     processor, the winner, and the resulting start time. *)

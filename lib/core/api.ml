@@ -1217,8 +1217,6 @@ let exec_check ~solver { Solve.platform; tasks; deadline } ~trace:do_trace ~seed
   in
   let* sections =
     if not do_trace then Ok [ audit "planned trace" (Trace.of_plan plan) ]
-    else if events < 0 then
-      Error (error Invalid_argument_error "--events must be >= 0")
     else
       let* spider = as_spider_or_err platform in
         let n = Plan.task_count plan in
@@ -1248,8 +1246,7 @@ let exec_check ~solver { Solve.platform; tasks; deadline } ~trace:do_trace ~seed
     Ok (Checked { plan; oracle; sections; ok })
 
 let exec_profile ~platform ~tasks:n ~deadline ~workload ~seed ~events =
-  (* No per-scope tables: the reply serializes only the global ones. *)
-  let mem = Obs.Memory.create ~max_scopes:0 () in
+  let mem = Obs.Memory.create () in
   let problem =
     match deadline with
     | Some d -> Solve.problem ~deadline:d platform
@@ -1316,8 +1313,20 @@ let exec_profile ~platform ~tasks:n ~deadline ~workload ~seed ~events =
   let* summary = result in
   Ok (Profiled { summary; mem })
 
+(* The counts of [check] and [profile], checked once whatever the workload
+   or [traced]: a negative task count answers as [schedule] does, a
+   negative event count names its field. *)
+let check_counts = function
+  | Check { problem = { Solve.tasks = Some n; _ }; _ } | Profile { tasks = n; _ }
+    when n < 0 ->
+      Error (error_of_solve_failure "negative task count")
+  | (Check { events; _ } | Profile { events; _ }) when events < 0 ->
+      Error (error Invalid_argument_error "field \"events\" must be >= 0")
+  | _ -> Ok ()
+
 let exec ?(cache_capacity = 0) ~solver op =
   try
+    let* () = check_counts op in
     match op with
     | Ping -> Ok Pong
     | Stats -> Ok (Stats_info (Json.Obj [ ("version", Json.Int version) ]))

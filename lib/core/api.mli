@@ -10,11 +10,11 @@
     through a live [msts serve] socket is byte-identical to the same
     request answered by the CLI, because both are the same code path.
 
-    Codecs are {e total}: {!request_of_line} maps any byte string, and
-    {!decode_response} any JSON value, to either a value or a structured
-    {!error} — a malformed or truncated frame becomes [`bad_request`], an
-    unknown protocol version [`unsupported_version`]; nothing raises.
-    Encoding then decoding is the identity (QCheck-tested in
+    Codecs are {e total}: {!request_of_line} and {!response_of_line} map
+    any byte string to either a value or a structured {!error} — a
+    malformed or truncated frame becomes [`bad_request`], an unknown
+    protocol version [`unsupported_version`]; nothing raises.  Printing a
+    line then reading it back is the identity (QCheck-tested in
     [test/test_api.ml]).
 
     Error classification follows the repo-wide prefix convention: an
@@ -50,8 +50,6 @@ type error_code =
 val error_code_to_string : error_code -> string
 (** Stable wire name ([bad_request], [unsupported_version], ...). *)
 
-val error_code_of_string : string -> error_code option
-
 type error = { code : error_code; message : string }
 
 val error : error_code -> string -> error
@@ -66,9 +64,6 @@ val error_of_solve_failure : string -> error
 (** {2 Operations} *)
 
 type workload = Solve_only | Execute | Pull | Faults
-
-val workload_to_string : workload -> string
-val workload_of_string : string -> workload option
 
 type op =
   | Ping
@@ -140,7 +135,6 @@ type request = { id : int option; trace : string option; op : op }
 
 (** {2 Wire codecs (JSONL framing: one JSON document per line)} *)
 
-val encode_request : request -> Msts_obs.Json.t
 val request_to_line : request -> string
 (** Compact JSON, newline-terminated. *)
 
@@ -172,7 +166,6 @@ type response = {
 }
 
 val encode_response : response -> Msts_obs.Json.t
-val decode_response : Msts_obs.Json.t -> (response, error) result
 val response_to_line : response -> string
 val response_of_line : string -> (response, error) result
 

@@ -77,7 +77,6 @@ module Fork_count = Msts_fork.Moore_hodgson
 module Spider_transform = Msts_spider.Transform
 module Spider_algorithm = Msts_spider.Algorithm
 module Spider_trace = Msts_spider.Trace
-module Spider_analysis = Msts_spider.Analysis
 
 (* Tree extension (the paper's stated future work) *)
 module Tree_flat = Msts_tree.Flat

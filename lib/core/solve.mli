@@ -57,7 +57,8 @@ val solve : problem -> (Msts_schedule.Plan.t, string) result
       the master: [Error]. *)
 
 val solve_exn : problem -> Msts_schedule.Plan.t
-(** {!solve}, raising [Invalid_argument] on [Error]. *)
+(** {!solve}, raising [Invalid_argument] on [Error].  The entry point
+    docs/TUTORIAL.md starts from. *)
 
 val solve_batch :
   ?pool:Msts_pool.Pool.t ->

@@ -73,25 +73,3 @@ let max_tasks fork ~deadline ~budget =
   let nodes = Expansion.expand fork ~count:budget in
   List.length (allocate nodes ~deadline ~budget)
 
-let tasks_per_slave allocations =
-  let tbl = Hashtbl.create 8 in
-  List.iter
-    (fun { node; _ } ->
-      let current = Option.value ~default:0 (Hashtbl.find_opt tbl node.Expansion.slave) in
-      Hashtbl.replace tbl node.Expansion.slave (current + 1))
-    allocations;
-  List.sort compare (Hashtbl.fold (fun slave count acc -> (slave, count) :: acc) tbl [])
-
-let is_feasible_set nodes ~deadline =
-  let sorted =
-    List.sort
-      (fun (a : Expansion.vnode) b -> Int.compare b.work a.work)
-      nodes
-  in
-  let rec check prefix = function
-    | [] -> true
-    | (node : Expansion.vnode) :: rest ->
-        prefix + node.comm + node.work <= deadline
-        && check (prefix + node.comm) rest
-  in
-  check 0 sorted

@@ -28,10 +28,3 @@ val allocate :
 val max_tasks : Msts_platform.Fork.t -> deadline:int -> budget:int -> int
 (** Expand the fork ([budget] ranks per slave) and count the accepted
     nodes. *)
-
-val tasks_per_slave : allocation list -> (int * int) list
-(** [(slave, count)] pairs, slaves in increasing index order. *)
-
-val is_feasible_set : Expansion.vnode list -> deadline:int -> bool
-(** Check the prefix condition for a full set at once (used by tests and by
-    the brute-force oracle). *)

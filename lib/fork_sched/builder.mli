@@ -11,8 +11,3 @@ val schedule :
   Msts_platform.Fork.t -> deadline:int -> budget:int -> Msts_schedule.Spider_schedule.t
 (** Run expansion + allocation and realise the result.  The schedule
     contains [Allocator.max_tasks] tasks. *)
-
-val realise :
-  Msts_platform.Fork.t -> Allocator.allocation list -> Msts_schedule.Spider_schedule.t
-(** Realise a given allocation (emissions as allocated, ASAP execution).
-    @raise Invalid_argument if an allocation references an unknown slave. *)

@@ -71,7 +71,7 @@ val to_string : ?pretty:bool -> t -> string
     {!Writer}.  A caller asks for the next value's kind with {!peek} and
     reads it with the matching call — containers member by member, a
     string as a span of the document compared and hashed in place, a
-    number into {!int_value} or {!float_value} — or validates and drops
+    number through {!number} and {!int_value} — or validates and drops
     it with {!skip}.  Reading allocates nothing but what a caller asks to
     keep ({!span_text}, {!spelling}), the float of a non-integer number,
     and the text {!span_is} unescapes to compare a span with an escape.
@@ -147,10 +147,9 @@ module Reader : sig
   val number : t -> bool
   (** Reads a number: [true] for an integer, whose value is then
       {!int_value}; [false] for a float (a fraction, an exponent, or an
-      integer beyond [int]), then {!float_value}. *)
+      integer beyond [int]), whose value only {!Json.parse} reads. *)
 
   val int_value : t -> int
-  val float_value : t -> float
 
   val bool : t -> bool
   val null : t -> unit

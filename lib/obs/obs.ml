@@ -249,7 +249,6 @@ module Histogram = struct
 
   let count t = t.count
   let sum t = t.sum
-  let min_value t = t.min_v
   let max_value t = t.max_v
   let mean t = if t.count = 0 then 0.0 else float_of_int t.sum /. float_of_int t.count
 
@@ -321,15 +320,6 @@ module Memory = struct
   type span_stat = { calls : int; total_us : int; max_us : int }
 
   let default_max_events = 100_000
-  let default_max_scopes = 256
-
-  (* Per-scope sub-aggregates: counters plus one histogram table covering
-     both recorded values and span durations (keyed by span name — the two
-     namespaces do not collide in practice). *)
-  type scope_agg = {
-    sc_counters : (string, int) Hashtbl.t;
-    sc_hists : (string, Histogram.t) Hashtbl.t;
-  }
 
   type t = {
     log : event Queue.t; (* oldest first, capped at [max_events] *)
@@ -341,14 +331,9 @@ module Memory = struct
     span_hists : (string, Histogram.t) Hashtbl.t; (* span durations, µs *)
     mutable stack : (string * int) list; (* open spans, innermost first *)
     mutable max_depth : int;
-    scoped : (int, scope_agg) Hashtbl.t;
-    scope_order : int Queue.t; (* insertion order, for FIFO eviction *)
-    max_scopes : int;
-    mutable evicted_scopes : int;
   }
 
-  let create ?(max_events = default_max_events) ?(max_scopes = default_max_scopes)
-      () =
+  let create ?(max_events = default_max_events) ?max_scopes:_ () =
     {
       log = Queue.create ();
       max_events = max 0 max_events;
@@ -359,10 +344,6 @@ module Memory = struct
       span_hists = Hashtbl.create 16;
       stack = [];
       max_depth = 0;
-      scoped = Hashtbl.create 16;
-      scope_order = Queue.create ();
-      max_scopes = max 0 max_scopes;
-      evicted_scopes = 0;
     }
 
   let hist_in tbl name =
@@ -372,31 +353,6 @@ module Memory = struct
         let h = Histogram.create () in
         Hashtbl.add tbl name h;
         h
-
-  (* Per-request scopes are unbounded over a daemon's lifetime; the scope
-     table is not.  Oldest scopes are evicted FIFO past [max_scopes] —
-     global aggregates are unaffected, only the per-scope breakdown of
-     evicted scopes is lost. *)
-  let scope_agg_in t scope =
-    if scope = Scope.none || t.max_scopes = 0 then None
-    else
-      match Hashtbl.find_opt t.scoped scope with
-      | Some agg -> Some agg
-      | None ->
-          if Hashtbl.length t.scoped >= t.max_scopes then begin
-            (match Queue.take_opt t.scope_order with
-            | Some oldest ->
-                Hashtbl.remove t.scoped oldest;
-                t.evicted_scopes <- t.evicted_scopes + 1
-            | None -> ());
-            ()
-          end;
-          let agg =
-            { sc_counters = Hashtbl.create 8; sc_hists = Hashtbl.create 8 }
-          in
-          Hashtbl.add t.scoped scope agg;
-          Queue.push scope t.scope_order;
-          Some agg
 
   let record t ev =
     (* The raw log is bounded (oldest events drop out); every aggregate
@@ -411,33 +367,17 @@ module Memory = struct
       end
     end;
     match ev with
-    | Count { name; delta; scope; _ } ->
+    | Count { name; delta; _ } ->
         let current = Option.value ~default:0 (Hashtbl.find_opt t.counters name) in
-        Hashtbl.replace t.counters name (current + delta);
-        Option.iter
-          (fun agg ->
-            let sc =
-              Option.value ~default:0 (Hashtbl.find_opt agg.sc_counters name)
-            in
-            Hashtbl.replace agg.sc_counters name (sc + delta))
-          (scope_agg_in t scope)
-    | Value { name; value; scope; _ } ->
-        Histogram.add (hist_in t.hists name) value;
-        Option.iter
-          (fun agg -> Histogram.add (hist_in agg.sc_hists name) value)
-          (scope_agg_in t scope)
-    | Samples { name; values; counts; scope; _ } ->
-        let absorb h =
-          Array.iteri (fun i v -> Histogram.add_many h v ~n:counts.(i)) values
-        in
-        absorb (hist_in t.hists name);
-        Option.iter
-          (fun agg -> absorb (hist_in agg.sc_hists name))
-          (scope_agg_in t scope)
+        Hashtbl.replace t.counters name (current + delta)
+    | Value { name; value; _ } -> Histogram.add (hist_in t.hists name) value
+    | Samples { name; values; counts; _ } ->
+        let h = hist_in t.hists name in
+        Array.iteri (fun i v -> Histogram.add_many h v ~n:counts.(i)) values
     | Span_begin { name; ts; _ } ->
         t.stack <- (name, ts) :: t.stack;
         t.max_depth <- max t.max_depth (List.length t.stack)
-    | Span_end { name; ts; scope } -> (
+    | Span_end { name; ts; _ } -> (
         (* An end closes the innermost open span of that name; out-of-order
            ends (possible only through hand-fed sinks) are dropped. *)
         match t.stack with
@@ -445,9 +385,6 @@ module Memory = struct
             t.stack <- rest;
             let d = ts - began in
             Histogram.add (hist_in t.span_hists name) d;
-            Option.iter
-              (fun agg -> Histogram.add (hist_in agg.sc_hists name) d)
-              (scope_agg_in t scope);
             let prev =
               Option.value
                 ~default:{ calls = 0; total_us = 0; max_us = 0 }
@@ -475,37 +412,9 @@ module Memory = struct
   let histogram t name = Hashtbl.find_opt t.hists name
   let span_histogram t name = Hashtbl.find_opt t.span_hists name
   let events t = List.of_seq (Queue.to_seq t.log)
-  let stored_events t = Queue.length t.log
   let dropped_events t = t.dropped
   let max_events t = t.max_events
   let max_depth t = t.max_depth
-  let open_spans t = List.rev_map fst t.stack
-
-  let scopes t =
-    List.sort compare (Hashtbl.fold (fun k _ acc -> k :: acc) t.scoped [])
-
-  let scope_counters t scope =
-    match Hashtbl.find_opt t.scoped scope with
-    | None -> []
-    | Some agg -> sorted_bindings agg.sc_counters
-
-  let scope_counter t scope name =
-    match Hashtbl.find_opt t.scoped scope with
-    | None -> 0
-    | Some agg -> Option.value ~default:0 (Hashtbl.find_opt agg.sc_counters name)
-
-  let scope_histograms t scope =
-    match Hashtbl.find_opt t.scoped scope with
-    | None -> []
-    | Some agg -> sorted_bindings agg.sc_hists
-
-  let scope_histogram t scope name =
-    match Hashtbl.find_opt t.scoped scope with
-    | None -> None
-    | Some agg -> Hashtbl.find_opt agg.sc_hists name
-
-  let max_scopes t = t.max_scopes
-  let evicted_scopes t = t.evicted_scopes
 
   let counter_rows t =
     List.map (fun (name, total) -> [ name; string_of_int total ]) (counters t)
@@ -670,18 +579,16 @@ module Streaming = struct
     flush_every : int;
     mutable buffered : int;
     mutable high_water : int;
-    mutable written : int;
   }
 
   let create ?(flush_every = 4096) oc =
     if flush_every < 1 then invalid_arg "Obs.Streaming.create: flush_every must be >= 1";
-    { oc; buf = Buffer.create 4096; flush_every; buffered = 0; high_water = 0; written = 0 }
+    { oc; buf = Buffer.create 4096; flush_every; buffered = 0; high_water = 0 }
 
   let flush t =
     if t.buffered > 0 then begin
       Buffer.output_buffer t.oc t.buf;
       Buffer.clear t.buf;
-      t.written <- t.written + t.buffered;
       t.buffered <- 0
     end;
     Out_channel.flush t.oc
@@ -694,8 +601,6 @@ module Streaming = struct
     if t.buffered >= t.flush_every then flush t
 
   let sink t = record t
-  let events_seen t = t.written + t.buffered
-  let events_written t = t.written
   let max_buffered t = t.high_water
 end
 

@@ -115,7 +115,9 @@ end
 
 val set_clock : (unit -> int) option -> unit
 (** Override the microsecond clock ([None] restores the wall clock).
-    Whatever the source, emitted timestamps never decrease. *)
+    Whatever the source, emitted timestamps never decrease.  A library
+    entry point documented in docs/OBSERVABILITY.md ("Programmatic
+    use"). *)
 
 val now_us : unit -> int
 (** Current (monotonised) timestamp in microseconds. *)
@@ -142,12 +144,6 @@ val samples : string -> values:int array -> counts:int array -> unit
     ends in the same histogram state as after the equivalent {!record}s.
     Free when no sink is installed. *)
 
-val event_to_json : event -> Json.t
-(** One event as a compact JSON object ([{"ev": "B"|"E"|"C"|"V"|"S",
-    "name", "ts", ...}]; a {!Samples} event carries ["values"] and
-    ["counts"] lists) — the line format of the {!Streaming} sink and
-    {!Ring.to_jsonl}. *)
-
 (** {2 Histograms} *)
 
 (** Log-bucketed (HDR-style) histogram of non-negative integers: constant
@@ -165,16 +161,11 @@ module Histogram : sig
 
   val add_many : t -> int -> n:int -> unit
   (** Absorb [n] copies of one sample: the same state as [n] calls of
-      {!add} (nothing when [n <= 0]). *)
+      {!add} (nothing when [n <= 0]).  Documented in
+      docs/OBSERVABILITY.md. *)
 
   val count : t -> int
   val sum : t -> int
-  val min_value : t -> int
-  (** 0 when empty. *)
-
-  val max_value : t -> int
-  (** Exact largest sample (0 when empty). *)
-
   val mean : t -> float
 
   val quantile : t -> float -> int
@@ -182,7 +173,8 @@ module Histogram : sig
 
   val merge_into : into:t -> t -> unit
   (** Add every bucket of the second histogram into [into] — how
-      per-domain histograms combine on a coordinator. *)
+      per-domain histograms combine on a coordinator.  Documented in
+      docs/OBSERVABILITY.md. *)
 
   val buckets : t -> (int * int) list
   (** Non-empty buckets as [(inclusive upper bound, count)] pairs in
@@ -202,18 +194,13 @@ end
 module Memory : sig
   type t
 
-  val default_max_events : int
-  (** 100_000 — the default raw-log cap. *)
-
-  val default_max_scopes : int
-  (** 256 — the default cap on distinct scopes with live sub-aggregates. *)
-
   val create : ?max_events:int -> ?max_scopes:int -> unit -> t
-  (** [max_events] caps the stored raw events (oldest dropped first);
-      counter totals, span statistics and histograms stay exact past the
-      cap.  [max_scopes] caps the per-scope sub-aggregate table (oldest
-      scopes evicted FIFO; 0 disables per-scope aggregation) — global
-      aggregates are never affected. *)
+  (** [max_events] (default 100_000) caps the stored raw events (oldest
+      dropped first); counter totals, span statistics and histograms stay
+      exact past the cap.  Events keep their scope ids, but the sink
+      aggregates them globally only: its cost does not depend on how many
+      scopes it sees.  [max_scopes] is ignored; it remains only because
+      perfbench passes it, and goes at the next change to perfbench. *)
 
   val sink : t -> sink
 
@@ -238,51 +225,18 @@ module Memory : sig
   val histogram : t -> string -> Histogram.t option
   (** One recorded-value histogram. *)
 
-  val span_histogram : t -> string -> Histogram.t option
-  (** Duration histogram (µs) of one span's completed calls. *)
-
   val events : t -> event list
   (** The bounded raw log, in emission order (newest
       [min stored (max_events)] events). *)
 
-  val stored_events : t -> int
   val dropped_events : t -> int
-  (** Events evicted from the raw log by the cap (aggregates unaffected). *)
+  (** Events evicted from the raw log by the cap (aggregates unaffected).
+      Documented in docs/OBSERVABILITY.md. *)
 
   val max_events : t -> int
 
   val max_depth : t -> int
   (** Deepest span nesting observed. *)
-
-  val open_spans : t -> string list
-  (** Names of begun-but-unfinished spans, outermost first (empty after a
-      balanced run). *)
-
-  (** {3 Per-scope aggregates}
-
-      Events carrying a non-{!Scope.none} scope are additionally
-      aggregated per scope (counters; histograms of both recorded values
-      and span durations, keyed by name).  The table is bounded by
-      [max_scopes] with FIFO eviction. *)
-
-  val scopes : t -> int list
-  (** Scope ids with live sub-aggregates, ascending. *)
-
-  val scope_counters : t -> int -> (string * int) list
-  (** One scope's counter totals, sorted by name ([[]] for unknown or
-      evicted scopes). *)
-
-  val scope_counter : t -> int -> string -> int
-
-  val scope_histograms : t -> int -> (string * Histogram.t) list
-  (** One scope's histograms (recorded values and span durations), sorted
-      by name. *)
-
-  val scope_histogram : t -> int -> string -> Histogram.t option
-  val max_scopes : t -> int
-
-  val evicted_scopes : t -> int
-  (** Scopes whose sub-aggregates were dropped by the [max_scopes] cap. *)
 
   val counter_rows : t -> string list list
   (** Counter totals as [[name; total]] rows for the shared table
@@ -311,8 +265,10 @@ module Memory : sig
       overflowed its cap the metadata carries ["dropped_events"]. *)
 end
 
-(** Constant-memory streaming sink: events are serialised to one JSON line
-    each (see {!event_to_json}) into a bounded buffer that is flushed to
+(** Constant-memory streaming sink: events are serialised to one compact
+    JSON object per line ([{"ev": "B"|"E"|"C"|"V"|"S", "name", "ts", ...}];
+    a {!Samples} event carries ["values"] and ["counts"] lists, a scoped
+    event its scope as ["sc"]) into a bounded buffer that is flushed to
     the output channel every [flush_every] events — a week-long [Netsim]
     run traces in O(flush_every) memory.  The caller owns the channel;
     call {!flush} before closing it. *)
@@ -327,12 +283,6 @@ module Streaming : sig
 
   val flush : t -> unit
   (** Drain the buffer to the channel and flush the channel. *)
-
-  val events_seen : t -> int
-  (** Total events accepted (written + still buffered). *)
-
-  val events_written : t -> int
-  (** Events already drained to the channel. *)
 
   val max_buffered : t -> int
   (** High-water mark of the internal buffer — the memory bound; never

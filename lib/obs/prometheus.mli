@@ -10,9 +10,6 @@
     and [# TYPE] lines; families are sorted by name so successive scrapes
     diff cleanly. *)
 
-val mangle : string -> string
-(** [mangle "serve.queue_wait_us"] is ["msts_serve_queue_wait_us"]. *)
-
 val render :
   ?counters:(string * int) list ->
   ?gauges:(string * int) list ->
@@ -26,4 +23,5 @@ val render :
 
 val of_memory : ?gauges:(string * int) list -> Obs.Memory.t -> string
 (** Convenience: render a {!Obs.Memory} sink's counter totals and
-    recorded-value histograms, plus caller-supplied gauges. *)
+    recorded-value histograms, plus caller-supplied gauges.  Documented in
+    docs/OBSERVABILITY.md. *)

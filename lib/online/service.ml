@@ -26,11 +26,6 @@ let create ?(max_sessions = 64) () =
 let handles = Api.is_online
 let sessions t = Hashtbl.length t.sessions
 
-let close_all t =
-  let n = Hashtbl.length t.sessions in
-  Hashtbl.reset t.sessions;
-  n
-
 (* ---------- payload assembly ---------- *)
 
 let json_of_delta =

@@ -30,6 +30,3 @@ val exec : t -> Msts.Api.op -> (Msts.Json.t, Msts.Api.error) result
 (** Apply one online operation.  Deltas ride in the reply payload's
     ["deltas"] list, in emission order (docs/ONLINE.md).  Non-online ops
     return a [bad_request] error. *)
-
-val close_all : t -> int
-(** Drop every session (drain epilogue); returns how many were open. *)

@@ -77,5 +77,3 @@ let master_only_makespan t n =
   if n = 0 then 0
   else t.c.(0) + ((n - 1) * max t.w.(0) t.c.(0)) + t.w.(0)
 
-let total_work_rate t =
-  Array.fold_left (fun acc w -> acc +. (1.0 /. float_of_int w)) 0.0 t.w

@@ -64,7 +64,3 @@ val master_only_makespan : t -> int -> int
 (** [master_only_makespan t n] is the horizon T∞ of §3: the makespan of the
     naive schedule placing all [n] tasks on processor 1,
     [c_1 + (n-1)·max(w_1,c_1) + w_1]. Returns 0 for [n = 0]. *)
-
-val total_work_rate : t -> float
-(** Aggregate processing rate [Σ 1/w_k] in tasks per time unit — a crude
-    capacity measure used by generators and experiment summaries. *)

@@ -163,24 +163,6 @@ let of_string text =
       | "tree" -> parse_tree lineno rest
       | other -> Error (Printf.sprintf "line %d: unknown platform kind %S" lineno other))
 
-let chain_of_string text =
-  match of_string text with
-  | Ok (Chain_platform chain) -> Ok chain
-  | Ok (Fork_platform _ | Spider_platform _ | Tree_platform _) ->
-      Error "expected a chain platform"
-  | Error e -> Error e
-
-let spider_of_string text =
-  match of_string text with
-  | Ok (Spider_platform spider) -> Ok spider
-  | Ok (Chain_platform chain) -> Ok (Spider.of_chain chain)
-  | Ok (Fork_platform fork) -> Ok (Spider.of_fork fork)
-  | Ok (Tree_platform tree) -> (
-      match Tree.to_spider tree with
-      | Some spider -> Ok spider
-      | None -> Error "tree platform branches below the master")
-  | Error e -> Error e
-
 let load path =
   match In_channel.with_open_text path In_channel.input_all with
   | text -> of_string text

@@ -29,13 +29,6 @@ val platform_to_string : platform -> string
 val of_string : string -> (platform, string) result
 (** Parse; the error mentions the offending line number. *)
 
-val chain_of_string : string -> (Chain.t, string) result
-(** Like {!of_string} but insists on a chain. *)
-
-val spider_of_string : string -> (Spider.t, string) result
-(** Accepts a spider, or a chain/fork promoted to a one-leg/shallow
-    spider; a tree is accepted only when only its root branches. *)
-
 val load : string -> (platform, string) result
 (** Read a platform from a file path. *)
 

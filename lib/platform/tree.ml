@@ -34,8 +34,6 @@ let rec node_is_path n =
   | [ child ] -> node_is_path child
   | _ :: _ :: _ -> false
 
-let is_chain t = match t.roots_ with [ n ] -> node_is_path n | _ -> false
-
 let is_spider t = List.for_all node_is_path t.roots_
 
 let path_to_chain n =

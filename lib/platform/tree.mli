@@ -31,16 +31,9 @@ val depth : t -> int
 (** Longest root-to-leaf path length (0 for the master alone is
     impossible — trees are non-empty). *)
 
-val is_chain : t -> bool
-(** True when every node has at most one child and the master has exactly
-    one. *)
-
-val is_spider : t -> bool
-(** True when only the master branches (every non-root node has at most one
-    child). *)
-
 val to_spider : t -> Spider.t option
-(** Exact conversion when {!is_spider} holds. *)
+(** Exact conversion when only the master branches (every non-root node
+    has at most one child); [None] otherwise. *)
 
 val of_spider : Spider.t -> t
 (** The tree whose master children are the legs' first processors, each

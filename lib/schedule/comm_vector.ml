@@ -14,10 +14,6 @@ let compare a b =
 
 let precedes a b = compare a b < 0
 
-let max_of = function
-  | [] -> invalid_arg "Comm_vector.max_of: empty list"
-  | v :: vs -> List.fold_left (fun acc u -> if precedes acc u then u else acc) v vs
-
 let shift d v = Array.map (fun x -> x - d) v
 
 let target v = Array.length v
@@ -25,13 +21,6 @@ let target v = Array.length v
 let first_emission v =
   if Array.length v = 0 then invalid_arg "Comm_vector.first_emission: empty vector";
   v.(0)
-
-let is_prefix a b =
-  let la = Array.length a in
-  la <= Array.length b
-  &&
-  let rec loop j = j >= la || (a.(j) = b.(j) && loop (j + 1)) in
-  loop 0
 
 let pp ppf v =
   Format.fprintf ppf "{%a}"

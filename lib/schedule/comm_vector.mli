@@ -21,9 +21,6 @@ val compare : t -> t -> int
 val precedes : t -> t -> bool
 (** [precedes a b] iff [a ≺ b] strictly. *)
 
-val max_of : t list -> t
-(** Greatest vector of a non-empty list. @raise Invalid_argument on []. *)
-
 val shift : int -> t -> t
 (** [shift d v] subtracts [d] from every coordinate (the paper's final
     normalisation step applies [shift (C¹_1)]). *)
@@ -33,10 +30,6 @@ val target : t -> int
 
 val first_emission : t -> int
 (** [C_1], the emission time on the master's port. *)
-
-val is_prefix : t -> t -> bool
-(** [is_prefix a b] iff [a] equals the first [length a] coordinates of
-    [b]. *)
 
 val pp : Format.formatter -> t -> unit
 

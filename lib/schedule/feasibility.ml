@@ -81,13 +81,5 @@ let check ?(require_nonnegative = false) t =
 
 let is_feasible ?require_nonnegative t = check ?require_nonnegative t = []
 
-let check_exn ?require_nonnegative t =
-  match check ?require_nonnegative t with
-  | [] -> ()
-  | violations ->
-      failwith
-        ("infeasible schedule: "
-        ^ String.concat "; " (List.map violation_to_string violations))
-
 let meets_deadline t ~deadline =
   is_feasible ~require_nonnegative:true t && Schedule.makespan t <= deadline

@@ -26,8 +26,6 @@ type violation =
   | Negative_date of { task : int }
       (** emission or start before time 0 (only with [~require_start_at_zero]) *)
 
-val pp_violation : Format.formatter -> violation -> unit
-
 val violation_to_string : violation -> string
 
 val check : ?require_nonnegative:bool -> Schedule.t -> violation list
@@ -35,9 +33,6 @@ val check : ?require_nonnegative:bool -> Schedule.t -> violation list
     (default [false]) additionally enforces dates ≥ 0. *)
 
 val is_feasible : ?require_nonnegative:bool -> Schedule.t -> bool
-
-val check_exn : ?require_nonnegative:bool -> Schedule.t -> unit
-(** @raise Failure with a readable report when the schedule is infeasible. *)
 
 val meets_deadline : Schedule.t -> deadline:int -> bool
 (** Feasible (with non-negative dates) and completing by [deadline]. *)

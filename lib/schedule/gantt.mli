@@ -7,9 +7,6 @@
     [width] columns the chart is scaled down; slots that collide under
     scaling keep the earlier task's symbol. *)
 
-val task_symbol : int -> char
-(** Symbol used for a task index (1-based). *)
-
 val render : ?width:int -> Schedule.t -> string
 (** Chart of a chain schedule.  [width] (default 100) caps the number of
     time columns. *)

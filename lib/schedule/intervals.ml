@@ -13,8 +13,6 @@ let overlap_witness ivs =
   in
   scan (sorted ivs)
 
-let are_disjoint ivs = overlap_witness ivs = None
-
 let utilisation ivs ~horizon =
   if horizon <= 0 then 0.0
   else begin

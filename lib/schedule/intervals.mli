@@ -11,8 +11,6 @@ val overlap_witness : 'tag interval list -> ('tag interval * 'tag interval) opti
 (** First overlapping pair in start order, if any; [None] means pairwise
     disjoint.  Zero-duration intervals never overlap anything. *)
 
-val are_disjoint : 'tag interval list -> bool
-
 val utilisation : 'tag interval list -> horizon:int -> float
 (** Fraction of [\[0, horizon)] covered by the intervals (they are assumed
     disjoint); used by the experiment harness to report link/processor

@@ -2,10 +2,9 @@ module Chain = Msts_platform.Chain
 
 type task_timing = {
   task : int;
-  arrival : int;
+  arrival : int;  (* end of the last transfer: C_P + c_P *)
   start : int;
-  waiting : int;
-  completion : int;
+  waiting : int;  (* start - arrival, >= 0 in a feasible schedule *)
 }
 
 let task_timings t =
@@ -14,13 +13,7 @@ let task_timings t =
     (fun task ->
       let e = Schedule.entry t task in
       let arrival = e.Schedule.comms.(e.proc - 1) + Chain.latency chain e.proc in
-      {
-        task;
-        arrival;
-        start = e.start;
-        waiting = e.start - arrival;
-        completion = e.start + Chain.work chain e.proc;
-      })
+      { task; arrival; start = e.start; waiting = e.start - arrival })
     (Msts_util.Intx.range 1 (Schedule.task_count t))
 
 let total_waiting t =

@@ -6,19 +6,10 @@
     resource utilisation.  Used by the experiment harness and the
     examples; none of this feeds back into the algorithms. *)
 
-type task_timing = {
-  task : int;
-  arrival : int;  (** end of the last transfer: [C_{P} + c_{P}] *)
-  start : int;  (** T(i) *)
-  waiting : int;  (** start − arrival (≥ 0 in a feasible schedule) *)
-  completion : int;  (** start + w *)
-}
-
-val task_timings : Schedule.t -> task_timing list
-(** Timing of every task, in task order. *)
-
 val total_waiting : Schedule.t -> int
-(** Sum of waiting times — how much buffering the schedule relies on. *)
+(** Sum of waiting times — a task waits from the end of its last transfer,
+    [C_{P} + c_{P}], to its start [T(i)] — how much buffering the schedule
+    relies on. *)
 
 val max_waiting : Schedule.t -> int
 (** Largest single wait (0 for an empty schedule). *)

@@ -61,8 +61,6 @@ let tasks_on t k =
   in
   List.map snd (List.sort compare with_start)
 
-let load_of t k = Chain.work t.chain k * List.length (tasks_on t k)
-
 let link_intervals t k =
   let c = Chain.latency t.chain k in
   List.filter_map
@@ -82,13 +80,6 @@ let proc_intervals t k =
         Some { Intervals.start = e.start; duration = w; tag = idx + 1 }
       else None)
     (List.init (task_count t) Fun.id)
-
-let emission_order t =
-  let keyed =
-    List.init (task_count t) (fun idx ->
-        (Comm_vector.first_emission t.entries.(idx).comms, idx + 1))
-  in
-  List.map snd (List.sort compare keyed)
 
 let restrict_beyond_first t =
   let sub_chain = Chain.drop_first t.chain in

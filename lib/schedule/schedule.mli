@@ -34,9 +34,6 @@ val entries : t -> entry array
 val makespan : t -> int
 (** Definition 2: [max_i (T(i) + w_{P(i)})].  0 for an empty schedule. *)
 
-val start_time : t -> int
-(** Smallest first-link emission time (0 after the paper's final shift). *)
-
 val shift : int -> t -> t
 (** Subtract a constant from every date. *)
 
@@ -46,18 +43,11 @@ val normalise : t -> t
 val tasks_on : t -> int -> int list
 (** Tasks executed on a given processor, in start-time order. *)
 
-val load_of : t -> int -> int
-(** Total busy time of a processor. *)
-
 val link_intervals : t -> int -> int Intervals.interval list
 (** Busy intervals of link [k] (tagged by task index). *)
 
 val proc_intervals : t -> int -> int Intervals.interval list
 (** Busy intervals of processor [k] (tagged by task index). *)
-
-val emission_order : t -> int list
-(** Tasks sorted by first-link emission time (the paper's canonical task
-    numbering). *)
 
 val restrict_beyond_first : t -> t
 (** Sub-schedule of the tasks with [P(i) ≥ 2], re-indexed and expressed on

@@ -26,32 +26,19 @@ let share_port children =
     order;
   (!total, shares)
 
-(* The rate of the subtree hanging from [v], numbering nodes in preorder
-   from [!next] and handing each node's rate to [note]. *)
-let rec node_rate note next (v : Tree.node) =
-  let id = !next in
-  incr next;
-  let port, _ = share_port (children_rates note next v.Tree.children) in
-  let rate =
-    min
-      (1.0 /. float_of_int v.Tree.latency)
-      ((1.0 /. float_of_int v.Tree.work) +. port)
-  in
-  note id rate;
-  rate
+(* The rate of the subtree hanging from [v]. *)
+let rec node_rate (v : Tree.node) =
+  let port, _ = share_port (children_rates v.Tree.children) in
+  min
+    (1.0 /. float_of_int v.Tree.latency)
+    ((1.0 /. float_of_int v.Tree.work) +. port)
 
-and children_rates note next children =
-  List.map (fun (c : Tree.node) -> (c.Tree.latency, node_rate note next c)) children
+and children_rates children =
+  List.map (fun (c : Tree.node) -> (c.Tree.latency, node_rate c)) children
 
-let master_port ?(note = fun _ _ -> ()) tree =
-  share_port (children_rates note (ref 1) (Tree.roots tree))
+let master_port tree = share_port (children_rates (Tree.roots tree))
 
 let tree_throughput tree = fst (master_port tree)
-
-let subtree_rates tree =
-  let rates = Array.make (Tree.processor_count tree) 0.0 in
-  ignore (master_port ~note:(fun id rate -> rates.(id - 1) <- rate) tree);
-  List.mapi (fun i rate -> (i + 1, rate)) (Array.to_list rates)
 
 let spider_throughput spider = tree_throughput (Tree.of_spider spider)
 let spider_leg_rates spider = snd (master_port (Tree.of_spider spider))

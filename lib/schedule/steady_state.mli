@@ -29,11 +29,6 @@
 val tree_throughput : Msts_platform.Tree.t -> float
 (** ρ: tasks per time unit the tree absorbs in steady state. *)
 
-val subtree_rates : Msts_platform.Tree.t -> (int * float) list
-(** [(node id, rate of the subtree hanging from it)] for every node, ids
-    numbered 1.. in preorder as in [Msts_tree.Flat] — where the tree
-    saturates. *)
-
 val chain_throughput : Msts_platform.Chain.t -> float
 (** Tasks per time unit a chain absorbs in steady state. *)
 

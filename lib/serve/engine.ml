@@ -208,7 +208,7 @@ let create cfg =
     served = 0;
     rejected = 0;
     timeouts = 0;
-    metrics = Obs.Memory.create ~max_events:0 ~max_scopes:0 ();
+    metrics = Obs.Memory.create ~max_events:0 ();
     req_queue_wait = Obs.Histogram.create ();
     req_solve = Obs.Histogram.create ();
     req_encode = Obs.Histogram.create ();
@@ -222,7 +222,6 @@ let inflight t = t.inflight_count
 let stopping t = t.stopping
 let served t = t.served
 let rejected t = t.rejected
-let online_sessions t = Msts_online.Service.sessions t.online
 let stop t = t.stopping <- true
 let metrics_sink t = Obs.Memory.sink t.metrics
 let slow_requests t = t.slow
@@ -274,8 +273,6 @@ let close_conn t c =
   t.queued_units <- t.queued_units - purged;
   if purged > 0 then Obs.count ~n:purged "serve.purged";
   maybe_forget t c
-
-let conn_id c = c.cid
 
 (* ---------- bookkeeping helpers ---------- *)
 

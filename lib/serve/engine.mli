@@ -54,7 +54,7 @@
     domain, which for a batch includes assembling and writing its
     reply) — both through {!Msts.Obs.record}
     (scoped, sink-visible) and into engine-side histograms that feed
-    {!stats_json} and {!exposition} even with no sink installed.  The
+    the [stats] reply and {!exposition} even with no sink installed.  The
     slowest requests are kept in a bounded top-K log
     ({!slow_requests}). *)
 
@@ -119,9 +119,6 @@ val close_conn : t -> conn -> unit
     includes its requests; units already in flight finish, and the
     record is forgotten once they are collected.  A batch with shards
     already in flight is never assembled. *)
-
-val conn_id : conn -> int
-(** Stable id, as reported in {!stats_json}'s ["connections"]. *)
 
 val submit :
   t -> ?conn:conn -> reply:(string -> unit) -> Msts.Api.request -> unit
@@ -191,19 +188,6 @@ val served : t -> int
 
 val rejected : t -> int
 (** Total admission rejections (overload + shutting-down + timeouts). *)
-
-val online_sessions : t -> int
-(** Currently open online (anytime-scheduling) sessions. *)
-
-val stats_json : t -> Msts.Json.t
-(** The [Stats] reply payload: version, pool size, cache
-    capacity/occupancy, queue length, in-flight unit count,
-    served/rejected totals, the stopping flag, the per-request latency
-    breakdown (["request"]: one {!Msts.Obs.Histogram.to_json} blob each
-    for queue-wait, solve and encode), the per-connection scheduler state
-    (["connections"]: id, queue depth, deficit, in-flight units,
-    admitted/delivered totals and the connection's queue-wait histogram)
-    and the slow-request log (["slow_requests"], slowest first). *)
 
 type slow_entry = {
   trace_label : string;  (** client trace context, or engine-assigned "r<n>" *)

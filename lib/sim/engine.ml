@@ -39,10 +39,6 @@ let schedule_at t time action = push t "schedule_at" time (claim t) action
 let schedule_claimed t time ~claim action =
   push t "schedule_claimed" time claim action
 
-let schedule_after t delay action =
-  if delay < 0 then invalid_arg "Engine.schedule_after: negative delay";
-  schedule_at t (t.clock + delay) action
-
 let step t =
   match Msts_util.Heap.pop t.queue with
   | None -> false
@@ -86,4 +82,3 @@ let run ?max_events t =
       t.gaps <- None)
     (fun () -> drain ?max_events t)
 
-let events_processed t = t.processed

@@ -28,9 +28,6 @@ val schedule_claimed : t -> int -> claim:int -> (unit -> unit) -> unit
 (** {!schedule_at} with a rank from {!claim}.  @raise Invalid_argument if
     the time is before {!now}. *)
 
-val schedule_after : t -> int -> (unit -> unit) -> unit
-(** Relative variant. @raise Invalid_argument on a negative delay. *)
-
 val run : ?max_events:int -> t -> unit
 (** Execute events until the queue is empty.  [max_events] (default: no
     bound) is a progress guard for adversarial workloads — fuzzing, fault
@@ -49,6 +46,3 @@ val step : t -> bool
 (** Execute the single next event; [false] when the queue was empty.
     Inside {!run} it tallies the event's gap; called on its own it
     records nothing (both engine metrics belong to {!run}). *)
-
-val events_processed : t -> int
-(** Total callbacks executed (cheap sanity metric for tests). *)

@@ -40,8 +40,6 @@ val validate : Msts_platform.Spider.t -> trace -> string list
 
 val event_to_string : event -> string
 
-val timed_to_string : timed -> string
-
 val to_string : trace -> string
 (** One event per line, the same format {!parse} reads. *)
 

@@ -694,18 +694,6 @@ let run_plan ?max_events ?buffer ?(release = fun _ -> 0) ?(trace = [])
 
 (* ---------- entry points ---------- *)
 
-let run_sequence_spider spider seq =
-  (run ~fn:"Msts.Netsim.run_sequence_spider" spider
-     (Plan { dests = seq; release = (fun _ -> 0) })
-     [] keep)
-    .observed
-
-let run_sequence_chain chain seq =
-  Spider_schedule.leg_schedule
-    (run_sequence_spider (Spider.of_chain chain)
-       (Array.map (fun depth -> { Spider.leg = 1; depth }) seq))
-    1
-
 let report_of plan (r : fault_report) =
   let realized = r.observed in
   let done_ = Spider_schedule.entries realized in

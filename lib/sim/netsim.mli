@@ -6,16 +6,16 @@
     rule is enforced by construction.  A single executor runs every entry
     point below; each only chooses what the master emits and when:
 
-    - {!run_sequence_spider} / {!run_sequence_chain}: eager execution of a
-      destination sequence.  Must coincide exactly with the analytic ASAP
-      timing of {!Msts_baseline.Asap} — the test suite uses this as a
-      cross-validation of both.
     - {!execute}: release each task at the {e planned} emission time of
       a schedule and let the rest flow eagerly.  For a feasible plan the
       realised completion of every task is never later than planned — this
       validates schedules by actually executing them.
     - {!replay_routing}: a plan's routing and emission order under finite
-      buffers or on a degraded platform, dates recomputed eagerly.
+      buffers or on a degraded platform, dates recomputed eagerly.  Its
+      realised schedule is the eager execution of the plan's destination
+      sequence, which must coincide exactly with the analytic ASAP timing
+      of {!Msts_baseline.Asap} — the test suite uses this as a
+      cross-validation of both.
     - {!pull_policy}: an online, demand-driven master (the SETI@home-style
       baseline): idle processors request work, the master serves requests
       first-come-first-served.  No global knowledge, no optimality.
@@ -29,13 +29,6 @@
     {!Msts_trace.Trace.with_recorder} and each grant, completion, abort and
     task return becomes a typed trace event, ready for the segment-algebra
     invariant checker.  Without a recorder the hooks are no-ops. *)
-
-val run_sequence_spider :
-  Msts_platform.Spider.t -> Msts_platform.Spider.address array ->
-  Msts_schedule.Spider_schedule.t
-
-val run_sequence_chain :
-  Msts_platform.Chain.t -> int array -> Msts_schedule.Schedule.t
 
 type execution_report = {
   realized : Msts_schedule.Spider_schedule.t;

@@ -104,7 +104,6 @@ module Recorder = struct
   type t = { mutable rev : event list; mutable next_seq : int }
 
   let create () = { rev = []; next_seq = 0 }
-  let event_count t = t.next_seq
 end
 
 let the_recorder : Recorder.t option Domain.DLS.key =

@@ -39,10 +39,6 @@ type resource =
   | Link of { leg : int; hop : int }  (** link into node [hop], [hop >= 2] *)
   | Cpu of { leg : int; depth : int }
 
-val resource_of_op : op -> resource
-(** Hop-1 transfers map to {!Port}: the master's port {e is} the first link
-    of every leg, so its exclusivity subsumes theirs. *)
-
 type kind =
   | Start of op
   | Finish of op
@@ -51,10 +47,8 @@ type kind =
 
 type event = { time : int; seq : int; task : int; kind : kind }
 (** [seq] breaks ties between same-instant events; recorders assign it in
-    emission order, {!of_events} preserves it. *)
+    emission order. *)
 
-val op_to_string : op -> string
-val resource_to_string : resource -> string
 val event_to_string : event -> string
 
 (** {1 Segments} *)
@@ -64,12 +58,8 @@ type t
     finishes-before-starts (busy intervals are half-open, so an operation
     ending at [t] precedes one starting at [t]), then [seq]. *)
 
-val of_events : event list -> t
 val events : t -> event list
 val length : t -> int
-
-val time_span : t -> (int * int) option
-(** First and last event times; [None] on the empty segment. *)
 
 val empty : t
 
@@ -102,7 +92,6 @@ module Recorder : sig
   type t
 
   val create : unit -> t
-  val event_count : t -> int
 end
 
 val with_recorder : Recorder.t -> (unit -> 'a) -> 'a
@@ -180,7 +169,7 @@ val check : ?require_nonnegative:bool -> t -> violation list
 
 val check_segment : t -> violation list
 (** {!Check.segment} from {!Check.unknown} — audit a segment in
-    isolation. *)
+    isolation.  Documented in docs/VERIFICATION.md. *)
 
 val localize : t -> violation -> t
 (** The minimal sub-segment exhibiting a violation: project onto the

@@ -37,10 +37,6 @@ val makespan : t -> int
 val tasks_on : t -> int -> int list
 (** Tasks executed on a node, in start order. *)
 
-val out_port_intervals : t -> int -> int Msts_schedule.Intervals.interval list
-(** Busy intervals of a node's outgoing port (0 = the master), tagged by
-    task. *)
-
 val check : ?require_nonnegative:bool -> t -> string list
 (** Definition 1 generalised to trees; empty list = feasible. *)
 

@@ -62,18 +62,6 @@ let pop t =
     Some top
   end
 
-let pop_exn t =
-  match pop t with
-  | Some x -> x
-  | None -> invalid_arg "Heap.pop_exn: empty heap"
-
-let of_array ~cmp a =
-  let t = { cmp; data = Array.copy a; size = Array.length a } in
-  for i = (t.size / 2) - 1 downto 0 do
-    sift_down t i
-  done;
-  t
-
 let drain t =
   let rec loop acc = match pop t with None -> List.rev acc | Some x -> loop (x :: acc) in
   loop []

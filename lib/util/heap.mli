@@ -11,9 +11,6 @@ val create : cmp:('a -> 'a -> int) -> 'a t
 (** Empty heap with the given total order ([cmp a b < 0] means [a] has
     higher priority). *)
 
-val of_array : cmp:('a -> 'a -> int) -> 'a array -> 'a t
-(** Heapify a copy of the array in O(n). *)
-
 val length : 'a t -> int
 
 val is_empty : 'a t -> bool
@@ -25,9 +22,6 @@ val peek : 'a t -> 'a option
 
 val pop : 'a t -> 'a option
 (** Remove and return the minimum element. *)
-
-val pop_exn : 'a t -> 'a
-(** @raise Invalid_argument on an empty heap. *)
 
 val drain : 'a t -> 'a list
 (** Pop everything, smallest first. *)

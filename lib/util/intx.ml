@@ -7,14 +7,6 @@ let clamp ~lo ~hi x = if x < lo then lo else if x > hi then hi else x
 
 let sum = Array.fold_left ( + ) 0
 
-let max_array a =
-  if Array.length a = 0 then invalid_arg "Intx.max_array: empty array";
-  Array.fold_left max a.(0) a
-
-let min_array a =
-  if Array.length a = 0 then invalid_arg "Intx.min_array: empty array";
-  Array.fold_left min a.(0) a
-
 let argmin a =
   if Array.length a = 0 then invalid_arg "Intx.argmin: empty array";
   let best = ref 0 in
@@ -26,15 +18,6 @@ let argmin a =
 let range lo hi =
   let rec loop i acc = if i < lo then acc else loop (i - 1) (i :: acc) in
   loop hi []
-
-let count_leq a x =
-  (* least index holding a value > x, found by bisection *)
-  let lo = ref 0 and hi = ref (Array.length a) in
-  while !lo < !hi do
-    let mid = !lo + ((!hi - !lo) / 2) in
-    if a.(mid) <= x then lo := mid + 1 else hi := mid
-  done;
-  !lo
 
 let binary_search_least ~lo ~hi p =
   if lo > hi then None

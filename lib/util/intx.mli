@@ -11,23 +11,12 @@ val clamp : lo:int -> hi:int -> int -> int
 
 val sum : int array -> int
 
-val max_array : int array -> int
-(** @raise Invalid_argument on empty input. *)
-
-val min_array : int array -> int
-(** @raise Invalid_argument on empty input. *)
-
 val argmin : int array -> int
 (** Index of the first minimum. @raise Invalid_argument on empty input. *)
 
 val range : int -> int -> int list
 (** [range lo hi] is [\[lo; lo+1; ...; hi\]]; empty if [hi < lo].  Mirrors
     the paper's interval notation ⟦lo;hi⟧. *)
-
-val count_leq : int array -> int -> int
-(** [count_leq a x] is the number of elements [<= x] in the sorted
-    (non-decreasing) array [a], by bisection in O(log |a|).  Used to read
-    task counts off cached margin staircases. *)
 
 val binary_search_least : lo:int -> hi:int -> (int -> bool) -> int option
 (** [binary_search_least ~lo ~hi p] is the least [x] in [\[lo,hi\]] with

@@ -2,15 +2,6 @@ let mean xs =
   let n = Array.length xs in
   if n = 0 then 0.0 else Array.fold_left ( +. ) 0.0 xs /. float_of_int n
 
-let stddev xs =
-  let n = Array.length xs in
-  if n < 2 then 0.0
-  else begin
-    let m = mean xs in
-    let acc = Array.fold_left (fun a x -> a +. ((x -. m) *. (x -. m))) 0.0 xs in
-    sqrt (acc /. float_of_int n)
-  end
-
 let sorted xs =
   let ys = Array.copy xs in
   Array.sort compare ys;
@@ -49,11 +40,3 @@ let geometric_mean xs =
     exp (acc /. float_of_int n)
   end
 
-let of_ints xs = Array.map float_of_int xs
-
-let ratio_summary xs =
-  if Array.length xs = 0 then "n/a"
-  else begin
-    let lo, hi = min_max xs in
-    Printf.sprintf "%.3f (min %.3f, max %.3f)" (mean xs) lo hi
-  end

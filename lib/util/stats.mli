@@ -3,9 +3,6 @@
 val mean : float array -> float
 (** Arithmetic mean; 0.0 on an empty array. *)
 
-val stddev : float array -> float
-(** Population standard deviation; 0.0 on fewer than two samples. *)
-
 val median : float array -> float
 (** Median (average of middle two on even length); 0.0 on empty input. *)
 
@@ -18,10 +15,3 @@ val min_max : float array -> float * float
 
 val geometric_mean : float array -> float
 (** Geometric mean of positive samples; 0.0 on empty input. *)
-
-val of_ints : int array -> float array
-(** Convert for use with the functions above. *)
-
-val ratio_summary : float array -> string
-(** Human-readable ["mean x (min m, max M)"] summary used in experiment
-    tables for speedup ratios. *)

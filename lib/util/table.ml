@@ -11,8 +11,6 @@ let add_row t row =
     invalid_arg "Table.add_row: arity mismatch";
   t.rows <- row :: t.rows
 
-let add_int_row t row = add_row t (List.map string_of_int row)
-
 let title t = t.title
 let columns t = t.columns
 let rows t = List.rev t.rows
@@ -76,4 +74,3 @@ let to_csv t =
 
 let cell_float x = Printf.sprintf "%.3f" x
 
-let cell_ratio x = Printf.sprintf "%.2fx" x

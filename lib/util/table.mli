@@ -13,9 +13,6 @@ val add_row : t -> string list -> unit
 (** Append a row.  @raise Invalid_argument if the arity does not match the
     header. *)
 
-val add_int_row : t -> int list -> unit
-(** Convenience: a row of integers. *)
-
 val title : t -> string
 val columns : t -> string list
 
@@ -34,6 +31,3 @@ val to_csv : t -> string
 
 val cell_float : float -> string
 (** Standard float formatting used across experiments ("%.3f"). *)
-
-val cell_ratio : float -> string
-(** Ratio formatting used for speedups ("%.2fx"). *)

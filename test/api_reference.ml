@@ -18,6 +18,13 @@ let ( let* ) r f = match r with Ok v -> f v | Error e -> Error e
 
 let bad fmt = Printf.ksprintf (fun m -> Error (error Bad_request m)) fmt
 
+let workload_of_string = function
+  | "solve" -> Some Solve_only
+  | "execute" -> Some Execute
+  | "pull" -> Some Pull
+  | "faults" -> Some Faults
+  | _ -> None
+
 let field kvs key = List.assoc_opt key kvs
 
 let int_field kvs key =

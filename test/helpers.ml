@@ -94,3 +94,39 @@ let response_of_frame line =
   match Msts.Api.response_of_line line with
   | Ok r -> r
   | Error e -> Alcotest.failf "undecodable reply %S: %s" line e.Msts.Api.message
+
+(* A serve engine's [stats] payload, asked for over the wire (control
+   operations are answered synchronously). *)
+let serve_stats engine =
+  let got = ref None in
+  Msts_serve.Engine.submit engine
+    ~reply:(fun line -> got := Some (response_of_frame line))
+    { Msts.Api.id = None; trace = None; op = Msts.Api.Stats };
+  match !got with
+  | Some { Msts.Api.result = Ok json; _ } -> json
+  | _ -> Alcotest.fail "no stats payload"
+
+(* A trace segment holding [events], emitted in list order through a
+   recorder: it numbers them ([seq]) in that order and sorts them into the
+   canonical order. *)
+let segment events =
+  let r = Msts.Trace.Recorder.create () in
+  Msts.Trace.with_recorder r (fun () ->
+      List.iter
+        (fun { Msts.Trace.time; task; kind; _ } -> Msts.Trace.emit ~time ~task kind)
+        events);
+  Msts.Trace.recorded r
+
+(* ---------- schedule views the paper's claims are stated in ---------- *)
+
+let first_emission_keyed s =
+  List.init (Msts.Schedule.task_count s) (fun idx ->
+      (Msts.Comm_vector.first_emission (Msts.Schedule.entry s (idx + 1)).comms, idx + 1))
+
+(* Tasks sorted by first-link emission date: the paper numbers tasks in
+   this order. *)
+let emission_order s = List.map snd (List.sort compare (first_emission_keyed s))
+
+(* The earliest first-link emission date: 0 after the paper's final
+   shift. *)
+let start_time s = List.fold_left (fun acc (c, _) -> min acc c) max_int (first_emission_keyed s)

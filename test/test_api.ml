@@ -207,18 +207,29 @@ let error_code_names_bijective () =
   List.iter
     (fun code ->
       let name = Api.error_code_to_string code in
+      let line =
+        Api.response_to_line
+          { Api.id = None; trace = None; result = Error (Api.error code "m") }
+      in
       Alcotest.(check bool)
         (name ^ " survives the name round-trip")
         true
-        (Api.error_code_of_string name = Some code))
+        (match Api.response_of_line line with
+        | Ok { Api.result = Error e; _ } -> e.Api.code = code
+        | _ -> false))
     [
       Api.Bad_request; Api.Unsupported_version; Api.Invalid_platform;
       Api.Invalid_argument_error; Api.Unsolvable; Api.Overloaded;
       Api.Timeout; Api.Shutting_down; Api.Internal;
     ];
   Alcotest.(check bool)
-    "unknown names map to None" true
-    (Api.error_code_of_string "no_such_code" = None)
+    "unknown names are rejected" true
+    (match
+       Api.response_of_line
+         "{\"v\":1,\"error\":{\"code\":\"no_such_code\",\"message\":\"m\"}}"
+     with
+    | Error e -> e.Api.code = Api.Bad_request
+    | Ok _ -> false)
 
 let prefix_convention_classified () =
   let e1 = Api.error_of_solve_failure "Msts.Netsim.execute: negative start" in
@@ -238,12 +249,25 @@ let prefix_convention_classified () =
 
 let workload_names_roundtrip () =
   List.iter
-    (fun w ->
-      Alcotest.(check bool)
-        (Api.workload_to_string w ^ " round-trips")
-        true
-        (Api.workload_of_string (Api.workload_to_string w) = Some w))
-    [ Api.Solve_only; Api.Execute; Api.Pull; Api.Faults ]
+    (fun (name, w) ->
+      let op =
+        Api.Profile
+          {
+            platform = Msts.Platform_format.Chain_platform figure2_chain;
+            tasks = 3;
+            deadline = None;
+            workload = w;
+            seed = 0;
+            events = 0;
+          }
+      in
+      let line = Api.request_to_line { Api.id = None; trace = None; op } in
+      Alcotest.(check bool) (name ^ " round-trips") true
+        (Json.member "workload" (Result.get_ok (Json.parse line))
+         = Some (Json.String name)
+        && Api.request_of_line line = Ok { Api.id = None; trace = None; op }))
+    [ ("solve", Api.Solve_only); ("execute", Api.Execute); ("pull", Api.Pull);
+      ("faults", Api.Faults) ]
 
 (* ---------- exec over the direct solver = the Solve facade ---------- *)
 
@@ -276,6 +300,60 @@ let exec_matches_solve =
 let figure2_problem () =
   Msts.Solve.problem ~tasks:5
     (Msts.Platform_format.Chain_platform figure2_chain)
+
+(* [check] and [profile] answer a negative task or event count one way,
+   whatever the workload and whether the check is traced. *)
+let negative_counts_answered_once () =
+  let platform =
+    Msts.Platform_format.Spider_platform
+      (Msts.Spider.of_legs [ figure2_chain; Msts.Chain.of_pairs [ (1, 2) ] ])
+  in
+  let expect what op code message =
+    match Api.exec ~solver:Api.direct_solver op with
+    | Ok _ -> Alcotest.failf "%s: accepted" what
+    | Error e ->
+        Alcotest.(check string) (what ^ ": code")
+          (Api.error_code_to_string code)
+          (Api.error_code_to_string e.Api.code);
+        Alcotest.(check string) (what ^ ": message") message e.Api.message
+  in
+  let tasks_error = (Api.Unsolvable, "negative task count")
+  and events_error = (Api.Invalid_argument_error, "field \"events\" must be >= 0") in
+  let profile ~tasks ~events workload =
+    Api.Profile { platform; tasks; deadline = None; workload; seed = 1; events }
+  in
+  let check ~tasks ~events trace =
+    Api.Check { problem = Msts.Solve.problem ~tasks platform; trace; seed = 1; events }
+  in
+  List.iter
+    (fun (name, workload) ->
+      List.iter
+        (fun (what, tasks, events, (code, message)) ->
+          expect
+            (Printf.sprintf "profile %s, %s" name what)
+            (profile ~tasks ~events workload) code message)
+        [
+          ("tasks -3", -3, 2, tasks_error);
+          ("events -1", 4, -1, events_error);
+          ("both negative", -3, -1, tasks_error);
+        ])
+    [
+      ("solve", Api.Solve_only); ("execute", Api.Execute); ("pull", Api.Pull);
+      ("faults", Api.Faults);
+    ];
+  List.iter
+    (fun traced ->
+      List.iter
+        (fun (what, tasks, events, (code, message)) ->
+          expect
+            (Printf.sprintf "check traced=%b, %s" traced what)
+            (check ~tasks ~events traced) code message)
+        [
+          ("tasks -3", -3, 2, tasks_error);
+          ("events -1", 4, -1, events_error);
+          ("both negative", -3, -1, tasks_error);
+        ])
+    [ false; true ]
 
 let engine_config =
   { Msts_serve.Engine.default_config with jobs = 1; cache_capacity = 4 }
@@ -957,7 +1035,7 @@ let damage rng line =
 
 let frame_of (request, seed, shape) =
   let rng = Random.State.make [| seed |] in
-  let json = Api.encode_request request in
+  let json = Result.get_ok (Json.parse (Api.request_to_line request)) in
   let json = if shape land 1 = 1 then reshape rng json else json in
   let escape = if shape land 2 = 2 then Random.State.bits rng else 0 in
   let line = print_escaped ~escape json in
@@ -1049,6 +1127,8 @@ let suites =
     ( "api.exec",
       [
         exec_matches_solve;
+        case "negative tasks and events: one answer per field"
+          negative_counts_answered_once;
         response_line_matches_tree;
         batched_line_matches_tree;
         case "engine wire responses = direct exec bytes"

@@ -102,14 +102,14 @@ let emissions_sorted =
        (chain_with_n_arb ~max_p:5 ~max_n:20 ())
        (fun (chain, n) ->
          let s = Msts.Chain_algorithm.schedule chain n in
-         Msts.Schedule.emission_order s = List.init n (fun i -> i + 1)))
+         emission_order s = List.init n (fun i -> i + 1)))
 
 let starts_at_zero =
   Helpers.to_alcotest
     (QCheck.Test.make ~count:300 ~name:"normalised schedule starts at time 0"
        (chain_with_n_arb ~max_p:5 ~max_n:20 ())
        (fun (chain, n) ->
-         n = 0 || Msts.Schedule.start_time (Msts.Chain_algorithm.schedule chain n) = 0))
+         n = 0 || start_time (Msts.Chain_algorithm.schedule chain n) = 0))
 
 (* ---------- Theorem 1: optimality ---------- *)
 
@@ -322,7 +322,9 @@ let trace_records_steps () =
   let t = Msts.Chain_trace.run figure2_chain 5 in
   Alcotest.(check int) "five steps" 5 (List.length t.Msts.Chain_trace.steps);
   Alcotest.(check int) "horizon" 17 t.Msts.Chain_trace.horizon;
-  let step = Msts.Chain_trace.step_for t 3 in
+  let step =
+    List.find (fun s -> s.Msts.Chain_algorithm.task = 3) t.Msts.Chain_trace.steps
+  in
   Alcotest.(check int) "task 3 on P2" 2 step.Msts.Chain_algorithm.chosen_proc;
   Alcotest.(check bool) "result is the schedule" true
     (Msts.Schedule.equal t.Msts.Chain_trace.result
@@ -334,11 +336,6 @@ let trace_renders () =
   List.iter
     (fun needle -> Alcotest.(check bool) needle true (contains ~sub:needle text))
     [ "Placing task 3"; "greatest (Def. 3)"; "candidate for P1"; "makespan" ]
-
-let trace_missing_task () =
-  let t = Msts.Chain_trace.run figure2_chain 2 in
-  Alcotest.check_raises "absent task" Not_found (fun () ->
-      ignore (Msts.Chain_trace.step_for t 9))
 
 let suites =
   [
@@ -400,6 +397,5 @@ let suites =
       [
         case "records every placement" trace_records_steps;
         case "renders the narrative" trace_renders;
-        case "step_for missing task" trace_missing_task;
       ] );
   ]

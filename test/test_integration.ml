@@ -14,8 +14,9 @@ let full_chain_pipeline () =
     Msts.Platform_format.platform_to_string (Msts.Platform_format.Chain_platform chain)
   in
   let chain' =
-    match Msts.Platform_format.chain_of_string platform_text with
-    | Ok c -> c
+    match Msts.Platform_format.of_string platform_text with
+    | Ok (Msts.Platform_format.Chain_platform c) -> c
+    | Ok _ -> Alcotest.fail "expected a chain platform"
     | Error e -> Alcotest.fail e
   in
   Alcotest.(check bool) "platform round-trip" true (Msts.Chain.equal chain chain');
@@ -125,8 +126,9 @@ let experiment_table_pipeline () =
   in
   List.iter
     (fun n ->
-      Msts.Table.add_int_row t
-        [ n; Msts.Chain_algorithm.makespan chain n; Msts.Bounds.combined_bound chain n ])
+      Msts.Table.add_row t
+        (List.map string_of_int
+           [ n; Msts.Chain_algorithm.makespan chain n; Msts.Bounds.combined_bound chain n ]))
     [ 1; 2; 4; 8 ];
   let csv = Msts.Table.to_csv t in
   Alcotest.(check int) "header + 4 rows" 5

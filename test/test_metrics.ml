@@ -4,17 +4,31 @@ open Helpers
 
 let fig2 () = Msts.Chain_algorithm.schedule figure2_chain 5
 
+(* A task's arrival (the end of its last transfer, C_P + c_P), its wait
+   for the processor and its completion. *)
+let timing s task =
+  let chain = Msts.Schedule.chain s in
+  let e = Msts.Schedule.entry s task in
+  let p = e.Msts.Schedule.proc in
+  let arrival = e.Msts.Schedule.comms.(p - 1) + Msts.Chain.latency chain p in
+  (arrival, e.Msts.Schedule.start - arrival, e.Msts.Schedule.start + Msts.Chain.work chain p)
+
+let waits s =
+  List.init (Msts.Schedule.task_count s) (fun i ->
+      let _, waiting, _ = timing s (i + 1) in
+      waiting)
+
 let timings_fig2 () =
-  let timings = Msts.Metrics.task_timings (fig2 ()) in
-  Alcotest.(check int) "five tasks" 5 (List.length timings);
+  let s = fig2 () in
+  Alcotest.(check int) "five tasks" 5 (Msts.Schedule.task_count s);
   (* task 2 (the dashed curve): arrives at 4, starts at 5 *)
-  let t2 = List.nth timings 1 in
-  Alcotest.(check int) "arrival" 4 t2.Msts.Metrics.arrival;
-  Alcotest.(check int) "waiting" 1 t2.Msts.Metrics.waiting;
-  Alcotest.(check int) "completion" 8 t2.Msts.Metrics.completion;
+  let arrival, waiting, completion = timing s 2 in
+  Alcotest.(check int) "arrival" 4 arrival;
+  Alcotest.(check int) "waiting" 1 waiting;
+  Alcotest.(check int) "completion" 8 completion;
   (* task 1 computes immediately on arrival *)
-  let t1 = List.nth timings 0 in
-  Alcotest.(check int) "no wait" 0 t1.Msts.Metrics.waiting
+  let _, waiting, _ = timing s 1 in
+  Alcotest.(check int) "no wait" 0 waiting
 
 let waiting_totals () =
   let s = fig2 () in
@@ -26,9 +40,11 @@ let waiting_nonnegative_when_feasible =
     (QCheck.Test.make ~count:200 ~name:"waiting times are never negative"
        (chain_with_n_arb ~max_p:5 ~max_n:15 ())
        (fun (chain, n) ->
-         List.for_all
-           (fun t -> t.Msts.Metrics.waiting >= 0)
-           (Msts.Metrics.task_timings (Msts.Chain_algorithm.schedule chain n))))
+         let s = Msts.Chain_algorithm.schedule chain n in
+         let waits = waits s in
+         List.for_all (fun w -> w >= 0) waits
+         && Msts.Metrics.total_waiting s = List.fold_left ( + ) 0 waits
+         && Msts.Metrics.max_waiting s = List.fold_left max 0 waits))
 
 let buffer_high_water_fig2 () =
   let s = fig2 () in

@@ -26,7 +26,7 @@ let resource_fifo () =
   Alcotest.(check int) "served" 3 (Ref.Resource.served r);
   Alcotest.(check int) "idle at" 9 (Ref.Resource.idle_until r);
   Alcotest.(check bool) "log disjoint" true
-    (Msts.Intervals.are_disjoint (Ref.Resource.busy_log r))
+    (Msts.Intervals.overlap_witness (Ref.Resource.busy_log r) = None)
 
 let resource_respects_now () =
   let e = Msts.Engine.create () in
@@ -129,13 +129,13 @@ let agree ~what (got, got_trace) (want, want_trace) =
 
 let sequence_matches_reference =
   to_alcotest
-    (QCheck.Test.make ~count:300 ~name:"run_sequence_spider = reference"
+    (QCheck.Test.make ~count:300 ~name:"eager sequence execution = reference"
        (QCheck.make
           ~print:(fun (spider, _) -> Msts.Spider.to_string spider)
           Gen.(small_spider >>= fun s -> map (fun seq -> (s, seq)) (sequence_gen s)))
        (fun (spider, seq) ->
-         agree ~what:"run_sequence_spider"
-           (recorded (fun () -> Msts.Netsim.run_sequence_spider spider seq))
+         agree ~what:"eager sequence execution"
+           (recorded (fun () -> Eager.spider_schedule spider seq))
            (recorded (fun () -> Ref.run_sequence_spider spider seq))))
 
 let execute_matches_reference =

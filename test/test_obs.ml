@@ -23,6 +23,19 @@ let with_ticking_clock ?(step = 10) f =
       Obs.with_sink (Obs.Memory.sink mem) (fun () -> f ());
       mem)
 
+(* Span begins minus span ends in a sink's log: 0 after a balanced run. *)
+let open_spans mem =
+  List.fold_left
+    (fun depth -> function
+      | Obs.Span_begin _ -> depth + 1 | Obs.Span_end _ -> depth - 1 | _ -> depth)
+    0 (Obs.Memory.events mem)
+
+(* One field of a histogram's JSON summary. *)
+let hist_field h key =
+  match Json.member key (Obs.Histogram.to_json h) with
+  | Some (Json.Int v) -> v
+  | _ -> Alcotest.failf "histogram summary lacks %s" key
+
 (* ---------- spans ---------- *)
 
 let span_nesting () =
@@ -33,7 +46,7 @@ let span_nesting () =
             Obs.span "inner" (fun () -> ())))
   in
   Alcotest.(check int) "max depth" 2 (Obs.Memory.max_depth mem);
-  Alcotest.(check (list string)) "balanced" [] (Obs.Memory.open_spans mem);
+  Alcotest.(check int) "balanced" 0 (open_spans mem);
   let stats = Obs.Memory.spans mem in
   let stat name = List.assoc name stats in
   Alcotest.(check int) "inner calls" 2 (stat "inner").Obs.Memory.calls;
@@ -50,8 +63,7 @@ let span_survives_exception () =
         try Obs.span "risky" (fun () -> failwith "boom")
         with Failure _ -> ())
   in
-  Alcotest.(check (list string)) "end emitted on raise" []
-    (Obs.Memory.open_spans mem);
+  Alcotest.(check int) "end emitted on raise" 0 (open_spans mem);
   Alcotest.(check int) "one completed call" 1
     (List.assoc "risky" (Obs.Memory.spans mem)).Obs.Memory.calls
 
@@ -174,8 +186,8 @@ let hist_exact_small () =
   List.iter (Obs.Histogram.add h) [ 3; 1; 4; 1; 5; 9; 2; 6 ];
   Alcotest.(check int) "count" 8 (Obs.Histogram.count h);
   Alcotest.(check int) "sum" 31 (Obs.Histogram.sum h);
-  Alcotest.(check int) "min" 1 (Obs.Histogram.min_value h);
-  Alcotest.(check int) "max" 9 (Obs.Histogram.max_value h);
+  Alcotest.(check int) "min" 1 (hist_field h "min");
+  Alcotest.(check int) "max" 9 (hist_field h "max");
   Alcotest.(check (float 1e-9)) "mean" (31.0 /. 8.0) (Obs.Histogram.mean h);
   (* sorted: 1 1 2 3 4 5 6 9 — values below 16 are exact *)
   Alcotest.(check int) "p0 = min" 1 (Obs.Histogram.quantile h 0.0);
@@ -183,7 +195,7 @@ let hist_exact_small () =
   Alcotest.(check int) "p90" 9 (Obs.Histogram.quantile h 0.9);
   Alcotest.(check int) "p100 = max" 9 (Obs.Histogram.quantile h 1.0);
   Obs.Histogram.add h (-5);
-  Alcotest.(check int) "negative clamps to 0" 0 (Obs.Histogram.min_value h);
+  Alcotest.(check int) "negative clamps to 0" 0 (hist_field h "min");
   let empty = Obs.Histogram.create () in
   Alcotest.(check int) "empty count" 0 (Obs.Histogram.count empty);
   Alcotest.(check int) "empty quantile" 0 (Obs.Histogram.quantile empty 0.5)
@@ -199,8 +211,8 @@ let hist_merge () =
   Obs.Histogram.merge_into ~into:a b;
   Alcotest.(check int) "count" 21 (Obs.Histogram.count a);
   Alcotest.(check int) "sum" (55 + 1155) (Obs.Histogram.sum a);
-  Alcotest.(check int) "min" 1 (Obs.Histogram.min_value a);
-  Alcotest.(check int) "max" 110 (Obs.Histogram.max_value a);
+  Alcotest.(check int) "min" 1 (hist_field a "min");
+  Alcotest.(check int) "max" 110 (hist_field a "max");
   (* rank 11 of 21 is the first of b's samples; 100 is a bucket lower
      bound, so it reports exactly *)
   Alcotest.(check int) "p50 across the merge" 100 (Obs.Histogram.quantile a 0.5)
@@ -234,7 +246,7 @@ let record_feeds_histograms () =
   | None -> Alcotest.fail "histogram missing"
   | Some h ->
       Alcotest.(check int) "count" 4 (Obs.Histogram.count h);
-      Alcotest.(check int) "max" 100 (Obs.Histogram.max_value h));
+      Alcotest.(check int) "max" 100 (hist_field h "max"));
   Alcotest.(check (list (list string)))
     "table rows"
     [ [ "lat"; "4"; "2"; "100"; "100"; "100" ] ]
@@ -250,11 +262,9 @@ let span_duration_histograms () =
           Obs.span "work" (fun () -> ())
         done)
   in
-  match Obs.Memory.span_histogram mem "work" with
-  | None -> Alcotest.fail "span histogram missing"
-  | Some h ->
-      Alcotest.(check int) "calls" 3 (Obs.Histogram.count h);
-      Alcotest.(check int) "p100" 10 (Obs.Histogram.quantile h 1.0)
+  Alcotest.(check (list (list string)))
+    "calls and duration quantiles" [ [ "work"; "3"; "30"; "10"; "10"; "10" ] ]
+    (Obs.Memory.span_rows mem)
 
 (* ---------- bounded raw log ---------- *)
 
@@ -266,7 +276,6 @@ let memory_cap_bounds_log () =
       done;
       Obs.record "v" 5);
   Alcotest.(check int) "cap recorded" 8 (Obs.Memory.max_events mem);
-  Alcotest.(check int) "log bounded" 8 (Obs.Memory.stored_events mem);
   Alcotest.(check int) "dropped" 93 (Obs.Memory.dropped_events mem);
   Alcotest.(check int) "log holds the cap" 8 (List.length (Obs.Memory.events mem));
   (* aggregates are exact past the cap *)
@@ -282,17 +291,16 @@ let memory_cap_bounds_log () =
 (* A log-less sink (the daemon's metrics sink) stores no event at all but
    still counts each one as dropped, and its aggregates stay exact. *)
 let memory_without_log () =
-  let mem = Obs.Memory.create ~max_events:0 ~max_scopes:0 () in
+  let mem = Obs.Memory.create ~max_events:0 () in
   Obs.with_sink (Obs.Memory.sink mem) (fun () ->
       Obs.Scope.with_scope (Obs.Scope.fresh ()) (fun () ->
           for _ = 1 to 10 do
             Obs.count "n"
           done;
           Obs.record "v" 5));
-  Alcotest.(check int) "nothing stored" 0 (Obs.Memory.stored_events mem);
+  Alcotest.(check int) "nothing stored" 0 (List.length (Obs.Memory.events mem));
   Alcotest.(check int) "every event dropped" 11 (Obs.Memory.dropped_events mem);
   Alcotest.(check int) "counter exact" 10 (Obs.Memory.counter mem "n");
-  Alcotest.(check (list int)) "no scope tables" [] (Obs.Memory.scopes mem);
   match Obs.Memory.histogram mem "v" with
   | Some h -> Alcotest.(check int) "histogram exact" 1 (Obs.Histogram.count h)
   | None -> Alcotest.fail "histogram missing"
@@ -312,9 +320,6 @@ let streaming_sink_bounded () =
       Obs.span "s" ~args:[ ("k", "x") ] (fun () -> ()));
   Obs.Streaming.flush st;
   close_out oc;
-  Alcotest.(check int) "events seen" 53 (Obs.Streaming.events_seen st);
-  Alcotest.(check int) "all written after flush" 53
-    (Obs.Streaming.events_written st);
   Alcotest.(check bool) "buffer high-water bounded by flush_every" true
     (Obs.Streaming.max_buffered st <= 8);
   let lines =
@@ -403,21 +408,15 @@ let scope_attribution () =
           Obs.record "lat" 100));
   (* global aggregates see everything *)
   Alcotest.(check int) "global counter" 4 (Obs.Memory.counter mem "hits");
-  (* per-scope tallies are split *)
-  Alcotest.(check (list int)) "both scopes tracked" [ 5; 9 ]
-    (List.sort compare (Obs.Memory.scopes mem));
-  Alcotest.(check int) "scope 5 counter" 3
-    (Obs.Memory.scope_counter mem 5 "hits");
-  Alcotest.(check int) "scope 9 counter" 1
-    (Obs.Memory.scope_counter mem 9 "hits");
-  Alcotest.(check int) "unscoped name absent per-scope" 0
-    (Obs.Memory.scope_counter mem 5 "plain");
-  (match Obs.Memory.scope_histogram mem 9 "lat" with
-  | Some h ->
-      Alcotest.(check int) "scope 9 sample count" 1 (Obs.Histogram.count h);
-      Alcotest.(check int) "scope 9 max" 100 (Obs.Histogram.max_value h)
-  | None -> Alcotest.fail "scope 9 lost its histogram");
-  Alcotest.(check int) "no eviction" 0 (Obs.Memory.evicted_scopes mem)
+  (* each event carries the scope it was emitted under *)
+  Alcotest.(check (list (pair string int)))
+    "events stamped with their scope"
+    [ ("plain", 0); ("hits", 5); ("hits", 5); ("lat", 5); ("hits", 9); ("lat", 9) ]
+    (List.map
+       (function
+         | Obs.Count { name; scope; _ } | Obs.Value { name; scope; _ } -> (name, scope)
+         | _ -> Alcotest.fail "unexpected event")
+       (Obs.Memory.events mem))
 
 let scope_stamped_in_json () =
   let r = Obs.Ring.create ~capacity:8 () in
@@ -449,19 +448,23 @@ let scope_nesting_and_exceptions () =
             (Obs.Scope.current ()));
       Alcotest.(check int) "back to none" Obs.Scope.none (Obs.Scope.current ()))
 
-let scope_table_bounded () =
-  let mem = Obs.Memory.create ~max_scopes:2 () in
-  Obs.with_sink (Obs.Memory.sink mem) (fun () ->
-      List.iter
-        (fun sc -> Obs.Scope.with_scope sc (fun () -> Obs.count "hits"))
-        [ 11; 12; 13 ]);
-  Alcotest.(check int) "cap honoured" 2 (List.length (Obs.Memory.scopes mem));
-  Alcotest.(check int) "one eviction" 1 (Obs.Memory.evicted_scopes mem);
-  (* FIFO: the oldest scope went *)
-  Alcotest.(check (list int)) "newest two retained" [ 12; 13 ]
-    (List.sort compare (Obs.Memory.scopes mem));
-  (* global aggregates are unaffected by scope eviction *)
-  Alcotest.(check int) "global counter exact" 3 (Obs.Memory.counter mem "hits")
+(* The memory sink aggregates globally only: the words it allocates per
+   event are the same whether the events come from 10 scopes or from
+   1000. *)
+let memory_cost_independent_of_scopes () =
+  let words_per_event scopes =
+    let mem = Obs.Memory.create () in
+    Obs.with_sink (Obs.Memory.sink mem) (fun () ->
+        let before = Gc.minor_words () in
+        for i = 0 to 999 do
+          Obs.Scope.with_scope (1 + (i mod scopes)) (fun () ->
+              Obs.count "n";
+              Obs.record "v" i)
+        done;
+        (Gc.minor_words () -. before) /. 2000.)
+  in
+  Alcotest.(check (float 0.))
+    "minor words per event" (words_per_event 10) (words_per_event 1000)
 
 let scope_fresh_monotone () =
   let a = Obs.Scope.fresh () in
@@ -779,15 +782,14 @@ let tallied_once n () =
         Msts.Trace.with_recorder r (fun () -> Msts.Netsim.execute plan))
   in
   Alcotest.(check int) (label "Trace.with_recorder")
-    (Msts.Trace.Recorder.event_count r)
+    (Msts.Trace.length (Msts.Trace.recorded r))
     (once (label "Trace.with_recorder") evs "trace.events");
   let e = Msts.Engine.create () in
   for time = 1 to n do
     Msts.Engine.schedule_at e time ignore
   done;
   let (), evs = counter_events (fun () -> Msts.Engine.run e) in
-  Alcotest.(check int) (label "Engine.run")
-    (Msts.Engine.events_processed e)
+  Alcotest.(check int) (label "Engine.run") n
     (once (label "Engine.run") evs "engine.events")
 
 (* A run that exhausts its budget still reports the events it ran (and
@@ -796,7 +798,7 @@ let tallied_once n () =
    tally. *)
 let engine_budget_tallied () =
   let e = Msts.Engine.create () in
-  let rec tick () = Msts.Engine.schedule_after e 1 tick in
+  let rec tick () = Msts.Engine.schedule_at e (Msts.Engine.now e + 1) tick in
   Msts.Engine.schedule_at e 0 tick;
   let (), evs =
     all_events (fun () ->
@@ -810,7 +812,6 @@ let engine_budget_tallied () =
        (function Obs.Count { name; delta; _ } -> Some (name, delta) | _ -> None)
        evs);
   check_gaps "Engine.run, budget 7" ~clock:(Msts.Engine.now e) evs;
-  Alcotest.(check int) "= events_processed" 7 (Msts.Engine.events_processed e);
   let (), evs =
     counter_events (fun () ->
         try Msts.Engine.run ~max_events:3 e with Failure _ -> ())
@@ -853,17 +854,6 @@ let samples_per_run =
           all_events (fun () -> Msts.Netsim.replay_routing ~buffer:(1 + (seed mod 3)) plan)
         in
         check_run "replay_routing" ~clock:r.Msts.Netsim.realized_makespan evs;
-        let seq =
-          Array.map
-            (fun (e : Msts.Spider_schedule.entry) -> e.address)
-            (Msts.Spider_schedule.entries plan)
-        in
-        let s, evs = all_events (fun () -> Msts.Netsim.run_sequence_spider spider seq) in
-        check_run "run_sequence_spider" ~clock:(makespan s) evs;
-        let chain = Msts.Spider.leg_chain spider 1 in
-        let depths = Array.init n (fun i -> 1 + (i mod Msts.Chain.length chain)) in
-        let s, evs = all_events (fun () -> Msts.Netsim.run_sequence_chain chain depths) in
-        check_run "run_sequence_chain" ~clock:(Msts.Schedule.makespan s) evs;
         let s, evs =
           all_events (fun () -> Msts.Netsim.pull_policy ~buffer:2 spider ~tasks:n)
         in
@@ -938,17 +928,13 @@ let hist_add_many_exact =
           done)
         pairs;
       let state h =
-        ( Obs.Histogram.buckets h,
-          Obs.Histogram.count h,
-          Obs.Histogram.sum h,
-          Obs.Histogram.min_value h,
-          Obs.Histogram.max_value h )
+        (Obs.Histogram.buckets h, Json.to_string (Obs.Histogram.to_json h))
       in
       state a = state b)
 
-(* Every reader of a Memory sink -- global and per-scope histograms, the
-   JSON and table views, the Prometheus exposition -- sees a Samples event
-   exactly as the Values it summarises. *)
+(* Every reader of a Memory sink -- its histograms, the JSON and table
+   views, the Prometheus exposition -- sees a Samples event exactly as the
+   Values it summarises. *)
 let samples_read_as_values () =
   let scope = Obs.Scope.fresh () in
   let values = [| 0; 3; 17; 250 |] and counts = [| 2; 1; 5; 1 |] in
@@ -970,17 +956,16 @@ let samples_read_as_values () =
   let by_samples = feed (fun () -> Obs.samples "h" ~values ~counts) in
   let views mem =
     let hist = function
-      | Some h -> Obs.Histogram.(buckets h, count h, sum h, min_value h, max_value h)
+      | Some h -> (Obs.Histogram.buckets h, Json.to_string (Obs.Histogram.to_json h))
       | None -> Alcotest.fail "histogram missing"
     in
     ( hist (Obs.Memory.histogram mem "h"),
-      hist (Obs.Memory.scope_histogram mem scope "h"),
       Json.to_string (Obs.Memory.to_json mem),
       Obs.Memory.histogram_rows mem,
       Obs.Prometheus.of_memory mem )
   in
   Alcotest.(check bool) "identical views" true (views by_values = views by_samples);
-  Alcotest.(check int) "one event" 1 (Obs.Memory.stored_events by_samples)
+  Alcotest.(check int) "one event" 1 (List.length (Obs.Memory.events by_samples))
 
 (* One line, one ring slot and one Chrome counter point per event. *)
 let samples_event_shapes () =
@@ -1032,11 +1017,11 @@ let no_sink_no_tally () =
   let seq = Array.init 40 (fun i -> { Msts.Spider.leg = i + 1; depth = 1 }) in
   let netsim latency =
     let spider = fork latency in
-    words (fun () -> ignore (Msts.Netsim.run_sequence_spider spider seq))
+    words (fun () -> ignore (Eager.spider_schedule spider seq))
   in
   let same _ = 3 and distinct l = l in
   Alcotest.(check (float 0.))
-    "Netsim.run_sequence_spider" (netsim same) (netsim distinct);
+    "Netsim.replay_routing" (netsim same) (netsim distinct);
   Obs.with_sink ignore (fun () ->
       Alcotest.(check bool)
         "with a sink the tables show" true
@@ -1073,7 +1058,7 @@ let corpus () =
    ignore (Msts.Trace.check (Msts.Trace.recorded r));
    (* a dirty planned trace, so trace.violations is exercised too *)
    let dirty =
-     Msts.Trace.of_events
+     segment
        [
          { Msts.Trace.time = 0; seq = 0; task = 1;
            kind = Msts.Trace.Start (Msts.Trace.Transfer { leg = 1; hop = 1 }) };
@@ -1233,12 +1218,13 @@ let metric_names_documented () =
 (* ---------- Prometheus text exposition ---------- *)
 
 let prometheus_mangle () =
-  Alcotest.(check string)
-    "dots and dashes become underscores" "msts_serve_queue_wait_us"
-    (Obs.Prometheus.mangle "serve.queue-wait.us");
-  Alcotest.(check string)
-    "already-clean names only gain the prefix" "msts_requests"
-    (Obs.Prometheus.mangle "requests")
+  let exposed name = Obs.Prometheus.render ~gauges:[ (name, 1) ] () in
+  Alcotest.(check bool)
+    "dots and dashes become underscores" true
+    (contains (exposed "serve.queue-wait.us") "msts_serve_queue_wait_us 1");
+  Alcotest.(check bool)
+    "already-clean names only gain the prefix" true
+    (contains (exposed "requests") "msts_requests 1")
 
 let prometheus_render_wellformed () =
   let h = Obs.Histogram.create () in
@@ -1381,11 +1367,12 @@ let suites =
       ] );
     ( "obs.scopes",
       [
-        case "per-scope aggregation next to globals" scope_attribution;
+        case "scope ids on events next to global aggregates" scope_attribution;
         case "scope id stamped into event JSON" scope_stamped_in_json;
         case "with_scope nests and restores on exceptions"
           scope_nesting_and_exceptions;
-        case "per-scope table is FIFO-bounded" scope_table_bounded;
+        case "memory sink cost does not depend on scopes"
+          memory_cost_independent_of_scopes;
         case "fresh scopes are distinct" scope_fresh_monotone;
         case "disabled path allocates nothing"
           disabled_scope_path_allocation_free;

@@ -488,7 +488,7 @@ let corrupted_trace_localized () =
         | _ -> None)
       events
   in
-  let bad = Msts.Trace.of_events (events @ clash) in
+  let bad = segment (events @ clash) in
   match
     List.find_opt
       (fun v -> v.Msts.Trace.invariant = "cpu-exclusive")
@@ -557,7 +557,7 @@ let service_lifecycle () =
   ignore
     (Service.exec svc2
        (Api.Online_open { platform = chain_platform; deadline = 5; capacity = 0 }));
-  Alcotest.(check int) "close_all reports the count" 1 (Service.close_all svc2)
+  Alcotest.(check int) "one session open" 1 (Service.sessions svc2)
 
 (* The session plan payload is byte-identical to the batch deadline
    solve's JSON — the daemon's online stream ends exactly where the
@@ -617,8 +617,6 @@ let engine_serves_online_while_draining () =
    with
   | Ok _ -> ()
   | Error e -> Alcotest.failf "open failed: %s" e.Api.message);
-  Alcotest.(check int) "engine tracks the session" 1
-    (Msts_serve.Engine.online_sessions engine);
   Msts_serve.Engine.stop engine;
   (match ask (Api.Online_submit { session = 1; tasks = 2 }) with
   | Ok (Json.Obj kvs) ->
@@ -628,7 +626,7 @@ let engine_serves_online_while_draining () =
   (match ask (Api.Schedule (Msts.Solve.problem ~tasks:2 chain_platform)) with
   | Error { Api.code = Api.Shutting_down; _ } -> ()
   | _ -> Alcotest.fail "solve admitted during drain");
-  (match Msts_serve.Engine.stats_json engine with
+  (match serve_stats engine with
   | Json.Obj kvs ->
       Alcotest.(check bool) "stats expose online_sessions" true
         (List.assoc_opt "online_sessions" kvs = Some (Json.Int 1))

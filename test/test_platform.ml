@@ -178,8 +178,7 @@ let sample_tree =
 let tree_shape () =
   Alcotest.(check int) "count" 5 (Msts.Tree.processor_count sample_tree);
   Alcotest.(check int) "depth" 3 (Msts.Tree.depth sample_tree);
-  Alcotest.(check bool) "not chain" false (Msts.Tree.is_chain sample_tree);
-  Alcotest.(check bool) "not spider" false (Msts.Tree.is_spider sample_tree)
+  Alcotest.(check bool) "not spider" true (Msts.Tree.to_spider sample_tree = None)
 
 let tree_spider_detection () =
   let spiderish =
@@ -189,7 +188,6 @@ let tree_spider_detection () =
         leaf ~latency:4 ~work:5;
       ]
   in
-  Alcotest.(check bool) "is spider" true (Msts.Tree.is_spider spiderish);
   match Msts.Tree.to_spider spiderish with
   | None -> Alcotest.fail "expected conversion"
   | Some spider ->
@@ -319,10 +317,14 @@ let parse_tree_errors () =
   expect_error "tree\n1 2 0\n1 2 2\n" (* self/forward parent *);
   expect_error "tree\n0 2 0\n"
 
+(* A platform as a spider, promoted as the solver does. *)
+let spider_of_string text =
+  Result.bind (Msts.Platform_format.of_string text) Msts.Solve.as_spider
+
 let parse_tree_spider_promotion () =
   (* a tree that only branches at the master is accepted as a spider *)
   let text = "tree\n2 3 0\n3 5 1\n1 4 0\n" in
-  match Msts.Platform_format.spider_of_string text with
+  match spider_of_string text with
   | Ok spider ->
       Alcotest.(check int) "two legs" 2 (Msts.Spider.legs spider);
       Alcotest.(check bool) "leg 1 is the figure-2 chain" true
@@ -332,7 +334,7 @@ let parse_tree_spider_promotion () =
 let parse_tree_spider_rejection () =
   (* branching below the master cannot be promoted *)
   let text = "tree\n1 2 0\n1 2 1\n1 2 1\n" in
-  match Msts.Platform_format.spider_of_string text with
+  match spider_of_string text with
   | Ok _ -> Alcotest.fail "promoted a branching tree"
   | Error _ -> ()
 
@@ -354,13 +356,15 @@ let parse_errors () =
 
 let parse_comments_blanks () =
   let text = "# a comment\n\nchain\n# inner\n2 3\n\n3 5\n" in
-  match Msts.Platform_format.chain_of_string text with
-  | Ok chain -> Alcotest.(check bool) "parsed" true (Msts.Chain.equal chain figure2_chain)
+  match Msts.Platform_format.of_string text with
+  | Ok (Msts.Platform_format.Chain_platform chain) ->
+      Alcotest.(check bool) "parsed" true (Msts.Chain.equal chain figure2_chain)
+  | Ok _ -> Alcotest.fail "expected a chain platform"
   | Error e -> Alcotest.fail e
 
 let parse_promotion () =
   let fork_text = "fork\n1 2\n3 4\n" in
-  match Msts.Platform_format.spider_of_string fork_text with
+  match spider_of_string fork_text with
   | Ok spider -> Alcotest.(check int) "fork promoted" 2 (Msts.Spider.legs spider)
   | Error e -> Alcotest.fail e
 

@@ -207,7 +207,7 @@ let stats_exposes_fairness_state () =
   let engine = Engine.create lockstep_config in
   let conn = Engine.open_conn engine in
   Engine.submit engine ~conn ~reply:(fun _ -> ()) (request (schedule ()));
-  match Engine.stats_json engine with
+  match serve_stats engine with
   | Json.Obj fields ->
       (match List.assoc_opt "inflight" fields with
       | Some (Json.Int _) -> ()
@@ -233,7 +233,7 @@ let stats_exposes_fairness_state () =
       | _ -> Alcotest.fail "stats lost the connections list");
       ignore (Engine.drain engine);
       Engine.shutdown engine
-  | _ -> Alcotest.fail "stats_json not an object"
+  | _ -> Alcotest.fail "stats payload not an object"
 
 (* ---------- drain with worker domains mid-flight ---------- *)
 

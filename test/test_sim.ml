@@ -5,16 +5,23 @@ open Helpers
 
 (* ---------- engine ---------- *)
 
+(* Run the engine; the callbacks it executed, as its [engine.events]
+   tally reports them. *)
+let run_counted e =
+  let mem = Msts.Obs.Memory.create () in
+  Msts.Obs.with_sink (Msts.Obs.Memory.sink mem) (fun () -> Msts.Engine.run e);
+  Msts.Obs.Memory.counter mem "engine.events"
+
 let engine_orders_events () =
   let e = Msts.Engine.create () in
   let log = ref [] in
   Msts.Engine.schedule_at e 5 (fun () -> log := 5 :: !log);
   Msts.Engine.schedule_at e 1 (fun () -> log := 1 :: !log);
   Msts.Engine.schedule_at e 3 (fun () -> log := 3 :: !log);
-  Msts.Engine.run e;
+  let events = run_counted e in
   Alcotest.(check (list int)) "time order" [ 1; 3; 5 ] (List.rev !log);
   Alcotest.(check int) "clock at last event" 5 (Msts.Engine.now e);
-  Alcotest.(check int) "three events" 3 (Msts.Engine.events_processed e)
+  Alcotest.(check int) "three events" 3 events
 
 let engine_fifo_within_time () =
   let e = Msts.Engine.create () in
@@ -31,7 +38,8 @@ let engine_cascading () =
   let log = ref [] in
   Msts.Engine.schedule_at e 2 (fun () ->
       log := "first" :: !log;
-      Msts.Engine.schedule_after e 3 (fun () -> log := "second" :: !log));
+      Msts.Engine.schedule_at e (Msts.Engine.now e + 3) (fun () ->
+          log := "second" :: !log));
   Msts.Engine.run e;
   Alcotest.(check (list string)) "cascade" [ "first"; "second" ] (List.rev !log);
   Alcotest.(check int) "final clock" 5 (Msts.Engine.now e)
@@ -56,10 +64,10 @@ let engine_stress =
            let t = Msts.Prng.int rng 10000 in
            Msts.Engine.schedule_at e t (fun () -> fired := Msts.Engine.now e :: !fired)
          done;
-         Msts.Engine.run e;
+         let events = run_counted e in
          let times = List.rev !fired in
          List.length times = 2000
-         && Msts.Engine.events_processed e = 2000
+         && events = 2000
          && List.for_all2 ( <= ) times (List.tl times @ [ max_int ])))
 
 let engine_step () =
@@ -69,28 +77,21 @@ let engine_step () =
   Alcotest.(check bool) "one step" true (Msts.Engine.step e);
   Alcotest.(check bool) "drained" false (Msts.Engine.step e)
 
-let engine_rejects_negative_delay () =
-  let e = Msts.Engine.create () in
-  Alcotest.check_raises "negative delay"
-    (Invalid_argument "Engine.schedule_after: negative delay") (fun () ->
-      Msts.Engine.schedule_after e (-2) (fun () -> ()))
-
 let engine_counts_cascades () =
   let e = Msts.Engine.create () in
   (* a chain of events, each scheduling the next: the counter must see
      callbacks created mid-run, not just the initial batch *)
   let rec ripple n =
-    if n > 0 then Msts.Engine.schedule_after e 1 (fun () -> ripple (n - 1))
+    if n > 0 then
+      Msts.Engine.schedule_at e (Msts.Engine.now e + 1) (fun () -> ripple (n - 1))
   in
   ripple 5;
-  Msts.Engine.run e;
-  Alcotest.(check int) "all five counted" 5 (Msts.Engine.events_processed e);
+  Alcotest.(check int) "all five counted" 5 (run_counted e);
   Alcotest.(check int) "clock followed" 5 (Msts.Engine.now e);
   (* same-time events count individually *)
   Msts.Engine.schedule_at e 5 (fun () -> ());
   Msts.Engine.schedule_at e 5 (fun () -> ());
-  Msts.Engine.run e;
-  Alcotest.(check int) "seven total" 7 (Msts.Engine.events_processed e)
+  Alcotest.(check int) "two more" 2 (run_counted e)
 
 (* ---------- netsim vs analytic ASAP ---------- *)
 
@@ -110,7 +111,7 @@ let netsim_equals_asap_chain =
                  (int_range 1 (Msts.Chain.length chain)))))
        (fun (chain, seq) ->
          Msts.Schedule.equal
-           (Msts.Netsim.run_sequence_chain chain seq)
+           (Eager.chain_schedule chain seq)
            (Msts.Asap.chain_of_sequence chain seq)))
 
 let netsim_equals_asap_spider =
@@ -128,7 +129,7 @@ let netsim_equals_asap_spider =
               (list_size (int_range 0 12)
                  (int_range 0 (Array.length addresses - 1)))))
        (fun (spider, seq) ->
-         let a = Msts.Netsim.run_sequence_spider spider seq in
+         let a = Eager.spider_schedule spider seq in
          let b = Msts.Asap.spider_of_sequence spider seq in
          Msts.Serial.spider_schedule_to_string a
          = Msts.Serial.spider_schedule_to_string b))
@@ -217,8 +218,7 @@ let suites =
         case "past scheduling rejected" engine_rejects_past;
         engine_stress;
         case "step" engine_step;
-        case "negative delay rejected" engine_rejects_negative_delay;
-        case "events_processed counts cascades" engine_counts_cascades;
+        case "engine.events counts cascades" engine_counts_cascades;
       ] );
     ( "sim.netsim",
       [

@@ -34,14 +34,22 @@ let fail_violations tr = function
 (* ---------- algebra ---------- *)
 
 let ev ~time ~seq ~task kind = { Trace.time; seq; task; kind }
+
+(* First and last event times; [None] on the empty segment. *)
+let time_span tr =
+  match Trace.events tr with
+  | [] -> None
+  | first :: _ as evs ->
+      let last = List.nth evs (List.length evs - 1) in
+      Some (first.Trace.time, last.Trace.time)
 let port_op = Trace.Transfer { leg = 1; hop = 1 }
 let cpu_op = Trace.Compute { leg = 1; depth = 1 }
 
 let canonical_order () =
-  (* out of emission order on purpose: of_events must sort by time, then
+  (* out of emission order on purpose: a segment is sorted by time, then
      finishes-before-starts, then seq *)
   let tr =
-    Trace.of_events
+    segment
       [
         ev ~time:5 ~seq:0 ~task:2 (Trace.Start port_op);
         ev ~time:5 ~seq:1 ~task:1 (Trace.Finish cpu_op);
@@ -55,7 +63,7 @@ let canonical_order () =
         (match b.Trace.kind with Trace.Finish _ -> true | _ -> false);
       Alcotest.(check int) "start at the shared instant comes last" 5 c.Trace.time;
       Alcotest.(check (option (pair int int))) "time span" (Some (3, 5))
-        (Trace.time_span tr)
+        (time_span tr)
   | _ -> Alcotest.fail "three events in, not three events out"
 
 let split_concat_roundtrip () =
@@ -65,7 +73,7 @@ let split_concat_roundtrip () =
   in
   Alcotest.(check bool) "execution recorded events" true (Trace.length tr > 0);
   let lo, hi =
-    match Trace.time_span tr with
+    match time_span tr with
     | Some s -> s
     | None -> Alcotest.fail "recorded trace is empty"
   in
@@ -84,20 +92,20 @@ let split_concat_roundtrip () =
 
 let concat_rejects_overlap () =
   let a =
-    Trace.of_events
+    segment
       [
         ev ~time:0 ~seq:0 ~task:1 (Trace.Start port_op);
         ev ~time:10 ~seq:1 ~task:1 (Trace.Finish port_op);
       ]
   in
-  let b = Trace.of_events [ ev ~time:5 ~seq:2 ~task:2 (Trace.Start port_op) ] in
+  let b = segment [ ev ~time:5 ~seq:2 ~task:2 (Trace.Start port_op) ] in
   (match Trace.concat a b with
   | _ -> Alcotest.fail "overlapping concat accepted"
   | exception Invalid_argument msg ->
       Alcotest.(check bool) "error names the function" true
         (String.starts_with ~prefix:"Msts.Trace.concat" msg));
   (* sharing the boundary instant is fine: busy intervals are half-open *)
-  let c = Trace.of_events [ ev ~time:10 ~seq:3 ~task:2 (Trace.Start port_op) ] in
+  let c = segment [ ev ~time:10 ~seq:3 ~task:2 (Trace.Start port_op) ] in
   Alcotest.(check int) "boundary-sharing concat" 3 (Trace.length (Trace.concat a c))
 
 let project_partitions () =
@@ -151,7 +159,7 @@ let segment_composition () =
   let tr = Trace.of_spider_schedule (overlapping_port_plan ()) in
   let whole = Trace.check tr in
   Alcotest.(check bool) "fixture is dirty" true (whole <> []);
-  let lo, hi = Option.get (Trace.time_span tr) in
+  let lo, hi = Option.get (time_span tr) in
   let st = Trace.Check.strict () in
   let threaded = ref [] in
   let rest = ref tr in
@@ -174,7 +182,7 @@ let clean_cuts_stay_clean () =
     record (fun () -> Msts.Netsim.execute (Msts.Plan.Spider plan))
   in
   fail_violations tr (Trace.check ~require_nonnegative:true tr);
-  let lo, hi = Option.get (Trace.time_span tr) in
+  let lo, hi = Option.get (time_span tr) in
   List.iter
     (fun at ->
       let a, b = Trace.split tr ~at in
@@ -196,8 +204,6 @@ let recorded_execution_clean () =
     Trace.with_recorder r (fun () -> Msts.Netsim.execute (Msts.Plan.Spider plan))
   in
   let tr = Trace.recorded r in
-  Alcotest.(check int) "recorder counted every event" (Trace.length tr)
-    (Trace.Recorder.event_count r);
   Alcotest.(check bool) "events recorded" true (Trace.length tr > 0);
   Alcotest.(check bool) "no recorder, no events" false (Trace.recording ());
   fail_violations tr (Trace.check ~require_nonnegative:true tr);
@@ -250,7 +256,7 @@ let corrupted_port_overlap_localized () =
 
 let negative_dates_flagged () =
   let tr =
-    Trace.of_events
+    segment
       [
         ev ~time:(-1) ~seq:0 ~task:1 (Trace.Start port_op);
         ev ~time:1 ~seq:1 ~task:1 (Trace.Finish port_op);

@@ -334,13 +334,6 @@ let steady_bounded_by_master_port =
          in
          Msts.Steady_state.tree_throughput tree <= (1.0 /. float_of_int min_c) +. 1e-9))
 
-let steady_subtree_rates_positive () =
-  let rates = Msts.Steady_state.subtree_rates sample_tree in
-  Alcotest.(check int) "one rate per node" 5 (List.length rates);
-  List.iter
-    (fun (_, r) -> Alcotest.(check bool) "positive" true (r > 0.0))
-    rates
-
 let suites =
   [
     ( "tree.flat",
@@ -374,6 +367,5 @@ let suites =
         of_spider_round_trips;
         steady_spider_equals_spider;
         steady_bounded_by_master_port;
-        case "subtree rates" steady_subtree_rates_positive;
       ] );
   ]
