@@ -303,57 +303,53 @@ let figure2_problem () =
 
 (* [check] and [profile] answer a negative task or event count one way,
    whatever the workload and whether the check is traced. *)
-let negative_counts_answered_once () =
+(* A negative [tasks] or [events] gets one answer per field, whatever the
+   command, workload or [traced]: [tasks] is checked first. *)
+let negative_counts_answered_once what op () =
   let platform =
     Msts.Platform_format.Spider_platform
       (Msts.Spider.of_legs [ figure2_chain; Msts.Chain.of_pairs [ (1, 2) ] ])
   in
-  let expect what op code message =
+  let expect case op code message =
     match Api.exec ~solver:Api.direct_solver op with
-    | Ok _ -> Alcotest.failf "%s: accepted" what
+    | Ok _ -> Alcotest.failf "%s, %s: accepted" what case
     | Error e ->
-        Alcotest.(check string) (what ^ ": code")
+        Alcotest.(check string) (case ^ ": code")
           (Api.error_code_to_string code)
           (Api.error_code_to_string e.Api.code);
-        Alcotest.(check string) (what ^ ": message") message e.Api.message
+        Alcotest.(check string) (case ^ ": message") message e.Api.message
   in
   let tasks_error = (Api.Unsolvable, "negative task count")
   and events_error = (Api.Invalid_argument_error, "field \"events\" must be >= 0") in
-  let profile ~tasks ~events workload =
-    Api.Profile { platform; tasks; deadline = None; workload; seed = 1; events }
-  in
-  let check ~tasks ~events trace =
-    Api.Check { problem = Msts.Solve.problem ~tasks platform; trace; seed = 1; events }
-  in
   List.iter
-    (fun (name, workload) ->
-      List.iter
-        (fun (what, tasks, events, (code, message)) ->
-          expect
-            (Printf.sprintf "profile %s, %s" name what)
-            (profile ~tasks ~events workload) code message)
-        [
-          ("tasks -3", -3, 2, tasks_error);
-          ("events -1", 4, -1, events_error);
-          ("both negative", -3, -1, tasks_error);
-        ])
+    (fun (case, tasks, events, (code, message)) ->
+      expect case (op platform ~tasks ~events) code message)
     [
-      ("solve", Api.Solve_only); ("execute", Api.Execute); ("pull", Api.Pull);
-      ("faults", Api.Faults);
-    ];
-  List.iter
-    (fun traced ->
-      List.iter
-        (fun (what, tasks, events, (code, message)) ->
-          expect
-            (Printf.sprintf "check traced=%b, %s" traced what)
-            (check ~tasks ~events traced) code message)
-        [
-          ("tasks -3", -3, 2, tasks_error);
-          ("events -1", 4, -1, events_error);
-          ("both negative", -3, -1, tasks_error);
-        ])
-    [ false; true ]
+      ("tasks -3", -3, 2, tasks_error);
+      ("events -1", 4, -1, events_error);
+      ("both negative", -3, -1, tasks_error);
+    ]
+
+let negative_counts_profile workload platform ~tasks ~events =
+  Api.Profile { platform; tasks; deadline = None; workload; seed = 1; events }
+
+let negative_counts_check traced platform ~tasks ~events =
+  Api.Check { problem = Msts.Solve.problem ~tasks platform; trace = traced; seed = 1; events }
+
+let negative_counts_cases =
+  List.map
+    (fun (what, op) ->
+      case
+        (Printf.sprintf "%s: negative tasks and events, one answer each" what)
+        (negative_counts_answered_once what op))
+    [
+      ("profile solve", negative_counts_profile Api.Solve_only);
+      ("profile execute", negative_counts_profile Api.Execute);
+      ("profile pull", negative_counts_profile Api.Pull);
+      ("profile faults", negative_counts_profile Api.Faults);
+      ("check untraced", negative_counts_check false);
+      ("check traced", negative_counts_check true);
+    ]
 
 let engine_config =
   { Msts_serve.Engine.default_config with jobs = 1; cache_capacity = 4 }
@@ -1125,10 +1121,8 @@ let suites =
           batch_field_errors_in_order;
       ] );
     ( "api.exec",
-      [
-        exec_matches_solve;
-        case "negative tasks and events: one answer per field"
-          negative_counts_answered_once;
+      (exec_matches_solve :: negative_counts_cases)
+      @ [
         response_line_matches_tree;
         batched_line_matches_tree;
         case "engine wire responses = direct exec bytes"

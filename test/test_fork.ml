@@ -96,6 +96,15 @@ let allocate_budget () =
   let allocs = Msts.Fork_allocator.allocate nodes ~deadline:1000 ~budget:5 in
   Alcotest.(check int) "budget respected" 5 (List.length allocs)
 
+let tasks_per_slave_counts () =
+  let fork = Msts.Fork.of_pairs [ (1, 2); (4, 1) ] in
+  let nodes = Msts.Fork_expansion.expand fork ~count:6 in
+  let allocs = Msts.Fork_allocator.allocate nodes ~deadline:12 ~budget:100 in
+  let per_slave = tasks_per_slave allocs in
+  let total = List.fold_left (fun acc (_, k) -> acc + k) 0 per_slave in
+  Alcotest.(check int) "totals agree" (List.length allocs) total;
+  List.iter (fun (slave, k) -> Alcotest.(check bool) "valid slave" true (slave >= 1 && slave <= 2 && k > 0)) per_slave
+
 let allocator_prefix_ranks =
   Helpers.to_alcotest
     (QCheck.Test.make ~count:200
@@ -214,6 +223,7 @@ let suites =
         case "prefix feasibility condition" feasible_set_condition;
         case "back-to-back emissions" allocate_emits_back_to_back;
         case "budget respected" allocate_budget;
+        case "tasks per slave" tasks_per_slave_counts;
         allocator_prefix_ranks;
         allocator_feasible_output;
         allocator_optimal_vs_brute_force;
