@@ -186,7 +186,7 @@ let spider_optimality () =
       let d = Msts.Prng.int rng 40 in
       if
         min 5 (Msts.Spider_algorithm.max_tasks ~budget:5 spider ~deadline:d)
-        = Msts.Brute_force.spider_max_tasks spider ~deadline:d ~limit:5
+        = Msts.Brute_force.max_tasks spider ~deadline:d ~limit:5
       then incr agree_tasks
     end
   done;
@@ -208,14 +208,13 @@ let heuristics_gap () =
       ("comm-bound", Msts.Generator.comm_bound_profile);
     ]
   in
-  let policies = Msts.List_sched.all_chain_policies in
+  let policies = Msts.Tree_heuristics.chain_policies in
   let table =
     Msts.Table.create
       ~title:
         "E11: heuristic makespan / optimal makespan (geometric mean over 60 \
          random chains, p=6, n=40)"
-      ~columns:("profile" :: List.map Msts.List_sched.chain_policy_name policies
-               @ [ "LB/opt" ])
+      ~columns:("profile" :: List.map fst policies @ [ "LB/opt" ])
   in
   List.iter
     (fun (name, profile) ->
@@ -225,13 +224,18 @@ let heuristics_gap () =
       for t = 0 to trials - 1 do
         let chain = Msts.Generator.chain rng profile ~p:6 in
         let n = 40 in
-        let opt = float_of_int (Msts.Chain_algorithm.makespan chain n) in
+        let opt = Msts.Chain_algorithm.makespan chain n in
+        let spider = Msts.Spider.of_chain chain in
+        let tree = Msts.Tree.of_spider spider in
         List.iteri
-          (fun i policy ->
-            ratios.(i).(t) <-
-              float_of_int (Msts.List_sched.chain_makespan policy chain n) /. opt)
+          (fun i (_, policy) ->
+            let makespan = Msts.Tree_heuristics.makespan policy tree n in
+            assert (makespan >= opt);
+            ratios.(i).(t) <- float_of_int makespan /. float_of_int opt)
           policies;
-        bound_ratio.(t) <- float_of_int (Msts.Bounds.combined_bound chain n) /. opt
+        let lb = Msts.Bounds.spider_combined_bound spider n in
+        assert (lb <= opt);
+        bound_ratio.(t) <- float_of_int lb /. float_of_int opt
       done;
       Msts.Table.add_row table
         (name
@@ -325,7 +329,8 @@ let pull_gap () =
         r2.(t) <- mk 2;
         r3.(t) <-
           float_of_int
-            (Msts.List_sched.(spider_makespan Spider_earliest_completion) spider n)
+            (Msts.Tree_heuristics.(makespan Earliest_completion)
+               (Msts.Tree.of_spider spider) n)
           /. opt
       done;
       Msts.Table.add_row table
@@ -405,12 +410,14 @@ let heterogeneity_sweep () =
         let chain = Msts.Generator.chain rng profile ~p in
         let opt = float_of_int (Msts.Chain_algorithm.makespan chain n) in
         cv.(t) <- Msts.Generator.heterogeneity chain;
+        let spider = Msts.Spider.of_chain chain in
+        let tree = Msts.Tree.of_spider spider in
         ect.(t) <-
-          float_of_int (Msts.List_sched.(chain_makespan Earliest_completion) chain n)
+          float_of_int (Msts.Tree_heuristics.(makespan Earliest_completion) tree n)
           /. opt;
         rr.(t) <-
-          float_of_int (Msts.List_sched.(chain_makespan Round_robin) chain n) /. opt;
-        lb.(t) <- float_of_int (Msts.Bounds.combined_bound chain n) /. opt;
+          float_of_int (Msts.Tree_heuristics.(makespan Round_robin) tree n) /. opt;
+        lb.(t) <- float_of_int (Msts.Bounds.spider_combined_bound spider n) /. opt;
         per_task.(t) <- opt /. float_of_int n
       done;
       Msts.Table.add_row table

@@ -168,6 +168,7 @@ let component_costs () =
   let seq =
     Array.map (fun (e : Msts.Schedule.entry) -> e.proc) (Msts.Schedule.entries sched)
   in
+  let flat = Msts.Tree_flat.of_tree (Msts.Tree.of_spider (Msts.Spider.of_chain chain)) in
   let tests =
     Test.make_grouped ~name:"components"
       [
@@ -176,7 +177,7 @@ let component_costs () =
         Test.make ~name:"feasibility check"
           (Staged.stage (fun () -> ignore (Msts.Feasibility.check sched)));
         Test.make ~name:"ASAP timing"
-          (Staged.stage (fun () -> ignore (Msts.Asap.chain_makespan chain seq)));
+          (Staged.stage (fun () -> ignore (Msts.Asap.makespan flat seq)));
         Test.make ~name:"event-driven execution"
           (Staged.stage (fun () -> ignore (Msts.Netsim.execute (Msts.Plan.Spider spider_plan))));
         Test.make ~name:"deadline pass"

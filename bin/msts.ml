@@ -369,66 +369,44 @@ let explain_cmd =
 
 let bounds_cmd =
   let run path n fmt =
-    let table =
+    let spider, optimal, policies =
       match read_platform path with
       | Msts.Platform_format.Chain_platform chain ->
-          let table =
-            Msts.Table.create ~title:(Printf.sprintf "bounds and schedulers, n=%d" n)
-              ~columns:[ "method"; "makespan" ]
-          in
-          Msts.Table.add_row table
-            [ "port lower bound"; string_of_int (Msts.Bounds.port_bound chain n) ];
-          Msts.Table.add_row table
-            [ "capacity lower bound"; string_of_int (Msts.Bounds.capacity_bound chain n) ];
-          Msts.Table.add_row table
-            [ "fluid lower bound"; Msts.Table.cell_float (Msts.Bounds.fluid_bound chain n) ];
-          Msts.Table.add_row table
-            [ "optimal (this paper)"; string_of_int (Msts.Chain_algorithm.makespan chain n) ];
-          List.iter
-            (fun policy ->
-              Msts.Table.add_row table
-                [
-                  "heuristic " ^ Msts.List_sched.chain_policy_name policy;
-                  string_of_int (Msts.List_sched.chain_makespan policy chain n);
-                ])
-            Msts.List_sched.all_chain_policies;
-          table
+          ( Msts.Spider.of_chain chain,
+            Msts.Chain_algorithm.makespan chain n,
+            Msts.Tree_heuristics.chain_policies )
       | platform ->
           let spider = as_spider platform in
-          let table =
-            Msts.Table.create ~title:(Printf.sprintf "bounds and schedulers, n=%d" n)
-              ~columns:[ "method"; "makespan" ]
-          in
-          Msts.Table.add_row table
-            [
-              "port lower bound";
-              string_of_int (Msts.Bounds.spider_port_bound spider n);
-            ];
-          Msts.Table.add_row table
-            [
-              "capacity lower bound";
-              string_of_int (Msts.Bounds.spider_capacity_bound spider n);
-            ];
-          Msts.Table.add_row table
-            [
-              "fluid lower bound";
-              Msts.Table.cell_float (Msts.Bounds.spider_fluid_bound spider n);
-            ];
-          Msts.Table.add_row table
-            [
-              "optimal (this paper)";
-              string_of_int (Msts.Spider_algorithm.min_makespan spider n);
-            ];
-          List.iter
-            (fun policy ->
-              Msts.Table.add_row table
-                [
-                  "heuristic " ^ Msts.List_sched.spider_policy_name policy;
-                  string_of_int (Msts.List_sched.spider_makespan policy spider n);
-                ])
-            Msts.List_sched.all_spider_policies;
-          table
+          ( spider,
+            Msts.Spider_algorithm.min_makespan spider n,
+            Msts.Tree_heuristics.spider_policies )
     in
+    let table =
+      Msts.Table.create ~title:(Printf.sprintf "bounds and schedulers, n=%d" n)
+        ~columns:[ "method"; "makespan" ]
+    in
+    Msts.Table.add_row table
+      [ "port lower bound"; string_of_int (Msts.Bounds.spider_port_bound spider n) ];
+    Msts.Table.add_row table
+      [
+        "capacity lower bound";
+        string_of_int (Msts.Bounds.spider_capacity_bound spider n);
+      ];
+    Msts.Table.add_row table
+      [
+        "fluid lower bound";
+        Msts.Table.cell_float (Msts.Bounds.spider_fluid_bound spider n);
+      ];
+    Msts.Table.add_row table [ "optimal (this paper)"; string_of_int optimal ];
+    let tree = Msts.Tree.of_spider spider in
+    List.iter
+      (fun (name, policy) ->
+        Msts.Table.add_row table
+          [
+            "heuristic " ^ name;
+            string_of_int (Msts.Tree_heuristics.makespan policy tree n);
+          ])
+      policies;
     print_table fmt table
   in
   let doc = "Compare the optimal makespan with lower bounds and heuristics." in
@@ -496,13 +474,13 @@ let tree_cmd =
             ("best subtree rate", Msts.Tree.Best_rate);
           ];
         List.iter
-          (fun policy ->
+          (fun (name, policy) ->
             Msts.Table.add_row table
               [
-                "forward: " ^ Msts.Tree_heuristics.policy_name policy;
+                "forward: " ^ name;
                 string_of_int (Msts.Tree_heuristics.makespan policy tree n);
               ])
-          Msts.Tree_heuristics.all_policies;
+          Msts.Tree_heuristics.tree_policies;
         Msts.Table.add_row table
           [ "lower bound"; string_of_int (Msts.Tree_search.lower_bound tree n) ];
         Msts.Table.print table;
@@ -573,7 +551,7 @@ let faults_cmd =
               exit 2)
       | None ->
           if events < 0 then (
-            Printf.eprintf "error: --events must be >= 0\n";
+            Printf.eprintf "error: field \"events\" must be >= 0\n";
             exit 2);
           Msts.Fault.random (Msts.Prng.create seed) spider ~events
             ~horizon:planned

@@ -32,11 +32,11 @@ let () =
 
   (* How much does optimality buy over sensible heuristics? *)
   print_newline ();
+  let tree = Msts.Tree.of_spider (Msts.Spider.of_chain chain) in
   List.iter
-    (fun policy ->
-      Printf.printf "%-22s -> makespan %d\n"
-        (Msts.List_sched.chain_policy_name policy)
-        (Msts.List_sched.chain_makespan policy chain n))
-    Msts.List_sched.all_chain_policies;
+    (fun (name, policy) ->
+      Printf.printf "%-22s -> makespan %d\n" name
+        (Msts.Tree_heuristics.makespan policy tree n))
+    Msts.Tree_heuristics.chain_policies;
   Printf.printf "%-22s -> makespan %d\n" "optimal (this paper)"
     (Msts.Schedule.makespan schedule)

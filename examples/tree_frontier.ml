@@ -59,11 +59,9 @@ let () =
       ("best subtree rate", Msts.Tree.Best_rate);
     ];
   List.iter
-    (fun policy ->
-      row
-        ("forward: " ^ Msts.Tree_heuristics.policy_name policy)
-        (Msts.Tree_heuristics.makespan policy tree n))
-    Msts.Tree_heuristics.all_policies;
+    (fun (name, policy) ->
+      row ("forward: " ^ name) (Msts.Tree_heuristics.makespan policy tree n))
+    Msts.Tree_heuristics.tree_policies;
   Msts.Table.add_row table [ "lower bound"; string_of_int lb; "1.00x" ];
   Msts.Table.print table;
 

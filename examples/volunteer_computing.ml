@@ -47,10 +47,9 @@ let () =
         Msts.Spider_schedule.makespan
           (Msts.Netsim.pull_policy ~buffer:3 platform ~tasks:n)
       in
-      let ect =
-        Msts.List_sched.(spider_makespan Spider_earliest_completion) platform n
-      in
-      let rr = Msts.List_sched.(spider_makespan Spider_round_robin) platform n in
+      let tree = Msts.Tree.of_spider platform in
+      let ect = Msts.Tree_heuristics.(makespan Earliest_completion) tree n in
+      let rr = Msts.Tree_heuristics.(makespan Round_robin) tree n in
       Msts.Table.add_row table
         [
           string_of_int n;

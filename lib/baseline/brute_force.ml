@@ -1,83 +1,23 @@
 module Chain = Msts_platform.Chain
 module Spider = Msts_platform.Spider
+module Tree = Msts_platform.Tree
 
-(* Generic depth-first enumeration: [targets] are the possible destinations,
-   [push] advances a state copy, [measure] reads the partial makespan.  The
-   partial makespan only grows as tasks are appended (ASAP dates of placed
-   tasks never move), so branches already worse than the incumbent are cut. *)
-let search ~targets ~start ~copy ~push ~n =
-  let best = ref max_int in
-  let best_seq = ref [||] in
-  let seq = Array.make n (List.hd targets) in
-  let rec explore state depth makespan =
-    if makespan < !best then begin
-      if depth = n then begin
-        best := makespan;
-        best_seq := Array.copy seq
-      end
-      else
-        List.iter
-          (fun dest ->
-            let state' = copy state in
-            let completion = push state' dest in
-            seq.(depth) <- dest;
-            explore state' (depth + 1) (max makespan completion))
-          targets
-    end
-  in
-  if n = 0 then (0, [||])
-  else begin
-    explore (start ()) 0 0;
-    (!best, !best_seq)
-  end
-
-let chain_targets chain = Msts_util.Intx.range 1 (Chain.length chain)
-
-let chain_search chain n =
-  if n < 0 then invalid_arg "Brute_force: negative task count";
-  search
-    ~targets:(chain_targets chain)
-    ~start:(fun () -> Asap.chain_start chain)
-    ~copy:Asap.chain_copy
-    ~push:(fun st dest ->
-      let e = Asap.chain_push st ~dest in
-      e.Msts_schedule.Schedule.start + Chain.work chain dest)
-    ~n
-
-let chain_makespan chain n = fst (chain_search chain n)
-
-let chain_schedule chain n =
-  let _, seq = chain_search chain n in
-  Asap.chain_of_sequence chain seq
-
-let chain_max_tasks chain ~deadline ~limit =
-  if deadline < 0 || limit < 0 then invalid_arg "Brute_force.chain_max_tasks";
-  let rec grow m =
-    if m >= limit then m
-    else if chain_makespan chain (m + 1) <= deadline then grow (m + 1)
-    else m
-  in
-  grow 0
-
-let spider_search spider n =
-  if n < 0 then invalid_arg "Brute_force: negative task count";
-  search
-    ~targets:(Spider.addresses spider)
-    ~start:(fun () -> Asap.spider_start spider)
-    ~copy:Asap.spider_copy
-    ~push:(fun st dest ->
-      let e = Asap.spider_push st ~dest in
-      e.Msts_schedule.Spider_schedule.start + Spider.work spider dest)
-    ~n
-
-let spider_makespan spider n = fst (spider_search spider n)
+(* A spider is the tree [Tree.of_spider], a chain the one-leg spider: both
+   enumerations are the tree's depth-first search. *)
+let spider_makespan spider n =
+  Msts_tree.Search.best_fifo_makespan (Tree.of_spider spider) n
 
 let spider_schedule spider n =
-  let _, seq = spider_search spider n in
-  Asap.spider_of_sequence spider seq
+  Msts_tree.Tree_schedule.to_spider spider
+    (Msts_tree.Search.best_fifo_schedule (Tree.of_spider spider) n)
 
-let spider_max_tasks spider ~deadline ~limit =
-  if deadline < 0 || limit < 0 then invalid_arg "Brute_force.spider_max_tasks";
+let chain_makespan chain n = spider_makespan (Spider.of_chain chain) n
+
+let chain_schedule chain n =
+  Msts_schedule.Spider_schedule.leg_schedule (spider_schedule (Spider.of_chain chain) n) 1
+
+let max_tasks spider ~deadline ~limit =
+  if deadline < 0 || limit < 0 then invalid_arg "Brute_force.max_tasks";
   let rec grow m =
     if m >= limit then m
     else if spider_makespan spider (m + 1) <= deadline then grow (m + 1)

@@ -2,9 +2,11 @@
 
     Enumerates every destination sequence (the order in which the master
     emits tasks, each with a target processor) and times it with the ASAP
-    sweep — see {!Asap} for why this search space contains an optimal
-    schedule.  Cost is [pⁿ·O(n·p)], so the oracles are reserved for the
-    small instances the optimality tests run on. *)
+    sweep — see {!Msts_tree.Asap} for why this search space contains an
+    optimal schedule.  A spider is searched as the tree [Tree.of_spider],
+    a chain as the one-leg spider [Spider.of_chain]
+    ({!Msts_tree.Search}).  Cost is [pⁿ·O(n·p)], so the oracles are
+    reserved for the small instances the optimality tests run on. *)
 
 val chain_makespan : Msts_platform.Chain.t -> int -> int
 (** Optimal makespan for [n] tasks on a chain.  0 when [n = 0].
@@ -13,16 +15,15 @@ val chain_makespan : Msts_platform.Chain.t -> int -> int
 val chain_schedule : Msts_platform.Chain.t -> int -> Msts_schedule.Schedule.t
 (** A witness optimal schedule. *)
 
-val chain_max_tasks : Msts_platform.Chain.t -> deadline:int -> limit:int -> int
-(** Largest [m <= limit] schedulable within [deadline] (exact counterpart of
-    {!Msts_chain.Deadline.max_tasks}). *)
-
 val spider_makespan : Msts_platform.Spider.t -> int -> int
 (** Optimal makespan for [n] tasks on a spider. *)
 
 val spider_schedule : Msts_platform.Spider.t -> int -> Msts_schedule.Spider_schedule.t
 
-val spider_max_tasks : Msts_platform.Spider.t -> deadline:int -> limit:int -> int
+val max_tasks : Msts_platform.Spider.t -> deadline:int -> limit:int -> int
+(** Largest [m <= limit] schedulable within [deadline] (exact counterpart
+    of {!Msts_spider.Algorithm.max_tasks}, and of
+    {!Msts_chain.Deadline.max_tasks} on [Spider.of_chain]). *)
 
 val chain_makespan_pruned : Msts_platform.Chain.t -> int -> int
 (** Same optimum as {!chain_makespan}, computed by a level-by-level state

@@ -1,23 +1,37 @@
 module Chain = Msts_platform.Chain
+module Spider = Msts_platform.Spider
+module Tree = Msts_platform.Tree
 module Schedule = Msts_schedule.Schedule
 module Prng = Msts_util.Prng
+module Asap = Msts_tree.Asap
+
+(* The chain as a one-leg tree: node k is processor k, so a destination
+   sequence reads the same on both. *)
+let chain_tree chain = Tree.of_spider (Spider.of_chain chain)
+
+let asap_schedule chain flat seq =
+  Msts_schedule.Spider_schedule.leg_schedule
+    (Msts_tree.Tree_schedule.to_spider (Spider.of_chain chain)
+       (Asap.of_sequence flat seq))
+    1
 
 let random_restarts ?(seed = 0) ~restarts chain n =
   if restarts < 0 then invalid_arg "Local_search.random_restarts: negative restarts";
   if n < 0 then invalid_arg "Local_search.random_restarts: negative task count";
   let p = Chain.length chain in
+  let flat = Msts_tree.Flat.of_tree (chain_tree chain) in
   let rng = Prng.create seed in
   let best_seq = ref (Array.make n 1) in
-  let best = ref (Asap.chain_makespan chain !best_seq) in
+  let best = ref (Asap.makespan flat !best_seq) in
   for _ = 1 to restarts do
     let seq = Array.init n (fun _ -> Prng.int_in rng 1 p) in
-    let makespan = Asap.chain_makespan chain seq in
+    let makespan = Asap.makespan flat seq in
     if makespan < !best then begin
       best := makespan;
       best_seq := seq
     end
   done;
-  Asap.chain_of_sequence chain !best_seq
+  asap_schedule chain flat !best_seq
 
 type climb_report = {
   schedule : Schedule.t;
@@ -27,22 +41,26 @@ type climb_report = {
 }
 
 (* initial sequence: the earliest-completion greedy *)
-let greedy_sequence chain n =
-  let sched = List_sched.chain List_sched.Earliest_completion chain n in
-  Array.map (fun (e : Schedule.entry) -> e.proc) (Schedule.entries sched)
+let greedy_sequence tree n =
+  let sched = Msts_tree.Heuristics.(schedule Earliest_completion) tree n in
+  Array.map
+    (fun (e : Msts_tree.Tree_schedule.entry) -> e.node)
+    (Msts_tree.Tree_schedule.entries sched)
 
 let hill_climb ?(seed = 0) ?(max_rounds = 50) chain n =
   if n < 0 then invalid_arg "Local_search.hill_climb: negative task count";
   let p = Chain.length chain in
+  let tree = chain_tree chain in
+  let flat = Msts_tree.Flat.of_tree tree in
   let rng = Prng.create seed in
-  let seq = greedy_sequence chain n in
+  let seq = greedy_sequence tree n in
   let evaluations = ref 1 in
-  let current = ref (Asap.chain_makespan chain seq) in
+  let current = ref (Asap.makespan flat seq) in
   let start_makespan = !current in
   let iterations = ref 0 in
   let evaluate () =
     incr evaluations;
-    Asap.chain_makespan chain seq
+    Asap.makespan flat seq
   in
   (* first-improvement over a randomly ordered neighbourhood sweep *)
   let try_retarget position dest =
@@ -107,7 +125,7 @@ let hill_climb ?(seed = 0) ?(max_rounds = 50) chain n =
     incr rounds
   done;
   {
-    schedule = Asap.chain_of_sequence chain seq;
+    schedule = asap_schedule chain flat seq;
     start_makespan;
     iterations = !iterations;
     evaluations = !evaluations;

@@ -28,7 +28,9 @@ let min_makespan_via_deadline ?kernel chain n =
     let hi = Chain.master_only_makespan chain n in
     (* Every bound is provably <= OPT, so starting the search there skips
        the whole infeasible prefix without risking the answer. *)
-    let lo = Msts_schedule.Bounds.combined_bound chain n in
+    let lo =
+      Msts_schedule.Bounds.spider_combined_bound (Msts_platform.Spider.of_chain chain) n
+    in
     match
       Msts_util.Intx.binary_search_least ~lo ~hi (fun d ->
           Obs.count "chain.deadline.search_probes";

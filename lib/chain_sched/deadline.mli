@@ -25,6 +25,7 @@ val min_makespan_via_deadline : ?kernel:Kernel.t -> Msts_platform.Chain.t -> int
 (** Optimal makespan for [n] tasks recovered by binary-searching the least
     deadline [d] with [max_tasks d >= n] — used in tests as an independent
     cross-check of {!Algorithm.makespan} (the two must agree).  The search
-    is warm-started at {!Msts_schedule.Bounds.combined_bound} (provably
+    is warm-started at {!Msts_schedule.Bounds.spider_combined_bound} of
+    [Spider.of_chain] (provably
     [<= OPT]); each probe bumps the [chain.deadline.search_probes]
     counter. *)

@@ -20,8 +20,12 @@
     {- the paper's algorithms: {!Chain_algorithm}, {!Chain_deadline},
        {!Chain_lemmas}, {!Chain_trace}, {!Fork_expansion}, {!Fork_allocator},
        {!Fork_builder}, {!Fork_count}, {!Spider_transform}, {!Spider_algorithm};}
-    {- oracles and baselines: {!Asap}, {!Brute_force}, {!List_sched},
-       {!Bounds}, {!Steady_state};}
+    {- trees, and the one ASAP sweep, exhaustive search and forward
+       heuristics that chains and spiders run on through [Tree.of_spider]:
+       {!Tree_flat}, {!Tree_schedule}, {!Asap}, {!Tree_search},
+       {!Tree_heuristics};}
+    {- oracles and baselines: {!Brute_force}, {!Local_search}, {!Bounds},
+       {!Steady_state};}
     {- execution substrate: {!Engine}, {!Netsim};}
     {- observability: {!Obs} (spans, counters, Chrome traces), {!Json};}
     {- utilities: {!Prng}, {!Heap}, {!Stats}, {!Table}, {!Intx}.} } *)
@@ -78,17 +82,16 @@ module Spider_transform = Msts_spider.Transform
 module Spider_algorithm = Msts_spider.Algorithm
 module Spider_trace = Msts_spider.Trace
 
-(* Tree extension (the paper's stated future work) *)
+(* Tree extension (the paper's stated future work); chains and spiders run
+   its ASAP sweep, exhaustive search and forward heuristics as trees *)
 module Tree_flat = Msts_tree.Flat
 module Tree_schedule = Msts_tree.Tree_schedule
-module Tree_asap = Msts_tree.Asap
+module Asap = Msts_tree.Asap
 module Tree_heuristics = Msts_tree.Heuristics
 module Tree_search = Msts_tree.Search
 
 (* Oracles and baselines *)
-module Asap = Msts_baseline.Asap
 module Brute_force = Msts_baseline.Brute_force
-module List_sched = Msts_baseline.List_sched
 module Local_search = Msts_baseline.Local_search
 
 (* Execution substrate *)

@@ -9,11 +9,6 @@ let best_single_completion chain =
   done;
   !best
 
-let port_bound chain n =
-  if n < 0 then invalid_arg "Bounds.port_bound: negative n";
-  if n = 0 then 0
-  else ((n - 1) * Chain.latency chain 1) + best_single_completion chain
-
 let capacity_at chain m =
   let p = Chain.length chain in
   let total = ref 0 in
@@ -22,27 +17,6 @@ let capacity_at chain m =
     if window > 0 then total := !total + (window / Chain.work chain k)
   done;
   !total
-
-let capacity_bound chain n =
-  if n < 0 then invalid_arg "Bounds.capacity_bound: negative n";
-  if n = 0 then 0
-  else begin
-    let hi = Chain.master_only_makespan chain n in
-    match
-      Msts_util.Intx.binary_search_least ~lo:0 ~hi (fun m ->
-          capacity_at chain m >= n)
-    with
-    | Some m -> m
-    | None -> hi
-  end
-
-let fluid_bound chain n =
-  if n < 0 then invalid_arg "Bounds.fluid_bound: negative n";
-  if n = 0 then 0.0 else float_of_int n /. Steady_state.chain_throughput chain
-
-let combined_bound chain n =
-  let fluid = int_of_float (ceil (fluid_bound chain n -. 1e-9)) in
-  max (port_bound chain n) (max (capacity_bound chain n) fluid)
 
 let spider_port_bound spider n =
   if n < 0 then invalid_arg "Bounds.spider_port_bound: negative n";

@@ -14,8 +14,8 @@
       buffers or on a degraded platform, dates recomputed eagerly.  Its
       realised schedule is the eager execution of the plan's destination
       sequence, which must coincide exactly with the analytic ASAP timing
-      of {!Msts_baseline.Asap} — the test suite uses this as a
-      cross-validation of both.
+      of {!Msts_tree.Asap} on [Tree.of_spider] — the test suite uses this
+      as a cross-validation of both.
     - {!pull_policy}: an online, demand-driven master (the SETI@home-style
       baseline): idle processors request work, the master serves requests
       first-come-first-served.  No global knowledge, no optimality.

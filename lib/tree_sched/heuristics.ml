@@ -4,41 +4,74 @@ module Spider = Msts_platform.Spider
 module Prng = Msts_util.Prng
 
 type policy =
-  | Tree_earliest_completion
-  | Tree_random of int
-  | Tree_root_only
+  | Earliest_completion
+  | Round_robin
+  | First_node
+  | Fastest_processor
+  | Random of int
 
-let policy_name = function
-  | Tree_earliest_completion -> "earliest-completion"
-  | Tree_random seed -> Printf.sprintf "random(%d)" seed
-  | Tree_root_only -> "root-only"
+let chain_policies =
+  [
+    ("earliest-completion", Earliest_completion);
+    ("round-robin", Round_robin);
+    ("master-only", First_node);
+    ("fastest-processor", Fastest_processor);
+    ("random(0)", Random 0);
+  ]
 
-let all_policies = [ Tree_earliest_completion; Tree_random 0; Tree_root_only ]
+let spider_policies =
+  [
+    ("earliest-completion", Earliest_completion);
+    ("round-robin", Round_robin);
+    ("first-leg", First_node);
+    ("random(0)", Random 0);
+  ]
 
-let completion_if st dest flat =
-  let probe = Asap.copy st in
-  let e = Asap.push probe ~dest in
-  e.Tree_schedule.start + (Flat.info flat dest).Flat.work
+let tree_policies =
+  [
+    ("earliest-completion", Earliest_completion);
+    ("random(0)", Random 0);
+    ("root-only", First_node);
+  ]
 
 let schedule policy tree n =
   if n < 0 then invalid_arg "Heuristics.schedule: negative task count";
   let flat = Flat.of_tree tree in
   let count = Flat.node_count flat in
-  let rng = match policy with Tree_random seed -> Some (Prng.create seed) | _ -> None in
-  let choose st =
+  let work dest = (Flat.info flat dest).Flat.work in
+  (* one-step lookahead on a state snapshot *)
+  let completion_if st dest =
+    let e = Asap.push (Asap.copy st) ~dest in
+    e.Tree_schedule.start + work dest
+  in
+  let choose =
     match policy with
-    | Tree_root_only -> 1
-    | Tree_random _ -> Prng.int_in (Option.get rng) 1 count
-    | Tree_earliest_completion ->
-        let best = ref 1 and best_time = ref (completion_if st 1 flat) in
-        for dest = 2 to count do
-          let t = completion_if st dest flat in
-          if t < !best_time then begin
-            best := dest;
-            best_time := t
-          end
-        done;
-        !best
+    | Earliest_completion ->
+        fun st ->
+          let best = ref 1 and best_time = ref (completion_if st 1) in
+          for dest = 2 to count do
+            let t = completion_if st dest in
+            if t < !best_time then begin
+              best := dest;
+              best_time := t
+            end
+          done;
+          !best
+    | Round_robin ->
+        let rr = ref 0 in
+        fun _ ->
+          let dest = (!rr mod count) + 1 in
+          incr rr;
+          dest
+    | First_node -> fun _ -> 1
+    | Fastest_processor ->
+        let fastest =
+          Msts_util.Intx.argmin (Array.init count (fun idx -> work (idx + 1))) + 1
+        in
+        fun _ -> fastest
+    | Random seed ->
+        let rng = Prng.create seed in
+        fun _ -> Prng.int_in rng 1 count
   in
   let st = Asap.start flat in
   Tree_schedule.make flat (Array.init n (fun _ -> Asap.push st ~dest:(choose st)))

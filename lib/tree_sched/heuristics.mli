@@ -1,4 +1,10 @@
-(** Forward heuristics and the spider-cover pipeline for trees.
+(** Forward list heuristics and the spider-cover pipeline.
+
+    The forward heuristics are the natural competitors a practitioner
+    would reach for before reading the paper: emit tasks forwards
+    (earliest first), choose each task's destination with a myopic rule,
+    and time everything ASAP.  None is optimal in general.  They run on
+    trees, so chains and spiders reach them through [Tree.of_spider].
 
     Optimal tree scheduling is the open problem the paper closes with; what
     it proposes is to {e cover} the tree with structures it can schedule
@@ -8,15 +14,30 @@
     myopic forward heuristics one would otherwise use. *)
 
 type policy =
-  | Tree_earliest_completion  (** one-step-lookahead greedy over all nodes *)
-  | Tree_random of int  (** uniform destination, seeded *)
-  | Tree_root_only  (** everything on the first child of the master *)
+  | Earliest_completion
+      (** one-step lookahead: send to the node finishing this task soonest
+          (ties to the lower node id) *)
+  | Round_robin  (** cycle through the nodes in preorder *)
+  | First_node  (** every task on node 1, the master's first child *)
+  | Fastest_processor  (** always the node with minimal [w], ties to the lower id *)
+  | Random of int  (** uniform destination, seeded *)
 
-val policy_name : policy -> string
+val chain_policies : (string * policy) list
+(** The rules reported for a chain, with their labels, in report order
+    ([First_node] is labelled [master-only]). *)
 
-val all_policies : policy list
+val spider_policies : (string * policy) list
+(** The rules reported for a spider ([First_node] is [first-leg]). *)
+
+val tree_policies : (string * policy) list
+(** The rules reported for a tree ([First_node] is [root-only]). *)
 
 val schedule : policy -> Msts_platform.Tree.t -> int -> Tree_schedule.t
+(** Emit [n] tasks forwards, choosing each destination with the rule and
+    timing it with {!Asap}.  Feasible by construction.  A spider runs on
+    [Tree.of_spider] (see {!Tree_schedule.to_spider}), a chain on the
+    spider [Spider.of_chain] first.
+    @raise Invalid_argument if [n < 0]. *)
 
 val makespan : policy -> Msts_platform.Tree.t -> int -> int
 

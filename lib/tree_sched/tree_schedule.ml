@@ -34,6 +34,22 @@ let makespan t =
     (fun acc e -> max acc (e.start + (Flat.info t.flat e.node).Flat.work))
     0 t.entries
 
+(* Flat numbers the nodes of [Tree.of_spider spider] in preorder, which is
+   the order of [Spider.addresses spider]: node k is the k-th address. *)
+let to_spider spider t =
+  let addresses = Array.of_list (Msts_platform.Spider.addresses spider) in
+  if Array.length addresses <> Flat.node_count t.flat then
+    invalid_arg "Tree_schedule.to_spider: the tree is not this spider's";
+  Msts_schedule.Spider_schedule.make spider
+    (Array.map
+       (fun e ->
+         {
+           Msts_schedule.Spider_schedule.address = addresses.(e.node - 1);
+           start = e.start;
+           comms = Array.copy e.comms;
+         })
+       t.entries)
+
 let tasks_on t node =
   let keyed =
     List.filter_map

@@ -34,6 +34,13 @@ val entries : t -> entry array
 
 val makespan : t -> int
 
+val to_spider : Msts_platform.Spider.t -> t -> Msts_schedule.Spider_schedule.t
+(** [to_spider s t] reads a schedule on [Tree.of_spider s] as a spider
+    schedule: node k runs at the k-th address of [Spider.addresses s].  A
+    chain schedule is leg 1 of the schedule on [Spider.of_chain c]
+    ({!Msts_schedule.Spider_schedule.leg_schedule}).
+    @raise Invalid_argument if the node counts differ. *)
+
 val tasks_on : t -> int -> int list
 (** Tasks executed on a node, in start order. *)
 

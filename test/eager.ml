@@ -1,7 +1,8 @@
 (* Eager execution of a destination sequence on the event-driven executor:
    a plan whose dates are all 0, replayed with its routing and emission
    order kept, runs every task as early as the one-port rule allows.  The
-   tests compare it with the analytic ASAP timing of [Msts.Asap]. *)
+   tests compare it with the analytic ASAP timing of [Msts.Asap] on
+   [Tree.of_spider]. *)
 
 let spider_schedule spider seq =
   let entry address =

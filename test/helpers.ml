@@ -72,6 +72,45 @@ let spider_with_n_arb ?(max_legs = 3) ?(max_depth = 2) ?(max_n = 5) ?(max_val = 
       Printf.sprintf "%s, n=%d" (Msts.Spider.to_string spider) n)
     (Gen.pair (spider_gen ~max_legs ~max_depth ~max_val ()) (Gen.int_range 0 max_n))
 
+(* ---------- chains and spiders as trees ---------- *)
+
+(* A chain is the one-leg spider, a spider the tree [Tree.of_spider]; node
+   k of that tree is the k-th address of the spider, so processor k of a
+   chain. *)
+let chain_tree chain = Msts.Tree.of_spider (Msts.Spider.of_chain chain)
+
+let chain_of_tree_schedule chain s =
+  Msts.Spider_schedule.leg_schedule
+    (Msts.Tree_schedule.to_spider (Msts.Spider.of_chain chain) s)
+    1
+
+(* ASAP timing of a chain destination sequence (processor indices). *)
+let chain_asap chain seq =
+  chain_of_tree_schedule chain
+    (Msts.Asap.of_sequence (Msts.Tree_flat.of_tree (chain_tree chain)) seq)
+
+(* ASAP timing of a spider destination sequence (addresses). *)
+let spider_asap spider seq =
+  let addresses = Msts.Spider.addresses spider in
+  let node address =
+    let rec find k = function
+      | [] -> invalid_arg "spider_asap: unknown address"
+      | a :: rest -> if a = address then k else find (k + 1) rest
+    in
+    find 1 addresses
+  in
+  Msts.Tree_schedule.to_spider spider
+    (Msts.Asap.of_sequence
+       (Msts.Tree_flat.of_tree (Msts.Tree.of_spider spider))
+       (Array.map node seq))
+
+let chain_heuristic policy chain n =
+  chain_of_tree_schedule chain
+    (Msts.Tree_heuristics.schedule policy (chain_tree chain) n)
+
+let chain_heuristic_makespan policy chain n =
+  Msts.Tree_heuristics.makespan policy (chain_tree chain) n
+
 (* The paper's Figure 2 instance: chain (c,w) = (2,3),(3,5). *)
 let figure2_chain = Msts.Chain.of_pairs [ (2, 3); (3, 5) ]
 

@@ -45,7 +45,7 @@ let activation_bad_k () =
 (* [n / (makespan(n) · ρ)]: 1.0 means the batch already runs at the
    steady-state rate, small values mean start-up and wind-down dominate. *)
 let efficiency chain n =
-  Msts.Bounds.fluid_bound chain n
+  Msts.Bounds.spider_fluid_bound (Msts.Spider.of_chain chain) n
   /. float_of_int (Msts.Chain_algorithm.makespan chain n)
 
 let efficiency_bounds =

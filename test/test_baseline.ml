@@ -1,5 +1,6 @@
-(* Tests for the baseline library: ASAP timing, brute force internals,
-   list-scheduling heuristics, lower bounds and steady-state analysis. *)
+(* Tests for the baselines on chains and spiders: ASAP timing, brute force
+   internals, forward heuristics (all run on [Tree.of_spider]), lower
+   bounds and steady-state analysis. *)
 
 open Helpers
 
@@ -18,12 +19,12 @@ let asap_sequences_feasible =
               (fun dests -> (chain, Array.of_list dests))
               (list_size (int_range 0 15)
                  (int_range 1 (Msts.Chain.length chain)))))
-       (fun (chain, seq) ->
-         check_feasible (Msts.Asap.chain_of_sequence chain seq)))
+       (fun (chain, seq) -> check_feasible (chain_asap chain seq)))
 
 let asap_makespan_agrees =
   Helpers.to_alcotest
-    (QCheck.Test.make ~count:300 ~name:"chain_makespan equals the schedule's makespan"
+    (QCheck.Test.make ~count:300
+       ~name:"Asap.makespan equals the chain schedule's makespan"
        (QCheck.make
           ~print:(fun (chain, seq) ->
             Printf.sprintf "%s, seq=[%s]" (Msts.Chain.to_string chain)
@@ -35,21 +36,24 @@ let asap_makespan_agrees =
               (list_size (int_range 0 15)
                  (int_range 1 (Msts.Chain.length chain)))))
        (fun (chain, seq) ->
-         Msts.Asap.chain_makespan chain seq
-         = Msts.Schedule.makespan (Msts.Asap.chain_of_sequence chain seq)))
+         Msts.Asap.makespan (Msts.Tree_flat.of_tree (chain_tree chain)) seq
+         = Msts.Schedule.makespan (chain_asap chain seq)))
 
 let asap_known_example () =
   (* single processor (c=2,w=3): emissions 0,2,4; starts 2,5,8 *)
   let chain = Msts.Chain.of_pairs [ (2, 3) ] in
-  let s = Msts.Asap.chain_of_sequence chain [| 1; 1; 1 |] in
+  let s = chain_asap chain [| 1; 1; 1 |] in
   Alcotest.(check int) "makespan" 11 (Msts.Schedule.makespan s);
   Alcotest.(check int) "second start" 5 (Msts.Schedule.entry s 2).Msts.Schedule.start
 
 let asap_push_rejects_bad_dest () =
-  let st = Msts.Asap.chain_start figure2_chain in
+  let st = Msts.Asap.start (Msts.Tree_flat.of_tree (chain_tree figure2_chain)) in
   Alcotest.check_raises "dest 0"
-    (Invalid_argument "Asap.chain_push: destination outside the chain") (fun () ->
-      ignore (Msts.Asap.chain_push st ~dest:0))
+    (Invalid_argument "Flat.info: node 0 outside 1..2") (fun () ->
+      ignore (Msts.Asap.push st ~dest:0));
+  Alcotest.check_raises "dest 3"
+    (Invalid_argument "Flat.info: node 3 outside 1..2") (fun () ->
+      ignore (Msts.Asap.push st ~dest:3))
 
 let asap_spider_feasible =
   Helpers.to_alcotest
@@ -65,7 +69,7 @@ let asap_spider_feasible =
               (list_size (int_range 0 12)
                  (int_range 0 (Array.length addresses - 1)))))
        (fun (spider, seq) ->
-         check_spider_feasible (Msts.Asap.spider_of_sequence spider seq)))
+         check_spider_feasible (spider_asap spider seq)))
 
 (* ---------- brute force ---------- *)
 
@@ -95,17 +99,21 @@ let heuristics_feasible =
        (chain_with_n_arb ~max_p:5 ~max_n:15 ())
        (fun (chain, n) ->
          List.for_all
-           (fun policy -> check_feasible (Msts.List_sched.chain policy chain n))
-           Msts.List_sched.all_chain_policies))
+           (fun (_, policy) -> check_feasible (chain_heuristic policy chain n))
+           Msts.Tree_heuristics.chain_policies))
 
 let spider_heuristics_feasible =
   Helpers.to_alcotest
     (QCheck.Test.make ~count:150 ~name:"every spider heuristic yields a feasible schedule"
        (spider_with_n_arb ~max_legs:3 ~max_depth:3 ~max_n:12 ())
        (fun (spider, n) ->
+         let tree = Msts.Tree.of_spider spider in
          List.for_all
-           (fun policy -> check_spider_feasible (Msts.List_sched.spider policy spider n))
-           Msts.List_sched.all_spider_policies))
+           (fun (_, policy) ->
+             check_spider_feasible
+               (Msts.Tree_schedule.to_spider spider
+                  (Msts.Tree_heuristics.schedule policy tree n)))
+           Msts.Tree_heuristics.spider_policies))
 
 let master_only_matches_formula =
   Helpers.to_alcotest
@@ -113,7 +121,7 @@ let master_only_matches_formula =
        (chain_with_n_arb ~max_p:5 ~max_n:15 ())
        (fun (chain, n) ->
          n = 0
-         || Msts.List_sched.(chain_makespan Master_only) chain n
+         || chain_heuristic_makespan Msts.Tree_heuristics.First_node chain n
             = Msts.Chain.master_only_makespan chain n))
 
 let heuristic_task_counts =
@@ -122,14 +130,14 @@ let heuristic_task_counts =
        (chain_with_n_arb ~max_p:4 ~max_n:12 ())
        (fun (chain, n) ->
          List.for_all
-           (fun policy ->
-             Msts.Schedule.task_count (Msts.List_sched.chain policy chain n) = n)
-           Msts.List_sched.all_chain_policies))
+           (fun (_, policy) ->
+             Msts.Schedule.task_count (chain_heuristic policy chain n) = n)
+           Msts.Tree_heuristics.chain_policies))
 
 let random_policy_deterministic () =
   let chain = figure2_chain in
-  let a = Msts.List_sched.(chain (Random 5)) chain 10 in
-  let b = Msts.List_sched.(chain (Random 5)) chain 10 in
+  let a = chain_heuristic (Msts.Tree_heuristics.Random 5) chain 10 in
+  let b = chain_heuristic (Msts.Tree_heuristics.Random 5) chain 10 in
   Alcotest.(check bool) "same seed, same schedule" true (Msts.Schedule.equal a b)
 
 (* ---------- bounds ---------- *)
@@ -140,10 +148,11 @@ let bounds_below_optimal =
        (chain_with_n_arb ~max_p:4 ~max_n:7 ())
        (fun (chain, n) ->
          let opt = Msts.Brute_force.chain_makespan chain n in
-         Msts.Bounds.port_bound chain n <= opt
-         && Msts.Bounds.capacity_bound chain n <= opt
-         && Msts.Bounds.combined_bound chain n <= opt
-         && Msts.Bounds.fluid_bound chain n <= float_of_int opt +. 1e-6))
+         let spider = Msts.Spider.of_chain chain in
+         Msts.Bounds.spider_port_bound spider n <= opt
+         && Msts.Bounds.spider_capacity_bound spider n <= opt
+         && Msts.Bounds.spider_combined_bound spider n <= opt
+         && Msts.Bounds.spider_fluid_bound spider n <= float_of_int opt +. 1e-6))
 
 let spider_bounds_below_optimal =
   Helpers.to_alcotest
@@ -165,16 +174,22 @@ let spider_fluid_below_optimal =
          Msts.Bounds.spider_fluid_bound spider n
          <= float_of_int (Msts.Brute_force.spider_makespan spider n) +. 1e-6))
 
-let spider_fluid_single_leg_consistent =
+(* Search.lower_bound re-derives the port and capacity arguments over the
+   flat tree; on a spider's tree it must give the same number. *)
+let tree_lower_bound_matches_spider_bounds =
   Helpers.to_alcotest
-    (QCheck.Test.make ~count:100
-       ~name:"spider fluid bound on one leg equals the chain fluid bound"
-       (chain_with_n_arb ~max_p:4 ~max_n:8 ())
-       (fun (chain, n) ->
-         abs_float
-           (Msts.Bounds.spider_fluid_bound (Msts.Spider.of_chain chain) n
-           -. Msts.Bounds.fluid_bound chain n)
-         < 1e-6))
+    (QCheck.Test.make ~count:300
+       ~name:"tree lower bound on a spider = max of its port and capacity bounds"
+       (spider_with_n_arb ~max_legs:5 ~max_depth:4 ~max_n:60 ~max_val:12 ())
+       (fun (spider, n) ->
+         let tree = Msts.Tree_search.lower_bound (Msts.Tree.of_spider spider) n
+         and spider_lb =
+           max
+             (Msts.Bounds.spider_port_bound spider n)
+             (Msts.Bounds.spider_capacity_bound spider n)
+         in
+         tree = spider_lb
+         || QCheck.Test.fail_reportf "tree %d, spider %d" tree spider_lb))
 
 (* The fluid bounds as they were first written: the least horizon M whose
    fluid load reaches n, by 60 bisection steps from 0 up to the master-only
@@ -236,13 +251,48 @@ let relative_gap got want =
 
 let ceil_fluid bound = int_of_float (ceil (bound -. 1e-9))
 
+(* On one leg the port bound is (n−1)·c₁ + min_k (c₁+…+c_k + w_k), the
+   capacity bound the least M with Σ_k ⌊(M − (c₁+…+c_k))/w_k⌋ ≥ n (found
+   here by a linear scan), and the fluid bound the chain's bisection
+   reference. *)
+let single_leg_bounds_match_chain_formulas =
+  Helpers.to_alcotest
+    (QCheck.Test.make ~count:100
+       ~name:"spider bounds on one leg equal the chain bound formulas"
+       (chain_with_n_arb ~max_p:4 ~max_n:8 ())
+       (fun (chain, n) ->
+         let p = Msts.Chain.length chain in
+         let path k = Msts.Chain.path_latency chain k in
+         let port =
+           if n = 0 then 0
+           else
+             ((n - 1) * Msts.Chain.latency chain 1)
+             + List.fold_left
+                 (fun acc k -> min acc (path k + Msts.Chain.work chain k))
+                 max_int (Msts.Intx.range 1 p)
+         in
+         let capacity_at m =
+           List.fold_left
+             (fun acc k ->
+               acc + (max 0 (m - path k) / Msts.Chain.work chain k))
+             0 (Msts.Intx.range 1 p)
+         in
+         let rec capacity m = if capacity_at m >= n then m else capacity (m + 1) in
+         let spider = Msts.Spider.of_chain chain in
+         Msts.Bounds.spider_port_bound spider n = port
+         && Msts.Bounds.spider_capacity_bound spider n = capacity 0
+         && relative_gap
+              (Msts.Bounds.spider_fluid_bound spider n)
+              (reference_chain_fluid_bound chain n)
+            <= 1e-12))
+
 let chain_fluid_matches_reference =
   Helpers.to_alcotest
     (QCheck.Test.make ~count:300
        ~name:"chain fluid bound n/rho = the bisection reference within 1e-12"
        (chain_with_n_arb ~max_p:8 ~max_n:400 ~max_val:12 ())
        (fun (chain, n) ->
-         let got = Msts.Bounds.fluid_bound chain n
+         let got = Msts.Bounds.spider_fluid_bound (Msts.Spider.of_chain chain) n
          and want = reference_chain_fluid_bound chain n in
          relative_gap got want <= 1e-12
          || QCheck.Test.fail_reportf "got %h, reference %h" got want))
@@ -265,36 +315,38 @@ let combined_bounds_match_reference =
        (spider_with_n_arb ~max_legs:6 ~max_depth:4 ~max_n:400 ~max_val:12 ())
        (fun (spider, n) ->
          let chain = Msts.Spider.leg_chain spider 1 in
+         let leg = Msts.Spider.of_chain chain in
          let chain_want =
-           max (Msts.Bounds.port_bound chain n)
-             (max (Msts.Bounds.capacity_bound chain n)
+           max (Msts.Bounds.spider_port_bound leg n)
+             (max (Msts.Bounds.spider_capacity_bound leg n)
                 (ceil_fluid (reference_chain_fluid_bound chain n)))
          and spider_want =
            max (Msts.Bounds.spider_port_bound spider n)
              (max (Msts.Bounds.spider_capacity_bound spider n)
                 (ceil_fluid (reference_spider_fluid_bound spider n)))
          in
-         (Msts.Bounds.combined_bound chain n = chain_want
+         (Msts.Bounds.spider_combined_bound leg n = chain_want
          && Msts.Bounds.spider_combined_bound spider n = spider_want)
          || QCheck.Test.fail_reportf "chain %d vs %d, spider %d vs %d"
-              (Msts.Bounds.combined_bound chain n) chain_want
+              (Msts.Bounds.spider_combined_bound leg n) chain_want
               (Msts.Bounds.spider_combined_bound spider n) spider_want))
 
 let bounds_known_instance () =
   (* Figure 2 chain, n=5: optimal is 14 *)
-  Alcotest.(check bool) "port bound" true (Msts.Bounds.port_bound figure2_chain 5 <= 14);
+  let spider = Msts.Spider.of_chain figure2_chain in
+  Alcotest.(check bool) "port bound" true (Msts.Bounds.spider_port_bound spider 5 <= 14);
   Alcotest.(check bool) "port bound formula" true
-    (Msts.Bounds.port_bound figure2_chain 5 = (4 * 2) + 5);
+    (Msts.Bounds.spider_port_bound spider 5 = (4 * 2) + 5);
   Alcotest.(check bool) "capacity bound sane" true
-    (Msts.Bounds.capacity_bound figure2_chain 5 <= 14);
-  Alcotest.(check int) "n=0" 0 (Msts.Bounds.port_bound figure2_chain 0)
+    (Msts.Bounds.spider_capacity_bound spider 5 <= 14);
+  Alcotest.(check int) "n=0" 0 (Msts.Bounds.spider_port_bound spider 0)
 
 let bounds_single_processor_tight () =
   (* one processor: capacity/port bounds must meet the exact optimum *)
   let chain = Msts.Chain.of_pairs [ (2, 3) ] in
   let n = 6 in
   Alcotest.(check int) "combined = optimal" (Msts.Chain_algorithm.makespan chain n)
-    (Msts.Bounds.combined_bound chain n)
+    (Msts.Bounds.spider_combined_bound (Msts.Spider.of_chain chain) n)
 
 (* ---------- steady state ---------- *)
 
@@ -398,10 +450,11 @@ let suites =
         bounds_below_optimal;
         spider_bounds_below_optimal;
         spider_fluid_below_optimal;
-        spider_fluid_single_leg_consistent;
+        single_leg_bounds_match_chain_formulas;
         chain_fluid_matches_reference;
         spider_fluid_matches_reference;
         combined_bounds_match_reference;
+        tree_lower_bound_matches_spider_bounds;
         case "figure-2 values" bounds_known_instance;
         case "single processor tightness" bounds_single_processor_tight;
       ] );

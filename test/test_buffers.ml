@@ -87,7 +87,7 @@ let bounded_at_least_lower_bound =
            Msts.Spider_schedule.of_chain_schedule (Msts.Chain_algorithm.schedule chain n)
          in
          let report = Msts.Netsim.replay_routing ~buffer:1 plan in
-         report.Msts.Netsim.realized_makespan >= Msts.Bounds.port_bound chain n))
+         report.Msts.Netsim.realized_makespan >= Msts.Bounds.spider_port_bound (Msts.Spider.of_chain chain) n))
 
 let stall_example () =
   (* a deep slow chain where single-buffering visibly stalls the pipeline:

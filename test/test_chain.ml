@@ -181,8 +181,8 @@ let never_worse_than_heuristics =
        (fun (chain, n) ->
          let opt = Msts.Chain_algorithm.makespan chain n in
          List.for_all
-           (fun policy -> opt <= Msts.List_sched.chain_makespan policy chain n)
-           Msts.List_sched.all_chain_policies))
+           (fun (_, policy) -> opt <= chain_heuristic_makespan policy chain n)
+           Msts.Tree_heuristics.chain_policies))
 
 let bounded_by_master_only =
   Helpers.to_alcotest
@@ -222,7 +222,7 @@ let deadline_vs_brute_force =
           QCheck.Gen.(pair (chain_gen ~max_p:3 ()) (int_range 0 50)))
        (fun (chain, deadline) ->
          min 7 (Msts.Chain_deadline.max_tasks chain ~deadline)
-         = Msts.Brute_force.chain_max_tasks chain ~deadline ~limit:7))
+         = Msts.Brute_force.max_tasks (Msts.Spider.of_chain chain) ~deadline ~limit:7))
 
 let deadline_staircase_monotone =
   Helpers.to_alcotest

@@ -292,7 +292,7 @@ let no_fault_refinement =
        (fun (spider, n) ->
          let plan = Msts.Spider_algorithm.schedule_tasks spider n in
          let base =
-           Msts.Asap.spider_of_sequence spider
+           spider_asap spider
              (Array.map
                 (fun (e : Msts.Spider_schedule.entry) -> e.address)
                 (Msts.Spider_schedule.entries plan))

@@ -154,8 +154,7 @@ let allocator_optimal_vs_brute_force =
           QCheck.Gen.(pair (fork_gen ~max_slaves:4 ~max_val:8 ()) (int_range 0 40)))
        (fun (fork, deadline) ->
          min 6 (Msts.Fork_allocator.max_tasks fork ~deadline ~budget:6)
-         = Msts.Brute_force.spider_max_tasks (Msts.Spider.of_fork fork) ~deadline
-             ~limit:6))
+         = Msts.Brute_force.max_tasks (Msts.Spider.of_fork fork) ~deadline ~limit:6))
 
 let allocator_monotone_in_deadline =
   Helpers.to_alcotest

@@ -103,11 +103,11 @@ let checker_agrees_on_heuristic_schedules =
        (chain_with_n_arb ~max_p:4 ~max_n:10 ())
        (fun (chain, n) ->
          List.for_all
-           (fun policy ->
-             let s = Msts.List_sched.chain policy chain n in
+           (fun (_, policy) ->
+             let s = Helpers.chain_heuristic policy chain n in
              Msts.Feasibility.is_feasible s
              = naive_feasible chain (Msts.Schedule.entries s))
-           Msts.List_sched.all_chain_policies))
+           Msts.Tree_heuristics.chain_policies))
 
 (* growing a comm/start never repairs anything the paper's order relies on:
    specifically, shifting a WHOLE task later by less than the gap to its

@@ -128,7 +128,7 @@ let experiment_table_pipeline () =
     (fun n ->
       Msts.Table.add_row t
         (List.map string_of_int
-           [ n; Msts.Chain_algorithm.makespan chain n; Msts.Bounds.combined_bound chain n ]))
+           [ n; Msts.Chain_algorithm.makespan chain n; Msts.Bounds.spider_combined_bound (Msts.Spider.of_chain chain) n ]))
     [ 1; 2; 4; 8 ];
   let csv = Msts.Table.to_csv t in
   Alcotest.(check int) "header + 4 rows" 5

@@ -44,7 +44,7 @@ let hill_climb_sandwiched =
          let r = Msts.Local_search.hill_climb chain n in
          let m = Msts.Schedule.makespan r.Msts.Local_search.schedule in
          Msts.Chain_algorithm.makespan chain n <= m
-         && m <= Msts.List_sched.(chain_makespan Earliest_completion) chain n))
+         && m <= chain_heuristic_makespan Msts.Tree_heuristics.Earliest_completion chain n))
 
 let hill_climb_often_optimal () =
   (* statistical check: on small instances the climber usually closes the

@@ -80,7 +80,7 @@ let plan_gen spider =
   Gen.oneof
     [
       Gen.map (Msts.Spider_algorithm.schedule_tasks spider) (Gen.int_range 0 12);
-      Gen.map (Msts.Asap.spider_of_sequence spider) (sequence_gen spider);
+      Gen.map (spider_asap spider) (sequence_gen spider);
     ]
 
 (* A same-shape platform: the plan's own, or one processor slowed down and

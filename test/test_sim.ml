@@ -112,7 +112,7 @@ let netsim_equals_asap_chain =
        (fun (chain, seq) ->
          Msts.Schedule.equal
            (Eager.chain_schedule chain seq)
-           (Msts.Asap.chain_of_sequence chain seq)))
+           (chain_asap chain seq)))
 
 let netsim_equals_asap_spider =
   Helpers.to_alcotest
@@ -130,7 +130,7 @@ let netsim_equals_asap_spider =
                  (int_range 0 (Array.length addresses - 1)))))
        (fun (spider, seq) ->
          let a = Eager.spider_schedule spider seq in
-         let b = Msts.Asap.spider_of_sequence spider seq in
+         let b = spider_asap spider seq in
          Msts.Serial.spider_schedule_to_string a
          = Msts.Serial.spider_schedule_to_string b))
 

@@ -96,7 +96,7 @@ let spider_max_tasks_vs_brute_force =
        (fun (spider, deadline) ->
          QCheck.assume (Msts.Spider.processor_count spider <= 5);
          min 5 (Msts.Spider_algorithm.max_tasks ~budget:5 spider ~deadline)
-         = Msts.Brute_force.spider_max_tasks spider ~deadline ~limit:5))
+         = Msts.Brute_force.max_tasks spider ~deadline ~limit:5))
 
 let spider_schedule_tasks_exact_count =
   Helpers.to_alcotest
@@ -126,9 +126,10 @@ let spider_never_worse_than_heuristics =
        (spider_with_n_arb ~max_legs:3 ~max_depth:3 ~max_n:10 ())
        (fun (spider, n) ->
          let opt = Msts.Spider_algorithm.min_makespan spider n in
+         let tree = Msts.Tree.of_spider spider in
          List.for_all
-           (fun policy -> opt <= Msts.List_sched.spider_makespan policy spider n)
-           Msts.List_sched.all_spider_policies))
+           (fun (_, policy) -> opt <= Msts.Tree_heuristics.makespan policy tree n)
+           Msts.Tree_heuristics.spider_policies))
 
 let spider_makespan_monotone_in_n =
   Helpers.to_alcotest

@@ -83,32 +83,11 @@ let tree_asap_feasible =
               (list_size (int_range 0 10) (int_range 1 count))))
        (fun (tree, seq) ->
          let flat = Msts.Tree_flat.of_tree tree in
-         let s = Msts.Tree_asap.of_sequence flat seq in
+         let s = Msts.Asap.of_sequence flat seq in
          match Msts.Tree_schedule.check ~require_nonnegative:true s with
          | [] -> true
          | problems ->
              QCheck.Test.fail_reportf "infeasible: %s" (String.concat "; " problems)))
-
-let tree_asap_chain_consistency =
-  (* a path-shaped tree must time exactly like the chain ASAP *)
-  Helpers.to_alcotest
-    (QCheck.Test.make ~count:150 ~name:"tree ASAP degenerates to chain ASAP on paths"
-       (QCheck.make
-          ~print:(fun (chain, _) -> Msts.Chain.to_string chain)
-          QCheck.Gen.(
-            chain_gen ~max_p:4 () >>= fun chain ->
-            map
-              (fun dests -> (chain, Array.of_list dests))
-              (list_size (int_range 0 10) (int_range 1 (Msts.Chain.length chain)))))
-       (fun (chain, seq) ->
-         let rec to_nodes = function
-           | [] -> []
-           | (c, w) :: rest ->
-               [ Msts.Tree.node ~latency:c ~work:w ~children:(to_nodes rest) () ]
-         in
-         let tree = Msts.Tree.make (to_nodes (Msts.Chain.to_pairs chain)) in
-         let flat = Msts.Tree_flat.of_tree tree in
-         Msts.Tree_asap.makespan flat seq = Msts.Asap.chain_makespan chain seq))
 
 let tree_checker_catches_port_conflict () =
   let flat = Msts.Tree_flat.of_tree sample_tree in
@@ -153,7 +132,7 @@ let tree_checker_catches_compute_overlap () =
 
 let tree_schedule_structure () =
   let flat = Msts.Tree_flat.of_tree sample_tree in
-  let s = Msts.Tree_asap.of_sequence flat [| 1; 2; 1 |] in
+  let s = Msts.Asap.of_sequence flat [| 1; 2; 1 |] in
   Alcotest.(check int) "three tasks" 3 (Msts.Tree_schedule.task_count s);
   Alcotest.(check (list int)) "node 1 runs 1 and 3" [ 1; 3 ]
     (Msts.Tree_schedule.tasks_on s 1);
@@ -171,11 +150,11 @@ let tree_heuristics_feasible =
        (tree_with_n_arb ~max_nodes:8 ~max_n:10 ())
        (fun (tree, n) ->
          List.for_all
-           (fun policy ->
+           (fun (_, policy) ->
              let s = Msts.Tree_heuristics.schedule policy tree n in
              Msts.Tree_schedule.task_count s = n
              && Msts.Tree_schedule.is_feasible ~require_nonnegative:true s)
-           Msts.Tree_heuristics.all_policies))
+           Msts.Tree_heuristics.tree_policies))
 
 (* ---------- spider cover ---------- *)
 
@@ -214,7 +193,7 @@ let cover_beats_or_matches_root_only =
          QCheck.assume (n > 0);
          let _, best = Msts.Tree_heuristics.best_cover tree n in
          best
-         <= Msts.Tree_heuristics.makespan Msts.Tree_heuristics.Tree_root_only tree n))
+         <= Msts.Tree_heuristics.(makespan First_node) tree n))
 
 (* ---------- search & bounds ---------- *)
 
@@ -225,8 +204,8 @@ let search_below_heuristics =
        (fun (tree, n) ->
          let best = Msts.Tree_search.best_fifo_makespan tree n in
          List.for_all
-           (fun policy -> best <= Msts.Tree_heuristics.makespan policy tree n)
-           Msts.Tree_heuristics.all_policies
+           (fun (_, policy) -> best <= Msts.Tree_heuristics.makespan policy tree n)
+           Msts.Tree_heuristics.tree_policies
          && List.for_all
               (fun policy ->
                 best <= Msts.Tree_heuristics.spider_cover_makespan policy tree n)
@@ -341,7 +320,6 @@ let suites =
     ( "tree.schedule",
       [
         tree_asap_feasible;
-        tree_asap_chain_consistency;
         case "port conflict detected" tree_checker_catches_port_conflict;
         case "relay violation detected" tree_checker_catches_relay_violation;
         case "compute overlap detected" tree_checker_catches_compute_overlap;
