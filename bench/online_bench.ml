@@ -34,7 +34,7 @@ let scans_per_arrival ~p ~n =
   let mem = Obs.Memory.create () in
   Obs.with_sink (Obs.Memory.sink mem) (fun () ->
       let o =
-        Online.create ~kernel:Msts.Solve.Fast ~capacity:n chain
+        Online.create ~capacity:n chain
           ~deadline:(200 * n)
       in
       let placed = Online.submit o n in
@@ -82,7 +82,7 @@ let run_allocation () =
   let n = 4096 in
   let chain = chain_with ~p:8 in
   let o =
-    Online.create ~kernel:Msts.Solve.Fast ~capacity:n chain ~deadline:(200 * n)
+    Online.create ~capacity:n chain ~deadline:(200 * n)
   in
   ignore (Online.submit o 64) (* warm-up *);
   let baseline = calibrate () in

@@ -301,24 +301,18 @@ let implementation_comparison () =
 
 (* The spider binary search on the serve benchmark's cold-solve shape
    (compute-bound profile, 4 legs, depth <= 3, n = 192): wall time and
-   minor words per [min_makespan] under each kernel.  The fast kernel
-   probes with one Moore–Hodgson pass over nodes built once at the
-   ceiling; the reference rebuilds every leg schedule and runs the
-   greedy allocator per probe. *)
+   minor words per [min_makespan] for the library and for the frozen
+   reference search.  The library probes with one Moore–Hodgson pass over
+   nodes built once at the ceiling; the reference rebuilds every leg
+   schedule and runs the greedy allocator per probe. *)
 let spider_search () =
   let n = 192 and legs = 4 and max_depth = 3 in
   let spider =
     Msts.Generator.spider (Msts.Prng.create 100) Msts.Generator.compute_bound_profile
       ~legs ~max_depth
   in
-  let per_solve kernel =
-    let run () =
-      let previous = Msts.Solve.kernel () in
-      Msts.Solve.set_kernel kernel;
-      Fun.protect
-        ~finally:(fun () -> Msts.Solve.set_kernel previous)
-        (fun () -> ignore (Msts.Spider_algorithm.min_makespan spider n))
-    in
+  let per_solve min_makespan =
+    let run () = ignore (min_makespan spider n) in
     run () (* warm-up, seen by the harness's sink *);
     (* the measured runs go uninstrumented, as a serving daemon runs *)
     let sink = Msts.Obs.current_sink () in
@@ -333,8 +327,8 @@ let spider_search () =
     let us = (Unix.gettimeofday () -. t0) *. 1e6 /. float_of_int iters in
     (us, (Gc.minor_words () -. words) /. float_of_int iters)
   in
-  let fast_us, fast_words = per_solve Msts.Chain_kernel.Fast in
-  let reference_us, reference_words = per_solve Msts.Chain_kernel.Reference in
+  let fast_us, fast_words = per_solve Msts.Spider_algorithm.min_makespan in
+  let reference_us, reference_words = per_solve Kernel_reference.spider_min_makespan in
   let table =
     Msts.Table.create
       ~title:
@@ -363,23 +357,24 @@ let spider_search () =
     fast_words,
     reference_words )
 
-(* Fast vs reference kernel: head-to-head at fixed (n,p), allocation
-   counts, and the p-scaling ratio check backing the complexity claim —
-   the fast kernel doubles per doubling of p (linear), the reference
-   quadruples (quadratic).  Results go to BENCH_kernel.json (written here;
+(* The fast kernel vs the frozen paper-literal reference
+   (Kernel_reference): head-to-head at fixed (n,p), allocation counts, and
+   the p-scaling ratio check backing the complexity claim — the fast
+   kernel doubles per doubling of p (linear), the reference quadruples
+   (quadratic).  Results go to BENCH_kernel.json (written here;
    the harness adds the usual counter/latency profile next to it). *)
 let kernel_comparison () =
   let n = 400 and p0 = 16 in
   let chain0 = bench_chain ~p:p0 in
-  let solve kernel chain () =
-    ignore (Msts.Chain_algorithm.makespan ~kernel chain n)
-  in
+  let solve makespan chain () = ignore (makespan chain n) in
+  let fast = Msts.Chain_algorithm.makespan
+  and reference = Kernel_reference.makespan in
   let head_tests =
     Test.make_grouped ~name:"kernel"
       [
-        Test.make ~name:"fast" (Staged.stage (solve Msts.Chain_kernel.Fast chain0));
+        Test.make ~name:"fast" (Staged.stage (solve fast chain0));
         Test.make ~name:"reference"
-          (Staged.stage (solve Msts.Chain_kernel.Reference chain0));
+          (Staged.stage (solve reference chain0));
       ]
   in
   let head = run_tests head_tests in
@@ -401,16 +396,16 @@ let kernel_comparison () =
         ])
     [ "fast"; "reference" ];
   Msts.Table.print head_table;
-  let bytes_per_solve kernel =
+  let bytes_per_solve makespan =
     let iters = 20 in
     let before = Gc.allocated_bytes () in
     for _ = 1 to iters do
-      solve kernel chain0 ()
+      solve makespan chain0 ()
     done;
     (Gc.allocated_bytes () -. before) /. float_of_int iters
   in
-  let fast_bytes = bytes_per_solve Msts.Chain_kernel.Fast in
-  let reference_bytes = bytes_per_solve Msts.Chain_kernel.Reference in
+  let fast_bytes = bytes_per_solve fast in
+  let reference_bytes = bytes_per_solve reference in
   Printf.printf
     "  allocations per makespan solve: fast %.0f B, reference %.0f B (%.0fx)\n"
     fast_bytes reference_bytes
@@ -424,10 +419,10 @@ let kernel_comparison () =
            [
              Test.make
                ~name:(Printf.sprintf "fast,p=%d" p)
-               (Staged.stage (solve Msts.Chain_kernel.Fast chain));
+               (Staged.stage (solve fast chain));
              Test.make
                ~name:(Printf.sprintf "reference,p=%d" p)
-               (Staged.stage (solve Msts.Chain_kernel.Reference chain));
+               (Staged.stage (solve reference chain));
            ])
          sizes)
   in

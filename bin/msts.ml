@@ -29,9 +29,20 @@ let platform_arg =
   let doc = "Platform description file." in
   Arg.(required & opt (some file) None & info [ "p"; "platform" ] ~docv:"FILE" ~doc)
 
+(* A negative count is refused here, once, before any subcommand reaches
+   the library with it. *)
 let tasks_arg =
   let doc = "Number of tasks to schedule." in
-  Arg.(required & opt (some int) None & info [ "n"; "tasks" ] ~docv:"N" ~doc)
+  let refuse_negative n =
+    if n < 0 then begin
+      prerr_endline "error: negative task count";
+      exit 2
+    end;
+    n
+  in
+  Term.(
+    const refuse_negative
+    $ Arg.(required & opt (some int) None & info [ "n"; "tasks" ] ~docv:"N" ~doc))
 
 let width_arg =
   let doc = "Maximum width (columns) of ASCII Gantt charts." in
@@ -49,29 +60,6 @@ let format_arg =
     value
     & opt (enum [ ("text", Text); ("json", Json) ]) Text
     & info [ "format" ] ~docv:"FMT" ~doc)
-
-(* Evaluates to () after setting the process-wide kernel, so commands can
-   splice it in front of their own arguments. *)
-let kernel_setter =
-  let doc =
-    "Backward-construction kernel: $(b,fast) (single O(p) sweep per task, \
-     the default) or $(b,reference) (the paper-literal candidate scan; \
-     byte-identical plans, kept as the escape hatch and executable \
-     specification)."
-  in
-  let kernel_conv =
-    let parse s =
-      match Msts.Solve.kernel_of_string s with
-      | Some k -> Ok k
-      | None ->
-          Error (`Msg (Printf.sprintf "unknown kernel %S (expected fast or reference)" s))
-    in
-    Arg.conv
-      (parse, fun ppf k -> Format.pp_print_string ppf (Msts.Solve.kernel_to_string k))
-  in
-  Term.(
-    const Msts.Solve.set_kernel
-    $ Arg.(value & opt kernel_conv Msts.Solve.Fast & info [ "kernel" ] ~docv:"KERNEL" ~doc))
 
 let emit output text =
   match output with
@@ -183,7 +171,7 @@ let schedule_cmd =
     let doc = "Write a per-task CSV table to $(docv)." in
     Arg.(value & opt (some string) None & info [ "csv" ] ~docv:"FILE" ~doc)
   in
-  let run () path n fmt gantt svg plan_out csv width =
+  let run path n fmt gantt svg plan_out csv width =
     let platform = read_platform path in
     let reply =
       exec_or_die (Msts.Api.Schedule (Msts.Solve.problem ~tasks:n platform))
@@ -204,7 +192,7 @@ let schedule_cmd =
   let doc = "Compute the optimal schedule for N tasks." in
   Cmd.v (Cmd.info "schedule" ~doc)
     Term.(
-      const run $ kernel_setter $ platform_arg $ tasks_arg $ format_arg $ gantt
+      const run $ platform_arg $ tasks_arg $ format_arg $ gantt
       $ svg $ plan_out $ csv $ width_arg)
 
 (* ---------- deadline ---------- *)
@@ -214,7 +202,7 @@ let deadline_cmd =
     let doc = "Time limit." in
     Arg.(required & opt (some int) None & info [ "d"; "deadline" ] ~docv:"T" ~doc)
   in
-  let run () path deadline fmt =
+  let run path deadline fmt =
     let platform = read_platform path in
     let reply =
       exec_or_die (Msts.Api.Deadline (Msts.Solve.problem ~deadline platform))
@@ -231,7 +219,7 @@ let deadline_cmd =
   in
   let doc = "Maximise the number of tasks completed within a deadline." in
   Cmd.v (Cmd.info "deadline" ~doc)
-    Term.(const run $ kernel_setter $ platform_arg $ deadline $ format_arg)
+    Term.(const run $ platform_arg $ deadline $ format_arg)
 
 (* ---------- validate ---------- *)
 
@@ -295,7 +283,7 @@ let check_cmd =
     let doc = "Fault events injected into the recorded fault replay." in
     Arg.(value & opt int 3 & info [ "events" ] ~docv:"E" ~doc)
   in
-  let run () path n do_trace seed events fmt =
+  let run path n do_trace seed events fmt =
     let platform = read_platform path in
     let reply =
       exec_or_die
@@ -346,7 +334,7 @@ let check_cmd =
   in
   Cmd.v (Cmd.info "check" ~doc)
     Term.(
-      const run $ kernel_setter $ platform_arg $ tasks_arg $ trace_flag
+      const run $ platform_arg $ tasks_arg $ trace_flag
       $ seed_arg $ events_arg $ format_arg)
 
 (* ---------- explain ---------- *)
@@ -436,6 +424,10 @@ let pull_cmd =
     Arg.(value & opt int 1 & info [ "buffer" ] ~docv:"B" ~doc)
   in
   let run path n buffer =
+    if buffer < 1 then begin
+      prerr_endline "error: field \"buffer\" must be >= 1";
+      exit 2
+    end;
     let spider = as_spider (read_platform path) in
     let sched = Msts.Netsim.pull_policy ~buffer spider ~tasks:n in
     let optimal = Msts.Spider_algorithm.min_makespan spider n in
@@ -496,7 +488,7 @@ let tree_cmd =
 (* ---------- metrics ---------- *)
 
 let metrics_cmd =
-  let run () path n fmt =
+  let run path n fmt =
     let platform = read_platform path in
     let reply =
       exec_or_die (Msts.Api.Metrics (Msts.Solve.problem ~tasks:n platform))
@@ -512,7 +504,7 @@ let metrics_cmd =
   in
   let doc = "Waiting, buffering and utilisation report for the optimal schedule." in
   Cmd.v (Cmd.info "metrics" ~doc)
-    Term.(const run $ kernel_setter $ platform_arg $ tasks_arg $ format_arg)
+    Term.(const run $ platform_arg $ tasks_arg $ format_arg)
 
 (* ---------- faults ---------- *)
 
@@ -734,7 +726,7 @@ let batch_cmd =
     done;
     out
   in
-  let run () manifest count seed jobs cache_size fmt =
+  let run manifest count seed jobs cache_size fmt =
     if cache_size < 1 then begin
       Printf.eprintf "error: --cache-size must be >= 1\n";
       exit 2
@@ -807,7 +799,7 @@ let batch_cmd =
   in
   Cmd.v (Cmd.info "batch" ~doc)
     Term.(
-      const run $ kernel_setter $ manifest_arg $ count_arg $ seed_arg $ jobs_arg
+      const run $ manifest_arg $ count_arg $ seed_arg $ jobs_arg
       $ cache_arg $ format_arg)
 
 (* ---------- profile ---------- *)
@@ -854,7 +846,7 @@ let profile_cmd =
     let doc = "Fault events for the faults workload." in
     Arg.(value & opt int 4 & info [ "events" ] ~docv:"E" ~doc)
   in
-  let run () path n deadline workload trace_out seed events fmt =
+  let run path n deadline workload trace_out seed events fmt =
     let platform = read_platform path in
     let reply =
       exec_or_die
@@ -950,7 +942,7 @@ let profile_cmd =
   in
   Cmd.v (Cmd.info "profile" ~doc)
     Term.(
-      const run $ kernel_setter $ platform_arg $ tasks_arg $ deadline_arg
+      const run $ platform_arg $ tasks_arg $ deadline_arg
       $ workload_arg $ trace_out_arg $ seed_arg $ events_arg $ format_arg)
 
 (* ---------- report ---------- *)
@@ -968,7 +960,7 @@ let report_cmd =
     let doc = "Report the planned schedule instead of the realized execution." in
     Arg.(value & flag & info [ "planned" ] ~doc)
   in
-  let run () path n deadline planned fmt =
+  let run path n deadline planned fmt =
     let platform = read_platform path in
     let problem =
       match deadline with
@@ -994,7 +986,7 @@ let report_cmd =
   in
   Cmd.v (Cmd.info "report" ~doc)
     Term.(
-      const run $ kernel_setter $ platform_arg $ tasks_arg $ deadline_arg
+      const run $ platform_arg $ tasks_arg $ deadline_arg
       $ planned_arg $ format_arg)
 
 (* ---------- trace diff ---------- *)
@@ -1254,7 +1246,7 @@ let serve_cmd =
     let doc = "Seconds between $(b,--metrics-out) rewrites." in
     Arg.(value & opt float 1.0 & info [ "metrics-interval" ] ~docv:"S" ~doc)
   in
-  let run () socket jobs cache_size queue_cap timeout_ms max_batch
+  let run socket jobs cache_size queue_cap timeout_ms max_batch
       max_queue_per_conn quantum max_inflight telemetry ring quiet slow_log
       metrics_out metrics_interval =
     List.iter
@@ -1320,7 +1312,7 @@ let serve_cmd =
   in
   Cmd.v (Cmd.info "serve" ~doc)
     Term.(
-      const run $ kernel_setter $ socket_arg $ jobs_arg $ cache_arg $ queue_arg
+      const run $ socket_arg $ jobs_arg $ cache_arg $ queue_arg
       $ timeout_arg $ batch_arg $ conn_queue_arg $ quantum_arg $ inflight_arg
       $ telemetry_arg $ ring_arg $ quiet_arg $ slow_log_arg $ metrics_out_arg
       $ metrics_interval_arg)
@@ -1526,7 +1518,7 @@ let online_cmd =
     in
     Arg.(value & opt (some file) None & info [ "script" ] ~docv:"FILE" ~doc)
   in
-  let run () script =
+  let run script =
     (* The same Msts_online.Service the daemon engine embeds, driven
        locally: transcripts are byte-identical to a daemon session. *)
     let svc = Msts_online.Service.create () in
@@ -1571,7 +1563,7 @@ let online_cmd =
      executed prefix is immutable.  The exact frames a $(b,msts serve) \
      daemon would produce for the same requests (docs/ONLINE.md)."
   in
-  Cmd.v (Cmd.info "online" ~doc) Term.(const run $ kernel_setter $ script_arg)
+  Cmd.v (Cmd.info "online" ~doc) Term.(const run $ script_arg)
 
 (* ---------- dot ---------- *)
 

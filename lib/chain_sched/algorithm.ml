@@ -80,8 +80,6 @@ let place_light ~select chain st =
 
 let horizon = Chain.master_only_makespan
 
-let resolve_kernel = function Some k -> k | None -> Kernel.default ()
-
 let schedule_core ~select ?on_step chain n =
   if n < 0 then invalid_arg "Algorithm.schedule: negative task count";
   Obs.span "chain.schedule" ~args:[ ("n", string_of_int n) ] @@ fun () ->
@@ -125,36 +123,29 @@ let fast_schedule chain n =
   Kernel.flush sc;
   Schedule.normalise (Schedule.make chain entries)
 
-let schedule ?kernel ?on_step chain n =
-  match (on_step, resolve_kernel kernel) with
-  | None, Kernel.Fast -> fast_schedule chain n
-  | Some _, _ | None, Kernel.Reference -> schedule_core ~select ?on_step chain n
+let schedule ?on_step chain n =
+  match on_step with
+  | None -> fast_schedule chain n
+  | Some _ -> schedule_core ~select ?on_step chain n
 
 let schedule_with_selector ~select chain n = schedule_core ~select chain n
 
-let makespan ?kernel chain n =
+let makespan chain n =
   if n = 0 then 0
   else begin
     Obs.span "chain.makespan" ~args:[ ("n", string_of_int n) ] @@ fun () ->
     (* The last-placed (first-emitted) task fixes the shift; task n always
        finishes exactly at the horizon. *)
     let st = initial_state chain ~horizon:(horizon chain n) in
+    let sc = Kernel.scratch () in
     let first_emission = ref 0 in
-    (match resolve_kernel kernel with
-    | Kernel.Fast ->
-        let sc = Kernel.scratch () in
-        for task = n downto 1 do
-          let proc = Kernel.sweep chain ~hull:st.hull ~occupancy:st.occupancy sc in
-          let (_ : int) =
-            Kernel.commit chain ~hull:st.hull ~occupancy:st.occupancy sc ~proc
-          in
-          if task = 1 then first_emission := Kernel.first_emission sc
-        done;
-        Kernel.flush sc
-    | Kernel.Reference ->
-        for task = n downto 1 do
-          let _, vector, _ = place_light ~select chain st in
-          if task = 1 then first_emission := vector.(0)
-        done);
+    for task = n downto 1 do
+      let proc = Kernel.sweep chain ~hull:st.hull ~occupancy:st.occupancy sc in
+      let (_ : int) =
+        Kernel.commit chain ~hull:st.hull ~occupancy:st.occupancy sc ~proc
+      in
+      if task = 1 then first_emission := Kernel.first_emission sc
+    done;
+    Kernel.flush sc;
     horizon chain n - !first_emission
   end

@@ -15,8 +15,11 @@
     in Definition 3's order wins; hull and occupancy are updated, and the
     final schedule is shifted so that it starts at time 0.
 
-    The construction costs [O(p²)] per task, [O(n·p²)] overall (Theorem 1
-    proves the result makespan-optimal). *)
+    As printed, the construction costs [O(p²)] per task, [O(n·p²)]
+    overall (Theorem 1 proves the result makespan-optimal).  {!schedule}
+    and {!makespan} decide the same winner with {!Kernel.sweep} in [O(p)]
+    per task; {!candidates}, {!select} and {!place} keep the literal
+    scan for step-by-step observers and the selection ablations. *)
 
 type state = {
   hull : int array;  (** [hull.(k-1) = h_k] *)
@@ -54,20 +57,19 @@ val horizon : Msts_platform.Chain.t -> int -> int
 (** T∞ = [c₁ + (n−1)·max(w₁,c₁) + w₁] for [n] tasks (0 when [n = 0]). *)
 
 val schedule :
-  ?kernel:Kernel.t ->
   ?on_step:(step -> unit) ->
   Msts_platform.Chain.t -> int -> Msts_schedule.Schedule.t
 (** [schedule chain n] is the paper's algorithm: optimal schedule for [n]
-    tasks, normalised to start at time 0.  [on_step] observes each
-    placement (in construction order, task [n] first); installing it
-    forces the reference kernel, which is the only one that materialises
-    full {!step} records.  [kernel] defaults to {!Kernel.default}; both
-    kernels produce identical schedules.
+    tasks, normalised to start at time 0, placed by {!Kernel.sweep}.
+    [on_step] observes each placement (in construction order, task [n]
+    first); installing it switches to the candidate scan of {!place},
+    the only construction that materialises full {!step} records.  Both
+    produce identical schedules.
     @raise Invalid_argument if [n < 0]. *)
 
-val makespan : ?kernel:Kernel.t -> Msts_platform.Chain.t -> int -> int
-(** Makespan of {!schedule} without materialising the trace (and, on the
-    fast kernel, without allocating any per-task vectors at all). *)
+val makespan : Msts_platform.Chain.t -> int -> int
+(** Makespan of {!schedule} without materialising the trace, and without
+    allocating any per-task vectors at all. *)
 
 val schedule_with_selector :
   select:(Msts_schedule.Comm_vector.t array -> int) ->

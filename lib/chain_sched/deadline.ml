@@ -1,25 +1,25 @@
 module Chain = Msts_platform.Chain
 module Obs = Msts_obs.Obs
 
-let schedule ?kernel ?max_tasks chain ~deadline =
+let schedule ?max_tasks chain ~deadline =
   if deadline < 0 then invalid_arg "Deadline.schedule: negative deadline";
   (match max_tasks with
   | Some budget when budget < 0 -> invalid_arg "Deadline.schedule: negative max_tasks"
   | _ -> ());
   Obs.span "chain.deadline.schedule" ~args:[ ("deadline", string_of_int deadline) ]
   @@ fun () ->
-  let construction = Incremental.create ?kernel chain ~horizon:deadline in
+  let construction = Incremental.create chain ~horizon:deadline in
   let (_ : int) = Incremental.fill construction ?max_tasks () in
   Incremental.schedule construction
 
-let max_tasks ?kernel chain ~deadline =
+let max_tasks chain ~deadline =
   if deadline < 0 then invalid_arg "Deadline.max_tasks: negative deadline";
   Obs.span "chain.deadline.max_tasks" ~args:[ ("deadline", string_of_int deadline) ]
   @@ fun () ->
-  let construction = Incremental.create ?kernel chain ~horizon:deadline in
+  let construction = Incremental.create chain ~horizon:deadline in
   Incremental.fill construction ()
 
-let min_makespan_via_deadline ?kernel chain n =
+let min_makespan_via_deadline chain n =
   if n < 0 then invalid_arg "Deadline.min_makespan_via_deadline: negative n";
   if n = 0 then 0
   else begin
@@ -34,7 +34,7 @@ let min_makespan_via_deadline ?kernel chain n =
     match
       Msts_util.Intx.binary_search_least ~lo ~hi (fun d ->
           Obs.count "chain.deadline.search_probes";
-          max_tasks ?kernel chain ~deadline:d >= n)
+          max_tasks chain ~deadline:d >= n)
     with
     | Some d -> d
     | None -> hi (* unreachable: the master-only schedule meets [hi] *)

@@ -11,17 +11,16 @@
     the emission times are reused by the spider transformation. *)
 
 val schedule :
-  ?kernel:Kernel.t ->
   ?max_tasks:int -> Msts_platform.Chain.t -> deadline:int -> Msts_schedule.Schedule.t
 (** Largest schedule fitting in [\[0, deadline\]]; at most [max_tasks] tasks
     when given.  Tasks are renumbered 1.. in emission order.
     @raise Invalid_argument on a negative deadline or negative
     [max_tasks]. *)
 
-val max_tasks : ?kernel:Kernel.t -> Msts_platform.Chain.t -> deadline:int -> int
+val max_tasks : Msts_platform.Chain.t -> deadline:int -> int
 (** Number of tasks {!schedule} places (without materialising entries). *)
 
-val min_makespan_via_deadline : ?kernel:Kernel.t -> Msts_platform.Chain.t -> int -> int
+val min_makespan_via_deadline : Msts_platform.Chain.t -> int -> int
 (** Optimal makespan for [n] tasks recovered by binary-searching the least
     deadline [d] with [max_tasks d >= n] — used in tests as an independent
     cross-check of {!Algorithm.makespan} (the two must agree).  The search

@@ -10,7 +10,6 @@ module Schedule = Msts_schedule.Schedule
 
 type t = {
   chain : Msts_platform.Chain.t;
-  kernel : Kernel.t;
   sc : Kernel.scratch;
   st : Algorithm.state;
   mutable horizon : int;
@@ -23,7 +22,7 @@ type t = {
   mutable full : bool;
 }
 
-let create ?kernel ?(capacity = 0) chain ~horizon =
+let create ?(capacity = 0) chain ~horizon =
   if Msts_platform.Chain.length chain = 0 then
     (* Unreachable through Chain.make (which refuses empty arrays), kept as
        a defensive guard with the same Msts.Chain.* error convention. *)
@@ -35,7 +34,6 @@ let create ?kernel ?(capacity = 0) chain ~horizon =
   let p = Msts_platform.Chain.length chain in
   {
     chain;
-    kernel = (match kernel with Some k -> k | None -> Kernel.default ());
     sc = Kernel.scratch ();
     st = Algorithm.initial_state chain ~horizon;
     horizon;
@@ -64,7 +62,7 @@ let ensure_room t ~proc =
   if t.pool_len + proc > pcap then
     t.pool <- grow t.pool (max proc (max 64 pcap))
 
-let record_fast t ~proc ~start =
+let record t ~proc ~start =
   let i = t.placed in
   t.procs.(i) <- proc;
   t.starts.(i) <- start;
@@ -72,52 +70,31 @@ let record_fast t ~proc ~start =
   t.pool_len <- t.pool_len + proc;
   t.placed <- i + 1
 
-let add_task_reference t ~min_emission =
-  (* Probe with the would-be greatest candidate before committing. *)
-  let cands = Algorithm.candidates t.chain t.st in
-  let best = Algorithm.select cands in
-  if cands.(best).(0) < min_emission then begin
-    t.full <- true;
-    false
-  end
-  else begin
-    let step = Algorithm.place t.chain t.st ~task:(t.placed + 1) in
-    ensure_room t ~proc:step.Algorithm.chosen_proc;
-    Array.blit step.Algorithm.chosen_vector 0 t.pool t.pool_len
-      step.Algorithm.chosen_proc;
-    record_fast t ~proc:step.Algorithm.chosen_proc ~start:step.Algorithm.start;
-    true
-  end
-
-let add_task_fast t ~min_emission =
-  (* One sweep both probes and decides; commit only if the task fits. *)
-  let proc =
-    Kernel.sweep t.chain ~hull:t.st.Algorithm.hull
-      ~occupancy:t.st.Algorithm.occupancy t.sc
-  in
-  if Kernel.first_emission t.sc < min_emission then begin
-    t.full <- true;
-    false
-  end
-  else begin
-    ensure_room t ~proc;
-    Kernel.blit_chosen t.sc ~proc t.pool ~pos:t.pool_len;
-    let start =
-      Kernel.commit t.chain ~hull:t.st.Algorithm.hull
-        ~occupancy:t.st.Algorithm.occupancy t.sc ~proc
-    in
-    record_fast t ~proc ~start;
-    true
-  end
-
+(* One sweep both probes and decides; commit only if the task fits. *)
 let add_task_unflushed t ~min_emission =
   if t.full then false
-  else
-    match t.kernel with
-    | Kernel.Reference -> add_task_reference t ~min_emission
-    | Kernel.Fast -> add_task_fast t ~min_emission
+  else begin
+    let proc =
+      Kernel.sweep t.chain ~hull:t.st.Algorithm.hull
+        ~occupancy:t.st.Algorithm.occupancy t.sc
+    in
+    if Kernel.first_emission t.sc < min_emission then begin
+      t.full <- true;
+      false
+    end
+    else begin
+      ensure_room t ~proc;
+      Kernel.blit_chosen t.sc ~proc t.pool ~pos:t.pool_len;
+      let start =
+        Kernel.commit t.chain ~hull:t.st.Algorithm.hull
+          ~occupancy:t.st.Algorithm.occupancy t.sc ~proc
+      in
+      record t ~proc ~start;
+      true
+    end
+  end
 
-(* Each public call emits the fast kernel's counters once; [fill] flushes
+(* Each public call emits the kernel's counters once; [fill] flushes
    once for the whole run. *)
 let add_task_from t ~min_emission =
   let added = add_task_unflushed t ~min_emission in

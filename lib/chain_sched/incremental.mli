@@ -10,19 +10,17 @@
 
     Placements are stored in preallocated struct-of-arrays buffers, so
     once the store has grown to its working capacity (or was created with
-    [~capacity]), {!add_task} on the fast kernel performs {e zero} minor-
-    heap allocation — asserted by the test suite via [Gc.minor_words] and
-    gated in [BENCH_online.json].
+    [~capacity]), {!add_task} performs {e zero} minor-heap allocation —
+    asserted by the test suite via [Gc.minor_words] and gated in
+    [BENCH_online.json].
 
     Dates are absolute in [\[0, horizon\]]; no final shift is applied. *)
 
 type t
 
-val create :
-  ?kernel:Kernel.t -> ?capacity:int -> Msts_platform.Chain.t -> horizon:int -> t
-(** Fresh construction ending at [horizon]; [kernel] (default
-    {!Kernel.default}) picks the placement kernel for the whole lifetime
-    of this construction.  [capacity] (default 0) preallocates room for
+val create : ?capacity:int -> Msts_platform.Chain.t -> horizon:int -> t
+(** Fresh construction ending at [horizon], placing tasks with
+    {!Kernel.sweep}.  [capacity] (default 0) preallocates room for
     that many placements, making the allocation-free steady state
     immediate instead of reached after geometric growth.
     @raise Invalid_argument on a negative horizon or capacity (message
@@ -31,9 +29,8 @@ val create :
 val add_task : t -> bool
 (** Place one more task (earlier than everything placed so far).  Returns
     [false] — and places nothing — when the task's first emission would
-    fall before time 0, i.e. the horizon is full.  On the fast kernel a
-    single O(p) sweep both probes and places; the reference kernel probes
-    with a full candidate scan before committing.  Documented in
+    fall before time 0, i.e. the horizon is full.  A single O(p) sweep
+    both probes and places.  Documented in
     docs/ONLINE.md and docs/TUTORIAL.md. *)
 
 val add_task_from : t -> min_emission:int -> bool

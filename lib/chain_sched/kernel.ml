@@ -2,19 +2,6 @@ module Chain = Msts_platform.Chain
 module Comm_vector = Msts_schedule.Comm_vector
 module Obs = Msts_obs.Obs
 
-type t = Fast | Reference
-
-let to_string = function Fast -> "fast" | Reference -> "reference"
-
-let of_string = function
-  | "fast" -> Some Fast
-  | "reference" -> Some Reference
-  | _ -> None
-
-let selected = Atomic.make Fast
-let set_default k = Atomic.set selected k
-let default () = Atomic.get selected
-
 (* Besides the sweep buffer, the scratch tallies the construction's
    counters; {!flush} emits each total as one counter event, so a
    placement costs no sink traffic. *)

@@ -1,31 +1,20 @@
-(** Kernel selection for the backward chain construction.
+(** The placement kernel of the backward chain construction.
 
-    The reference kernel materialises all [p] candidate vectors (total
-    size O(p²)) on every placement and compares them with
-    {!Msts_schedule.Comm_vector.precedes} — the paper's O(n·p²) cost,
-    kept as the executable specification.  The fast kernel exploits the
-    suffix-min structure of the candidates: they all share the
-    propagation [v_j = min(v_{j+1}, h_j) − c_j], whose maps are monotone,
-    so the Definition 3 winner can be decided with one scalar comparison
-    per processor during a single O(p) backward sweep over a reusable
-    scratch buffer — no per-task allocation beyond the chosen vector
-    itself, and no per-task counter event: the scratch tallies them.
-    Both kernels produce byte-identical schedules (enforced by the
-    differential test suite).
+    Every construction in the library places tasks with this O(p) sweep.
+    It exploits the suffix-min structure of the candidates: they all
+    share the propagation [v_j = min(v_{j+1}, h_j) − c_j], whose maps are
+    monotone, so the Definition 3 winner can be decided with one scalar
+    comparison per processor during a single backward sweep over a
+    reusable scratch buffer — no per-task allocation beyond the chosen
+    vector itself, and no per-task counter event: the scratch tallies
+    them.
 
-    The selected kernel is a process-wide atomic so batch-solver domains
-    and the CLI share one switch; call sites can override it per call
-    with their [?kernel] argument. *)
-
-type t = Fast | Reference
-
-val to_string : t -> string
-val of_string : string -> t option
-
-val default : unit -> t
-(** Process-wide default, [Fast] unless {!set_default} was called. *)
-
-val set_default : t -> unit
+    The paper-literal construction, which materialises all [p] candidate
+    vectors (total size O(p²)) per placement and compares them with
+    {!Msts_schedule.Comm_vector.precedes}, survives in two places: the
+    [~on_step] path of {!Algorithm.schedule}, which records every
+    candidate, and a frozen copy in the test suite that the differential
+    tests compare this sweep against. *)
 
 type scratch
 (** Reusable buffer for the fast sweep; grows to the largest [p] seen.

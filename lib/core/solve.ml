@@ -12,13 +12,6 @@ type problem = Msts_pool.Batch.request = {
 
 let problem ?tasks ?deadline platform = { platform; tasks; deadline }
 
-type kernel = Msts_chain.Kernel.t = Fast | Reference
-
-let set_kernel = Msts_chain.Kernel.set_default
-let kernel = Msts_chain.Kernel.default
-let kernel_to_string = Msts_chain.Kernel.to_string
-let kernel_of_string = Msts_chain.Kernel.of_string
-
 let as_spider = function
   | Parse.Chain_platform chain -> Ok (Spider.of_chain chain)
   | Parse.Fork_platform fork -> Ok (Spider.of_fork fork)

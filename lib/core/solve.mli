@@ -10,6 +10,10 @@
     - a tree that branches below the master is rejected (use the
       [Msts.Tree_heuristics] covers instead).
 
+    Every chain construction, spider legs included, places its tasks with
+    the O(p) sweep of {!Msts_chain.Kernel}; docs/PERFORMANCE.md has its
+    cost and how it is checked against the paper-literal construction.
+
     The CLI's [schedule], [deadline] and [metrics] subcommands go through
     this facade; calling the per-shape algorithms directly from
     applications is deprecated in favour of [Msts.Solve.solve].  Every
@@ -27,23 +31,6 @@ type problem = Msts_pool.Batch.request = {
 val problem :
   ?tasks:int -> ?deadline:int -> Msts_platform.Parse.platform -> problem
 (** Convenience constructor. *)
-
-type kernel = Msts_chain.Kernel.t = Fast | Reference
-(** Which backward-construction kernel every solve (chain, deadline,
-    spider legs, batch, replanner) uses: the O(n·p) allocation-free sweep
-    ([Fast], the default) or the paper-literal O(n·p²) candidate scan
-    ([Reference], the escape hatch — also the only kernel that records
-    full per-step traces).  Both produce byte-identical plans; see
-    docs/PERFORMANCE.md. *)
-
-val set_kernel : kernel -> unit
-(** Set the process-wide kernel (the CLI's [--kernel] flag).  Shared by
-    all batch-solver domains. *)
-
-val kernel : unit -> kernel
-
-val kernel_to_string : kernel -> string
-val kernel_of_string : string -> kernel option
 
 val solve : problem -> (Msts_schedule.Plan.t, string) result
 (** Solve the problem:

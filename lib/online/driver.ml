@@ -42,12 +42,12 @@ let emit_frozen chain ~task (e : Schedule.entry) =
   Trace.emit ~time:(e.Schedule.start + w) ~task
     (Trace.Finish (Trace.Compute { leg; depth }))
 
-let run ?kernel ?capacity ?emit chain ~deadline events =
+let run ?capacity ?emit chain ~deadline events =
   List.iter
     (fun { at; _ } ->
       if at < 0 then invalid_arg "Msts.Online.Driver.run: event before time 0")
     events;
-  let o = Online.create ?kernel ?capacity chain ~deadline in
+  let o = Online.create ?capacity chain ~deadline in
   let eng = Engine.create () in
   let seen = ref 0 in
   let refusals = ref [] in

@@ -32,7 +32,6 @@ type outcome = {
 }
 
 val run :
-  ?kernel:Msts.Solve.kernel ->
   ?capacity:int ->
   ?emit:(Online.delta -> unit) ->
   Msts.Chain.t ->

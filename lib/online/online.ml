@@ -23,7 +23,6 @@ type replan = { replaced : int; extended_by : int; deadline : int }
    ended, which keeps the combined plan feasible by separation instead of
    by shared state. *)
 type t = {
-  kernel : Msts.Solve.kernel;
   capacity : int;
   mutable chain : Chain.t;
   mutable inc : Incremental.t;
@@ -41,16 +40,14 @@ type t = {
 
 let dummy_entry = { Schedule.proc = 1; start = 0; comms = [| 0 |] }
 
-let create ?kernel ?(capacity = 0) chain ~deadline =
+let create ?(capacity = 0) chain ~deadline =
   if deadline < 0 then invalid_arg "Msts.Online.create: negative deadline";
   if capacity < 0 then invalid_arg "Msts.Online.create: negative capacity";
-  let kernel = match kernel with Some k -> k | None -> Msts.Solve.kernel () in
   Obs.count "online.sessions";
   {
-    kernel;
     capacity;
     chain;
-    inc = Incremental.create ~kernel ~capacity chain ~horizon:deadline;
+    inc = Incremental.create ~capacity chain ~horizon:deadline;
     ids = Array.make capacity 0;
     unfrozen = 0;
     frontier = 0;
@@ -174,9 +171,7 @@ let advance ?emit t ~time =
 let rebuild t chain ~horizon ~need =
   let m = t.unfrozen in
   let cand =
-    Incremental.create ~kernel:t.kernel
-      ~capacity:(max t.capacity m)
-      chain ~horizon
+    Incremental.create ~capacity:(max t.capacity m) chain ~horizon
   in
   for _ = 1 to m do
     if not (Incremental.add_task_from cand ~min_emission:min_int) then

@@ -14,7 +14,8 @@
     frozen task on the degraded chain, extending the deadline by exactly
     the slack the slower platform needs.
 
-    Cost model: one arrival is a single O(p) kernel sweep and — once the
+    Cost model: one arrival is a single O(p) sweep of
+    [Msts.Chain_kernel], the library's one placement kernel, and — once the
     session's buffers have warmed up (or were preallocated with
     [~capacity]) and no [emit] callback is installed — performs {e zero}
     minor-heap allocation.  Freezing, extension and degradation are O(k·p)
@@ -50,8 +51,7 @@ type replan = { replaced : int; extended_by : int; deadline : int }
     re-placed, and how far (possibly 0) the deadline moved to fit them on
     the degraded platform. *)
 
-val create :
-  ?kernel:Msts.Solve.kernel -> ?capacity:int -> Msts.Chain.t -> deadline:int -> t
+val create : ?capacity:int -> Msts.Chain.t -> deadline:int -> t
 (** Open a session on [chain] with the given deadline.  [capacity]
     preallocates placement storage (see the cost model above).
     @raise Invalid_argument on a negative deadline or capacity. *)

@@ -131,7 +131,7 @@ module Ceiling = struct
 end
 
 (* The least deadline fitting [n] tasks, with the ceiling it was searched
-   over on the fast kernel. *)
+   over ([None] only for [n = 0], which needs no search). *)
 let search spider n =
   if n < 0 then invalid_arg "Spider algorithm: negative task count";
   if n = 0 then (0, None)
@@ -140,38 +140,28 @@ let search spider n =
     let hi = makespan_upper_bound spider n in
     (* Warm start: every spider bound is provably <= OPT. *)
     let lo = Msts_schedule.Bounds.spider_combined_bound spider n in
-    let least ~lo ~hi probe =
-      match Msts_util.Intx.binary_search_least ~lo ~hi probe with
-      | Some d -> d
-      | None -> hi (* unreachable: a master-only leg schedule meets [hi] *)
+    let fits ceiling d =
+      Obs.count "spider.search_probes";
+      Obs.count ~n:(Array.length ceiling.Ceiling.legs) "spider.leg_reuses";
+      let fits = Ceiling.count ceiling ~deadline:d >= n in
+      Obs.count
+        ~n:(Msts_fork.Moore_hodgson.scanned ceiling.Ceiling.nodes)
+        "spider.probe_nodes";
+      fits
     in
-    match Msts_chain.Kernel.default () with
-    | Msts_chain.Kernel.Reference ->
-        ( least ~lo ~hi (fun d ->
-              Obs.count "spider.search_probes";
-              max_tasks ~budget:n spider ~deadline:d >= n),
-          None )
-    | Msts_chain.Kernel.Fast ->
-        let fits ceiling d =
-          Obs.count "spider.search_probes";
-          Obs.count ~n:(Array.length ceiling.Ceiling.legs) "spider.leg_reuses";
-          let fits = Ceiling.count ceiling ~deadline:d >= n in
-          Obs.count
-            ~n:(Msts_fork.Moore_hodgson.scanned ceiling.Ceiling.nodes)
-            "spider.probe_nodes";
-          fits
-        in
-        (* [hi] is often several times OPT while [lo] is within a few
-           percent of it, so the ceiling grows from [lo] by doubling gaps
-           until it fits [n]; each miss lifts [lo] past it. *)
-        let rec grow lo gap =
-          let horizon = min hi (lo + gap) in
-          let ceiling = Ceiling.build ~budget:n spider ~horizon in
-          if horizon = hi || fits ceiling horizon then (lo, horizon, ceiling)
-          else grow (horizon + 1) (2 * gap)
-        in
-        let lo, top, ceiling = grow lo (max 1 (lo / 16)) in
-        (least ~lo ~hi:top (fits ceiling), Some ceiling)
+    (* [hi] is often several times OPT while [lo] is within a few percent
+       of it, so the ceiling grows from [lo] by doubling gaps until it fits
+       [n]; each miss lifts [lo] past it. *)
+    let rec grow lo gap =
+      let horizon = min hi (lo + gap) in
+      let ceiling = Ceiling.build ~budget:n spider ~horizon in
+      if horizon = hi || fits ceiling horizon then (lo, horizon, ceiling)
+      else grow (horizon + 1) (2 * gap)
+    in
+    let lo, top, ceiling = grow lo (max 1 (lo / 16)) in
+    match Msts_util.Intx.binary_search_least ~lo ~hi:top (fits ceiling) with
+    | Some d -> (d, Some ceiling)
+    | None -> (top, Some ceiling) (* unreachable: [top] fits or is [hi] *)
   end
 
 let min_makespan spider n = fst (search spider n)

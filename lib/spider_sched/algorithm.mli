@@ -69,20 +69,19 @@ val min_makespan : Msts_platform.Spider.t -> int -> int
     the staircase is monotone).  0 when [n = 0].  The search is
     warm-started at [lo = ]{!Msts_schedule.Bounds.spider_combined_bound}.
 
-    On the fast kernel ({!Msts_chain.Kernel.default}) every probe is a
-    {!Ceiling.count} instead of a rebuild of the leg schedules and a run
-    of the allocator.  The ceiling starts at [lo + lo/16] (capped at
-    {!makespan_upper_bound}, which is often several times OPT while [lo]
-    is within a few percent of it); while it does not fit [n] tasks, [lo]
-    moves past it and the gap doubles.  Each probe bumps
+    Every probe is a {!Ceiling.count} instead of a rebuild of the leg
+    schedules and a run of the allocator.  The ceiling starts at
+    [lo + lo/16] (capped at {!makespan_upper_bound}, which is often
+    several times OPT while [lo] is within a few percent of it); while it
+    does not fit [n] tasks, [lo] moves past it and the gap doubles.  Each probe bumps
     [spider.leg_reuses] once per leg and [spider.probe_nodes] by the
     nodes it scanned. *)
 
 val schedule_tasks : Msts_platform.Spider.t -> int -> Msts_schedule.Spider_schedule.t
 (** Optimal-makespan schedule for exactly [n] tasks: {!schedule} at
-    {!min_makespan}.  On the fast kernel its leg schedules come from the
-    search's {!Ceiling} ({!Ceiling.leg_schedules}) rather than being
-    rebuilt; the allocation is the same greedy run. *)
+    {!min_makespan}.  Its leg schedules come from the search's
+    {!Ceiling} ({!Ceiling.leg_schedules}) rather than being rebuilt; the
+    allocation is the same greedy run. *)
 
 val makespan_upper_bound : Msts_platform.Spider.t -> int -> int
 (** Cheap safe upper bound used to seed the binary search: best

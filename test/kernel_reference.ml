@@ -1,0 +1,218 @@
+(* The reference kernel as it stood when the library still let a caller
+   choose it: Algorithm.makespan's candidate-scan branch, Incremental's
+   probe-and-place, and Spider_algorithm's rebuild-per-probe search.  Kept
+   verbatim, spans and counters included, as the oracle the differential
+   tests compare the O(p) sweep against and the reference the
+   kernel-scaling bench times. *)
+
+module Chain = Msts.Chain
+module Algorithm = Msts.Chain_algorithm
+module Schedule = Msts.Schedule
+module Spider = Msts.Spider
+module Spider_schedule = Msts.Spider_schedule
+module Allocator = Msts.Fork_allocator
+module Obs = Msts.Obs
+
+let select = Algorithm.select
+let horizon = Algorithm.horizon
+
+(* ---------- chain makespan ---------- *)
+
+(* Placement without the step record: same state mutation and counters as
+   [Algorithm.place], but no [state_before] deep copy and no retained
+   candidate array. *)
+let place_light ~select chain (st : Algorithm.state) =
+  let all_candidates = Algorithm.candidates chain st in
+  let proc = select all_candidates + 1 in
+  let vector = all_candidates.(proc - 1) in
+  let start = st.occupancy.(proc - 1) - Chain.work chain proc in
+  st.occupancy.(proc - 1) <- start;
+  for j = 1 to proc do
+    st.hull.(j - 1) <- vector.(j - 1)
+  done;
+  Obs.count "chain.tasks_placed";
+  Obs.count ~n:proc "chain.hull_updates";
+  (proc, vector, start)
+
+let makespan chain n =
+  if n = 0 then 0
+  else begin
+    Obs.span "chain.makespan" ~args:[ ("n", string_of_int n) ] @@ fun () ->
+    (* The last-placed (first-emitted) task fixes the shift; task n always
+       finishes exactly at the horizon. *)
+    let st = Algorithm.initial_state chain ~horizon:(horizon chain n) in
+    let first_emission = ref 0 in
+    for task = n downto 1 do
+      let _, vector, _ = place_light ~select chain st in
+      if task = 1 then first_emission := vector.(0)
+    done;
+    horizon chain n - !first_emission
+  end
+
+(* ---------- deadline construction ---------- *)
+
+(* Incremental's placement store as it stood: struct-of-arrays buffers
+   grown geometrically, placement [i] emitting strictly earlier than
+   placement [i-1]. *)
+type construction = {
+  chain : Chain.t;
+  st : Algorithm.state;
+  mutable procs : int array; (* procs.(i): processor of placement i *)
+  mutable starts : int array; (* starts.(i): compute start date *)
+  mutable offs : int array; (* offs.(i): offset of comms in [pool] *)
+  mutable pool : int array; (* flat comm-vector storage *)
+  mutable pool_len : int;
+  mutable placed : int;
+  mutable full : bool;
+}
+
+let create chain ~horizon =
+  if horizon < 0 then invalid_arg "Kernel_reference.create: negative horizon";
+  {
+    chain;
+    st = Algorithm.initial_state chain ~horizon;
+    procs = [||];
+    starts = [||];
+    offs = [||];
+    pool = [||];
+    pool_len = 0;
+    placed = 0;
+    full = false;
+  }
+
+let grow a n = Array.append a (Array.make n 0)
+
+let ensure_room t ~proc =
+  let cap = Array.length t.procs in
+  if t.placed >= cap then begin
+    let extra = max 8 cap in
+    t.procs <- grow t.procs extra;
+    t.starts <- grow t.starts extra;
+    t.offs <- grow t.offs extra
+  end;
+  let pcap = Array.length t.pool in
+  if t.pool_len + proc > pcap then
+    t.pool <- grow t.pool (max proc (max 64 pcap))
+
+let record t ~proc ~start =
+  let i = t.placed in
+  t.procs.(i) <- proc;
+  t.starts.(i) <- start;
+  t.offs.(i) <- t.pool_len;
+  t.pool_len <- t.pool_len + proc;
+  t.placed <- i + 1
+
+let add_task_from t ~min_emission =
+  if t.full then false
+  else begin
+    (* Probe with the would-be greatest candidate before committing. *)
+    let cands = Algorithm.candidates t.chain t.st in
+    let best = Algorithm.select cands in
+    if cands.(best).(0) < min_emission then begin
+      t.full <- true;
+      false
+    end
+    else begin
+      let step = Algorithm.place t.chain t.st ~task:(t.placed + 1) in
+      ensure_room t ~proc:step.Algorithm.chosen_proc;
+      Array.blit step.Algorithm.chosen_vector 0 t.pool t.pool_len
+        step.Algorithm.chosen_proc;
+      record t ~proc:step.Algorithm.chosen_proc ~start:step.Algorithm.start;
+      true
+    end
+  end
+
+let fill t ?(max_tasks = max_int) () =
+  while t.placed < max_tasks && add_task_from t ~min_emission:0 do
+    ()
+  done;
+  t.placed
+
+let earliest_emission t =
+  if t.placed = 0 then None else Some t.pool.(t.offs.(t.placed - 1))
+
+let entry_at t i =
+  {
+    Schedule.proc = t.procs.(i);
+    start = t.starts.(i);
+    comms = Array.sub t.pool t.offs.(i) t.procs.(i);
+  }
+
+(* Emission order is reverse construction order. *)
+let schedule t =
+  Schedule.make t.chain
+    (Array.init t.placed (fun j -> entry_at t (t.placed - 1 - j)))
+
+let deadline_schedule ?max_tasks chain ~deadline =
+  if deadline < 0 then invalid_arg "Deadline.schedule: negative deadline";
+  (match max_tasks with
+  | Some budget when budget < 0 -> invalid_arg "Deadline.schedule: negative max_tasks"
+  | _ -> ());
+  Obs.span "chain.deadline.schedule" ~args:[ ("deadline", string_of_int deadline) ]
+  @@ fun () ->
+  let construction = create chain ~horizon:deadline in
+  let (_ : int) = fill construction ?max_tasks () in
+  schedule construction
+
+(* ---------- spider search ---------- *)
+
+let leg_schedules ?(budget = max_int) spider ~deadline =
+  Obs.span "spider.leg_schedules" ~args:[ ("deadline", string_of_int deadline) ]
+  @@ fun () ->
+  Array.init (Spider.legs spider) (fun idx ->
+      deadline_schedule ~max_tasks:budget
+        (Spider.leg_chain spider (idx + 1))
+        ~deadline)
+
+(* Steps 2–5 on given leg schedules. *)
+let assemble spider legs ~deadline ~budget =
+  let nodes = Msts.Spider_algorithm.virtual_fork spider ~deadline legs in
+  let allocations = Allocator.allocate nodes ~deadline ~budget in
+  let entry_of { Allocator.node; emission; _ } =
+    let leg = node.Msts.Fork_expansion.slave in
+    let leg_sched = legs.(leg - 1) in
+    let task =
+      Msts.Spider_transform.task_of_rank leg_sched ~rank:node.Msts.Fork_expansion.rank
+    in
+    let original = Schedule.entry leg_sched task in
+    let comms = Array.copy original.comms in
+    (* Lemma 3: the allocator's emission is never later than the original
+       first emission, so only this coordinate changes. *)
+    comms.(0) <- emission;
+    {
+      Spider_schedule.address = { Spider.leg; depth = original.proc };
+      start = original.start;
+      comms;
+    }
+  in
+  Spider_schedule.make spider (Array.of_list (List.map entry_of allocations))
+
+let spider_plan ?(budget = max_int) spider ~deadline =
+  if deadline < 0 then invalid_arg "Spider algorithm: negative deadline";
+  if budget < 0 then invalid_arg "Spider algorithm: negative budget";
+  Obs.span "spider.schedule" ~args:[ ("deadline", string_of_int deadline) ]
+  @@ fun () ->
+  assemble spider (leg_schedules ~budget spider ~deadline) ~deadline ~budget
+
+let spider_max_tasks ?budget spider ~deadline =
+  Spider_schedule.task_count (spider_plan ?budget spider ~deadline)
+
+let spider_min_makespan spider n =
+  if n < 0 then invalid_arg "Spider algorithm: negative task count";
+  if n = 0 then 0
+  else begin
+    Obs.span "spider.min_makespan" ~args:[ ("n", string_of_int n) ] @@ fun () ->
+    let hi = Msts.Spider_algorithm.makespan_upper_bound spider n in
+    (* Warm start: every spider bound is provably <= OPT. *)
+    let lo = Msts.Bounds.spider_combined_bound spider n in
+    match
+      Msts.Intx.binary_search_least ~lo ~hi (fun d ->
+          Obs.count "spider.search_probes";
+          spider_max_tasks ~budget:n spider ~deadline:d >= n)
+    with
+    | Some d -> d
+    | None -> hi (* unreachable: a master-only leg schedule meets [hi] *)
+  end
+
+let spider_schedule_tasks spider n =
+  spider_plan ~budget:n spider ~deadline:(spider_min_makespan spider n)

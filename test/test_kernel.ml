@@ -1,20 +1,21 @@
-(* Differential and search tests for the fast chain kernel (O(n·p) fused
-   sweep) against the reference kernel (the paper-literal O(n·p²)
-   candidate scan).  The two must produce byte-identical plans on every
-   instance; the warm-started binary searches must return the same
-   answers as full-range searches with strictly fewer probes. *)
+(* Differential and search tests for the fast chain kernel (the O(n·p)
+   fused sweep every construction runs) against the paper-literal
+   O(n·p²) candidate scan: the library's own for chain schedules, the
+   frozen copies in Kernel_reference for everything else.  The two
+   must produce byte-identical plans on every instance; the warm-started
+   binary searches must return the same answers as full-range searches
+   with strictly fewer probes. *)
 
 open Helpers
-module Kernel = Msts.Chain_kernel
 module Obs = Msts.Obs
 
-let with_kernel k f =
-  let prev = Kernel.default () in
-  Kernel.set_default k;
-  Fun.protect ~finally:(fun () -> Kernel.set_default prev) f
+let chain_plan chain n = Msts.Plan.Chain (Msts.Chain_algorithm.schedule chain n)
 
-let chain_plan kernel chain n =
-  Msts.Plan.Chain (Msts.Chain_algorithm.schedule ~kernel chain n)
+(* The library's own candidate scan, the construction the paper prints. *)
+let reference_chain_plan chain n =
+  Msts.Plan.Chain
+    (Msts.Chain_algorithm.schedule_with_selector
+       ~select:Msts.Chain_algorithm.select chain n)
 
 (* ---------- differential: fast vs reference ---------- *)
 
@@ -23,19 +24,16 @@ let schedules_identical =
     (QCheck.Test.make ~count:300 ~name:"schedule: fast = reference (chains)"
        (chain_with_n_arb ~max_p:6 ~max_n:12 ())
        (fun (chain, n) ->
-         Msts.Plan.equal (chain_plan Kernel.Fast chain n)
-           (chain_plan Kernel.Reference chain n)))
+         Msts.Plan.equal (chain_plan chain n) (reference_chain_plan chain n)))
 
 let makespans_identical =
   to_alcotest
     (QCheck.Test.make ~count:300 ~name:"makespan: fast = reference = schedule"
        (chain_with_n_arb ~max_p:6 ~max_n:12 ())
        (fun (chain, n) ->
-         let fast = Msts.Chain_algorithm.makespan ~kernel:Kernel.Fast chain n in
-         fast = Msts.Chain_algorithm.makespan ~kernel:Kernel.Reference chain n
-         && fast
-            = Msts.Schedule.makespan
-                (Msts.Chain_algorithm.schedule ~kernel:Kernel.Fast chain n)))
+         let fast = Msts.Chain_algorithm.makespan chain n in
+         fast = Kernel_reference.makespan chain n
+         && fast = Msts.Schedule.makespan (Msts.Chain_algorithm.schedule chain n)))
 
 let deadline_schedules_identical =
   to_alcotest
@@ -47,11 +45,8 @@ let deadline_schedules_identical =
          List.for_all
            (fun deadline ->
              Msts.Plan.equal
-               (Msts.Plan.Chain
-                  (Msts.Chain_deadline.schedule ~kernel:Kernel.Fast chain ~deadline))
-               (Msts.Plan.Chain
-                  (Msts.Chain_deadline.schedule ~kernel:Kernel.Reference chain
-                     ~deadline)))
+               (Msts.Plan.Chain (Msts.Chain_deadline.schedule chain ~deadline))
+               (Msts.Plan.Chain (Kernel_reference.deadline_schedule chain ~deadline)))
            [ opt; opt / 2; (2 * opt) + 3 ]))
 
 let incremental_identical =
@@ -60,34 +55,33 @@ let incremental_identical =
        (chain_with_n_arb ~max_p:5 ~max_n:8 ())
        (fun (chain, n) ->
          let horizon = Msts.Chain_algorithm.horizon chain n in
-         let run kernel =
-           let t = Msts.Chain_incremental.create ~kernel chain ~horizon in
-           let placed = Msts.Chain_incremental.fill t () in
-           (placed, Msts.Chain_incremental.schedule t,
-            Msts.Chain_incremental.earliest_emission t)
-         in
-         let pf, sf, ef = run Kernel.Fast in
-         let pr, sr, er = run Kernel.Reference in
-         pf = pr && ef = er && Msts.Plan.equal (Msts.Plan.Chain sf) (Msts.Plan.Chain sr)))
+         let t = Msts.Chain_incremental.create chain ~horizon in
+         let pf = Msts.Chain_incremental.fill t () in
+         let r = Kernel_reference.create chain ~horizon in
+         let pr = Kernel_reference.fill r () in
+         pf = pr
+         && Msts.Chain_incremental.earliest_emission t
+            = Kernel_reference.earliest_emission r
+         && Msts.Plan.equal
+              (Msts.Plan.Chain (Msts.Chain_incremental.schedule t))
+              (Msts.Plan.Chain (Kernel_reference.schedule r))))
 
 let spider_plans_identical =
   to_alcotest
     (QCheck.Test.make ~count:100 ~name:"spider: fast = reference plans"
        (spider_with_n_arb ~max_legs:3 ~max_depth:2 ~max_n:6 ())
        (fun (spider, n) ->
-         let run k = with_kernel k (fun () -> Msts.Spider_algorithm.schedule_tasks spider n) in
          Msts.Plan.equal
-           (Msts.Plan.Spider (run Kernel.Fast))
-           (Msts.Plan.Spider (run Kernel.Reference))))
+           (Msts.Plan.Spider (Msts.Spider_algorithm.schedule_tasks spider n))
+           (Msts.Plan.Spider (Kernel_reference.spider_schedule_tasks spider n))))
 
 let spider_makespans_identical =
   to_alcotest
     (QCheck.Test.make ~count:100 ~name:"spider: fast = reference min_makespan"
        (spider_with_n_arb ~max_legs:3 ~max_depth:2 ~max_n:6 ())
        (fun (spider, n) ->
-         with_kernel Kernel.Fast (fun () -> Msts.Spider_algorithm.min_makespan spider n)
-         = with_kernel Kernel.Reference (fun () ->
-               Msts.Spider_algorithm.min_makespan spider n)))
+         Msts.Spider_algorithm.min_makespan spider n
+         = Kernel_reference.spider_min_makespan spider n))
 
 (* Times are typed positive in the paper (T : [1;n] -> N+), and Chain.make
    enforces it — c = 0 links or w = 0 slaves are outside the model.  The
@@ -107,12 +101,11 @@ let minimal_platform () =
       Alcotest.(check bool)
         (Printf.sprintf "p=%d n=%d identical" (Msts.Chain.length chain) n)
         true
-        (Msts.Plan.equal (chain_plan Kernel.Fast chain n)
-           (chain_plan Kernel.Reference chain n));
+        (Msts.Plan.equal (chain_plan chain n) (reference_chain_plan chain n));
       Alcotest.(check int)
         (Printf.sprintf "p=%d n=%d makespan" (Msts.Chain.length chain) n)
-        (Msts.Chain_algorithm.makespan ~kernel:Kernel.Reference chain n)
-        (Msts.Chain_algorithm.makespan ~kernel:Kernel.Fast chain n))
+        (Kernel_reference.makespan chain n)
+        (Msts.Chain_algorithm.makespan chain n))
     [
       (unit_chain, 0);
       (unit_chain, 1);
@@ -316,9 +309,8 @@ let ceiling_grows () =
   let n = 12 in
   let mem = Obs.Memory.create () in
   let fast =
-    with_kernel Kernel.Fast (fun () ->
-        Obs.with_sink (Obs.Memory.sink mem) (fun () ->
-            Msts.Spider_algorithm.min_makespan spider n))
+    Obs.with_sink (Obs.Memory.sink mem) (fun () ->
+        Msts.Spider_algorithm.min_makespan spider n)
   in
   let builds =
     match List.assoc_opt "spider.leg_schedules" (Obs.Memory.spans mem) with
@@ -327,7 +319,7 @@ let ceiling_grows () =
   in
   Alcotest.(check int) "two ceilings built" 2 builds;
   Alcotest.(check int) "reference answer"
-    (with_kernel Kernel.Reference (fun () -> Msts.Spider_algorithm.min_makespan spider n))
+    (Kernel_reference.spider_min_makespan spider n)
     fast;
   Alcotest.(check int) "OPT" 18 fast
 
@@ -347,7 +339,7 @@ let probe_allocation_free () =
   in
   let n = 192 in
   let horizon = Msts.Spider_algorithm.makespan_upper_bound spider n in
-  let ceiling = with_kernel Kernel.Fast (fun () -> Ceiling.build ~budget:n spider ~horizon) in
+  let ceiling = Ceiling.build ~budget:n spider ~horizon in
   let lo = Msts.Bounds.spider_combined_bound spider n in
   ignore (Ceiling.count ceiling ~deadline:horizon) (* warm-up *);
   let probes = horizon - lo + 1 in

@@ -18,10 +18,11 @@ let plan_feasible plan =
   | problems ->
       QCheck.Test.fail_reportf "infeasible plan: %s" (String.concat "; " problems)
 
-(* ---------- differential: online = batch, both kernels ---------- *)
+(* ---------- differential: online = batch, and = the reference ---------- *)
 
 (* Tasks are identical, so an "arrival order" is the sequence of batch
-   sizes the session sees.  500+ random orders across the two kernels. *)
+   sizes the session sees.  500+ random orders across the two batch
+   sides. *)
 let arrivals_gen =
   QCheck.Gen.(
     triple
@@ -35,20 +36,24 @@ let arrivals_print (chain, deadline, batches) =
     deadline
     (String.concat ";" (List.map string_of_int batches))
 
-let online_matches_batch kernel =
+(* The batch side is the library's deadline solve, or the frozen
+   paper-literal construction in Kernel_reference, so the session is also
+   checked against a construction it does not run on. *)
+let library_batch ~max_tasks chain ~deadline =
+  Msts.Chain_deadline.schedule ~max_tasks chain ~deadline
+
+let reference_batch ~max_tasks chain ~deadline =
+  Kernel_reference.deadline_schedule ~max_tasks chain ~deadline
+
+let online_matches_batch ~name batch_schedule =
   to_alcotest
-    (QCheck.Test.make ~count:300
-       ~name:
-         (Printf.sprintf "online arrivals = batch solve (%s kernel)"
-            (Msts.Solve.kernel_to_string kernel))
+    (QCheck.Test.make ~count:300 ~name
        (QCheck.make ~print:arrivals_print arrivals_gen)
        (fun (chain, deadline, batches) ->
-         let o = Online.create ~kernel chain ~deadline in
+         let o = Online.create chain ~deadline in
          List.iter (fun b -> ignore (Online.submit o b)) batches;
          let total = List.fold_left ( + ) 0 batches in
-         let batch =
-           Msts.Chain_deadline.schedule ~kernel ~max_tasks:total chain ~deadline
-         in
+         let batch = batch_schedule ~max_tasks:total chain ~deadline in
          Msts.Plan.equal (Online.plan o) (Msts.Plan.Chain batch)
          && Online.arrivals o = total
          && Online.placed o + Online.rejected o = total))
@@ -79,16 +84,12 @@ let script_print (chain, d0, script) =
             | `Extend d -> Printf.sprintf "extend +%d" d)
           script))
 
-let extends_match_batch kernel =
+let extends_match_batch ~name batch_schedule =
   to_alcotest
-    (QCheck.Test.make ~count:150
-       ~name:
-         (Printf.sprintf
-            "interleaved extends stay batch-identical (%s kernel)"
-            (Msts.Solve.kernel_to_string kernel))
+    (QCheck.Test.make ~count:150 ~name
        (QCheck.make ~print:script_print script_gen)
        (fun (chain, d0, script) ->
-         let o = Online.create ~kernel chain ~deadline:d0 in
+         let o = Online.create chain ~deadline:d0 in
          let d = ref d0 in
          List.iter
            (function
@@ -102,8 +103,7 @@ let extends_match_batch kernel =
                        "extend refused with nothing frozen: %s" msg))
            script;
          let batch =
-           Msts.Chain_deadline.schedule ~kernel ~max_tasks:(Online.placed o)
-             chain ~deadline:!d
+           batch_schedule ~max_tasks:(Online.placed o) chain ~deadline:!d
          in
          Msts.Plan.equal (Online.plan o) (Msts.Plan.Chain batch)))
 
@@ -294,7 +294,7 @@ let incremental_arrivals_allocation_free () =
   let chain = Msts.Chain.of_pairs [ (1, 3); (2, 2); (1, 4) ] in
   let n = 256 in
   let t =
-    Incremental.create ~kernel:Msts.Solve.Fast ~capacity:n chain
+    Incremental.create ~capacity:n chain
       ~horizon:1_000_000
   in
   ignore (Incremental.add_task t) (* warm-up *);
@@ -313,7 +313,7 @@ let incremental_arrivals_allocation_free () =
 let online_submit_allocation_free () =
   let chain = Msts.Chain.of_pairs [ (1, 3); (2, 2); (1, 4) ] in
   let n = 256 in
-  let o = Online.create ~kernel:Msts.Solve.Fast ~capacity:n chain
+  let o = Online.create ~capacity:n chain
       ~deadline:1_000_000 in
   ignore (Online.submit o 8) (* warm-up *);
   let baseline = calibrate () in
@@ -637,10 +637,19 @@ let suites =
   [
     ( "online.differential",
       [
-        online_matches_batch Msts.Solve.Fast;
-        online_matches_batch Msts.Solve.Reference;
-        extends_match_batch Msts.Solve.Fast;
-        extends_match_batch Msts.Solve.Reference;
+        online_matches_batch ~name:"online arrivals = batch solve (fast kernel)"
+          library_batch;
+        online_matches_batch
+          ~name:"online session = frozen reference deadline construction (arrivals)"
+          reference_batch;
+        extends_match_batch
+          ~name:"interleaved extends stay batch-identical (fast kernel)"
+          library_batch;
+        extends_match_batch
+          ~name:
+            "online session = frozen reference deadline construction (interleaved \
+             extends)"
+          reference_batch;
       ] );
     ( "online.freezing",
       [
