@@ -229,7 +229,7 @@ let fork_allocator () =
   in
   let results = run_tests tests in
   let table =
-    Msts.Table.create ~title:"fork allocator (8 slaves; quadratic in accepted tasks)"
+    Msts.Table.create ~title:"fork allocator (8 slaves; O(N·K) class sweep)"
       ~columns:[ "n"; "ns/run"; "r^2" ]
   in
   List.iter
@@ -299,6 +299,22 @@ let implementation_comparison () =
   ;
   print_endline "   speed penalty over the paper's transcription)"
 
+(* Wall time and minor words per call of [run], uninstrumented, as a
+   serving daemon runs (one warm-up call first, seen by the harness's
+   sink). *)
+let per_call ~iters run =
+  run ();
+  let sink = Msts.Obs.current_sink () in
+  Msts.Obs.set_sink None;
+  Fun.protect ~finally:(fun () -> Msts.Obs.set_sink sink) @@ fun () ->
+  let words = Gc.minor_words () in
+  let t0 = Unix.gettimeofday () in
+  for _ = 1 to iters do
+    run ()
+  done;
+  let us = (Unix.gettimeofday () -. t0) *. 1e6 /. float_of_int iters in
+  (us, (Gc.minor_words () -. words) /. float_of_int iters)
+
 (* The spider binary search on the serve benchmark's cold-solve shape
    (compute-bound profile, 4 legs, depth <= 3, n = 192): wall time and
    minor words per [min_makespan] for the library and for the frozen
@@ -311,22 +327,7 @@ let spider_search () =
     Msts.Generator.spider (Msts.Prng.create 100) Msts.Generator.compute_bound_profile
       ~legs ~max_depth
   in
-  let per_solve min_makespan =
-    let run () = ignore (min_makespan spider n) in
-    run () (* warm-up, seen by the harness's sink *);
-    (* the measured runs go uninstrumented, as a serving daemon runs *)
-    let sink = Msts.Obs.current_sink () in
-    Msts.Obs.set_sink None;
-    Fun.protect ~finally:(fun () -> Msts.Obs.set_sink sink) @@ fun () ->
-    let iters = 50 in
-    let words = Gc.minor_words () in
-    let t0 = Unix.gettimeofday () in
-    for _ = 1 to iters do
-      run ()
-    done;
-    let us = (Unix.gettimeofday () -. t0) *. 1e6 /. float_of_int iters in
-    (us, (Gc.minor_words () -. words) /. float_of_int iters)
-  in
+  let per_solve min_makespan = per_call ~iters:50 (fun () -> ignore (min_makespan spider n)) in
   let fast_us, fast_words = per_solve Msts.Spider_algorithm.min_makespan in
   let reference_us, reference_words = per_solve Kernel_reference.spider_min_makespan in
   let table =
@@ -356,6 +357,106 @@ let spider_search () =
       ],
     fast_words,
     reference_words )
+
+(* The whole cold solve on the same shape: [schedule_tasks] is the search
+   plus one plan read off its ceiling, so its words minus the search's are
+   what assembling the plan costs. *)
+(* Gate on the plan's own minor words (timing-independent).  Measured at
+   4529 on this shape; the list assembly it replaced took ~14.9k. *)
+let plan_words_bound = 6000.
+
+let spider_plan () =
+  let n = 192 in
+  let spider =
+    Msts.Generator.spider (Msts.Prng.create 100) Msts.Generator.compute_bound_profile
+      ~legs:4 ~max_depth:3
+  in
+  let plan_us, plan_words =
+    per_call ~iters:50 (fun () -> ignore (Msts.Spider_algorithm.schedule_tasks spider n))
+  in
+  let search_us, search_words =
+    per_call ~iters:50 (fun () -> ignore (Msts.Spider_algorithm.min_makespan spider n))
+  in
+  let table =
+    Msts.Table.create
+      ~title:(Printf.sprintf "spider plan (schedule_tasks; same shape, n=%d)" n)
+      ~columns:[ "call"; "us/solve"; "minor words/solve" ]
+  in
+  List.iter
+    (fun (name, us, words) ->
+      Msts.Table.add_row table
+        [ name; Printf.sprintf "%.0f" us; Printf.sprintf "%.0f" words ])
+    [
+      ("schedule_tasks", plan_us, plan_words);
+      ("min_makespan", search_us, search_words);
+      ("plan only", plan_us -. search_us, plan_words -. search_words);
+    ];
+  Msts.Table.print table;
+  ( Msts.Json.Obj
+      [
+        ("n", Msts.Json.Int n);
+        ("schedule_tasks_us", Msts.Json.Float plan_us);
+        ("schedule_tasks_minor_words", Msts.Json.Float plan_words);
+        ("min_makespan_us", Msts.Json.Float search_us);
+        ("min_makespan_minor_words", Msts.Json.Float search_words);
+        ("plan_minor_words", Msts.Json.Float (plan_words -. search_words));
+      ],
+    plan_words -. search_words )
+
+(* The allocator alone as the candidate count grows: the class sweep
+   against the frozen insertion loop on a 4-slave fork expanded to [N]
+   nodes (4 comm classes), at a deadline that accepts about half.  The
+   sweep is O(N·K); the insertion rescans the accepted array for each
+   candidate, O(N·accepted). *)
+let allocator_scaling () =
+  let fork = Msts.Fork.of_pairs [ (1, 3); (2, 5); (3, 4); (4, 7) ] in
+  let rows =
+    List.map
+      (fun (size, iters) ->
+        let nodes = Msts.Fork_expansion.expand fork ~count:(size / 4) in
+        let deadline = size and budget = size in
+        let accepted =
+          List.length (Msts.Fork_allocator.allocate nodes ~deadline ~budget)
+        in
+        let sweep_us, _ =
+          per_call ~iters (fun () ->
+              ignore (Msts.Fork_allocator.allocate nodes ~deadline ~budget))
+        in
+        let reference_us, _ =
+          per_call ~iters (fun () ->
+              ignore (Kernel_reference.allocate nodes ~deadline ~budget))
+        in
+        (size, accepted, sweep_us, reference_us))
+      [ (256, 50); (1024, 10); (4096, 2) ]
+  in
+  let table =
+    Msts.Table.create
+      ~title:"fork allocator N-scaling (4 comm classes, deadline = budget = N)"
+      ~columns:[ "N"; "accepted"; "sweep us"; "insertion us"; "ratio" ]
+  in
+  List.iter
+    (fun (size, accepted, sweep_us, reference_us) ->
+      Msts.Table.add_row table
+        [
+          string_of_int size;
+          string_of_int accepted;
+          Printf.sprintf "%.1f" sweep_us;
+          Printf.sprintf "%.1f" reference_us;
+          Printf.sprintf "%.1fx" (reference_us /. sweep_us);
+        ])
+    rows;
+  Msts.Table.print table;
+  Msts.Json.List
+    (List.map
+       (fun (size, accepted, sweep_us, reference_us) ->
+         Msts.Json.Obj
+           [
+             ("n", Msts.Json.Int size);
+             ("accepted", Msts.Json.Int accepted);
+             ("sweep_us", Msts.Json.Float sweep_us);
+             ("reference_us", Msts.Json.Float reference_us);
+           ])
+       rows)
 
 (* The fast kernel vs the frozen paper-literal reference
    (Kernel_reference): head-to-head at fixed (n,p), allocation counts, and
@@ -464,6 +565,8 @@ let kernel_comparison () =
     "  avg per-doubling growth: fast %.2fx, reference %.2fx (ideal 2.00 vs 4.00)\n"
     fast_ratio reference_ratio;
   let spider_json, spider_fast_words, spider_reference_words = spider_search () in
+  let plan_json, plan_words = spider_plan () in
+  let allocator_json = allocator_scaling () in
   let json =
     Msts.Json.Obj
       [
@@ -498,6 +601,8 @@ let kernel_comparison () =
               ("ideal_quadratic", Msts.Json.Float 4.0);
             ] );
         ("spider_search", spider_json);
+        ("spider_plan", plan_json);
+        ("allocator_scaling", allocator_json);
       ]
   in
   Out_channel.with_open_text "BENCH_kernel.json" (fun oc ->
@@ -505,12 +610,14 @@ let kernel_comparison () =
       Out_channel.output_char oc '\n');
   print_endline "  BENCH_kernel.json written";
   (* The acceptance gates: sub-quadratic p-scaling, >= 5x fewer
-     allocations for the chain solve and for the spider search.
+     allocations for the chain solve and for the spider search, and the
+     spider plan's assembly under [plan_words_bound].
      Wall-clock speedup is reported but not asserted (CI machines are
      noisy); the scaling exponent is the robust signal. *)
   assert (fast_ratio < reference_ratio);
   assert (reference_bytes >= 5.0 *. fast_bytes);
-  assert (spider_reference_words >= 5.0 *. spider_fast_words)
+  assert (spider_reference_words >= 5.0 *. spider_fast_words);
+  assert (plan_words < plan_words_bound)
 
 let all : (string * string * (unit -> unit)) list =
   [

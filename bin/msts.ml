@@ -129,6 +129,14 @@ let generate_cmd =
          & info [ "profile" ] ~docv:"PROFILE" ~doc)
   in
   let run kind size depth seed profile output =
+    let refuse_below_one field value =
+      if value < 1 then begin
+        Printf.eprintf "error: field %S must be >= 1\n" field;
+        exit 2
+      end
+    in
+    refuse_below_one "size" size;
+    if kind = "spider" then refuse_below_one "depth" depth;
     let rng = Msts.Prng.create seed in
     let platform =
       match kind with

@@ -1,7 +1,7 @@
 module Chain = Msts_platform.Chain
 module Obs = Msts_obs.Obs
 
-let schedule ?max_tasks chain ~deadline =
+let construction ?max_tasks chain ~deadline =
   if deadline < 0 then invalid_arg "Deadline.schedule: negative deadline";
   (match max_tasks with
   | Some budget when budget < 0 -> invalid_arg "Deadline.schedule: negative max_tasks"
@@ -10,7 +10,10 @@ let schedule ?max_tasks chain ~deadline =
   @@ fun () ->
   let construction = Incremental.create chain ~horizon:deadline in
   let (_ : int) = Incremental.fill construction ?max_tasks () in
-  Incremental.schedule construction
+  construction
+
+let schedule ?max_tasks chain ~deadline =
+  Incremental.schedule (construction ?max_tasks chain ~deadline)
 
 let max_tasks chain ~deadline =
   if deadline < 0 then invalid_arg "Deadline.max_tasks: negative deadline";

@@ -17,6 +17,13 @@ val schedule :
     @raise Invalid_argument on a negative deadline or negative
     [max_tasks]. *)
 
+val construction :
+  ?max_tasks:int -> Msts_platform.Chain.t -> deadline:int -> Incremental.t
+(** {!schedule}'s construction, filled but not materialised: placement
+    [i] of the result is task [placed − i] of {!schedule}.  The spider
+    algorithm reads its legs off these flat arrays.  Same span
+    ([chain.deadline.schedule]) and errors as {!schedule}. *)
+
 val max_tasks : Msts_platform.Chain.t -> deadline:int -> int
 (** Number of tasks {!schedule} places (without materialising entries). *)
 

@@ -4,72 +4,120 @@ type allocation = {
   position : int;
 }
 
-(* [accepted.(0 .. size − 1)] with transfers back-to-back from time 0. *)
-let emission_schedule accepted size =
-  let rec build i emission acc =
-    if i < 0 then acc
-    else
-      let node = accepted.(i) in
-      let emission = emission - node.Expansion.comm in
-      build (i - 1) emission ({ node; emission; position = i } :: acc)
-  in
-  let total = ref 0 in
-  for i = 0 to size - 1 do
-    total := !total + accepted.(i).Expansion.comm
+(* One comm class at a time.  [acc.(0 .. size − 1)] holds the accepted
+   candidates in emission order (non-increasing work, ties in arrival
+   order); at a class boundary [prefix] and [slack] are rebuilt over it:
+   [prefix.(k)] is the comm of [acc.(0 .. k − 1)] and [slack.(k)] what
+   [acc.(k)] has left before the deadline.  Inside the class a candidate
+   of work [w] lands after [acc.(0 .. q − 1)] (work ≥ w) and after the
+   class's own accepted nodes of work [w] ([same] of them); everything
+   else accepted is behind it, and [min_slack] is the least slack there.
+   An accept pushes every node behind by [c], so [min_slack] drops by [c];
+   a rise of [w] only adds nodes behind, with the slacks they had at the
+   class start (previous classes) or at their accept (this class), since
+   no accept so far landed in front of them. *)
+let sweep ~comm ~work ~deadline ~budget =
+  let total = Array.length comm in
+  if Array.length work <> total then invalid_arg "Allocator.sweep: length mismatch";
+  if deadline < 0 then invalid_arg "Allocator.sweep: negative deadline";
+  if budget < 0 then invalid_arg "Allocator.sweep: negative budget";
+  for i = 1 to total - 1 do
+    if comm.(i - 1) > comm.(i) || (comm.(i - 1) = comm.(i) && work.(i - 1) > work.(i))
+    then invalid_arg "Allocator.sweep: candidates out of (comm, work) order"
   done;
-  build (size - 1) !total []
+  Msts_obs.Obs.span "fork.allocate" ~args:[ ("deadline", string_of_int deadline) ]
+  @@ fun () ->
+  Msts_obs.Obs.count ~n:total "fork.nodes_considered";
+  let cap = min budget total in
+  let acc = ref (Array.make cap 0) and spare = ref (Array.make cap 0) in
+  let prefix = Array.make (cap + 1) 0 and slack = Array.make cap 0 in
+  (* this class's accepts, in arrival (so non-decreasing work) order *)
+  let mine = Array.make cap 0 and mine_slack = Array.make cap 0 in
+  let size = ref 0 and i = ref 0 and probes = ref 0 in
+  while !i < total && !size < budget do
+    let c = comm.(!i) and acc_ = !acc and m = !size in
+    for k = 0 to m - 1 do
+      let node = acc_.(k) in
+      prefix.(k + 1) <- prefix.(k) + comm.(node);
+      slack.(k) <- deadline - prefix.(k + 1) - work.(node)
+    done;
+    let q = ref m and min_slack = ref max_int and mine_n = ref 0 in
+    let joined = ref 0 and same = ref 0 and level = ref min_int in
+    while !i < total && comm.(!i) = c && !size < budget do
+      let w = work.(!i) in
+      incr probes;
+      if w > !level then begin
+        while !q > 0 && work.(acc_.(!q - 1)) < w do
+          decr q;
+          if slack.(!q) < !min_slack then min_slack := slack.(!q)
+        done;
+        while !joined < !mine_n do
+          if mine_slack.(!joined) < !min_slack then min_slack := mine_slack.(!joined);
+          incr joined
+        done;
+        level := w;
+        same := 0
+      end;
+      let finish = prefix.(!q) + (c * (!same + 1)) in
+      if finish + w <= deadline && !min_slack >= c then begin
+        if !min_slack < max_int then min_slack := !min_slack - c;
+        mine.(!mine_n) <- !i;
+        mine_slack.(!mine_n) <- deadline - finish - w;
+        incr mine_n;
+        incr same;
+        incr size
+      end;
+      incr i
+    done;
+    (* Merge the class in: each of its equal-work runs, kept in arrival
+       order, goes after the earlier nodes of equal or greater work. *)
+    let out = !spare and next = ref 0 and from = ref 0 and run_end = ref !mine_n in
+    while !run_end > 0 do
+      let w = work.(mine.(!run_end - 1)) in
+      let run_start = ref (!run_end - 1) in
+      while !run_start > 0 && work.(mine.(!run_start - 1)) = w do
+        decr run_start
+      done;
+      while !from < m && work.(acc_.(!from)) >= w do
+        out.(!next) <- acc_.(!from);
+        incr next;
+        incr from
+      done;
+      for k = !run_start to !run_end - 1 do
+        out.(!next) <- mine.(k);
+        incr next
+      done;
+      run_end := !run_start
+    done;
+    Array.blit acc_ !from out !next (m - !from);
+    spare := acc_;
+    acc := out
+  done;
+  if !probes > 0 then Msts_obs.Obs.count ~n:!probes "fork.insert_probes";
+  if !size > 0 then Msts_obs.Obs.count ~n:!size "fork.nodes_accepted";
+  Array.sub !acc 0 !size
 
 let allocate candidates ~deadline ~budget =
   if deadline < 0 then invalid_arg "Allocator.allocate: negative deadline";
   if budget < 0 then invalid_arg "Allocator.allocate: negative budget";
-  Msts_obs.Obs.span "fork.allocate" ~args:[ ("deadline", string_of_int deadline) ]
-  @@ fun () ->
-  let total = List.length candidates in
-  Msts_obs.Obs.count ~n:total "fork.nodes_considered";
-  (* Accepted nodes kept sorted by non-increasing [work]; ties keep
-     insertion order.  At most [budget] are ever accepted. *)
+  let nodes = Array.of_list (Expansion.allocation_order candidates) in
   let accepted =
-    Array.make (min budget total)
-      { Expansion.slave = 0; rank = 0; comm = 0; work = 0 }
+    sweep
+      ~comm:(Array.map (fun (v : Expansion.vnode) -> v.comm) nodes)
+      ~work:(Array.map (fun (v : Expansion.vnode) -> v.work) nodes)
+      ~deadline ~budget
   in
-  let size = ref 0 in
-  (* Insert [candidate] if feasible: it lands after every node with
-     greater or equal work; its own transfer must end early enough, and
-     every node pushed later by its comm time must still fit. *)
-  let try_insert (candidate : Expansion.vnode) =
-    let pos = ref 0 and prefix = ref 0 in
-    while !pos < !size && accepted.(!pos).Expansion.work >= candidate.work do
-      prefix := !prefix + accepted.(!pos).Expansion.comm;
-      incr pos
-    done;
-    let finish = ref (!prefix + candidate.comm) in
-    let fits = ref (!finish + candidate.work <= deadline) in
-    let k = ref !pos in
-    while !fits && !k < !size do
-      let node = accepted.(!k) in
-      finish := !finish + node.Expansion.comm;
-      fits := !finish + node.Expansion.work <= deadline;
-      incr k
-    done;
-    if !fits then begin
-      Array.blit accepted !pos accepted (!pos + 1) (!size - !pos);
-      accepted.(!pos) <- candidate;
-      incr size
-    end
+  (* transfers back-to-back from time 0, in emission order *)
+  let rec emissions position finish acc =
+    if position < 0 then acc
+    else
+      let node = nodes.(accepted.(position)) in
+      let emission = finish - node.Expansion.comm in
+      emissions (position - 1) emission ({ node; emission; position } :: acc)
   in
-  let probes = ref 0 in
-  List.iter
-    (fun candidate ->
-      if !size < budget then begin
-        incr probes;
-        try_insert candidate
-      end)
-    (Expansion.allocation_order candidates);
-  if !probes > 0 then Msts_obs.Obs.count ~n:!probes "fork.insert_probes";
-  if !size > 0 then Msts_obs.Obs.count ~n:!size "fork.nodes_accepted";
-  emission_schedule accepted !size
+  let total = Array.fold_left (fun acc i -> acc + nodes.(i).Expansion.comm) 0 accepted in
+  emissions (Array.length accepted - 1) total []
 
 let max_tasks fork ~deadline ~budget =
   let nodes = Expansion.expand fork ~count:budget in
   List.length (allocate nodes ~deadline ~budget)
-

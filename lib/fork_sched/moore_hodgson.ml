@@ -15,7 +15,9 @@ let make ~comm ~work =
   if Array.length work <> n then invalid_arg "Moore_hodgson.make: length mismatch";
   for i = 0 to n - 1 do
     if comm.(i) < 0 || work.(i) < 0 then
-      invalid_arg "Moore_hodgson.make: negative comm or work"
+      invalid_arg "Moore_hodgson.make: negative comm or work";
+    if i > 0 && work.(i - 1) < work.(i) then
+      invalid_arg "Moore_hodgson.make: work rises (nodes not in due-date order)"
   done;
   (* the distinct comm values, largest first *)
   let seen = Array.make n 0 and distinct = ref 0 in
@@ -39,12 +41,10 @@ let make ~comm ~work =
     done;
     !k
   in
-  let edf = Array.init n Fun.id in
-  Array.stable_sort (fun a b -> Int.compare work.(b) work.(a)) edf;
   {
-    work = Array.map (fun i -> work.(i)) edf;
-    margin = Array.map (fun i -> comm.(i) + work.(i)) edf;
-    cls = Array.map (fun i -> class_of comm.(i)) edf;
+    work = Array.copy work;
+    margin = Array.init n (fun i -> comm.(i) + work.(i));
+    cls = Array.map class_of comm;
     class_comm;
     held = Array.make (Array.length class_comm) 0;
     scanned = 0;

@@ -12,8 +12,8 @@
     ~deadline ~budget)].
 
     The due-date order (non-increasing [work]) does not depend on the
-    deadline, so it is fixed once by {!make}: a node takes part at
-    deadline [d] iff [comm + work ≤ d].  Nodes are grouped by their
+    deadline, so {!make} takes the nodes already in it: a node takes part
+    at deadline [d] iff [comm + work ≤ d].  Nodes are grouped by their
     distinct [comm] values (on a spider, one per leg's first link), so a
     "longest held job" is found from one counter per group and a probe
     allocates nothing. *)
@@ -21,11 +21,13 @@
 type t
 
 val make : comm:int array -> work:int array -> t
-(** Node [i] has [comm.(i)] and [work.(i)].  Fixes the due-date order
-    and the comm groups: O(N log N + N·G) for [N] nodes and [G] distinct
-    comm values.
-    @raise Invalid_argument on arrays of different lengths or a negative
-    [comm] or [work]. *)
+(** Node [i] has [comm.(i)] and [work.(i)], the nodes given in due-date
+    order: [work] non-increasing, ties in the order the scan should take
+    them (the count does not depend on it, {!scanned} may).  Checks that
+    order and fixes the comm groups: O(N·G) for [N] nodes and [G]
+    distinct comm values, no sort.
+    @raise Invalid_argument on arrays of different lengths, a negative
+    [comm] or [work], or a [work] that rises. *)
 
 val count : t -> deadline:int -> budget:int -> int
 (** [min budget (most nodes that fit deadline)]: one pass over the nodes,

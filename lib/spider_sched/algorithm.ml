@@ -1,18 +1,23 @@
 module Spider = Msts_platform.Spider
 module Chain = Msts_platform.Chain
-module Schedule = Msts_schedule.Schedule
 module Spider_schedule = Msts_schedule.Spider_schedule
 module Allocator = Msts_fork.Allocator
+module Moore_hodgson = Msts_fork.Moore_hodgson
 module Deadline = Msts_chain.Deadline
+module Incremental = Msts_chain.Incremental
 module Obs = Msts_obs.Obs
 
-let leg_schedules ?(budget = max_int) spider ~deadline =
+(* Step 1, left in the constructions' flat arrays. *)
+let constructions ?(budget = max_int) spider ~deadline =
   Obs.span "spider.leg_schedules" ~args:[ ("deadline", string_of_int deadline) ]
   @@ fun () ->
   Array.init (Spider.legs spider) (fun idx ->
-      Deadline.schedule ~max_tasks:budget
+      Deadline.construction ~max_tasks:budget
         (Spider.leg_chain spider (idx + 1))
         ~deadline)
+
+let leg_schedules ?budget spider ~deadline =
+  Array.map Incremental.schedule (constructions ?budget spider ~deadline)
 
 let virtual_fork spider ~deadline legs =
   let nodes =
@@ -23,33 +28,123 @@ let virtual_fork spider ~deadline legs =
   Obs.count ~n:(List.length nodes) "spider.virtual_nodes";
   nodes
 
-(* Steps 2–5 on given leg schedules. *)
-let assemble spider legs ~deadline ~budget =
-  let nodes = virtual_fork spider ~deadline legs in
-  let allocations = Allocator.allocate nodes ~deadline ~budget in
-  let entry_of { Allocator.node; emission; _ } =
-    let leg = node.Msts_fork.Expansion.slave in
-    let leg_sched = legs.(leg - 1) in
-    let task = Transform.task_of_rank leg_sched ~rank:node.Msts_fork.Expansion.rank in
-    let original = Schedule.entry leg_sched task in
-    let comms = Array.copy original.comms in
-    (* Lemma 3: the allocator's emission is never later than the original
-       first emission, so only this coordinate changes. *)
-    comms.(0) <- emission;
-    {
-      Spider_schedule.address = { Spider.leg; depth = original.proc };
-      start = original.start;
-      comms;
-    }
-  in
-  Spider_schedule.make spider (Array.of_list (List.map entry_of allocations))
+(* A leg's construction at [horizon], read in construction order:
+   placement [i] emits first at [horizon − margin.(i)], later placements
+   earlier, so margins rise with [i].  Its virtual node (Transform) has
+   comm [c1], work [margin.(i) − c1] and rank [i]; read at a deadline [d]
+   the leg keeps the placements of margin at most [d], a prefix, so ranks
+   do not move. *)
+type leg = { build : Incremental.t; c1 : int; margin : int array }
+
+let flat_legs spider ~horizon constructions =
+  Array.mapi
+    (fun idx build ->
+      {
+        build;
+        c1 = Chain.latency (Spider.leg_chain spider (idx + 1)) 1;
+        margin =
+          Array.init (Incremental.placed build) (fun i ->
+              horizon - Incremental.emission_at build i);
+      })
+    constructions
+
+(* Placements of [leg] with margin at most [deadline]. *)
+let alive leg ~deadline =
+  let lo = ref 0 and hi = ref (Array.length leg.margin) in
+  while !lo < !hi do
+    let mid = (!lo + !hi) / 2 in
+    if leg.margin.(mid) <= deadline then lo := mid + 1 else hi := mid
+  done;
+  !lo
+
+let no_entry =
+  { Spider_schedule.address = { Spider.leg = 0; depth = 0 }; start = 0; comms = [||] }
+
+(* Steps 2–5 on the legs built at [horizon], read at [deadline]: each leg's
+   surviving prefix, put in allocation order [(comm, work, leg, rank)] by
+   merging the legs of each [c1] (each is in work order already), swept by
+   the allocator, and written back from the legs' arrays with every date
+   moved [horizon − deadline] earlier. *)
+let plan spider legs ~horizon ~deadline ~budget =
+  let shift = horizon - deadline in
+  let legs_n = Array.length legs in
+  let head = Array.make legs_n 0 and stop = Array.map (alive ~deadline) legs in
+  let size = Array.fold_left ( + ) 0 stop in
+  Obs.count ~n:size "spider.virtual_nodes";
+  (* leg indices by [c1], ties in leg order *)
+  let by_comm = Array.init legs_n Fun.id in
+  for k = 1 to legs_n - 1 do
+    let l = by_comm.(k) and j = ref k in
+    while !j > 0 && legs.(by_comm.(!j - 1)).c1 > legs.(l).c1 do
+      by_comm.(!j) <- by_comm.(!j - 1);
+      decr j
+    done;
+    by_comm.(!j) <- l
+  done;
+  let comm = Array.make size 0 and work = Array.make size 0 in
+  let leg_of = Array.make size 0 and rank_of = Array.make size 0 in
+  let next = ref 0 and first = ref 0 in
+  while !first < legs_n do
+    let c1 = legs.(by_comm.(!first)).c1 in
+    let last = ref !first in
+    while !last + 1 < legs_n && legs.(by_comm.(!last + 1)).c1 = c1 do
+      incr last
+    done;
+    let left = ref 0 in
+    for k = !first to !last do
+      left := !left + stop.(by_comm.(k))
+    done;
+    for _ = 1 to !left do
+      (* the least margin among the class's leg heads, ties to the lower leg *)
+      let best = ref (-1) and best_margin = ref max_int in
+      for k = !first to !last do
+        let l = by_comm.(k) in
+        if head.(l) < stop.(l) && legs.(l).margin.(head.(l)) < !best_margin then begin
+          best := l;
+          best_margin := legs.(l).margin.(head.(l))
+        end
+      done;
+      let l = !best in
+      comm.(!next) <- c1;
+      work.(!next) <- !best_margin - c1;
+      leg_of.(!next) <- l;
+      rank_of.(!next) <- head.(l);
+      head.(l) <- head.(l) + 1;
+      incr next
+    done;
+    first := !last + 1
+  done;
+  let accepted = Allocator.sweep ~comm ~work ~deadline ~budget in
+  let entries = Array.make (Array.length accepted) no_entry in
+  let emission = ref 0 in
+  Array.iteri
+    (fun position j ->
+      let build = legs.(leg_of.(j)).build and i = rank_of.(j) in
+      let comms = Incremental.comms_at build i in
+      for k = 0 to Array.length comms - 1 do
+        comms.(k) <- comms.(k) - shift
+      done;
+      (* Lemma 3: the allocator's emission is never later than the original
+         first emission, so only this coordinate changes. *)
+      comms.(0) <- !emission;
+      emission := !emission + comm.(j);
+      entries.(position) <-
+        {
+          Spider_schedule.address =
+            { Spider.leg = leg_of.(j) + 1; depth = Incremental.proc_at build i };
+          start = Incremental.start_at build i - shift;
+          comms;
+        })
+    accepted;
+  Spider_schedule.make spider entries
 
 let schedule ?(budget = max_int) spider ~deadline =
   if deadline < 0 then invalid_arg "Spider algorithm: negative deadline";
   if budget < 0 then invalid_arg "Spider algorithm: negative budget";
   Obs.span "spider.schedule" ~args:[ ("deadline", string_of_int deadline) ]
   @@ fun () ->
-  assemble spider (leg_schedules ~budget spider ~deadline) ~deadline ~budget
+  let legs = flat_legs spider ~horizon:deadline (constructions ~budget spider ~deadline) in
+  plan spider legs ~horizon:deadline ~deadline ~budget
 
 let max_tasks ?budget spider ~deadline =
   Spider_schedule.task_count (schedule ?budget spider ~deadline)
@@ -71,32 +166,34 @@ let makespan_upper_bound spider n =
    order fixed once. *)
 module Ceiling = struct
   type t = {
+    spider : Spider.t;
     horizon : int;
     budget : int;
-    legs : Schedule.t array; (* leg schedules at [horizon] *)
-    nodes : Msts_fork.Moore_hodgson.t;
+    legs : leg array; (* leg constructions at [horizon] *)
+    nodes : Moore_hodgson.t;
   }
 
   let build ?(budget = max_int) spider ~horizon =
-    let legs = leg_schedules ~budget spider ~deadline:horizon in
-    let size = Array.fold_left (fun acc s -> acc + Schedule.task_count s) 0 legs in
+    let legs = flat_legs spider ~horizon (constructions ~budget spider ~deadline:horizon) in
+    (* Due-date order, work non-increasing with ties to the lower leg: each
+       leg read from its last placement back, the legs merged. *)
+    let head = Array.map (fun leg -> Array.length leg.margin) legs in
+    let size = Array.fold_left ( + ) 0 head in
     let comm = Array.make size 0 and work = Array.make size 0 in
-    let next = ref 0 in
-    Array.iter
-      (fun sched ->
-        (* the virtual nodes of {!Transform.virtual_nodes} at [horizon] *)
-        let c1 = Chain.latency (Schedule.chain sched) 1 in
-        for task = 1 to Schedule.task_count sched do
-          let first =
-            Msts_schedule.Comm_vector.first_emission
-              (Schedule.entry sched task).Schedule.comms
-          in
-          comm.(!next) <- c1;
-          work.(!next) <- horizon - first - c1;
-          incr next
-        done)
-      legs;
-    { horizon; budget; legs; nodes = Msts_fork.Moore_hodgson.make ~comm ~work }
+    for next = 0 to size - 1 do
+      let best = ref (-1) and best_work = ref min_int in
+      for l = 0 to Array.length legs - 1 do
+        let leg = legs.(l) in
+        if head.(l) > 0 && leg.margin.(head.(l) - 1) - leg.c1 > !best_work then begin
+          best := l;
+          best_work := leg.margin.(head.(l) - 1) - leg.c1
+        end
+      done;
+      comm.(next) <- legs.(!best).c1;
+      work.(next) <- !best_work;
+      head.(!best) <- head.(!best) - 1
+    done;
+    { spider; horizon; budget; legs; nodes = Moore_hodgson.make ~comm ~work }
 
   let check_deadline t deadline =
     if deadline < 0 || deadline > t.horizon then
@@ -106,28 +203,11 @@ module Ceiling = struct
 
   let count t ~deadline =
     check_deadline t deadline;
-    Msts_fork.Moore_hodgson.count t.nodes ~deadline ~budget:t.budget
+    Moore_hodgson.count t.nodes ~deadline ~budget:t.budget
 
-  let leg_schedules t ~deadline =
+  let plan t ~deadline =
     check_deadline t deadline;
-    let shift = t.horizon - deadline in
-    Array.map
-      (fun sched ->
-        (* emission order: the tasks that survive the shift are a suffix *)
-        let entries = Schedule.entries sched in
-        let m = Array.length entries in
-        let first = ref 0 in
-        while
-          !first < m
-          && Msts_schedule.Comm_vector.first_emission entries.(!first).Schedule.comms
-             < shift
-        do
-          incr first
-        done;
-        Schedule.shift shift
-          (Schedule.make (Schedule.chain sched)
-             (Array.sub entries !first (m - !first))))
-      t.legs
+    plan t.spider t.legs ~horizon:t.horizon ~deadline ~budget:t.budget
 end
 
 (* The least deadline fitting [n] tasks, with the ceiling it was searched
@@ -145,7 +225,7 @@ let search spider n =
       Obs.count ~n:(Array.length ceiling.Ceiling.legs) "spider.leg_reuses";
       let fits = Ceiling.count ceiling ~deadline:d >= n in
       Obs.count
-        ~n:(Msts_fork.Moore_hodgson.scanned ceiling.Ceiling.nodes)
+        ~n:(Moore_hodgson.scanned ceiling.Ceiling.nodes)
         "spider.probe_nodes";
       fits
     in
@@ -172,6 +252,5 @@ let schedule_tasks spider n =
   | deadline, Some ceiling ->
       Obs.span "spider.schedule" ~args:[ ("deadline", string_of_int deadline) ]
       @@ fun () ->
-      let legs = Ceiling.leg_schedules ceiling ~deadline in
-      Obs.count ~n:(Array.length legs) "spider.leg_reuses";
-      assemble spider legs ~deadline ~budget:n
+      Obs.count ~n:(Array.length ceiling.Ceiling.legs) "spider.leg_reuses";
+      Ceiling.plan ceiling ~deadline

@@ -12,12 +12,20 @@
 
     Theorem 3 proves the result schedules the maximum number of tasks
     within [T_lim]; Theorem 2 bounds the cost by [O(n²p²)].  The optimal
-    makespan for exactly [n] tasks follows by binary search on [T_lim]. *)
+    makespan for exactly [n] tasks follows by binary search on [T_lim].
+
+    {!schedule} and {!schedule_tasks} run these steps on the leg
+    constructions' flat arrays ({!Msts_chain.Deadline.construction}):
+    each leg's nodes are already in work order, so the allocation order
+    is a merge of the legs, {!Msts_fork.Allocator.sweep} allocates, and
+    the plan's entries are written from the legs' arrays.
+    {!leg_schedules}, {!virtual_fork} and {!Transform} spell the steps
+    out for {!Trace} ([msts explain]). *)
 
 val leg_schedules :
   ?budget:int -> Msts_platform.Spider.t -> deadline:int -> Msts_schedule.Schedule.t array
 (** Step 1: [leg_schedules spider ~deadline].(l-1) is leg [l]'s deadline
-    schedule (at most [budget] tasks each). *)
+    schedule (at most [budget] tasks each), materialised for {!Trace}. *)
 
 val virtual_fork :
   Msts_platform.Spider.t -> deadline:int -> Msts_schedule.Schedule.t array ->
@@ -49,9 +57,9 @@ module Ceiling : sig
   type t
 
   val build : ?budget:int -> Msts_platform.Spider.t -> horizon:int -> t
-  (** Leg schedules at [horizon] (at most [budget] tasks each) and the
-      node order: O(n·p·L) for [L] legs of depth at most [p], [n] the
-      tasks per leg. *)
+  (** Leg constructions at [horizon] (at most [budget] tasks each) and
+      the node order, merged from the legs: O(n·p·L + n·L²) for [L] legs
+      of depth at most [p], [n] the tasks per leg. *)
 
   val count : t -> deadline:int -> int
   (** [max_tasks ~budget spider ~deadline] for [deadline] in
@@ -59,9 +67,12 @@ module Ceiling : sig
       over the [N <= n·L] nodes, zero allocation.
       @raise Invalid_argument outside [\[0, horizon\]]. *)
 
-  val leg_schedules : t -> deadline:int -> Msts_schedule.Schedule.t array
-  (** [leg_schedules ~budget spider ~deadline], read off the ceiling by a
-      shift.  @raise Invalid_argument outside [\[0, horizon\]]. *)
+  val plan : t -> deadline:int -> Msts_schedule.Spider_schedule.t
+  (** [schedule ~budget spider ~deadline], read off the ceiling: each
+      leg's placements of margin at most [deadline], their dates moved
+      [horizon − deadline] earlier.  O(N·L) for the merge and the
+      allocation over the [N] surviving nodes, plus the entries.
+      @raise Invalid_argument outside [\[0, horizon\]]. *)
 end
 
 val min_makespan : Msts_platform.Spider.t -> int -> int
@@ -79,9 +90,8 @@ val min_makespan : Msts_platform.Spider.t -> int -> int
 
 val schedule_tasks : Msts_platform.Spider.t -> int -> Msts_schedule.Spider_schedule.t
 (** Optimal-makespan schedule for exactly [n] tasks: {!schedule} at
-    {!min_makespan}.  Its leg schedules come from the search's
-    {!Ceiling} ({!Ceiling.leg_schedules}) rather than being rebuilt; the
-    allocation is the same greedy run. *)
+    {!min_makespan}, read off the search's {!Ceiling} ({!Ceiling.plan})
+    rather than rebuilt; the allocation is the same greedy run. *)
 
 val makespan_upper_bound : Msts_platform.Spider.t -> int -> int
 (** Cheap safe upper bound used to seed the binary search: best

@@ -2,9 +2,12 @@
    caller outside its own module, in lib/, bin/, bench/, perfbench/ or
    examples/, or an entry with a reason in the allowlist.  A caller is
    found by a word scan: any file other than the module's own .ml and .mli
-   that contains the name as a whole word, comments included.  An
-   allowlist entry that no longer names an uncalled [val] fails too, so
-   the list only shrinks by deleting the entry. *)
+   that contains the name as a whole word, comments included.  A file
+   whose text is that of a source file under test/ is a copy of it (dune's
+   [copy_files] puts test oracles next to the benches that time them, in
+   the build tree the guard scans under [dune runtest]), and a test file
+   is no caller.  An allowlist entry that no longer names an uncalled
+   [val] fails too, so the list only shrinks by deleting the entry. *)
 
 let scanned = [ "lib"; "bin"; "bench"; "perfbench"; "examples" ]
 
@@ -86,8 +89,18 @@ let findings ~root ~allowlist:allow_path =
       String.sub path (String.length prefix) (String.length path - String.length prefix)
     else path
   in
+  let tests =
+    let dir = Filename.concat root "test" in
+    if Sys.file_exists dir then List.map read (sources dir) else []
+  in
   let files = List.concat_map (fun d -> sources (Filename.concat root d)) scanned in
-  let index = List.map (fun f -> (f, words (read f))) files in
+  let index =
+    List.filter_map
+      (fun f ->
+        let text = read f in
+        if List.mem text tests then None else Some (f, words text))
+      files
+  in
   let signatures =
     List.filter
       (fun f ->

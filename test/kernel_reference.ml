@@ -3,7 +3,9 @@
    probe-and-place, and Spider_algorithm's rebuild-per-probe search.  Kept
    verbatim, spans and counters included, as the oracle the differential
    tests compare the O(p) sweep against and the reference the
-   kernel-scaling bench times. *)
+   kernel-scaling bench times.  The fork allocator's insertion loop, which
+   the class sweep of [Msts.Fork_allocator] replaced, is kept the same way
+   and is the one the spider search here runs. *)
 
 module Chain = Msts.Chain
 module Algorithm = Msts.Chain_algorithm
@@ -11,6 +13,7 @@ module Schedule = Msts.Schedule
 module Spider = Msts.Spider
 module Spider_schedule = Msts.Spider_schedule
 module Allocator = Msts.Fork_allocator
+module Expansion = Msts.Fork_expansion
 module Obs = Msts.Obs
 
 let select = Algorithm.select
@@ -154,6 +157,73 @@ let deadline_schedule ?max_tasks chain ~deadline =
   let (_ : int) = fill construction ?max_tasks () in
   schedule construction
 
+(* ---------- fork allocator: insertion ---------- *)
+
+(* [accepted.(0 .. size − 1)] with transfers back-to-back from time 0. *)
+let emission_schedule accepted size =
+  let rec build i emission acc =
+    if i < 0 then acc
+    else
+      let node = accepted.(i) in
+      let emission = emission - node.Expansion.comm in
+      build (i - 1) emission ({ Allocator.node; emission; position = i } :: acc)
+  in
+  let total = ref 0 in
+  for i = 0 to size - 1 do
+    total := !total + accepted.(i).Expansion.comm
+  done;
+  build (size - 1) !total []
+
+let allocate candidates ~deadline ~budget =
+  if deadline < 0 then invalid_arg "Allocator.allocate: negative deadline";
+  if budget < 0 then invalid_arg "Allocator.allocate: negative budget";
+  Msts.Obs.span "fork.allocate" ~args:[ ("deadline", string_of_int deadline) ]
+  @@ fun () ->
+  let total = List.length candidates in
+  Msts.Obs.count ~n:total "fork.nodes_considered";
+  (* Accepted nodes kept sorted by non-increasing [work]; ties keep
+     insertion order.  At most [budget] are ever accepted. *)
+  let accepted =
+    Array.make (min budget total)
+      { Expansion.slave = 0; rank = 0; comm = 0; work = 0 }
+  in
+  let size = ref 0 in
+  (* Insert [candidate] if feasible: it lands after every node with
+     greater or equal work; its own transfer must end early enough, and
+     every node pushed later by its comm time must still fit. *)
+  let try_insert (candidate : Expansion.vnode) =
+    let pos = ref 0 and prefix = ref 0 in
+    while !pos < !size && accepted.(!pos).Expansion.work >= candidate.work do
+      prefix := !prefix + accepted.(!pos).Expansion.comm;
+      incr pos
+    done;
+    let finish = ref (!prefix + candidate.comm) in
+    let fits = ref (!finish + candidate.work <= deadline) in
+    let k = ref !pos in
+    while !fits && !k < !size do
+      let node = accepted.(!k) in
+      finish := !finish + node.Expansion.comm;
+      fits := !finish + node.Expansion.work <= deadline;
+      incr k
+    done;
+    if !fits then begin
+      Array.blit accepted !pos accepted (!pos + 1) (!size - !pos);
+      accepted.(!pos) <- candidate;
+      incr size
+    end
+  in
+  let probes = ref 0 in
+  List.iter
+    (fun candidate ->
+      if !size < budget then begin
+        incr probes;
+        try_insert candidate
+      end)
+    (Expansion.allocation_order candidates);
+  if !probes > 0 then Msts.Obs.count ~n:!probes "fork.insert_probes";
+  if !size > 0 then Msts.Obs.count ~n:!size "fork.nodes_accepted";
+  emission_schedule accepted !size
+
 (* ---------- spider search ---------- *)
 
 let leg_schedules ?(budget = max_int) spider ~deadline =
@@ -167,7 +237,7 @@ let leg_schedules ?(budget = max_int) spider ~deadline =
 (* Steps 2–5 on given leg schedules. *)
 let assemble spider legs ~deadline ~budget =
   let nodes = Msts.Spider_algorithm.virtual_fork spider ~deadline legs in
-  let allocations = Allocator.allocate nodes ~deadline ~budget in
+  let allocations = allocate nodes ~deadline ~budget in
   let entry_of { Allocator.node; emission; _ } =
     let leg = node.Msts.Fork_expansion.slave in
     let leg_sched = legs.(leg - 1) in

@@ -46,13 +46,27 @@ val deadline_schedule :
   ?max_tasks:int -> Msts.Chain.t -> deadline:int -> Msts.Schedule.t
 (** [Msts.Chain_deadline.schedule] on this construction. *)
 
+(** {2 Fork allocator} *)
+
+val allocate :
+  Msts.Fork_expansion.vnode list -> deadline:int -> budget:int ->
+  Msts.Fork_allocator.allocation list
+(** [Msts.Fork_allocator.allocate] as an insertion loop: each candidate,
+    in allocation order, is placed by a scan of the whole accepted array,
+    O(N·accepted).  Same spans, counters and answers. *)
+
 (** {2 Spider search} *)
+
+val spider_plan :
+  ?budget:int -> Msts.Spider.t -> deadline:int -> Msts.Spider_schedule.t
+(** [Msts.Spider_algorithm.schedule]: each leg's deadline schedule built
+    with this construction, the virtual fork allocated by {!allocate}. *)
 
 val spider_min_makespan : Msts.Spider.t -> int -> int
 (** Least deadline fitting [n] tasks, by a binary search warm-started at
     [Msts.Bounds.spider_combined_bound] whose every probe rebuilds each
-    leg's deadline schedule with this construction and runs the fork
-    allocator on the result. *)
+    leg's deadline schedule with this construction and runs {!allocate}
+    on the result. *)
 
 val spider_schedule_tasks : Msts.Spider.t -> int -> Msts.Spider_schedule.t
 (** The §7 schedule at {!spider_min_makespan}, from the same rebuilt legs. *)

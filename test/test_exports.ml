@@ -88,6 +88,22 @@ let skipped_files_and_signatures () =
         ]
        @ x_module))
 
+let copied_test_file_is_no_caller () =
+  let oracle = "let _ = X.g 1\n" in
+  check_findings "g named only by a test file and its copy under bench/"
+    [ "lib/a/x.mli: val g has no caller" ]
+    (findings
+       ([
+          ("test/oracle.ml", oracle);
+          ("bench/dune", "(copy_files ../test/oracle.ml)\n");
+          ("bench/oracle.ml", oracle);
+        ]
+       @ x_module));
+  check_findings "a bench file that differs from the test file still calls" []
+    (findings
+       ([ ("test/oracle.ml", oracle); ("bench/oracle.ml", oracle ^ "let h = 2\n") ]
+       @ x_module))
+
 let allowlist_keeps_a_val () =
   check_findings "g allowlisted" []
     (findings
@@ -114,6 +130,7 @@ let suites =
         case "a caller names the val as a whole word" whole_words_only;
         case "hidden and _build files, operators, deeper and non-lib mlis are skipped"
           skipped_files_and_signatures;
+        case "a copy of a test file is no caller" copied_test_file_is_no_caller;
         case "an allowlist entry keeps an uncalled val" allowlist_keeps_a_val;
         case "a stale allowlist entry fails" stale_entry_fails;
         case "an allowlist entry without a reason fails" entry_without_reason_fails;

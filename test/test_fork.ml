@@ -167,6 +167,65 @@ let allocator_monotone_in_deadline =
          Msts.Fork_allocator.max_tasks fork ~deadline:d ~budget:10
          <= Msts.Fork_allocator.max_tasks fork ~deadline:(d + 1) ~budget:10))
 
+(* The class sweep against the insertion loop it replaced
+   (Kernel_reference.allocate): arbitrary candidate lists with comm 0..5,
+   many tied works and repeated nodes, every budget from 0 to past the
+   list's length, deadlines from 0 to past the point where all fit.  The
+   allocations and the fork.* counter totals must be equal. *)
+let candidates_arb =
+  QCheck.make
+    ~print:(fun (nodes, budget, deadline) ->
+      Printf.sprintf "budget %d, deadline %d: %s" budget deadline
+        (String.concat "; " (List.map (Format.asprintf "%a" Msts.Fork_expansion.pp) nodes)))
+    QCheck.Gen.(
+      list_size (int_range 0 24) (pair (int_range 0 5) (int_range 0 8)) >>= fun pairs ->
+      let nodes =
+        List.mapi
+          (fun i (comm, work) ->
+            { Msts.Fork_expansion.slave = 1 + (i mod 2); rank = i / 4; comm; work })
+          pairs
+      in
+      let reach =
+        List.fold_left (fun acc (c, w) -> acc + c + w) 1 pairs
+      in
+      triple (return nodes)
+        (int_range 0 (List.length nodes + 2))
+        (int_range 0 reach))
+
+let fork_counters f =
+  let mem = Msts.Obs.Memory.create () in
+  let result = Msts.Obs.with_sink (Msts.Obs.Memory.sink mem) f in
+  ( result,
+    List.filter
+      (fun (name, _) -> String.starts_with ~prefix:"fork." name)
+      (Msts.Obs.Memory.counters mem) )
+
+let sweep_matches_insertion =
+  Helpers.to_alcotest
+    (QCheck.Test.make ~count:1000
+       ~name:"class sweep = frozen insertion loop (allocations and counters)"
+       candidates_arb
+       (fun (nodes, budget, deadline) ->
+         fork_counters (fun () -> Msts.Fork_allocator.allocate nodes ~deadline ~budget)
+         = fork_counters (fun () -> Kernel_reference.allocate nodes ~deadline ~budget)))
+
+let sweep_rejects_disorder () =
+  let sweep comm work =
+    Msts.Fork_allocator.sweep ~comm ~work ~deadline:10 ~budget:10
+  in
+  (* emission order: work 3 first, its tie in arrival order *)
+  Alcotest.(check (array int)) "equal works keep arrival order" [| 1; 2; 0 |]
+    (sweep [| 1; 1; 2 |] [| 0; 3; 3 |]);
+  Alcotest.check_raises "work falls inside a comm class"
+    (Invalid_argument "Allocator.sweep: candidates out of (comm, work) order")
+    (fun () -> ignore (sweep [| 1; 1 |] [| 4; 3 |]));
+  Alcotest.check_raises "comm falls"
+    (Invalid_argument "Allocator.sweep: candidates out of (comm, work) order")
+    (fun () -> ignore (sweep [| 2; 1 |] [| 0; 9 |]));
+  Alcotest.check_raises "length mismatch"
+    (Invalid_argument "Allocator.sweep: length mismatch")
+    (fun () -> ignore (sweep [| 1 |] [||]))
+
 (* ---------- builder ---------- *)
 
 let builder_schedules_are_feasible =
@@ -227,6 +286,8 @@ let suites =
         allocator_feasible_output;
         allocator_optimal_vs_brute_force;
         allocator_monotone_in_deadline;
+        sweep_matches_insertion;
+        case "sweep input order is checked" sweep_rejects_disorder;
       ] );
     ( "fork.builder",
       [

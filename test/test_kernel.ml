@@ -203,21 +203,19 @@ let tied_spider_arb =
       triple tied_spider_gen (int_range 1 8)
         (oneofl [ 0; 1; 3; 6; max_int ]))
 
+(* The frozen reference's deadline op: leg schedules rebuilt at the
+   deadline, the virtual fork allocated by the insertion loop. *)
 let greedy_count spider ~deadline ~budget =
-  let legs = Msts.Spider_algorithm.leg_schedules ~budget spider ~deadline in
-  List.length
-    (Msts.Fork_allocator.allocate
-       (Msts.Spider_algorithm.virtual_fork spider ~deadline legs)
-       ~deadline ~budget)
+  Msts.Spider_schedule.task_count (Kernel_reference.spider_plan ~budget spider ~deadline)
 
-(* Every deadline in [0, H]: the probe counts what the greedy allocator
-   accepts on that deadline's own virtual fork, and the ceiling's shifted
-   leg schedules are the ones the deadline kernel builds from scratch.
+(* Every deadline in [0, H]: the probe counts what the reference allocator
+   accepts on that deadline's own virtual fork, and the plan read off the
+   ceiling is the one the reference builds from scratch at that deadline.
    Budgets run from 0 to unbounded, so both sides of capacity occur. *)
 let probe_matches_greedy =
   to_alcotest
     (QCheck.Test.make ~count:150
-       ~name:"probe count = |Allocator.allocate (virtual_fork ...)| on [0, H]"
+       ~name:"probe count and ceiling plan = frozen reference on [0, H]"
        tied_spider_arb
        (fun (spider, n, budget) ->
          let horizon = Msts.Spider_algorithm.makespan_upper_bound spider n in
@@ -225,18 +223,40 @@ let probe_matches_greedy =
          List.for_all
            (fun deadline ->
              let count = Ceiling.count ceiling ~deadline in
-             let expected = greedy_count spider ~deadline ~budget in
+             let reference = Kernel_reference.spider_plan ~budget spider ~deadline in
+             let expected = Msts.Spider_schedule.task_count reference in
              if count <> expected then
                QCheck.Test.fail_reportf "deadline %d: probe %d, greedy %d"
                  deadline count expected;
-             let replayed = Ceiling.leg_schedules ceiling ~deadline in
-             let built =
-               Msts.Spider_algorithm.leg_schedules ~budget spider ~deadline
-             in
-             Array.for_all2
-               (fun a b -> Msts.Plan.equal (Msts.Plan.Chain a) (Msts.Plan.Chain b))
-               replayed built)
+             Msts.Plan.equal
+               (Msts.Plan.Spider (Ceiling.plan ceiling ~deadline))
+               (Msts.Plan.Spider reference))
            (Msts.Intx.range 0 horizon)))
+
+(* Both spider entry points against the frozen reference, on spiders whose
+   legs share first links (so one comm class spans several legs): the
+   search's plan at its optimum, and the deadline op at deadlines on both
+   sides of it, under the task-count budget and none. *)
+let spider_entry_points_match_reference =
+  to_alcotest
+    (QCheck.Test.make ~count:150
+       ~name:"schedule_tasks and schedule ~deadline ~budget = frozen reference"
+       tied_spider_arb
+       (fun (spider, n, budget) ->
+         let same a b = Msts.Plan.equal (Msts.Plan.Spider a) (Msts.Plan.Spider b) in
+         let opt = Kernel_reference.spider_min_makespan spider n in
+         same
+           (Msts.Spider_algorithm.schedule_tasks spider n)
+           (Kernel_reference.spider_schedule_tasks spider n)
+         && List.for_all
+              (fun deadline ->
+                same
+                  (Msts.Spider_algorithm.schedule ~budget spider ~deadline)
+                  (Kernel_reference.spider_plan ~budget spider ~deadline)
+                && same
+                     (Msts.Spider_algorithm.schedule spider ~deadline)
+                     (Kernel_reference.spider_plan spider ~deadline))
+              [ 0; opt / 2; opt - 1; opt; opt + 3; 2 * opt ]))
 
 (* Node-level: arbitrary virtual nodes, including c = 0 and W = 0 ones
    (the chain model rejects c = 0 / w = 0 links, but the count itself
@@ -248,7 +268,13 @@ let vnode_gen =
          (fun comm work -> { Msts.Fork_expansion.slave = 1; rank = 0; comm; work })
          (int_range 0 4) (int_range 0 12)))
 
+(* [make] takes the nodes in due-date order (work non-increasing). *)
 let count_of_nodes nodes =
+  let nodes =
+    List.stable_sort
+      (fun (a : Msts.Fork_expansion.vnode) b -> Int.compare b.work a.work)
+      nodes
+  in
   let field f = Array.of_list (List.map f nodes) in
   Msts.Fork_count.make
     ~comm:(field (fun (v : Msts.Fork_expansion.vnode) -> v.comm))
@@ -287,6 +313,9 @@ let degenerate_nodes () =
   Alcotest.check_raises "negative comm"
     (Invalid_argument "Moore_hodgson.make: negative comm or work") (fun () ->
       ignore (count_of_nodes [ node (-1) 0 ]));
+  Alcotest.check_raises "out of due-date order"
+    (Invalid_argument "Moore_hodgson.make: work rises (nodes not in due-date order)")
+    (fun () -> ignore (Msts.Fork_count.make ~comm:[| 1; 1 |] ~work:[| 2; 3 |]));
   (* the minimal legal leg, (c, w) = (1, 1), on every side of capacity *)
   let spider = Msts.Spider.of_legs [ Msts.Chain.of_pairs [ (1, 1) ]; Msts.Chain.of_pairs [ (1, 1) ] ] in
   let ceiling = Ceiling.build ~budget:4 spider ~horizon:6 in
@@ -377,6 +406,7 @@ let suites =
     ( "kernel.spider_probe",
       [
         probe_matches_greedy;
+        spider_entry_points_match_reference;
         count_matches_greedy_on_nodes;
         case "degenerate nodes and unit legs" degenerate_nodes;
         case "the ceiling grows past a miss (Fig. 2 spider)" ceiling_grows;
