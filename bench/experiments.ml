@@ -137,8 +137,9 @@ let fig6 () =
 let fig7 () =
   let chain = Msts.Chain.of_pairs [ (2, 3); (3, 5) ] in
   let deadline = 14 in
-  let leg = Msts.Chain_deadline.schedule chain ~deadline in
-  let nodes = Msts.Spider_transform.virtual_nodes ~leg:1 ~deadline leg in
+  let trace = Msts.Spider_trace.run (Msts.Spider.of_chain chain) ~deadline in
+  (* allocation order runs from the leg's last task back to its first *)
+  let nodes = List.rev trace.Msts.Spider_trace.virtual_nodes in
   let table =
     Msts.Table.create
       ~title:
@@ -148,8 +149,15 @@ let fig7 () =
   in
   List.iter
     (fun v ->
-      let task = Msts.Spider_transform.task_of_rank leg ~rank:v.Msts.Fork_expansion.rank in
-      let c1 = Msts.Comm_vector.first_emission (Msts.Schedule.entry leg task).comms in
+      let task =
+        trace.Msts.Spider_trace.leg_tasks.(0) - v.Msts.Fork_expansion.rank
+      in
+      let c1 =
+        (List.find
+           (fun a -> a.Msts.Spider_trace.leg_task = task)
+           trace.Msts.Spider_trace.accepted)
+          .Msts.Spider_trace.original_emission
+      in
       Msts.Table.add_row table
         [
           string_of_int task;

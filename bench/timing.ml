@@ -211,6 +211,15 @@ let component_costs () =
     ];
   Msts.Table.print table
 
+(* The fork allocator on a fork's expansion: [count] virtual nodes per
+   slave, already in allocation order, swept as arrays. *)
+let sweep_fork fork ~count ~deadline ~budget =
+  let nodes = Array.of_list (Msts.Fork_expansion.expand fork ~count) in
+  Msts.Fork_allocator.sweep
+    ~comm:(Array.map (fun (v : Msts.Fork_expansion.vnode) -> v.comm) nodes)
+    ~work:(Array.map (fun (v : Msts.Fork_expansion.vnode) -> v.work) nodes)
+    ~deadline ~budget
+
 let fork_allocator () =
   let sizes = [ 50; 100; 200 ] in
   let tests =
@@ -224,7 +233,7 @@ let fork_allocator () =
            Test.make
              ~name:(Printf.sprintf "n=%d" n)
              (Staged.stage (fun () ->
-                  ignore (Msts.Fork_allocator.max_tasks fork ~deadline:(n * 4) ~budget:n))))
+                  ignore (sweep_fork fork ~count:n ~deadline:(n * 4) ~budget:n))))
          sizes)
   in
   let results = run_tests tests in
@@ -362,7 +371,7 @@ let spider_search () =
    plus one plan read off its ceiling, so its words minus the search's are
    what assembling the plan costs. *)
 (* Gate on the plan's own minor words (timing-independent).  Measured at
-   4529 on this shape; the list assembly it replaced took ~14.9k. *)
+   4523 on this shape; the list assembly it replaced took ~14.9k. *)
 let plan_words_bound = 6000.
 
 let spider_plan () =
@@ -406,22 +415,21 @@ let spider_plan () =
 (* The allocator alone as the candidate count grows: the class sweep
    against the frozen insertion loop on a 4-slave fork expanded to [N]
    nodes (4 comm classes), at a deadline that accepts about half.  The
-   sweep is O(N·K); the insertion rescans the accepted array for each
-   candidate, O(N·accepted). *)
+   sweep is O(N·K) on the nodes' arrays; the insertion rescans the
+   accepted array for each candidate, O(N·accepted), and sorts its list
+   first. *)
 let allocator_scaling () =
   let fork = Msts.Fork.of_pairs [ (1, 3); (2, 5); (3, 4); (4, 7) ] in
   let rows =
     List.map
       (fun (size, iters) ->
         let nodes = Msts.Fork_expansion.expand fork ~count:(size / 4) in
+        let comm = Array.of_list (List.map (fun (v : Msts.Fork_expansion.vnode) -> v.comm) nodes)
+        and work = Array.of_list (List.map (fun (v : Msts.Fork_expansion.vnode) -> v.work) nodes) in
         let deadline = size and budget = size in
-        let accepted =
-          List.length (Msts.Fork_allocator.allocate nodes ~deadline ~budget)
-        in
-        let sweep_us, _ =
-          per_call ~iters (fun () ->
-              ignore (Msts.Fork_allocator.allocate nodes ~deadline ~budget))
-        in
+        let sweep () = Msts.Fork_allocator.sweep ~comm ~work ~deadline ~budget in
+        let accepted = Array.length (sweep ()) in
+        let sweep_us, _ = per_call ~iters (fun () -> ignore (sweep ())) in
         let reference_us, _ =
           per_call ~iters (fun () ->
               ignore (Kernel_reference.allocate nodes ~deadline ~budget))

@@ -349,14 +349,20 @@ let check_cmd =
 
 let explain_cmd =
   let run path n =
-    match read_platform path with
-    | Msts.Platform_format.Chain_platform chain ->
-        print_string (Msts.Chain_trace.render (Msts.Chain_trace.run chain n))
-    | platform ->
-        let spider = as_spider platform in
-        let deadline = Msts.Spider_algorithm.min_makespan spider n in
-        print_string
-          (Msts.Spider_trace.render (Msts.Spider_trace.run ~budget:n spider ~deadline))
+    let narrate () =
+      match read_platform path with
+      | Msts.Platform_format.Chain_platform chain ->
+          Msts.Chain_trace.render (Msts.Chain_trace.run chain n)
+      | platform ->
+          let spider = as_spider platform in
+          let deadline = Msts.Spider_algorithm.min_makespan spider n in
+          Msts.Spider_trace.render (Msts.Spider_trace.run ~budget:n spider ~deadline)
+    in
+    match narrate () with
+    | text -> print_string text
+    | exception Invalid_argument msg ->
+        Printf.eprintf "error: %s\n" msg;
+        exit 2
   in
   let doc = "Narrate the construction step by step (chains and spiders)." in
   Cmd.v (Cmd.info "explain" ~doc) Term.(const run $ platform_arg $ tasks_arg)

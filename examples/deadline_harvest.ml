@@ -49,17 +49,23 @@ let () =
   (* Figure 7: the chain seen by the master as a fork of single-task nodes. *)
   print_newline ();
   let deadline = 14 in
-  let leg_schedule = Msts.Chain_deadline.schedule chain ~deadline in
+  let trace = Msts.Spider_trace.run (Msts.Spider.of_chain chain) ~deadline in
+  let tasks = trace.Msts.Spider_trace.leg_tasks.(0) in
   Printf.printf
     "Figure 7 reproduction: deadline %d fits %d tasks; virtual nodes:\n" deadline
-    (Msts.Schedule.task_count leg_schedule);
+    tasks;
+  (* allocation order runs from the leg's last task back to its first *)
+  let nodes = List.rev trace.Msts.Spider_trace.virtual_nodes in
   List.iter
     (fun v ->
       Printf.printf "  comm %d, remaining work %d (task %d of the leg schedule)\n"
         v.Msts.Fork_expansion.comm v.Msts.Fork_expansion.work
-        (Msts.Spider_transform.task_of_rank leg_schedule
-           ~rank:v.Msts.Fork_expansion.rank))
-    (Msts.Spider_transform.virtual_nodes ~leg:1 ~deadline leg_schedule);
+        (tasks - v.Msts.Fork_expansion.rank))
+    nodes;
+  (* the paper's Figure 7: works {12,10,8,6,3}, every comm c1 = 2 *)
+  assert (
+    List.map (fun v -> v.Msts.Fork_expansion.work) nodes = [ 12; 10; 8; 6; 3 ]);
+  assert (List.for_all (fun v -> v.Msts.Fork_expansion.comm = 2) nodes);
 
   (* The same harvest on a spider: two instruments share the master. *)
   print_newline ();

@@ -19,7 +19,7 @@
        {!Spider_schedule}, {!Feasibility}, {!Intervals}, {!Gantt}, {!Svg};}
     {- the paper's algorithms: {!Chain_algorithm}, {!Chain_deadline},
        {!Chain_lemmas}, {!Chain_trace}, {!Fork_expansion}, {!Fork_allocator},
-       {!Fork_builder}, {!Fork_count}, {!Spider_transform}, {!Spider_algorithm};}
+       {!Fork_count}, {!Spider_algorithm}, {!Spider_trace};}
     {- trees, and the one ASAP sweep, exhaustive search and forward
        heuristics that chains and spiders run on through [Tree.of_spider]:
        {!Tree_flat}, {!Tree_schedule}, {!Asap}, {!Tree_search},
@@ -76,9 +76,7 @@ module Chain_lemmas = Msts_chain.Lemmas
 module Chain_trace = Msts_chain.Trace
 module Fork_expansion = Msts_fork.Expansion
 module Fork_allocator = Msts_fork.Allocator
-module Fork_builder = Msts_fork.Builder
 module Fork_count = Msts_fork.Moore_hodgson
-module Spider_transform = Msts_spider.Transform
 module Spider_algorithm = Msts_spider.Algorithm
 module Spider_trace = Msts_spider.Trace
 

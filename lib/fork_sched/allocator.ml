@@ -1,9 +1,3 @@
-type allocation = {
-  node : Expansion.vnode;
-  emission : int;
-  position : int;
-}
-
 (* One comm class at a time.  [acc.(0 .. size − 1)] holds the accepted
    candidates in emission order (non-increasing work, ties in arrival
    order); at a class boundary [prefix] and [slack] are rebuilt over it:
@@ -96,28 +90,3 @@ let sweep ~comm ~work ~deadline ~budget =
   if !probes > 0 then Msts_obs.Obs.count ~n:!probes "fork.insert_probes";
   if !size > 0 then Msts_obs.Obs.count ~n:!size "fork.nodes_accepted";
   Array.sub !acc 0 !size
-
-let allocate candidates ~deadline ~budget =
-  if deadline < 0 then invalid_arg "Allocator.allocate: negative deadline";
-  if budget < 0 then invalid_arg "Allocator.allocate: negative budget";
-  let nodes = Array.of_list (Expansion.allocation_order candidates) in
-  let accepted =
-    sweep
-      ~comm:(Array.map (fun (v : Expansion.vnode) -> v.comm) nodes)
-      ~work:(Array.map (fun (v : Expansion.vnode) -> v.work) nodes)
-      ~deadline ~budget
-  in
-  (* transfers back-to-back from time 0, in emission order *)
-  let rec emissions position finish acc =
-    if position < 0 then acc
-    else
-      let node = nodes.(accepted.(position)) in
-      let emission = finish - node.Expansion.comm in
-      emissions (position - 1) emission ({ node; emission; position } :: acc)
-  in
-  let total = Array.fold_left (fun acc i -> acc + nodes.(i).Expansion.comm) 0 accepted in
-  emissions (Array.length accepted - 1) total []
-
-let max_tasks fork ~deadline ~budget =
-  let nodes = Expansion.expand fork ~count:budget in
-  List.length (allocate nodes ~deadline ~budget)

@@ -11,6 +11,9 @@
     fork-graph algorithm recalled in §6, re-implemented from that
     description and cross-validated against brute force and against the
     insertion loop it replaced (frozen in the tests) on every budget.
+    {!sweep} is its one entry point: candidates come as arrays, already
+    in allocation order ({!Expansion.expand}'s order on a fork, a merge of
+    the legs in the spider algorithm).
 
     A candidate [(c, w)] lands after every accepted node of work [≥ w];
     it fits iff its own transfer ends by [T_lim − w] and every node behind
@@ -30,12 +33,6 @@
     spider, at most the number of legs), not the O(N·accepted) of
     inserting each candidate by a scan. *)
 
-type allocation = {
-  node : Expansion.vnode;
-  emission : int;  (** start of the transfer on the master's port *)
-  position : int;  (** 0-based position in emission order *)
-}
-
 val sweep : comm:int array -> work:int array -> deadline:int -> budget:int -> int array
 (** Candidate [i] has [comm.(i)] and [work.(i)], given in allocation
     order: [(comm, work)] non-decreasing, ties in the order the caller
@@ -46,16 +43,3 @@ val sweep : comm:int array -> work:int array -> deadline:int -> budget:int -> in
     [fork.nodes_accepted] counters.
     @raise Invalid_argument on arrays of different lengths, candidates
     out of order, or a negative deadline or budget. *)
-
-val allocate :
-  Expansion.vnode list -> deadline:int -> budget:int -> allocation list
-(** {!sweep} on a list: accepted nodes in emission order (non-increasing
-    [work], transfers back-to-back from time 0), sorted by [position],
-    which runs [0, 1, ...], so callers need not re-sort it.  Candidates
-    are first put in {!Expansion.allocation_order}, so any order is
-    accepted.
-    @raise Invalid_argument on negative deadline or budget. *)
-
-val max_tasks : Msts_platform.Fork.t -> deadline:int -> budget:int -> int
-(** Expand the fork ([budget] ranks per slave) and count the accepted
-    nodes. *)

@@ -16,8 +16,6 @@ let compare_alloc a b =
     end
   end
 
-let allocation_order nodes = List.sort compare_alloc nodes
-
 let expand fork ~count =
   if count < 0 then invalid_arg "Expansion.expand: negative count";
   let per_slave j =
@@ -25,7 +23,7 @@ let expand fork ~count =
     List.init count (fun rank ->
         { slave = j; rank; comm = c; work = virtual_work ~c ~w ~rank })
   in
-  allocation_order
+  List.sort compare_alloc
     (List.concat_map per_slave
        (Msts_util.Intx.range 1 (Fork.slave_count fork)))
 

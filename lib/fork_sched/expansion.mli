@@ -23,8 +23,4 @@ val expand : Msts_platform.Fork.t -> count:int -> vnode list
     ascending [comm], ties by ascending [work] (paper §6), then by slave
     index for determinism. *)
 
-val allocation_order : vnode list -> vnode list
-(** Sort arbitrary virtual nodes (e.g. those built by the spider
-    transformation) in the same allocation order. *)
-
 val pp : Format.formatter -> vnode -> unit

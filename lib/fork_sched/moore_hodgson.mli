@@ -7,9 +7,9 @@
     that fit is the most on-time jobs, which Moore–Hodgson (1968) computes
     in one pass over the jobs in due-date order, dropping a longest held
     job whenever the running completion time overshoots.  The greedy
-    {!Allocator.allocate} maximises the same count, so for any budget
-    [count t ~deadline ~budget = List.length (Allocator.allocate nodes
-    ~deadline ~budget)].
+    {!Allocator.sweep} maximises the same count, so for any budget
+    [count t ~deadline ~budget = Array.length (Allocator.sweep ~comm
+    ~work ~deadline ~budget)] over the same nodes in allocation order.
 
     The due-date order (non-increasing [work]) does not depend on the
     deadline, so {!make} takes the nodes already in it: a node takes part

@@ -16,22 +16,11 @@ let constructions ?(budget = max_int) spider ~deadline =
         (Spider.leg_chain spider (idx + 1))
         ~deadline)
 
-let leg_schedules ?budget spider ~deadline =
-  Array.map Incremental.schedule (constructions ?budget spider ~deadline)
-
-let virtual_fork spider ~deadline legs =
-  let nodes =
-    List.concat_map
-      (fun l -> Transform.virtual_nodes ~leg:l ~deadline legs.(l - 1))
-      (Msts_util.Intx.range 1 (Spider.legs spider))
-  in
-  Obs.count ~n:(List.length nodes) "spider.virtual_nodes";
-  nodes
-
 (* A leg's construction at [horizon], read in construction order:
    placement [i] emits first at [horizon − margin.(i)], later placements
-   earlier, so margins rise with [i].  Its virtual node (Transform) has
-   comm [c1], work [margin.(i) − c1] and rank [i]; read at a deadline [d]
+   earlier, so margins rise with [i].  Its virtual node (Figure 7: what
+   the leg's schedule leaves the task after its first transfer) has comm
+   [c1], work [margin.(i) − c1] and rank [i]; read at a deadline [d]
    the leg keeps the placements of margin at most [d], a prefix, so ranks
    do not move. *)
 type leg = { build : Incremental.t; c1 : int; margin : int array }
@@ -60,16 +49,23 @@ let alive leg ~deadline =
 let no_entry =
   { Spider_schedule.address = { Spider.leg = 0; depth = 0 }; start = 0; comms = [||] }
 
-(* Steps 2–5 on the legs built at [horizon], read at [deadline]: each leg's
+type steps = {
+  counts : int array;
+  comm : int array;
+  work : int array;
+  leg : int array;
+  rank : int array;
+  accepted : int array;
+}
+
+(* Steps 1–4 on the legs built at [horizon], read at [deadline]: each leg's
    surviving prefix, put in allocation order [(comm, work, leg, rank)] by
-   merging the legs of each [c1] (each is in work order already), swept by
-   the allocator, and written back from the legs' arrays with every date
-   moved [horizon − deadline] earlier. *)
-let plan spider legs ~horizon ~deadline ~budget =
-  let shift = horizon - deadline in
+   merging the legs of each [c1] (each is in work order already), and
+   swept by the allocator. *)
+let allocate legs ~deadline ~budget =
   let legs_n = Array.length legs in
-  let head = Array.make legs_n 0 and stop = Array.map (alive ~deadline) legs in
-  let size = Array.fold_left ( + ) 0 stop in
+  let head = Array.make legs_n 0 and counts = Array.map (alive ~deadline) legs in
+  let size = Array.fold_left ( + ) 0 counts in
   Obs.count ~n:size "spider.virtual_nodes";
   (* leg indices by [c1], ties in leg order *)
   let by_comm = Array.init legs_n Fun.id in
@@ -82,7 +78,7 @@ let plan spider legs ~horizon ~deadline ~budget =
     by_comm.(!j) <- l
   done;
   let comm = Array.make size 0 and work = Array.make size 0 in
-  let leg_of = Array.make size 0 and rank_of = Array.make size 0 in
+  let leg = Array.make size 0 and rank = Array.make size 0 in
   let next = ref 0 and first = ref 0 in
   while !first < legs_n do
     let c1 = legs.(by_comm.(!first)).c1 in
@@ -92,14 +88,14 @@ let plan spider legs ~horizon ~deadline ~budget =
     done;
     let left = ref 0 in
     for k = !first to !last do
-      left := !left + stop.(by_comm.(k))
+      left := !left + counts.(by_comm.(k))
     done;
     for _ = 1 to !left do
       (* the least margin among the class's leg heads, ties to the lower leg *)
       let best = ref (-1) and best_margin = ref max_int in
       for k = !first to !last do
         let l = by_comm.(k) in
-        if head.(l) < stop.(l) && legs.(l).margin.(head.(l)) < !best_margin then begin
+        if head.(l) < counts.(l) && legs.(l).margin.(head.(l)) < !best_margin then begin
           best := l;
           best_margin := legs.(l).margin.(head.(l))
         end
@@ -107,35 +103,41 @@ let plan spider legs ~horizon ~deadline ~budget =
       let l = !best in
       comm.(!next) <- c1;
       work.(!next) <- !best_margin - c1;
-      leg_of.(!next) <- l;
-      rank_of.(!next) <- head.(l);
+      leg.(!next) <- l;
+      rank.(!next) <- head.(l);
       head.(l) <- head.(l) + 1;
       incr next
     done;
     first := !last + 1
   done;
-  let accepted = Allocator.sweep ~comm ~work ~deadline ~budget in
+  { counts; comm; work; leg; rank; accepted = Allocator.sweep ~comm ~work ~deadline ~budget }
+
+(* Step 5: the accepted placements written back from the legs' arrays, every
+   date moved [shift] earlier and the first emissions re-stamped
+   back-to-back in emission order. *)
+let write spider legs steps ~shift =
+  let accepted = steps.accepted in
   let entries = Array.make (Array.length accepted) no_entry in
   let emission = ref 0 in
-  Array.iteri
-    (fun position j ->
-      let build = legs.(leg_of.(j)).build and i = rank_of.(j) in
-      let comms = Incremental.comms_at build i in
-      for k = 0 to Array.length comms - 1 do
-        comms.(k) <- comms.(k) - shift
-      done;
-      (* Lemma 3: the allocator's emission is never later than the original
-         first emission, so only this coordinate changes. *)
-      comms.(0) <- !emission;
-      emission := !emission + comm.(j);
-      entries.(position) <-
-        {
-          Spider_schedule.address =
-            { Spider.leg = leg_of.(j) + 1; depth = Incremental.proc_at build i };
-          start = Incremental.start_at build i - shift;
-          comms;
-        })
-    accepted;
+  for position = 0 to Array.length accepted - 1 do
+    let j = accepted.(position) in
+    let build = legs.(steps.leg.(j)).build and i = steps.rank.(j) in
+    let comms = Incremental.comms_at build i in
+    for k = 0 to Array.length comms - 1 do
+      comms.(k) <- comms.(k) - shift
+    done;
+    (* Lemma 3: the allocator's emission is never later than the original
+       first emission, so only this coordinate changes. *)
+    comms.(0) <- !emission;
+    emission := !emission + steps.comm.(j);
+    entries.(position) <-
+      {
+        Spider_schedule.address =
+          { Spider.leg = steps.leg.(j) + 1; depth = Incremental.proc_at build i };
+        start = Incremental.start_at build i - shift;
+        comms;
+      }
+  done;
   Spider_schedule.make spider entries
 
 let schedule ?(budget = max_int) spider ~deadline =
@@ -144,7 +146,7 @@ let schedule ?(budget = max_int) spider ~deadline =
   Obs.span "spider.schedule" ~args:[ ("deadline", string_of_int deadline) ]
   @@ fun () ->
   let legs = flat_legs spider ~horizon:deadline (constructions ~budget spider ~deadline) in
-  plan spider legs ~horizon:deadline ~deadline ~budget
+  write spider legs (allocate legs ~deadline ~budget) ~shift:0
 
 let max_tasks ?budget spider ~deadline =
   Spider_schedule.task_count (schedule ?budget spider ~deadline)
@@ -152,7 +154,14 @@ let max_tasks ?budget spider ~deadline =
 let makespan_upper_bound spider n =
   let best = ref max_int in
   for l = 1 to Spider.legs spider do
-    best := min !best (Chain.master_only_makespan (Spider.leg_chain spider l) n)
+    let chain = Spider.leg_chain spider l in
+    let c = Chain.latency chain 1 and w = Chain.work chain 1 in
+    (* [c + (n − 1)·max c w + w], refused where it would wrap *)
+    if n > 0 && n - 1 > (max_int - c - w) / max c w then
+      invalid_arg
+        (Printf.sprintf
+           "Spider algorithm: %d tasks: a leg's master-only makespan exceeds max_int" n);
+    best := min !best (Chain.master_only_makespan chain n)
   done;
   !best
 
@@ -207,7 +216,14 @@ module Ceiling = struct
 
   let plan t ~deadline =
     check_deadline t deadline;
-    plan t.spider t.legs ~horizon:t.horizon ~deadline ~budget:t.budget
+    write t.spider t.legs
+      (allocate t.legs ~deadline ~budget:t.budget)
+      ~shift:(t.horizon - deadline)
+
+  let steps t ~deadline =
+    check_deadline t deadline;
+    let steps = allocate t.legs ~deadline ~budget:t.budget in
+    (steps, write t.spider t.legs steps ~shift:(t.horizon - deadline))
 end
 
 (* The least deadline fitting [n] tasks, with the ceiling it was searched
@@ -233,10 +249,10 @@ let search spider n =
        of it, so the ceiling grows from [lo] by doubling gaps until it fits
        [n]; each miss lifts [lo] past it. *)
     let rec grow lo gap =
-      let horizon = min hi (lo + gap) in
+      let horizon = if gap >= hi - lo then hi else lo + gap in
       let ceiling = Ceiling.build ~budget:n spider ~horizon in
       if horizon = hi || fits ceiling horizon then (lo, horizon, ceiling)
-      else grow (horizon + 1) (2 * gap)
+      else grow (horizon + 1) (if gap > max_int / 2 then max_int else 2 * gap)
     in
     let lo, top, ceiling = grow lo (max 1 (lo / 16)) in
     match Msts_util.Intx.binary_search_least ~lo ~hi:top (fits ceiling) with

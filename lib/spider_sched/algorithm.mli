@@ -3,8 +3,10 @@
     Five steps for a deadline [T_lim] and a task budget [n]:
 
     + run the deadline chain algorithm on every leg;
-    + turn each scheduled task into a single-task virtual node
-      ({!Transform});
+    + turn each scheduled task into a single-task virtual node seen from
+      the master (Figure 7): comm [c₁], the leg's first link, and work
+      [T_lim − C¹ − c₁], the slack its leg schedule leaves after its first
+      emission [C¹];
     + allocate with the fork algorithm ({!Msts_fork.Allocator});
     + map accepted nodes back to leg tasks (the last [k] of each leg);
     + re-stamp their first emissions with the allocator's one-port schedule
@@ -14,23 +16,12 @@
     within [T_lim]; Theorem 2 bounds the cost by [O(n²p²)].  The optimal
     makespan for exactly [n] tasks follows by binary search on [T_lim].
 
-    {!schedule} and {!schedule_tasks} run these steps on the leg
-    constructions' flat arrays ({!Msts_chain.Deadline.construction}):
-    each leg's nodes are already in work order, so the allocation order
-    is a merge of the legs, {!Msts_fork.Allocator.sweep} allocates, and
-    the plan's entries are written from the legs' arrays.
-    {!leg_schedules}, {!virtual_fork} and {!Transform} spell the steps
-    out for {!Trace} ([msts explain]). *)
-
-val leg_schedules :
-  ?budget:int -> Msts_platform.Spider.t -> deadline:int -> Msts_schedule.Schedule.t array
-(** Step 1: [leg_schedules spider ~deadline].(l-1) is leg [l]'s deadline
-    schedule (at most [budget] tasks each), materialised for {!Trace}. *)
-
-val virtual_fork :
-  Msts_platform.Spider.t -> deadline:int -> Msts_schedule.Schedule.t array ->
-  Msts_fork.Expansion.vnode list
-(** Steps 2–3's input: all legs' virtual nodes. *)
+    Every step runs on the leg constructions' flat arrays
+    ({!Msts_chain.Deadline.construction}): each leg's nodes are already in
+    work order, so the allocation order is a merge of the legs,
+    {!Msts_fork.Allocator.sweep} allocates, and the plan's entries are
+    written from the legs' arrays.  {!Ceiling.steps} hands the steps out
+    with the plan they wrote, for {!Trace} ([msts explain]). *)
 
 val schedule :
   ?budget:int -> Msts_platform.Spider.t -> deadline:int -> Msts_schedule.Spider_schedule.t
@@ -39,6 +30,22 @@ val schedule :
     @raise Invalid_argument on a negative deadline or budget. *)
 
 val max_tasks : ?budget:int -> Msts_platform.Spider.t -> deadline:int -> int
+
+(** Steps 1–4 at a deadline, in flat arrays.  Leg [l]'s placement of rank
+    [r] has [r] later emissions on its leg (rank 0 emits last): it is task
+    [counts.(l − 1) − r] of its deadline schedule, numbered in emission
+    order.  It becomes virtual node [j] when [leg.(j) = l − 1] and
+    [rank.(j) = r]. *)
+type steps = {
+  counts : int array;  (** step 1: tasks each leg's deadline schedule fits *)
+  comm : int array;  (** steps 2–3: the virtual nodes in allocation order *)
+  work : int array;
+  leg : int array;  (** 0-based *)
+  rank : int array;
+  accepted : int array;
+      (** step 4: {!Msts_fork.Allocator.sweep}'s indices into the nodes, in
+          emission order; the transfers run back-to-back from time 0 *)
+}
 
 module Ceiling : sig
   (** The binary search's probe, built once at a search ceiling [H].
@@ -51,7 +58,7 @@ module Ceiling : sig
       on [d].  Every probe's virtual fork is this one node set filtered by
       margin, with its due-date order fixed once, and
       {!Msts_fork.Moore_hodgson} counts it in one pass.  That count is
-      the greedy allocator's ({!Msts_fork.Allocator.allocate}): both find
+      the greedy allocator's ({!Msts_fork.Allocator.sweep}): both find
       the most nodes the master's port can serve by the deadline. *)
 
   type t
@@ -73,6 +80,10 @@ module Ceiling : sig
       [horizon − deadline] earlier.  O(N·L) for the merge and the
       allocation over the [N] surviving nodes, plus the entries.
       @raise Invalid_argument outside [\[0, horizon\]]. *)
+
+  val steps : t -> deadline:int -> steps * Msts_schedule.Spider_schedule.t
+  (** {!plan} together with the steps it was written from.
+      @raise Invalid_argument outside [\[0, horizon\]]. *)
 end
 
 val min_makespan : Msts_platform.Spider.t -> int -> int
@@ -86,7 +97,10 @@ val min_makespan : Msts_platform.Spider.t -> int -> int
     several times OPT while [lo] is within a few percent of it); while it
     does not fit [n] tasks, [lo] moves past it and the gap doubles.  Each probe bumps
     [spider.leg_reuses] once per leg and [spider.probe_nodes] by the
-    nodes it scanned. *)
+    nodes it scanned.
+    @raise Invalid_argument on a negative [n], or an [n] whose
+    master-only makespan on some leg ({!makespan_upper_bound}) exceeds
+    [max_int]. *)
 
 val schedule_tasks : Msts_platform.Spider.t -> int -> Msts_schedule.Spider_schedule.t
 (** Optimal-makespan schedule for exactly [n] tasks: {!schedule} at
@@ -95,4 +109,6 @@ val schedule_tasks : Msts_platform.Spider.t -> int -> Msts_schedule.Spider_sched
 
 val makespan_upper_bound : Msts_platform.Spider.t -> int -> int
 (** Cheap safe upper bound used to seed the binary search: best
-    single-leg master-only makespan. *)
+    single-leg master-only makespan.
+    @raise Invalid_argument when some leg's master-only makespan for [n]
+    tasks exceeds [max_int]: the search and its warm start would wrap. *)

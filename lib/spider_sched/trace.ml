@@ -1,7 +1,4 @@
 module Spider = Msts_platform.Spider
-module Schedule = Msts_schedule.Schedule
-module Comm_vector = Msts_schedule.Comm_vector
-module Allocator = Msts_fork.Allocator
 module Expansion = Msts_fork.Expansion
 
 type step5 = {
@@ -16,45 +13,41 @@ type step5 = {
 type t = {
   spider : Spider.t;
   deadline : int;
-  leg_schedules : Schedule.t array;
+  leg_tasks : int array;
   virtual_nodes : Expansion.vnode list;
   accepted : step5 list;
   result : Msts_schedule.Spider_schedule.t;
 }
 
 let run ?(budget = max_int) spider ~deadline =
-  let leg_schedules = Algorithm.leg_schedules ~budget spider ~deadline in
-  let virtual_nodes =
-    Expansion.allocation_order (Algorithm.virtual_fork spider ~deadline leg_schedules)
+  if deadline < 0 then invalid_arg "Spider algorithm: negative deadline";
+  if budget < 0 then invalid_arg "Spider algorithm: negative budget";
+  let ceiling = Algorithm.Ceiling.build ~budget spider ~horizon:deadline in
+  let { Algorithm.counts; comm; work; leg; rank; accepted }, result =
+    Algorithm.Ceiling.steps ceiling ~deadline
   in
-  let allocations = Allocator.allocate virtual_nodes ~deadline ~budget in
-  let accepted =
-    List.map
-      (fun { Allocator.node; emission; position } ->
-        let leg = node.Expansion.slave in
-        let leg_task =
-          Transform.task_of_rank leg_schedules.(leg - 1) ~rank:node.Expansion.rank
-        in
+  let virtual_nodes =
+    List.init (Array.length comm) (fun j ->
+        { Expansion.slave = leg.(j) + 1; rank = rank.(j); comm = comm.(j); work = work.(j) })
+  in
+  (* transfers back-to-back from time 0, in emission order *)
+  let rows = ref [] and emission = ref 0 in
+  Array.iteri
+    (fun position j ->
+      rows :=
         {
           position;
-          leg;
-          leg_task;
-          emission;
-          original_emission =
-            Comm_vector.first_emission
-              (Schedule.entry leg_schedules.(leg - 1) leg_task).comms;
-          virtual_work = node.Expansion.work;
-        })
-      allocations
-  in
-  {
-    spider;
-    deadline;
-    leg_schedules;
-    virtual_nodes;
+          leg = leg.(j) + 1;
+          leg_task = counts.(leg.(j)) - rank.(j);
+          emission = !emission;
+          (* the node's work is what the leg schedule leaves after [C¹ + c₁] *)
+          original_emission = deadline - work.(j) - comm.(j);
+          virtual_work = work.(j);
+        }
+        :: !rows;
+      emission := !emission + comm.(j))
     accepted;
-    result = Algorithm.schedule ~budget spider ~deadline;
-  }
+  { spider; deadline; leg_tasks = counts; virtual_nodes; accepted = List.rev !rows; result }
 
 let render t =
   let buf = Buffer.create 1024 in
@@ -62,10 +55,9 @@ let render t =
     (Spider.to_string t.spider);
   Printf.bprintf buf "\nStep 1 - deadline schedules per leg:\n";
   Array.iteri
-    (fun idx leg_sched ->
-      Printf.bprintf buf "  leg %d: %d tasks fit by %d\n" (idx + 1)
-        (Schedule.task_count leg_sched) t.deadline)
-    t.leg_schedules;
+    (fun idx tasks ->
+      Printf.bprintf buf "  leg %d: %d tasks fit by %d\n" (idx + 1) tasks t.deadline)
+    t.leg_tasks;
   Printf.bprintf buf
     "\nSteps 2-3 - virtual fork (one single-task node per leg task):\n";
   List.iter

@@ -114,6 +114,34 @@ let chain_heuristic_makespan policy chain n =
 (* The paper's Figure 2 instance: chain (c,w) = (2,3),(3,5). *)
 let figure2_chain = Msts.Chain.of_pairs [ (2, 3); (3, 5) ]
 
+(* The fork allocator on a list of virtual nodes: [Msts.Fork_allocator.sweep]
+   over them in allocation order, answered as the frozen insertion loop
+   ([Kernel_reference.allocate]) answers: the accepted nodes in emission
+   order, transfers back-to-back from time 0. *)
+let allocate nodes ~deadline ~budget =
+  let nodes = Array.of_list (Kernel_reference.allocation_order nodes) in
+  let accepted =
+    Msts.Fork_allocator.sweep
+      ~comm:(Array.map (fun (v : Msts.Fork_expansion.vnode) -> v.comm) nodes)
+      ~work:(Array.map (fun (v : Msts.Fork_expansion.vnode) -> v.work) nodes)
+      ~deadline ~budget
+  in
+  let rows = ref [] and emission = ref 0 in
+  Array.iteri
+    (fun position i ->
+      let node = nodes.(i) in
+      rows := { Kernel_reference.node; emission = !emission; position } :: !rows;
+      emission := !emission + node.comm)
+    accepted;
+  List.rev !rows
+
+(* [allocate] on a fork's expansion, [budget] virtual nodes per slave. *)
+let fork_allocate fork ~deadline ~budget =
+  allocate (Msts.Fork_expansion.expand fork ~count:budget) ~deadline ~budget
+
+let fork_max_tasks fork ~deadline ~budget =
+  List.length (fork_allocate fork ~deadline ~budget)
+
 let check_feasible ?(require_nonnegative = true) sched =
   match Msts.Feasibility.check ~require_nonnegative sched with
   | [] -> true

@@ -5,16 +5,83 @@
    tests compare the O(p) sweep against and the reference the
    kernel-scaling bench times.  The fork allocator's insertion loop, which
    the class sweep of [Msts.Fork_allocator] replaced, is kept the same way
-   and is the one the spider search here runs. *)
+   and is the one the spider search here runs, on the list-based §7 steps
+   the library ran before its spider algorithm moved to flat arrays:
+   Figure 7's virtual nodes built from each leg's schedule, sorted in
+   allocation order, and mapped back to leg tasks by rank. *)
 
 module Chain = Msts.Chain
 module Algorithm = Msts.Chain_algorithm
 module Schedule = Msts.Schedule
 module Spider = Msts.Spider
 module Spider_schedule = Msts.Spider_schedule
-module Allocator = Msts.Fork_allocator
-module Expansion = Msts.Fork_expansion
+module Comm_vector = Msts.Comm_vector
 module Obs = Msts.Obs
+
+(* ---------- list-based §7 steps ---------- *)
+
+type allocation = {
+  node : Msts.Fork_expansion.vnode;
+  emission : int;  (* start of the transfer on the master's port *)
+  position : int;  (* 0-based position in emission order *)
+}
+
+module Expansion = struct
+  include Msts.Fork_expansion
+
+  let compare_alloc a b =
+    let by_comm = Int.compare a.comm b.comm in
+    if by_comm <> 0 then by_comm
+    else begin
+      let by_work = Int.compare a.work b.work in
+      if by_work <> 0 then by_work
+      else begin
+        let by_slave = Int.compare a.slave b.slave in
+        if by_slave <> 0 then by_slave else Int.compare a.rank b.rank
+      end
+    end
+
+  let allocation_order nodes = List.sort compare_alloc nodes
+end
+
+let allocation_order = Expansion.allocation_order
+
+(* Figure 7: one node per task of a leg's deadline schedule, ranked from
+   its last emission. *)
+module Transform = struct
+  let virtual_nodes ~leg ~deadline sched =
+    let chain = Schedule.chain sched in
+    let c1 = Chain.latency chain 1 in
+    let m = Schedule.task_count sched in
+    List.map
+      (fun task ->
+        let first = Comm_vector.first_emission (Schedule.entry sched task).comms in
+        let work = deadline - first - c1 in
+        if work < 0 then
+          invalid_arg
+            (Printf.sprintf
+               "Transform.virtual_nodes: task %d emitted at %d exceeds deadline %d"
+               task first deadline);
+        { Expansion.slave = leg; rank = m - task; comm = c1; work })
+      (Msts.Intx.range 1 m)
+
+  let task_of_rank sched ~rank =
+    let m = Schedule.task_count sched in
+    if rank < 0 || rank >= m then
+      invalid_arg (Printf.sprintf "Transform.task_of_rank: rank %d outside 0..%d" rank (m - 1));
+    m - rank
+end
+
+let task_of_rank = Transform.task_of_rank
+
+let virtual_fork spider ~deadline legs =
+  let nodes =
+    List.concat_map
+      (fun l -> Transform.virtual_nodes ~leg:l ~deadline legs.(l - 1))
+      (Msts.Intx.range 1 (Spider.legs spider))
+  in
+  Obs.count ~n:(List.length nodes) "spider.virtual_nodes";
+  nodes
 
 let select = Algorithm.select
 let horizon = Algorithm.horizon
@@ -166,7 +233,7 @@ let emission_schedule accepted size =
     else
       let node = accepted.(i) in
       let emission = emission - node.Expansion.comm in
-      build (i - 1) emission ({ Allocator.node; emission; position = i } :: acc)
+      build (i - 1) emission ({ node; emission; position = i } :: acc)
   in
   let total = ref 0 in
   for i = 0 to size - 1 do
@@ -236,13 +303,13 @@ let leg_schedules ?(budget = max_int) spider ~deadline =
 
 (* Steps 2–5 on given leg schedules. *)
 let assemble spider legs ~deadline ~budget =
-  let nodes = Msts.Spider_algorithm.virtual_fork spider ~deadline legs in
+  let nodes = virtual_fork spider ~deadline legs in
   let allocations = allocate nodes ~deadline ~budget in
-  let entry_of { Allocator.node; emission; _ } =
+  let entry_of { node; emission; _ } =
     let leg = node.Msts.Fork_expansion.slave in
     let leg_sched = legs.(leg - 1) in
     let task =
-      Msts.Spider_transform.task_of_rank leg_sched ~rank:node.Msts.Fork_expansion.rank
+      Transform.task_of_rank leg_sched ~rank:node.Msts.Fork_expansion.rank
     in
     let original = Schedule.entry leg_sched task in
     let comms = Array.copy original.comms in

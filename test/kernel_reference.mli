@@ -48,12 +48,42 @@ val deadline_schedule :
 
 (** {2 Fork allocator} *)
 
+type allocation = {
+  node : Msts.Fork_expansion.vnode;
+  emission : int;  (** start of the transfer on the master's port *)
+  position : int;  (** 0-based position in emission order *)
+}
+
+val allocation_order : Msts.Fork_expansion.vnode list -> Msts.Fork_expansion.vnode list
+(** Ascending [comm], ties by ascending [work], then slave, then rank: the
+    order [Msts.Fork_expansion.expand] returns its nodes in. *)
+
 val allocate :
-  Msts.Fork_expansion.vnode list -> deadline:int -> budget:int ->
-  Msts.Fork_allocator.allocation list
-(** [Msts.Fork_allocator.allocate] as an insertion loop: each candidate,
-    in allocation order, is placed by a scan of the whole accepted array,
-    O(N·accepted).  Same spans, counters and answers. *)
+  Msts.Fork_expansion.vnode list -> deadline:int -> budget:int -> allocation list
+(** The fork allocator as an insertion loop: each candidate, in
+    {!allocation_order}, is placed by a scan of the whole accepted array,
+    O(N·accepted).  Same spans, counters and answers as
+    [Msts.Fork_allocator.sweep] on the candidates in that order, its
+    transfers back-to-back from time 0. *)
+
+(** {2 Spider steps} *)
+
+val leg_schedules :
+  ?budget:int -> Msts.Spider.t -> deadline:int -> Msts.Schedule.t array
+(** Step 1: leg [l]'s deadline schedule at index [l − 1], at most
+    [budget] tasks each, built with this construction. *)
+
+val virtual_fork :
+  Msts.Spider.t -> deadline:int -> Msts.Schedule.t array ->
+  Msts.Fork_expansion.vnode list
+(** Steps 2–3 (Figure 7): every leg's tasks as single-task virtual nodes,
+    leg by leg: comm [c₁], work [deadline − C¹ − c₁], rank 0 for the
+    leg's last emission.
+    @raise Invalid_argument if a task's work would be negative. *)
+
+val task_of_rank : Msts.Schedule.t -> rank:int -> int
+(** The leg-schedule task (1-based, emission order) of a given rank.
+    @raise Invalid_argument outside [0 .. task count − 1]. *)
 
 (** {2 Spider search} *)
 

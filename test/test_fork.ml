@@ -1,5 +1,6 @@
 (* Tests for the fork-graph substrate (§6): virtual-node expansion
-   (Figure 6), the greedy one-port allocator, and the schedule builder. *)
+   (Figure 6), the greedy one-port allocator, and fork schedules, which the
+   spider algorithm writes on [Spider.of_fork]. *)
 
 open Helpers
 
@@ -55,14 +56,14 @@ let is_feasible_set nodes ~deadline =
 let tasks_per_slave allocs =
   let slaves =
     List.sort_uniq compare
-      (List.map (fun a -> a.Msts.Fork_allocator.node.Msts.Fork_expansion.slave) allocs)
+      (List.map (fun a -> a.Kernel_reference.node.Msts.Fork_expansion.slave) allocs)
   in
   List.map
     (fun slave ->
       ( slave,
         List.length
           (List.filter
-             (fun a -> a.Msts.Fork_allocator.node.Msts.Fork_expansion.slave = slave)
+             (fun a -> a.Kernel_reference.node.Msts.Fork_expansion.slave = slave)
              allocs) ))
     slaves
 
@@ -80,26 +81,26 @@ let feasible_set_condition () =
 let allocate_emits_back_to_back () =
   let fork = Msts.Fork.of_pairs [ (2, 3) ] in
   let nodes = Msts.Fork_expansion.expand fork ~count:4 in
-  let allocs = Msts.Fork_allocator.allocate nodes ~deadline:14 ~budget:10 in
+  let allocs = allocate nodes ~deadline:14 ~budget:10 in
   (* works 3,6,9,12: emitted 12 first. 2+12=14; 4+9=13; 6+6=12; 8+3=11 *)
   Alcotest.(check int) "four accepted" 4 (List.length allocs);
   List.iteri
     (fun idx a ->
-      Alcotest.(check int) "back-to-back" (2 * idx) a.Msts.Fork_allocator.emission)
+      Alcotest.(check int) "back-to-back" (2 * idx) a.Kernel_reference.emission)
     allocs;
-  let works = List.map (fun a -> a.Msts.Fork_allocator.node.Msts.Fork_expansion.work) allocs in
+  let works = List.map (fun a -> a.Kernel_reference.node.Msts.Fork_expansion.work) allocs in
   Alcotest.(check (list int)) "decreasing work order" [ 12; 9; 6; 3 ] works
 
 let allocate_budget () =
   let fork = Msts.Fork.of_pairs [ (1, 1) ] in
   let nodes = Msts.Fork_expansion.expand fork ~count:50 in
-  let allocs = Msts.Fork_allocator.allocate nodes ~deadline:1000 ~budget:5 in
+  let allocs = allocate nodes ~deadline:1000 ~budget:5 in
   Alcotest.(check int) "budget respected" 5 (List.length allocs)
 
 let tasks_per_slave_counts () =
   let fork = Msts.Fork.of_pairs [ (1, 2); (4, 1) ] in
   let nodes = Msts.Fork_expansion.expand fork ~count:6 in
-  let allocs = Msts.Fork_allocator.allocate nodes ~deadline:12 ~budget:100 in
+  let allocs = allocate nodes ~deadline:12 ~budget:100 in
   let per_slave = tasks_per_slave allocs in
   let total = List.fold_left (fun acc (_, k) -> acc + k) 0 per_slave in
   Alcotest.(check int) "totals agree" (List.length allocs) total;
@@ -115,13 +116,13 @@ let allocator_prefix_ranks =
           QCheck.Gen.(pair (fork_gen ~max_slaves:4 ()) (int_range 0 60)))
        (fun (fork, deadline) ->
          let nodes = Msts.Fork_expansion.expand fork ~count:8 in
-         let allocs = Msts.Fork_allocator.allocate nodes ~deadline ~budget:8 in
+         let allocs = allocate nodes ~deadline ~budget:8 in
          List.for_all
            (fun (slave, k) ->
              let ranks =
                List.filter_map
                  (fun a ->
-                   let v = a.Msts.Fork_allocator.node in
+                   let v = a.Kernel_reference.node in
                    if v.Msts.Fork_expansion.slave = slave then
                      Some v.Msts.Fork_expansion.rank
                    else None)
@@ -139,9 +140,9 @@ let allocator_feasible_output =
           QCheck.Gen.(pair (fork_gen ~max_slaves:4 ()) (int_range 0 60)))
        (fun (fork, deadline) ->
          let nodes = Msts.Fork_expansion.expand fork ~count:8 in
-         let allocs = Msts.Fork_allocator.allocate nodes ~deadline ~budget:8 in
+         let allocs = allocate nodes ~deadline ~budget:8 in
          is_feasible_set
-           (List.map (fun a -> a.Msts.Fork_allocator.node) allocs)
+           (List.map (fun a -> a.Kernel_reference.node) allocs)
            ~deadline))
 
 let allocator_optimal_vs_brute_force =
@@ -153,7 +154,7 @@ let allocator_optimal_vs_brute_force =
             Printf.sprintf "%s, d=%d" (Msts.Fork.to_string fork) d)
           QCheck.Gen.(pair (fork_gen ~max_slaves:4 ~max_val:8 ()) (int_range 0 40)))
        (fun (fork, deadline) ->
-         min 6 (Msts.Fork_allocator.max_tasks fork ~deadline ~budget:6)
+         min 6 (fork_max_tasks fork ~deadline ~budget:6)
          = Msts.Brute_force.max_tasks (Msts.Spider.of_fork fork) ~deadline ~limit:6))
 
 let allocator_monotone_in_deadline =
@@ -164,8 +165,8 @@ let allocator_monotone_in_deadline =
             Printf.sprintf "%s, d=%d" (Msts.Fork.to_string fork) d)
           QCheck.Gen.(pair (fork_gen ~max_slaves:3 ()) (int_range 0 50)))
        (fun (fork, d) ->
-         Msts.Fork_allocator.max_tasks fork ~deadline:d ~budget:10
-         <= Msts.Fork_allocator.max_tasks fork ~deadline:(d + 1) ~budget:10))
+         fork_max_tasks fork ~deadline:d ~budget:10
+         <= fork_max_tasks fork ~deadline:(d + 1) ~budget:10))
 
 (* The class sweep against the insertion loop it replaced
    (Kernel_reference.allocate): arbitrary candidate lists with comm 0..5,
@@ -206,7 +207,7 @@ let sweep_matches_insertion =
        ~name:"class sweep = frozen insertion loop (allocations and counters)"
        candidates_arb
        (fun (nodes, budget, deadline) ->
-         fork_counters (fun () -> Msts.Fork_allocator.allocate nodes ~deadline ~budget)
+         fork_counters (fun () -> allocate nodes ~deadline ~budget)
          = fork_counters (fun () -> Kernel_reference.allocate nodes ~deadline ~budget)))
 
 let sweep_rejects_disorder () =
@@ -226,38 +227,47 @@ let sweep_rejects_disorder () =
     (Invalid_argument "Allocator.sweep: length mismatch")
     (fun () -> ignore (sweep [| 1 |] [||]))
 
-(* ---------- builder ---------- *)
+(* ---------- fork schedules ---------- *)
 
-let builder_schedules_are_feasible =
+(* The spider algorithm on a fork: depth-1 legs, whose deadline schedules
+   turn into the §6 expansion's virtual nodes (Figure 6 = Figure 7). *)
+let fork_schedule fork ~deadline ~budget =
+  Msts.Spider_algorithm.schedule ~budget (Msts.Spider.of_fork fork) ~deadline
+
+let fork_schedules_are_feasible =
   Helpers.to_alcotest
     (QCheck.Test.make ~count:200
-       ~name:"realised fork schedules are feasible and meet the deadline"
+       ~name:"fork schedules are feasible and meet the deadline"
        (QCheck.make
           ~print:(fun (fork, d) ->
             Printf.sprintf "%s, d=%d" (Msts.Fork.to_string fork) d)
           QCheck.Gen.(pair (fork_gen ~max_slaves:4 ()) (int_range 0 60)))
        (fun (fork, deadline) ->
-         let s = Msts.Fork_builder.schedule fork ~deadline ~budget:8 in
+         let s = fork_schedule fork ~deadline ~budget:8 in
          check_spider_feasible s
          && (Msts.Spider_schedule.task_count s = 0
             || Msts.Spider_schedule.makespan s <= deadline)))
 
-let builder_counts_match_allocator =
+let fork_schedule_counts_match_allocator =
   Helpers.to_alcotest
-    (QCheck.Test.make ~count:150 ~name:"builder schedules exactly the allocated tasks"
+    (QCheck.Test.make ~count:150
+       ~name:"fork schedules give each slave the tasks the §6 allocation accepts"
        (QCheck.make
           ~print:(fun (fork, d) ->
             Printf.sprintf "%s, d=%d" (Msts.Fork.to_string fork) d)
           QCheck.Gen.(pair (fork_gen ~max_slaves:4 ()) (int_range 0 60)))
        (fun (fork, deadline) ->
-         Msts.Spider_schedule.task_count
-           (Msts.Fork_builder.schedule fork ~deadline ~budget:8)
-         = Msts.Fork_allocator.max_tasks fork ~deadline ~budget:8))
+         let s = fork_schedule fork ~deadline ~budget:8 in
+         List.for_all
+           (fun (slave, k) ->
+             List.length (Msts.Spider_schedule.tasks_on_leg s slave) = k)
+           (tasks_per_slave (fork_allocate fork ~deadline ~budget:8))
+         && Msts.Spider_schedule.task_count s = fork_max_tasks fork ~deadline ~budget:8))
 
-let builder_example () =
+let fork_schedule_example () =
   (* one fast-link slow slave, one slow-link fast slave *)
   let fork = Msts.Fork.of_pairs [ (1, 10); (4, 2) ] in
-  let s = Msts.Fork_builder.schedule fork ~deadline:20 ~budget:100 in
+  let s = fork_schedule fork ~deadline:20 ~budget:100 in
   Alcotest.(check bool) "feasible" true
     (Msts.Spider_schedule.is_feasible ~require_nonnegative:true s);
   Alcotest.(check bool) "meets deadline" true
@@ -289,10 +299,10 @@ let suites =
         sweep_matches_insertion;
         case "sweep input order is checked" sweep_rejects_disorder;
       ] );
-    ( "fork.builder",
+    ( "fork.schedule",
       [
-        builder_schedules_are_feasible;
-        builder_counts_match_allocator;
-        case "bandwidth-centric example" builder_example;
+        fork_schedules_are_feasible;
+        fork_schedule_counts_match_allocator;
+        case "bandwidth-centric example" fork_schedule_example;
       ] );
   ]

@@ -91,18 +91,18 @@ let chain_spider_consistency =
          in
          Msts.Spider_schedule.makespan spider_sched = chain_makespan))
 
-(* fork platforms: builder and spider algorithm agree on the task count *)
+(* fork platforms: Figure 6 and Figure 7 agree — the §6 expansion swept by
+   the allocator accepts as many tasks as the spider algorithm fits *)
 let fork_spider_consistency =
   Helpers.to_alcotest
     (QCheck.Test.make ~count:100
-       ~name:"fork builder and spider algorithm agree on harvest size"
+       ~name:"§6 expansion + sweep count = spider algorithm on Spider.of_fork"
        (QCheck.make
           ~print:(fun (fork, d) ->
             Printf.sprintf "%s, d=%d" (Msts.Fork.to_string fork) d)
           QCheck.Gen.(pair (fork_gen ~max_slaves:4 ()) (int_range 0 50)))
        (fun (fork, deadline) ->
-         Msts.Spider_schedule.task_count
-           (Msts.Fork_builder.schedule fork ~deadline ~budget:8)
+         fork_max_tasks fork ~deadline ~budget:8
          = Msts.Spider_algorithm.max_tasks ~budget:8 (Msts.Spider.of_fork fork)
              ~deadline))
 

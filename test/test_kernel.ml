@@ -294,7 +294,7 @@ let count_matches_greedy_on_nodes =
          List.for_all
            (fun deadline ->
              Msts.Fork_count.count t ~deadline ~budget
-             = List.length (Msts.Fork_allocator.allocate nodes ~deadline ~budget))
+             = List.length (allocate nodes ~deadline ~budget))
            (Msts.Intx.range 0 20)))
 
 let degenerate_nodes () =
@@ -305,7 +305,7 @@ let degenerate_nodes () =
     (fun deadline ->
       Alcotest.(check int)
         (Printf.sprintf "deadline %d" deadline)
-        (List.length (Msts.Fork_allocator.allocate nodes ~deadline ~budget:max_int))
+        (List.length (allocate nodes ~deadline ~budget:max_int))
         (Msts.Fork_count.count t ~deadline ~budget:max_int))
     [ 0; 1; 2; 3; 4; 5 ];
   Alcotest.(check int) "zero-cost nodes all fit at 0" 2

@@ -760,16 +760,13 @@ let tallied_once n () =
     Alcotest.(check int) (label "Incremental.add_task") 1
       (once (label "Incremental.add_task") evs "chain.tasks_placed")
   done;
-  let nodes =
-    Msts.Fork_expansion.expand (Msts.Fork.of_pairs [ (1, 2); (2, 3) ]) ~count:n
-  in
   let accepted, evs =
     counter_events (fun () ->
-        Msts.Fork_allocator.allocate nodes ~deadline:(3 * n) ~budget:n)
+        fork_allocate (Msts.Fork.of_pairs [ (1, 2); (2, 3) ]) ~deadline:(3 * n) ~budget:n)
   in
-  ignore (once (label "Allocator.allocate") evs "fork.insert_probes");
-  Alcotest.(check int) (label "Allocator.allocate") (List.length accepted)
-    (once (label "Allocator.allocate") evs "fork.nodes_accepted");
+  ignore (once (label "Allocator.sweep") evs "fork.insert_probes");
+  Alcotest.(check int) (label "Allocator.sweep") (List.length accepted)
+    (once (label "Allocator.sweep") evs "fork.nodes_accepted");
   let _, evs = counter_events (fun () -> Msts.Netsim.execute plan) in
   ignore (once (label "Netsim.execute") evs "engine.events");
   let _, evs =

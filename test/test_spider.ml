@@ -6,11 +6,14 @@ open Helpers
 
 (* ---------- Figure 7 ---------- *)
 
+(* Figure 7 read off the narrated run on the one-leg spider. *)
+let figure7_trace () =
+  Msts.Spider_trace.run (Msts.Spider.of_chain figure2_chain) ~deadline:14
+
 let figure7_virtual_nodes () =
-  let deadline = 14 in
-  let leg_sched = Msts.Chain_deadline.schedule figure2_chain ~deadline in
-  Alcotest.(check int) "five tasks" 5 (Msts.Schedule.task_count leg_sched);
-  let nodes = Msts.Spider_transform.virtual_nodes ~leg:1 ~deadline leg_sched in
+  let trace = figure7_trace () in
+  Alcotest.(check int) "five tasks" 5 trace.Msts.Spider_trace.leg_tasks.(0);
+  let nodes = trace.Msts.Spider_trace.virtual_nodes in
   let works =
     List.sort compare (List.map (fun v -> v.Msts.Fork_expansion.work) nodes)
   in
@@ -21,34 +24,31 @@ let figure7_virtual_nodes () =
     nodes;
   (* "the task scheduled on the second processor corresponds to the node
      with processing time 8" *)
-  let task_with_8 =
-    List.find (fun v -> v.Msts.Fork_expansion.work = 8) nodes
+  let row =
+    List.find
+      (fun a -> a.Msts.Spider_trace.virtual_work = 8)
+      trace.Msts.Spider_trace.accepted
   in
-  let task =
-    Msts.Spider_transform.task_of_rank leg_sched
-      ~rank:task_with_8.Msts.Fork_expansion.rank
-  in
+  let leg_sched = Msts.Chain_deadline.schedule figure2_chain ~deadline:14 in
   Alcotest.(check int) "node 8 is the P2 task" 2
-    (Msts.Schedule.entry leg_sched task).Msts.Schedule.proc
+    (Msts.Schedule.entry leg_sched row.Msts.Spider_trace.leg_task).Msts.Schedule.proc
 
 let transform_rank_mapping () =
-  let deadline = 14 in
-  let leg_sched = Msts.Chain_deadline.schedule figure2_chain ~deadline in
+  let trace = figure7_trace () in
+  let task_of_rank rank =
+    let v =
+      List.find
+        (fun v -> v.Msts.Fork_expansion.rank = rank)
+        trace.Msts.Spider_trace.virtual_nodes
+    in
+    (List.find
+       (fun a -> a.Msts.Spider_trace.virtual_work = v.Msts.Fork_expansion.work)
+       trace.Msts.Spider_trace.accepted)
+      .Msts.Spider_trace.leg_task
+  in
   (* rank 0 = latest emission = last task *)
-  Alcotest.(check int) "rank 0 -> last task" 5
-    (Msts.Spider_transform.task_of_rank leg_sched ~rank:0);
-  Alcotest.(check int) "rank 4 -> first task" 1
-    (Msts.Spider_transform.task_of_rank leg_sched ~rank:4);
-  Alcotest.check_raises "rank out of range"
-    (Invalid_argument "Transform.task_of_rank: rank 5 outside 0..4") (fun () ->
-      ignore (Msts.Spider_transform.task_of_rank leg_sched ~rank:5))
-
-let transform_rejects_overflow () =
-  let leg_sched = Msts.Chain_deadline.schedule figure2_chain ~deadline:14 in
-  Alcotest.(check bool) "negative slack rejected" true
-    (match Msts.Spider_transform.virtual_nodes ~leg:1 ~deadline:5 leg_sched with
-    | exception Invalid_argument _ -> true
-    | _ -> false)
+  Alcotest.(check int) "rank 0 -> last task" 5 (task_of_rank 0);
+  Alcotest.(check int) "rank 4 -> first task" 1 (task_of_rank 4)
 
 (* ---------- spider schedules ---------- *)
 
@@ -202,6 +202,30 @@ let spider_rejects_negative () =
     (Invalid_argument "Spider algorithm: negative task count") (fun () ->
       ignore (Msts.Spider_algorithm.min_makespan spider (-1)))
 
+(* Leg 1's master-only makespan for 2^60 tasks, 2 + (2^60 − 1)·19 + 19,
+   passes max_int; leg 2's alone would fit.  On leg 1 alone the last
+   count bounded is [edge]. *)
+let spider_rejects_overflow () =
+  let leg1 = Msts.Chain.of_pairs [ (2, 19) ] in
+  let spider = Msts.Spider.of_legs [ leg1; Msts.Chain.of_pairs [ (1, 1) ] ] in
+  let refused n =
+    Invalid_argument
+      (Printf.sprintf
+         "Spider algorithm: %d tasks: a leg's master-only makespan exceeds max_int" n)
+  in
+  let n = 1 lsl 60 in
+  Alcotest.check_raises "upper bound" (refused n) (fun () ->
+      ignore (Msts.Spider_algorithm.makespan_upper_bound spider n));
+  Alcotest.check_raises "search" (refused n) (fun () ->
+      ignore (Msts.Spider_algorithm.min_makespan spider n));
+  let edge = ((max_int - 21) / 19) + 1 in
+  Alcotest.(check int) "last bounded count" (2 + ((edge - 1) * 19) + 19)
+    (Msts.Spider_algorithm.makespan_upper_bound (Msts.Spider.of_chain leg1) edge);
+  Alcotest.check_raises "one past it" (refused (edge + 1)) (fun () ->
+      ignore
+        (Msts.Spider_algorithm.makespan_upper_bound (Msts.Spider.of_chain leg1)
+           (edge + 1)))
+
 let spider_emission_earlier_than_leg_plan =
   (* Lemma 3: the fork allocator never delays a first emission *)
   Helpers.to_alcotest
@@ -226,7 +250,6 @@ let suites =
       [
         case "virtual nodes reproduce Figure 7" figure7_virtual_nodes;
         case "rank-to-task mapping" transform_rank_mapping;
-        case "overflowing leg schedules rejected" transform_rejects_overflow;
       ] );
     ( "spider.schedule",
       [
@@ -239,6 +262,7 @@ let suites =
         case "large values do not overflow" large_values_no_overflow;
         case "zero tasks" spider_zero_tasks;
         case "negative inputs rejected" spider_rejects_negative;
+        case "overflowing task counts rejected" spider_rejects_overflow;
         spider_emission_earlier_than_leg_plan;
       ] );
     ( "spider.optimality",
