@@ -4,6 +4,9 @@
    measures wall time and minor words for
 
      decode   Api.request_of_line on the ~68 KB batch frame
+     decode_distinct
+              the same on a batch of 1200 distinct problems, where the
+              decoder's element memo finds no repeat
      decode_schedule
               Api.request_of_line on a cold-solve frame: one heavy
               spider and a task count, ~140 B
@@ -12,7 +15,11 @@
      encode   Json.to_string of the batch reply and of the schedule
               reply
      write    Api.response_line of the batch reply and of the schedule
-              reply: the whole wire frame, written without a tree
+              reply: the whole wire frame, written without a tree; the
+              batch reply is assembled through Batch.shard, as the
+              daemon's engine does, so repeated results are copied
+     write_distinct
+              the same on the distinct batch's reply
      framing  Framing.feed splitting the batch frame out of 64 KiB reads
               from one reused chunk, as the daemon's select loop does
 
@@ -26,7 +33,11 @@
    on the Buffer-based printer.  decode_schedule's "before" is the count
    of the tree decoder (Json.parse, then a walk of the tree) that the
    pull reader replaced, and its gate only keeps small frames from
-   allocating more than they did then.  The framing stage counts every
+   allocating more than they did then.  The two distinct stages' "before"
+   is their count on the code before the element memo and the copying
+   batch writer, and their gate lets them allocate at most 1.25 times
+   that: batches without repeats must not pay for the memo.  The framing
+   stage counts every
    word it allocates, minor or major (a frame-sized string goes straight
    to the major heap): its "before" is the splitter that copied the whole
    input buffer on every read, and its gate is one copy of the frame.
@@ -63,6 +74,17 @@ let batch_problems () =
   Msts.Prng.shuffle (Msts.Prng.create 1) problems;
   problems
 
+(* The same shape with no repeats: 300 task counts on each of the four
+   platforms, so every element misses the decoder's element memo and
+   fills its buckets. *)
+let distinct_problems () =
+  let platforms = small_platforms () in
+  let problems =
+    Array.init 1200 (fun i -> Msts.Solve.problem ~tasks:(1 + (i / 4)) platforms.(i mod 4))
+  in
+  Msts.Prng.shuffle (Msts.Prng.create 2) problems;
+  problems
+
 let schedule_problem () =
   let chain =
     Msts.Generator.chain (Msts.Prng.create 200) Msts.Generator.default_profile ~p:4
@@ -84,14 +106,32 @@ let reply_json op =
   Msts.Api.encode_response
     (Msts.Api.respond ~solver:Msts.Api.direct_solver (request op))
 
-(* The reply and its frame writer, checked once against the reference
+(* A reply and its frame writer, checked once against the reference
    encoder so the stage times the bytes the daemon sends. *)
-let frame_writer op =
-  let result = Msts.Api.exec ~solver:Msts.Api.direct_solver op in
+let frame_writer name result =
   let write () = Msts.Api.response_line ~id:(Some 1) ~trace:None result in
-  if write () <> Msts.Api.response_to_line (Msts.Api.respond ~solver:Msts.Api.direct_solver (request op))
-  then failwith ("codec-scaling: the written " ^ Msts.Api.op_name op ^ " frame differs");
+  let reference =
+    Msts.Api.response_to_line
+      { Msts.Api.id = Some 1; trace = None; result = Result.map Msts.Api.json_of_reply result }
+  in
+  if write () <> reference then failwith ("codec-scaling: the written " ^ name ^ " frame differs");
   fun () -> ignore (write ())
+
+(* A batch reply as the daemon's engine assembles it: sharded, so each
+   element knows the first one it repeats. *)
+let batched problems =
+  let plan = Msts.Batch.shard problems in
+  let k = Msts.Batch.shard_count plan in
+  let solved =
+    Array.init k (fun slot -> Msts.Api.guarded_solve (Msts.Batch.shard_request plan slot))
+  in
+  let outcomes, stats =
+    Msts.Batch.assemble plan ~jobs:1 ~solved ~wait_us:(Array.make k 0)
+      ~busy_us:(Array.make k 0)
+  in
+  Ok
+    (Msts.Api.Batched
+       { problems; outcomes; firsts = Msts.Batch.firsts plan; stats; cache_capacity = 256 })
 
 (* Words allocated so far: minor only, or every word (minor, plus major
    allocations, minus the minor words promoted into the major heap). *)
@@ -102,12 +142,15 @@ let allocated ~major =
   else Gc.minor_words ()
 
 (* Mean wall time (us) and words of one call, uninstrumented as a
-   serving daemon runs, after one warm-up call. *)
+   serving daemon runs, after one warm-up call.  A full major collection
+   first empties both heaps, so a stage's count does not depend on what
+   the stages measured before it left behind. *)
 let measure s =
   s.run ();
   let sink = Msts.Obs.current_sink () in
   Msts.Obs.set_sink None;
   Fun.protect ~finally:(fun () -> Msts.Obs.set_sink sink) @@ fun () ->
+  Gc.full_major ();
   let iters = 30 in
   let words = allocated ~major:s.major in
   let t0 = Unix.gettimeofday () in
@@ -151,11 +194,23 @@ let codec_scaling () =
     | Ok { Msts.Api.op = Msts.Api.Batch problems; _ } -> problems
     | _ -> failwith "codec-scaling: the batch frame did not decode"
   in
+  let distinct_line =
+    Msts.Api.request_to_line (request (Msts.Api.Batch (distinct_problems ())))
+  in
+  let distinct =
+    match Msts.Api.request_of_line distinct_line with
+    | Ok { Msts.Api.op = Msts.Api.Batch problems; _ } -> problems
+    | _ -> failwith "codec-scaling: the distinct batch frame did not decode"
+  in
   let cache = Msts.Batch.cache ~capacity:256 in
   let batch_reply = reply_json (Msts.Api.Batch decoded) in
   let schedule_reply = reply_json (Msts.Api.Schedule (schedule_problem ())) in
-  let write_batch = frame_writer (Msts.Api.Batch decoded) in
-  let write_schedule = frame_writer (Msts.Api.Schedule (schedule_problem ())) in
+  let write_batch = frame_writer "batch" (batched decoded) in
+  let write_distinct = frame_writer "distinct batch" (batched distinct) in
+  let write_schedule =
+    let op = Msts.Api.Schedule (schedule_problem ()) in
+    frame_writer "schedule" (Msts.Api.exec ~solver:Msts.Api.direct_solver op)
+  in
   (* One copy of the frame (the string's words and its header), plus the
      closures of the two reads. *)
   let frame_copy_words = float_of_int ((String.length batch_line / 8) + 2 + 16) in
@@ -168,6 +223,13 @@ let codec_scaling () =
         gate = 40.0;
         major = false;
         run = (fun () -> ignore (Msts.Api.request_of_line batch_line));
+      };
+      {
+        name = "decode_distinct";
+        before_words = 21635.;
+        gate = 0.8;
+        major = false;
+        run = (fun () -> ignore (Msts.Api.request_of_line distinct_line));
       };
       {
         name = "decode_schedule";
@@ -198,6 +260,13 @@ let codec_scaling () =
         run = (fun () -> ignore (Msts.Json.to_string schedule_reply));
       };
       { name = "write"; before_words = 50788.; gate = 5.0; major = false; run = write_batch };
+      {
+        name = "write_distinct";
+        before_words = 6010.;
+        gate = 0.8;
+        major = false;
+        run = write_distinct;
+      };
       {
         name = "write_schedule";
         before_words = 52369.;
@@ -234,7 +303,7 @@ let codec_scaling () =
           Printf.sprintf "%.0f" words;
           Printf.sprintf "%.0f" s.before_words;
           Printf.sprintf "%.1fx" (s.before_words /. words);
-          Printf.sprintf ">= %.0fx" s.gate;
+          Printf.sprintf ">= %.3gx" s.gate;
         ])
     results;
   Msts.Table.print table;
@@ -282,7 +351,7 @@ let codec_scaling () =
         failwith
           (Printf.sprintf
              "codec-scaling: %s allocates %.0f words per frame, gate is \
-              %.0f / %.0f"
+              %.0f / %.3g"
              s.name words s.before_words s.gate))
     results
 

@@ -318,10 +318,18 @@ type memo_entry = {
   problems : Solve.problem list Int_table.t;  (** by {!objective_hash} *)
 }
 
+(* An element that decoded cleanly: its bytes are the frame's
+   [at .. at + length - 1]. *)
+type known = { at : int; length : int; problem : Solve.problem }
+
 type memo = {
   spellings : (string * memo_entry) list Int_table.t;
       (** by [Json.Reader.spelling_hash] *)
   texts : (string, memo_entry) Hashtbl.t;
+  known : known list Int_table.t;  (** by a hash of [prefix] bytes *)
+  mutable elements : int;
+  mutable hits : int;
+  mutable compared : int;
 }
 
 let bucket table h = try Int_table.find table h with Not_found -> []
@@ -399,6 +407,35 @@ let memo_problem e platform =
     Int_table.replace table h (problem :: bucket);
     problem
 
+(* The element memo, in front of the slow path below.  An element whose
+   bytes equal those of an earlier element that decoded cleanly decodes
+   to that element's problem, and the reader steps over it without
+   lexing it.  This is sound because an object's bytes alone decide
+   whether it is valid and what it holds, and a recorded run ends at its
+   own closing brace, so an equal run elsewhere is the same complete
+   object; the slow path would have given it the same physical problem.
+
+   Entries are filed by a hash of the [prefix] bytes an element starts
+   with, and a bucket holds at most [candidates] of them: an element
+   whose bucket is full takes the slow path and is not recorded.  So a
+   lookup hashes [prefix] bytes and compares at most [candidates] runs:
+   each compare reads one word at the run's end, then stops at the first
+   differing byte.  When the element is well formed that byte lies
+   within its own bytes (plus the seven a word-wide compare reads past
+   them), because a run equal to the element's bytes up to its closing
+   brace would be the element itself: a lookup costs
+   O([prefix] + [candidates] × element bytes), whatever the frame.  Only
+   an element with a syntax error, which ends the frame's reading, may be
+   compared further.  A hit allocates nothing. *)
+let prefix = 32
+let candidates = 8
+
+let rec find_known memo r = function
+  | [] -> raise_notrace Not_found
+  | k :: rest ->
+      memo.compared <- memo.compared + 1;
+      if R.repeats r k.at k.length then k else find_known memo r rest
+
 exception Rejected of error
 
 (* One element, read in place; its first bad field, in the order a single
@@ -449,10 +486,58 @@ let decode_element memo r e =
       raise
         (Rejected (error Bad_request "every element of \"problems\" must be an object"))
 
+(* A frame's problems are gathered in a buffer reused per domain, so
+   its array is allocated once, at its final size.  The slots a frame
+   used are cleared when it is read, so no problem outlives its frame
+   there, and a buffer grown past [retain] slots is dropped.  A nested
+   reading (none happens today) would get a fresh buffer. *)
+type gather = { mutable slots : Solve.problem array; mutable busy : bool }
+
+let placeholder =
+  {
+    Solve.platform = Parse.Chain_platform (Chain.make ~c:[| 1 |] ~w:[| 1 |]);
+    tasks = None;
+    deadline = None;
+  }
+
+let retain = 1 lsl 16
+let fresh_gather () = { slots = Array.make 256 placeholder; busy = false }
+let gathers = Domain.DLS.new_key fresh_gather
+
+(* One element through the memo: a hit is stepped over, anything else
+   takes the slow path and, when it decodes cleanly and its bucket has
+   room, is recorded. *)
+let memo_element memo r e =
+  ignore (R.peek r) (* past the whitespace, to the element's first byte *);
+  let at = R.position r in
+  let h = R.hash_ahead r prefix in
+  let known = bucket memo.known h in
+  memo.elements <- memo.elements + 1;
+  match find_known memo r known with
+  | k ->
+      memo.hits <- memo.hits + 1;
+      R.seek r (at + k.length);
+      k.problem
+  | exception Not_found ->
+      let problem = decode_element memo r e in
+      if List.compare_length_with known candidates < 0 then
+        Int_table.replace memo.known h
+          ({ at; length = R.position r - at; problem } :: known);
+      problem
+
 (* The "problems" array the reader is on, read to its end: after the
    first bad element the rest are only checked. *)
 let decode_problems r =
-  let memo = { spellings = Int_table.create 16; texts = Hashtbl.create 16 } in
+  let memo =
+    {
+      spellings = Int_table.create 16;
+      texts = Hashtbl.create 16;
+      known = Int_table.create 16;
+      elements = 0;
+      hits = 0;
+      compared = 0;
+    }
+  in
   let e =
     {
       platform_seen = Absent;
@@ -463,29 +548,45 @@ let decode_problems r =
       deadline_value = 0;
     }
   in
-  let problems = ref [||] and count = ref 0 and failure = ref None in
-  if R.first_item r then begin
-    let more = ref true in
-    while !more do
-      (match !failure with
-      | Some _ -> R.skip r
-      | None -> (
-          match decode_element memo r e with
-          | problem ->
-              if !count = Array.length !problems then begin
-                let grown = Array.make (max 16 (2 * !count)) problem in
-                Array.blit !problems 0 grown 0 !count;
-                problems := grown
-              end;
-              !problems.(!count) <- problem;
-              incr count
-          | exception Rejected err -> failure := Some err));
-      more := R.next_item r
-    done
-  end;
-  match !failure with
-  | Some err -> Error err
-  | None -> Ok (Array.sub !problems 0 !count)
+  let shared = Domain.DLS.get gathers in
+  let g = if shared.busy then fresh_gather () else shared in
+  g.busy <- true;
+  let count = ref 0 and failure = ref None in
+  let add problem =
+    if !count = Array.length g.slots then begin
+      let grown = Array.make (2 * !count) placeholder in
+      Array.blit g.slots 0 grown 0 !count;
+      g.slots <- grown
+    end;
+    g.slots.(!count) <- problem;
+    incr count
+  in
+  let read () =
+    if R.first_item r then begin
+      let more = ref true in
+      while !more do
+        (match !failure with
+        | Some _ -> R.skip r
+        | None -> (
+            match memo_element memo r e with
+            | problem -> add problem
+            | exception Rejected err -> failure := Some err));
+        more := R.next_item r
+      done
+    end;
+    Obs.count ~n:memo.elements "api.batch_elements";
+    Obs.count ~n:memo.hits "api.batch_memo_hits";
+    Obs.count ~n:memo.compared "api.batch_memo_candidates";
+    match !failure with
+    | Some err -> Error err
+    | None -> Ok (Array.sub g.slots 0 !count)
+  in
+  let release () =
+    Array.fill g.slots 0 !count placeholder;
+    if Array.length g.slots > retain then g.slots <- (fresh_gather ()).slots;
+    g.busy <- false
+  in
+  Fun.protect ~finally:release read
 
 type frame = {
   r : R.t;
@@ -939,6 +1040,7 @@ type reply =
   | Batched of {
       problems : problem array;
       outcomes : Batch.outcome array;
+      firsts : int array;
       stats : Batch.stats;
       cache_capacity : int;
     }
@@ -973,7 +1075,7 @@ let json_of_reply = function
       match plan with
       | Plan.Chain sched -> chain_metrics_json sched
       | Plan.Spider sched -> spider_metrics_json sched)
-  | Batched { problems; outcomes; stats; cache_capacity } ->
+  | Batched { problems; outcomes; stats; cache_capacity; _ } ->
       let result i outcome =
         let open Json in
         let kind = platform_kind problems.(i).Solve.platform in
@@ -1109,7 +1211,13 @@ let write_plan w ~deadline plan =
   done;
   W.raw w "]}"
 
-let write_batched w ~problems ~outcomes ~(stats : Batch.stats) ~cache_capacity =
+(* A result's bytes after its instance number are written once: a later
+   element that repeats it, as [firsts] says (an element past its end
+   is its own first) and its outcome (the same physical value) and kind
+   confirm, copies them from the buffer.  [spans] holds where each
+   element's bytes lie. *)
+let write_batched w ~problems ~outcomes ~firsts ~(stats : Batch.stats) ~cache_capacity
+    =
   W.raw w "{\"instances\":";
   W.int w stats.requests;
   W.raw w ",\"cache\":{\"capacity\":";
@@ -1119,22 +1227,40 @@ let write_batched w ~problems ~outcomes ~(stats : Batch.stats) ~cache_capacity =
   W.raw w ",\"misses\":";
   W.int w stats.cache_misses;
   W.raw w "},\"results\":[";
-  for i = 0 to Array.length outcomes - 1 do
+  let n = Array.length outcomes in
+  let spans = Array.make (2 * n) 0 in
+  for i = 0 to n - 1 do
     if i > 0 then W.char w ',';
     W.raw w "{\"instance\":";
     W.int w (i + 1);
-    W.raw w ",\"kind\":\"";
-    W.raw w (platform_kind problems.(i).Solve.platform);
-    (match outcomes.(i) with
-    | Ok plan ->
-        W.raw w "\",\"tasks\":";
-        W.int w (Plan.task_count plan);
-        W.raw w ",\"makespan\":";
-        W.int w (Plan.makespan plan)
-    | Error msg ->
-        W.raw w "\",\"error\":";
-        W.string w msg);
-    W.char w '}'
+    let kind = platform_kind problems.(i).Solve.platform in
+    let j = if i < Array.length firsts then firsts.(i) else i in
+    if
+      j >= 0 && j < i
+      && outcomes.(j) == outcomes.(i)
+      && String.equal (platform_kind problems.(j).Solve.platform) kind
+    then begin
+      W.repeat w spans.(2 * j) spans.((2 * j) + 1);
+      spans.(2 * i) <- spans.(2 * j);
+      spans.((2 * i) + 1) <- spans.((2 * j) + 1)
+    end
+    else begin
+      let at = W.position w in
+      W.raw w ",\"kind\":\"";
+      W.raw w kind;
+      (match outcomes.(i) with
+      | Ok plan ->
+          W.raw w "\",\"tasks\":";
+          W.int w (Plan.task_count plan);
+          W.raw w ",\"makespan\":";
+          W.int w (Plan.makespan plan)
+      | Error msg ->
+          W.raw w "\",\"error\":";
+          W.string w msg);
+      W.char w '}';
+      spans.(2 * i) <- at;
+      spans.((2 * i) + 1) <- W.position w - at
+    end
   done;
   W.raw w "]}"
 
@@ -1157,8 +1283,8 @@ let response_line ~id ~trace result =
       W.raw w ",\"ok\":";
       match reply with
       | Solved { plan; deadline } -> write_plan w ~deadline plan
-      | Batched { problems; outcomes; stats; cache_capacity } ->
-          write_batched w ~problems ~outcomes ~stats ~cache_capacity
+      | Batched { problems; outcomes; firsts; stats; cache_capacity } ->
+          write_batched w ~problems ~outcomes ~firsts ~stats ~cache_capacity
       | reply -> W.value w (json_of_reply reply))
   | Error { code; message } ->
       W.raw w ",\"error\":{\"code\":";
@@ -1345,8 +1471,10 @@ let exec ?(cache_capacity = 0) ~solver op =
         let* plan = solve_one ~solver problem in
         Ok (Measured plan)
     | Batch problems ->
+        (* The solver hides which problems repeat: no element has a
+           first but itself. *)
         let outcomes, stats = solver problems in
-        Ok (Batched { problems; outcomes; stats; cache_capacity })
+        Ok (Batched { problems; outcomes; firsts = [||]; stats; cache_capacity })
     | Report { problem; planned } ->
         let* plan = solve_one ~solver problem in
         let source, report =

@@ -151,9 +151,16 @@ val request_of_line : string -> (request, error) result
     Within a [batch] frame each distinct platform text is parsed once:
     problems repeating a text (however it is escaped) share one physical
     {!Msts_platform.Parse.platform}, and elements equal in (platform
-    text, [tasks], [deadline]) decode to one physical problem; a repeated
-    element allocates nothing beyond its array slot.  Nothing is cached
-    across frames. *)
+    text, [tasks], [deadline]) decode to one physical problem.  An
+    element whose bytes equal those of an earlier element that decoded
+    cleanly is not lexed at all: the decoder finds the earlier one in a
+    per-frame memo of offsets into the frame (a hash of the element's
+    first 32 bytes picks a bucket of at most 8 candidates, so a lookup
+    costs O(element bytes) whatever the frame) and steps over it.  Such
+    a repeat allocates nothing, and the frame's problem array is
+    allocated once, at its final size.  Nothing is cached across
+    frames.  The memo emits [api.batch_elements], [api.batch_memo_hits]
+    and [api.batch_memo_candidates] once per frame. *)
 
 val frame_id : string -> int option
 (** Best-effort extraction of the correlation id from a frame that may
@@ -196,6 +203,13 @@ type reply =
   | Batched of {
       problems : problem array;
       outcomes : Msts_pool.Batch.outcome array;
+      firsts : int array;
+          (** per problem, the earlier one whose result it repeats, or
+              itself ({!Msts_pool.Batch.firsts}); a problem past its end
+              is its own first, so {!exec}, whose solver does not say
+              which problems repeat, leaves it empty.  Only
+              {!response_line} reads it, and only to share bytes: the
+              frame is the same whatever it holds. *)
       stats : Msts_pool.Batch.stats;
       cache_capacity : int;
     }
@@ -227,8 +241,13 @@ val response_line :
 (** The newline-terminated wire frame answering a request: byte for byte
     [response_to_line { id; trace; result = Result.map json_of_reply result }],
     but [Solved] and [Batched] payloads are written straight to bytes
-    through {!Msts_obs.Json.Writer}, with no tree in between.  The daemon
-    calls it on the worker domain that ran the solve. *)
+    through {!Msts_obs.Json.Writer}, with no tree in between.  In a
+    [Batched] payload each distinct result is rendered once: an element
+    that repeats an earlier one (its [firsts] entry, confirmed by the
+    same physical outcome and platform kind) copies that element's bytes
+    after the instance number with {!Msts_obs.Json.Writer.repeat}.  The
+    daemon calls it on the worker domain that ran a single solve, and on
+    its main domain for a batch, once the batch is assembled. *)
 
 type solver = problem array -> Msts_pool.Batch.outcome array * Msts_pool.Batch.stats
 (** How {!exec} solves: the CLI plugs {!direct_solver} (plain sequential

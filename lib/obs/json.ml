@@ -45,6 +45,13 @@ module Writer = struct
     w.len <- w.len + n
 
   let raw w s = raw_sub w s 0 (String.length s)
+  let position w = w.len
+
+  let repeat w at n =
+    if at < 0 || n < 0 || at + n > w.len then invalid_arg "Json.Writer.repeat";
+    reserve w n;
+    Bytes.blit w.buf at w.buf w.len n;
+    w.len <- w.len + n
 
   let hex_digits = "0123456789abcdef"
 
@@ -367,37 +374,36 @@ module Reader = struct
   let span_text r =
     if escaped r then unescape r else String.sub r.text r.start r.length
 
-  (* [text.[at .. at + n - 1]] = [s.[0 .. n - 1]], eight bytes a step. *)
-  let same_bytes text at s n =
-    let i = ref 0 in
-    while !i + 8 <= n && String.get_int64_ne text (at + !i) = String.get_int64_ne s !i do
-      i := !i + 8
+  (* [a.[i .. i + n - 1]] = [b.[j .. j + n - 1]], eight bytes a step. *)
+  let same_bytes a i b j n =
+    let k = ref 0 in
+    while !k + 8 <= n && String.get_int64_ne a (i + !k) = String.get_int64_ne b (j + !k) do
+      k := !k + 8
     done;
-    while !i < n && String.unsafe_get text (at + !i) = String.unsafe_get s !i do
-      incr i
+    while !k < n && String.unsafe_get a (i + !k) = String.unsafe_get b (j + !k) do
+      incr k
     done;
-    !i = n
+    !k = n
 
   let span_is r s =
     r.length = String.length s
-    && if escaped r then String.equal (unescape r) s else same_bytes r.text r.start s r.length
+    && if escaped r then String.equal (unescape r) s else same_bytes r.text r.start s 0 r.length
 
   let spelling r = String.sub r.text r.start (r.stop - r.start)
 
   let spelled r s =
     let n = r.stop - r.start in
-    String.length s = n && same_bytes r.text r.start s n
+    String.length s = n && same_bytes r.text r.start s 0 n
 
-  (* Eight bytes a step: each word is xored in, multiplied by the 64-bit
-     FNV prime and folded so its high bits reach the low ones, which pick
-     a hash table's bucket. *)
-  let spelling_hash r =
-    let text = r.text and stop = r.stop in
+  (* The bytes [text.[start .. stop - 1]], eight a step: each word is
+     xored in, multiplied by the 64-bit FNV prime and folded so its high
+     bits reach the low ones, which pick a hash table's bucket. *)
+  let hash_bytes text start stop =
     let mix h w =
       let x = (h lxor w) * 0x100000001b3 in
       x lxor (x lsr 29)
     in
-    let h = ref (stop - r.start) and i = ref r.start in
+    let h = ref (stop - start) and i = ref start in
     while !i + 8 <= stop do
       h := mix !h (Int64.to_int (String.get_int64_ne text !i));
       i := !i + 8
@@ -407,6 +413,21 @@ module Reader = struct
       incr i
     done;
     !h land max_int
+
+  let spelling_hash r = hash_bytes r.text r.start r.stop
+
+  let hash_ahead r n =
+    hash_bytes r.text r.pos (min (String.length r.text) (r.pos + max 0 n))
+
+  (* The last word first: runs that differ often differ at their end. *)
+  let repeats r at n =
+    let text = r.text in
+    at >= 0 && n >= 0
+    && at + n <= String.length text
+    && r.pos + n <= String.length text
+    && (n < 8
+       || String.get_int64_ne text (r.pos + n - 8) = String.get_int64_ne text (at + n - 8))
+    && same_bytes text r.pos text at n
 
   (* ---------- numbers ---------- *)
 

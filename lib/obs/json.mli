@@ -57,6 +57,14 @@ module Writer : sig
 
   val int : t -> int -> unit
 
+  val position : t -> int
+  (** Bytes written so far: where the next byte goes. *)
+
+  val repeat : t -> int -> int -> unit
+  (** [repeat w at n] appends a copy of the [n] bytes already written at
+      [at], so a run needed again is copied rather than rendered anew.
+      @raise Invalid_argument unless [0 <= at] and [at + n <= position w]. *)
+
   val value : ?pretty:bool -> t -> json -> unit
   (** The compact (or, with [pretty], two-space indented) printing of a
       tree, spliced in at the current position.  Pretty indentation
@@ -143,6 +151,17 @@ module Reader : sig
 
   val spelling_hash : t -> int
   (** A non-negative hash of the current span as written.  In place. *)
+
+  val hash_ahead : t -> int -> int
+  (** [hash_ahead r n]: a non-negative hash of the [n] bytes from the
+      current position, or of those left when fewer remain.  In place;
+      nothing is read. *)
+
+  val repeats : t -> int -> int -> bool
+  (** [repeats r at n]: the [n] bytes from the current position are the
+      [n] bytes at [at].  In place, stopping at the first difference;
+      nothing is read.  With {!seek} it lets a caller that has read a
+      value once recognise its bytes again and step over them. *)
 
   val number : t -> bool
   (** Reads a number: [true] for an integer, whose value is then

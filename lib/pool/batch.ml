@@ -141,6 +141,10 @@ let shard ?cache:shared requests =
     to_solve = Array.of_list (List.rev !to_solve); plan_cache }
 
 let fingerprints plan = Array.copy plan.fingerprints
+
+let firsts plan =
+  Array.mapi (fun i -> function Duplicate j -> j | Cached _ | Fresh _ -> i) plan.resolutions
+
 let shard_count plan = Array.length plan.to_solve
 let shard_request plan slot = plan.requests.(plan.to_solve.(slot))
 

@@ -111,6 +111,11 @@ val fingerprints : plan -> string array
 (** The cache key of every request, in submission order: pointwise equal
     to {!fingerprint}. *)
 
+val firsts : plan -> int array
+(** For every request, in submission order, the first request with its
+    fingerprint: itself, or the earlier request whose outcome
+    {!assemble} gives it.  [firsts.(firsts.(i)) = firsts.(i)]. *)
+
 val shard_count : plan -> int
 (** Distinct uncached problems — the units to solve. *)
 

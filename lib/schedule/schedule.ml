@@ -33,10 +33,15 @@ let entry t i =
 
 let entries t = Array.copy t.entries
 
+(* A loop, not a fold: a closure over [t] would cost words per call. *)
 let makespan t =
-  Array.fold_left
-    (fun acc e -> max acc (e.start + Chain.work t.chain e.proc))
-    0 t.entries
+  let m = ref 0 in
+  for i = 0 to Array.length t.entries - 1 do
+    let e = t.entries.(i) in
+    let finish = e.start + Chain.work t.chain e.proc in
+    if finish > !m then m := finish
+  done;
+  !m
 
 let start_time t =
   Array.fold_left

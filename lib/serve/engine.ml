@@ -606,6 +606,7 @@ let finalize_batch t job =
              {
                problems = job.b_problems;
                outcomes;
+               firsts = Msts.Batch.firsts job.plan;
                stats;
                cache_capacity = t.cfg.cache_capacity;
              })

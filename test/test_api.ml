@@ -489,8 +489,55 @@ let batched_line_matches_tree =
          let problems = Array.of_list (List.map fst items) in
          let outcomes = Array.of_list (List.map snd items) in
          writer_matches_reference
-           (Ok (Api.Batched { problems; outcomes; stats; cache_capacity }))
+           (Ok (Api.Batched { problems; outcomes; firsts = [||]; stats; cache_capacity }))
            id trace))
+
+(* Batch replies as the daemon's engine assembles them, over a small
+   pool of problems drawn with repetition, some of which fail: repeated
+   results and repeated errors are written once and copied.  Any
+   [firsts] at all gives the same bytes: the writer copies only when the
+   outcome and the kind confirm the repeat. *)
+let repeated_batched_line_matches_tree =
+  let failing_gen =
+    Gen.(
+      problem_gen >|= fun p ->
+      { p with Msts.Solve.tasks = None; deadline = None } (* no objective *))
+  in
+  to_alcotest
+    (QCheck.Test.make ~count:200
+       ~name:"response_line = response_to_line on batches of repeats and repeated errors"
+       (QCheck.make
+          Gen.(
+            pair
+              (list_size (int_range 1 4) (frequency [ (3, problem_gen); (1, failing_gen) ]))
+              (pair (list_size (int_range 0 40) nat)
+                 (list_size (int_range 0 40) (int_range (-2) 40)))))
+       (fun (pool, (picks, noise)) ->
+         let pool = Array.of_list pool in
+         let problems =
+           Array.of_list (List.map (fun k -> pool.(k mod Array.length pool)) picks)
+         in
+         let plan = Msts.Batch.shard problems in
+         let k = Msts.Batch.shard_count plan in
+         let solved =
+           Array.init k (fun slot ->
+               Api.guarded_solve (Msts.Batch.shard_request plan slot))
+         in
+         let outcomes, stats =
+           Msts.Batch.assemble plan ~jobs:1 ~solved ~wait_us:(Array.make k 0)
+             ~busy_us:(Array.make k 0)
+         in
+         let reply firsts =
+           Ok (Api.Batched { problems; outcomes; firsts; stats; cache_capacity = 8 })
+         in
+         let firsts = Msts.Batch.firsts plan in
+         Array.iteri
+           (fun i j ->
+             if j > i || firsts.(j) <> j || outcomes.(j) != outcomes.(i) then
+               QCheck.Test.fail_reportf "firsts.(%d) = %d is not a first with i's outcome" i j)
+           firsts;
+         writer_matches_reference (reply firsts) (Some 1) None
+         && writer_matches_reference (reply (Array.of_list noise)) None None))
 
 (* ---------- trace context and the metrics control op ---------- *)
 
@@ -1057,32 +1104,212 @@ let sharing problems =
         problems)
     problems
 
+(* The frame decodes as the tree decoder decodes it: the same request
+   with the same sharing of batch problems, or the same error, offset
+   and correlation. *)
+let same_as_reference line =
+  let show = function
+    | Ok r -> "Ok " ^ Api.request_to_line r
+    | Error (r : Api.response) -> "Error " ^ Api.response_to_line r
+  in
+  let got = Api.request_or_rejection line
+  and want = Api_reference.request_or_rejection line in
+  let same =
+    match (got, want) with
+    | Ok a, Ok b -> (
+        a = b
+        &&
+        match (a.Api.op, b.Api.op) with
+        | Api.Batch pa, Api.Batch pb -> sharing pa = sharing pb
+        | _ -> true)
+    | Error a, Error b -> a = b
+    | _ -> false
+  in
+  (same && Api.request_of_line line = Api_reference.request_of_line line)
+  || QCheck.Test.fail_reportf "got  %s\nwant %s" (show got) (show want)
+
 let decoder_matches_reference =
   to_alcotest
     (QCheck.Test.make ~count:2000
        ~name:"reader decoder = tree decoder on reshaped, escaped and damaged frames"
        (QCheck.make ~print:(fun x -> String.escaped (frame_of x)) differential_request_gen)
-       (fun x ->
-         let line = frame_of x in
-         let show = function
-           | Ok r -> "Ok " ^ Api.request_to_line r
-           | Error (r : Api.response) -> "Error " ^ Api.response_to_line r
-         in
-         let got = Api.request_or_rejection line
-         and want = Api_reference.request_or_rejection line in
-         let same =
-           match (got, want) with
-           | Ok a, Ok b -> (
-               a = b
-               &&
-               match (a.Api.op, b.Api.op) with
-               | Api.Batch pa, Api.Batch pb -> sharing pa = sharing pb
-               | _ -> true)
-           | Error a, Error b -> a = b
-           | _ -> false
-         in
-         (same && Api.request_of_line line = Api_reference.request_of_line line)
-         || QCheck.Test.fail_reportf "got  %s\nwant %s" (show got) (show want)))
+       (fun x -> same_as_reference (frame_of x)))
+
+(* ---------- the batch decoder's element memo ---------- *)
+
+(* Batch elements written out byte by byte, drawn with repetition from a
+   small pool, so frames hold byte-identical repeats; near-repeats that
+   differ only in the byte before the closing brace, or that extend an
+   earlier element ("tasks":5} then "tasks":55}); one text spelled with
+   escapes or extra whitespace; repeated and unknown members; and field
+   and syntax errors after repeats. *)
+let chain_a = {|"chain\n2 3\n3 5\n"|}
+let chain_a_escaped = {|"\u0063hain\u000a2 3\n3 5\n"|}
+let chain_b = {|"chain\n2 3\n3 5\n1 1\n"|}
+
+let element_gen =
+  Gen.(
+    oneofl [ chain_a; chain_a_escaped; chain_b; {|"chain\n2 x\n"|}; "7" ]
+    >>= fun platform ->
+    oneofl
+      [
+        ""; {|,"tasks":5|}; {|,"tasks":55|}; {|,"tasks":6|}; {|,"tasks":"x"|};
+        {|,"tasks":5,"tasks":6|}; {|,"deadline":7|}; {|,"tasks":5.0|};
+      ]
+    >>= fun objective ->
+    oneofl [ ""; {|,"extra":[1,{"a":2}]|}; {|,"extra":[1,}|} ] >>= fun extra ->
+    oneofl
+      [
+        Printf.sprintf {|{"platform":%s%s%s}|} platform objective extra;
+        Printf.sprintf {|{ "platform" : %s%s%s }|} platform objective extra;
+        Printf.sprintf {|{"z":0%s%s,"platform":%s}|} objective extra platform;
+        Printf.sprintf {|{"platform":%s%s%s|} platform objective extra;
+        "5";
+      ])
+
+(* Frames over a few well-formed elements, with an odd one drawn now and
+   then: most frames decode, so the memo's hits are exercised, and the
+   rest fail after repeats. *)
+let memo_frame_gen =
+  let good_elements =
+    [
+      Printf.sprintf {|{"platform":%s,"tasks":5}|} chain_a;
+      Printf.sprintf {|{"platform":%s,"tasks":55}|} chain_a;
+      Printf.sprintf {|{"platform":%s,"tasks":6}|} chain_a;
+      Printf.sprintf {|{"platform":%s,"tasks":5}|} chain_a_escaped;
+      Printf.sprintf {|{ "platform":%s,"tasks":5}|} chain_a;
+      Printf.sprintf {|{"platform":%s,"deadline":9}|} chain_b;
+    ]
+  in
+  let pick pool = Gen.map (fun k -> pool.(k)) (Gen.int_bound (Array.length pool - 1)) in
+  Gen.(
+    list_size (int_range 1 4) (oneofl good_elements) >>= fun good ->
+    list_size (int_range 0 3) element_gen >>= fun odd ->
+    let good = pick (Array.of_list good) in
+    let element = if odd = [] then good else frequency [ (12, good); (1, pick (Array.of_list odd)) ] in
+    list_size (int_range 0 60) element >>= fun elements ->
+    bool >|= fun op_first ->
+    let problems = String.concat "," elements in
+    if op_first then Printf.sprintf {|{"v":1,"id":3,"op":"batch","problems":[%s]}|} problems
+    else Printf.sprintf {|{"problems":[%s],"id":3,"op":"batch"}|} problems)
+
+let memo_matches_reference =
+  to_alcotest
+    (QCheck.Test.make ~count:1500
+       ~name:"element memo = tree decoder on frames of repeats and near-repeats"
+       (QCheck.make ~print:String.escaped memo_frame_gen)
+       same_as_reference)
+
+let batch_of elements =
+  Printf.sprintf {|{"op":"batch","problems":[%s]}|} (String.concat "," elements)
+
+let decoded_problems line =
+  match Api.request_of_line line with
+  | Ok { Api.op = Api.Batch problems; _ } -> problems
+  | Ok _ -> Alcotest.fail "not a batch"
+  | Error e -> Alcotest.failf "the frame did not decode: %s" e.Api.message
+
+let memo_near_repeats () =
+  let element tasks = Printf.sprintf {|{"platform":%s,"tasks":%s}|} chain_a tasks in
+  let cases =
+    [
+      [ element "5"; element "6"; element "5"; element "6" ];
+      [ element "5"; element "55"; element "5"; element "55" ];
+      [ element "55"; element "5"; element "55"; element "5" ];
+      [ element "5"; Printf.sprintf {|{"platform":%s}|} chain_a; element "5" ];
+    ]
+  in
+  List.iter
+    (fun elements ->
+      let line = batch_of elements in
+      ignore (same_as_reference line);
+      let tasks = Array.map (fun p -> p.Msts.Solve.tasks) (decoded_problems line) in
+      let want =
+        List.map
+          (fun e ->
+            match Json.member "tasks" (Result.get_ok (Json.parse e)) with
+            | Some (Json.Int n) -> Some n
+            | _ -> None)
+          elements
+      in
+      Alcotest.(check (list (option int))) "each element's own task count" want
+        (Array.to_list tasks))
+    cases
+
+let memo_spellings_share () =
+  let spellings =
+    [
+      Printf.sprintf {|{"platform":%s,"tasks":5}|} chain_a;
+      Printf.sprintf {|{"platform":%s,"tasks":5}|} chain_a_escaped;
+      Printf.sprintf {|{ "platform" : %s , "tasks" : 5 }|} chain_a;
+      Printf.sprintf {|{"tasks":5,"platform":%s}|} chain_a;
+    ]
+  in
+  let line = batch_of (spellings @ spellings) in
+  ignore (same_as_reference line);
+  let problems = decoded_problems line in
+  Array.iteri
+    (fun i p ->
+      Alcotest.(check bool)
+        (Printf.sprintf "element %d is the first element's problem value" i)
+        true (p == problems.(0)))
+    problems
+
+let memo_errors_after_repeats () =
+  let good = Printf.sprintf {|{"platform":%s,"tasks":5}|} chain_a in
+  let repeats = List.init 50 (fun _ -> good) in
+  List.iter
+    (fun (what, last) ->
+      let line = batch_of (repeats @ [ last ] @ repeats) in
+      ignore (same_as_reference line);
+      match Api.request_of_line line with
+      | Ok _ -> Alcotest.failf "%s decoded" what
+      | Error _ -> ())
+    [
+      ("a syntax error", Printf.sprintf {|{"platform":%s,"tasks":5,}|} chain_a);
+      ("a truncated repeat", Printf.sprintf {|{"platform":%s,"tasks":5|} chain_a);
+      ("a field error", Printf.sprintf {|{"platform":%s,"tasks":"x"}|} chain_a);
+      ("an invalid platform", {|{"platform":"chain\n2 x\n","tasks":5}|});
+      ("a non-object", "5");
+    ]
+
+(* The lookup bound: 10k distinct elements that share a 64-byte prefix
+   all hash to one bucket, whose cap (8 candidates, stated in api.ml)
+   bounds the runs each element is compared with. *)
+let memo_candidates_bounded () =
+  let shared = String.concat "" (List.init 12 (fun _ -> {|1 1\n|})) in
+  let n = 10_000 in
+  let line =
+    batch_of
+      (List.init n (fun k ->
+           Printf.sprintf {|{"platform":"chain\n%s","tasks":%d}|} shared (k + 1)))
+  in
+  Alcotest.(check bool) "the elements share a 64-byte prefix" true
+    (String.length {|{"platform":"chain\n|} + String.length shared >= 64);
+  let mem = Msts.Obs.Memory.create () in
+  let problems =
+    Msts.Obs.with_sink (Msts.Obs.Memory.sink mem) (fun () -> decoded_problems line)
+  in
+  Alcotest.(check int) "every element decoded" n (Array.length problems);
+  let counter = Msts.Obs.Memory.counter mem in
+  Alcotest.(check int) "elements counted once per frame" n (counter "api.batch_elements");
+  Alcotest.(check int) "no hits among distinct elements" 0 (counter "api.batch_memo_hits");
+  let compared = counter "api.batch_memo_candidates" in
+  Alcotest.(check bool)
+    (Printf.sprintf "%d candidates compared for %d elements: at most 8 each" compared n)
+    true
+    (compared <= 8 * n)
+
+let memo_counts_hits () =
+  let good = Printf.sprintf {|{"platform":%s,"tasks":5}|} chain_a in
+  let other = Printf.sprintf {|{"platform":%s,"tasks":6}|} chain_a in
+  let mem = Msts.Obs.Memory.create () in
+  ignore
+    (Msts.Obs.with_sink (Msts.Obs.Memory.sink mem) (fun () ->
+         decoded_problems (batch_of [ good; other; good; good; other ])));
+  let counter = Msts.Obs.Memory.counter mem in
+  Alcotest.(check int) "elements" 5 (counter "api.batch_elements");
+  Alcotest.(check int) "hits: the three repeats" 3 (counter "api.batch_memo_hits")
 
 let suites =
   [
@@ -1097,6 +1324,15 @@ let suites =
         case "rejections correlate only an Int id and a String trace"
           rejection_correlation;
         decoder_matches_reference;
+        memo_matches_reference;
+        case "element memo: near-repeats keep their own values" memo_near_repeats;
+        case "element memo: spellings of one element share its problem"
+          memo_spellings_share;
+        case "element memo: errors after repeats match the tree decoder"
+          memo_errors_after_repeats;
+        case "element memo: candidates per element within the cap"
+          memo_candidates_bounded;
+        case "element memo: hits counted once per frame" memo_counts_hits;
       ] );
     ( "api.codecs",
       [
@@ -1125,6 +1361,7 @@ let suites =
       @ [
         response_line_matches_tree;
         batched_line_matches_tree;
+        repeated_batched_line_matches_tree;
         case "engine wire responses = direct exec bytes"
           engine_wire_equals_direct;
         case "admission control: overload, drain, shutting down"

@@ -1070,6 +1070,17 @@ let corpus () =
          Msts.Solve.problem ~tasks:4 chain_platform;
          Msts.Solve.problem ~tasks:4 chain_platform;
        |]);
+  (* a batch frame with a repeat: the decoder's element memo *)
+  ignore
+    (Msts.Api.request_of_line
+       (Msts.Api.request_to_line
+          {
+            Msts.Api.id = None;
+            trace = None;
+            op =
+              Msts.Api.Batch
+                (Array.make 3 (Msts.Solve.problem ~tasks:4 chain_platform));
+          }));
   (* The online anytime scheduler: one session with arrivals, a deadline
      extension (displacements) and an adopted degradation (replan); a
      second session exercising rejection and freezing. *)
@@ -1173,6 +1184,9 @@ let metric_names_documented () =
       "spider.probe_nodes";
       "pool.requests";
       "pool.queue_wait_us";
+      "api.batch_elements";
+      "api.batch_memo_hits";
+      "api.batch_memo_candidates";
       "serve.requests";
       "serve.accepted";
       "serve.rejected";
