@@ -15,7 +15,8 @@
 
 let registry =
   Experiments.all @ Ablations.all @ Faults.all @ Fuzz.all @ Batch_bench.all
-  @ Serve_bench.all @ Online_bench.all @ Codec_bench.all @ Timing.all
+  @ Serve_bench.all @ Online_bench.all @ Codec_bench.all @ Sim_bench.all
+  @ Timing.all
 
 let counters_path name = Printf.sprintf "BENCH_%s.json" name
 
@@ -55,10 +56,12 @@ let run_one (name, description, fn) =
   let t0 = Unix.gettimeofday () in
   Msts.Obs.with_sink (Msts.Obs.Memory.sink mem) fn;
   let elapsed = Unix.gettimeofday () -. t0 in
+  let results = !Timing.stage_results in
+  Timing.stage_results := None;
   let summary = latency_summary mem in
   let json =
     Msts.Json.Obj
-      [
+      ([
         ("experiment", Msts.Json.String name);
         ("description", Msts.Json.String description);
         ("wall_s", Msts.Json.Float elapsed);
@@ -66,6 +69,7 @@ let run_one (name, description, fn) =
         ( "profile",
           Msts.Obs.Memory.to_json mem );
       ]
+      @ match results with Some r -> [ ("results", r) ] | None -> [])
   in
   Out_channel.with_open_text (counters_path name) (fun oc ->
       Out_channel.output_string oc (Msts.Json.to_string ~pretty:true json);

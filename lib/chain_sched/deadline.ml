@@ -8,7 +8,24 @@ let construction ?max_tasks chain ~deadline =
   | _ -> ());
   Obs.span "chain.deadline.schedule" ~args:[ ("deadline", string_of_int deadline) ]
   @@ fun () ->
-  let construction = Incremental.create chain ~horizon:deadline in
+  (* Presize the store: a construction never places more tasks than its
+     budget, nor more than the horizon holds — disjoint emissions of [c1]
+     on the first link, disjoint executions of [w_k] on each processor
+     (a zero duration bounds nothing, and presizing stays off). *)
+  let capacity =
+    match max_tasks with
+    | None -> 0
+    | Some budget ->
+        let fit d = if d > 0 then (deadline / d) + 1 else max_int in
+        let execute = ref 0 in
+        for k = 1 to Chain.length chain do
+          let f = fit (Chain.work chain k) in
+          execute := if f = max_int || !execute = max_int then max_int else !execute + f
+        done;
+        let bound = min budget (min (fit (Chain.latency chain 1)) !execute) in
+        if bound = max_int then 0 else bound
+  in
+  let construction = Incremental.create ~capacity chain ~horizon:deadline in
   let (_ : int) = Incremental.fill construction ?max_tasks () in
   construction
 

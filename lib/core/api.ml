@@ -1329,6 +1329,10 @@ let as_spider_or_err platform =
   | Ok spider -> Ok spider
   | Error msg -> Error (error_of_solve_failure msg)
 
+(* The engine budget of a traced check's fault replay, and so the most
+   fault events a check or profile may ask for. *)
+let max_replay_events = 1_000_000
+
 let exec_check ~solver { Solve.platform; tasks; deadline } ~trace:do_trace ~seed
     ~events =
   let* plan = solve_one ~solver { Solve.platform; tasks; deadline } in
@@ -1363,7 +1367,7 @@ let exec_check ~solver { Solve.platform; tasks; deadline } ~trace:do_trace ~seed
             (Printf.sprintf "recorded fault replay (seed %d, %d events)" seed
                events)
             (record (fun () ->
-                 Netsim.replay_under_faults ~max_events:1_000_000 ~trace:ftrace
+                 Netsim.replay_under_faults ~max_events:max_replay_events ~trace:ftrace
                    splan))
         in
         Ok [ audit "planned trace" (Trace.of_plan plan); execution; faulted ]
@@ -1440,14 +1444,19 @@ let exec_profile ~platform ~tasks:n ~deadline ~workload ~seed ~events =
   Ok (Profiled { summary; mem })
 
 (* The counts of [check] and [profile], checked once whatever the workload
-   or [traced]: a negative task count answers as [schedule] does, a
-   negative event count names its field. *)
+   or [traced]: a negative task count answers as [schedule] does, an
+   event count outside [0, max_replay_events] names its field — a longer
+   fault trace could never finish replaying within the budget. *)
 let check_counts = function
   | Check { problem = { Solve.tasks = Some n; _ }; _ } | Profile { tasks = n; _ }
     when n < 0 ->
       Error (error_of_solve_failure "negative task count")
   | (Check { events; _ } | Profile { events; _ }) when events < 0 ->
       Error (error Invalid_argument_error "field \"events\" must be >= 0")
+  | (Check { events; _ } | Profile { events; _ }) when events > max_replay_events ->
+      Error
+        (error Invalid_argument_error
+           (Printf.sprintf "field \"events\" must be <= %d" max_replay_events))
   | _ -> Ok ()
 
 let exec ?(cache_capacity = 0) ~solver op =

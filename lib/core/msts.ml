@@ -28,7 +28,7 @@
        {!Steady_state};}
     {- execution substrate: {!Engine}, {!Netsim};}
     {- observability: {!Obs} (spans, counters, Chrome traces), {!Json};}
-    {- utilities: {!Prng}, {!Heap}, {!Stats}, {!Table}, {!Intx}.} } *)
+    {- utilities: {!Prng}, {!Stats}, {!Table}, {!Intx}.} } *)
 
 (* The unified facade: one problem record in, one polymorphic plan out. *)
 module Solve = Solve
@@ -117,7 +117,6 @@ module Json = Msts_obs.Json
 
 (* Utilities *)
 module Prng = Msts_util.Prng
-module Heap = Msts_util.Heap
 module Stats = Msts_util.Stats
 module Table = Msts_util.Table
 module Intx = Msts_util.Intx

@@ -65,22 +65,21 @@ let run ?capacity ?emit chain ~deadline events =
     end
   in
   let refuse msg = refusals := (Engine.now eng, msg) :: !refusals in
-  List.iter
-    (fun { at; action } ->
-      Engine.schedule_at eng at (fun () ->
-          sync (Engine.now eng);
-          match action with
-          | Submit n -> ignore (Online.submit ?emit o n)
-          | Extend deadline -> (
-              match Online.extend ?emit o ~deadline with
-              | Ok _ -> ()
-              | Error msg -> refuse msg)
-          | Degrade { at; work_factor } -> (
-              match Online.degrade ?emit o ~at ~work_factor with
-              | Ok _ -> ()
-              | Error msg -> refuse msg)))
-    events;
-  Engine.run eng;
+  (* each script event is queued under its index *)
+  let script = Array.of_list events in
+  Array.iteri (fun i { at; _ } -> Engine.schedule_at eng at i) script;
+  Engine.run eng (fun i ->
+      sync (Engine.now eng);
+      match script.(i).action with
+      | Submit n -> ignore (Online.submit ?emit o n)
+      | Extend deadline -> (
+          match Online.extend ?emit o ~deadline with
+          | Ok _ -> ()
+          | Error msg -> refuse msg)
+      | Degrade { at; work_factor } -> (
+          match Online.degrade ?emit o ~at ~work_factor with
+          | Ok _ -> ()
+          | Error msg -> refuse msg));
   (* Run the clock out to the (possibly extended) deadline: every placement
      ends up frozen, so the final plan and the executed prefix coincide. *)
   sync (Online.deadline o);

@@ -107,27 +107,181 @@ let leg_proc_intervals t ~leg ~depth =
       else None)
     (List.init (task_count t) Fun.id)
 
+(* The resources [overlap] scans: link [k] of a leg, processor [k] of a
+   leg, the master's port. *)
+let on_link = 0
+let on_proc = 1
+let on_port = 2
+
+(* The first consecutive pair, in (date, tag) order, of overlapping busy
+   intervals on one resource, as its tags packed [a * (n + 1) + b]; -1
+   when there is none.  The candidates are [by_leg.(lo .. hi-1)] tagged by
+   their rank in the leg (1, 2, ...), or for the port every task tagged by
+   its index.  Each date is packed with its tag into one int of [keys],
+   which are then heapsorted; dates spread too wide to pack are sorted as
+   pairs instead. *)
+let uses ~kind ~k (e : entry) =
+  kind = on_port
+  || (if kind = on_link then e.address.Spider.depth >= k else e.address.Spider.depth = k)
+
+let date ~kind ~k (e : entry) = if kind = on_proc then e.start else e.comms.(k - 1)
+
+(* The candidate at position [p], and its tag. *)
+let task_at ~kind ~by_leg p = if kind = on_port then p else by_leg.(p)
+let tag_at ~kind ~lo p = if kind = on_port then p + 1 else p - lo + 1
+
+let duration t ~kind ~k ~by_leg ~lo tag =
+  let e = t.entries.(if kind = on_port then tag - 1 else by_leg.(lo + tag - 1)) in
+  let chain = Spider.leg_chain t.spider e.address.Spider.leg in
+  if kind = on_proc then Chain.work chain k else Chain.latency chain k
+
+let overlap t ~by_leg ~keys ~lo ~hi ~kind ~k =
+  let entries = t.entries and n = Array.length t.entries in
+  let m = ref 0 and dmin = ref max_int and dmax = ref min_int in
+  for p = lo to hi - 1 do
+    let e = entries.(task_at ~kind ~by_leg p) in
+    if uses ~kind ~k e then begin
+      let d = date ~kind ~k e in
+      if d < !dmin then dmin := d;
+      if d > !dmax then dmax := d;
+      incr m
+    end
+  done;
+  let m = !m and dmin = !dmin in
+  let bits = ref 1 in
+  while 1 lsl !bits <= n do
+    incr bits
+  done;
+  let bits = !bits in
+  let mask = (1 lsl bits) - 1 in
+  let packable = m < 2 || !dmax - dmin < 1 lsl (Sys.int_size - 2 - bits) in
+  let sorted =
+    if packable then begin
+      let j = ref 0 and ascending = ref true in
+      for p = lo to hi - 1 do
+        let e = entries.(task_at ~kind ~by_leg p) in
+        if uses ~kind ~k e then begin
+          let key = ((date ~kind ~k e - dmin) lsl bits) lor tag_at ~kind ~lo p in
+          if !j > 0 && key < keys.(!j - 1) then ascending := false;
+          keys.(!j) <- key;
+          incr j
+        end
+      done;
+      if not !ascending then Msts_util.Intx.sort_prefix keys m;
+      [||]
+    end
+    else begin
+      let pairs = ref [] in
+      for p = hi - 1 downto lo do
+        let e = entries.(task_at ~kind ~by_leg p) in
+        if uses ~kind ~k e then pairs := (date ~kind ~k e, tag_at ~kind ~lo p) :: !pairs
+      done;
+      Array.of_list (List.stable_sort (fun (a, _) (b, _) -> Int.compare a b) !pairs)
+    end
+  in
+  let found = ref (-1) and i = ref 0 in
+  while !found < 0 && !i + 1 < m do
+    let a, b, sa, sb =
+      if packable then
+        ( keys.(!i) land mask,
+          keys.(!i + 1) land mask,
+          (keys.(!i) lsr bits) + dmin,
+          (keys.(!i + 1) lsr bits) + dmin )
+      else
+        (snd sorted.(!i), snd sorted.(!i + 1), fst sorted.(!i), fst sorted.(!i + 1))
+    in
+    let da = duration t ~kind ~k ~by_leg ~lo a
+    and db = duration t ~kind ~k ~by_leg ~lo b in
+    if da > 0 && db > 0 && sa + da > sb then found := (a * (n + 1)) + b;
+    incr i
+  done;
+  !found
+
+let negative (e : entry) =
+  let neg = ref (e.start < 0) in
+  for j = 0 to Array.length e.comms - 1 do
+    if e.comms.(j) < 0 then neg := true
+  done;
+  !neg
+
+(* Definition 1 per leg, then the master's one-port rule, in one pass over
+   interval keys: the tasks are grouped by leg (entry order kept, and
+   numbered within the leg as the leg's chain schedule would), and every
+   resource's intervals are packed into one scratch array, sorted and
+   scanned for the first overlapping neighbours — the verdicts and
+   messages of [Feasibility.check] on each leg schedule, then of the
+   port's interval scan.  Messages are built only for violations. *)
 let check ?(require_nonnegative = false) t =
-  let leg_reports =
-    List.concat_map
-      (fun l ->
-        let local = leg_schedule t l in
-        List.map
-          (fun v ->
-            Printf.sprintf "leg %d: %s" l (Feasibility.violation_to_string v))
-          (Feasibility.check ~require_nonnegative local))
-      (Msts_util.Intx.range 1 (Spider.legs t.spider))
+  let spider = t.spider and entries = t.entries in
+  let n = Array.length entries and legs = Spider.legs spider in
+  let first = Array.make (legs + 2) 0 in
+  for i = 0 to n - 1 do
+    let l = entries.(i).address.Spider.leg in
+    first.(l + 1) <- first.(l + 1) + 1
+  done;
+  for l = 1 to legs + 1 do
+    first.(l) <- first.(l) + first.(l - 1)
+  done;
+  (* by_leg.(first.(l) .. first.(l+1) - 1): leg [l]'s tasks, entry order *)
+  let by_leg = Array.make n 0 in
+  for i = 0 to n - 1 do
+    let l = entries.(i).address.Spider.leg in
+    by_leg.(first.(l)) <- i;
+    first.(l) <- first.(l) + 1
+  done;
+  for l = legs downto 1 do
+    first.(l) <- first.(l - 1)
+  done;
+  first.(0) <- 0;
+  let keys = Array.make n 0 in
+  let out = ref [] in
+  let flag l v =
+    out := Printf.sprintf "leg %d: %s" l (Feasibility.violation_to_string v) :: !out
   in
-  let master_report =
-    match Intervals.overlap_witness (master_port_intervals t) with
-    | Some (a, b) ->
-        [
-          Printf.sprintf "master port: emissions of tasks %d and %d overlap"
-            a.Intervals.tag b.Intervals.tag;
-        ]
-    | None -> []
-  in
-  leg_reports @ master_report
+  for l = 1 to legs do
+    let chain = Spider.leg_chain spider l in
+    let lo = first.(l) and hi = first.(l + 1) in
+    if require_nonnegative then
+      for p = lo to hi - 1 do
+        if negative entries.(by_leg.(p)) then
+          flag l (Feasibility.Negative_date { task = p - lo + 1 })
+      done;
+    (* properties 1 and 2, one task at a time *)
+    for p = lo to hi - 1 do
+      let e = entries.(by_leg.(p)) and task = p - lo + 1 in
+      let depth = e.address.Spider.depth in
+      for k = 2 to depth do
+        if e.comms.(k - 2) + Chain.latency chain (k - 1) > e.comms.(k - 1) then
+          flag l (Feasibility.Reemitted_before_received { task; link = k })
+      done;
+      if e.comms.(depth - 1) + Chain.latency chain depth > e.start then
+        flag l (Feasibility.Started_before_received { task })
+    done;
+    (* properties 3 and 4: all intervals on a resource have the same
+       duration, so disjointness is consecutive disjointness in start
+       order *)
+    for k = 1 to Chain.length chain do
+      let hit = overlap t ~by_leg ~keys ~lo ~hi ~kind:on_link ~k in
+      if hit >= 0 then
+        flag l
+          (Feasibility.Communication_overlap
+             { first = hit / (n + 1); second = hit mod (n + 1); link = k });
+      let hit = overlap t ~by_leg ~keys ~lo ~hi ~kind:on_proc ~k in
+      if hit >= 0 then
+        flag l
+          (Feasibility.Computation_overlap
+             { first = hit / (n + 1); second = hit mod (n + 1); proc = k })
+    done
+  done;
+  (* the master port: hop-1 durations differ across legs, so each pair
+     is tested with its own *)
+  let hit = overlap t ~by_leg ~keys ~lo:0 ~hi:n ~kind:on_port ~k:1 in
+  if hit >= 0 then
+    out :=
+      Printf.sprintf "master port: emissions of tasks %d and %d overlap"
+        (hit / (n + 1)) (hit mod (n + 1))
+      :: !out;
+  List.rev !out
 
 let is_feasible ?require_nonnegative t = check ?require_nonnegative t = []
 

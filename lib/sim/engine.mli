@@ -1,9 +1,14 @@
 (** Minimal deterministic discrete-event engine.
 
     Integer simulated time, events executed in (time, insertion) order so
-    that runs are reproducible.  Callbacks may schedule further events at
-    the current time or later; scheduling in the past is a programming
-    error and raises. *)
+    that runs are reproducible.  An event is an int {e code} the caller
+    chooses — netsim packs a kind, an object index and a generation stamp
+    into it ({!Netsim}), [Online.Driver] the index of a script event —
+    and {!run} hands each code to one handler.  The queue is a binary
+    heap over three int arrays (time, rank, code): scheduling an event
+    allocates nothing once the arrays have grown.  The handler may
+    schedule further events at the current time or later; scheduling in
+    the past is a programming error and raises. *)
 
 type t
 
@@ -12,9 +17,10 @@ val create : unit -> t
 val now : t -> int
 (** Current simulated time (0 before the first event). *)
 
-val schedule_at : t -> int -> (unit -> unit) -> unit
-(** Run a callback at an absolute time. @raise Invalid_argument if the time
-    is before {!now}. *)
+val schedule_at : t -> int -> int -> unit
+(** [schedule_at t time code] queues event [code] at an absolute time.
+    @raise Invalid_argument if the time is before {!now} or the code is
+    negative. *)
 
 val claim : t -> int
 (** Take the tie-break rank an event scheduled right now would get.  An
@@ -24,12 +30,13 @@ val claim : t -> int
     once it knows the date, so operations that become startable at the
     same instant start in request order. *)
 
-val schedule_claimed : t -> int -> claim:int -> (unit -> unit) -> unit
+val schedule_claimed : t -> int -> claim:int -> int -> unit
 (** {!schedule_at} with a rank from {!claim}.  @raise Invalid_argument if
     the time is before {!now}. *)
 
-val run : ?max_events:int -> t -> unit
-(** Execute events until the queue is empty.  [max_events] (default: no
+val run : ?max_events:int -> t -> (int -> unit) -> unit
+(** [run t handle] pops events in order and calls [handle code] on each
+    until the queue is empty.  [max_events] (default: no
     bound) is a progress guard for adversarial workloads — fuzzing, fault
     interleavings — where a buggy callback could schedule events forever:
     once the budget is spent with events still queued, the run fails with
@@ -42,7 +49,7 @@ val run : ?max_events:int -> t -> unit
     nothing is tallied.  @raise Invalid_argument if [max_events < 1];
     @raise Failure when the budget is exhausted. *)
 
-val step : t -> bool
+val step : t -> (int -> unit) -> bool
 (** Execute the single next event; [false] when the queue was empty.
     Inside {!run} it tallies the event's gap; called on its own it
     records nothing (both engine metrics belong to {!run}). *)

@@ -87,7 +87,7 @@ let validate spider trace =
   List.concat_map
     (fun { at; event } ->
       let { Spider.leg; depth } = address_of event in
-      let where = event_to_string event in
+      let where () = event_to_string event in
       let bad_address =
         leg < 1
         || leg > Spider.legs spider
@@ -96,13 +96,13 @@ let validate spider trace =
       in
       List.concat
         [
-          (if at < 0 then [ Printf.sprintf "%s: negative time %d" where at ] else []);
-          (if bad_address then [ Printf.sprintf "%s: no such processor" where ] else []);
+          (if at < 0 then [ Printf.sprintf "%s: negative time %d" (where ()) at ] else []);
+          (if bad_address then [ Printf.sprintf "%s: no such processor" (where ()) ] else []);
           (match event with
           | Slow_proc { factor; _ } | Slow_link { factor; _ } when factor < 1 ->
-              [ Printf.sprintf "%s: factor must be >= 1" where ]
+              [ Printf.sprintf "%s: factor must be >= 1" (where ()) ]
           | Drop_transfer { penalty; _ } when penalty < 0 ->
-              [ Printf.sprintf "%s: negative penalty" where ]
+              [ Printf.sprintf "%s: negative penalty" (where ()) ]
           | _ -> []);
         ])
     trace

@@ -28,7 +28,21 @@
     Every entry point is instrumented for {!Msts_trace.Trace}: run it inside
     {!Msts_trace.Trace.with_recorder} and each grant, completion, abort and
     task return becomes a typed trace event, ready for the segment-algebra
-    invariant checker.  Without a recorder the hooks are no-ops. *)
+    invariant checker.  Without a recorder the hooks are no-ops.
+
+    Representation: tasks, their live operation, resources and queues are
+    int arrays — per-task state in one block of columns, nodes numbered
+    leg-major, resource 0 the port and [1 + 2 node] / [2 + 2 node] a
+    node's link and processor, FIFO queues in one node pool — and every
+    engine event is one int code [(b lsl w lor a) lsl 3 lor kind]: a
+    resource's start event (a = resource, b = arm epoch), an operation's
+    completion (a = task, b = grant stamp), the master's planned
+    emission (b = port epoch), the master's wake-up under faults, a
+    dropped transfer's retry (a = task, b = generation) or a fault
+    (a = index in the trace), [2{^w}] exceeding every index.  An epoch,
+    stamp or generation that moved on marks the event stale.  Trace
+    events go to the recorder as packed codes
+    ({!Msts_trace.Trace.emit_code}). *)
 
 type execution_report = {
   realized : Msts_schedule.Spider_schedule.t;
@@ -114,11 +128,15 @@ val replay_under_faults :
   ?max_events:int ->
   ?trace:Fault.trace ->
   ?decide:(Fault.snapshot -> Fault.decision) ->
+  ?decisions:Fault.decision list ->
   Msts_schedule.Spider_schedule.t -> fault_report
 (** Execute a plan's decisions while the trace unfolds.  After processing
     each fault event the [decide] hook (default: always {!Fault.Keep}) sees
     a {!Fault.snapshot} and may redirect the tasks still at the master —
-    {!Replan.replay} plugs the online replanner in here.  Without a
+    {!Replan.replay} plugs the online replanner in here.  [decisions]
+    instead replays a decision history, one per fault event and
+    {!Fault.Keep} past its end, without building snapshots: what the
+    replanner's lookahead simulations run.  Without a
     redirect the master is blind: when a destination dies, the task is
     retargeted to the deepest survivor of the same leg, or to the first
     surviving leg when the whole leg is gone.  [max_events] bounds the
@@ -126,7 +144,8 @@ val replay_under_faults :
     into a failure.
     @raise Invalid_argument if the trace does not validate against the
     plan's platform, if a redirect names a dead processor or the wrong task
-    set, or if every processor crashes while tasks remain. *)
+    set, if every processor crashes while tasks remain, or if both
+    [decide] and [decisions] are given. *)
 
 val pull_under_faults :
   ?max_events:int ->

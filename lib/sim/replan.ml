@@ -9,18 +9,6 @@ type outcome = {
   final_intent : Spider_schedule.t option;
 }
 
-(* A decision list turned into a decide hook: the executor calls the hook
-   exactly once per fault event, in trace order, so consuming the list
-   head by head replays a decision history; past the end it keeps. *)
-let scripted decisions =
-  let remaining = ref decisions in
-  fun (_ : Fault.snapshot) ->
-    match !remaining with
-    | [] -> Fault.Keep
-    | d :: rest ->
-        remaining := rest;
-        d
-
 (* Replan the master-resident tasks on the residual platform (surviving
    prefixes, slowdowns folded in) with the optimal spider algorithm, and
    express the result as a Redirect in the original platform's
@@ -82,7 +70,7 @@ let splice plan snap residual_plan leg_map =
 
 let eval plan trace decisions =
   Obs.span "replan.lookahead" @@ fun () ->
-  match Netsim.replay_under_faults ~trace ~decide:(scripted decisions) plan with
+  match Netsim.replay_under_faults ~trace ~decisions plan with
   | r -> r.Netsim.observed_makespan
   | exception _ -> max_int
 

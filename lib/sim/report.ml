@@ -2,7 +2,6 @@ module Spider = Msts_platform.Spider
 module Chain = Msts_platform.Chain
 module Schedule = Msts_schedule.Schedule
 module Spider_schedule = Msts_schedule.Spider_schedule
-module Intervals = Msts_schedule.Intervals
 module Plan = Msts_schedule.Plan
 module Json = Msts_obs.Json
 
@@ -25,63 +24,80 @@ type t = {
   nodes : node list; (* address order: leg-major, shallow first *)
 }
 
-let busy_total intervals =
-  List.fold_left
-    (fun acc { Intervals.duration; _ } -> acc + duration)
-    0 intervals
-
 let fraction_of ~makespan busy =
   if makespan <= 0 then 0.0 else float_of_int busy /. float_of_int makespan
 
-(* Compute/starved/idle partition of [0, makespan) for one processor.
-   The intervals are disjoint (one task at a time); in start order every
-   gap before an execution is time the processor sat waiting for input
-   ("starved"), and the tail after its last completion is plain idleness.
-   The three parts sum to the makespan exactly, by construction. *)
-let proc_usage ~makespan intervals =
-  let sorted =
-    List.sort
-      (fun (a : int Intervals.interval) b -> compare a.start b.start)
-      intervals
-  in
-  let compute = busy_total sorted in
-  let cursor, starved =
-    List.fold_left
-      (fun (cursor, starved) { Intervals.start; duration; _ } ->
-        (start + duration, starved + max 0 (start - cursor)))
-      (0, 0) sorted
-  in
+(* Compute/starved/idle partition of [0, makespan) for one processor from
+   its execution starts, sorted, each lasting [w].  The intervals are
+   disjoint (one task at a time); in start order every gap before an
+   execution is time the processor sat waiting for input ("starved"), and
+   the tail after its last completion is plain idleness.  The three parts
+   sum to the makespan exactly, by construction. *)
+let proc_usage ~makespan ~w starts =
+  let cursor = ref 0 and starved = ref 0 in
+  Array.iter
+    (fun start ->
+      starved := !starved + max 0 (start - !cursor);
+      cursor := start + w)
+    starts;
+  let compute = w * Array.length starts in
   {
-    tasks = List.length sorted;
+    tasks = Array.length starts;
     compute;
-    starved;
-    idle = max 0 (makespan - cursor);
+    starved = !starved;
+    idle = max 0 (makespan - !cursor);
     fraction = fraction_of ~makespan compute;
   }
 
+(* One pass over the entries: per node the tasks crossing its link and
+   the starts of those executing there, nodes numbered in address order
+   (leg-major, shallow first). *)
 let of_spider_schedule sched =
   let spider = Spider_schedule.spider sched in
   let makespan = Spider_schedule.makespan sched in
-  let port_busy = busy_total (Spider_schedule.master_port_intervals sched) in
+  let legs = Spider.legs spider in
+  let first = Array.make (legs + 1) 0 in
+  for l = 1 to legs do
+    first.(l) <- first.(l - 1) + Chain.length (Spider.leg_chain spider l)
+  done;
+  let node { Spider.leg; depth } = first.(leg - 1) + depth - 1 in
+  let crossing = Array.make first.(legs) 0 and executing = Array.make first.(legs) 0 in
+  let port_busy = ref 0 in
+  let n = Spider_schedule.task_count sched in
+  for i = 1 to n do
+    let e = Spider_schedule.entry sched i in
+    let v = node e.address in
+    port_busy := !port_busy + Chain.latency (Spider.leg_chain spider e.address.leg) 1;
+    executing.(v) <- executing.(v) + 1;
+    for u = v - e.address.depth + 1 to v do
+      crossing.(u) <- crossing.(u) + 1
+    done
+  done;
+  let starts = Array.map (fun k -> Array.make k 0) executing in
+  let filled = Array.make first.(legs) 0 in
+  for i = 1 to n do
+    let e = Spider_schedule.entry sched i in
+    let v = node e.address in
+    starts.(v).(filled.(v)) <- e.start;
+    filled.(v) <- filled.(v) + 1
+  done;
   let nodes =
     List.map
       (fun ({ Spider.leg; depth } as address) ->
-        let link_busy =
-          busy_total (Spider_schedule.leg_link_intervals sched ~leg ~link:depth)
-        in
+        let v = node address and chain = Spider.leg_chain spider leg in
+        let link_busy = crossing.(v) * Chain.latency chain depth in
+        Array.sort Int.compare starts.(v);
         {
           address;
           link = { busy = link_busy; fraction = fraction_of ~makespan link_busy };
-          proc =
-            proc_usage ~makespan
-              (Spider_schedule.leg_proc_intervals sched ~leg ~depth);
+          proc = proc_usage ~makespan ~w:(Chain.work chain depth) starts.(v);
         })
       (Spider.addresses spider)
   in
   {
-    tasks = Spider_schedule.task_count sched;
+    tasks = n;
     makespan;
-    master_port = { busy = port_busy; fraction = fraction_of ~makespan port_busy };
+    master_port = { busy = !port_busy; fraction = fraction_of ~makespan !port_busy };
     nodes;
   }
 

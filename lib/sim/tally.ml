@@ -12,12 +12,16 @@ type t = {
 let create () = { keys = [||]; counts = [||]; size = 0; shift = 63 }
 
 let slot t v =
-  let mask = Array.length t.keys - 1 in
-  let rec probe i =
-    let k = Array.unsafe_get t.keys i in
-    if k = v || k < 0 then i else probe ((i + 1) land mask)
-  in
-  probe ((v * 0x9E3779B97F4A7C1) lsr t.shift)
+  let keys = t.keys in
+  let mask = Array.length keys - 1 in
+  let i = ref ((v * 0x9E3779B97F4A7C1) lsr t.shift) in
+  while
+    let k = Array.unsafe_get keys !i in
+    k <> v && k >= 0
+  do
+    i := (!i + 1) land mask
+  done;
+  !i
 
 let resize t bits =
   let keys = t.keys and counts = t.counts in

@@ -56,9 +56,17 @@ val event_to_string : event -> string
 type t
 (** A trace segment: events in canonical order — by time, then
     finishes-before-starts (busy intervals are half-open, so an operation
-    ending at [t] precedes one starting at [t]), then [seq]. *)
+    ending at [t] precedes one starting at [t]), then [seq].
+
+    Represented as four int columns — time, seq, task and a packed
+    kind/operation code (see {!Code}) — read through an offset and a
+    length, so {!split} shares its input's columns and only {!events},
+    {!project}, {!concat} and {!localize} build anything per event.  A
+    segment is never mutated once handed out. *)
 
 val events : t -> event list
+(** The events as records, in canonical order: built on each call. *)
+
 val length : t -> int
 
 val empty : t
@@ -110,15 +118,50 @@ val emit : time:int -> task:int -> kind -> unit
 (** Append one event to the installed recorder; a no-op without one.
     {!with_recorder} counts it as a [trace.events] on exit. *)
 
+(** Packed event codes: an operation is
+    [leg lsl 21 lor pos lsl 1 lor is_compute] ([pos] the hop or depth,
+    below [2{^20}]), an event kind on it [op lsl 2 lor tag] with tag 0
+    finish, 1 start, 2 abort, and 3 alone a return.  Finishes rank first
+    at an instant because their tag is 0. *)
+module Code : sig
+  val transfer : leg:int -> hop:int -> int
+  (** @raise Invalid_argument if [leg < 0] or [hop] is outside
+      [0 .. 2{^20}-1]; likewise {!compute}. *)
+
+  val compute : leg:int -> depth:int -> int
+  val start : int -> int
+  val finish : int -> int
+  val abort : int -> int
+  val return : int
+
+  val pos : int -> int
+  (** An operation's hop or depth. *)
+
+  val is_compute : int -> bool
+end
+
+val emit_code : time:int -> task:int -> int -> unit
+(** {!emit} of an already packed code: what the simulator calls, so a
+    recorded event costs four int writes into the recorder's columns and
+    no allocation. *)
+
 val recorded : Recorder.t -> t
-(** The trace recorded so far, in canonical order. *)
+(** The trace recorded so far, in canonical order.  The recorder's
+    columns start at 512 events, past the minor heap's size limit, and
+    double as needed.  Events emitted in time order — what every
+    simulator entry point does — are put in canonical order in place by
+    one O(n) pass that moves each instant's finishes ahead of its other
+    events, and the result shares the recorder's columns; events emitted
+    out of time order are copied and stably sorted, O(n log n). *)
 
 (** {1 Planned traces} *)
 
 val of_spider_schedule : Msts_schedule.Spider_schedule.t -> t
 (** The trace a schedule promises: each task's emissions at its
     communication dates, each execution at its start date, durations from
-    the platform.  Feasible schedule ⟺ clean trace ({!check}). *)
+    the platform.  Feasible schedule ⟺ clean trace ({!check}).  Built as
+    columns and ordered by an in-place int sort on packed
+    (time, rank, emission index) keys. *)
 
 val of_chain_schedule : Msts_schedule.Schedule.t -> t
 
@@ -140,7 +183,11 @@ val explain : violation -> string
 module Check : sig
   type state
   (** The threaded precondition of a segment: per-resource open operations
-      and per-task progress (hops received, operation in flight). *)
+      and per-task progress (hops received, operation in flight), held in
+      int arrays over dense resource and task slots, the open operations
+      in a node pool.  A step allocates nothing unless it flags a
+      violation: only then are the event records, the witness and the
+      message built. *)
 
   val strict : unit -> state
   (** The initial state of a complete execution: all resources free, every

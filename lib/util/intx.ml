@@ -33,3 +33,26 @@ let binary_search_least ~lo ~hi p =
     in
     loop lo hi
   end
+
+let sort_prefix (a : int array) n =
+  let rec sift i n =
+    let l = (2 * i) + 1 in
+    if l < n then begin
+      let c = if l + 1 < n && a.(l + 1) > a.(l) then l + 1 else l in
+      if a.(c) > a.(i) then begin
+        let x = a.(i) in
+        a.(i) <- a.(c);
+        a.(c) <- x;
+        sift c n
+      end
+    end
+  in
+  for i = (n / 2) - 1 downto 0 do
+    sift i n
+  done;
+  for last = n - 1 downto 1 do
+    let x = a.(0) in
+    a.(0) <- a.(last);
+    a.(last) <- x;
+    sift 0 last
+  done

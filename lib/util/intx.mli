@@ -22,3 +22,8 @@ val binary_search_least : lo:int -> hi:int -> (int -> bool) -> int option
 (** [binary_search_least ~lo ~hi p] is the least [x] in [\[lo,hi\]] with
     [p x], assuming [p] is monotone (false … false true … true); [None] if
     [p] holds nowhere in the range. *)
+
+val sort_prefix : int array -> int -> unit
+(** [sort_prefix a n] sorts [a.(0 .. n-1)] ascending in place, by
+    heapsort: O(n log n) and nothing allocated.  Callers pack their sort
+    keys into distinct ints. *)

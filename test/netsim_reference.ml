@@ -11,7 +11,28 @@
 module Spider = Msts.Spider
 module Chain = Msts.Chain
 module Spider_schedule = Msts.Spider_schedule
-module Engine = Msts.Engine
+
+(* The callback engine the executors were written against, as a thin
+   layer over the int-coded [Msts.Engine]: each callback is queued under
+   its index in a table. *)
+module Engine = struct
+  type t = { e : Msts.Engine.t; mutable actions : (unit -> unit) array; mutable n : int }
+
+  let create () = { e = Msts.Engine.create (); actions = [||]; n = 0 }
+  let now t = Msts.Engine.now t.e
+
+  let schedule_at t time f =
+    if t.n = Array.length t.actions then begin
+      let a = Array.make (max 16 (2 * t.n)) ignore in
+      Array.blit t.actions 0 a 0 t.n;
+      t.actions <- a
+    end;
+    t.actions.(t.n) <- f;
+    Msts.Engine.schedule_at t.e time t.n;
+    t.n <- t.n + 1
+
+  let run t = Msts.Engine.run t.e (fun i -> t.actions.(i) ())
+end
 module Trace = Msts.Trace
 
 (* ---------- unit-capacity reservation resource ---------- *)

@@ -351,6 +351,24 @@ let negative_counts_cases =
       ("check traced", negative_counts_check true);
     ]
 
+(* An event count above the fault replay's engine budget is refused
+   before anything runs, by [check] and [profile] alike. *)
+let events_over_budget_refused () =
+  let platform = Msts.Platform_format.Chain_platform figure2_chain in
+  List.iter
+    (fun (what, op) ->
+      match Api.exec ~solver:Api.direct_solver op with
+      | Ok _ -> Alcotest.failf "%s: accepted" what
+      | Error e ->
+          Alcotest.(check string) (what ^ ": code") "invalid_argument"
+            (Api.error_code_to_string e.Api.code);
+          Alcotest.(check string) (what ^ ": message")
+            "field \"events\" must be <= 1000000" e.Api.message)
+    [
+      ("check traced", negative_counts_check true platform ~tasks:4 ~events:1_000_001);
+      ("profile faults", negative_counts_profile Api.Faults platform ~tasks:4 ~events:1_000_001);
+    ]
+
 let engine_config =
   { Msts_serve.Engine.default_config with jobs = 1; cache_capacity = 4 }
 
@@ -1359,6 +1377,7 @@ let suites =
     ( "api.exec",
       (exec_matches_solve :: negative_counts_cases)
       @ [
+        case "events above the replay budget: one answer" events_over_budget_refused;
         response_line_matches_tree;
         batched_line_matches_tree;
         repeated_batched_line_matches_tree;

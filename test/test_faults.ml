@@ -180,6 +180,33 @@ let drop_retries_after_backoff () =
   Alcotest.(check int) "no-op drop" 6 quiet.Msts.Netsim.observed_makespan;
   Alcotest.(check int) "nothing aborted" 0 quiet.Msts.Netsim.aborted_ops
 
+(* Two dropped emissions whose backoffs expire at the same instant go
+   out again in the order they rejoined the master's queue. *)
+let equal_backoffs_keep_queue_order () =
+  let spider = Msts.Spider.of_chain (Msts.Chain.of_pairs [ (5, 1) ]) in
+  let plan =
+    Msts.Spider_schedule.make spider
+      [|
+        { Msts.Spider_schedule.address = addr 1 1; start = 5; comms = [| 0 |] };
+        { Msts.Spider_schedule.address = addr 1 1; start = 10; comms = [| 5 |] };
+      |]
+  in
+  let drop at penalty =
+    {
+      Msts.Fault.at;
+      event = Msts.Fault.Drop_transfer { address = addr 1 1; penalty };
+    }
+  in
+  (* task 1 is dropped at 1 and task 2, emitted next, at 2: both may
+     retry from 11 *)
+  let r = Msts.Netsim.replay_under_faults ~trace:[ drop 1 10; drop 2 9 ] plan in
+  let comms i =
+    (Msts.Spider_schedule.entries r.Msts.Netsim.observed).(i).Msts.Spider_schedule.comms
+  in
+  Alcotest.(check (array int)) "task 1 re-emitted first" [| 11 |] (comms 0);
+  Alcotest.(check (array int)) "task 2 after it" [| 16 |] (comms 1);
+  Alcotest.(check int) "two retries" 2 r.Msts.Netsim.transfer_retries
+
 let crash_returns_and_retargets () =
   let n = 8 in
   let plan = Msts.Spider_algorithm.schedule_tasks figure2_spider n in
@@ -463,6 +490,7 @@ let suites =
       [
         case "slowdown stretches in-flight work" slowdown_stretches_in_flight;
         case "drop retries after backoff" drop_retries_after_backoff;
+        case "equal backoffs keep queue order" equal_backoffs_keep_queue_order;
         case "crash returns and retargets" crash_returns_and_retargets;
         case "killing everything raises" killing_everything_raises;
         case "redirect validation" redirect_validation;

@@ -11,7 +11,7 @@ module Ref = Netsim_reference
 (* ---------- the reference's reservation resource ---------- *)
 
 let resource_fifo () =
-  let e = Msts.Engine.create () in
+  let e = Ref.Engine.create () in
   let r = Ref.Resource.create e ~name:"port" in
   let starts = ref [] in
   List.iter
@@ -19,7 +19,7 @@ let resource_fifo () =
       Ref.Resource.request r ~duration:3 ~tag ~on_start:(fun t ->
           starts := (tag, t) :: !starts))
     [ 1; 2; 3 ];
-  Msts.Engine.run e;
+  Ref.Engine.run e;
   Alcotest.(check (list (pair int int))) "sequential grants"
     [ (1, 0); (2, 3); (3, 6) ]
     (List.rev !starts);
@@ -29,16 +29,16 @@ let resource_fifo () =
     (Msts.Intervals.overlap_witness (Ref.Resource.busy_log r) = None)
 
 let resource_respects_now () =
-  let e = Msts.Engine.create () in
+  let e = Ref.Engine.create () in
   let r = Ref.Resource.create e ~name:"r" in
   let granted = ref (-1) in
-  Msts.Engine.schedule_at e 10 (fun () ->
+  Ref.Engine.schedule_at e 10 (fun () ->
       Ref.Resource.request r ~duration:2 ~tag:1 ~on_start:(fun t -> granted := t));
-  Msts.Engine.run e;
+  Ref.Engine.run e;
   Alcotest.(check int) "not before request time" 10 !granted
 
 let resource_rejects_negative () =
-  let e = Msts.Engine.create () in
+  let e = Ref.Engine.create () in
   let r = Ref.Resource.create e ~name:"r" in
   Alcotest.check_raises "negative duration"
     (Invalid_argument "Resource.request: negative duration") (fun () ->
@@ -52,14 +52,16 @@ let claimed_rank_orders_ties () =
   let e = Msts.Engine.create () in
   let log = ref [] in
   let early = Msts.Engine.claim e in
-  Msts.Engine.schedule_at e 5 (fun () -> log := "plain" :: !log);
-  Msts.Engine.schedule_at e 1 (fun () ->
-      Msts.Engine.schedule_claimed e 5 ~claim:early (fun () -> log := "claimed" :: !log));
-  Msts.Engine.run e;
+  Msts.Engine.schedule_at e 5 0;
+  Msts.Engine.schedule_at e 1 1;
+  Msts.Engine.run e (function
+    | 0 -> log := "plain" :: !log
+    | 1 -> Msts.Engine.schedule_claimed e 5 ~claim:early 2
+    | _ -> log := "claimed" :: !log);
   Alcotest.(check (list string)) "claim order" [ "claimed"; "plain" ] (List.rev !log);
   Alcotest.check_raises "past"
     (Invalid_argument "Engine.schedule_claimed: time 3 is before now (5)") (fun () ->
-      Msts.Engine.schedule_claimed e 3 ~claim:(Msts.Engine.claim e) ignore)
+      Msts.Engine.schedule_claimed e 3 ~claim:(Msts.Engine.claim e) 0)
 
 (* ---------- generators ---------- *)
 

@@ -783,9 +783,9 @@ let tallied_once n () =
     (once (label "Trace.with_recorder") evs "trace.events");
   let e = Msts.Engine.create () in
   for time = 1 to n do
-    Msts.Engine.schedule_at e time ignore
+    Msts.Engine.schedule_at e time 0
   done;
-  let (), evs = counter_events (fun () -> Msts.Engine.run e) in
+  let (), evs = counter_events (fun () -> Msts.Engine.run e ignore) in
   Alcotest.(check int) (label "Engine.run") n
     (once (label "Engine.run") evs "engine.events")
 
@@ -795,11 +795,11 @@ let tallied_once n () =
    tally. *)
 let engine_budget_tallied () =
   let e = Msts.Engine.create () in
-  let rec tick () = Msts.Engine.schedule_at e (Msts.Engine.now e + 1) tick in
-  Msts.Engine.schedule_at e 0 tick;
+  let tick _ = Msts.Engine.schedule_at e (Msts.Engine.now e + 1) 0 in
+  Msts.Engine.schedule_at e 0 0;
   let (), evs =
     all_events (fun () ->
-        match Msts.Engine.run ~max_events:7 e with
+        match Msts.Engine.run ~max_events:7 e tick with
         | () -> Alcotest.fail "the budget should run out"
         | exception Failure _ -> ())
   in
@@ -811,7 +811,7 @@ let engine_budget_tallied () =
   check_gaps "Engine.run, budget 7" ~clock:(Msts.Engine.now e) evs;
   let (), evs =
     counter_events (fun () ->
-        try Msts.Engine.run ~max_events:3 e with Failure _ -> ())
+        try Msts.Engine.run ~max_events:3 e tick with Failure _ -> ())
   in
   Alcotest.(check (list (pair string int)))
     "the second run counts its own events" [ ("engine.events", 3) ] evs;
@@ -876,9 +876,9 @@ let samples_per_run =
       end;
       let e = Msts.Engine.create () in
       for i = 1 to n do
-        Msts.Engine.schedule_at e (i * (seed + i)) ignore
+        Msts.Engine.schedule_at e (i * (seed + i)) 0
       done;
-      let (), evs = all_events (fun () -> Msts.Engine.run e) in
+      let (), evs = all_events (fun () -> Msts.Engine.run e ignore) in
       if n > 0 then check_gaps "Engine.run" ~clock:(Msts.Engine.now e) evs
       else if evs <> [] then Alcotest.fail "an empty run emitted events";
       true)
@@ -1000,9 +1000,9 @@ let no_sink_no_tally () =
   let engine_run gap =
     let e = Msts.Engine.create () in
     for i = 1 to 200 do
-      Msts.Engine.schedule_at e (gap i) ignore
+      Msts.Engine.schedule_at e (gap i) 0
     done;
-    words (fun () -> Msts.Engine.run e)
+    words (fun () -> Msts.Engine.run e ignore)
   in
   let flat i = i and spread i = i * i in
   Alcotest.(check (float 0.))

@@ -5,20 +5,18 @@ open Helpers
 
 (* ---------- engine ---------- *)
 
-(* Run the engine; the callbacks it executed, as its [engine.events]
-   tally reports them. *)
-let run_counted e =
+(* Run the engine with [handle]; the events it executed, as its
+   [engine.events] tally reports them. *)
+let run_counted e handle =
   let mem = Msts.Obs.Memory.create () in
-  Msts.Obs.with_sink (Msts.Obs.Memory.sink mem) (fun () -> Msts.Engine.run e);
+  Msts.Obs.with_sink (Msts.Obs.Memory.sink mem) (fun () -> Msts.Engine.run e handle);
   Msts.Obs.Memory.counter mem "engine.events"
 
 let engine_orders_events () =
   let e = Msts.Engine.create () in
   let log = ref [] in
-  Msts.Engine.schedule_at e 5 (fun () -> log := 5 :: !log);
-  Msts.Engine.schedule_at e 1 (fun () -> log := 1 :: !log);
-  Msts.Engine.schedule_at e 3 (fun () -> log := 3 :: !log);
-  let events = run_counted e in
+  List.iter (fun t -> Msts.Engine.schedule_at e t t) [ 5; 1; 3 ];
+  let events = run_counted e (fun code -> log := code :: !log) in
   Alcotest.(check (list int)) "time order" [ 1; 3; 5 ] (List.rev !log);
   Alcotest.(check int) "clock at last event" 5 (Msts.Engine.now e);
   Alcotest.(check int) "three events" 3 events
@@ -26,31 +24,33 @@ let engine_orders_events () =
 let engine_fifo_within_time () =
   let e = Msts.Engine.create () in
   let log = ref [] in
-  List.iter
-    (fun tag -> Msts.Engine.schedule_at e 7 (fun () -> log := tag :: !log))
-    [ "a"; "b"; "c" ];
-  Msts.Engine.run e;
-  Alcotest.(check (list string)) "insertion order preserved" [ "a"; "b"; "c" ]
+  List.iter (fun code -> Msts.Engine.schedule_at e 7 code) [ 10; 11; 12 ];
+  Msts.Engine.run e (fun code -> log := code :: !log);
+  Alcotest.(check (list int)) "insertion order preserved" [ 10; 11; 12 ]
     (List.rev !log)
 
 let engine_cascading () =
   let e = Msts.Engine.create () in
   let log = ref [] in
-  Msts.Engine.schedule_at e 2 (fun () ->
-      log := "first" :: !log;
-      Msts.Engine.schedule_at e (Msts.Engine.now e + 3) (fun () ->
-          log := "second" :: !log));
-  Msts.Engine.run e;
+  Msts.Engine.schedule_at e 2 0;
+  Msts.Engine.run e (function
+    | 0 ->
+        log := "first" :: !log;
+        Msts.Engine.schedule_at e (Msts.Engine.now e + 3) 1
+    | _ -> log := "second" :: !log);
   Alcotest.(check (list string)) "cascade" [ "first"; "second" ] (List.rev !log);
   Alcotest.(check int) "final clock" 5 (Msts.Engine.now e)
 
 let engine_rejects_past () =
   let e = Msts.Engine.create () in
-  Msts.Engine.schedule_at e 10 (fun () ->
+  Msts.Engine.schedule_at e 10 0;
+  Msts.Engine.run e (fun _ ->
       Alcotest.check_raises "past"
         (Invalid_argument "Engine.schedule_at: time 3 is before now (10)")
-        (fun () -> Msts.Engine.schedule_at e 3 (fun () -> ())));
-  Msts.Engine.run e
+        (fun () -> Msts.Engine.schedule_at e 3 0));
+  Alcotest.check_raises "negative code"
+    (Invalid_argument "Engine.schedule_at: negative code")
+    (fun () -> Msts.Engine.schedule_at e 11 (-1))
 
 let engine_stress =
   Helpers.to_alcotest
@@ -60,38 +60,38 @@ let engine_stress =
          let rng = Msts.Prng.create seed in
          let e = Msts.Engine.create () in
          let fired = ref [] in
-         for _ = 1 to 2000 do
-           let t = Msts.Prng.int rng 10000 in
-           Msts.Engine.schedule_at e t (fun () -> fired := Msts.Engine.now e :: !fired)
-         done;
-         let events = run_counted e in
-         let times = List.rev !fired in
-         List.length times = 2000
+         let at = Array.init 2000 (fun _ -> Msts.Prng.int rng 10000) in
+         Array.iteri (fun code t -> Msts.Engine.schedule_at e t code) at;
+         let events =
+           run_counted e (fun code ->
+               fired := (Msts.Engine.now e, code) :: !fired)
+         in
+         let order = List.rev !fired in
+         (* time order, insertion order among equal times, each date kept *)
+         List.length order = 2000
          && events = 2000
-         && List.for_all2 ( <= ) times (List.tl times @ [ max_int ])))
+         && List.for_all (fun (t, code) -> at.(code) = t) order
+         && List.for_all2 ( <= ) order (List.tl order @ [ (max_int, max_int) ])))
 
 let engine_step () =
   let e = Msts.Engine.create () in
-  Alcotest.(check bool) "empty step" false (Msts.Engine.step e);
-  Msts.Engine.schedule_at e 1 (fun () -> ());
-  Alcotest.(check bool) "one step" true (Msts.Engine.step e);
-  Alcotest.(check bool) "drained" false (Msts.Engine.step e)
+  Alcotest.(check bool) "empty step" false (Msts.Engine.step e ignore);
+  Msts.Engine.schedule_at e 1 0;
+  Alcotest.(check bool) "one step" true (Msts.Engine.step e ignore);
+  Alcotest.(check bool) "drained" false (Msts.Engine.step e ignore)
 
 let engine_counts_cascades () =
   let e = Msts.Engine.create () in
   (* a chain of events, each scheduling the next: the counter must see
-     callbacks created mid-run, not just the initial batch *)
-  let rec ripple n =
-    if n > 0 then
-      Msts.Engine.schedule_at e (Msts.Engine.now e + 1) (fun () -> ripple (n - 1))
-  in
+     events created mid-run, not just the initial batch *)
+  let ripple n = if n > 0 then Msts.Engine.schedule_at e (Msts.Engine.now e + 1) (n - 1) in
   ripple 5;
-  Alcotest.(check int) "all five counted" 5 (run_counted e);
+  Alcotest.(check int) "all five counted" 5 (run_counted e ripple);
   Alcotest.(check int) "clock followed" 5 (Msts.Engine.now e);
   (* same-time events count individually *)
-  Msts.Engine.schedule_at e 5 (fun () -> ());
-  Msts.Engine.schedule_at e 5 (fun () -> ());
-  Alcotest.(check int) "two more" 2 (run_counted e)
+  Msts.Engine.schedule_at e 5 0;
+  Msts.Engine.schedule_at e 5 0;
+  Alcotest.(check int) "two more" 2 (run_counted e ignore)
 
 (* ---------- netsim vs analytic ASAP ---------- *)
 

@@ -1,4 +1,4 @@
-(* Unit and property tests for Msts_util: PRNG, heap, stats, intx, table. *)
+(* Unit and property tests for Msts_util: PRNG, stats, intx, table. *)
 
 open Helpers
 
@@ -103,35 +103,6 @@ let prng_choice_uniformish () =
   Array.iter
     (fun c -> Alcotest.(check bool) "roughly uniform" true (c > 800 && c < 1200))
     counts
-
-(* ---------- Heap ---------- *)
-
-let heap_sorts =
-  Helpers.to_alcotest
-    (QCheck.Test.make ~count:300 ~name:"Heap.drain returns sorted order"
-       QCheck.(list int)
-       (fun xs ->
-         let h = Msts.Heap.create ~cmp:Int.compare in
-         List.iter (Msts.Heap.push h) xs;
-         Msts.Heap.drain h = List.sort Int.compare xs))
-
-let heap_peek_pop () =
-  let h = Msts.Heap.create ~cmp:Int.compare in
-  Alcotest.(check bool) "empty" true (Msts.Heap.is_empty h);
-  Alcotest.(check (option int)) "peek empty" None (Msts.Heap.peek h);
-  Alcotest.(check (option int)) "pop empty" None (Msts.Heap.pop h);
-  Msts.Heap.push h 5;
-  Msts.Heap.push h 2;
-  Msts.Heap.push h 9;
-  Alcotest.(check (option int)) "peek min" (Some 2) (Msts.Heap.peek h);
-  Alcotest.(check int) "length" 3 (Msts.Heap.length h);
-  Alcotest.(check (option int)) "pop min" (Some 2) (Msts.Heap.pop h);
-  Alcotest.(check int) "length after pop" 2 (Msts.Heap.length h)
-
-let heap_custom_order () =
-  let h = Msts.Heap.create ~cmp:(fun a b -> Int.compare b a) in
-  List.iter (Msts.Heap.push h) [ 3; 1; 4; 1; 5 ];
-  Alcotest.(check (list int)) "max-heap drain" [ 5; 4; 3; 1; 1 ] (Msts.Heap.drain h)
 
 (* ---------- Stats ---------- *)
 
@@ -338,12 +309,6 @@ let suites =
         prng_shuffle_preserves_elements;
         case "float stays in range" prng_float_bounds;
         case "choice is roughly uniform" prng_choice_uniformish;
-      ] );
-    ( "util.heap",
-      [
-        heap_sorts;
-        case "peek/pop basics" heap_peek_pop;
-        case "custom comparison" heap_custom_order;
       ] );
     ( "util.stats",
       [
