@@ -559,6 +559,10 @@ let faults_cmd =
           if events < 0 then (
             Printf.eprintf "error: field \"events\" must be >= 0\n";
             exit 2);
+          if events > Msts.Api.max_replay_events then (
+            Printf.eprintf "error: field \"events\" must be <= %d\n"
+              Msts.Api.max_replay_events;
+            exit 2);
           Msts.Fault.random (Msts.Prng.create seed) spider ~events
             ~horizon:planned
     in

@@ -7,14 +7,7 @@ module Tree = Msts_platform.Tree
 let spider_makespan spider n =
   Msts_tree.Search.best_fifo_makespan (Tree.of_spider spider) n
 
-let spider_schedule spider n =
-  Msts_tree.Tree_schedule.to_spider spider
-    (Msts_tree.Search.best_fifo_schedule (Tree.of_spider spider) n)
-
 let chain_makespan chain n = spider_makespan (Spider.of_chain chain) n
-
-let chain_schedule chain n =
-  Msts_schedule.Spider_schedule.leg_schedule (spider_schedule (Spider.of_chain chain) n) 1
 
 let max_tasks spider ~deadline ~limit =
   if deadline < 0 || limit < 0 then invalid_arg "Brute_force.max_tasks";
@@ -80,4 +73,3 @@ let chain_makespan_pruned chain n =
     List.fold_left (fun acc state -> min acc state.(2 * p)) max_int !level
   end
 
-let search_space ~procs ~tasks = float_of_int procs ** float_of_int tasks

@@ -12,13 +12,8 @@ val chain_makespan : Msts_platform.Chain.t -> int -> int
 (** Optimal makespan for [n] tasks on a chain.  0 when [n = 0].
     @raise Invalid_argument if [n < 0]. *)
 
-val chain_schedule : Msts_platform.Chain.t -> int -> Msts_schedule.Schedule.t
-(** A witness optimal schedule. *)
-
 val spider_makespan : Msts_platform.Spider.t -> int -> int
 (** Optimal makespan for [n] tasks on a spider. *)
-
-val spider_schedule : Msts_platform.Spider.t -> int -> Msts_schedule.Spider_schedule.t
 
 val max_tasks : Msts_platform.Spider.t -> deadline:int -> limit:int -> int
 (** Largest [m <= limit] schedulable within [deadline] (exact counterpart
@@ -33,6 +28,3 @@ val chain_makespan_pruned : Msts_platform.Chain.t -> int -> int
     another can be dropped.  Reaches noticeably larger [n] than plain
     enumeration, which makes it the second, independent exact oracle the
     optimality tests cross-check against. *)
-
-val search_space : procs:int -> tasks:int -> float
-(** [procsᵗᵃˢᵏˢ] as a float — lets tests assert they stay within budget. *)

@@ -29,12 +29,10 @@ type state = {
 
 val initial_state : Msts_platform.Chain.t -> horizon:int -> state
 
-val candidate : Msts_platform.Chain.t -> state -> int -> Msts_schedule.Comm_vector.t
-(** [candidate chain st k] is [ᵏC(i)], the latest communication vector
-    routing the next task to processor [k] (length [k]). *)
-
 val candidates : Msts_platform.Chain.t -> state -> Msts_schedule.Comm_vector.t array
-(** All [p] candidates, index [k-1] for processor [k]. *)
+(** All [p] candidates, index [k-1] for processor [k]: [ᵏC(i)], the
+    latest communication vector routing the next task to processor [k]
+    (length [k]). *)
 
 val select : Msts_schedule.Comm_vector.t array -> int
 (** Index (0-based) of the greatest candidate per Definition 3. *)

@@ -153,11 +153,6 @@ let schedule t =
   Schedule.make t.chain
     (Array.init t.placed (fun j -> entry_at t (t.placed - 1 - j)))
 
-let state t =
-  {
-    Algorithm.hull = Array.copy t.st.Algorithm.hull;
-    occupancy = Array.copy t.st.Algorithm.occupancy;
-  }
 
 let earliest_emission t =
   if t.placed = 0 then None else Some (emission_at t (t.placed - 1))

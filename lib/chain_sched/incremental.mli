@@ -76,9 +76,6 @@ val schedule : t -> Msts_schedule.Schedule.t
 (** Snapshot of the current schedule; tasks renumbered 1.. in emission
     order.  O(placed). *)
 
-val state : t -> Algorithm.state
-(** Deep copy of the hull/occupancy state (for inspection and tests). *)
-
 val earliest_emission : t -> int option
 (** First-link emission of the earliest task placed ([None] when empty) —
     how much of the horizon remains. *)

@@ -6,16 +6,11 @@
     candidate computation or in Definition 3's order would surface here
     before it surfaced as a lost optimality case. *)
 
-val no_crossing :
-  Msts_platform.Chain.t -> Algorithm.state -> (int * int * int) option
-(** Lemma 1 ("no crossing", Figure 4): for the current state's candidates,
-    whenever [ᵏC ≺ ˡC], every common suffix satisfies
-    [{ᵏC_q..ᵏC_k} ≺ {ˡC_q..ˡC_l}].  Returns [Some (k, l, q)] exhibiting a
-    violated triple, or [None] when the lemma holds. *)
-
 val check_no_crossing_throughout : Msts_platform.Chain.t -> int -> bool
-(** Run the full construction for [n] tasks and check {!no_crossing} at
-    every step. *)
+(** Lemma 1 ("no crossing", Figure 4): run the full construction for [n]
+    tasks and check, at every step, that for the state's candidates,
+    whenever [ᵏC ≺ ˡC], every common suffix satisfies
+    [{ᵏC_q..ᵏC_k} ≺ {ˡC_q..ˡC_l}]. *)
 
 val subchain_projection : Msts_platform.Chain.t -> int -> bool
 (** Lemma 2: the tasks with [P(i) ≥ 2] of the [n]-task schedule, re-read on

@@ -52,5 +52,3 @@ let render t =
   Printf.bprintf buf "\nFinal shift: %d time units; makespan = %d\n" shift
     (Msts_schedule.Schedule.makespan t.result);
   Buffer.contents buf
-
-let pp ppf t = Format.pp_print_string ppf (render t)

@@ -20,5 +20,3 @@ val run : Msts_platform.Chain.t -> int -> t
 val render : t -> string
 (** Multi-line narrative: per task, the candidate vector for each target
     processor, the winner, and the resulting start time. *)
-
-val pp : Format.formatter -> t -> unit

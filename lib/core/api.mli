@@ -65,6 +65,11 @@ val error_of_solve_failure : string -> error
 
 type workload = Solve_only | Execute | Pull | Faults
 
+val max_replay_events : int
+(** The engine budget of a fault replay (1000000), and so the most fault
+    events [check], [profile] and [msts faults] accept: a longer fault
+    trace could never finish replaying within it. *)
+
 type op =
   | Ping
   | Schedule of problem  (** makespan-optimal schedule ([tasks] objective) *)

@@ -26,7 +26,3 @@ let expand fork ~count =
   List.sort compare_alloc
     (List.concat_map per_slave
        (Msts_util.Intx.range 1 (Fork.slave_count fork)))
-
-let pp ppf v =
-  Format.fprintf ppf "vnode(slave=%d, rank=%d, c=%d, W=%d)" v.slave v.rank
-    v.comm v.work

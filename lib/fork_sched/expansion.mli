@@ -22,5 +22,3 @@ val expand : Msts_platform.Fork.t -> count:int -> vnode list
 (** Bank of [count] virtual nodes per slave, sorted in allocation order:
     ascending [comm], ties by ascending [work] (paper §6), then by slave
     index for determinism. *)
-
-val pp : Format.formatter -> vnode -> unit

@@ -171,7 +171,6 @@ module Reader : sig
   val int_value : t -> int
 
   val bool : t -> bool
-  val null : t -> unit
 end
 
 val parse : string -> (t, string) result

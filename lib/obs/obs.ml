@@ -250,7 +250,6 @@ module Histogram = struct
   let count t = t.count
   let sum t = t.sum
   let max_value t = t.max_v
-  let mean t = if t.count = 0 then 0.0 else float_of_int t.sum /. float_of_int t.count
 
   let quantile t q =
     if t.count = 0 then 0
@@ -330,7 +329,6 @@ module Memory = struct
     hists : (string, Histogram.t) Hashtbl.t; (* Value recordings *)
     span_hists : (string, Histogram.t) Hashtbl.t; (* span durations, µs *)
     mutable stack : (string * int) list; (* open spans, innermost first *)
-    mutable max_depth : int;
   }
 
   let create ?(max_events = default_max_events) ?max_scopes:_ () =
@@ -343,7 +341,6 @@ module Memory = struct
       hists = Hashtbl.create 16;
       span_hists = Hashtbl.create 16;
       stack = [];
-      max_depth = 0;
     }
 
   let hist_in tbl name =
@@ -374,9 +371,7 @@ module Memory = struct
     | Samples { name; values; counts; _ } ->
         let h = hist_in t.hists name in
         Array.iteri (fun i v -> Histogram.add_many h v ~n:counts.(i)) values
-    | Span_begin { name; ts; _ } ->
-        t.stack <- (name, ts) :: t.stack;
-        t.max_depth <- max t.max_depth (List.length t.stack)
+    | Span_begin { name; ts; _ } -> t.stack <- (name, ts) :: t.stack
     | Span_end { name; ts; _ } -> (
         (* An end closes the innermost open span of that name; out-of-order
            ends (possible only through hand-fed sinks) are dropped. *)
@@ -409,12 +404,9 @@ module Memory = struct
   let counter t name = Option.value ~default:0 (Hashtbl.find_opt t.counters name)
   let spans t = sorted_bindings t.stats
   let histograms t = sorted_bindings t.hists
-  let histogram t name = Hashtbl.find_opt t.hists name
   let span_histogram t name = Hashtbl.find_opt t.span_hists name
   let events t = List.of_seq (Queue.to_seq t.log)
   let dropped_events t = t.dropped
-  let max_events t = t.max_events
-  let max_depth t = t.max_depth
 
   let counter_rows t =
     List.map (fun (name, total) -> [ name; string_of_int total ]) (counters t)
@@ -618,9 +610,6 @@ module Ring = struct
     t.seen <- t.seen + 1
 
   let sink t = record t
-  let capacity t = Array.length t.slots
-  let seen t = t.seen
-  let dropped t = max 0 (t.seen - Array.length t.slots)
 
   let events t =
     let cap = Array.length t.slots in

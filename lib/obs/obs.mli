@@ -166,7 +166,6 @@ module Histogram : sig
 
   val count : t -> int
   val sum : t -> int
-  val mean : t -> float
 
   val quantile : t -> float -> int
   (** [quantile t q] for [q] in [\[0,1\]] (clamped); 0 when empty. *)
@@ -222,9 +221,6 @@ module Memory : sig
   val histograms : t -> (string * Histogram.t) list
   (** Histograms of {!record}ed values, sorted by name. *)
 
-  val histogram : t -> string -> Histogram.t option
-  (** One recorded-value histogram. *)
-
   val events : t -> event list
   (** The bounded raw log, in emission order (newest
       [min stored (max_events)] events). *)
@@ -232,11 +228,6 @@ module Memory : sig
   val dropped_events : t -> int
   (** Events evicted from the raw log by the cap (aggregates unaffected).
       Documented in docs/OBSERVABILITY.md. *)
-
-  val max_events : t -> int
-
-  val max_depth : t -> int
-  (** Deepest span nesting observed. *)
 
   val counter_rows : t -> string list list
   (** Counter totals as [[name; total]] rows for the shared table
@@ -300,13 +291,6 @@ module Ring : sig
       @raise Invalid_argument if [capacity < 1]. *)
 
   val sink : t -> sink
-  val capacity : t -> int
-
-  val seen : t -> int
-  (** Total events accepted over the sink's lifetime. *)
-
-  val dropped : t -> int
-  (** Events overwritten ([max 0 (seen - capacity)]). *)
 
   val events : t -> event list
   (** Retained events, oldest first. *)

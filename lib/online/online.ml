@@ -63,7 +63,6 @@ let create ?(capacity = 0) chain ~deadline =
 let chain t = t.chain
 let deadline t = Incremental.horizon t.inc
 let frontier t = t.frontier
-let arrivals t = t.arrivals
 let rejected t = t.rejected
 let frozen t = t.fz_count
 let placed t = t.fz_count + t.unfrozen

@@ -62,9 +62,6 @@ val chain : t -> Msts.Chain.t
 val deadline : t -> int
 val frontier : t -> int
 
-val arrivals : t -> int
-(** Tasks submitted so far (accepted + rejected). *)
-
 val placed : t -> int
 (** Tasks currently in the plan (frozen + revisable). *)
 
@@ -107,13 +104,10 @@ val degrade :
     deltas.  Refused ([Error]) when [at] holds frozen placements (their
     execution is already committed) or the arguments are invalid. *)
 
-val schedule : t -> Msts.Schedule.t
-(** Snapshot of the whole current plan — frozen prefix then revisable
-    suffix, tasks renumbered 1.. in emission order.  O(placed). *)
-
 val plan : t -> Msts.Plan.t
-(** {!schedule} wrapped as a plan (for [Plan.equal], [Plan.check],
-    [Trace.of_plan]). *)
+(** Snapshot of the whole current plan — frozen prefix then revisable
+    suffix, tasks renumbered 1.. in emission order; O(placed).  For
+    [Plan.equal], [Plan.check], [Trace.of_plan]. *)
 
 val frozen_schedule : t -> Msts.Schedule.t
 (** The frozen prefix alone, as its own schedule — what has actually been

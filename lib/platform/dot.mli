@@ -4,10 +4,6 @@
 
 val of_chain : Chain.t -> string
 
-val of_fork : Fork.t -> string
-
 val of_spider : Spider.t -> string
-
-val of_tree : Tree.t -> string
 
 val of_platform : Parse.platform -> string

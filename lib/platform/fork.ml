@@ -27,15 +27,5 @@ let work t j =
 
 let to_pairs t = Array.to_list t.slaves
 
-let equal a b = a.slaves = b.slaves
-
-let pp ppf t =
-  let pair ppf (c, w) = Format.fprintf ppf "(c=%d,w=%d)" c w in
-  Format.fprintf ppf "fork[%a]"
-    (Format.pp_print_list ~pp_sep:(fun ppf () -> Format.fprintf ppf "; ") pair)
-    (to_pairs t)
-
-let to_string t = Format.asprintf "%a" pp t
-
 let as_chains t =
   Array.map (fun (c, w) -> Chain.make ~c:[| c |] ~w:[| w |]) t.slaves

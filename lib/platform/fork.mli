@@ -25,12 +25,6 @@ val work : t -> int -> int
 
 val to_pairs : t -> (int * int) list
 
-val equal : t -> t -> bool
-
-val pp : Format.formatter -> t -> unit
-
-val to_string : t -> string
-
 val as_chains : t -> Chain.t array
 (** Each slave viewed as a length-1 chain — a fork is the spider whose legs
     all have depth one. *)

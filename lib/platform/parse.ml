@@ -167,7 +167,3 @@ let load path =
   match In_channel.with_open_text path In_channel.input_all with
   | text -> of_string text
   | exception Sys_error msg -> Error msg
-
-let save path platform =
-  Out_channel.with_open_text path (fun oc ->
-      Out_channel.output_string oc (platform_to_string platform))

@@ -32,5 +32,3 @@ val of_string : string -> (platform, string) result
 val load : string -> (platform, string) result
 (** Read a platform from a file path. *)
 
-val save : string -> platform -> unit
-(** Write a platform to a file path. *)

@@ -25,7 +25,6 @@ let addresses t =
       List.init (Chain.length chain) (fun i -> { leg = l; depth = i + 1 }))
     (List.init (legs t) (fun i -> i + 1))
 
-let latency t { leg; depth } = Chain.latency (leg_chain t leg) depth
 
 let work t { leg; depth } = Chain.work (leg_chain t leg) depth
 
@@ -71,14 +70,9 @@ let equal a b =
   legs a = legs b
   && Array.for_all2 Chain.equal a.legs_ b.legs_
 
-let pp ppf t =
-  Format.fprintf ppf "spider{%a}"
+let to_string t =
+  Format.asprintf "spider{%a}"
     (Format.pp_print_list
        ~pp_sep:(fun ppf () -> Format.fprintf ppf "; ")
        Chain.pp)
     (Array.to_list t.legs_)
-
-let to_string t = Format.asprintf "%a" pp t
-
-let max_depth t =
-  Array.fold_left (fun acc chain -> max acc (Chain.length chain)) 0 t.legs_

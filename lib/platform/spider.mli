@@ -28,8 +28,6 @@ val processor_count : t -> int
 val addresses : t -> address list
 (** Every processor address, legs in order, shallow first. *)
 
-val latency : t -> address -> int
-
 val work : t -> address -> int
 
 val scale : ?latency_factor:int -> ?work_factor:int -> t -> address -> t
@@ -55,9 +53,4 @@ val of_fork : Fork.t -> t
 
 val equal : t -> t -> bool
 
-val pp : Format.formatter -> t -> unit
-
 val to_string : t -> string
-
-val max_depth : t -> int
-(** Length of the longest leg. *)

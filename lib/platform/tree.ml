@@ -96,9 +96,7 @@ let rec pp_node ppf n =
          pp_node)
       n.children
 
-let pp ppf t =
-  Format.fprintf ppf "tree{%a}"
+let to_string t =
+  Format.asprintf "tree{%a}"
     (Format.pp_print_list ~pp_sep:(fun ppf () -> Format.fprintf ppf "; ") pp_node)
     t.roots_
-
-let to_string t = Format.asprintf "%a" pp t

@@ -50,6 +50,4 @@ val extract_spider : extraction_policy -> t -> Spider.t
     by the policy, yielding a spider on a subset of the processors.  The
     dropped processors simply receive no tasks. *)
 
-val pp : Format.formatter -> t -> unit
-
 val to_string : t -> string

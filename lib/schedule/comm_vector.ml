@@ -16,8 +16,6 @@ let precedes a b = compare a b < 0
 
 let shift d v = Array.map (fun x -> x - d) v
 
-let target v = Array.length v
-
 let first_emission v =
   if Array.length v = 0 then invalid_arg "Comm_vector.first_emission: empty vector";
   v.(0)

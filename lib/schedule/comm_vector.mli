@@ -15,18 +15,13 @@
 type t = int array
 (** Index [j-1] holds [C_j].  Vectors are at least of length 1. *)
 
-val compare : t -> t -> int
-(** Definition 3; negative means [≺].  Total on vectors of any lengths. *)
-
 val precedes : t -> t -> bool
-(** [precedes a b] iff [a ≺ b] strictly. *)
+(** [precedes a b] iff [a ≺ b] strictly (Definition 3).  A strict total
+    order on vectors of any lengths. *)
 
 val shift : int -> t -> t
 (** [shift d v] subtracts [d] from every coordinate (the paper's final
     normalisation step applies [shift (C¹_1)]). *)
-
-val target : t -> int
-(** The processor index the vector routes to, i.e. its length. *)
 
 val first_emission : t -> int
 (** [C_1], the emission time on the master's port. *)

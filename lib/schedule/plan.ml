@@ -26,10 +26,6 @@ let check ?require_nonnegative = function
         (Feasibility.check ?require_nonnegative s)
   | Spider s -> Spider_schedule.check ?require_nonnegative s
 
-let to_spider = function
-  | Chain s -> Spider_schedule.of_chain_schedule s
-  | Spider s -> s
-
 let gantt ?width = function
   | Chain s -> Gantt.render ?width s
   | Spider s -> Gantt.render_spider ?width s

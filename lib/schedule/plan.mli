@@ -3,9 +3,7 @@
 
     [Msts.Solve] returns it, [Msts.Netsim.execute] consumes it, and the
     CLI renders every subcommand through it — so chains and spiders flow
-    through one code path end to end.  Chain plans promote losslessly to
-    one-leg spider plans ({!to_spider}) whenever an executor only speaks
-    spider. *)
+    through one code path end to end. *)
 
 type t =
   | Chain of Schedule.t
@@ -26,10 +24,6 @@ val equal : t -> t -> bool
 
 val check : ?require_nonnegative:bool -> t -> string list
 (** Feasibility audit; [[]] means feasible. *)
-
-val to_spider : t -> Spider_schedule.t
-(** Promote a chain plan to its one-leg spider equivalent; the identity on
-    spider plans. *)
 
 val gantt : ?width:int -> t -> string
 (** ASCII Gantt chart. *)

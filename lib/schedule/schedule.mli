@@ -34,9 +34,6 @@ val entries : t -> entry array
 val makespan : t -> int
 (** Definition 2: [max_i (T(i) + w_{P(i)})].  0 for an empty schedule. *)
 
-val shift : int -> t -> t
-(** Subtract a constant from every date. *)
-
 val normalise : t -> t
 (** Shift so that the earliest emission is at time 0. *)
 
@@ -60,7 +57,5 @@ val equal : t -> t -> bool
 
 val equal_modulo_shift : t -> t -> bool
 (** Equal after normalising both. *)
-
-val pp : Format.formatter -> t -> unit
 
 val to_string : t -> string

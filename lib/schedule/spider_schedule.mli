@@ -75,6 +75,4 @@ val concat : t -> t -> t
     is the caller's claim to check.
     @raise Invalid_argument if the spiders differ. *)
 
-val pp : Format.formatter -> t -> unit
-
 val to_string : t -> string

@@ -1,6 +1,4 @@
-module Api = Msts.Api
-
-type t = { socket : Unix.file_descr; ic : in_channel; oc : out_channel }
+type t = { ic : in_channel; oc : out_channel }
 
 let connect path =
   let socket = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
@@ -8,7 +6,6 @@ let connect path =
   | () ->
       Ok
         {
-          socket;
           ic = Unix.in_channel_of_descr socket;
           oc = Unix.out_channel_of_descr socket;
         }
@@ -17,7 +14,6 @@ let connect path =
       Error (Printf.sprintf "cannot connect to %s: %s" path (Unix.error_message err))
 
 let close t = try close_out t.oc with Sys_error _ | Unix.Unix_error _ -> ()
-let fd t = t.socket
 
 let send_line t line =
   output_string t.oc line;
@@ -29,12 +25,3 @@ let recv_line t =
   match input_line t.ic with
   | line -> Some line
   | exception End_of_file -> None
-
-let rpc t request =
-  send_line t (Api.request_to_line request);
-  match recv_line t with
-  | None -> Error (Api.error Api.Bad_request "connection closed by server")
-  | Some line -> (
-      match Api.response_of_line line with
-      | Ok response -> Ok response
-      | Error e -> Error e)

@@ -8,16 +8,8 @@ val connect : string -> (t, string) result
 
 val close : t -> unit
 
-val fd : t -> Unix.file_descr
-(** The raw descriptor (the pipelined bench drives it with [select]). *)
-
 val send_line : t -> string -> unit
 (** Write one newline-terminated frame and flush. *)
 
 val recv_line : t -> string option
 (** Read one frame; [None] once the daemon closed the connection. *)
-
-val rpc : t -> Msts.Api.request -> (Msts.Api.response, Msts.Api.error) result
-(** One request, one response: encode, send, receive, decode.  An
-    unreadable or closed stream surfaces as a [`bad_request]-class
-    {!Msts.Api.error}. *)

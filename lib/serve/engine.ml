@@ -216,15 +216,12 @@ let create cfg =
     assigned = 0;
   }
 
-let config t = t.cfg
 let pending t = t.queued_requests
 let inflight t = t.inflight_count
 let stopping t = t.stopping
 let served t = t.served
-let rejected t = t.rejected
 let stop t = t.stopping <- true
 let metrics_sink t = Obs.Memory.sink t.metrics
-let slow_requests t = t.slow
 let wakeup_fd t = Msts.Pool.completion_fd t.pool
 
 let max_inflight t =

@@ -10,9 +10,9 @@
     the whole policy is testable in-process (see [test/test_serve.ml],
     [test/test_obs.ml]'s drift guard and [test/test_api.ml]).
 
-    Flow: {!handle_line} (or {!submit}) either answers immediately
-    (control operations, parse errors, admission rejections) or enqueues
-    work units on the submitting connection's queue — one [Whole] unit
+    Flow: {!handle_line} either answers immediately (control operations,
+    parse errors, admission rejections) or enqueues work units on the
+    submitting connection's queue — one [Whole] unit
     per singleton request, one shard unit per distinct uncached problem
     of a [batch] request ({!Msts.Batch.shard}).  {!dispatch} is
     {e non-blocking}: it collects finished worker tickets
@@ -99,8 +99,6 @@ val create : config -> t
     [queue_cap], [max_batch], [max_queue_per_conn] or [quantum], a
     negative [slow_log] or [max_inflight], or [jobs < 1]. *)
 
-val config : t -> config
-
 (** {2 Connections}
 
     The fairness scheduler needs to know which requests belong to the
@@ -120,12 +118,14 @@ val close_conn : t -> conn -> unit
     record is forgotten once they are collected.  A batch with shards
     already in flight is never assembled. *)
 
-val submit :
-  t -> ?conn:conn -> reply:(string -> unit) -> Msts.Api.request -> unit
-(** Admit one request on [conn] (default: the shared implicit
-    connection).  [reply] receives the newline-terminated response frame
-    ({!Msts.Api.response_line}); a solve's frame is written on the worker
-    domain that ran it, so the calling domain only hands bytes on.  Control operations ([Ping]/[Stats]/[Shutdown]) are
+val handle_line : t -> ?conn:conn -> reply:(string -> unit) -> string -> unit
+(** The full wire step: parse one JSONL frame and admit it on [conn]
+    (default: the shared implicit connection).  [reply] receives each
+    newline-terminated response frame ({!Msts.Api.response_line}); a
+    solve's frame is written on the worker domain that ran it, so the
+    calling domain only hands bytes on.  Malformed frames are answered
+    with a [`bad_request] error response (never dropped, never a closed
+    connection).  Control operations ([Ping]/[Stats]/[Shutdown]) are
     answered synchronously — [Shutdown] flips {!stopping} and answers
     [Bye].  Online operations ([Online_*]) are answered synchronously by
     the engine's {!Msts_online.Service} — also while draining, so an
@@ -138,12 +138,6 @@ val submit :
     independent units, and the reply is assembled
     ({!Msts.Batch.assemble}) when the last one completes — byte-identical
     to the unsharded reply. *)
-
-val handle_line : t -> ?conn:conn -> reply:(string -> unit) -> string -> unit
-(** The full wire step: parse one JSONL frame, {!submit} it, and deliver
-    every response as a newline-terminated frame.  Malformed frames are
-    answered with a [`bad_request] error response (never dropped, never a
-    closed connection). *)
 
 val dispatch : t -> int
 (** One non-blocking engine turn: collect finished worker tickets and
@@ -185,21 +179,6 @@ val stopping : t -> bool
 
 val served : t -> int
 (** Total responses delivered over the engine's lifetime. *)
-
-val rejected : t -> int
-(** Total admission rejections (overload + shutting-down + timeouts). *)
-
-type slow_entry = {
-  trace_label : string;  (** client trace context, or engine-assigned "r<n>" *)
-  op : string;
-  queue_wait_us : int;
-  solve_us : int;
-  encode_us : int;
-  total_us : int;
-}
-
-val slow_requests : t -> slow_entry list
-(** The top-[slow_log] slowest dispatched requests, slowest first. *)
 
 val metrics_sink : t -> Msts.Obs.sink
 (** The engine's aggregating metrics sink (a {!Msts.Obs.Memory} with no

@@ -44,12 +44,7 @@ val run : ?max_events:int -> t -> (int -> unit) -> unit
     hanging.  When it returns or raises, it counts the events it
     executed as one [engine.events] increment and hands their
     [engine.event_gap_us] samples (the simulated-clock advance each event
-    caused, tallied by {!step} as exact value counts) to the sinks as one
+    caused, tallied as exact value counts) to the sinks as one
     [Samples] event.  With no sink installed at the start of the run
     nothing is tallied.  @raise Invalid_argument if [max_events < 1];
     @raise Failure when the budget is exhausted. *)
-
-val step : t -> (int -> unit) -> bool
-(** Execute the single next event; [false] when the queue was empty.
-    Inside {!run} it tallies the event's gap; called on its own it
-    records nothing (both engine metrics belong to {!run}). *)

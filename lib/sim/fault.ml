@@ -27,9 +27,6 @@ let timed_to_string { at; event } = Printf.sprintf "%d %s" at (event_to_string e
 let to_string trace =
   String.concat "" (List.map (fun t -> timed_to_string t ^ "\n") trace)
 
-let pp ppf trace =
-  List.iter (fun t -> Format.fprintf ppf "%s@," (timed_to_string t)) trace
-
 (* ---------- parsing ---------- *)
 
 let parse text =

@@ -38,12 +38,8 @@ val validate : Msts_platform.Spider.t -> trace -> string list
 (** Human-readable problems (bad addresses, factors [< 1], negative times or
     penalties).  Empty list = usable against that spider. *)
 
-val event_to_string : event -> string
-
 val to_string : trace -> string
 (** One event per line, the same format {!parse} reads. *)
-
-val pp : Format.formatter -> trace -> unit
 
 val parse : string -> (trace, string) result
 (** Line format: [<time> <kind> <leg> <depth> [<value>]] where [kind] is

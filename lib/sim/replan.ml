@@ -1,6 +1,7 @@
 module Spider = Msts_platform.Spider
 module Spider_schedule = Msts_schedule.Spider_schedule
 module Obs = Msts_obs.Obs
+module Trace = Msts_trace.Trace
 
 type outcome = {
   report : Netsim.fault_report;
@@ -68,8 +69,11 @@ let splice plan snap residual_plan leg_map =
   in
   Spider_schedule.concat kept (Spider_schedule.make spider mapped)
 
+(* A lookahead is not part of the execution: a recorder installed around
+   [replay] sees only the realised run. *)
 let eval plan trace decisions =
   Obs.span "replan.lookahead" @@ fun () ->
+  Trace.without_recorder @@ fun () ->
   match Netsim.replay_under_faults ~trace ~decisions plan with
   | r -> r.Netsim.observed_makespan
   | exception _ -> max_int

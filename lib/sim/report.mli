@@ -40,8 +40,6 @@ type t = {
   nodes : node list;  (** address order: leg-major, shallow first *)
 }
 
-val of_spider_schedule : Msts_schedule.Spider_schedule.t -> t
-
 val of_plan : Msts_schedule.Plan.t -> t
 (** Chain plans are viewed as one-leg spiders. *)
 

@@ -81,4 +81,3 @@ let render t =
     (Msts_schedule.Spider_schedule.makespan t.result);
   Buffer.contents buf
 
-let pp ppf t = Format.pp_print_string ppf (render t)

@@ -34,4 +34,3 @@ val run : ?budget:int -> Msts_platform.Spider.t -> deadline:int -> t
 val render : t -> string
 (** Multi-line narrative of all five steps. *)
 
-val pp : Format.formatter -> t -> unit

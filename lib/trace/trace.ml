@@ -220,7 +220,6 @@ let filter t keep =
 
 let project t sel = filter t (selects sel t)
 
-let to_string t = String.concat "\n" (List.map event_to_string (events t))
 
 (* ---------- recording ---------- *)
 
@@ -331,6 +330,11 @@ let with_recorder (r : Recorder.t) f =
       let n = r.len - before in
       if n > 0 then Obs.count ~n "trace.events")
     f
+
+let without_recorder f =
+  let saved = Domain.DLS.get the_recorder in
+  Domain.DLS.set the_recorder None;
+  Fun.protect ~finally:(fun () -> Domain.DLS.set the_recorder saved) f
 
 let recording () = Option.is_some (Domain.DLS.get the_recorder)
 

@@ -69,8 +69,6 @@ val events : t -> event list
 
 val length : t -> int
 
-val empty : t
-
 val concat : t -> t -> t
 (** Splice two segments, first then second.
     @raise Invalid_argument if the first extends past the start of the
@@ -91,9 +89,6 @@ val project : t -> selector -> t
     exclusivity lives in [On_resource] projections, store-and-forward in
     [On_task] ones. *)
 
-val to_string : t -> string
-(** One event per line. *)
-
 (** {1 Recording} *)
 
 module Recorder : sig
@@ -108,6 +103,12 @@ val with_recorder : Recorder.t -> (unit -> 'a) -> 'a
     restores the previous recorder on exit.  On exit, also on exceptions,
     the events recorded meanwhile are counted as one [trace.events]
     increment. *)
+
+val without_recorder : (unit -> 'a) -> 'a
+(** Run the callback with no recorder installed on this domain, and
+    restore the previous one on exit, also on exceptions: a simulation run
+    only to decide something (the replanner's lookaheads) stays out of
+    the trace of the run that is being recorded. *)
 
 val recording : unit -> bool
 (** Whether a recorder is installed on this domain — lets instrumentation
@@ -177,8 +178,6 @@ type violation = {
   message : string;  (** human-readable, names tasks, resource and times *)
   witness : event list;  (** the offending events, in trace order *)
 }
-
-val explain : violation -> string
 
 module Check : sig
   type state

@@ -21,12 +21,6 @@ let flat t = t.flat
 
 let task_count t = Array.length t.entries
 
-let entry t i =
-  if i < 1 || i > task_count t then
-    invalid_arg
-      (Printf.sprintf "Tree_schedule.entry: task %d outside 1..%d" i (task_count t));
-  t.entries.(i - 1)
-
 let entries t = Array.copy t.entries
 
 let makespan t =
@@ -147,15 +141,3 @@ let check ?(require_nonnegative = false) t =
   List.rev !problems
 
 let is_feasible ?require_nonnegative t = check ?require_nonnegative t = []
-
-let pp ppf t =
-  Format.fprintf ppf "@[<v>tree schedule (makespan %d):@," (makespan t);
-  Array.iteri
-    (fun idx e ->
-      Format.fprintf ppf "  task %d -> node %d, start %d, comms [%s]@," (idx + 1)
-        e.node e.start
-        (String.concat "; " (List.map string_of_int (Array.to_list e.comms))))
-    t.entries;
-  Format.fprintf ppf "@]"
-
-let to_string t = Format.asprintf "%a" pp t

@@ -26,10 +26,6 @@ val make : Flat.t -> entry array -> t
 
 val flat : t -> Flat.t
 
-val task_count : t -> int
-
-val entry : t -> int -> entry
-
 val entries : t -> entry array
 
 val makespan : t -> int
@@ -48,7 +44,3 @@ val check : ?require_nonnegative:bool -> t -> string list
 (** Definition 1 generalised to trees; empty list = feasible. *)
 
 val is_feasible : ?require_nonnegative:bool -> t -> bool
-
-val pp : Format.formatter -> t -> unit
-
-val to_string : t -> string

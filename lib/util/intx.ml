@@ -3,10 +3,6 @@ let ceil_div a b =
   if a < 0 then invalid_arg "Intx.ceil_div: negative dividend";
   (a + b - 1) / b
 
-let clamp ~lo ~hi x = if x < lo then lo else if x > hi then hi else x
-
-let sum = Array.fold_left ( + ) 0
-
 let argmin a =
   if Array.length a = 0 then invalid_arg "Intx.argmin: empty array";
   let best = ref 0 in

@@ -6,11 +6,6 @@
 val ceil_div : int -> int -> int
 (** [ceil_div a b] is ⌈a/b⌉ for [a >= 0], [b > 0]. *)
 
-val clamp : lo:int -> hi:int -> int -> int
-(** Restrict a value to [\[lo, hi\]]. *)
-
-val sum : int array -> int
-
 val argmin : int array -> int
 (** Index of the first minimum. @raise Invalid_argument on empty input. *)
 

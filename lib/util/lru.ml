@@ -46,8 +46,6 @@ let find t k =
       push_front t node;
       Some node.value
 
-let mem t k = Hashtbl.mem t.table k
-
 let add t k v =
   match Hashtbl.find_opt t.table k with
   | Some node ->
@@ -64,11 +62,6 @@ let add t k v =
       let node = { key = k; value = v; prev = None; next = None } in
       Hashtbl.replace t.table k node;
       push_front t node
-
-let clear t =
-  Hashtbl.reset t.table;
-  t.head <- None;
-  t.tail <- None
 
 let to_list t =
   let rec walk acc = function

@@ -26,14 +26,9 @@ val find : ('k, 'v) t -> 'k -> 'v option
 (** [find t k] is the cached value, physically the one stored; the binding
     becomes the most recently used. *)
 
-val mem : ('k, 'v) t -> 'k -> bool
-(** Membership test that does {e not} touch recency. *)
-
 val add : ('k, 'v) t -> 'k -> 'v -> unit
 (** Insert or replace the binding for [k] and make it the most recently
     used; evicts the least recently used binding when the cache is full. *)
-
-val clear : ('k, 'v) t -> unit
 
 val to_list : ('k, 'v) t -> ('k * 'v) list
 (** Bindings from most to least recently used (for tests and debugging). *)

@@ -9,15 +9,9 @@ let mix64 z =
 
 let create seed = { state = mix64 (Int64.of_int seed) }
 
-let copy t = { state = t.state }
-
 let bits64 t =
   t.state <- Int64.add t.state golden_gamma;
   mix64 t.state
-
-let split t =
-  let s = bits64 t in
-  { state = mix64 s }
 
 (* Rejection sampling over the top 62 bits keeps the draw unbiased while
    staying inside OCaml's native [int] range. *)
@@ -34,12 +28,6 @@ let int t bound =
 let int_in t lo hi =
   if hi < lo then invalid_arg "Prng.int_in: empty range";
   lo + int t (hi - lo + 1)
-
-let float t bound =
-  let r = Int64.to_float (Int64.shift_right_logical (bits64 t) 11) in
-  bound *. (r /. 9007199254740992.0)
-
-let bool t = Int64.logand (bits64 t) 1L = 1L
 
 let choice t a =
   if Array.length a = 0 then invalid_arg "Prng.choice: empty array";

@@ -3,9 +3,7 @@
     All randomness in the library flows through this module so that every
     experiment, test and benchmark is reproducible from a single seed.  The
     implementation is SplitMix64 (Steele, Lea & Flood, OOPSLA 2014), which is
-    fast, has a 64-bit state, and supports cheap splitting into independent
-    streams — convenient for generating families of random platforms in
-    parallel sweeps without coordinating a shared state. *)
+    fast and has a 64-bit state. *)
 
 type t
 (** Mutable generator state. *)
@@ -14,13 +12,6 @@ val create : int -> t
 (** [create seed] builds a generator from an integer seed.  Equal seeds give
     equal streams. *)
 
-val copy : t -> t
-(** [copy t] is an independent generator with the same current state. *)
-
-val split : t -> t
-(** [split t] advances [t] and returns a new generator whose stream is
-    statistically independent of the remainder of [t]'s stream. *)
-
 val int : t -> int -> int
 (** [int t bound] is uniform in [\[0, bound)].  @raise Invalid_argument if
     [bound <= 0]. *)
@@ -28,12 +19,6 @@ val int : t -> int -> int
 val int_in : t -> int -> int -> int
 (** [int_in t lo hi] is uniform in [\[lo, hi\]] (inclusive).
     @raise Invalid_argument if [hi < lo]. *)
-
-val float : t -> float -> float
-(** [float t bound] is uniform in [\[0, bound)]. *)
-
-val bool : t -> bool
-(** Fair coin. *)
 
 val choice : t -> 'a array -> 'a
 (** Uniform element of a non-empty array.

@@ -3,13 +3,6 @@
 val mean : float array -> float
 (** Arithmetic mean; 0.0 on an empty array. *)
 
-val median : float array -> float
-(** Median (average of middle two on even length); 0.0 on empty input. *)
-
-val percentile : float array -> float -> float
-(** [percentile xs q] with [q] in [\[0,100\]], linear interpolation between
-    closest ranks; 0.0 on empty input. *)
-
 val min_max : float array -> float * float
 (** Smallest and largest sample. @raise Invalid_argument on empty input. *)
 

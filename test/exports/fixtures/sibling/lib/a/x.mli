@@ -1,0 +1,2 @@
+val f : int
+val g : int -> int

@@ -1,0 +1,2 @@
+let f = 1
+let g n = n + f

@@ -1,0 +1,1 @@
+let () = print_int (Fx_skipped.X.g 1)

@@ -43,8 +43,14 @@ let fork_gen ?(max_slaves = 4) ?(max_val = 10) () =
   Gen.(int_range 1 max_slaves >>= fun m ->
        Gen.map Msts.Fork.of_pairs (Gen.list_size (Gen.return m) (pair_gen ~max_val)))
 
+let fork_to_string fork =
+  "fork["
+  ^ String.concat "; "
+      (List.map (fun (c, w) -> Printf.sprintf "(c=%d,w=%d)" c w) (Msts.Fork.to_pairs fork))
+  ^ "]"
+
 let fork_arb ?max_slaves ?max_val () =
-  QCheck.make ~print:Msts.Fork.to_string (fork_gen ?max_slaves ?max_val ())
+  QCheck.make ~print:fork_to_string (fork_gen ?max_slaves ?max_val ())
 
 let spider_gen ?(max_legs = 3) ?(max_depth = 2) ?(max_val = 10) () =
   Gen.(int_range 1 max_legs >>= fun legs ->
@@ -114,6 +120,21 @@ let chain_heuristic_makespan policy chain n =
 (* The paper's Figure 2 instance: chain (c,w) = (2,3),(3,5). *)
 let figure2_chain = Msts.Chain.of_pairs [ (2, 3); (3, 5) ]
 
+(* [s] with every date moved [d] earlier. *)
+let shift_schedule d s =
+  Msts.Schedule.make (Msts.Schedule.chain s)
+    (Array.map
+       (fun (e : Msts.Schedule.entry) ->
+         { e with start = e.start - d; comms = Msts.Comm_vector.shift d e.comms })
+       (Msts.Schedule.entries s))
+
+let spider_latency spider { Msts.Spider.leg; depth } =
+  Msts.Chain.latency (Msts.Spider.leg_chain spider leg) depth
+
+(* A virtual node as QCheck counterexamples print it. *)
+let vnode_to_string (v : Msts.Fork_expansion.vnode) =
+  Printf.sprintf "vnode(slave=%d, rank=%d, c=%d, W=%d)" v.slave v.rank v.comm v.work
+
 (* The fork allocator on a list of virtual nodes: [Msts.Fork_allocator.sweep]
    over them in allocation order, answered as the frozen insertion loop
    ([Kernel_reference.allocate]) answers: the accepted nodes in emission
@@ -162,16 +183,25 @@ let response_of_frame line =
   | Ok r -> r
   | Error e -> Alcotest.failf "undecodable reply %S: %s" line e.Msts.Api.message
 
+(* Admit [request] on a serve engine as the socket loop does: as one
+   wire frame. *)
+let engine_submit engine ?conn ~reply request =
+  Msts_serve.Engine.handle_line engine ?conn ~reply (Msts.Api.request_to_line request)
+
 (* A serve engine's [stats] payload, asked for over the wire (control
    operations are answered synchronously). *)
 let serve_stats engine =
   let got = ref None in
-  Msts_serve.Engine.submit engine
+  engine_submit engine
     ~reply:(fun line -> got := Some (response_of_frame line))
     { Msts.Api.id = None; trace = None; op = Msts.Api.Stats };
   match !got with
   | Some { Msts.Api.result = Ok json; _ } -> json
   | _ -> Alcotest.fail "no stats payload"
+
+(* A trace violation in one line, as [Trace.report] heads it. *)
+let explain (v : Msts.Trace.violation) =
+  Printf.sprintf "%s violated: %s" v.invariant v.message
 
 (* A trace segment holding [events], emitted in list order through a
    recorder: it numbers them ([seq]) in that order and sorts them into the

@@ -644,7 +644,7 @@ let metrics_op_decoding () =
 let engine_serves_metrics_dump () =
   let engine = Msts_serve.Engine.create engine_config in
   let got = ref None in
-  Msts_serve.Engine.submit engine
+  engine_submit engine
     ~reply:(fun line -> got := Some (response_of_frame line))
     { Api.id = Some 1; trace = None; op = Api.Metrics_dump };
   (match !got with
@@ -669,7 +669,7 @@ let engine_admission_control () =
   let responses = ref [] in
   let reply line = responses := response_of_frame line :: !responses in
   let submit () =
-    Msts_serve.Engine.submit engine ~reply
+    engine_submit engine ~reply
       { Api.id = None; trace = None; op = Api.Schedule (figure2_problem ()) }
   in
   submit ();

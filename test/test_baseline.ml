@@ -78,7 +78,13 @@ let brute_force_schedule_witness =
     (QCheck.Test.make ~count:100 ~name:"brute-force witness schedule attains its makespan"
        (chain_with_n_arb ~max_p:3 ~max_n:6 ())
        (fun (chain, n) ->
-         let s = Msts.Brute_force.chain_schedule chain n in
+         let spider = Msts.Spider.of_chain chain in
+         let s =
+           Msts.Spider_schedule.leg_schedule
+             (Msts.Tree_schedule.to_spider spider
+                (Msts.Tree_search.best_fifo_schedule (Msts.Tree.of_spider spider) n))
+             1
+         in
          check_feasible s
          && Msts.Schedule.makespan s = Msts.Brute_force.chain_makespan chain n))
 
@@ -86,10 +92,6 @@ let brute_force_zero () =
   Alcotest.(check int) "0 tasks" 0 (Msts.Brute_force.chain_makespan figure2_chain 0);
   Alcotest.(check int) "spider 0 tasks" 0
     (Msts.Brute_force.spider_makespan (Msts.Spider.of_chain figure2_chain) 0)
-
-let brute_force_search_space () =
-  Alcotest.(check (Alcotest.float 1e-9)) "4^7" (16384.0)
-    (Msts.Brute_force.search_space ~procs:4 ~tasks:7)
 
 (* ---------- heuristics ---------- *)
 
@@ -435,7 +437,6 @@ let suites =
       [
         brute_force_schedule_witness;
         case "zero tasks" brute_force_zero;
-        case "search space arithmetic" brute_force_search_space;
       ] );
     ( "baseline.heuristics",
       [

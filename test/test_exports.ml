@@ -1,41 +1,31 @@
-(* Tests for the exports guard's scan (test/exports/exports_scan.ml) on
-   small fixture checkouts written to a temporary directory. *)
+(* Tests for the exports guard's scan (test/exports/exports_scan.ml) on the
+   compiled fixture trees under test/exports/fixtures/: each is a small
+   checkout with lib/, bin/, ... directories whose .cmt files dune builds
+   like the repository's own. *)
 
 open Helpers
 
-let scanned_dirs = [ "lib"; "bin"; "bench"; "perfbench"; "examples" ]
+(* The tests run in the build tree's test/ directory. *)
+let build = ".."
 
-let rec mkdir_p dir =
-  if not (Sys.file_exists dir) then begin
-    mkdir_p (Filename.dirname dir);
-    Sys.mkdir dir 0o755
-  end
+let sources =
+  lazy
+    (In_channel.with_open_bin "exports/fixture_sources.txt" In_channel.input_all
+    |> String.split_on_char ' ' |> List.map String.trim
+    |> List.filter (fun s -> s <> ""))
 
-let rec remove path =
-  if Sys.is_directory path then begin
-    Array.iter (fun name -> remove (Filename.concat path name)) (Sys.readdir path);
-    Sys.rmdir path
-  end
-  else Sys.remove path
-
-(* The guard's findings on a checkout holding [files] ([(path, text)],
-   paths relative to the root) and an allowlist of [allow] lines. *)
-let findings ?(allow = []) files =
-  let root = Filename.temp_dir "msts_exports" "" in
+(* The guard's findings on fixture [case] with an allowlist of [allow]
+   lines. *)
+let findings ?(allow = []) case =
+  let allowlist = Filename.temp_file "msts_exports" ".txt" in
   Fun.protect
-    ~finally:(fun () -> remove root)
+    ~finally:(fun () -> Sys.remove allowlist)
     (fun () ->
-      List.iter (fun d -> mkdir_p (Filename.concat root d)) scanned_dirs;
-      List.iter
-        (fun (path, text) ->
-          let path = Filename.concat root path in
-          mkdir_p (Filename.dirname path);
-          Out_channel.with_open_bin path (fun oc -> output_string oc text))
-        files;
-      let allowlist = Filename.concat root "allowlist.txt" in
       Out_channel.with_open_bin allowlist (fun oc ->
           output_string oc (String.concat "\n" allow));
-      Exports_scan.findings ~root ~allowlist)
+      Exports_scan.findings ~build
+        ~root:("test/exports/fixtures/" ^ case)
+        ~sources:(Lazy.force sources) ~allowlist)
 
 let contains ~sub s =
   let n = String.length s and m = String.length sub in
@@ -50,75 +40,60 @@ let check_findings what expected got =
         (contains ~sub msg))
     expected got
 
-(* lib/a/x.mli declares f and g; f is called from bin/. *)
-let x_module =
-  [
-    ("lib/a/x.mli", "val f : int\n(** doc *)\n\nval g : int -> int\n");
-    ("lib/a/x.ml", "let f = 1\nlet g n = n + f\n");
-    ("bin/main.ml", "let () = print_int Msts_a.X.f\n");
-  ]
+(* Each fixture's lib/a/x.mli declares f and g; bin/ calls f. *)
 
 let called_vals_pass () =
-  check_findings "g called from examples/" []
-    (findings (("examples/demo.ml", "let () = print_int (X.g 2)\n") :: x_module))
+  check_findings "g called from examples/, an operator through a local open" []
+    (findings "called")
 
 let uncalled_val_fails () =
-  (* g's only other mention is in x.ml itself *)
   check_findings "g used by its own .ml only" [ "lib/a/x.mli: val g has no caller" ]
-    (findings x_module)
+    (findings "own_only")
 
 let sibling_module_is_a_caller () =
-  check_findings "g called from lib/a/y.ml" []
-    (findings (("lib/a/y.ml", "let h = X.g 1\n") :: x_module))
+  check_findings "g called from lib/a/y.ml" [] (findings "sibling")
 
-let whole_words_only () =
-  check_findings "g only inside longer words" [ "val g" ]
-    (findings (("bench/b.ml", "let g_extra = my_g + g'\n") :: x_module))
+let unrelated_name_is_no_caller () =
+  (* bench/b.ml binds and reads a local [g]: a word scan sees the name,
+     the resolver sees no path to X.g *)
+  check_findings "g only as an unrelated local name" [ "lib/a/x.mli: val g has no caller" ]
+    (findings "unqualified")
 
-let skipped_files_and_signatures () =
-  check_findings "hidden and _build callers, operators, deeper and non-lib mlis"
-    [ "val g" ]
-    (findings
-       ([
-          ("lib/_build/copy.ml", "let _ = X.g\n");
-          ("lib/.hidden/copy.ml", "let _ = X.g\n");
-          ("lib/a/sub/deep.mli", "val deep_uncalled : int\n");
-          ("lib/a/ops.mli", "val ( +! ) : int -> int -> int\n");
-          ("bin/tool.mli", "val tool_uncalled : int\n");
-        ]
-       @ x_module))
+let skipped_directories () =
+  check_findings "callers in test/ and tools/, mlis outside lib/*/"
+    [ "lib/a/x.mli: val g has no caller" ]
+    (findings "skipped")
 
 let copied_test_file_is_no_caller () =
-  let oracle = "let _ = X.g 1\n" in
-  check_findings "g named only by a test file and its copy under bench/"
+  check_findings "g named only by a test file and its copy_files copy under bench/"
     [ "lib/a/x.mli: val g has no caller" ]
-    (findings
-       ([
-          ("test/oracle.ml", oracle);
-          ("bench/dune", "(copy_files ../test/oracle.ml)\n");
-          ("bench/oracle.ml", oracle);
-        ]
-       @ x_module));
-  check_findings "a bench file that differs from the test file still calls" []
-    (findings
-       ([ ("test/oracle.ml", oracle); ("bench/oracle.ml", oracle ^ "let h = 2\n") ]
-       @ x_module))
+    (findings "copied")
+
+let aliases_resolve () =
+  check_findings "facade alias, local alias, include, open; Sub.k uncalled"
+    [ "lib/a/x.mli: val Sub.k has no caller" ]
+    (findings "aliases")
+
+let functor_argument_is_a_caller () =
+  check_findings "X passed whole to Hashtbl.Make" [] (findings "functor_arg")
+
+let uncalled_operator_fails () =
+  check_findings "( +! ) used by its own .ml only" [ "lib/a/x.mli: val +! has no caller" ]
+    (findings "operator")
 
 let allowlist_keeps_a_val () =
   check_findings "g allowlisted" []
     (findings
        ~allow:[ "# comment"; ""; "lib/a/x.mli g kept as a documented entry point" ]
-       x_module)
+       "own_only")
 
 let stale_entry_fails () =
   check_findings "f is called" [ "allowlist: lib/a/x.mli f is not an uncalled val" ]
-    (findings
-       ~allow:[ "lib/a/x.mli g documented"; "lib/a/x.mli f documented" ]
-       x_module)
+    (findings ~allow:[ "lib/a/x.mli g documented"; "lib/a/x.mli f documented" ] "own_only")
 
 let entry_without_reason_fails () =
   check_findings "no reason" [ "allowlist: lib/a/x.mli g gives no reason" ]
-    (findings ~allow:[ "lib/a/x.mli g" ] x_module)
+    (findings ~allow:[ "lib/a/x.mli g" ] "own_only")
 
 let suites =
   [
@@ -127,10 +102,15 @@ let suites =
         case "vals called from another module pass" called_vals_pass;
         case "a val used only by its own module fails" uncalled_val_fails;
         case "another module of the library is a caller" sibling_module_is_a_caller;
-        case "a caller names the val as a whole word" whole_words_only;
-        case "hidden and _build files, operators, deeper and non-lib mlis are skipped"
-          skipped_files_and_signatures;
+        case "an unrelated identifier of the same name is no caller"
+          unrelated_name_is_no_caller;
+        case "test/ and other directories, mlis outside lib/*/ are skipped"
+          skipped_directories;
         case "a copy of a test file is no caller" copied_test_file_is_no_caller;
+        case "facade, local and included aliases and opens resolve" aliases_resolve;
+        case "a functor argument is a caller of each of its vals"
+          functor_argument_is_a_caller;
+        case "an operator with no caller fails" uncalled_operator_fails;
         case "an allowlist entry keeps an uncalled val" allowlist_keeps_a_val;
         case "a stale allowlist entry fails" stale_entry_fails;
         case "an allowlist entry without a reason fails" entry_without_reason_fails;

@@ -108,7 +108,7 @@ let residual_platform () =
       Alcotest.(check int) "slowdown folded into work" 8
         (Msts.Spider.work survivor (addr 1 1));
       Alcotest.(check int) "latency untouched" 1
-        (Msts.Spider.latency survivor (addr 1 1)));
+        (spider_latency survivor (addr 1 1)));
   Msts.Fault.apply state (Msts.Fault.Crash_proc (addr 2 1));
   Alcotest.(check bool) "nothing left" true (Msts.Fault.residual state = None)
 

@@ -112,7 +112,7 @@ let allocator_prefix_ranks =
        ~name:"accepted ranks form a prefix per slave (0..k-1)"
        (QCheck.make
           ~print:(fun (fork, d) ->
-            Printf.sprintf "%s, d=%d" (Msts.Fork.to_string fork) d)
+            Printf.sprintf "%s, d=%d" (fork_to_string fork) d)
           QCheck.Gen.(pair (fork_gen ~max_slaves:4 ()) (int_range 0 60)))
        (fun (fork, deadline) ->
          let nodes = Msts.Fork_expansion.expand fork ~count:8 in
@@ -136,7 +136,7 @@ let allocator_feasible_output =
     (QCheck.Test.make ~count:200 ~name:"allocated set satisfies the prefix condition"
        (QCheck.make
           ~print:(fun (fork, d) ->
-            Printf.sprintf "%s, d=%d" (Msts.Fork.to_string fork) d)
+            Printf.sprintf "%s, d=%d" (fork_to_string fork) d)
           QCheck.Gen.(pair (fork_gen ~max_slaves:4 ()) (int_range 0 60)))
        (fun (fork, deadline) ->
          let nodes = Msts.Fork_expansion.expand fork ~count:8 in
@@ -151,7 +151,7 @@ let allocator_optimal_vs_brute_force =
        ~name:"fork algorithm is optimal (vs spider brute force)"
        (QCheck.make
           ~print:(fun (fork, d) ->
-            Printf.sprintf "%s, d=%d" (Msts.Fork.to_string fork) d)
+            Printf.sprintf "%s, d=%d" (fork_to_string fork) d)
           QCheck.Gen.(pair (fork_gen ~max_slaves:4 ~max_val:8 ()) (int_range 0 40)))
        (fun (fork, deadline) ->
          min 6 (fork_max_tasks fork ~deadline ~budget:6)
@@ -162,7 +162,7 @@ let allocator_monotone_in_deadline =
     (QCheck.Test.make ~count:150 ~name:"accepted count is monotone in the deadline"
        (QCheck.make
           ~print:(fun (fork, d) ->
-            Printf.sprintf "%s, d=%d" (Msts.Fork.to_string fork) d)
+            Printf.sprintf "%s, d=%d" (fork_to_string fork) d)
           QCheck.Gen.(pair (fork_gen ~max_slaves:3 ()) (int_range 0 50)))
        (fun (fork, d) ->
          fork_max_tasks fork ~deadline:d ~budget:10
@@ -177,7 +177,7 @@ let candidates_arb =
   QCheck.make
     ~print:(fun (nodes, budget, deadline) ->
       Printf.sprintf "budget %d, deadline %d: %s" budget deadline
-        (String.concat "; " (List.map (Format.asprintf "%a" Msts.Fork_expansion.pp) nodes)))
+        (String.concat "; " (List.map vnode_to_string nodes)))
     QCheck.Gen.(
       list_size (int_range 0 24) (pair (int_range 0 5) (int_range 0 8)) >>= fun pairs ->
       let nodes =
@@ -240,7 +240,7 @@ let fork_schedules_are_feasible =
        ~name:"fork schedules are feasible and meet the deadline"
        (QCheck.make
           ~print:(fun (fork, d) ->
-            Printf.sprintf "%s, d=%d" (Msts.Fork.to_string fork) d)
+            Printf.sprintf "%s, d=%d" (fork_to_string fork) d)
           QCheck.Gen.(pair (fork_gen ~max_slaves:4 ()) (int_range 0 60)))
        (fun (fork, deadline) ->
          let s = fork_schedule fork ~deadline ~budget:8 in
@@ -254,7 +254,7 @@ let fork_schedule_counts_match_allocator =
        ~name:"fork schedules give each slave the tasks the §6 allocation accepts"
        (QCheck.make
           ~print:(fun (fork, d) ->
-            Printf.sprintf "%s, d=%d" (Msts.Fork.to_string fork) d)
+            Printf.sprintf "%s, d=%d" (fork_to_string fork) d)
           QCheck.Gen.(pair (fork_gen ~max_slaves:4 ()) (int_range 0 60)))
        (fun (fork, deadline) ->
          let s = fork_schedule fork ~deadline ~budget:8 in

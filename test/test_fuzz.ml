@@ -125,7 +125,7 @@ let translation_invariance =
          let base = Msts.Schedule.entries (Msts.Chain_algorithm.schedule chain n) in
          let mutated = Msts.Schedule.make chain (apply_mutation base mutation) in
          Msts.Feasibility.is_feasible mutated
-         = Msts.Feasibility.is_feasible (Msts.Schedule.shift d mutated)))
+         = Msts.Feasibility.is_feasible (shift_schedule d mutated)))
 
 (* any strict compaction of a feasible schedule that the simulator produces
    must also satisfy the checker: cross-validating Netsim against

@@ -49,13 +49,6 @@ let incremental_max_tasks_cap () =
   (* filling again with a larger cap keeps extending the same construction *)
   Alcotest.(check int) "extended" 6 (Msts.Chain_incremental.fill construction ~max_tasks:6 ())
 
-let incremental_state_copy () =
-  let construction = Msts.Chain_incremental.create figure2_chain ~horizon:14 in
-  let st = Msts.Chain_incremental.state construction in
-  st.Msts.Chain_algorithm.hull.(0) <- -999;
-  (* mutating the copy must not corrupt the construction *)
-  Alcotest.(check int) "still fills five" 5 (Msts.Chain_incremental.fill construction ())
-
 let incremental_rejects_negative () =
   Alcotest.check_raises "negative horizon"
     (Invalid_argument "Msts.Chain.Incremental.create: negative horizon") (fun () ->
@@ -134,7 +127,6 @@ let suites =
         incremental_matches_deadline;
         case "step-by-step snapshots" incremental_step_by_step;
         case "max_tasks cap and resumption" incremental_max_tasks_cap;
-        case "state is a defensive copy" incremental_state_copy;
         case "negative horizon rejected" incremental_rejects_negative;
       ] );
     ( "platform.spread",

@@ -99,7 +99,7 @@ let fork_spider_consistency =
        ~name:"§6 expansion + sweep count = spider algorithm on Spider.of_fork"
        (QCheck.make
           ~print:(fun (fork, d) ->
-            Printf.sprintf "%s, d=%d" (Msts.Fork.to_string fork) d)
+            Printf.sprintf "%s, d=%d" (fork_to_string fork) d)
           QCheck.Gen.(pair (fork_gen ~max_slaves:4 ()) (int_range 0 50)))
        (fun (fork, deadline) ->
          fork_max_tasks fork ~deadline ~budget:8

@@ -287,7 +287,7 @@ let count_matches_greedy_on_nodes =
           ~print:(fun (nodes, budget) ->
             Printf.sprintf "budget %d: %s" budget
               (String.concat "; "
-                 (List.map (Format.asprintf "%a" Msts.Fork_expansion.pp) nodes)))
+                 (List.map vnode_to_string nodes)))
           QCheck.Gen.(pair vnode_gen (oneofl [ 0; 2; 5; max_int ])))
        (fun (nodes, budget) ->
          let t = count_of_nodes nodes in

@@ -124,7 +124,7 @@ let agree ~what (got, got_trace) (want, want_trace) =
   | [] -> ()
   | v :: _ ->
       QCheck.Test.fail_reportf "%s: trace violation: %s" what
-        (Msts.Trace.explain v));
+        (explain v));
   true
 
 (* ---------- properties ---------- *)

@@ -45,7 +45,6 @@ let span_nesting () =
             Obs.span "inner" (fun () -> ());
             Obs.span "inner" (fun () -> ())))
   in
-  Alcotest.(check int) "max depth" 2 (Obs.Memory.max_depth mem);
   Alcotest.(check int) "balanced" 0 (open_spans mem);
   let stats = Obs.Memory.spans mem in
   let stat name = List.assoc name stats in
@@ -188,7 +187,6 @@ let hist_exact_small () =
   Alcotest.(check int) "sum" 31 (Obs.Histogram.sum h);
   Alcotest.(check int) "min" 1 (hist_field h "min");
   Alcotest.(check int) "max" 9 (hist_field h "max");
-  Alcotest.(check (float 1e-9)) "mean" (31.0 /. 8.0) (Obs.Histogram.mean h);
   (* sorted: 1 1 2 3 4 5 6 9 — values below 16 are exact *)
   Alcotest.(check int) "p0 = min" 1 (Obs.Histogram.quantile h 0.0);
   Alcotest.(check int) "p50" 3 (Obs.Histogram.quantile h 0.5);
@@ -242,7 +240,7 @@ let record_feeds_histograms () =
     with_ticking_clock (fun () ->
         List.iter (fun v -> Obs.record "lat" v) [ 1; 2; 3; 100 ])
   in
-  (match Obs.Memory.histogram mem "lat" with
+  (match List.assoc_opt "lat" (Obs.Memory.histograms mem) with
   | None -> Alcotest.fail "histogram missing"
   | Some h ->
       Alcotest.(check int) "count" 4 (Obs.Histogram.count h);
@@ -252,7 +250,7 @@ let record_feeds_histograms () =
     [ [ "lat"; "4"; "2"; "100"; "100"; "100" ] ]
     (Obs.Memory.histogram_rows mem);
   Alcotest.(check bool) "absent name" true
-    (Obs.Memory.histogram mem "zzz" = None)
+    (List.assoc_opt "zzz" (Obs.Memory.histograms mem) = None)
 
 let span_duration_histograms () =
   (* ticking clock: every event advances 10us, so each call lasts 10us *)
@@ -275,12 +273,11 @@ let memory_cap_bounds_log () =
         Obs.count "n"
       done;
       Obs.record "v" 5);
-  Alcotest.(check int) "cap recorded" 8 (Obs.Memory.max_events mem);
   Alcotest.(check int) "dropped" 93 (Obs.Memory.dropped_events mem);
   Alcotest.(check int) "log holds the cap" 8 (List.length (Obs.Memory.events mem));
   (* aggregates are exact past the cap *)
   Alcotest.(check int) "counter exact" 100 (Obs.Memory.counter mem "n");
-  (match Obs.Memory.histogram mem "v" with
+  (match List.assoc_opt "v" (Obs.Memory.histograms mem) with
   | Some h -> Alcotest.(check int) "histogram exact" 1 (Obs.Histogram.count h)
   | None -> Alcotest.fail "histogram missing");
   (* the newest events are the ones retained *)
@@ -301,7 +298,7 @@ let memory_without_log () =
   Alcotest.(check int) "nothing stored" 0 (List.length (Obs.Memory.events mem));
   Alcotest.(check int) "every event dropped" 11 (Obs.Memory.dropped_events mem);
   Alcotest.(check int) "counter exact" 10 (Obs.Memory.counter mem "n");
-  match Obs.Memory.histogram mem "v" with
+  match List.assoc_opt "v" (Obs.Memory.histograms mem) with
   | Some h -> Alcotest.(check int) "histogram exact" 1 (Obs.Histogram.count h)
   | None -> Alcotest.fail "histogram missing"
 
@@ -353,9 +350,6 @@ let ring_keeps_last_n () =
       for i = 1 to 10 do
         Obs.record "v" i
       done);
-  Alcotest.(check int) "capacity" 4 (Obs.Ring.capacity r);
-  Alcotest.(check int) "seen" 10 (Obs.Ring.seen r);
-  Alcotest.(check int) "dropped" 6 (Obs.Ring.dropped r);
   let values =
     List.map
       (function Obs.Value { value; _ } -> value | _ -> -1)
@@ -382,9 +376,8 @@ let tee_fans_out () =
       Obs.count "a";
       Obs.count "b");
   Alcotest.(check int) "memory saw the counts" 2 (Obs.Memory.counter mem "a");
-  Alcotest.(check int) "ring saw every event" 3 (Obs.Ring.seen r);
-  Alcotest.(check int) "ring kept the last two" 2
-    (List.length (Obs.Ring.events r))
+  Alcotest.(check (list string)) "ring kept the last two" [ "a"; "b" ]
+    (List.map (function Obs.Count { name; _ } -> name | _ -> "?") (Obs.Ring.events r))
 
 (* ---------- request scopes ---------- *)
 
@@ -956,7 +949,7 @@ let samples_read_as_values () =
       | Some h -> (Obs.Histogram.buckets h, Json.to_string (Obs.Histogram.to_json h))
       | None -> Alcotest.fail "histogram missing"
     in
-    ( hist (Obs.Memory.histogram mem "h"),
+    ( hist (List.assoc_opt "h" (Obs.Memory.histograms mem)),
       Json.to_string (Obs.Memory.to_json mem),
       Obs.Memory.histogram_rows mem,
       Obs.Prometheus.of_memory mem )

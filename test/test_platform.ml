@@ -95,9 +95,8 @@ let spider_addresses () =
   Alcotest.(check int) "legs" 2 (Msts.Spider.legs spider);
   Alcotest.(check int) "processors" 3 (Msts.Spider.processor_count spider);
   Alcotest.(check int) "addresses" 3 (List.length (Msts.Spider.addresses spider));
-  Alcotest.(check int) "max depth" 2 (Msts.Spider.max_depth spider);
   let a = { Msts.Spider.leg = 1; depth = 2 } in
-  Alcotest.(check int) "latency" 3 (Msts.Spider.latency spider a);
+  Alcotest.(check int) "latency" 3 (spider_latency spider a);
   Alcotest.(check int) "work" 5 (Msts.Spider.work spider a)
 
 let spider_of_chain_fork () =
@@ -106,7 +105,9 @@ let spider_of_chain_fork () =
   let fork = Msts.Fork.of_pairs [ (1, 2); (3, 4); (5, 6) ] in
   let as_spider = Msts.Spider.of_fork fork in
   Alcotest.(check int) "three legs" 3 (Msts.Spider.legs as_spider);
-  Alcotest.(check int) "all depth 1" 1 (Msts.Spider.max_depth as_spider)
+  for l = 1 to 3 do
+    Alcotest.(check int) "depth 1" 1 (Msts.Chain.length (Msts.Spider.leg_chain as_spider l))
+  done
 
 let spider_scale () =
   let spider =
@@ -114,10 +115,10 @@ let spider_scale () =
   in
   let target = { Msts.Spider.leg = 1; depth = 2 } in
   let scaled = Msts.Spider.scale ~latency_factor:2 ~work_factor:3 spider target in
-  Alcotest.(check int) "latency scaled" 6 (Msts.Spider.latency scaled target);
+  Alcotest.(check int) "latency scaled" 6 (spider_latency scaled target);
   Alcotest.(check int) "work scaled" 15 (Msts.Spider.work scaled target);
   Alcotest.(check int) "shallower node untouched" 2
-    (Msts.Spider.latency scaled { Msts.Spider.leg = 1; depth = 1 });
+    (spider_latency scaled { Msts.Spider.leg = 1; depth = 1 });
   Alcotest.(check int) "other leg untouched" 4
     (Msts.Spider.work scaled { Msts.Spider.leg = 2; depth = 1 });
   Alcotest.(check bool) "original unchanged" true
@@ -262,7 +263,7 @@ let platform_eq a b =
   | Msts.Platform_format.Chain_platform x, Msts.Platform_format.Chain_platform y ->
       Msts.Chain.equal x y
   | Msts.Platform_format.Fork_platform x, Msts.Platform_format.Fork_platform y ->
-      Msts.Fork.equal x y
+      Msts.Fork.to_pairs x = Msts.Fork.to_pairs y
   | Msts.Platform_format.Spider_platform x, Msts.Platform_format.Spider_platform y ->
       Msts.Spider.equal x y
   | _ -> false
@@ -383,6 +384,44 @@ let dot_mentions_everything () =
          at 0))
     [ "master"; "w=3"; "w=5"; "w=9"; "c=2"; "c=3"; "c=1"; "digraph" ]
 
+let sample_tree () =
+  Msts.Tree.make
+    [
+      Msts.Tree.node ~latency:1 ~work:2
+        ~children:
+          [ Msts.Tree.node ~latency:3 ~work:4 (); Msts.Tree.node ~latency:5 ~work:6 () ]
+        ();
+      Msts.Tree.node ~latency:7 ~work:8 ();
+    ]
+
+(* Forks and trees have no exporter of their own: [of_platform] draws
+   them, one node per slave or tree node, edges from their parents. *)
+let dot_draws_forks_and_trees () =
+  let has dot needle =
+    let n = String.length dot and m = String.length needle in
+    let rec at i = i + m <= n && (String.sub dot i m = needle || at (i + 1)) in
+    at 0
+  in
+  let fork =
+    Msts.Dot.of_platform
+      (Msts.Platform_format.Fork_platform (Msts.Fork.of_pairs [ (1, 2); (3, 4) ]))
+  in
+  List.iter
+    (fun needle -> Alcotest.(check bool) needle true (has fork needle))
+    [ "digraph"; "master -> s1 [label=\"c=1\"]"; "s2 [shape=circle, label=\"w=4\"]" ];
+  let tree = Msts.Dot.of_platform (Msts.Platform_format.Tree_platform (sample_tree ())) in
+  List.iter
+    (fun needle -> Alcotest.(check bool) needle true (has tree needle))
+    [ "master -> t1 [label=\"c=1\"]"; "t1 -> t3 [label=\"c=5\"]"; "master -> t4 [label=\"c=7\"]" ]
+
+(* The one-line text forms QCheck counterexamples print. *)
+let text_forms () =
+  let spider = Msts.Spider.of_legs [ figure2_chain; Msts.Chain.of_pairs [ (1, 9) ] ] in
+  Alcotest.(check string) "spider" "spider{chain[(c=2,w=3); (c=3,w=5)]; chain[(c=1,w=9)]}"
+    (Msts.Spider.to_string spider);
+  Alcotest.(check string) "tree" "tree{(c=1,w=2 -> (c=3,w=4), (c=5,w=6)); (c=7,w=8)}"
+    (Msts.Tree.to_string (sample_tree ()))
+
 let suites =
   [
     ( "platform.chain",
@@ -433,5 +472,10 @@ let suites =
         case "comments and blanks ignored" parse_comments_blanks;
         case "fork promoted to spider" parse_promotion;
       ] );
-    ("platform.dot", [ case "dot export mentions everything" dot_mentions_everything ]);
+    ( "platform.dot",
+      [
+        case "dot export mentions everything" dot_mentions_everything;
+        case "forks and trees are drawn through of_platform" dot_draws_forks_and_trees;
+        case "spiders and trees print on one line" text_forms;
+      ] );
   ]

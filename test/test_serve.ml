@@ -31,7 +31,7 @@ let greedy_cannot_starve_polite () =
   let engine = Engine.create lockstep_config in
   let order = ref [] in
   let submit conn tag tasks =
-    Engine.submit engine ~conn
+    engine_submit engine ~conn
       ~reply:(fun line ->
         match (response_of_frame line).Api.result with
         | Ok _ -> order := tag :: !order
@@ -68,11 +68,11 @@ let polite_wait_bounded_by_conns () =
   let polite = Engine.open_conn engine in
   let answered = ref false in
   for i = 1 to 50 do
-    Engine.submit engine ~conn:greedy
+    engine_submit engine ~conn:greedy
       ~reply:(fun _ -> ())
       (request (schedule ~tasks:(i mod 13) ()))
   done;
-  Engine.submit engine ~conn:polite
+  engine_submit engine ~conn:polite
     ~reply:(fun _ -> answered := true)
     (request (schedule ~tasks:14 ()));
   let turns = ref 0 in
@@ -96,7 +96,7 @@ let per_conn_queue_cap () =
   let other = Engine.open_conn engine in
   let errors = ref [] in
   let submit conn =
-    Engine.submit engine ~conn
+    engine_submit engine ~conn
       ~reply:(fun line ->
         match (response_of_frame line).Api.result with
         | Error e -> errors := e :: !errors
@@ -189,10 +189,10 @@ let batch_interleaves_with_singletons () =
   let batcher = Engine.open_conn engine in
   let single = Engine.open_conn engine in
   let order = ref [] in
-  Engine.submit engine ~conn:batcher
+  engine_submit engine ~conn:batcher
     ~reply:(fun _ -> order := "batch" :: !order)
     (request (batch_op 8));
-  Engine.submit engine ~conn:single
+  engine_submit engine ~conn:single
     ~reply:(fun _ -> order := "singleton" :: !order)
     (request (schedule ~tasks:9 ()));
   ignore (Engine.drain engine);
@@ -206,7 +206,7 @@ let batch_interleaves_with_singletons () =
 let stats_exposes_fairness_state () =
   let engine = Engine.create lockstep_config in
   let conn = Engine.open_conn engine in
-  Engine.submit engine ~conn ~reply:(fun _ -> ()) (request (schedule ()));
+  engine_submit engine ~conn ~reply:(fun _ -> ()) (request (schedule ()));
   match serve_stats engine with
   | Json.Obj fields ->
       (match List.assoc_opt "inflight" fields with
@@ -255,12 +255,12 @@ let drain_answers_inflight_worker_solves () =
     incr replies
   in
   for i = 0 to 7 do
-    Engine.submit engine
+    engine_submit engine
       ~conn:(if i land 1 = 0 then conn_a else conn_b)
       ~reply
       (request (schedule ~tasks:(3 + i) ()))
   done;
-  Engine.submit engine ~conn:conn_a ~reply (request (batch_op 6));
+  engine_submit engine ~conn:conn_a ~reply (request (batch_op 6));
   (* one non-blocking turn: units are now on the worker domains *)
   ignore (Engine.dispatch engine);
   Alcotest.(check bool) "work is in flight or queued" true
@@ -286,7 +286,7 @@ let close_conn_purges_queued_work () =
   let stays = Engine.open_conn engine in
   let answered = ref [] in
   let submit conn tag op =
-    Engine.submit engine ~conn ~reply:(fun _ -> answered := tag :: !answered)
+    engine_submit engine ~conn ~reply:(fun _ -> answered := tag :: !answered)
       (request op)
   in
   for i = 1 to 3 do
@@ -317,10 +317,15 @@ let close_conn_purges_queued_work () =
   in
   let gone = Engine.open_conn engine in
   let replies = ref 0 in
-  Engine.submit engine ~conn:gone ~reply:(fun _ -> incr replies)
+  engine_submit engine ~conn:gone ~reply:(fun _ -> incr replies)
     (request (batch_op 8));
   ignore (Engine.dispatch engine);
-  Alcotest.(check int) "first shard launched" 1 (Engine.inflight engine);
+  (* [dispatch] collects again after launching, so a worker that already
+     finished the first shard may have been collected: at most one unit
+     is in flight, and the batch's other shards stay queued either way *)
+  Alcotest.(check bool) "at most the first shard launched" true
+    (Engine.inflight engine <= 1);
+  Alcotest.(check int) "rest of the batch queued" 1 (Engine.pending engine);
   Engine.close_conn engine gone;
   Alcotest.(check int) "batch no longer pending" 0 (Engine.pending engine);
   Alcotest.(check int) "drain delivers nothing" 0 (Engine.drain engine);
@@ -329,6 +334,13 @@ let close_conn_purges_queued_work () =
   Engine.shutdown engine
 
 (* ---------- the socket loop ---------- *)
+
+let client_names_a_missing_socket () =
+  match Msts_serve.Client.connect "/nonexistent/msts.sock" with
+  | Ok _ -> Alcotest.fail "connected to a missing socket"
+  | Error msg ->
+      Alcotest.(check bool) msg true
+        (String.starts_with ~prefix:"cannot connect to /nonexistent/msts.sock: " msg)
 
 (* Read frames until the daemon closes the connection, giving up after
    [timeout] seconds without a byte. *)
@@ -437,5 +449,6 @@ let suites =
           close_conn_purges_queued_work;
         case "a half-closed client still gets every reply"
           half_closed_client_gets_replies;
+        case "the client names a socket it cannot reach" client_names_a_missing_socket;
       ] );
   ]

@@ -73,12 +73,12 @@ let engine_stress =
          && List.for_all (fun (t, code) -> at.(code) = t) order
          && List.for_all2 ( <= ) order (List.tl order @ [ (max_int, max_int) ])))
 
-let engine_step () =
+let engine_drains_once () =
   let e = Msts.Engine.create () in
-  Alcotest.(check bool) "empty step" false (Msts.Engine.step e ignore);
+  Alcotest.(check int) "empty queue" 0 (run_counted e ignore);
   Msts.Engine.schedule_at e 1 0;
-  Alcotest.(check bool) "one step" true (Msts.Engine.step e ignore);
-  Alcotest.(check bool) "drained" false (Msts.Engine.step e ignore)
+  Alcotest.(check int) "one event" 1 (run_counted e ignore);
+  Alcotest.(check int) "drained" 0 (run_counted e ignore)
 
 let engine_counts_cascades () =
   let e = Msts.Engine.create () in
@@ -217,7 +217,7 @@ let suites =
         case "cascading events" engine_cascading;
         case "past scheduling rejected" engine_rejects_past;
         engine_stress;
-        case "step" engine_step;
+        case "run drains the queue once" engine_drains_once;
         case "engine.events counts cascades" engine_counts_cascades;
       ] );
     ( "sim.netsim",

@@ -36,6 +36,9 @@ let fail_violations tr = function
 let ev ~time ~seq ~task kind = { Trace.time; seq; task; kind }
 
 (* First and last event times; [None] on the empty segment. *)
+(* One event per line. *)
+let show tr = String.concat "\n" (List.map Trace.event_to_string (Trace.events tr))
+
 let time_span tr =
   match Trace.events tr with
   | [] -> None
@@ -87,7 +90,7 @@ let split_concat_roundtrip () =
       let glued = Trace.concat a b in
       Alcotest.(check string)
         (Printf.sprintf "concat undoes split at %d" at)
-        (Trace.to_string tr) (Trace.to_string glued))
+        (show tr) (show glued))
     [ lo; (lo + hi) / 2; hi; hi + 1 ]
 
 let concat_rejects_overlap () =
@@ -211,6 +214,25 @@ let recorded_execution_clean () =
     (Msts.Spider_schedule.makespan plan)
     report.Msts.Netsim.realized_makespan
 
+(* A run inside [without_recorder] leaves no event in the installed
+   recorder, which is back in place afterwards, also after an exception. *)
+let without_recorder_hides_a_nested_run () =
+  let spider = spider_fixture () in
+  let plan = Msts.Plan.Spider (Msts.Spider_algorithm.schedule_tasks spider 6) in
+  let (), tr =
+    record (fun () ->
+        Trace.without_recorder (fun () ->
+            Alcotest.(check bool) "no recorder inside" false (Trace.recording ());
+            ignore (Msts.Netsim.execute plan : Msts.Netsim.execution_report));
+        Alcotest.(check bool) "recorder restored" true (Trace.recording ());
+        (try Trace.without_recorder (fun () -> failwith "lookahead failed")
+         with Failure _ -> ());
+        Alcotest.(check bool) "restored after an exception" true (Trace.recording ()))
+  in
+  Alcotest.(check int) "nothing recorded" 0 (Trace.length tr);
+  let (), tr = record (fun () -> ignore (Msts.Netsim.execute plan)) in
+  Alcotest.(check bool) "the same run outside records" true (Trace.length tr > 0)
+
 (* The acceptance criterion: a deliberately corrupted plan whose two tasks
    emit through the master's port at the same instant is rejected with a
    one-port violation, and localize cuts the trace down to exactly the two
@@ -329,7 +351,7 @@ let agree_on plan =
     (fun v ->
       if v.Trace.invariant <> "negative-date" && Trace.length (Trace.localize tr v) = 0
       then
-        QCheck.Test.fail_reportf "violation did not localize: %s" (Trace.explain v))
+        QCheck.Test.fail_reportf "violation did not localize: %s" (explain v))
     viols;
   (oracle_clean, viols)
 
@@ -404,7 +426,7 @@ let differential_corrupted_spiders =
          List.exists (fun v -> v.Trace.invariant = "one-port") viols
          || QCheck.Test.fail_reportf
               "port collision flagged, but not as one-port:\n%s"
-              (String.concat "\n" (List.map Trace.explain viols))))
+              (String.concat "\n" (List.map explain viols))))
 
 (* ---------- fuzz: random fault/replan interleavings ---------- *)
 
@@ -469,27 +491,24 @@ let fuzz_pull =
          in
          audit_fault_run tr report))
 
-(* The replanner runs its own lookahead simulations internally, so it is
-   exercised unrecorded; the recorded blind replay of the same scenario
-   provides the invariant check, and the replanner must beat or match it —
-   the guarantee Replan documents. *)
+(* The replanner's realised run, recorded with its lookahead simulations
+   running inside it, holds every invariant and agrees with its report;
+   and it must beat or match the blind replay of the same scenario — the
+   guarantee Replan documents. *)
 let fuzz_replan =
   to_alcotest
     (QCheck.Test.make ~count:150
-       ~name:"Replan.replay never loses to the blind replay, invariants hold"
+       ~name:"Replan.replay never loses to the blind replay, its recorded run holds every invariant"
        scenario_arb
        (fun ((spider, n), (seed, events)) ->
          let plan = Msts.Spider_algorithm.schedule_tasks spider n in
          let rng = Msts.Prng.create (0xf1a7 + (13 * seed)) in
          let horizon = Msts.Spider_schedule.makespan plan + 10 in
          let trace = Msts.Fault.random rng spider ~events ~horizon in
-         let blind, tr =
-           record (fun () ->
-               Msts.Netsim.replay_under_faults ~max_events:200_000 ~trace plan)
-         in
-         ignore (audit_fault_run tr blind : bool);
-         let outcome = Msts.Replan.replay ~trace plan in
-         (outcome.Msts.Replan.replans <= outcome.Msts.Replan.considered
+         let blind = Msts.Netsim.replay_under_faults ~max_events:200_000 ~trace plan in
+         let outcome, tr = record (fun () -> Msts.Replan.replay ~trace plan) in
+         audit_fault_run tr outcome.Msts.Replan.report
+         && (outcome.Msts.Replan.replans <= outcome.Msts.Replan.considered
          || QCheck.Test.fail_reportf "%d replans out of %d considered"
               outcome.Msts.Replan.replans outcome.Msts.Replan.considered)
          && (outcome.Msts.Replan.report.Msts.Netsim.observed_makespan
@@ -497,6 +516,26 @@ let fuzz_replan =
             || QCheck.Test.fail_reportf "replanner lost: %d > %d"
                  outcome.Msts.Replan.report.Msts.Netsim.observed_makespan
                  blind.Msts.Netsim.observed_makespan)))
+
+(* When the replanner keeps course at every fault, its recorded run is
+   the blind replay, event for event: its lookaheads leave nothing in the
+   trace. *)
+let fuzz_replan_keeping_course =
+  to_alcotest
+    (QCheck.Test.make ~count:100
+       ~name:"a replay that adopts no redirect records exactly the blind replay"
+       scenario_arb
+       (fun ((spider, n), (seed, events)) ->
+         let plan = Msts.Spider_algorithm.schedule_tasks spider n in
+         let rng = Msts.Prng.create (0xc0a5 + (7 * seed)) in
+         let horizon = Msts.Spider_schedule.makespan plan + 10 in
+         let trace = Msts.Fault.random rng spider ~events ~horizon in
+         let _, blind = record (fun () -> Msts.Netsim.replay_under_faults ~trace plan) in
+         let outcome, replanned = record (fun () -> Msts.Replan.replay ~trace plan) in
+         outcome.Msts.Replan.replans > 0
+         || Trace.events replanned = Trace.events blind
+         || QCheck.Test.fail_reportf "%d recorded events against %d for the blind replay"
+              (Trace.length replanned) (Trace.length blind)))
 
 let suites =
   [
@@ -521,6 +560,8 @@ let suites =
         case "crash run records aborts/returns and stays clean"
           fault_run_trace_clean;
         case "event budget turns livelock into failure" event_budget_guard;
+        case "a run without the recorder leaves no event in it"
+          without_recorder_hides_a_nested_run;
       ] );
     ( "trace.differential",
       [
@@ -529,5 +570,5 @@ let suites =
         differential_corrupted_chains;
         differential_corrupted_spiders;
       ] );
-    ("trace.fuzz", [ fuzz_replay; fuzz_pull; fuzz_replan ]);
+    ("trace.fuzz", [ fuzz_replay; fuzz_pull; fuzz_replan; fuzz_replan_keeping_course ]);
   ]

@@ -25,7 +25,7 @@ let show_violations vs =
   String.concat "\n"
     (List.map
        (fun v ->
-         Trace.explain v ^ "\n  witness: "
+         explain v ^ "\n  witness: "
          ^ String.concat "; " (List.map Trace.event_to_string v.Trace.witness))
        vs)
 

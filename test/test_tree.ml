@@ -133,7 +133,7 @@ let tree_checker_catches_compute_overlap () =
 let tree_schedule_structure () =
   let flat = Msts.Tree_flat.of_tree sample_tree in
   let s = Msts.Asap.of_sequence flat [| 1; 2; 1 |] in
-  Alcotest.(check int) "three tasks" 3 (Msts.Tree_schedule.task_count s);
+  Alcotest.(check int) "three tasks" 3 (Array.length (Msts.Tree_schedule.entries s));
   Alcotest.(check (list int)) "node 1 runs 1 and 3" [ 1; 3 ]
     (Msts.Tree_schedule.tasks_on s 1);
   Alcotest.check_raises "bad node"
@@ -152,7 +152,7 @@ let tree_heuristics_feasible =
          List.for_all
            (fun (_, policy) ->
              let s = Msts.Tree_heuristics.schedule policy tree n in
-             Msts.Tree_schedule.task_count s = n
+             Array.length (Msts.Tree_schedule.entries s) = n
              && Msts.Tree_schedule.is_feasible ~require_nonnegative:true s)
            Msts.Tree_heuristics.tree_policies))
 
@@ -167,7 +167,7 @@ let cover_feasible_on_tree =
          List.for_all
            (fun policy ->
              let s = Msts.Tree_heuristics.spider_cover policy tree n in
-             Msts.Tree_schedule.task_count s = n
+             Array.length (Msts.Tree_schedule.entries s) = n
              && Msts.Tree_schedule.is_feasible ~require_nonnegative:true s)
            [ Msts.Tree.Fastest_processor; Msts.Tree.Cheapest_link; Msts.Tree.Best_rate ]))
 
