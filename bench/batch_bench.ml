@@ -141,9 +141,9 @@ let run_campaign ~name ~count ~seed ~tasks_hi ~jobs_list ~assert_speedup () =
       Out_channel.output_string oc (Msts.Json.to_string ~pretty:true json);
       Out_channel.output_char oc '\n');
   print_endline "  BENCH_batch.json written";
-  (* The cache pass must beat re-solving by a wide margin whatever the
-     host: hits are O(1) lookups. *)
-  assert (warm_wall < base);
+  (* The cache pass serves every request from the cache: counts, not
+     its wall time (printed above), say so on any host. *)
+  assert (warm_stats.Msts.Batch.cache_hits = count);
   if assert_speedup then
     match speedup 4 with
     | Some s when cores >= 2 ->

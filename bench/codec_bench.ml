@@ -11,7 +11,14 @@
               Api.request_of_line on a cold-solve frame: one heavy
               spider and a task count, ~140 B
      shard    Batch.shard on the decoded batch (fingerprints, dedupe,
-              cache probes)
+              cache probes), deriving the repeat map itself
+     shard_engine
+              the same as the daemon's engine runs it, with the repeat
+              map the decoder gave (Api.request_or_rejection)
+     shard_colliding, shard_colliding_engine
+              both on a batch of 16000 distinct chains whose first 15
+              values agree, so [Hashtbl.hash] files them all in one
+              bucket: the identity tables' cap keeps the work linear
      encode   Json.to_string of the batch reply and of the schedule
               reply
      write    Api.response_line of the batch reply and of the schedule
@@ -36,7 +43,10 @@
    allocating more than they did then.  The two distinct stages' "before"
    is their count on the code before the element memo and the copying
    batch writer, and their gate lets them allocate at most 1.25 times
-   that: batches without repeats must not pay for the memo.  The framing
+   that: batches without repeats must not pay for the memo.  The
+   engine-path and colliding shard stages' "before" is the count of
+   Batch.shard before it took the decoder's repeat map (the engine
+   called it with none), with no cap on its identity tables.  The framing
    stage counts every
    word it allocates, minor or major (a frame-sized string goes straight
    to the major heap): its "before" is the splitter that copied the whole
@@ -100,7 +110,23 @@ let cold_problem () =
   in
   Msts.Solve.problem ~tasks:200 (Msts.Platform_format.Spider_platform spider)
 
+(* Chains that agree on their first 15 values (c all 1, w 1 but the
+   last), which [Hashtbl.hash] does not read past. *)
+let colliding_problems n =
+  Array.init n (fun i ->
+      let w = Array.make 8 1 in
+      w.(7) <- i + 1;
+      Msts.Solve.problem ~tasks:1
+        (Msts.Platform_format.Chain_platform (Msts.Chain.make ~c:(Array.make 8 1) ~w)))
+
 let request op = { Msts.Api.id = Some 1; trace = None; op }
+
+(* A batch frame's problems and repeat map, decoded as the engine
+   decodes them. *)
+let decode_batch name line =
+  match Msts.Api.request_or_rejection line with
+  | Ok ({ Msts.Api.op = Msts.Api.Batch problems; _ }, repeats) -> (problems, repeats)
+  | _ -> failwith ("codec-scaling: the " ^ name ^ " frame did not decode")
 
 let reply_json op =
   Msts.Api.encode_response
@@ -189,11 +215,11 @@ let codec_scaling () =
   (match Msts.Api.request_of_line schedule_line with
   | Ok { Msts.Api.op = Msts.Api.Schedule _; _ } -> ()
   | _ -> failwith "codec-scaling: the schedule frame did not decode");
-  let decoded =
-    match Msts.Api.request_of_line batch_line with
-    | Ok { Msts.Api.op = Msts.Api.Batch problems; _ } -> problems
-    | _ -> failwith "codec-scaling: the batch frame did not decode"
+  let decoded, repeats = decode_batch "batch" batch_line in
+  let colliding_line =
+    Msts.Api.request_to_line (request (Msts.Api.Batch (colliding_problems 16_000)))
   in
+  let colliding, colliding_repeats = decode_batch "colliding batch" colliding_line in
   let distinct_line =
     Msts.Api.request_to_line (request (Msts.Api.Batch (distinct_problems ())))
   in
@@ -244,6 +270,28 @@ let codec_scaling () =
         gate = 40.0;
         major = false;
         run = (fun () -> ignore (Msts.Batch.shard ~cache decoded));
+      };
+      {
+        name = "shard_engine";
+        before_words = 6458.;
+        gate = 3.0;
+        major = false;
+        run = (fun () -> ignore (Msts.Batch.shard ~cache ~repeats decoded));
+      };
+      {
+        name = "shard_colliding";
+        before_words = 9369234.;
+        gate = 1.0;
+        major = false;
+        run = (fun () -> ignore (Msts.Batch.shard ~cache colliding));
+      };
+      {
+        name = "shard_colliding_engine";
+        before_words = 9369234.;
+        gate = 1.0;
+        major = false;
+        run =
+          (fun () -> ignore (Msts.Batch.shard ~cache ~repeats:colliding_repeats colliding));
       };
       {
         name = "encode";
@@ -316,6 +364,8 @@ let codec_scaling () =
                ("batch_problems", Msts.Json.Int (Array.length decoded));
                ("distinct_problems", Msts.Json.Int 16);
                ("distinct_platforms", Msts.Json.Int 4);
+               ("colliding_problems", Msts.Json.Int (Array.length colliding));
+               ("colliding_frame_bytes", Msts.Json.Int (String.length colliding_line));
                ("batch_frame_bytes", Msts.Json.Int (String.length batch_line));
                ("schedule_frame_bytes", Msts.Json.Int (String.length schedule_line));
                ( "batch_reply_bytes",

@@ -1547,7 +1547,7 @@ let online_cmd =
         let response =
           match Msts.Api.request_or_rejection line with
           | Error rejection -> rejection
-          | Ok { Msts.Api.id; trace; op } ->
+          | Ok ({ Msts.Api.id; trace; op }, _) ->
               let result =
                 if Msts_online.Service.handles op then
                   Msts_online.Service.exec svc op

@@ -313,14 +313,18 @@ module Int_table = Hashtbl.Make (struct
   let hash h = h (* keys are hashes already *)
 end)
 
+(* A problem value and the first element that decoded to it; [next]
+   chains the problems of one bucket, newest first. *)
+type resolved = { problem : Solve.problem; first : int; next : resolved option }
+
 type memo_entry = {
   decoded : (Parse.platform, error) result;
-  problems : Solve.problem list Int_table.t;  (** by {!objective_hash} *)
+  problems : resolved Int_table.t;  (** by {!objective_hash} *)
 }
 
 (* An element that decoded cleanly: its bytes are the frame's
    [at .. at + length - 1]. *)
-type known = { at : int; length : int; problem : Solve.problem }
+type known = { at : int; length : int; resolved : resolved }
 
 type memo = {
   spellings : (string * memo_entry) list Int_table.t;
@@ -382,30 +386,13 @@ let objective_hash e =
   ((part e.tasks_seen e.tasks_value * 65_599) + part e.deadline_seen e.deadline_value)
   land max_int
 
-let rec find_problem e = function
-  | [] -> raise_notrace Not_found
-  | (p : Solve.problem) :: rest ->
-      if
-        same_objective e.tasks_seen e.tasks_value p.tasks
-        && same_objective e.deadline_seen e.deadline_value p.deadline
-      then p
-      else find_problem e rest
-
-let memo_problem e platform =
-  let table = e.entry.problems in
-  let h = objective_hash e in
-  let bucket = bucket table h in
-  try find_problem e bucket
-  with Not_found ->
-    let problem =
-      {
-        Solve.platform;
-        tasks = objective e.tasks_seen e.tasks_value;
-        deadline = objective e.deadline_seen e.deadline_value;
-      }
-    in
-    Int_table.replace table h (problem :: bucket);
-    problem
+let rec find_problem memo e ({ problem = p; next; _ } as resolved) =
+  memo.compared <- memo.compared + 1;
+  if
+    same_objective e.tasks_seen e.tasks_value p.Solve.tasks
+    && same_objective e.deadline_seen e.deadline_value p.deadline
+  then resolved
+  else match next with None -> raise_notrace Not_found | Some r -> find_problem memo e r
 
 (* The element memo, in front of the slow path below.  An element whose
    bytes equal those of an earlier element that decoded cleanly decodes
@@ -430,6 +417,39 @@ let memo_problem e platform =
 let prefix = 32
 let candidates = 8
 
+(* The problem of element [index], shared with the earlier elements
+   equal to it.  A bucket holds at most [candidates] problems too, so
+   objectives whose hashes collide cost at most [candidates] compares
+   (counted with the memo's): one a full bucket turns away gets a
+   problem of its own. *)
+let fresh_problem e platform ~index next =
+  {
+    problem =
+      {
+        Solve.platform;
+        tasks = objective e.tasks_seen e.tasks_value;
+        deadline = objective e.deadline_seen e.deadline_value;
+      };
+    first = index;
+    next;
+  }
+
+let memo_problem memo e platform ~index =
+  let table = e.entry.problems in
+  let h = objective_hash e in
+  match Int_table.find table h with
+  | head -> (
+      let compared = memo.compared in
+      try find_problem memo e head
+      with Not_found ->
+        let resolved = fresh_problem e platform ~index (Some head) in
+        if memo.compared - compared < candidates then Int_table.replace table h resolved;
+        resolved)
+  | exception Not_found ->
+      let resolved = fresh_problem e platform ~index None in
+      Int_table.replace table h resolved;
+      resolved
+
 let rec find_known memo r = function
   | [] -> raise_notrace Not_found
   | k :: rest ->
@@ -441,7 +461,7 @@ exception Rejected of error
 (* One element, read in place; its first bad field, in the order a single
    problem's fields are checked (platform, tasks, deadline), is raised
    once the element has been read. *)
-let decode_element memo r e =
+let decode_element memo r e ~index =
   match R.peek r with
   | `Object ->
       e.platform_seen <- Absent;
@@ -480,18 +500,23 @@ let decode_element memo r e =
       (match e.deadline_seen with
       | Wrong -> raise (Rejected (not_int "deadline"))
       | _ -> ());
-      memo_problem e platform
+      memo_problem memo e platform ~index
   | _ ->
       R.skip r;
       raise
         (Rejected (error Bad_request "every element of \"problems\" must be an object"))
 
-(* A frame's problems are gathered in a buffer reused per domain, so
-   its array is allocated once, at its final size.  The slots a frame
-   used are cleared when it is read, so no problem outlives its frame
-   there, and a buffer grown past [retain] slots is dropped.  A nested
-   reading (none happens today) would get a fresh buffer. *)
-type gather = { mutable slots : Solve.problem array; mutable busy : bool }
+(* A frame's problems and repeat map are gathered in buffers reused per
+   domain, so its arrays are allocated once, at their final size.  The
+   slots a frame used are cleared when it is read, so no problem
+   outlives its frame there, and buffers grown past [retain] slots are
+   dropped.  A nested reading (none happens today) would get fresh
+   buffers. *)
+type gather = {
+  mutable slots : Solve.problem array;
+  mutable firsts : int array;
+  mutable busy : bool;
+}
 
 let placeholder =
   {
@@ -501,13 +526,14 @@ let placeholder =
   }
 
 let retain = 1 lsl 16
-let fresh_gather () = { slots = Array.make 256 placeholder; busy = false }
+let fresh_gather () =
+  { slots = Array.make 256 placeholder; firsts = Array.make 256 0; busy = false }
 let gathers = Domain.DLS.new_key fresh_gather
 
 (* One element through the memo: a hit is stepped over, anything else
    takes the slow path and, when it decodes cleanly and its bucket has
    room, is recorded. *)
-let memo_element memo r e =
+let memo_element memo r e ~index =
   ignore (R.peek r) (* past the whitespace, to the element's first byte *);
   let at = R.position r in
   let h = R.hash_ahead r prefix in
@@ -517,16 +543,18 @@ let memo_element memo r e =
   | k ->
       memo.hits <- memo.hits + 1;
       R.seek r (at + k.length);
-      k.problem
+      k.resolved
   | exception Not_found ->
-      let problem = decode_element memo r e in
+      let resolved = decode_element memo r e ~index in
       if List.compare_length_with known candidates < 0 then
         Int_table.replace memo.known h
-          ({ at; length = R.position r - at; problem } :: known);
-      problem
+          ({ at; length = R.position r - at; resolved } :: known);
+      resolved
 
 (* The "problems" array the reader is on, read to its end: after the
-   first bad element the rest are only checked. *)
+   first bad element the rest are only checked.  With the problems comes
+   the repeat map: for each element, the first element that decoded to
+   the same physical problem. *)
 let decode_problems r =
   let memo =
     {
@@ -552,13 +580,17 @@ let decode_problems r =
   let g = if shared.busy then fresh_gather () else shared in
   g.busy <- true;
   let count = ref 0 and failure = ref None in
-  let add problem =
+  let add { problem; first; _ } =
     if !count = Array.length g.slots then begin
       let grown = Array.make (2 * !count) placeholder in
       Array.blit g.slots 0 grown 0 !count;
-      g.slots <- grown
+      g.slots <- grown;
+      let grown = Array.make (2 * !count) 0 in
+      Array.blit g.firsts 0 grown 0 !count;
+      g.firsts <- grown
     end;
     g.slots.(!count) <- problem;
+    g.firsts.(!count) <- first;
     incr count
   in
   let read () =
@@ -568,8 +600,8 @@ let decode_problems r =
         (match !failure with
         | Some _ -> R.skip r
         | None -> (
-            match memo_element memo r e with
-            | problem -> add problem
+            match memo_element memo r e ~index:!count with
+            | resolved -> add resolved
             | exception Rejected err -> failure := Some err));
         more := R.next_item r
       done
@@ -579,11 +611,15 @@ let decode_problems r =
     Obs.count ~n:memo.compared "api.batch_memo_candidates";
     match !failure with
     | Some err -> Error err
-    | None -> Ok (Array.sub g.slots 0 !count)
+    | None -> Ok (Array.sub g.slots 0 !count, Array.sub g.firsts 0 !count)
   in
   let release () =
     Array.fill g.slots 0 !count placeholder;
-    if Array.length g.slots > retain then g.slots <- (fresh_gather ()).slots;
+    if Array.length g.slots > retain then begin
+      let fresh = fresh_gather () in
+      g.slots <- fresh.slots;
+      g.firsts <- fresh.firsts
+    end;
     g.busy <- false
   in
   Fun.protect ~finally:release read
@@ -591,8 +627,9 @@ let decode_problems r =
 type frame = {
   r : R.t;
   at : int array;  (** where each of [members] first occurs, or -1 *)
-  mutable batch : (problem array, error) result option;
-      (** "problems", when decoded during the pass *)
+  mutable batch : (problem array * int array, error) result option;
+      (** "problems" and its repeat map, once decoded (during the pass
+          when "op" came first) *)
 }
 
 (* The pass over the whole frame: [None] when it is not an object. *)
@@ -694,16 +731,12 @@ let decode_op f name =
         let* p = req_problem f in
         Ok (Metrics p)
   | "batch" ->
-      let* problems =
-        match f.batch with
-        | Some decoded -> decoded
-        | None -> (
-            if not (find f "problems") then Error (missing "list" "problems")
-            else
-              match R.peek f.r with
-              | `Array -> decode_problems f.r
-              | _ -> bad "field \"problems\" must be a list")
-      in
+      if Option.is_none f.batch && find f "problems" then
+        f.batch <-
+          (match R.peek f.r with
+          | `Array -> Some (decode_problems f.r)
+          | _ -> Some (bad "field \"problems\" must be a list"));
+      let* problems, _ = Option.value f.batch ~default:(Error (missing "list" "problems")) in
       Ok (Batch problems)
   | "report" ->
       let* problem = req_problem f in
@@ -789,9 +822,10 @@ let decode_request f =
   let* op = decode_op f name in
   Ok { id; trace; op }
 
-(* A frame's request, or the error answering it with the best-effort
-   correlation the frame carries: its first "id" if that is an integer,
-   its first "trace" if that is a string. *)
+(* A frame's request and a batch's repeat map (empty for other ops), or
+   the error answering it with the best-effort correlation the frame
+   carries: its first "id" if that is an integer, its first "trace" if
+   that is a string. *)
 let decode line =
   let decoded =
     R.read line (fun r ->
@@ -799,7 +833,13 @@ let decode line =
         | None -> Error (not_object, None, None)
         | Some f -> (
             match decode_request f with
-            | Ok request -> Ok request
+            | Ok request ->
+                let repeats =
+                  match (request.op, f.batch) with
+                  | Batch _, Some (Ok (_, repeats)) -> repeats
+                  | _ -> [||]
+                in
+                Ok (request, repeats)
             | Error e ->
                 let id = if find f "id" && read_int r then Some (R.int_value r) else None in
                 let trace =
@@ -814,10 +854,10 @@ let decode line =
 let request_to_line r = Json.to_string (encode_request r) ^ "\n"
 
 let request_of_line line =
-  match decode line with Ok request -> Ok request | Error (e, _, _) -> Error e
+  match decode line with Ok (request, _) -> Ok request | Error (e, _, _) -> Error e
 
 let frame_id line =
-  match decode line with Ok request -> request.id | Error (_, id, _) -> id
+  match decode line with Ok (request, _) -> request.id | Error (_, id, _) -> id
 
 (* ---------- response codec ---------- *)
 
@@ -906,9 +946,9 @@ let response_of_line line =
   let* json = parse_line line in
   decode_response json
 
-let request_or_rejection line : (request, response) result =
+let request_or_rejection line : (request * int array, response) result =
   match decode line with
-  | Ok request -> Ok request
+  | Ok decoded -> Ok decoded
   | Error (e, id, trace) -> Error { id; trace; result = Error e }
 
 (* ---------- JSON renderings (the former per-subcommand CLI assembly,

@@ -156,7 +156,11 @@ val request_of_line : string -> (request, error) result
     Within a [batch] frame each distinct platform text is parsed once:
     problems repeating a text (however it is escaped) share one physical
     {!Msts_platform.Parse.platform}, and elements equal in (platform
-    text, [tasks], [deadline]) decode to one physical problem.  An
+    text, [tasks], [deadline]) decode to one physical problem, the
+    problems of one text being filed by a hash of their objective in
+    buckets of at most 8 (an element a full bucket turns away gets a
+    problem value of its own, so hash collisions cost at most 8
+    compares per element, never a scan of the frame).  An
     element whose bytes equal those of an earlier element that decoded
     cleanly is not lexed at all: the decoder finds the earlier one in a
     per-frame memo of offsets into the frame (a hash of the element's
@@ -165,7 +169,8 @@ val request_of_line : string -> (request, error) result
     a repeat allocates nothing, and the frame's problem array is
     allocated once, at its final size.  Nothing is cached across
     frames.  The memo emits [api.batch_elements], [api.batch_memo_hits]
-    and [api.batch_memo_candidates] once per frame. *)
+    and [api.batch_memo_candidates] (the recorded elements and problems
+    compared, at most 16 per element) once per frame. *)
 
 val frame_id : string -> int option
 (** Best-effort extraction of the correlation id from a frame that may
@@ -181,13 +186,18 @@ val encode_response : response -> Msts_obs.Json.t
 val response_to_line : response -> string
 val response_of_line : string -> (response, error) result
 
-val request_or_rejection : string -> (request, response) result
-(** {!request_of_line} for a server: a frame that does not decode comes
-    back as the error response answering it, with the [id] and [trace]
-    recovered best-effort from the same reading so the client can still
-    correlate it: the first ["id"] when it is an integer, the first
-    ["trace"] when it is a string, neither when the frame is malformed or
-    not an object. *)
+val request_or_rejection : string -> (request * int array, response) result
+(** {!request_of_line} for a server, with a [batch] frame's repeat map:
+    for each problem [i], the first problem [j <= i] that is the same
+    physical value, which the decoder knows without hashing any problem
+    (empty for the other ops).  {!Msts_pool.Batch.shard} takes it as
+    [~repeats], so a repeated element costs the shard two int copies.
+
+    A frame that does not decode comes back as the error response
+    answering it, with the [id] and [trace] recovered best-effort from
+    the same reading so the client can still correlate it: the first
+    ["id"] when it is an integer, the first ["trace"] when it is a
+    string, neither when the frame is malformed or not an object. *)
 
 (** {2 Execution} *)
 

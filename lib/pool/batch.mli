@@ -54,6 +54,9 @@ val cache_capacity : cache -> int
 val cache_length : cache -> int
 (** Current number of cached outcomes. *)
 
+val cache_keys : cache -> string list
+(** The cached fingerprints, from most to least recently used. *)
+
 (** {2 Running a batch} *)
 
 type stats = {
@@ -100,12 +103,31 @@ type plan
 (** The frozen coordinator pass: per-request resolutions plus the
     distinct problems still to solve. *)
 
-val shard : ?cache:cache -> request array -> plan
+val shard : ?cache:cache -> ?repeats:int array -> request array -> plan
 (** Probe the cache and deduplicate, in submission order.  Like {!run},
     a missing [?cache] means a private throw-away cache sized to the
-    batch.  Each physically distinct platform value is printed once;
-    requests sharing one (as a decoded batch frame's repeats do) reuse
-    its text. *)
+    batch.
+
+    [?repeats] is the batch's repeat map: for every request [i], the
+    first request [j <= i] that is the same physical value
+    ([repeats.(j) = j], [requests.(j) == requests.(i)]), as
+    [Msts.Api.request_or_rejection] gives it for a decoded batch
+    frame.  A repeat then costs two int copies: it is neither hashed nor
+    fingerprinted, and nothing is allocated for it.  Each first is
+    fingerprinted and probed against the cache once, and each physically
+    distinct platform value is printed once.  Without [?repeats] the map
+    is derived here, by one pass that files each request by physical
+    identity.
+
+    Both the derived map and the platform texts are kept in identity
+    tables whose buckets ([Hashtbl.hash] of the value) hold at most 8
+    entries: a value its full bucket turns away is handled as a first
+    (it is fingerprinted, and the fingerprint table still dedupes it).
+    So a lookup compares at most 8 values, whatever the batch: at most
+    8·N compares with a repeat map of N requests, 16·N without one.  The
+    compares are counted in [pool.identity_candidates].
+    @raise Invalid_argument if [repeats] is not such a map (checked in
+    O(1) per request). *)
 
 val fingerprints : plan -> string array
 (** The cache key of every request, in submission order: pointwise equal
@@ -114,7 +136,8 @@ val fingerprints : plan -> string array
 val firsts : plan -> int array
 (** For every request, in submission order, the first request with its
     fingerprint: itself, or the earlier request whose outcome
-    {!assemble} gives it.  [firsts.(firsts.(i)) = firsts.(i)]. *)
+    {!assemble} gives it.  [firsts.(firsts.(i)) = firsts.(i)].  This is
+    the plan's own array, not a copy: read it, never write it. *)
 
 val shard_count : plan -> int
 (** Distinct uncached problems — the units to solve. *)

@@ -468,15 +468,17 @@ let enqueue_unit t c u =
     Queue.add c.cid t.ring
   end
 
-let admit t c item =
+let admit t c item ~repeats =
   Obs.count "serve.accepted";
   c.admitted <- c.admitted + 1;
   (match item.request.Api.op with
   | Api.Batch problems ->
       (* Shard at admission: the coordinator pass (dedupe + cache probes,
-         submission order) runs here on the I/O domain; the slots become
-         independent units that interleave with other connections. *)
-      let plan = Msts.Batch.shard ~cache:t.cache problems in
+         submission order) runs here on the I/O domain, over the
+         decoder's repeat map, so it costs the batch's distinct problems;
+         the slots become independent units that interleave with other
+         connections. *)
+      let plan = Msts.Batch.shard ~cache:t.cache ~repeats problems in
       let k = Msts.Batch.shard_count plan in
       let job =
         {
@@ -506,7 +508,7 @@ let admit t c item =
   t.queued_requests <- t.queued_requests + 1;
   c.queued_reqs <- c.queued_reqs + 1
 
-let submit t ?conn ~reply request =
+let submit t ?conn ~reply ~repeats request =
   Obs.count "serve.requests";
   let c = match conn with Some c -> c | None -> t.default_conn in
   let item = { request; reply; enqueued_us = Obs.now_us (); iconn = c } in
@@ -533,11 +535,11 @@ let submit t ?conn ~reply request =
     refuse t item Api.Overloaded
       (Printf.sprintf "connection queue full (%d queued)"
          t.cfg.max_queue_per_conn)
-  else admit t c item
+  else admit t c item ~repeats
 
 let handle_line t ?conn ~reply line =
   match Api.request_or_rejection line with
-  | Ok request -> submit t ?conn ~reply request
+  | Ok (request, repeats) -> submit t ?conn ~reply ~repeats request
   | Error rejection ->
       Obs.count "serve.requests";
       t.rejected <- t.rejected + 1;

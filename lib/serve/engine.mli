@@ -134,7 +134,8 @@ val handle_line : t -> ?conn:conn -> reply:(string -> unit) -> string -> unit
     answered immediately with [`shutting_down] when {!stopping}, or
     [`overloaded] when the global queue or the connection's queue is
     full.  A [batch] request is sharded at admission
-    ({!Msts.Batch.shard}): its distinct uncached problems become
+    ({!Msts.Batch.shard}, over the repeat map the decoder gives, so a
+    repeated element costs an int copy): its distinct uncached problems become
     independent units, and the reply is assembled
     ({!Msts.Batch.assemble}) when the last one completes — byte-identical
     to the unsharded reply. *)

@@ -332,9 +332,13 @@ let with_recorder (r : Recorder.t) f =
     f
 
 let without_recorder f =
-  let saved = Domain.DLS.get the_recorder in
-  Domain.DLS.set the_recorder None;
-  Fun.protect ~finally:(fun () -> Domain.DLS.set the_recorder saved) f
+  (* With no recorder installed there is nothing to hide or restore, so
+     the common path allocates nothing (no closure, no protect). *)
+  match Domain.DLS.get the_recorder with
+  | None -> f ()
+  | Some _ as saved ->
+      Domain.DLS.set the_recorder None;
+      Fun.protect ~finally:(fun () -> Domain.DLS.set the_recorder saved) f
 
 let recording () = Option.is_some (Domain.DLS.get the_recorder)
 

@@ -108,7 +108,8 @@ val without_recorder : (unit -> 'a) -> 'a
 (** Run the callback with no recorder installed on this domain, and
     restore the previous one on exit, also on exceptions: a simulation run
     only to decide something (the replanner's lookaheads) stays out of
-    the trace of the run that is being recorded. *)
+    the trace of the run that is being recorded.  With no recorder
+    installed it just calls the callback, allocating nothing. *)
 
 val recording : unit -> bool
 (** Whether a recorder is installed on this domain — lets instrumentation

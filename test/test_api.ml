@@ -469,8 +469,64 @@ let response_line_matches_tree =
            (Api.exec ~cache_capacity:4 ~solver:Api.direct_solver op)
            id trace))
 
+(* The engine's answer to a batch frame, dispatched until it comes. *)
+let engine_batch_reply ~id ~trace problems =
+  let engine = Msts_serve.Engine.create engine_config in
+  let got = ref None in
+  Msts_serve.Engine.handle_line engine
+    ~reply:(fun line -> got := Some line)
+    (Api.request_to_line { Api.id; trace; op = Api.Batch problems });
+  let rec wait rounds =
+    match !got with
+    | Some line -> line
+    | None when rounds = 0 -> Alcotest.fail "engine never replied"
+    | None ->
+        ignore (Msts_serve.Engine.dispatch engine);
+        wait (rounds - 1)
+  in
+  let line = wait 1000 in
+  Msts_serve.Engine.shutdown engine;
+  line
+
+(* What the engine must answer: the tree of the reply that sharding the
+   decoded batch with a fresh cache of the engine's capacity gives. *)
+let batch_reply_tree ~id ~trace problems =
+  let decoded =
+    match Api.request_of_line (Api.request_to_line { Api.id; trace; op = Api.Batch problems }) with
+    | Ok { Api.op = Api.Batch decoded; _ } -> decoded
+    | _ -> Alcotest.fail "the batch frame did not decode"
+  in
+  let plan =
+    Msts.Batch.shard ~cache:(Msts.Batch.cache ~capacity:engine_config.cache_capacity) decoded
+  in
+  let k = Msts.Batch.shard_count plan in
+  let outcomes, stats =
+    Msts.Batch.assemble plan ~jobs:1
+      ~solved:(Array.init k (fun slot -> Api.guarded_solve (Msts.Batch.shard_request plan slot)))
+      ~wait_us:(Array.make k 0) ~busy_us:(Array.make k 0)
+  in
+  Api.response_to_line
+    {
+      Api.id;
+      trace;
+      result =
+        Ok
+          (Api.json_of_reply
+             (Api.Batched
+                {
+                  problems = decoded;
+                  outcomes;
+                  firsts = [||];
+                  stats;
+                  cache_capacity = engine_config.cache_capacity;
+                }));
+    }
+
 (* Batch replies assembled by hand: solved and failed outcomes in any
-   mix, failure messages with bytes that need escaping, any stats. *)
+   mix, failure messages with bytes that need escaping, any stats.  The
+   same problems, each then repeated, sent to the engine as a frame come
+   back as the reply tree's bytes: the decoder's repeat map, the shard
+   and the copying writer change none. *)
 let batched_line_matches_tree =
   let outcome_gen =
     Gen.(
@@ -506,9 +562,14 @@ let batched_line_matches_tree =
        (fun ((id, trace, items), (stats, cache_capacity)) ->
          let problems = Array.of_list (List.map fst items) in
          let outcomes = Array.of_list (List.map snd items) in
+         let repeated = Array.append problems (Array.of_list (List.rev_map fst items)) in
+         let engine = engine_batch_reply ~id ~trace repeated
+         and tree = batch_reply_tree ~id ~trace repeated in
          writer_matches_reference
            (Ok (Api.Batched { problems; outcomes; firsts = [||]; stats; cache_capacity }))
-           id trace))
+           id trace
+         && (engine = tree
+            || QCheck.Test.fail_reportf "engine:\n%s\ntree:\n%s" engine tree)))
 
 (* Batch replies as the daemon's engine assembles them, over a small
    pool of problems drawn with repetition, some of which fail: repeated
@@ -1122,9 +1183,18 @@ let sharing problems =
         problems)
     problems
 
+(* The first problem that is the same value as each one. *)
+let first_equal problems =
+  Array.map
+    (fun p ->
+      let rec first j = if problems.(j) == p then j else first (j + 1) in
+      first 0)
+    problems
+
 (* The frame decodes as the tree decoder decodes it: the same request
    with the same sharing of batch problems, or the same error, offset
-   and correlation. *)
+   and correlation; a batch's repeat map names each problem's first
+   equal value, and other ops have none. *)
 let same_as_reference line =
   let show = function
     | Ok r -> "Ok " ^ Api.request_to_line r
@@ -1134,17 +1204,18 @@ let same_as_reference line =
   and want = Api_reference.request_or_rejection line in
   let same =
     match (got, want) with
-    | Ok a, Ok b -> (
+    | Ok (a, repeats), Ok b -> (
         a = b
         &&
         match (a.Api.op, b.Api.op) with
-        | Api.Batch pa, Api.Batch pb -> sharing pa = sharing pb
-        | _ -> true)
+        | Api.Batch pa, Api.Batch pb ->
+            sharing pa = sharing pb && repeats = first_equal pa
+        | _ -> repeats = [||])
     | Error a, Error b -> a = b
     | _ -> false
   in
   (same && Api.request_of_line line = Api_reference.request_of_line line)
-  || QCheck.Test.fail_reportf "got  %s\nwant %s" (show got) (show want)
+  || QCheck.Test.fail_reportf "got  %s\nwant %s" (show (Result.map fst got)) (show want)
 
 let decoder_matches_reference =
   to_alcotest
@@ -1163,6 +1234,10 @@ let decoder_matches_reference =
    and syntax errors after repeats. *)
 let chain_a = {|"chain\n2 3\n3 5\n"|}
 let chain_a_escaped = {|"\u0063hain\u000a2 3\n3 5\n"|}
+
+(* Another text of chain_a's platform: a platform value of its own, with
+   chain_a's fingerprint. *)
+let chain_a_spaced = {|"chain\n2  3\n3 5\n"|}
 let chain_b = {|"chain\n2 3\n3 5\n1 1\n"|}
 
 let element_gen =
@@ -1187,7 +1262,8 @@ let element_gen =
 
 (* Frames over a few well-formed elements, with an odd one drawn now and
    then: most frames decode, so the memo's hits are exercised, and the
-   rest fail after repeats. *)
+   rest fail after repeats.  Two texts of one platform give distinct
+   problem values with one fingerprint. *)
 let memo_frame_gen =
   let good_elements =
     [
@@ -1196,6 +1272,7 @@ let memo_frame_gen =
       Printf.sprintf {|{"platform":%s,"tasks":6}|} chain_a;
       Printf.sprintf {|{"platform":%s,"tasks":5}|} chain_a_escaped;
       Printf.sprintf {|{ "platform":%s,"tasks":5}|} chain_a;
+      Printf.sprintf {|{"platform":%s,"tasks":5}|} chain_a_spaced;
       Printf.sprintf {|{"platform":%s,"deadline":9}|} chain_b;
     ]
   in
@@ -1210,6 +1287,82 @@ let memo_frame_gen =
     let problems = String.concat "," elements in
     if op_first then Printf.sprintf {|{"v":1,"id":3,"op":"batch","problems":[%s]}|} problems
     else Printf.sprintf {|{"problems":[%s],"id":3,"op":"batch"}|} problems)
+
+(* The shard over the decoder's repeat map, and over the map it derives
+   itself, against the fingerprint-keyed reference coordinator
+   (test/batch_reference.ml) on the same frames: the same keys, firsts,
+   slots in the same order, outcomes, hits and misses, and the same LRU
+   order after the probes and insertions, from caches warmed alike with
+   every third problem and too small for the batch.  Frames that do not
+   decode carry no map. *)
+let shard_matches_batch_reference =
+  to_alcotest
+    (QCheck.Test.make ~count:500
+       ~name:"shard over decoded and derived repeat maps = reference coordinator"
+       (QCheck.make ~print:String.escaped memo_frame_gen)
+       (fun line ->
+         match Api.request_or_rejection line with
+         | Error _ -> true
+         | Ok ({ Api.op = Api.Batch problems; _ }, repeats) ->
+             let capacity = 3 in
+             let warm = Array.of_list (List.filteri (fun i _ -> i mod 3 = 1) (Array.to_list problems)) in
+             let warmed () =
+               let cache = Msts.Batch.cache ~capacity in
+               ignore (Msts.Batch.run ~jobs:1 ~cache ~solve:Api.guarded_solve warm);
+               cache
+             in
+             let ref_cache = Msts.Lru.create ~capacity in
+             let solve_all count request = Array.init count (fun slot -> Api.guarded_solve (request slot)) in
+             (let rplan = Batch_reference.shard ref_cache warm in
+              ignore
+                (Batch_reference.assemble rplan
+                   ~solved:
+                     (solve_all (Batch_reference.shard_count rplan)
+                        (Batch_reference.shard_request rplan))));
+             let rplan = Batch_reference.shard ref_cache problems in
+             let k = Batch_reference.shard_count rplan in
+             let solved = solve_all k (Batch_reference.shard_request rplan) in
+             let ref_outcomes, (hits, misses) = Batch_reference.assemble rplan ~solved in
+             let ref_firsts =
+               Array.mapi
+                 (fun i -> function Batch_reference.Duplicate j -> j | Cached _ | Fresh _ -> i)
+                 rplan.Batch_reference.resolutions
+             in
+             let ref_keys = List.map fst (Msts.Lru.to_list ref_cache) in
+             let agrees what repeats =
+               let cache = warmed () in
+               let plan = Msts.Batch.shard ~cache ?repeats problems in
+               let same_slots =
+                 Msts.Batch.shard_count plan = k
+                 && List.for_all
+                      (fun slot ->
+                        Msts.Batch.shard_request plan slot
+                        == Batch_reference.shard_request rplan slot)
+                      (List.init k Fun.id)
+               in
+               let outcomes, stats =
+                 Msts.Batch.assemble plan ~jobs:1 ~solved ~wait_us:(Array.make k 0)
+                   ~busy_us:(Array.make k 0)
+               in
+               (Msts.Batch.fingerprints plan = rplan.Batch_reference.fingerprints
+               && Msts.Batch.firsts plan = ref_firsts
+               && same_slots
+               && Array.for_all2
+                    (fun a b ->
+                      match (a, b) with
+                      | Ok p, Ok q -> Msts.Plan.equal p q
+                      | Error e, Error f -> String.equal e f
+                      | _ -> false)
+                    outcomes ref_outcomes
+               && stats.Msts.Batch.cache_hits = hits
+               && stats.Msts.Batch.cache_misses = misses
+               && Msts.Batch.cache_keys cache = ref_keys)
+               || QCheck.Test.fail_reportf "the %s map disagrees with the reference" what
+             in
+             Array.length repeats = Array.length problems
+             && agrees "decoder's" (Some repeats)
+             && agrees "derived" None
+         | Ok _ -> false))
 
 let memo_matches_reference =
   to_alcotest
@@ -1318,6 +1471,35 @@ let memo_candidates_bounded () =
     true
     (compared <= 8 * n)
 
+(* Objectives whose hashes collide ([tasks * 65599 + deadline] is the
+   same for all) on one platform text: each element keeps its own values,
+   equal ones still share a problem while their bucket has room, and the
+   problems compared stay within the cap, 8 per element beside the 8
+   recorded elements. *)
+let memo_objective_collisions_bounded () =
+  let n = 10_000 in
+  let element k =
+    Printf.sprintf {|{"platform":%s,"tasks":%d,"deadline":%d}|} chain_a k (1 - (65_599 * k))
+  in
+  let line = batch_of (List.init n (fun k -> element (k + 1)) @ [ element 1; element 1 ]) in
+  let mem = Msts.Obs.Memory.create () in
+  let problems =
+    Msts.Obs.with_sink (Msts.Obs.Memory.sink mem) (fun () -> decoded_problems line)
+  in
+  Array.iteri
+    (fun i (p : Msts.Solve.problem) ->
+      let k = if i < n then i + 1 else 1 in
+      if p.tasks <> Some k || p.deadline <> Some (1 - (65_599 * k)) then
+        Alcotest.failf "element %d decoded to other values" i)
+    problems;
+  Alcotest.(check bool) "repeats of a recorded problem share it" true
+    (problems.(n) == problems.(0) && problems.(n + 1) == problems.(0));
+  let compared = Msts.Obs.Memory.counter mem "api.batch_memo_candidates" in
+  Alcotest.(check bool)
+    (Printf.sprintf "%d compares for %d elements: at most 16 each" compared (n + 2))
+    true
+    (compared <= 16 * (n + 2))
+
 let memo_counts_hits () =
   let good = Printf.sprintf {|{"platform":%s,"tasks":5}|} chain_a in
   let other = Printf.sprintf {|{"platform":%s,"tasks":6}|} chain_a in
@@ -1343,6 +1525,7 @@ let suites =
           rejection_correlation;
         decoder_matches_reference;
         memo_matches_reference;
+        shard_matches_batch_reference;
         case "element memo: near-repeats keep their own values" memo_near_repeats;
         case "element memo: spellings of one element share its problem"
           memo_spellings_share;
@@ -1350,6 +1533,8 @@ let suites =
           memo_errors_after_repeats;
         case "element memo: candidates per element within the cap"
           memo_candidates_bounded;
+        case "element memo: colliding objectives within the cap"
+          memo_objective_collisions_bounded;
         case "element memo: hits counted once per frame" memo_counts_hits;
       ] );
     ( "api.codecs",

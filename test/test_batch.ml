@@ -498,6 +498,10 @@ let shard_matches_reference =
          in
          let ref_outcomes, (hits, misses) = Batch_reference.assemble rplan ~solved in
          Batch.fingerprints plan = rplan.Batch_reference.fingerprints
+         && Batch.firsts plan
+            = Array.mapi
+                (fun i -> function Batch_reference.Duplicate j -> j | Cached _ | Fresh _ -> i)
+                rplan.Batch_reference.resolutions
          && k = Batch_reference.shard_count rplan
          && List.for_all
               (fun slot ->
@@ -553,6 +557,83 @@ let decoded_batch_shares_equal_problems =
                      (Array.mapi (fun j q -> (p == q) = (picks.(i) = picks.(j))) decoded))
                  decoded)))
 
+(* ---------- the repeat map under hostile batches ---------- *)
+
+(* Chains that agree on their first 15 values (c all 1, w 1 but the
+   last): [Hashtbl.hash] reads no further, so the identity tables file
+   them all in one bucket. *)
+let colliding_chain i =
+  let w = Array.make 8 1 in
+  w.(7) <- i + 1;
+  Msts.Platform_format.Chain_platform (Msts.Chain.make ~c:(Array.make 8 1) ~w)
+
+(* 16000 distinct colliding chains, then every fourth repeated: the
+   shard dedupes them exactly, and its identity tables compare at most 8
+   values per lookup, so the work is linear (the decoder's memo, at most
+   8 elements and 8 problems per element).  With the decoder's repeat
+   map only the distinct problems' platform texts are looked up (<= 8 per
+   element); without one, each element is also looked up once to derive
+   the map (<= 16 per element). *)
+let hostile_batch_shards_linearly () =
+  let distinct = 16_000 in
+  let unique = Array.init distinct (fun i -> Solve.problem ~tasks:1 (colliding_chain i)) in
+  let problems = Array.append unique (Array.init (distinct / 4) (fun k -> unique.(4 * k))) in
+  let n = Array.length problems in
+  let counted f =
+    let mem = Msts.Obs.Memory.create () in
+    let plan = Msts.Obs.with_sink (Msts.Obs.Memory.sink mem) f in
+    (plan, Msts.Obs.Memory.counter mem)
+  in
+  let check_plan what plan decoded =
+    Alcotest.(check int) (what ^ ": one slot per distinct problem") distinct
+      (Batch.shard_count plan);
+    let firsts = Batch.firsts plan in
+    Array.iteri
+      (fun i j ->
+        let want = if i < distinct then i else 4 * (i - distinct) in
+        if j <> want then Alcotest.failf "%s: firsts.(%d) = %d, not %d" what i j want)
+      firsts;
+    let fingerprints = Batch.fingerprints plan in
+    List.iter
+      (fun i ->
+        Alcotest.(check string) (what ^ ": fingerprint") (Batch.fingerprint decoded.(i))
+          fingerprints.(i))
+      [ 0; 1; 7; 8; 9; distinct - 1; distinct; n - 1 ]
+  in
+  let line =
+    Msts.Api.request_to_line { Msts.Api.id = None; trace = None; op = Msts.Api.Batch problems }
+  in
+  let (decoded, plan), counter =
+    counted (fun () ->
+        match Msts.Api.request_or_rejection line with
+        | Ok ({ Msts.Api.op = Msts.Api.Batch decoded; _ }, repeats) ->
+            (decoded, Batch.shard ~repeats decoded)
+        | _ -> Alcotest.fail "the hostile frame did not decode")
+  in
+  check_plan "decoder map" plan decoded;
+  let bounded what compared bound =
+    Alcotest.(check bool)
+      (Printf.sprintf "%s: %d compares for %d elements, at most %d" what compared n bound)
+      true (compared <= bound)
+  in
+  bounded "decoder memo" (counter "api.batch_memo_candidates") (16 * n);
+  bounded "shard over the decoder map" (counter "pool.identity_candidates") (8 * n);
+  let plan, counter = counted (fun () -> Batch.shard problems) in
+  check_plan "derived map" plan problems;
+  bounded "bare shard" (counter "pool.identity_candidates") (16 * n)
+
+let shard_rejects_a_false_map () =
+  let p = Solve.problem ~tasks:1 (colliding_chain 0) in
+  let q = Solve.problem ~tasks:2 (colliding_chain 0) in
+  List.iter
+    (fun repeats ->
+      Alcotest.check_raises "not a repeat map"
+        (Invalid_argument "Msts.Batch.shard: repeats is not a repeat map of the requests")
+        (fun () -> ignore (Batch.shard ~repeats [| p; q; p |])))
+    [ [| 0; 1 |]; [| 0; 0; 0 |]; [| 0; 2; 2 |]; [| 1; 1; 0 |]; [| 0; 1; -1 |]; [| 0; 1; 3 |] ];
+  Alcotest.(check (array int)) "a true map" [| 0; 1; 0 |]
+    (Batch.firsts (Batch.shard ~repeats:[| 0; 1; 0 |] [| p; q; p |]))
+
 let suites =
   [
     ( "batch.differential",
@@ -595,5 +676,7 @@ let suites =
           assemble_rejects_mis_sized_solved;
         shard_matches_reference;
         decoded_batch_shares_equal_problems;
+        case "a hostile batch shards in linear work" hostile_batch_shards_linearly;
+        case "shard rejects a false repeat map" shard_rejects_a_false_map;
       ] );
   ]
