@@ -75,7 +75,7 @@ let order_ablation () =
                let sched =
                  Msts.Chain_algorithm.schedule_with_selector ~select chain n
                in
-               assert (Msts.Feasibility.is_feasible ~require_nonnegative:true sched);
+               assert (Msts.Plan.check ~require_nonnegative:true (Msts.Plan.Chain sched) = []);
                float_of_int (Msts.Schedule.makespan sched)
                /. float_of_int (Msts.Chain_algorithm.makespan chain n))
              instances)

@@ -45,12 +45,12 @@ let fig2 () =
     (String.concat "," (List.map string_of_int emissions));
   Printf.printf "  task on P2: %s (paper: task 3)\n"
     (String.concat "," (List.map string_of_int (Msts.Schedule.tasks_on sched 2)));
-  print_endline (Msts.Gantt.render ~width:70 sched);
+  print_endline (Msts.Plan.gantt ~width:70 (Msts.Plan.Chain sched));
   assert (Msts.Schedule.makespan sched = 14);
   assert (emissions = [ 0; 2; 4; 6; 9 ]);
   (* publishable SVG artefact of the reproduced figure *)
   (try Unix.mkdir "artifacts" 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
-  Msts.Svg.save "artifacts/figure2.svg" (Msts.Svg.render sched);
+  Msts.Svg.save "artifacts/figure2.svg" (Msts.Plan.svg (Msts.Plan.Chain sched));
   print_endline "  [checked against the paper's values; artifacts/figure2.svg written]"
 
 (* ---------------- E3/E4: Lemmas 1 and 2 on random instances ------------- *)

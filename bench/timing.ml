@@ -175,7 +175,7 @@ let component_costs () =
         Test.make ~name:"schedule(500 tasks)"
           (Staged.stage (fun () -> ignore (Msts.Chain_algorithm.schedule chain n)));
         Test.make ~name:"feasibility check"
-          (Staged.stage (fun () -> ignore (Msts.Feasibility.check sched)));
+          (Staged.stage (fun () -> ignore (Msts.Plan.check (Msts.Plan.Chain sched))));
         Test.make ~name:"ASAP timing"
           (Staged.stage (fun () -> ignore (Msts.Asap.makespan flat seq)));
         Test.make ~name:"event-driven execution"

@@ -238,36 +238,25 @@ let validate_cmd =
   in
   let run path plan_path =
     let text = In_channel.with_open_text plan_path In_channel.input_all in
-    match read_platform path with
-    | Msts.Platform_format.Chain_platform chain -> (
-        match Msts.Serial.schedule_of_string chain text with
-        | Error msg ->
-            Printf.eprintf "parse error: %s\n" msg;
-            exit 2
-        | Ok sched -> (
-            match Msts.Feasibility.check ~require_nonnegative:true sched with
-            | [] ->
-                Printf.printf "feasible; makespan %d\n" (Msts.Schedule.makespan sched)
-            | violations ->
-                List.iter
-                  (fun v ->
-                    print_endline (Msts.Feasibility.violation_to_string v))
-                  violations;
-                exit 1))
-    | platform -> (
-        let spider = as_spider platform in
-        match Msts.Serial.spider_schedule_of_string spider text with
-        | Error msg ->
-            Printf.eprintf "parse error: %s\n" msg;
-            exit 2
-        | Ok sched -> (
-            match Msts.Spider_schedule.check ~require_nonnegative:true sched with
-            | [] ->
-                Printf.printf "feasible; makespan %d\n"
-                  (Msts.Spider_schedule.makespan sched)
-            | violations ->
-                List.iter print_endline violations;
-                exit 1))
+    let parsed =
+      match read_platform path with
+      | Msts.Platform_format.Chain_platform chain ->
+          Result.map (fun s -> Msts.Plan.Chain s) (Msts.Serial.schedule_of_string chain text)
+      | platform ->
+          Result.map
+            (fun s -> Msts.Plan.Spider s)
+            (Msts.Serial.spider_schedule_of_string (as_spider platform) text)
+    in
+    match parsed with
+    | Error msg ->
+        Printf.eprintf "parse error: %s\n" msg;
+        exit 2
+    | Ok plan -> (
+        match Msts.Plan.check ~require_nonnegative:true plan with
+        | [] -> Printf.printf "feasible; makespan %d\n" (Msts.Plan.makespan plan)
+        | violations ->
+            List.iter print_endline violations;
+            exit 1)
   in
   let doc = "Check a schedule against Definition 1 (exit 1 if infeasible)." in
   Cmd.v (Cmd.info "validate" ~doc) Term.(const run $ platform_arg $ plan)
@@ -510,11 +499,9 @@ let metrics_cmd =
     let plan =
       match reply with Msts.Api.Measured plan -> plan | _ -> assert false
     in
-    match (fmt, plan) with
-    | Text, Msts.Plan.Chain sched -> print_string (Msts.Metrics.summary sched)
-    | Text, Msts.Plan.Spider sched ->
-        print_string (Msts.Metrics.spider_summary sched)
-    | Json, _ -> emit_json (Msts.Api.json_of_reply reply)
+    match fmt with
+    | Text -> print_string (Msts.Metrics.summary plan)
+    | Json -> emit_json (Msts.Api.json_of_reply reply)
   in
   let doc = "Waiting, buffering and utilisation report for the optimal schedule." in
   Cmd.v (Cmd.info "metrics" ~doc)
@@ -611,7 +598,7 @@ let faults_cmd =
         Msts.Table.print table;
         if gantt then
           print_string
-            (Msts.Gantt.render_spider ~width replanned.Msts.Replan.report.observed)
+            (Msts.Plan.gantt ~width (Msts.Plan.Spider replanned.Msts.Replan.report.observed))
     | Json ->
         emit_json
           (Msts.Json.Obj

@@ -24,7 +24,8 @@ let () =
   List.iter
     (fun deadline ->
       let sched = Msts.Chain_deadline.schedule chain ~deadline in
-      assert (Msts.Feasibility.meets_deadline sched ~deadline);
+      assert (Msts.Plan.check ~require_nonnegative:true (Msts.Plan.Chain sched) = []);
+      assert (Msts.Schedule.makespan sched <= deadline);
       Msts.Table.add_row table
         [
           string_of_int deadline;

@@ -33,7 +33,7 @@ let () =
   List.iter
     (fun n ->
       let sched = Msts.Chain_algorithm.schedule chain n in
-      assert (Msts.Feasibility.is_feasible ~require_nonnegative:true sched);
+      assert (Msts.Plan.check ~require_nonnegative:true (Msts.Plan.Chain sched) = []);
       let per_layer =
         String.concat "/"
           (List.map string_of_int

@@ -16,8 +16,8 @@ let () =
     (Msts.Schedule.makespan schedule);
   print_endline (Msts.Schedule.to_string schedule);
 
-  (* The feasibility checker shares no code with the constructor. *)
-  assert (Msts.Feasibility.is_feasible ~require_nonnegative:true schedule);
+  (* The Definition 1 audit shares no code with the constructor. *)
+  assert (Msts.Plan.check ~require_nonnegative:true (Msts.Plan.Chain schedule) = []);
 
   (* Where did each task go, and how busy was each processor? *)
   List.iter
@@ -28,7 +28,7 @@ let () =
     [ 1; 2; 3 ];
 
   print_newline ();
-  print_endline (Msts.Gantt.render ~width:80 schedule);
+  print_endline (Msts.Plan.gantt ~width:80 (Msts.Plan.Chain schedule));
 
   (* How much does optimality buy over sensible heuristics? *)
   print_newline ();

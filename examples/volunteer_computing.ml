@@ -76,5 +76,5 @@ let () =
   let sched = Msts.Spider_algorithm.schedule_tasks platform n in
   Printf.printf "\nOptimal schedule for %d work units (makespan %d):\n\n" n
     (Msts.Spider_schedule.makespan sched);
-  print_endline (Msts.Gantt.render_spider ~width:90 sched);
+  print_endline (Msts.Plan.gantt ~width:90 (Msts.Plan.Spider sched));
   assert (Msts.Spider_schedule.is_feasible ~require_nonnegative:true sched)

@@ -10,7 +10,6 @@ module Plan = Msts_schedule.Plan
 module Schedule = Msts_schedule.Schedule
 module Spider_schedule = Msts_schedule.Spider_schedule
 module Metrics = Msts_schedule.Metrics
-module Intervals = Msts_schedule.Intervals
 module Chain = Msts_platform.Chain
 module Spider = Msts_platform.Spider
 module Batch = Msts_pool.Batch
@@ -993,77 +992,56 @@ let json_of_plan ?(extra = []) plan =
         ("entries", List entries);
       ])
 
-let pct x = Json.Float (Float.round (1000.0 *. x) /. 10.0)
-
-let chain_metrics_json sched =
+(* The [metrics] reply: the measures record, in the plan's shape. *)
+let metrics_json plan =
   let open Json in
-  let chain = Schedule.chain sched in
-  let procs =
-    List.map
-      (fun k ->
-        Obj
-          [
-            ("proc", Int k);
-            ("tasks", Int (List.length (Schedule.tasks_on sched k)));
-            ("link_busy_pct", pct (Metrics.link_utilisation sched k));
-            ("cpu_busy_pct", pct (Metrics.proc_utilisation sched k));
-            ("max_buffered", Int (Metrics.buffer_high_water sched k));
-          ])
-      (Intx.range 1 (Chain.length chain))
+  let m = Metrics.of_plan plan in
+  let pct busy = Float (Float.round (1000.0 *. Metrics.fraction m busy) /. 10.0) in
+  let node key (v : Metrics.node) =
+    Obj
+      [
+        (key, Int v.address.depth);
+        ("tasks", Int v.tasks);
+        ("link_busy_pct", pct v.link_busy);
+        ("cpu_busy_pct", pct v.compute);
+        ("max_buffered", Int v.max_buffered);
+      ]
   in
-  Obj
-    [
-      ("kind", String "chain");
-      ("tasks", Int (Schedule.task_count sched));
-      ("makespan", Int (Schedule.makespan sched));
-      ("total_waiting", Int (Metrics.total_waiting sched));
-      ("max_waiting", Int (Metrics.max_waiting sched));
-      ("processors", List procs);
-    ]
-
-let spider_metrics_json sched =
-  let open Json in
-  let spider = Spider_schedule.spider sched in
-  let makespan = Spider_schedule.makespan sched in
-  let legs =
-    List.map
-      (fun l ->
-        let leg = Spider_schedule.leg_schedule sched l in
-        let nodes =
-          List.map
-            (fun k ->
-              Obj
-                [
-                  ("depth", Int k);
-                  ("tasks", Int (List.length (Schedule.tasks_on leg k)));
-                  ( "link_busy_pct",
-                    pct
-                      (Intervals.utilisation (Schedule.link_intervals leg k)
-                         ~horizon:makespan) );
-                  ( "cpu_busy_pct",
-                    pct
-                      (Intervals.utilisation (Schedule.proc_intervals leg k)
-                         ~horizon:makespan) );
-                  ("max_buffered", Int (Metrics.buffer_high_water leg k));
-                ])
-            (Intx.range 1 (Chain.length (Spider.leg_chain spider l)))
-        in
+  let nodes = Array.to_list m.nodes in
+  match plan with
+  | Plan.Chain _ ->
+      Obj
+        [
+          ("kind", String "chain");
+          ("tasks", Int m.tasks);
+          ("makespan", Int m.makespan);
+          ("total_waiting", Int (Metrics.total_waiting m));
+          ("max_waiting", Int (Metrics.max_waiting m));
+          ("processors", List (List.map (node "proc") nodes));
+        ]
+  | Plan.Spider s ->
+      let leg l =
         Obj
           [
             ("leg", Int l);
-            ("tasks", Int (Schedule.task_count leg));
-            ("nodes", List nodes);
-          ])
-      (Intx.range 1 (Spider.legs spider))
-  in
-  Obj
-    [
-      ("kind", String "spider");
-      ("tasks", Int (Spider_schedule.task_count sched));
-      ("makespan", Int makespan);
-      ("master_port_busy_pct", pct (Metrics.spider_master_utilisation sched));
-      ("legs", List legs);
-    ]
+            ("tasks", Int (Metrics.leg_tasks m l));
+            ( "nodes",
+              List
+                (List.filter_map
+                   (fun (v : Metrics.node) ->
+                     if v.address.leg = l then Some (node "depth" v) else None)
+                   nodes) );
+          ]
+      in
+      Obj
+        [
+          ("kind", String "spider");
+          ("tasks", Int m.tasks);
+          ("makespan", Int m.makespan);
+          ("master_port_busy_pct", pct m.port_busy);
+          ( "legs",
+            List (List.init (Spider.legs (Spider_schedule.spider s)) (fun i -> leg (i + 1))) );
+        ]
 
 (* ---------- typed replies ---------- *)
 
@@ -1111,10 +1089,7 @@ let json_of_reply = function
         | Some d -> [ ("deadline", Json.Int d) ]
       in
       json_of_plan ~extra plan
-  | Measured plan -> (
-      match plan with
-      | Plan.Chain sched -> chain_metrics_json sched
-      | Plan.Spider sched -> spider_metrics_json sched)
+  | Measured plan -> metrics_json plan
   | Batched { problems; outcomes; stats; cache_capacity; _ } ->
       let result i outcome =
         let open Json in
@@ -1527,7 +1502,7 @@ let exec ?(cache_capacity = 0) ~solver op =
     | Report { problem; planned } ->
         let* plan = solve_one ~solver problem in
         let source, report =
-          if planned then ("planned schedule", Report.of_plan plan)
+          if planned then ("planned schedule", Metrics.of_plan plan)
           else ("realized execution", Report.of_execution (Netsim.execute plan))
         in
         Ok (Reported { source; report })

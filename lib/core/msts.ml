@@ -16,7 +16,7 @@
     {- platform descriptions: {!Chain}, {!Fork}, {!Spider}, {!Tree},
        {!Generator}, {!Platform_format}, {!Dot};}
     {- schedules and their audit: {!Comm_vector}, {!Schedule},
-       {!Spider_schedule}, {!Feasibility}, {!Intervals}, {!Gantt}, {!Svg};}
+       {!Spider_schedule}, {!Plan}, {!Metrics}, {!Intervals}, {!Gantt}, {!Svg};}
     {- the paper's algorithms: {!Chain_algorithm}, {!Chain_deadline},
        {!Chain_lemmas}, {!Chain_trace}, {!Fork_expansion}, {!Fork_allocator},
        {!Fork_count}, {!Spider_algorithm}, {!Spider_trace};}
@@ -56,7 +56,6 @@ module Dot = Msts_platform.Dot
 module Comm_vector = Msts_schedule.Comm_vector
 module Schedule = Msts_schedule.Schedule
 module Spider_schedule = Msts_schedule.Spider_schedule
-module Feasibility = Msts_schedule.Feasibility
 module Intervals = Msts_schedule.Intervals
 module Gantt = Msts_schedule.Gantt
 module Svg = Msts_schedule.Svg
@@ -104,9 +103,10 @@ module Trace = Msts_trace.Trace
 
 (* Observability: spans, counters, histograms, request scopes, sinks,
    Chrome traces; Json doubles as the shared encoder behind every
-   [--format=json] CLI output.  Report folds an executed schedule into
-   per-resource utilization; Prometheus renders counters/histograms as a
-   text exposition (the [msts serve] metrics endpoint). *)
+   [--format=json] CLI output.  Report renders the per-resource measures
+   (Metrics) of a planned or executed schedule; Prometheus renders
+   counters/histograms as a text exposition (the [msts serve] metrics
+   endpoint). *)
 module Obs = struct
   include Msts_obs.Obs
   module Report = Msts_sim.Report

@@ -1,6 +1,3 @@
-module Chain = Msts_platform.Chain
-module Spider = Msts_platform.Spider
-
 let task_symbol i =
   if i < 1 then '?'
   else if i <= 9 then Char.chr (Char.code '0' + i)
@@ -8,8 +5,6 @@ let task_symbol i =
   else '#'
 
 type row = { label : string; cells : Bytes.t }
-
-let blank_row label columns = { label; cells = Bytes.make columns '.' }
 
 let paint ~scale row intervals =
   List.iter
@@ -49,39 +44,14 @@ let plan_scale ~width horizon =
   let scale = max scale 1 in
   (scale, (horizon + scale - 1) / scale)
 
-let render ?(width = 100) sched =
-  let chain = Schedule.chain sched in
-  let scale, columns = plan_scale ~width (Schedule.makespan sched) in
-  let p = Chain.length chain in
+let render ?(width = 100) ~horizon lanes =
+  let scale, columns = plan_scale ~width horizon in
   let rows =
-    List.concat_map
-      (fun k ->
-        let link = blank_row (Printf.sprintf "link %d" k) columns in
-        paint ~scale link (Schedule.link_intervals sched k);
-        let proc = blank_row (Printf.sprintf "proc %d" k) columns in
-        paint ~scale proc (Schedule.proc_intervals sched k);
-        [ link; proc ])
-      (Msts_util.Intx.range 1 p)
+    List.map
+      (fun { Intervals.label; intervals } ->
+        let row = { label; cells = Bytes.make columns '.' } in
+        paint ~scale row intervals;
+        row)
+      lanes
   in
   assemble ~scale ~columns rows
-
-let render_spider ?(width = 100) sched =
-  let spider = Spider_schedule.spider sched in
-  let scale, columns = plan_scale ~width (Spider_schedule.makespan sched) in
-  let master = blank_row "master port" columns in
-  paint ~scale master (Spider_schedule.master_port_intervals sched);
-  let leg_rows =
-    List.concat_map
-      (fun l ->
-        let chain = Spider.leg_chain spider l in
-        List.concat_map
-          (fun k ->
-            let link = blank_row (Printf.sprintf "leg %d link %d" l k) columns in
-            paint ~scale link (Spider_schedule.leg_link_intervals sched ~leg:l ~link:k);
-            let proc = blank_row (Printf.sprintf "leg %d proc %d" l k) columns in
-            paint ~scale proc (Spider_schedule.leg_proc_intervals sched ~leg:l ~depth:k);
-            [ link; proc ])
-          (Msts_util.Intx.range 1 (Chain.length chain)))
-      (Msts_util.Intx.range 1 (Spider.legs spider))
-  in
-  assemble ~scale ~columns (master :: leg_rows)

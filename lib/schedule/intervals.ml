@@ -13,11 +13,4 @@ let overlap_witness ivs =
   in
   scan (sorted ivs)
 
-let utilisation ivs ~horizon =
-  if horizon <= 0 then 0.0
-  else begin
-    let busy =
-      List.fold_left (fun acc iv -> acc + iv.duration) 0 ivs
-    in
-    float_of_int busy /. float_of_int horizon
-  end
+type lane = { label : string; intervals : int interval list }

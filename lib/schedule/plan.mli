@@ -22,14 +22,24 @@ val equal : t -> t -> bool
     sequential path.  A chain plan is never equal to a spider plan, even
     its own one-leg promotion. *)
 
+val to_spider : t -> Spider_schedule.t
+(** The plan as a spider schedule: a chain plan is the one-leg spider of
+    {!Spider_schedule.of_chain_schedule}.  The audit, the measures, the
+    charts, the simulator and the planned traces all read this view. *)
+
 val check : ?require_nonnegative:bool -> t -> string list
-(** Feasibility audit; [[]] means feasible. *)
+(** The Definition 1 audit ({!Spider_schedule.violations}); [[]] means
+    feasible.  A chain plan's messages carry no leg prefix, and its master
+    port (its link 1) is not audited twice. *)
 
 val gantt : ?width:int -> t -> string
-(** ASCII Gantt chart. *)
+(** ASCII Gantt chart ({!Gantt.render}).  Its rows, one per resource, are
+    for a chain ["link k"] and ["proc k"] down the chain; for a spider
+    ["master port"], then ["leg l link k"] and ["leg l proc k"] leg by
+    leg. *)
 
 val svg : t -> string
-(** SVG Gantt chart. *)
+(** SVG Gantt chart ({!Svg.render}) of the same rows as {!gantt}. *)
 
 val serialize : t -> string
 (** Machine-readable form ({!Serial}). *)

@@ -66,26 +66,6 @@ let tasks_on t k =
   in
   List.map snd (List.sort compare with_start)
 
-let link_intervals t k =
-  let c = Chain.latency t.chain k in
-  List.filter_map
-    (fun idx ->
-      let e = t.entries.(idx) in
-      if e.proc >= k then
-        Some { Intervals.start = e.comms.(k - 1); duration = c; tag = idx + 1 }
-      else None)
-    (List.init (task_count t) Fun.id)
-
-let proc_intervals t k =
-  let w = Chain.work t.chain k in
-  List.filter_map
-    (fun idx ->
-      let e = t.entries.(idx) in
-      if e.proc = k then
-        Some { Intervals.start = e.start; duration = w; tag = idx + 1 }
-      else None)
-    (List.init (task_count t) Fun.id)
-
 let restrict_beyond_first t =
   let sub_chain = Chain.drop_first t.chain in
   let entries =

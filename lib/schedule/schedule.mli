@@ -3,9 +3,8 @@
     A schedule for [n] tasks on a chain assigns each task [i] a processor
     [P(i)], a start time [T(i)], and a communication vector
     [C(i) = (C¹ᵢ, ..., C^{P(i)}ᵢ)].  This module stores schedules, computes
-    the makespan (Definition 2) and derived views (per-link traffic,
-    per-processor load); feasibility itself lives in {!Feasibility} so that
-    checking never shares code with the constructors it audits. *)
+    the makespan (Definition 2) and the tasks per processor.  Feasibility is {!Plan.check}'s job, on the
+    one-leg spider view of the schedule. *)
 
 type entry = {
   proc : int;  (** P(i): executing processor, 1-indexed *)
@@ -18,7 +17,7 @@ type t
 val make : Msts_platform.Chain.t -> entry array -> t
 (** [make chain entries] with [entries.(i-1)] describing task [i].
     Performs only structural validation (each [comms] length equals [proc],
-    [proc] within the chain); temporal feasibility is {!Feasibility}'s job.
+    [proc] within the chain); temporal feasibility is {!Plan.check}'s job.
     @raise Invalid_argument on structural errors. *)
 
 val chain : t -> Msts_platform.Chain.t
@@ -39,12 +38,6 @@ val normalise : t -> t
 
 val tasks_on : t -> int -> int list
 (** Tasks executed on a given processor, in start-time order. *)
-
-val link_intervals : t -> int -> int Intervals.interval list
-(** Busy intervals of link [k] (tagged by task index). *)
-
-val proc_intervals : t -> int -> int Intervals.interval list
-(** Busy intervals of processor [k] (tagged by task index). *)
 
 val restrict_beyond_first : t -> t
 (** Sub-schedule of the tasks with [P(i) ≥ 2], re-indexed and expressed on

@@ -75,38 +75,6 @@ let leg_schedule t l =
   in
   Schedule.make chain entries
 
-let master_port_intervals t =
-  List.map
-    (fun idx ->
-      let e = t.entries.(idx) in
-      let c1 = Chain.latency (Spider.leg_chain t.spider e.address.Spider.leg) 1 in
-      {
-        Intervals.start = Comm_vector.first_emission e.comms;
-        duration = c1;
-        tag = idx + 1;
-      })
-    (List.init (task_count t) Fun.id)
-
-let leg_link_intervals t ~leg ~link =
-  let c = Chain.latency (Spider.leg_chain t.spider leg) link in
-  List.filter_map
-    (fun idx ->
-      let e = t.entries.(idx) in
-      if e.address.Spider.leg = leg && e.address.Spider.depth >= link then
-        Some { Intervals.start = e.comms.(link - 1); duration = c; tag = idx + 1 }
-      else None)
-    (List.init (task_count t) Fun.id)
-
-let leg_proc_intervals t ~leg ~depth =
-  let w = Chain.work (Spider.leg_chain t.spider leg) depth in
-  List.filter_map
-    (fun idx ->
-      let e = t.entries.(idx) in
-      if e.address.Spider.leg = leg && e.address.Spider.depth = depth then
-        Some { Intervals.start = e.start; duration = w; tag = idx + 1 }
-      else None)
-    (List.init (task_count t) Fun.id)
-
 (* The resources [overlap] scans: link [k] of a leg, processor [k] of a
    leg, the master's port. *)
 let on_link = 0
@@ -157,17 +125,15 @@ let overlap t ~by_leg ~keys ~lo ~hi ~kind ~k =
   let packable = m < 2 || !dmax - dmin < 1 lsl (Sys.int_size - 2 - bits) in
   let sorted =
     if packable then begin
-      let j = ref 0 and ascending = ref true in
+      let j = ref 0 in
       for p = lo to hi - 1 do
         let e = entries.(task_at ~kind ~by_leg p) in
         if uses ~kind ~k e then begin
-          let key = ((date ~kind ~k e - dmin) lsl bits) lor tag_at ~kind ~lo p in
-          if !j > 0 && key < keys.(!j - 1) then ascending := false;
-          keys.(!j) <- key;
+          keys.(!j) <- ((date ~kind ~k e - dmin) lsl bits) lor tag_at ~kind ~lo p;
           incr j
         end
       done;
-      if not !ascending then Msts_util.Intx.sort_prefix keys m;
+      Msts_util.Intx.sort_sub keys ~pos:0 ~len:m;
       [||]
     end
     else begin
@@ -208,10 +174,11 @@ let negative (e : entry) =
    interval keys: the tasks are grouped by leg (entry order kept, and
    numbered within the leg as the leg's chain schedule would), and every
    resource's intervals are packed into one scratch array, sorted and
-   scanned for the first overlapping neighbours — the verdicts and
-   messages of [Feasibility.check] on each leg schedule, then of the
-   port's interval scan.  Messages are built only for violations. *)
-let check ?(require_nonnegative = false) t =
+   scanned for the first overlapping neighbours.  Per leg the violations
+   come negative dates first, then properties 1 and 2 task by task, then
+   link and processor overlaps resource by resource.  Messages are built
+   only for violations. *)
+let violations ?(require_nonnegative = false) t =
   let spider = t.spider and entries = t.entries in
   let n = Array.length entries and legs = Spider.legs spider in
   let first = Array.make (legs + 2) 0 in
@@ -235,16 +202,14 @@ let check ?(require_nonnegative = false) t =
   first.(0) <- 0;
   let keys = Array.make n 0 in
   let out = ref [] in
-  let flag l v =
-    out := Printf.sprintf "leg %d: %s" l (Feasibility.violation_to_string v) :: !out
-  in
+  let flag l msg = out := (l, msg) :: !out in
   for l = 1 to legs do
     let chain = Spider.leg_chain spider l in
     let lo = first.(l) and hi = first.(l + 1) in
     if require_nonnegative then
       for p = lo to hi - 1 do
         if negative entries.(by_leg.(p)) then
-          flag l (Feasibility.Negative_date { task = p - lo + 1 })
+          flag l (Printf.sprintf "task %d has a date before time 0" (p - lo + 1))
       done;
     (* properties 1 and 2, one task at a time *)
     for p = lo to hi - 1 do
@@ -252,10 +217,12 @@ let check ?(require_nonnegative = false) t =
       let depth = e.address.Spider.depth in
       for k = 2 to depth do
         if e.comms.(k - 2) + Chain.latency chain (k - 1) > e.comms.(k - 1) then
-          flag l (Feasibility.Reemitted_before_received { task; link = k })
+          flag l
+            (Printf.sprintf
+               "task %d re-emitted on link %d before its reception completed" task k)
       done;
       if e.comms.(depth - 1) + Chain.latency chain depth > e.start then
-        flag l (Feasibility.Started_before_received { task })
+        flag l (Printf.sprintf "task %d starts before it is fully received" task)
     done;
     (* properties 3 and 4: all intervals on a resource have the same
        duration, so disjointness is consecutive disjointness in start
@@ -264,24 +231,29 @@ let check ?(require_nonnegative = false) t =
       let hit = overlap t ~by_leg ~keys ~lo ~hi ~kind:on_link ~k in
       if hit >= 0 then
         flag l
-          (Feasibility.Communication_overlap
-             { first = hit / (n + 1); second = hit mod (n + 1); link = k });
+          (Printf.sprintf "transfers of tasks %d and %d overlap on link %d"
+             (hit / (n + 1)) (hit mod (n + 1)) k);
       let hit = overlap t ~by_leg ~keys ~lo ~hi ~kind:on_proc ~k in
       if hit >= 0 then
         flag l
-          (Feasibility.Computation_overlap
-             { first = hit / (n + 1); second = hit mod (n + 1); proc = k })
+          (Printf.sprintf "tasks %d and %d overlap on processor %d" (hit / (n + 1))
+             (hit mod (n + 1)) k)
     done
   done;
   (* the master port: hop-1 durations differ across legs, so each pair
      is tested with its own *)
   let hit = overlap t ~by_leg ~keys ~lo:0 ~hi:n ~kind:on_port ~k:1 in
   if hit >= 0 then
-    out :=
-      Printf.sprintf "master port: emissions of tasks %d and %d overlap"
-        (hit / (n + 1)) (hit mod (n + 1))
-      :: !out;
+    flag 0
+      (Printf.sprintf "emissions of tasks %d and %d overlap" (hit / (n + 1))
+         (hit mod (n + 1)));
   List.rev !out
+
+let check ?require_nonnegative t =
+  List.map
+    (fun (l, msg) ->
+      if l = 0 then "master port: " ^ msg else Printf.sprintf "leg %d: %s" l msg)
+    (violations ?require_nonnegative t)
 
 let is_feasible ?require_nonnegative t = check ?require_nonnegative t = []
 
@@ -311,18 +283,16 @@ let concat a b =
   { a with entries = Array.append a.entries b.entries }
 
 let of_chain_schedule sched =
-  let spider = Spider.of_chain (Schedule.chain sched) in
-  let entries =
-    Array.map
-      (fun (e : Schedule.entry) ->
-        {
-          address = { Spider.leg = 1; depth = e.proc };
-          start = e.start;
-          comms = e.comms;
-        })
-      (Schedule.entries sched)
-  in
-  make spider entries
+  let chain = Schedule.chain sched in
+  (* one address per depth, shared by every task executed there *)
+  let at = Array.init (Chain.length chain + 1) (fun depth -> { Spider.leg = 1; depth }) in
+  {
+    spider = Spider.of_chain chain;
+    entries =
+      Array.init (Schedule.task_count sched) (fun idx ->
+          let e = Schedule.entry sched (idx + 1) in
+          { address = at.(e.Schedule.proc); start = e.start; comms = e.comms });
+  }
 
 let equal a b =
   Spider.equal a.spider b.spider

@@ -33,27 +33,23 @@ val tasks_on_leg : t -> int -> int list
 val leg_schedule : t -> int -> Schedule.t
 (** The chain schedule induced on leg [l] (possibly empty). *)
 
-val master_port_intervals : t -> int Intervals.interval list
-(** Busy intervals of the master's single outgoing port. *)
-
-val leg_link_intervals : t -> leg:int -> link:int -> int Intervals.interval list
-(** Busy intervals of one link of one leg, tagged with {e global} task
-    indices (unlike {!leg_schedule}, which renumbers per leg). *)
-
-val leg_proc_intervals : t -> leg:int -> depth:int -> int Intervals.interval list
-(** Busy intervals of one processor of one leg, tagged with global task
-    indices. *)
+val violations : ?require_nonnegative:bool -> t -> (int * string) list
+(** The Definition 1 audit: per leg (in leg order) the chain rules, tasks
+    numbered within their leg, then the master's one-port rule.  Each
+    violation is [(leg, message)], leg [0] for the master port; [[]] means
+    feasible.  [require_nonnegative] (default [false]) also flags dates
+    before 0. *)
 
 val check : ?require_nonnegative:bool -> t -> string list
-(** Human-readable violations: per-leg Definition 1 checks plus the master's
-    one-port rule.  Empty list = feasible. *)
+(** {!violations} spelled ["leg l: ..."] and ["master port: ..."]. *)
 
 val is_feasible : ?require_nonnegative:bool -> t -> bool
 
 val meets_deadline : t -> deadline:int -> bool
 
 val of_chain_schedule : Schedule.t -> t
-(** View a chain schedule as a one-leg spider schedule. *)
+(** View a chain schedule as a one-leg spider schedule (its entries'
+    communication vectors are shared, not copied). *)
 
 val shift : t -> delta:int -> t
 (** All dates (starts and emissions) moved by [delta] — re-anchors a plan

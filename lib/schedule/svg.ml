@@ -1,6 +1,3 @@
-module Chain = Msts_platform.Chain
-module Spider = Msts_platform.Spider
-
 let lane_height = 24
 let lane_gap = 6
 let label_width = 120
@@ -11,9 +8,7 @@ let task_color i =
   let hue = float_of_int (i * 137 mod 360) in
   Printf.sprintf "hsl(%.0f, 65%%, 55%%)" hue
 
-type lane = { label : string; intervals : int Intervals.interval list }
-
-let render_lanes ~px_per_unit ~horizon lanes =
+let render ?(px_per_unit = 8.0) ~horizon lanes =
   let width = label_width + int_of_float (px_per_unit *. float_of_int (max horizon 1)) + 20 in
   let height = top_margin + (List.length lanes * (lane_height + lane_gap)) + 20 in
   let buf = Buffer.create 1024 in
@@ -40,12 +35,12 @@ let render_lanes ~px_per_unit ~horizon lanes =
     mark := !mark + 10
   done;
   List.iteri
-    (fun row lane ->
+    (fun row { Intervals.label; intervals } ->
       let y = top_margin + (row * (lane_height + lane_gap)) in
       Buffer.add_string buf
         (Printf.sprintf "<text x=\"4\" y=\"%d\" fill=\"#333\">%s</text>\n"
            (y + (lane_height / 2) + 4)
-           lane.label);
+           label);
       List.iter
         (fun { Intervals.start; duration; tag } ->
           let x = label_width + int_of_float (px_per_unit *. float_of_int start) in
@@ -62,50 +57,10 @@ let render_lanes ~px_per_unit ~horizon lanes =
                "<text x=\"%d\" y=\"%d\" fill=\"white\">%d</text>\n" (x + 4)
                (y + (lane_height / 2) + 4)
                tag))
-        lane.intervals)
+        intervals)
     lanes;
   Buffer.add_string buf "</svg>\n";
   Buffer.contents buf
-
-let render ?(px_per_unit = 8.0) sched =
-  let chain = Schedule.chain sched in
-  let lanes =
-    List.concat_map
-      (fun k ->
-        [
-          { label = Printf.sprintf "link %d" k;
-            intervals = Schedule.link_intervals sched k };
-          { label = Printf.sprintf "proc %d" k;
-            intervals = Schedule.proc_intervals sched k };
-        ])
-      (Msts_util.Intx.range 1 (Chain.length chain))
-  in
-  render_lanes ~px_per_unit ~horizon:(Schedule.makespan sched) lanes
-
-let render_spider ?(px_per_unit = 8.0) sched =
-  let spider = Spider_schedule.spider sched in
-  let master =
-    { label = "master port";
-      intervals = Spider_schedule.master_port_intervals sched }
-  in
-  let leg_lanes =
-    List.concat_map
-      (fun l ->
-        let chain = Spider.leg_chain spider l in
-        List.concat_map
-          (fun k ->
-            [
-              { label = Printf.sprintf "leg %d link %d" l k;
-                intervals = Spider_schedule.leg_link_intervals sched ~leg:l ~link:k };
-              { label = Printf.sprintf "leg %d proc %d" l k;
-                intervals = Spider_schedule.leg_proc_intervals sched ~leg:l ~depth:k };
-            ])
-          (Msts_util.Intx.range 1 (Chain.length chain)))
-      (Msts_util.Intx.range 1 (Spider.legs spider))
-  in
-  render_lanes ~px_per_unit
-    ~horizon:(Spider_schedule.makespan sched)
-    (master :: leg_lanes)
 
 let save path svg =
   Out_channel.with_open_text path (fun oc -> Out_channel.output_string oc svg)

@@ -907,9 +907,7 @@ let execute_spider plan =
          Msts_schedule.Comm_vector.first_emission e.comms)
        (Spider_schedule.spider plan) plan)
 
-let execute = function
-  | Plan.Spider plan -> execute_spider plan
-  | Plan.Chain plan -> execute_spider (Spider_schedule.of_chain_schedule plan)
+let execute plan = execute_spider (Plan.to_spider plan)
 
 let same_shape a b =
   Spider.legs a = Spider.legs b

@@ -422,7 +422,7 @@ let of_spider_schedule sched =
     for i = 0 to n - 1 do
       keys.(i) <- ((((raw.time.(i) - tmin) lsl 1) lor rank raw.code.(i)) lsl bits) lor i
     done;
-    Msts_util.Intx.sort_prefix keys n;
+    Msts_util.Intx.sort_sub keys ~pos:0 ~len:n;
     let out = create n in
     let mask = (1 lsl bits) - 1 in
     for j = 0 to n - 1 do
@@ -431,12 +431,7 @@ let of_spider_schedule sched =
     out
   end
 
-let of_chain_schedule sched =
-  of_spider_schedule (Spider_schedule.of_chain_schedule sched)
-
-let of_plan = function
-  | Plan.Spider p -> of_spider_schedule p
-  | Plan.Chain p -> of_chain_schedule p
+let of_plan plan = of_spider_schedule (Plan.to_spider plan)
 
 (* ---------- invariants ---------- *)
 

@@ -10,9 +10,9 @@
       [Netsim] executor — eager, bounded, pull, or the fault-injection
       paths — inside the callback; the simulator emits events as they are
       granted, completed and aborted.
-    - {e planned}: {!of_spider_schedule} / {!of_plan} expand a schedule's
-      dates into the trace it promises — the bridge that lets the same
-      invariant checker audit plans and executions alike.
+    - {e planned}: {!of_plan} expands a schedule's dates into the trace
+      it promises — the bridge that lets the same invariant checker audit
+      plans and executions alike.
 
     Over traces sits a small segment algebra ({!split}, {!concat},
     {!project}) in the style of trace-based separation proofs: the model's
@@ -23,8 +23,8 @@
     invariant catalogue (one-port exclusivity, per-resource exclusivity,
     store-and-forward ordering, task serialization) restates the four
     properties of the paper's Definition 1 — on planned traces the verdict
-    coincides with [Feasibility.check], which the test suite enforces
-    differentially; see [docs/VERIFICATION.md]. *)
+    coincides with {!Msts_schedule.Plan.check}, and with the paper-literal
+    checker kept in the test suite, which enforces both differentially; see [docs/VERIFICATION.md]. *)
 
 (** {1 Events} *)
 
@@ -158,16 +158,12 @@ val recorded : Recorder.t -> t
 
 (** {1 Planned traces} *)
 
-val of_spider_schedule : Msts_schedule.Spider_schedule.t -> t
-(** The trace a schedule promises: each task's emissions at its
-    communication dates, each execution at its start date, durations from
-    the platform.  Feasible schedule ⟺ clean trace ({!check}).  Built as
-    columns and ordered by an in-place int sort on packed
-    (time, rank, emission index) keys. *)
-
-val of_chain_schedule : Msts_schedule.Schedule.t -> t
-
 val of_plan : Msts_schedule.Plan.t -> t
+(** The trace a plan promises ({!Msts_schedule.Plan.to_spider}): each
+    task's emissions at its communication dates, each execution at its
+    start date, durations from the platform.  Feasible plan ⟺ clean trace
+    ({!check}).  Built as columns and ordered by an in-place int sort on
+    packed (time, rank, emission index) keys. *)
 
 (** {1 Invariants} *)
 

@@ -30,25 +30,33 @@ let binary_search_least ~lo ~hi p =
     loop lo hi
   end
 
-let sort_prefix (a : int array) n =
-  let rec sift i n =
-    let l = (2 * i) + 1 in
-    if l < n then begin
-      let c = if l + 1 < n && a.(l + 1) > a.(l) then l + 1 else l in
-      if a.(c) > a.(i) then begin
-        let x = a.(i) in
-        a.(i) <- a.(c);
-        a.(c) <- x;
-        sift c n
-      end
+(* Restores the max-heap order of [a.(pos ..)] below node [i] of a heap
+   of [n] nodes; top level so that no call allocates a closure. *)
+let rec sift (a : int array) pos i n =
+  let l = (2 * i) + 1 in
+  if l < n then begin
+    let c = if l + 1 < n && a.(pos + l + 1) > a.(pos + l) then l + 1 else l in
+    if a.(pos + c) > a.(pos + i) then begin
+      let x = a.(pos + i) in
+      a.(pos + i) <- a.(pos + c);
+      a.(pos + c) <- x;
+      sift a pos c n
     end
-  in
-  for i = (n / 2) - 1 downto 0 do
-    sift i n
+  end
+
+let sort_sub (a : int array) ~pos ~len =
+  let sorted = ref true in
+  for i = pos + 1 to pos + len - 1 do
+    if a.(i) < a.(i - 1) then sorted := false
   done;
-  for last = n - 1 downto 1 do
-    let x = a.(0) in
-    a.(0) <- a.(last);
-    a.(last) <- x;
-    sift 0 last
-  done
+  if not !sorted then begin
+    for i = (len / 2) - 1 downto 0 do
+      sift a pos i len
+    done;
+    for last = len - 1 downto 1 do
+      let x = a.(pos) in
+      a.(pos) <- a.(pos + last);
+      a.(pos + last) <- x;
+      sift a pos 0 last
+    done
+  end

@@ -18,7 +18,8 @@ val binary_search_least : lo:int -> hi:int -> (int -> bool) -> int option
     [p x], assuming [p] is monotone (false … false true … true); [None] if
     [p] holds nowhere in the range. *)
 
-val sort_prefix : int array -> int -> unit
-(** [sort_prefix a n] sorts [a.(0 .. n-1)] ascending in place, by
-    heapsort: O(n log n) and nothing allocated.  Callers pack their sort
-    keys into distinct ints. *)
+val sort_sub : int array -> pos:int -> len:int -> unit
+(** [sort_sub a ~pos ~len] sorts [a.(pos .. pos+len-1)] ascending in place, by
+    heapsort: O(len log len) and nothing allocated; an ascending range
+    costs one scan.  Callers that need a tie order pack it into their
+    keys. *)

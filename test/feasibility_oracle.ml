@@ -1,4 +1,25 @@
-module Chain = Msts_platform.Chain
+(* The paper-literal Definition 1 checker for chain schedules, kept frozen
+   as a test oracle.  The library audits every plan with one flat pass
+   (Msts.Plan.check, on the one-leg spider view of a chain); this module
+   is the list-based checker that pass replaced, held unchanged so the
+   differential tests compare the fast audit against the four properties
+   read verbatim, message for message:
+
+   + a task is not re-emitted by a processor before its reception there
+     has completed: [C^i_{k-1} + c_{k-1} <= C^i_k];
+   + a task starts only after it has been fully received:
+     [C^i_{P(i)} + c_{P(i)} <= T(i)];
+   + two tasks executed on one processor do not overlap:
+     [|T(i) - T(j)| >= w_{P(i)}];
+   + two transfers on one link do not overlap: [|C^i_k - C^j_k| >= c_k].
+
+   A fifth, optional property — all dates non-negative — corresponds to
+   the paper's final normalisation (schedules start at time 0) and
+   matters for the deadline variant of §7. *)
+
+module Chain = Msts.Chain
+module Schedule = Msts.Schedule
+module Intervals = Msts.Intervals
 
 type violation =
   | Reemitted_before_received of { task : int; link : int }
@@ -23,6 +44,26 @@ let pp_violation ppf = function
 
 let violation_to_string v = Format.asprintf "%a" pp_violation v
 
+(* Busy intervals of link [k] and of processor [k], tagged by task index. *)
+let link_intervals t k =
+  let c = Chain.latency (Schedule.chain t) k in
+  List.filter_map
+    (fun i ->
+      let e = Schedule.entry t i in
+      if e.Schedule.proc >= k then
+        Some { Intervals.start = e.comms.(k - 1); duration = c; tag = i }
+      else None)
+    (Msts.Intx.range 1 (Schedule.task_count t))
+
+let proc_intervals t k =
+  let w = Chain.work (Schedule.chain t) k in
+  List.filter_map
+    (fun i ->
+      let e = Schedule.entry t i in
+      if e.Schedule.proc = k then Some { Intervals.start = e.start; duration = w; tag = i }
+      else None)
+    (Msts.Intx.range 1 (Schedule.task_count t))
+
 (* Properties 1 and 2, one task at a time. *)
 let per_task_violations chain i (e : Schedule.entry) =
   let store_and_forward =
@@ -31,7 +72,7 @@ let per_task_violations chain i (e : Schedule.entry) =
         if e.comms.(k - 2) + Chain.latency chain (k - 1) > e.comms.(k - 1) then
           Some (Reemitted_before_received { task = i; link = k })
         else None)
-      (Msts_util.Intx.range 2 e.proc)
+      (Msts.Intx.range 2 e.proc)
   in
   let reception =
     if e.comms.(e.proc - 1) + Chain.latency chain e.proc > e.start then
@@ -47,18 +88,18 @@ let resource_violations t =
   let chain = Schedule.chain t in
   let p = Chain.length chain in
   let on_proc k =
-    match Intervals.overlap_witness (Schedule.proc_intervals t k) with
+    match Intervals.overlap_witness (proc_intervals t k) with
     | Some (a, b) ->
         [ Computation_overlap { first = a.Intervals.tag; second = b.Intervals.tag; proc = k } ]
     | None -> []
   in
   let on_link k =
-    match Intervals.overlap_witness (Schedule.link_intervals t k) with
+    match Intervals.overlap_witness (link_intervals t k) with
     | Some (a, b) ->
         [ Communication_overlap { first = a.Intervals.tag; second = b.Intervals.tag; link = k } ]
     | None -> []
   in
-  List.concat_map (fun k -> on_link k @ on_proc k) (Msts_util.Intx.range 1 p)
+  List.concat_map (fun k -> on_link k @ on_proc k) (Msts.Intx.range 1 p)
 
 let negative_dates t =
   List.filter_map
@@ -67,14 +108,14 @@ let negative_dates t =
       if e.start < 0 || Array.exists (fun x -> x < 0) e.comms then
         Some (Negative_date { task = i })
       else None)
-    (Msts_util.Intx.range 1 (Schedule.task_count t))
+    (Msts.Intx.range 1 (Schedule.task_count t))
 
 let check ?(require_nonnegative = false) t =
   let chain = Schedule.chain t in
   let per_task =
     List.concat_map
       (fun i -> per_task_violations chain i (Schedule.entry t i))
-      (Msts_util.Intx.range 1 (Schedule.task_count t))
+      (Msts.Intx.range 1 (Schedule.task_count t))
   in
   let negatives = if require_nonnegative then negative_dates t else [] in
   negatives @ per_task @ resource_violations t

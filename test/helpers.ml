@@ -164,11 +164,11 @@ let fork_max_tasks fork ~deadline ~budget =
   List.length (fork_allocate fork ~deadline ~budget)
 
 let check_feasible ?(require_nonnegative = true) sched =
-  match Msts.Feasibility.check ~require_nonnegative sched with
+  match Feasibility_oracle.check ~require_nonnegative sched with
   | [] -> true
   | violations ->
       QCheck.Test.fail_reportf "infeasible: %s"
-        (String.concat "; " (List.map Msts.Feasibility.violation_to_string violations))
+        (String.concat "; " (List.map Feasibility_oracle.violation_to_string violations))
 
 let check_spider_feasible ?(require_nonnegative = true) sched =
   match Msts.Spider_schedule.check ~require_nonnegative sched with

@@ -112,12 +112,12 @@ let () =
     let n = Msts.Prng.int_in rng 100 2000 in
     let chain = Msts.Generator.chain rng Msts.Generator.default_profile ~p in
     let s = Msts.Chain_algorithm.schedule chain n in
-    match Msts.Feasibility.check ~require_nonnegative:true s with
+    match Feasibility_oracle.check ~require_nonnegative:true s with
     | [] -> ()
     | vs ->
         fail "large instance %d infeasible: %s (first: %s)" i
           (Msts.Chain.to_string chain)
-          (Msts.Feasibility.violation_to_string (List.hd vs))
+          (Feasibility_oracle.violation_to_string (List.hd vs))
   done;
 
   section "domain pool: many small batches, jobs in {1,2,4} (60 batches)";

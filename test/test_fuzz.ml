@@ -94,7 +94,7 @@ let checker_agrees_with_naive_oracle =
          let base = Msts.Schedule.entries (Msts.Chain_algorithm.schedule chain n) in
          let mutated = apply_mutation base mutation in
          let sched = Msts.Schedule.make chain mutated in
-         Msts.Feasibility.is_feasible sched = naive_feasible chain mutated))
+         Feasibility_oracle.is_feasible sched = naive_feasible chain mutated))
 
 let checker_agrees_on_heuristic_schedules =
   Helpers.to_alcotest
@@ -105,7 +105,7 @@ let checker_agrees_on_heuristic_schedules =
          List.for_all
            (fun (_, policy) ->
              let s = Helpers.chain_heuristic policy chain n in
-             Msts.Feasibility.is_feasible s
+             Feasibility_oracle.is_feasible s
              = naive_feasible chain (Msts.Schedule.entries s))
            Msts.Tree_heuristics.chain_policies))
 
@@ -124,8 +124,8 @@ let translation_invariance =
        (fun ((chain, n, mutation), d) ->
          let base = Msts.Schedule.entries (Msts.Chain_algorithm.schedule chain n) in
          let mutated = Msts.Schedule.make chain (apply_mutation base mutation) in
-         Msts.Feasibility.is_feasible mutated
-         = Msts.Feasibility.is_feasible (shift_schedule d mutated)))
+         Feasibility_oracle.is_feasible mutated
+         = Feasibility_oracle.is_feasible (shift_schedule d mutated)))
 
 (* any strict compaction of a feasible schedule that the simulator produces
    must also satisfy the checker: cross-validating Netsim against
@@ -139,7 +139,7 @@ let executed_plans_always_feasible =
          let base = Msts.Schedule.entries (Msts.Chain_algorithm.schedule chain n) in
          let mutated = Msts.Schedule.make chain (apply_mutation base mutation) in
          (* only feasible non-negative mutants can be executed *)
-         QCheck.assume (Msts.Feasibility.is_feasible ~require_nonnegative:true mutated);
+         QCheck.assume (Feasibility_oracle.is_feasible ~require_nonnegative:true mutated);
          let report = Msts.Netsim.execute (Msts.Plan.Chain mutated) in
          Msts.Spider_schedule.is_feasible ~require_nonnegative:true
            report.Msts.Netsim.realized

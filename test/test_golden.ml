@@ -19,7 +19,7 @@ let golden_gantt () =
         "proc 2 |.........33333|";
       ]
   in
-  Alcotest.(check string) "figure-2 gantt" expected (Msts.Gantt.render ~width:70 (fig2 ()))
+  Alcotest.(check string) "figure-2 gantt" expected (Msts.Plan.gantt ~width:70 (Msts.Plan.Chain (fig2 ())))
 
 let golden_schedule_text () =
   let expected =
@@ -94,7 +94,7 @@ let golden_spider_gantt () =
       ]
   in
   Alcotest.(check string) "spider gantt" expected
-    (Msts.Gantt.render_spider ~width:60 sched)
+    (Msts.Plan.gantt ~width:60 (Msts.Plan.Spider sched))
 
 let suites =
   [

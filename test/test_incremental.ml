@@ -30,7 +30,7 @@ let incremental_step_by_step () =
       let snapshot = Msts.Chain_incremental.schedule construction in
       Alcotest.(check int) "placed" (count + 1) (Msts.Chain_incremental.placed construction);
       Alcotest.(check bool) "snapshot feasible" true
-        (Msts.Feasibility.is_feasible ~require_nonnegative:true snapshot);
+        (Feasibility_oracle.is_feasible ~require_nonnegative:true snapshot);
       Alcotest.(check bool) "snapshot fits" true (Msts.Schedule.makespan snapshot <= 14);
       grow (count + 1)
     end
@@ -110,7 +110,7 @@ let spread_rejects_bad_input () =
 let spider_summary_renders () =
   let spider = Msts.Spider.of_legs [ figure2_chain; Msts.Chain.of_pairs [ (1, 4) ] ] in
   let sched = Msts.Spider_algorithm.schedule_tasks spider 8 in
-  let text = Msts.Metrics.spider_summary sched in
+  let text = Msts.Metrics.summary (Msts.Plan.Spider sched) in
   let contains ~sub s =
     let n = String.length s and m = String.length sub in
     let rec at i = i + m <= n && (String.sub s i m = sub || at (i + 1)) in

@@ -30,8 +30,8 @@ let full_chain_pipeline () =
   Alcotest.(check bool) "schedule round-trip" true (Msts.Schedule.equal sched sched');
   (* validate with the independent checker *)
   Alcotest.(check (list string)) "feasible" []
-    (List.map Msts.Feasibility.violation_to_string
-       (Msts.Feasibility.check ~require_nonnegative:true sched'));
+    (List.map Feasibility_oracle.violation_to_string
+       (Feasibility_oracle.check ~require_nonnegative:true sched'));
   (* and by actual execution *)
   let report = Msts.Netsim.execute (Msts.Plan.Chain sched') in
   Alcotest.(check bool) "execution meets the plan" true
@@ -51,9 +51,9 @@ let full_spider_pipeline () =
   Alcotest.(check bool) "execution meets the plan" true
     (report.Msts.Netsim.realized_makespan <= report.Msts.Netsim.planned_makespan);
   (* the gantt and svg render without raising and mention the master *)
-  let gantt = Msts.Gantt.render_spider sched in
+  let gantt = Msts.Plan.gantt (Msts.Plan.Spider sched) in
   Alcotest.(check bool) "gantt" true (String.length gantt > 0);
-  let svg = Msts.Svg.render_spider sched in
+  let svg = Msts.Plan.svg (Msts.Plan.Spider sched) in
   Alcotest.(check bool) "svg" true (String.length svg > 0)
 
 (* tree -> spider extraction -> schedule: the conclusion's "cover the graph

@@ -159,7 +159,7 @@ let no_overtaking_on_links =
                List.sort
                  (fun a b ->
                    Int.compare a.Msts.Intervals.start b.Msts.Intervals.start)
-                 (Msts.Schedule.link_intervals sched k)
+                 (Feasibility_oracle.link_intervals sched k)
              in
              let tags = List.map (fun iv -> iv.Msts.Intervals.tag) sorted_by_time in
              tags = List.sort compare tags)

@@ -1,10 +1,12 @@
-(* Tests for the per-resource utilization report (Msts.Obs.Report): a
-   hand-computed instance checked field by field, and the exact-accounting
-   invariant (compute + starved + idle = makespan on every processor)
-   over random chains and spiders, planned and executed. *)
+(* Tests for the per-resource utilization report (Msts.Obs.Report, which
+   renders the Msts.Metrics record): a hand-computed instance checked field
+   by field, and the exact-accounting invariant (compute + starved + idle
+   = makespan on every processor) over random chains and spiders, planned
+   and executed. *)
 
 open Helpers
 module Report = Msts.Obs.Report
+module Metrics = Msts.Metrics
 
 let solve problem =
   match Msts.Solve.solve problem with
@@ -23,66 +25,62 @@ let hand_computed_two_slave_chain () =
     solve
       (Msts.Solve.problem ~tasks:2 (Msts.Platform_format.Chain_platform chain))
   in
-  let r = Report.of_plan plan in
-  Alcotest.(check int) "tasks" 2 r.Report.tasks;
-  Alcotest.(check int) "makespan" 4 r.Report.makespan;
-  Alcotest.(check int) "master port busy" 2 r.Report.master_port.Report.busy;
+  let r = Metrics.of_plan plan in
+  Alcotest.(check int) "tasks" 2 r.tasks;
+  Alcotest.(check int) "makespan" 4 r.makespan;
+  Alcotest.(check int) "master port busy" 2 r.port_busy;
   Alcotest.(check (float 1e-9)) "master port fraction" 0.5
-    r.Report.master_port.Report.fraction;
-  (match r.Report.nodes with
-  | [ p1; p2 ] ->
-      Alcotest.(check int) "link 1 busy" 2 p1.Report.link.Report.busy;
-      Alcotest.(check int) "link 2 busy" 1 p2.Report.link.Report.busy;
+    (Metrics.fraction r r.port_busy);
+  (match r.nodes with
+  | [| p1; p2 |] ->
+      Alcotest.(check int) "link 1 busy" 2 p1.link_busy;
+      Alcotest.(check int) "link 2 busy" 1 p2.link_busy;
       Alcotest.(check (float 1e-9)) "link 2 fraction" 0.25
-        p2.Report.link.Report.fraction;
+        (Metrics.fraction r p2.link_busy);
       List.iteri
-        (fun i node ->
-          let proc = node.Report.proc in
+        (fun i (proc : Metrics.node) ->
           let where = Printf.sprintf "P%d" (i + 1) in
-          Alcotest.(check int) (where ^ " tasks") 1 proc.Report.tasks;
-          Alcotest.(check int) (where ^ " compute") 2 proc.Report.compute;
-          Alcotest.(check int) (where ^ " starved") 2 proc.Report.starved;
-          Alcotest.(check int) (where ^ " idle") 0 proc.Report.idle;
+          Alcotest.(check int) (where ^ " tasks") 1 proc.tasks;
+          Alcotest.(check int) (where ^ " compute") 2 proc.compute;
+          Alcotest.(check int) (where ^ " starved") 2 proc.starved;
+          Alcotest.(check int) (where ^ " idle") 0 proc.idle;
           Alcotest.(check (float 1e-9)) (where ^ " fraction") 0.5
-            proc.Report.fraction)
+            (Metrics.fraction r proc.compute))
         [ p1; p2 ]
-  | nodes -> Alcotest.failf "expected 2 nodes, got %d" (List.length nodes));
+  | nodes -> Alcotest.failf "expected 2 nodes, got %d" (Array.length nodes));
   (* the realized execution of a fault-free run reports identically *)
   let executed = Report.of_execution (Msts.Netsim.execute plan) in
-  Alcotest.(check int) "executed makespan" 4 executed.Report.makespan;
-  Alcotest.(check int) "executed master port busy" 2
-    executed.Report.master_port.Report.busy
+  Alcotest.(check int) "executed makespan" 4 executed.makespan;
+  Alcotest.(check int) "executed master port busy" 2 executed.port_busy
 
 (* The acceptance invariant: the three-way breakdown is an exact partition
    of [0, makespan) for every processor, and no busy time or fraction can
    escape its bounds. *)
-let check_accounting r =
+let check_accounting (r : Metrics.t) =
   let total_tasks =
-    List.fold_left (fun acc n -> acc + n.Report.proc.Report.tasks) 0 r.Report.nodes
+    Array.fold_left (fun acc (n : Metrics.node) -> acc + n.tasks) 0 r.nodes
   in
-  if total_tasks <> r.Report.tasks then
+  if total_tasks <> r.tasks then
     QCheck.Test.fail_reportf "task counts: %d placed vs %d reported"
-      total_tasks r.Report.tasks;
-  if r.Report.master_port.Report.busy > r.Report.makespan then
+      total_tasks r.tasks;
+  if r.port_busy > r.makespan then
     QCheck.Test.fail_reportf "master port busier than the makespan";
-  List.iter
-    (fun node ->
-      let proc = node.Report.proc in
-      let parts = proc.Report.compute + proc.Report.starved + proc.Report.idle in
-      if parts <> r.Report.makespan then
+  Array.iter
+    (fun (node : Metrics.node) ->
+      let parts = node.compute + node.starved + node.idle in
+      if parts <> r.makespan then
         QCheck.Test.fail_reportf
           "leg %d depth %d: compute %d + starved %d + idle %d = %d <> makespan %d"
-          node.Report.address.Msts.Spider.leg node.Report.address.Msts.Spider.depth
-          proc.Report.compute proc.Report.starved proc.Report.idle parts
-          r.Report.makespan;
-      if node.Report.link.Report.busy > r.Report.makespan then
+          node.address.leg node.address.depth node.compute node.starved node.idle
+          parts r.makespan;
+      if node.link_busy > r.makespan then
         QCheck.Test.fail_reportf "link busier than the makespan";
       List.iter
         (fun f ->
           if f < 0.0 || f > 1.0 +. 1e-9 then
             QCheck.Test.fail_reportf "fraction %f out of [0,1]" f)
-        [ node.Report.link.Report.fraction; proc.Report.fraction ])
-    r.Report.nodes;
+        [ Metrics.fraction r node.link_busy; Metrics.fraction r node.compute ])
+    r.nodes;
   true
 
 let chain_breakdown_sums =
@@ -91,7 +89,7 @@ let chain_breakdown_sums =
     (chain_with_n_arb ~max_p:4 ~max_n:9 ())
     (fun (chain, n) ->
       let plan = Msts.Plan.Chain (Msts.Chain_algorithm.schedule chain n) in
-      check_accounting (Report.of_plan plan)
+      check_accounting (Metrics.of_plan plan)
       && check_accounting (Report.of_execution (Msts.Netsim.execute plan)))
 
 let spider_breakdown_sums =
@@ -100,20 +98,19 @@ let spider_breakdown_sums =
     (spider_with_n_arb ~max_legs:3 ~max_depth:2 ~max_n:6 ())
     (fun (spider, n) ->
       let plan = Msts.Plan.Spider (Msts.Spider_algorithm.schedule_tasks spider n) in
-      check_accounting (Report.of_plan plan)
+      check_accounting (Metrics.of_plan plan)
       && check_accounting (Report.of_execution (Msts.Netsim.execute plan)))
 
 let empty_report () =
   let chain = Msts.Chain.of_pairs [ (2, 3) ] in
-  let r = Report.of_plan (Msts.Plan.Chain (Msts.Chain_algorithm.schedule chain 0)) in
-  Alcotest.(check int) "tasks" 0 r.Report.tasks;
-  Alcotest.(check int) "makespan" 0 r.Report.makespan;
-  List.iter
-    (fun node ->
-      Alcotest.(check int) "no compute" 0 node.Report.proc.Report.compute;
-      Alcotest.(check int) "no idle on an empty horizon" 0
-        node.Report.proc.Report.idle)
-    r.Report.nodes
+  let r = Metrics.of_plan (Msts.Plan.Chain (Msts.Chain_algorithm.schedule chain 0)) in
+  Alcotest.(check int) "tasks" 0 r.tasks;
+  Alcotest.(check int) "makespan" 0 r.makespan;
+  Array.iter
+    (fun (node : Metrics.node) ->
+      Alcotest.(check int) "no compute" 0 node.compute;
+      Alcotest.(check int) "no idle on an empty horizon" 0 node.idle)
+    r.nodes
 
 let summary_and_json_shape () =
   let spider =
@@ -123,7 +120,7 @@ let summary_and_json_shape () =
     solve
       (Msts.Solve.problem ~tasks:5 (Msts.Platform_format.Spider_platform spider))
   in
-  let r = Report.of_plan plan in
+  let r = Metrics.of_plan plan in
   let text = Report.summary r in
   let contains needle =
     let lh = String.length text and ln = String.length needle in

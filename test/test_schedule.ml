@@ -105,10 +105,6 @@ let intervals_witness_nonadjacent () =
   | Some _ -> ()
   | None -> Alcotest.fail "missed the overlap"
 
-let intervals_utilisation () =
-  Alcotest.(check (Alcotest.float 1e-9)) "half busy" 0.5
-    (Msts.Intervals.utilisation [ iv 0 2 1; iv 4 3 2 ] ~horizon:10)
-
 (* ---------- Schedule structure ---------- *)
 
 let entry proc start comms = { Msts.Schedule.proc; start; comms = vec comms }
@@ -123,6 +119,13 @@ let fig2_schedule () =
       entry 1 8 [ 6 ];
       entry 1 11 [ 9 ];
     |]
+
+(* the busy fraction the measures report: link 2 of Figure 2 carries one
+   transfer (c2 = 3) over the 14-unit makespan *)
+let intervals_utilisation () =
+  let m = Msts.Metrics.of_plan (Msts.Plan.Chain (fig2_schedule ())) in
+  Alcotest.(check (Alcotest.float 1e-9)) "3/14 busy" (3.0 /. 14.0)
+    (Msts.Metrics.fraction m m.nodes.(1).link_busy)
 
 let schedule_structure () =
   let s = fig2_schedule () in
@@ -161,48 +164,57 @@ let schedule_restrict () =
 
 let schedule_intervals () =
   let s = fig2_schedule () in
-  let link1 = Msts.Schedule.link_intervals s 1 in
+  let link1 = Feasibility_oracle.link_intervals s 1 in
   Alcotest.(check int) "five transfers on link 1" 5 (List.length link1);
   Alcotest.(check int) "one transfer on link 2" 1
-    (List.length (Msts.Schedule.link_intervals s 2));
+    (List.length (Feasibility_oracle.link_intervals s 2));
   Alcotest.(check bool) "link 1 disjoint" true
     (Msts.Intervals.overlap_witness link1 = None)
 
 (* ---------- Feasibility: each property violated in isolation ---------- *)
 
+(* The frozen Definition 1 checker's verdict, once [Plan.check] has been
+   seen to spell the same messages. *)
+let audit ?require_nonnegative s =
+  let vs = Feasibility_oracle.check ?require_nonnegative s in
+  Alcotest.(check (list string)) "Plan.check agrees with the oracle"
+    (List.map Feasibility_oracle.violation_to_string vs)
+    (Msts.Plan.check ?require_nonnegative (Msts.Plan.Chain s));
+  vs
+
 let feasible_fig2 () =
   Alcotest.(check (list string)) "figure 2 is feasible" []
-    (List.map Msts.Feasibility.violation_to_string
-       (Msts.Feasibility.check ~require_nonnegative:true (fig2_schedule ())))
+    (List.map Feasibility_oracle.violation_to_string
+       (audit ~require_nonnegative:true (fig2_schedule ())))
 
 let property1_detected () =
   (* re-emitted on link 2 before received: C2 < C1 + c1 *)
   let s = Msts.Schedule.make figure2_chain [| entry 2 20 [ 0; 1 ] |] in
-  match Msts.Feasibility.check s with
-  | [ Msts.Feasibility.Reemitted_before_received { task = 1; link = 2 } ] -> ()
+  match audit s with
+  | [ Feasibility_oracle.Reemitted_before_received { task = 1; link = 2 } ] -> ()
   | vs ->
       Alcotest.failf "expected property-1 violation, got [%s]"
-        (String.concat "; " (List.map Msts.Feasibility.violation_to_string vs))
+        (String.concat "; " (List.map Feasibility_oracle.violation_to_string vs))
 
 let property2_detected () =
   (* starts at 3 but only fully received at 0+2=2 on P1... use start 1 *)
   let s = Msts.Schedule.make figure2_chain [| entry 1 1 [ 0 ] |] in
-  match Msts.Feasibility.check s with
-  | [ Msts.Feasibility.Started_before_received { task = 1 } ] -> ()
+  match audit s with
+  | [ Feasibility_oracle.Started_before_received { task = 1 } ] -> ()
   | vs ->
       Alcotest.failf "expected property-2 violation, got [%s]"
-        (String.concat "; " (List.map Msts.Feasibility.violation_to_string vs))
+        (String.concat "; " (List.map Feasibility_oracle.violation_to_string vs))
 
 let property3_detected () =
   (* two tasks overlap on P1 (w1 = 3) *)
   let s =
     Msts.Schedule.make figure2_chain [| entry 1 2 [ 0 ]; entry 1 4 [ 2 ] |]
   in
-  match Msts.Feasibility.check s with
-  | [ Msts.Feasibility.Computation_overlap { proc = 1; _ } ] -> ()
+  match audit s with
+  | [ Feasibility_oracle.Computation_overlap { proc = 1; _ } ] -> ()
   | vs ->
       Alcotest.failf "expected property-3 violation, got [%s]"
-        (String.concat "; " (List.map Msts.Feasibility.violation_to_string vs))
+        (String.concat "; " (List.map Feasibility_oracle.violation_to_string vs))
 
 let property4_detected () =
   (* transfers overlap on link 1 (c1 = 2) *)
@@ -211,8 +223,8 @@ let property4_detected () =
   in
   let has_comm_overlap =
     List.exists
-      (function Msts.Feasibility.Communication_overlap { link = 1; _ } -> true | _ -> false)
-      (Msts.Feasibility.check s)
+      (function Feasibility_oracle.Communication_overlap { link = 1; _ } -> true | _ -> false)
+      (audit s)
   in
   Alcotest.(check bool) "link overlap detected" true has_comm_overlap
 
@@ -220,17 +232,54 @@ let negative_dates_detected () =
   let s = Msts.Schedule.make figure2_chain [| entry 1 0 [ -2 ] |] in
   Alcotest.(check bool) "allowed without flag" true
     (List.for_all
-       (function Msts.Feasibility.Negative_date _ -> false | _ -> true)
-       (Msts.Feasibility.check s));
+       (function Feasibility_oracle.Negative_date _ -> false | _ -> true)
+       (audit s));
   Alcotest.(check bool) "flagged with require_nonnegative" true
     (List.exists
-       (function Msts.Feasibility.Negative_date { task = 1 } -> true | _ -> false)
-       (Msts.Feasibility.check ~require_nonnegative:true s))
+       (function Feasibility_oracle.Negative_date { task = 1 } -> true | _ -> false)
+       (audit ~require_nonnegative:true s))
 
 let meets_deadline () =
   let s = fig2_schedule () in
-  Alcotest.(check bool) "meets 14" true (Msts.Feasibility.meets_deadline s ~deadline:14);
-  Alcotest.(check bool) "misses 13" false (Msts.Feasibility.meets_deadline s ~deadline:13)
+  Alcotest.(check bool) "meets 14" true (Feasibility_oracle.meets_deadline s ~deadline:14);
+  Alcotest.(check bool) "misses 13" false (Feasibility_oracle.meets_deadline s ~deadline:13)
+
+(* The chain audit ([Plan.check] on the one-leg spider view) spells, in
+   order, exactly the frozen checker's messages on optimal schedules whose
+   starts and emissions are each moved by -6..6, with and without the
+   non-negative dates rule. *)
+let perturbed_chain_gen =
+  let open Gen in
+  let nudge = frequency [ (2, return 0); (1, int_range (-6) 6) ] in
+  let* chain = chain_gen ~max_p:4 ~max_val:6 () in
+  let* n = int_range 1 10 in
+  let base = Msts.Schedule.entries (Msts.Chain_algorithm.schedule chain n) in
+  let+ entries =
+    flatten_a
+      (Array.map
+         (fun (e : Msts.Schedule.entry) ->
+           let* ds = nudge and* dc = array_size (return (Array.length e.comms)) nudge in
+           return { e with start = e.start + ds; comms = Array.map2 ( + ) e.comms dc })
+         base)
+  in
+  Msts.Schedule.make chain entries
+
+let chain_check_matches_oracle =
+  Helpers.to_alcotest
+    (QCheck.Test.make ~count:1000 ~name:"chain Plan.check spells the frozen checker's violations"
+       (QCheck.make ~print:Msts.Schedule.to_string perturbed_chain_gen)
+       (fun s ->
+         List.for_all
+           (fun require_nonnegative ->
+             let expected =
+               List.map Feasibility_oracle.violation_to_string
+                 (Feasibility_oracle.check ~require_nonnegative s)
+             in
+             let got = Msts.Plan.check ~require_nonnegative (Msts.Plan.Chain s) in
+             got = expected
+             || QCheck.Test.fail_reportf "require_nonnegative=%b: got [%s], oracle [%s]"
+                  require_nonnegative (String.concat "; " got) (String.concat "; " expected))
+           [ false; true ]))
 
 (* ---------- Spider schedules ---------- *)
 
@@ -327,7 +376,7 @@ let contains ~sub s =
 
 let gantt_renders () =
   let s = fig2_schedule () in
-  let chart = Msts.Gantt.render ~width:40 s in
+  let chart = Msts.Plan.gantt ~width:40 (Msts.Plan.Chain s) in
   List.iter
     (fun needle -> Alcotest.(check bool) needle true (contains ~sub:needle chart))
     [ "link 1"; "proc 1"; "link 2"; "proc 2" ]
@@ -339,17 +388,17 @@ let gantt_symbols () =
   Alcotest.(check bool) "1-9, then a-z, then #" true
     (contains
        ~sub:"123456789abcdefghijklmnopqrstuvwxyz#####"
-       (Msts.Gantt.render ~width:100 s))
+       (Msts.Plan.gantt ~width:100 (Msts.Plan.Chain s)))
 
 let gantt_scales_down () =
   let chain = Msts.Chain.of_pairs [ (1, 1) ] in
   let s = Msts.Chain_algorithm.schedule chain 300 in
-  let chart = Msts.Gantt.render ~width:50 s in
+  let chart = Msts.Plan.gantt ~width:50 (Msts.Plan.Chain s) in
   let first_line = List.hd (String.split_on_char '\n' chart) in
   Alcotest.(check bool) "fits width" true (String.length first_line < 80)
 
 let svg_renders () =
-  let svg = Msts.Svg.render (fig2_schedule ()) in
+  let svg = Msts.Plan.svg (Msts.Plan.Chain (fig2_schedule ())) in
   List.iter
     (fun needle -> Alcotest.(check bool) needle true (contains ~sub:needle svg))
     [ "<svg"; "</svg>"; "link 1"; "proc 2"; "rect" ]
@@ -359,9 +408,9 @@ let spider_gantt_renders () =
     Msts.Spider_schedule.make two_leg_spider
       [| sentry 1 1 2 [ 0 ]; sentry 2 1 3 [ 2 ] |]
   in
-  let chart = Msts.Gantt.render_spider ~width:40 s in
+  let chart = Msts.Plan.gantt ~width:40 (Msts.Plan.Spider s) in
   Alcotest.(check bool) "master row" true (contains ~sub:"master port" chart);
-  let svg = Msts.Svg.render_spider s in
+  let svg = Msts.Plan.svg (Msts.Plan.Spider s) in
   Alcotest.(check bool) "svg master row" true (contains ~sub:"master port" svg)
 
 (* ---------- Serialisation ---------- *)
@@ -444,6 +493,7 @@ let suites =
         case "property 4 (communication overlap)" property4_detected;
         case "negative dates" negative_dates_detected;
         case "meets_deadline" meets_deadline;
+        chain_check_matches_oracle;
       ] );
     ( "schedule.spider",
       [

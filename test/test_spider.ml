@@ -182,7 +182,7 @@ let large_values_no_overflow () =
   (* exactly the Figure-2 schedule scaled by one million *)
   Alcotest.(check int) "scaled makespan" (14 * big) (Msts.Schedule.makespan s);
   Alcotest.(check bool) "feasible" true
-    (Msts.Feasibility.is_feasible ~require_nonnegative:true s);
+    (Feasibility_oracle.is_feasible ~require_nonnegative:true s);
   let many = Msts.Chain_algorithm.makespan (Msts.Chain.of_pairs [ (big, big) ]) 100_000 in
   Alcotest.(check bool) "hundred thousand tasks" true (many > 0)
 

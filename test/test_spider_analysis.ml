@@ -26,10 +26,10 @@ let leg_activation spider ~leg ~max_n =
 let port_utilisation spider n =
   if n = 0 then 0.0
   else
-    let sched = Msts.Spider_algorithm.schedule_tasks spider n in
-    Msts.Intervals.utilisation
-      (Msts.Spider_schedule.master_port_intervals sched)
-      ~horizon:(Msts.Spider_schedule.makespan sched)
+    let m =
+      Msts.Metrics.of_plan (Msts.Plan.Spider (Msts.Spider_algorithm.schedule_tasks spider n))
+    in
+    Msts.Metrics.fraction m m.port_busy
 
 (* Per leg, the measured share of the batch over the steady-state
    share; legs with a zero steady rate give 0.0 when idle. *)

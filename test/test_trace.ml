@@ -114,7 +114,7 @@ let concat_rejects_overlap () =
 let project_partitions () =
   let spider = spider_fixture () in
   let plan = Msts.Spider_algorithm.schedule_tasks spider 6 in
-  let tr = Trace.of_spider_schedule plan in
+  let tr = Trace.of_plan (Msts.Plan.Spider plan) in
   let total = Trace.length tr in
   Alcotest.(check bool) "planned trace nonempty" true (total > 0);
   let port = Trace.project tr (Trace.On_resource Trace.Port) in
@@ -159,7 +159,7 @@ let overlapping_port_plan () =
 (* Checking a whole trace and checking its slices with one threaded state
    must agree — even slice by slice, and even on a dirty trace. *)
 let segment_composition () =
-  let tr = Trace.of_spider_schedule (overlapping_port_plan ()) in
+  let tr = Trace.of_plan (Msts.Plan.Spider (overlapping_port_plan ())) in
   let whole = Trace.check tr in
   Alcotest.(check bool) "fixture is dirty" true (whole <> []);
   let lo, hi = Option.get (time_span tr) in
@@ -196,7 +196,7 @@ let clean_cuts_stay_clean () =
 (* ---------- invariants ---------- *)
 
 let planned_figure2_clean () =
-  let tr = Trace.of_chain_schedule (Msts.Chain_algorithm.schedule figure2_chain 7) in
+  let tr = Trace.of_plan (Msts.Plan.Chain (Msts.Chain_algorithm.schedule figure2_chain 7)) in
   fail_violations tr (Trace.check ~require_nonnegative:true tr)
 
 let recorded_execution_clean () =
@@ -238,7 +238,7 @@ let without_recorder_hides_a_nested_run () =
    one-port violation, and localize cuts the trace down to exactly the two
    offending emissions. *)
 let corrupted_port_overlap_localized () =
-  let tr = Trace.of_spider_schedule (overlapping_port_plan ()) in
+  let tr = Trace.of_plan (Msts.Plan.Spider (overlapping_port_plan ())) in
   match Trace.check ~require_nonnegative:true tr with
   | [ v ] ->
       Alcotest.(check string) "the one-port invariant fired" "one-port"

@@ -166,7 +166,7 @@ let planned_agree =
                (Msts.Spider_schedule.check ~require_nonnegative plan)
                (Ref.spider_check ~require_nonnegative plan))
            [ false; true ];
-         agree_on_trace (Trace.of_spider_schedule plan) (Ref.of_spider_schedule plan)))
+         agree_on_trace (Trace.of_plan (Msts.Plan.Spider plan)) (Ref.of_spider_schedule plan)))
 
 (* ---------- mutants ---------- *)
 
@@ -219,7 +219,8 @@ let mutants_agree =
            | Some entry -> emission_order (record (fun () -> run_entry spider n seed entry))
            | None ->
                Trace.events
-                 (Trace.of_spider_schedule (Msts.Spider_algorithm.schedule_tasks spider n))
+                 (Trace.of_plan
+                    (Msts.Plan.Spider (Msts.Spider_algorithm.schedule_tasks spider n)))
          in
          let emitted = List.fold_left mutate source mutations in
          agree_on_trace (segment emitted) (Ref.recorded emitted)))

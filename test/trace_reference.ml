@@ -3,9 +3,9 @@
    differential suite in test_trace.ml: canonical ordering by
    [List.stable_sort], the planned-trace expansion, and the invariant
    machines over [Hashtbl]s.  Beside it, [spider_check] is the
-   per-leg feasibility check [Spider_schedule.check] replaced: one
-   [Feasibility.check] per leg schedule plus the master port's sorted
-   intervals.  Telemetry (spans, counters) is left out. *)
+   per-leg feasibility check [Spider_schedule.check] replaced: the frozen
+   Definition 1 checker ([Feasibility_oracle.check]) per leg schedule plus
+   the master port's sorted intervals.  Telemetry (spans, counters) is left out. *)
 
 open Msts.Trace
 module Spider = Msts.Spider
@@ -299,14 +299,26 @@ let spider_check ?(require_nonnegative = false) t =
         let local = Spider_schedule.leg_schedule t l in
         List.map
           (fun v ->
-            Printf.sprintf "leg %d: %s" l (Msts.Feasibility.violation_to_string v))
-          (Msts.Feasibility.check ~require_nonnegative local))
+            Printf.sprintf "leg %d: %s" l (Feasibility_oracle.violation_to_string v))
+          (Feasibility_oracle.check ~require_nonnegative local))
       (Msts.Intx.range 1 (Spider.legs (Spider_schedule.spider t)))
   in
+  let port =
+    List.map
+      (fun i ->
+        let e = Spider_schedule.entry t i in
+        {
+          Msts.Intervals.start = e.comms.(0);
+          duration =
+            Msts.Chain.latency
+              (Spider.leg_chain (Spider_schedule.spider t) e.address.Spider.leg)
+              1;
+          tag = i;
+        })
+      (Msts.Intx.range 1 (Spider_schedule.task_count t))
+  in
   let master_report =
-    match
-      Msts.Intervals.overlap_witness (Spider_schedule.master_port_intervals t)
-    with
+    match Msts.Intervals.overlap_witness port with
     | Some (a, b) ->
         [
           Printf.sprintf "master port: emissions of tasks %d and %d overlap"
