@@ -128,9 +128,15 @@ let decode_batch name line =
   | Ok ({ Msts.Api.op = Msts.Api.Batch problems; _ }, repeats) -> (problems, repeats)
   | _ -> failwith ("codec-scaling: the " ^ name ^ " frame did not decode")
 
+(* A reply frame's tree, as a client reads it. *)
 let reply_json op =
-  Msts.Api.encode_response
-    (Msts.Api.respond ~solver:Msts.Api.direct_solver (request op))
+  match
+    Msts.Json.parse
+      (Msts.Api.response_to_line
+         (Msts.Api.respond ~solver:Msts.Api.direct_solver (request op)))
+  with
+  | Ok json -> json
+  | Error msg -> failwith ("codec-scaling: a reply frame does not parse: " ^ msg)
 
 (* A reply and its frame writer, checked once against the reference
    encoder so the stage times the bytes the daemon sends. *)
@@ -160,11 +166,16 @@ let batched problems =
        { problems; outcomes; firsts = Msts.Batch.firsts plan; stats; cache_capacity = 256 })
 
 (* Words allocated so far: minor only, or every word (minor, plus major
-   allocations, minus the minor words promoted into the major heap). *)
+   allocations, minus the minor words promoted into the major heap).
+   [Gc.counters] credits minor words only when a minor collection runs,
+   so one is run first: the count then holds every word allocated before
+   the read and none of a later one's. *)
 let allocated ~major =
-  if major then
+  if major then begin
+    Gc.minor ();
     let minor, promoted, major = Gc.counters () in
     minor +. major -. promoted
+  end
   else Gc.minor_words ()
 
 (* Mean wall time (us) and words of one call, uninstrumented as a

@@ -69,6 +69,9 @@ let emit output text =
 
 let emit_json json = print_endline (Msts.Json.to_string ~pretty:true json)
 
+(* A typed reply's JSON, printed from the bytes the daemon would send. *)
+let emit_reply reply = print_endline (Msts.Api.pretty_json_of_reply reply)
+
 let json_of_table table =
   Msts.Json.of_table ~title:(Msts.Table.title table)
     ~columns:(Msts.Table.columns table) ~rows:(Msts.Table.rows table)
@@ -80,8 +83,9 @@ let print_table fmt table =
 
 (* Every solving subcommand routes through the typed request API: build an
    [Msts.Api.op], run it with {!Msts.Api.exec} over the direct (poolless)
-   solver, render text from the typed reply or JSON from the one shared
-   [Msts.Api.json_of_reply] — the same code path [msts serve] answers on. *)
+   solver, render text from the typed reply or JSON from the one payload
+   writer ([Msts.Api.pretty_json_of_reply]) — the same code path
+   [msts serve] answers on. *)
 
 let die_api (e : Msts.Api.error) =
   Printf.eprintf "error: %s\n" e.Msts.Api.message;
@@ -192,7 +196,7 @@ let schedule_cmd =
         Printf.printf "optimal makespan: %d\n%s\n" (Msts.Plan.makespan plan)
           (Msts.Plan.to_string plan);
         if gantt then print_endline (Msts.Plan.gantt ~width plan)
-    | Json -> emit_json (Msts.Api.json_of_reply reply));
+    | Json -> emit_reply reply);
     Option.iter (fun f -> Msts.Svg.save f (Msts.Plan.svg plan)) svg;
     Option.iter (fun f -> emit (Some f) (Msts.Plan.serialize plan)) plan_out;
     Option.iter (fun f -> emit (Some f) (Msts.Plan.to_csv plan ^ "\n")) csv
@@ -223,7 +227,7 @@ let deadline_cmd =
         Printf.printf "tasks completed by %d: %d\n%s\n" deadline
           (Msts.Plan.task_count plan)
           (Msts.Plan.to_string plan)
-    | Json -> emit_json (Msts.Api.json_of_reply reply)
+    | Json -> emit_reply reply
   in
   let doc = "Maximise the number of tasks completed within a deadline." in
   Cmd.v (Cmd.info "deadline" ~doc)
@@ -319,7 +323,7 @@ let check_cmd =
                   (Msts.Trace.length trace)
                   (Msts.Trace.report trace violations))
           sections
-    | Json -> emit_json (Msts.Api.json_of_reply reply));
+    | Json -> emit_reply reply);
     if not ok then exit 1
   in
   let doc =
@@ -501,7 +505,7 @@ let metrics_cmd =
     in
     match fmt with
     | Text -> print_string (Msts.Metrics.summary plan)
-    | Json -> emit_json (Msts.Api.json_of_reply reply)
+    | Json -> emit_reply reply
   in
   let doc = "Waiting, buffering and utilisation report for the optimal schedule." in
   Cmd.v (Cmd.info "metrics" ~doc)
@@ -795,7 +799,7 @@ let batch_cmd =
         Printf.printf "pool.cache_hits: %d\n" stats.Msts.Batch.cache_hits;
         Printf.printf "pool.cache_misses: %d\n" stats.Msts.Batch.cache_misses;
         Printf.printf "pool.solves: %d\n" stats.Msts.Batch.cache_misses
-    | Json -> emit_json (Msts.Api.json_of_reply reply));
+    | Json -> emit_reply reply);
     if failures > 0 then exit 1
   in
   let doc =
@@ -982,7 +986,7 @@ let report_cmd =
     | Text ->
         Printf.printf "source: %s\n" source;
         print_string (Msts.Obs.Report.summary report)
-    | Json -> emit_json (Msts.Api.json_of_reply reply)
+    | Json -> emit_reply reply
   in
   let doc =
     "Per-resource utilization of a run: master-port saturation, per-link \

@@ -505,30 +505,6 @@ let decode_element memo r e ~index =
       raise
         (Rejected (error Bad_request "every element of \"problems\" must be an object"))
 
-(* A frame's problems and repeat map are gathered in buffers reused per
-   domain, so its arrays are allocated once, at their final size.  The
-   slots a frame used are cleared when it is read, so no problem
-   outlives its frame there, and buffers grown past [retain] slots are
-   dropped.  A nested reading (none happens today) would get fresh
-   buffers. *)
-type gather = {
-  mutable slots : Solve.problem array;
-  mutable firsts : int array;
-  mutable busy : bool;
-}
-
-let placeholder =
-  {
-    Solve.platform = Parse.Chain_platform (Chain.make ~c:[| 1 |] ~w:[| 1 |]);
-    tasks = None;
-    deadline = None;
-  }
-
-let retain = 1 lsl 16
-let fresh_gather () =
-  { slots = Array.make 256 placeholder; firsts = Array.make 256 0; busy = false }
-let gathers = Domain.DLS.new_key fresh_gather
-
 (* One element through the memo: a hit is stepped over, anything else
    takes the slow path and, when it decodes cleanly and its bucket has
    room, is recorded. *)
@@ -553,7 +529,11 @@ let memo_element memo r e ~index =
 (* The "problems" array the reader is on, read to its end: after the
    first bad element the rest are only checked.  With the problems comes
    the repeat map: for each element, the first element that decoded to
-   the same physical problem. *)
+   the same physical problem.  While the elements are read only the map
+   (an int per element) and the distinct problems are kept, each in an
+   array that doubles (the problems' by being appended to itself, which
+   needs no filler value); the problem array is then built from them
+   once, at its final size. *)
 let decode_problems r =
   let memo =
     {
@@ -575,53 +555,59 @@ let decode_problems r =
       deadline_value = 0;
     }
   in
-  let shared = Domain.DLS.get gathers in
-  let g = if shared.busy then fresh_gather () else shared in
-  g.busy <- true;
-  let count = ref 0 and failure = ref None in
+  let firsts = ref (Array.make 64 0) and count = ref 0 in
+  let distinct = ref [||] and distinct_count = ref 0 in
   let add { problem; first; _ } =
-    if !count = Array.length g.slots then begin
-      let grown = Array.make (2 * !count) placeholder in
-      Array.blit g.slots 0 grown 0 !count;
-      g.slots <- grown;
-      let grown = Array.make (2 * !count) 0 in
-      Array.blit g.firsts 0 grown 0 !count;
-      g.firsts <- grown
+    let n = !count in
+    if n = Array.length !firsts then begin
+      let grown = Array.make (2 * n) 0 in
+      Array.blit !firsts 0 grown 0 n;
+      firsts := grown
     end;
-    g.slots.(!count) <- problem;
-    g.firsts.(!count) <- first;
-    incr count
+    !firsts.(n) <- first;
+    count := n + 1;
+    if first = n then begin
+      let d = !distinct_count in
+      if d = Array.length !distinct then
+        distinct := if d = 0 then Array.make 16 problem else Array.append !distinct !distinct;
+      !distinct.(d) <- problem;
+      distinct_count := d + 1
+    end
   in
-  let read () =
-    if R.first_item r then begin
-      let more = ref true in
-      while !more do
-        (match !failure with
-        | Some _ -> R.skip r
-        | None -> (
-            match memo_element memo r e ~index:!count with
-            | resolved -> add resolved
-            | exception Rejected err -> failure := Some err));
-        more := R.next_item r
-      done
-    end;
-    Obs.count ~n:memo.elements "api.batch_elements";
-    Obs.count ~n:memo.hits "api.batch_memo_hits";
-    Obs.count ~n:memo.compared "api.batch_memo_candidates";
-    match !failure with
-    | Some err -> Error err
-    | None -> Ok (Array.sub g.slots 0 !count, Array.sub g.firsts 0 !count)
-  in
-  let release () =
-    Array.fill g.slots 0 !count placeholder;
-    if Array.length g.slots > retain then begin
-      let fresh = fresh_gather () in
-      g.slots <- fresh.slots;
-      g.firsts <- fresh.firsts
-    end;
-    g.busy <- false
-  in
-  Fun.protect ~finally:release read
+  let failure = ref None in
+  if R.first_item r then begin
+    let more = ref true in
+    while !more do
+      (match !failure with
+      | Some _ -> R.skip r
+      | None -> (
+          match memo_element memo r e ~index:!count with
+          | resolved -> add resolved
+          | exception Rejected err -> failure := Some err));
+      more := R.next_item r
+    done
+  end;
+  Obs.count ~n:memo.elements "api.batch_elements";
+  Obs.count ~n:memo.hits "api.batch_memo_hits";
+  Obs.count ~n:memo.compared "api.batch_memo_candidates";
+  match !failure with
+  | Some err -> Error err
+  | None ->
+      let n = !count and firsts = !firsts and distinct = !distinct in
+      if !distinct_count = n then Ok (Array.sub distinct 0 n, Array.sub firsts 0 n)
+      else begin
+        let problems = Array.make n distinct.(0) in
+        let d = ref 0 in
+        for i = 0 to n - 1 do
+          let j = firsts.(i) in
+          if j = i then begin
+            problems.(i) <- distinct.(!d);
+            incr d
+          end
+          else problems.(i) <- problems.(j)
+        done;
+        Ok (problems, Array.sub firsts 0 n)
+      end
 
 type frame = {
   r : R.t;
@@ -866,22 +852,35 @@ type response = {
   result : (Json.t, error) result;
 }
 
-let encode_response { id; trace; result } =
-  Json.Obj
-    (("v", Json.Int version)
-    :: (match id with None -> [] | Some i -> [ ("id", Json.Int i) ])
-    @ (match trace with None -> [] | Some s -> [ ("trace", Json.String s) ])
-    @ [
-        (match result with
-        | Ok payload -> ("ok", payload)
-        | Error { code; message } ->
-            ( "error",
-              Json.Obj
-                [
-                  ("code", Json.String (error_code_to_string code));
-                  ("message", Json.String message);
-                ] ));
-      ])
+module W = Json.Writer
+
+(* The one envelope writer: [write_ok] writes an [ok] payload.  Both
+   {!response_to_line} (a payload tree) and {!response_line} (a typed
+   reply) frame through it. *)
+let write_response w ~id ~trace write_ok result =
+  W.raw w "{\"v\":";
+  W.int w version;
+  (match id with
+  | None -> ()
+  | Some i ->
+      W.raw w ",\"id\":";
+      W.int w i);
+  (match trace with
+  | None -> ()
+  | Some s ->
+      W.raw w ",\"trace\":";
+      W.string w s);
+  (match result with
+  | Ok payload ->
+      W.raw w ",\"ok\":";
+      write_ok w payload
+  | Error { code; message } ->
+      W.raw w ",\"error\":{\"code\":";
+      W.string w (error_code_to_string code);
+      W.raw w ",\"message\":";
+      W.string w message;
+      W.char w '}');
+  W.raw w "}\n"
 
 let field kvs key = List.assoc_opt key kvs
 
@@ -939,7 +938,8 @@ let decode_response json =
   | Some _, Some _ -> bad "frame carries both \"ok\" and \"error\""
   | None, None -> bad "frame carries neither \"ok\" nor \"error\""
 
-let response_to_line r = Json.to_string (encode_response r) ^ "\n"
+let response_to_line { id; trace; result } =
+  W.to_string (fun w -> write_response w ~id ~trace W.value result)
 
 let response_of_line line =
   let* json = parse_line line in
@@ -950,47 +950,7 @@ let request_or_rejection line : (request * int array, response) result =
   | Ok decoded -> Ok decoded
   | Error (e, id, trace) -> Error { id; trace; result = Error e }
 
-(* ---------- JSON renderings (the former per-subcommand CLI assembly,
-   now the one shared definition) ---------- *)
-
-let json_of_plan ?(extra = []) plan =
-  let open Json in
-  let comms_json comms = List (Array.to_list (Array.map (fun c -> Int c) comms)) in
-  let entries =
-    match plan with
-    | Plan.Chain sched ->
-        Array.to_list (Schedule.entries sched)
-        |> List.mapi (fun idx (e : Schedule.entry) ->
-               Obj
-                 [
-                   ("task", Int (idx + 1));
-                   ("proc", Int e.proc);
-                   ("start", Int e.start);
-                   ("comms", comms_json e.comms);
-                 ])
-    | Plan.Spider sched ->
-        Array.to_list (Spider_schedule.entries sched)
-        |> List.mapi (fun idx (e : Spider_schedule.entry) ->
-               Obj
-                 [
-                   ("task", Int (idx + 1));
-                   ("leg", Int e.address.Spider.leg);
-                   ("depth", Int e.address.Spider.depth);
-                   ("start", Int e.start);
-                   ("comms", comms_json e.comms);
-                 ])
-  in
-  Obj
-    (extra
-    @ [
-        ( "kind",
-          String
-            (match plan with Plan.Chain _ -> "chain" | Plan.Spider _ -> "spider")
-        );
-        ("tasks", Int (Plan.task_count plan));
-        ("makespan", Int (Plan.makespan plan));
-        ("entries", List entries);
-      ])
+(* ---------- JSON renderings ---------- *)
 
 (* The [metrics] reply: the measures record, in the plan's shape. *)
 let metrics_json plan =
@@ -1080,96 +1040,7 @@ let platform_kind = function
   | Parse.Spider_platform _ -> "spider"
   | Parse.Tree_platform _ -> "tree"
 
-let json_of_reply = function
-  | Pong -> Json.Obj [ ("version", Json.Int version) ]
-  | Solved { plan; deadline } ->
-      let extra =
-        match deadline with
-        | None -> []
-        | Some d -> [ ("deadline", Json.Int d) ]
-      in
-      json_of_plan ~extra plan
-  | Measured plan -> metrics_json plan
-  | Batched { problems; outcomes; stats; cache_capacity; _ } ->
-      let result i outcome =
-        let open Json in
-        let kind = platform_kind problems.(i).Solve.platform in
-        match outcome with
-        | Ok plan ->
-            Obj
-              [
-                ("instance", Int (i + 1));
-                ("kind", String kind);
-                ("tasks", Int (Plan.task_count plan));
-                ("makespan", Int (Plan.makespan plan));
-              ]
-        | Error msg ->
-            Obj
-              [ ("instance", Int (i + 1)); ("kind", String kind); ("error", String msg) ]
-      in
-      Json.Obj
-        [
-          ("instances", Json.Int stats.Batch.requests);
-          ( "cache",
-            Json.Obj
-              [
-                ("capacity", Json.Int cache_capacity);
-                ("hits", Json.Int stats.Batch.cache_hits);
-                ("misses", Json.Int stats.Batch.cache_misses);
-              ] );
-          ("results", Json.List (Array.to_list (Array.mapi result outcomes)));
-        ]
-  | Reported { source; report } ->
-      let fields =
-        match Report.to_json report with
-        | Json.Obj fields -> fields
-        | other -> [ ("report", other) ]
-      in
-      Json.Obj (("source", Json.String source) :: fields)
-  | Checked { plan; oracle; sections; ok } ->
-      let section_json { label; trace; violations } =
-        Json.Obj
-          ([
-             ("name", Json.String label);
-             ("events", Json.Int (Trace.length trace));
-             ("violations", Json.Int (List.length violations));
-           ]
-          @
-          if violations = [] then []
-          else [ ("report", Json.String (Trace.report trace violations)) ])
-      in
-      Json.Obj
-        [
-          ("tasks", Json.Int (Plan.task_count plan));
-          ("makespan", Json.Int (Plan.makespan plan));
-          ("ok", Json.Bool ok);
-          ( "oracle_violations",
-            Json.List (List.map (fun s -> Json.String s) oracle) );
-          ("sections", Json.List (List.map section_json sections));
-        ]
-  | Profiled { summary; mem } ->
-      let fields =
-        match Obs.Memory.to_json mem with
-        | Json.Obj fields -> fields
-        | other -> [ ("profile", other) ]
-      in
-      Json.Obj (summary @ fields)
-  | Stats_info json -> json
-  | Metrics_text body ->
-      Json.Obj
-        [
-          ("format", Json.String "prometheus-text-0.0.4");
-          ("body", Json.String body);
-        ]
-  | Bye -> Json.Obj [ ("shutting_down", Json.Bool true) ]
-
-(* ---------- the wire writer ---------- *)
-
-(* [response_line] writes the frame [response_to_line] prints from the
-   tree, field by field, for the replies whose payload grows with the
-   task count; every other reply is spliced in from [json_of_reply].
-   test/test_api.ml checks the two byte for byte. *)
-module W = Json.Writer
+(* ---------- the payload writers ---------- *)
 
 let write_comms w comms =
   W.char w '[';
@@ -1279,35 +1150,69 @@ let write_batched w ~problems ~outcomes ~firsts ~(stats : Batch.stats) ~cache_ca
   done;
   W.raw w "]}"
 
+(* Every reply kind has one encoder.  [Solved] and [Batched], whose
+   payloads grow with the task or problem count, are written to bytes by
+   hand, and their tree is read back from those bytes; every other kind
+   is a tree, spliced into the bytes. *)
+let rec json_of_reply = function
+  | Pong -> Json.Obj [ ("version", Json.Int version) ]
+  | (Solved _ | Batched _) as reply ->
+      Result.get_ok (Json.parse (W.to_string (fun w -> write_reply w reply)))
+  | Measured plan -> metrics_json plan
+  | Reported { source; report } ->
+      let fields =
+        match Report.to_json report with
+        | Json.Obj fields -> fields
+        | other -> [ ("report", other) ]
+      in
+      Json.Obj (("source", Json.String source) :: fields)
+  | Checked { plan; oracle; sections; ok } ->
+      let section_json { label; trace; violations } =
+        Json.Obj
+          ([
+             ("name", Json.String label);
+             ("events", Json.Int (Trace.length trace));
+             ("violations", Json.Int (List.length violations));
+           ]
+          @
+          if violations = [] then []
+          else [ ("report", Json.String (Trace.report trace violations)) ])
+      in
+      Json.Obj
+        [
+          ("tasks", Json.Int (Plan.task_count plan));
+          ("makespan", Json.Int (Plan.makespan plan));
+          ("ok", Json.Bool ok);
+          ( "oracle_violations",
+            Json.List (List.map (fun s -> Json.String s) oracle) );
+          ("sections", Json.List (List.map section_json sections));
+        ]
+  | Profiled { summary; mem } ->
+      let fields =
+        match Obs.Memory.to_json mem with
+        | Json.Obj fields -> fields
+        | other -> [ ("profile", other) ]
+      in
+      Json.Obj (summary @ fields)
+  | Stats_info json -> json
+  | Metrics_text body ->
+      Json.Obj
+        [
+          ("format", Json.String "prometheus-text-0.0.4");
+          ("body", Json.String body);
+        ]
+  | Bye -> Json.Obj [ ("shutting_down", Json.Bool true) ]
+
+and write_reply w = function
+  | Solved { plan; deadline } -> write_plan w ~deadline plan
+  | Batched { problems; outcomes; firsts; stats; cache_capacity } ->
+      write_batched w ~problems ~outcomes ~firsts ~stats ~cache_capacity
+  | reply -> W.value w (json_of_reply reply)
+
+let pretty_json_of_reply reply = Json.pretty (W.to_string (fun w -> write_reply w reply))
+
 let response_line ~id ~trace result =
-  W.to_string @@ fun w ->
-  W.raw w "{\"v\":";
-  W.int w version;
-  (match id with
-  | None -> ()
-  | Some i ->
-      W.raw w ",\"id\":";
-      W.int w i);
-  (match trace with
-  | None -> ()
-  | Some s ->
-      W.raw w ",\"trace\":";
-      W.string w s);
-  (match result with
-  | Ok reply -> (
-      W.raw w ",\"ok\":";
-      match reply with
-      | Solved { plan; deadline } -> write_plan w ~deadline plan
-      | Batched { problems; outcomes; firsts; stats; cache_capacity } ->
-          write_batched w ~problems ~outcomes ~firsts ~stats ~cache_capacity
-      | reply -> W.value w (json_of_reply reply))
-  | Error { code; message } ->
-      W.raw w ",\"error\":{\"code\":";
-      W.string w (error_code_to_string code);
-      W.raw w ",\"message\":";
-      W.string w message;
-      W.char w '}');
-  W.raw w "}\n"
+  W.to_string (fun w -> write_response w ~id ~trace write_reply result)
 
 (* ---------- execution ---------- *)
 

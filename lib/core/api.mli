@@ -5,10 +5,12 @@
     (solve, metrics, report, check, batch, profile, plus the control
     operations ping/stats/shutdown) tagged with the protocol {!version}
     and an optional correlation id.  {!exec} runs an operation and returns
-    a typed {!reply}; {!json_of_reply} renders the reply as the {e exact}
-    JSON document the CLI's [--format=json] emits — so an answer computed
-    through a live [msts serve] socket is byte-identical to the same
-    request answered by the CLI, because both are the same code path.
+    a typed {!reply}.  One payload writer turns a reply into bytes: the
+    daemon frames them with {!response_line}, and the CLI's
+    [--format=json] prints them indented with {!pretty_json_of_reply} — so
+    an answer computed through a live [msts serve] socket is
+    byte-identical to the same request answered by the CLI, because both
+    are the same code path.
 
     Codecs are {e total}: {!request_of_line} and {!response_of_line} map
     any byte string to either a value or a structured {!error} — a
@@ -166,9 +168,10 @@ val request_of_line : string -> (request, error) result
     per-frame memo of offsets into the frame (a hash of the element's
     first 32 bytes picks a bucket of at most 8 candidates, so a lookup
     costs O(element bytes) whatever the frame) and steps over it.  Such
-    a repeat allocates nothing, and the frame's problem array is
-    allocated once, at its final size.  Nothing is cached across
-    frames.  The memo emits [api.batch_elements], [api.batch_memo_hits]
+    a repeat allocates nothing but its entry in the frame's repeat map
+    (an int array that doubles as it fills), and the frame's problem
+    array is allocated once, at its final size, from that map and the
+    distinct problems.  Nothing is cached across frames.  The memo emits [api.batch_elements], [api.batch_memo_hits]
     and [api.batch_memo_candidates] (the recorded elements and problems
     compared, at most 16 per element) once per frame. *)
 
@@ -182,8 +185,12 @@ type response = {
   result : (Msts_obs.Json.t, error) result;
 }
 
-val encode_response : response -> Msts_obs.Json.t
 val response_to_line : response -> string
+(** The newline-terminated frame of a response whose payload is a tree:
+    the envelope ([v], then [id] and [trace] when present, then [ok] or
+    [error]) is written by the same writer as {!response_line}'s, and the
+    payload is spliced in with {!Msts_obs.Json.Writer.value}. *)
+
 val response_of_line : string -> (response, error) result
 
 val request_or_rejection : string -> (request * int array, response) result
@@ -248,21 +255,31 @@ type reply =
   | Bye
 
 val json_of_reply : reply -> Msts_obs.Json.t
-(** The canonical JSON document for a reply — exactly what the CLI's
-    [--format=json] prints and what the daemon puts in the [ok] field. *)
+(** The reply's payload — what the daemon puts in the [ok] field — as a
+    tree, for callers that read or extend it.  Every reply kind has one
+    encoder: [Solved] and [Batched] payloads are written straight to
+    bytes, and their tree is {!Msts_obs.Json.parse} of those bytes; every
+    other kind is encoded as this tree and spliced into the bytes. *)
+
+val pretty_json_of_reply : reply -> string
+(** Exactly what the CLI's [--format=json] prints (before its final
+    newline): {!Msts_obs.Json.pretty} of the payload bytes
+    {!response_line} frames.  No tree is built for [Solved] and
+    [Batched] replies. *)
 
 val response_line :
   id:int option -> trace:string option -> (reply, error) result -> string
-(** The newline-terminated wire frame answering a request: byte for byte
-    [response_to_line { id; trace; result = Result.map json_of_reply result }],
-    but [Solved] and [Batched] payloads are written straight to bytes
-    through {!Msts_obs.Json.Writer}, with no tree in between.  In a
-    [Batched] payload each distinct result is rendered once: an element
-    that repeats an earlier one (its [firsts] entry, confirmed by the
-    same physical outcome and platform kind) copies that element's bytes
-    after the instance number with {!Msts_obs.Json.Writer.repeat}.  The
-    daemon calls it on the worker domain that ran a single solve, and on
-    its main domain for a batch, once the batch is assembled. *)
+(** The newline-terminated wire frame answering a request: the envelope
+    of {!response_to_line} around the payload writer's bytes, so byte for
+    byte [response_to_line { id; trace; result = Result.map json_of_reply
+    result }].  [Solved] and [Batched] payloads are written through
+    {!Msts_obs.Json.Writer} with no tree in between.  In a [Batched]
+    payload each distinct result is rendered once: an element that
+    repeats an earlier one (its [firsts] entry, confirmed by the same
+    physical outcome and platform kind) copies that element's bytes after
+    the instance number with {!Msts_obs.Json.Writer.repeat}.  The daemon
+    calls it on the worker domain that ran a single solve, and on its
+    main domain for a batch, once the batch is assembled. *)
 
 type solver = problem array -> Msts_pool.Batch.outcome array * Msts_pool.Batch.stats
 (** How {!exec} solves: the CLI plugs {!direct_solver} (plain sequential
@@ -285,4 +302,5 @@ val exec : ?cache_capacity:int -> solver:solver -> op -> (reply, error) result
 
 val respond : ?cache_capacity:int -> solver:solver -> request -> response
 (** {!exec} + {!json_of_reply}, with the request's [id] and [trace]
-    echoed — the daemon's per-frame step. *)
+    echoed: the in-process answer to a request, as a tree.  The daemon
+    answers through {!response_line} instead, with the same bytes. *)

@@ -114,57 +114,95 @@ module Writer = struct
       let short = Printf.sprintf "%.12g" x in
       raw w (if float_of_string short = x then short else Printf.sprintf "%.17g" x)
 
-  let value ?(pretty = false) w (json : json) =
-    let indent depth =
-      if pretty then begin
-        reserve w (1 + (2 * depth));
-        Bytes.unsafe_set w.buf w.len '\n';
-        Bytes.unsafe_fill w.buf (w.len + 1) (2 * depth) ' ';
-        w.len <- w.len + 1 + (2 * depth)
-      end
+  let rec value w (json : json) =
+    match json with
+    | Null -> raw w "null"
+    | Bool b -> raw w (if b then "true" else "false")
+    | Int i -> int w i
+    | Float x -> float w x
+    | String s -> string w s
+    | List [] -> raw w "[]"
+    | List (first :: rest) ->
+        char w '[';
+        value w first;
+        items w rest;
+        char w ']'
+    | Obj [] -> raw w "{}"
+    | Obj (first :: rest) ->
+        char w '{';
+        field w first;
+        fields w rest;
+        char w '}'
+
+  and items w = function
+    | [] -> ()
+    | v :: rest ->
+        char w ',';
+        value w v;
+        items w rest
+
+  and field w (key, v) =
+    string w key;
+    char w ':';
+    value w v
+
+  and fields w = function
+    | [] -> ()
+    | kv :: rest ->
+        char w ',';
+        field w kv;
+        fields w rest
+
+  (* A newline and [depth] two-space indents. *)
+  let indent w depth =
+    reserve w (1 + (2 * depth));
+    Bytes.unsafe_set w.buf w.len '\n';
+    Bytes.unsafe_fill w.buf (w.len + 1) (2 * depth) ' ';
+    w.len <- w.len + 1 + (2 * depth)
+
+  (* One pass over compact bytes: everything between two structural bytes
+     (a string, a number, a literal, an empty container) is copied as one
+     run.  An unterminated string runs off the end and raises. *)
+  let pretty w s =
+    let n = String.length s in
+    let depth = ref 0 and run = ref 0 and i = ref 0 in
+    let flush upto =
+      raw_sub w s !run (upto - !run);
+      run := upto
     in
-    let rec go depth = function
-      | Null -> raw w "null"
-      | Bool b -> raw w (if b then "true" else "false")
-      | Int i -> int w i
-      | Float x -> float w x
-      | String s -> string w s
-      | List [] -> raw w "[]"
-      | List (first :: rest) ->
-          char w '[';
-          item (depth + 1) first;
-          items (depth + 1) rest;
-          indent depth;
-          char w ']'
-      | Obj [] -> raw w "{}"
-      | Obj (first :: rest) ->
-          char w '{';
-          field (depth + 1) first;
-          fields (depth + 1) rest;
-          indent depth;
-          char w '}'
-    and item depth value =
-      indent depth;
-      go depth value
-    and items depth = function
-      | [] -> ()
-      | value :: rest ->
-          char w ',';
-          item depth value;
-          items depth rest
-    and field depth (key, value) =
-      indent depth;
-      string w key;
-      raw w (if pretty then ": " else ":");
-      go depth value
-    and fields depth = function
-      | [] -> ()
-      | kv :: rest ->
-          char w ',';
-          field depth kv;
-          fields depth rest
-    in
-    go 0 json
+    while !i < n do
+      match String.unsafe_get s !i with
+      | '"' ->
+          incr i;
+          while s.[!i] <> '"' do
+            if s.[!i] = '\\' then incr i;
+            incr i
+          done;
+          incr i
+      | ('{' | '[') as c
+        when !i + 1 < n && String.unsafe_get s (!i + 1) = (if c = '{' then '}' else ']') ->
+          i := !i + 2
+      | '{' | '[' ->
+          incr i;
+          flush !i;
+          incr depth;
+          indent w !depth
+      | '}' | ']' ->
+          flush !i;
+          decr depth;
+          indent w !depth;
+          incr i
+      | ',' ->
+          incr i;
+          flush !i;
+          indent w !depth
+      | ':' ->
+          incr i;
+          flush !i;
+          char w ' '
+      | _ -> incr i
+    done;
+    flush n
 
   (* One scratch writer per domain, reused across calls.  A nested call
      (a [to_string] inside another's [f]) gets a fresh writer, and a
@@ -193,7 +231,11 @@ module Writer = struct
         raise exn
 end
 
-let to_string ?pretty json = Writer.to_string (fun w -> Writer.value ?pretty w json)
+let pretty compact = Writer.to_string (fun w -> Writer.pretty w compact)
+
+let to_string ?(pretty = false) json =
+  let compact = Writer.to_string (fun w -> Writer.value w json) in
+  if pretty then Writer.to_string (fun w -> Writer.pretty w compact) else compact
 
 (* ---------- reading ---------- *)
 

@@ -13,8 +13,10 @@
     Both directions are on the serve daemon's hot path and allocate little.
     There is one printer, {!Writer}: a growable byte buffer, reused per
     domain, that copies unescaped runs whole and writes integers in place.
-    {!to_string} walks a tree into it; hot callers write their documents
-    into it directly without building a tree.  There is one lexer,
+    It writes compact bytes only: {!to_string} walks a tree into it; hot
+    callers write their documents into it directly without building a
+    tree.  Indented output is one pass over those bytes ({!pretty}), so a
+    document written without a tree prints indented without one too.  There is one lexer,
     {!Reader}: a pull reader over the bytes in place, which reads integers
     of up to 18 digits inline and leaves a string as a span of the
     document until a caller asks for its text.  {!parse} builds a tree
@@ -36,7 +38,7 @@ type t =
 (** The one printer: a growable byte writer.  Every [to_string] output is
     produced by walking its tree through {!Writer.value}, so a document
     written piece by piece with the same calls is byte-identical to the
-    tree's printing. *)
+    tree's compact printing. *)
 module Writer : sig
   type json := t
   type t
@@ -65,15 +67,24 @@ module Writer : sig
       [at], so a run needed again is copied rather than rendered anew.
       @raise Invalid_argument unless [0 <= at] and [at + n <= position w]. *)
 
-  val value : ?pretty:bool -> t -> json -> unit
-  (** The compact (or, with [pretty], two-space indented) printing of a
-      tree, spliced in at the current position.  Pretty indentation
-      starts at depth 0. *)
+  val value : t -> json -> unit
+  (** The compact printing of a tree, spliced in at the current
+      position. *)
 end
 
+val pretty : string -> string
+(** [pretty compact] indents a compact printing with two spaces, in one
+    pass over its bytes: a newline and indent after ['{'], ['\['] and
+    [','] and before a closing bracket, [": "] after a key; ["{}"],
+    ["\[\]"] and strings are copied as they are.  [compact] must be the
+    compact printing of a document (as {!Writer} writes it, with no
+    whitespace outside strings).
+    @raise Invalid_argument if a string in it is unterminated. *)
+
 val to_string : ?pretty:bool -> t -> string
-(** Serialise.  [pretty] (default false) indents with two spaces.  A
-    non-finite [Float] prints as [null], so the output always parses. *)
+(** Serialise.  [pretty] (default false) is {!pretty} of the compact
+    printing.  A non-finite [Float] prints as [null], so the output always
+    parses. *)
 
 (** The one lexer: a pull reader over a document's bytes, the mirror of
     {!Writer}.  A caller asks for the next value's kind with {!peek} and

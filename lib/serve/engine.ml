@@ -384,12 +384,12 @@ let inline_solver t problems =
   Msts.Batch.run ~jobs:1 ~cache:t.cache ~solve:Api.guarded_solve problems
 
 (* Every response funnels through here: the one place that counts. *)
-let deliver t item ~ok line =
+let deliver t c reply ~ok line =
   t.served <- t.served + 1;
-  item.iconn.delivered <- item.iconn.delivered + 1;
+  c.delivered <- c.delivered + 1;
   Obs.count "serve.responses";
   if not ok then Obs.count "serve.errors";
-  item.reply line
+  reply line
 
 (* Responses echo the client's trace context (or nothing): the engine
    never injects its internally assigned labels into the wire, so
@@ -399,11 +399,11 @@ let reply_line item result =
     result
 
 let answer t item result =
-  deliver t item ~ok:(Result.is_ok result) (reply_line item result)
+  deliver t item.iconn item.reply ~ok:(Result.is_ok result) (reply_line item result)
 
 (* Online operations answer with a ready payload tree. *)
 let answer_json t item result =
-  deliver t item ~ok:(Result.is_ok result)
+  deliver t item.iconn item.reply ~ok:(Result.is_ok result)
     (Api.response_to_line
        { Api.id = item.request.Api.id; trace = item.request.Api.trace; result })
 
@@ -416,10 +416,15 @@ let trace_label t (request : Api.request) =
       t.assigned <- t.assigned + 1;
       Printf.sprintf "r%d" t.assigned
 
-let refuse t item code message =
+(* Every refusal, of a frame that did not decode or of a request not
+   admitted, funnels through here, then through [deliver]. *)
+let reject t c reply line =
   t.rejected <- t.rejected + 1;
   Obs.count "serve.rejected";
-  answer t item (Error (Api.error code message))
+  deliver t c reply ~ok:false line
+
+let refuse t item code message =
+  reject t item.iconn item.reply (reply_line item (Error (Api.error code message)))
 
 let record_request t ~label ~op ~queue_wait_us ~solve_us ~encode_us =
   Obs.Histogram.add t.req_queue_wait queue_wait_us;
@@ -508,9 +513,7 @@ let admit t c item ~repeats =
   t.queued_requests <- t.queued_requests + 1;
   c.queued_reqs <- c.queued_reqs + 1
 
-let submit t ?conn ~reply ~repeats request =
-  Obs.count "serve.requests";
-  let c = match conn with Some c -> c | None -> t.default_conn in
+let submit t c ~reply ~repeats request =
   let item = { request; reply; enqueued_us = Obs.now_us (); iconn = c } in
   if Api.is_control request.Api.op then begin
     (match request.Api.op with Api.Shutdown -> t.stopping <- true | _ -> ());
@@ -538,19 +541,11 @@ let submit t ?conn ~reply ~repeats request =
   else admit t c item ~repeats
 
 let handle_line t ?conn ~reply line =
+  Obs.count "serve.requests";
+  let c = match conn with Some c -> c | None -> t.default_conn in
   match Api.request_or_rejection line with
-  | Ok (request, repeats) -> submit t ?conn ~reply ~repeats request
-  | Error rejection ->
-      Obs.count "serve.requests";
-      t.rejected <- t.rejected + 1;
-      Obs.count "serve.rejected";
-      Obs.count "serve.responses";
-      Obs.count "serve.errors";
-      t.served <- t.served + 1;
-      (match conn with
-      | Some c -> c.delivered <- c.delivered + 1
-      | None -> t.default_conn.delivered <- t.default_conn.delivered + 1);
-      reply (Api.response_to_line rejection)
+  | Ok (request, repeats) -> submit t c ~reply ~repeats request
+  | Error rejection -> reject t c reply (Api.response_to_line rejection)
 
 (* ---------- completion side ---------- *)
 
@@ -581,7 +576,7 @@ let finish_whole t wf outcome =
     ~args:[ ("op", wf.w_op); ("trace", wf.w_label) ]
   @@ fun () ->
   let deliver_from = Obs.now_us () in
-  deliver t wf.w_item ~ok:d.w_ok d.w_line;
+  deliver t wf.w_item.iconn wf.w_item.reply ~ok:d.w_ok d.w_line;
   let delivered = Obs.now_us () in
   record_request t ~label:wf.w_label ~op:wf.w_op
     ~queue_wait_us:(max 0 (wf.w_launched_us - wf.w_item.enqueued_us))

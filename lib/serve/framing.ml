@@ -12,12 +12,13 @@ let retain = 1 lsl 20
 
 (* Whitespace as [String.trim] reads it: a line of nothing else is not
    a frame. *)
-let rec blank get from stop =
-  from >= stop
-  ||
-  match get from with
-  | ' ' | '\012' | '\n' | '\r' | '\t' -> blank get (from + 1) stop
-  | _ -> false
+let is_space = function ' ' | '\012' | '\n' | '\r' | '\t' -> true | _ -> false
+
+let rec blank_bytes b from stop =
+  from >= stop || (is_space (Bytes.unsafe_get b from) && blank_bytes b (from + 1) stop)
+
+let rec blank_pending pending from stop =
+  from >= stop || (is_space (Buffer.nth pending from) && blank_pending pending (from + 1) stop)
 
 let rec newline_bytewise b from stop =
   if from >= stop then -1
@@ -38,29 +39,29 @@ let rec newline b from stop =
     then newline_bytewise b from (from + 8)
     else newline b (from + 8) stop
 
-let feed pending chunk off n frame =
+(* Allocates nothing but the lines it hands over (and the pending
+   buffer's growth). *)
+let rec feed pending chunk off n frame =
   let stop = off + n in
-  let rec go from =
-    let nl = newline chunk from stop in
-    if nl < 0 then Buffer.add_subbytes pending chunk from (stop - from)
-    else begin
-      let p = Buffer.length pending and k = nl - from in
-      let line =
-        if blank (Buffer.nth pending) 0 p && blank (Bytes.get chunk) from nl then None
-        else if p = 0 then Some (Bytes.sub_string chunk from k)
-        else begin
-          let line = Bytes.create (p + k) in
-          Buffer.blit pending 0 line 0 p;
-          Bytes.blit chunk from line p k;
-          Some (Bytes.unsafe_to_string line)
-        end
-      in
-      if p > retain then Buffer.reset pending else Buffer.clear pending;
-      Option.iter frame line;
-      go (nl + 1)
-    end
-  in
-  go off
+  let nl = newline chunk off stop in
+  if nl < 0 then Buffer.add_subbytes pending chunk off n
+  else begin
+    let p = Buffer.length pending and k = nl - off in
+    let blank = blank_pending pending 0 p && blank_bytes chunk off nl in
+    let line =
+      if blank then ""
+      else if p = 0 then Bytes.sub_string chunk off k
+      else begin
+        let line = Bytes.create (p + k) in
+        Buffer.blit pending 0 line 0 p;
+        Bytes.blit chunk off line p k;
+        Bytes.unsafe_to_string line
+      end
+    in
+    if p > retain then Buffer.reset pending else Buffer.clear pending;
+    if not blank then frame line;
+    feed pending chunk (nl + 1) (stop - nl - 1) frame
+  end
 
 (* ---------- output: reply strings drained as the socket takes them ---------- *)
 

@@ -267,3 +267,121 @@ let request_or_rejection line : (request, response) result =
       | Error e ->
           Error
             { id = envelope_id json; trace = envelope_trace json; result = Error e })
+
+(* ---------- the reply trees ---------- *)
+
+(* The tree encoders the library printed [Solved] and [Batched] payloads
+   and the response envelope with before it wrote them straight to
+   bytes: [json_of_plan], the [Batched] arm of [json_of_reply] and
+   [encode_response], kept unchanged.  test_api.ml holds the one payload
+   writer and the one envelope writer to them byte for byte; the other
+   reply kinds are still encoded by [Api.json_of_reply]'s tree. *)
+
+module Plan = Msts.Plan
+module Schedule = Msts.Schedule
+module Spider_schedule = Msts.Spider_schedule
+module Spider = Msts.Spider
+module Batch = Msts.Batch
+
+let json_of_plan ?(extra = []) plan =
+  let open Json in
+  let comms_json comms = List (Array.to_list (Array.map (fun c -> Int c) comms)) in
+  let entries =
+    match plan with
+    | Plan.Chain sched ->
+        Array.to_list (Schedule.entries sched)
+        |> List.mapi (fun idx (e : Schedule.entry) ->
+               Obj
+                 [
+                   ("task", Int (idx + 1));
+                   ("proc", Int e.proc);
+                   ("start", Int e.start);
+                   ("comms", comms_json e.comms);
+                 ])
+    | Plan.Spider sched ->
+        Array.to_list (Spider_schedule.entries sched)
+        |> List.mapi (fun idx (e : Spider_schedule.entry) ->
+               Obj
+                 [
+                   ("task", Int (idx + 1));
+                   ("leg", Int e.address.Spider.leg);
+                   ("depth", Int e.address.Spider.depth);
+                   ("start", Int e.start);
+                   ("comms", comms_json e.comms);
+                 ])
+  in
+  Obj
+    (extra
+    @ [
+        ( "kind",
+          String
+            (match plan with Plan.Chain _ -> "chain" | Plan.Spider _ -> "spider")
+        );
+        ("tasks", Int (Plan.task_count plan));
+        ("makespan", Int (Plan.makespan plan));
+        ("entries", List entries);
+      ])
+
+let platform_kind = function
+  | Parse.Chain_platform _ -> "chain"
+  | Parse.Fork_platform _ -> "fork"
+  | Parse.Spider_platform _ -> "spider"
+  | Parse.Tree_platform _ -> "tree"
+
+let json_of_reply = function
+  | Solved { plan; deadline } ->
+      let extra =
+        match deadline with
+        | None -> []
+        | Some d -> [ ("deadline", Json.Int d) ]
+      in
+      json_of_plan ~extra plan
+  | Batched { problems; outcomes; stats; cache_capacity; _ } ->
+      let result i outcome =
+        let open Json in
+        let kind = platform_kind problems.(i).Solve.platform in
+        match outcome with
+        | Ok plan ->
+            Obj
+              [
+                ("instance", Int (i + 1));
+                ("kind", String kind);
+                ("tasks", Int (Plan.task_count plan));
+                ("makespan", Int (Plan.makespan plan));
+              ]
+        | Error msg ->
+            Obj
+              [ ("instance", Int (i + 1)); ("kind", String kind); ("error", String msg) ]
+      in
+      Json.Obj
+        [
+          ("instances", Json.Int stats.Batch.requests);
+          ( "cache",
+            Json.Obj
+              [
+                ("capacity", Json.Int cache_capacity);
+                ("hits", Json.Int stats.Batch.cache_hits);
+                ("misses", Json.Int stats.Batch.cache_misses);
+              ] );
+          ("results", Json.List (Array.to_list (Array.mapi result outcomes)));
+        ]
+  | reply -> Api.json_of_reply reply
+
+let encode_response { id; trace; result } =
+  Json.Obj
+    (("v", Json.Int version)
+    :: (match id with None -> [] | Some i -> [ ("id", Json.Int i) ])
+    @ (match trace with None -> [] | Some s -> [ ("trace", Json.String s) ])
+    @ [
+        (match result with
+        | Ok payload -> ("ok", payload)
+        | Error { code; message } ->
+            ( "error",
+              Json.Obj
+                [
+                  ("code", Json.String (error_code_to_string code));
+                  ("message", Json.String message);
+                ] ));
+      ])
+
+let response_to_line r = Json.to_string (encode_response r) ^ "\n"

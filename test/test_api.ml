@@ -165,6 +165,16 @@ let response_roundtrip =
          | Ok r' -> r' = r
          | Error e -> QCheck.Test.fail_reportf "decode failed: %s" e.Api.message))
 
+(* Any payload tree and any error: the envelope writer's frame is the
+   frozen tree envelope's printing. *)
+let envelope_matches_reference =
+  to_alcotest
+    (QCheck.Test.make ~count:300 ~name:"response_to_line = the tree envelope's printing"
+       (QCheck.make ~print:response_print response_gen) (fun r ->
+         let written = Api.response_to_line r and want = Api_reference.response_to_line r in
+         written = want
+         || QCheck.Test.fail_reportf "written:\n%s\nreference:\n%s" written want))
+
 (* ---------- total decoding: rejection, never exceptions ---------- *)
 
 let truncated_frames_rejected =
@@ -448,14 +458,30 @@ let wire_op_gen =
         (4, op_gen);
       ])
 
+(* The frame [response_line] writes, against the frozen tree encoders of
+   test/api_reference.ml; and, for a reply, the tree [json_of_reply]
+   reads back and the indented text the CLI prints, against the same
+   trees. *)
 let writer_matches_reference result id trace =
   let reference =
-    Api.response_to_line
-      { Api.id; trace; result = Result.map Api.json_of_reply result }
+    Api_reference.response_to_line
+      { Api.id; trace; result = Result.map Api_reference.json_of_reply result }
   in
   let written = Api.response_line ~id ~trace result in
-  written = reference
-  || QCheck.Test.fail_reportf "written:\n%s\nreference:\n%s" written reference
+  (written = reference
+  || QCheck.Test.fail_reportf "written:\n%s\nreference:\n%s" written reference)
+  &&
+  match result with
+  | Error _ -> true
+  | Ok reply ->
+      let tree = Api_reference.json_of_reply reply in
+      let pretty = Api.pretty_json_of_reply reply
+      and want = Json_reference.to_string ~pretty:true tree in
+      (Json.to_string (Api.json_of_reply reply) = Json.to_string tree
+      || QCheck.Test.fail_reportf "json_of_reply differs from the reference tree:\n%s"
+           reference)
+      && (pretty = want
+         || QCheck.Test.fail_reportf "pretty:\n%s\nreference:\n%s" pretty want)
 
 let response_line_matches_tree =
   to_alcotest
@@ -505,13 +531,13 @@ let batch_reply_tree ~id ~trace problems =
       ~solved:(Array.init k (fun slot -> Api.guarded_solve (Msts.Batch.shard_request plan slot)))
       ~wait_us:(Array.make k 0) ~busy_us:(Array.make k 0)
   in
-  Api.response_to_line
+  Api_reference.response_to_line
     {
       Api.id;
       trace;
       result =
         Ok
-          (Api.json_of_reply
+          (Api_reference.json_of_reply
              (Api.Batched
                 {
                   problems = decoded;
@@ -1541,6 +1567,7 @@ let suites =
       [
         request_roundtrip;
         response_roundtrip;
+        envelope_matches_reference;
         truncated_frames_rejected;
         garbage_never_raises;
         case "unknown version rejected, absent version accepted"
