@@ -530,10 +530,12 @@ let memo_element memo r e ~index =
    first bad element the rest are only checked.  With the problems comes
    the repeat map: for each element, the first element that decoded to
    the same physical problem.  While the elements are read only the map
-   (an int per element) and the distinct problems are kept, each in an
-   array that doubles (the problems' by being appended to itself, which
-   needs no filler value); the problem array is then built from them
-   once, at its final size. *)
+   (an int array that doubles) and the distinct problems are kept, the
+   problems in arrays of [chunk] slots, small enough to be allocated on
+   the minor heap, so storing a young problem there is a plain write.
+   The problem array is then built from them once, at its final size. *)
+let chunk = 256
+
 let decode_problems r =
   let memo =
     {
@@ -556,7 +558,7 @@ let decode_problems r =
     }
   in
   let firsts = ref (Array.make 64 0) and count = ref 0 in
-  let distinct = ref [||] and distinct_count = ref 0 in
+  let chunks = ref [] (* newest first *) and room = ref 0 in
   let add { problem; first; _ } =
     let n = !count in
     if n = Array.length !firsts then begin
@@ -567,11 +569,13 @@ let decode_problems r =
     !firsts.(n) <- first;
     count := n + 1;
     if first = n then begin
-      let d = !distinct_count in
-      if d = Array.length !distinct then
-        distinct := if d = 0 then Array.make 16 problem else Array.append !distinct !distinct;
-      !distinct.(d) <- problem;
-      distinct_count := d + 1
+      (match !chunks with
+      | c :: _ when !room > 0 ->
+          c.(chunk - !room) <- problem;
+          decr room
+      | _ ->
+          chunks := Array.make chunk problem :: !chunks;
+          room := chunk - 1)
     end
   in
   let failure = ref None in
@@ -593,8 +597,13 @@ let decode_problems r =
   match !failure with
   | Some err -> Error err
   | None ->
-      let n = !count and firsts = !firsts and distinct = !distinct in
-      if !distinct_count = n then Ok (Array.sub distinct 0 n, Array.sub firsts 0 n)
+      let n = !count and firsts = !firsts in
+      let distinct =
+        match !chunks with
+        | [] -> [||]
+        | last :: rest -> Array.concat (List.rev (Array.sub last 0 (chunk - !room) :: rest))
+      in
+      if Array.length distinct = n then Ok (distinct, Array.sub firsts 0 n)
       else begin
         let problems = Array.make n distinct.(0) in
         let d = ref 0 in
