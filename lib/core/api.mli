@@ -171,8 +171,9 @@ val request_of_line : string -> (request, error) result
     a repeat allocates nothing but its entry in the frame's repeat map
     (an int array that doubles as it fills), and the frame's problem
     array is allocated once, at its final size, from that map and the
-    distinct problems.  Nothing is cached across frames.  The memo emits [api.batch_elements], [api.batch_memo_hits]
-    and [api.batch_memo_candidates] (the recorded elements and problems
+    distinct problems.  Nothing is cached across frames.  The memo
+    emits [api.batch_elements], [api.batch_memo_hits] and
+    [api.batch_memo_candidates] (the recorded elements and problems
     compared, at most 16 per element) once per frame. *)
 
 val frame_id : string -> int option

@@ -233,9 +233,9 @@ end
 
 let pretty compact = Writer.to_string (fun w -> Writer.pretty w compact)
 
-let to_string ?(pretty = false) json =
+let to_string ?pretty:(indent = false) json =
   let compact = Writer.to_string (fun w -> Writer.value w json) in
-  if pretty then Writer.to_string (fun w -> Writer.pretty w compact) else compact
+  if indent then pretty compact else compact
 
 (* ---------- reading ---------- *)
 

@@ -16,10 +16,10 @@
     It writes compact bytes only: {!to_string} walks a tree into it; hot
     callers write their documents into it directly without building a
     tree.  Indented output is one pass over those bytes ({!pretty}), so a
-    document written without a tree prints indented without one too.  There is one lexer,
-    {!Reader}: a pull reader over the bytes in place, which reads integers
-    of up to 18 digits inline and leaves a string as a span of the
-    document until a caller asks for its text.  {!parse} builds a tree
+    document written without a tree prints indented without one too.
+    There is one lexer, {!Reader}: a pull reader over the bytes in
+    place, which reads integers of up to 18 digits inline and leaves a
+    string as a span of the document until a caller asks for its text.  {!parse} builds a tree
     with it; the request decoder reads frames with it directly.  Neither
     keeps state shared between domains, so both are safe to call from
     several domains at once.  Error offsets and messages are those of a
