@@ -80,48 +80,87 @@ let place_light ~select chain st =
 
 let horizon = Chain.master_only_makespan
 
+(* Placements land last task first: task [n]'s vector opens [pool],
+   task 1's closes it.  Room for [proc] more ints, doubling. *)
+let reserve pool ~used ~proc =
+  if used + proc > Array.length !pool then begin
+    let grown = Array.make (max (used + proc) (2 * Array.length !pool)) 0 in
+    Array.blit !pool 0 grown 0 used;
+    pool := grown
+  end
+
+(* The schedule's columns in task order, every date moved so that the
+   earliest emission is at 0 (the paper's final normalisation). *)
+let columns chain ~procs ~starts pool =
+  let n = Array.length procs in
+  let offsets = Array.make (n + 1) 0 in
+  for i = 0 to n - 1 do
+    offsets.(i + 1) <- offsets.(i) + procs.(i)
+  done;
+  let total = offsets.(n) in
+  let emissions = Array.make total 0 in
+  for i = 0 to n - 1 do
+    Array.blit pool (total - offsets.(i + 1)) emissions offsets.(i) procs.(i)
+  done;
+  let first = ref max_int in
+  for i = 0 to n - 1 do
+    first := min !first emissions.(offsets.(i))
+  done;
+  if n > 0 then begin
+    let d = !first in
+    for i = 0 to n - 1 do
+      starts.(i) <- starts.(i) - d
+    done;
+    for k = 0 to total - 1 do
+      emissions.(k) <- emissions.(k) - d
+    done
+  end;
+  Schedule.of_columns chain ~procs ~starts ~offsets ~emissions
+
 let schedule_core ~select ?on_step chain n =
   if n < 0 then invalid_arg "Algorithm.schedule: negative task count";
   Obs.span "chain.schedule" ~args:[ ("n", string_of_int n) ] @@ fun () ->
   let st = initial_state chain ~horizon:(horizon chain n) in
-  let entries =
-    Array.init n (fun _ -> { Schedule.proc = 1; start = 0; comms = [| 0 |] })
+  let procs = Array.make n 0 and starts = Array.make n 0 in
+  let pool = ref (Array.make (2 * n) 0) and used = ref 0 in
+  let record task ~proc ~start vector =
+    procs.(task - 1) <- proc;
+    starts.(task - 1) <- start;
+    reserve pool ~used:!used ~proc;
+    Array.blit vector 0 !pool !used proc;
+    used := !used + proc
   in
   (match on_step with
   | Some f ->
       for task = n downto 1 do
         let step = place_with ~select chain st ~task in
         f step;
-        entries.(task - 1) <-
-          {
-            Schedule.proc = step.chosen_proc;
-            start = step.start;
-            comms = step.chosen_vector;
-          }
+        record task ~proc:step.chosen_proc ~start:step.start step.chosen_vector
       done
   | None ->
       for task = n downto 1 do
         let proc, vector, start = place_light ~select chain st in
-        entries.(task - 1) <- { Schedule.proc; start; comms = vector }
+        record task ~proc ~start vector
       done);
-  Schedule.normalise (Schedule.make chain entries)
+  columns chain ~procs ~starts !pool
 
 let fast_schedule chain n =
   if n < 0 then invalid_arg "Algorithm.schedule: negative task count";
   Obs.span "chain.schedule" ~args:[ ("n", string_of_int n) ] @@ fun () ->
   let st = initial_state chain ~horizon:(horizon chain n) in
   let sc = Kernel.scratch () in
-  let entries =
-    Array.init n (fun _ -> { Schedule.proc = 1; start = 0; comms = [| 0 |] })
-  in
+  let procs = Array.make n 0 and starts = Array.make n 0 in
+  let pool = ref (Array.make (2 * n) 0) and used = ref 0 in
   for task = n downto 1 do
     let proc = Kernel.sweep chain ~hull:st.hull ~occupancy:st.occupancy sc in
-    let comms = Kernel.chosen_vector sc ~proc in
-    let start = Kernel.commit chain ~hull:st.hull ~occupancy:st.occupancy sc ~proc in
-    entries.(task - 1) <- { Schedule.proc; start; comms }
+    reserve pool ~used:!used ~proc;
+    Kernel.blit_chosen sc ~proc !pool ~pos:!used;
+    used := !used + proc;
+    procs.(task - 1) <- proc;
+    starts.(task - 1) <- Kernel.commit chain ~hull:st.hull ~occupancy:st.occupancy sc ~proc
   done;
   Kernel.flush sc;
-  Schedule.normalise (Schedule.make chain entries)
+  columns chain ~procs ~starts !pool
 
 let schedule ?on_step chain n =
   match on_step with

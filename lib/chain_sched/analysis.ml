@@ -4,9 +4,10 @@ module Schedule = Msts_schedule.Schedule
 let tasks_per_processor chain n =
   let sched = Algorithm.schedule chain n in
   let counts = Array.make (Chain.length chain) 0 in
-  Array.iter
-    (fun (e : Schedule.entry) -> counts.(e.proc - 1) <- counts.(e.proc - 1) + 1)
-    (Schedule.entries sched);
+  for i = 1 to Schedule.task_count sched do
+    let proc = Schedule.proc sched i in
+    counts.(proc - 1) <- counts.(proc - 1) + 1
+  done;
   counts
 
 let used_depth chain n =

@@ -128,6 +128,10 @@ let comms_at t i =
   check_index t i "comms_at";
   Array.sub t.pool t.offs.(i) t.procs.(i)
 
+let blit_comms t i dst ~pos =
+  check_index t i "blit_comms";
+  Array.blit t.pool t.offs.(i) dst pos t.procs.(i)
+
 let entry_at t i =
   { Schedule.proc = proc_at t i; start = start_at t i; comms = comms_at t i }
 
@@ -146,13 +150,22 @@ let extend t ~by =
     t.full <- false
   end
 
+(* Placement i emits earlier than placement i-1, so emission order — the
+   task numbering of a schedule — is reverse construction order: task 1 is
+   the newest placement.  The pool holds the vectors in construction
+   order, so the emission column is filled from its end. *)
 let schedule t =
-  (* Placement i emits earlier than placement i-1, so emission order —
-     the task numbering Schedule.make expects — is reverse construction
-     order: task 1 is the newest placement. *)
-  Schedule.make t.chain
-    (Array.init t.placed (fun j -> entry_at t (t.placed - 1 - j)))
-
+  let n = t.placed in
+  let procs = Array.make n 0 and starts = Array.make n 0 in
+  let offsets = Array.make (n + 1) 0 and emissions = Array.make t.pool_len 0 in
+  for j = 0 to n - 1 do
+    let i = n - 1 - j in
+    procs.(j) <- t.procs.(i);
+    starts.(j) <- t.starts.(i);
+    offsets.(j + 1) <- offsets.(j) + t.procs.(i);
+    Array.blit t.pool t.offs.(i) emissions offsets.(j) t.procs.(i)
+  done;
+  Schedule.of_columns t.chain ~procs ~starts ~offsets ~emissions
 
 let earliest_emission t =
   if t.placed = 0 then None else Some (emission_at t (t.placed - 1))

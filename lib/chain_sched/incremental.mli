@@ -69,6 +69,10 @@ val emission_at : t -> int -> int
 val comms_at : t -> int -> Msts_schedule.Comm_vector.t
 (** Fresh copy of placement [i]'s communication vector. *)
 
+val blit_comms : t -> int -> int array -> pos:int -> unit
+(** [blit_comms t i dst ~pos] copies placement [i]'s communication vector
+    into [dst] from [pos] ([proc_at t i] ints), allocating nothing. *)
+
 val entry_at : t -> int -> Msts_schedule.Schedule.entry
 (** Placement [i] as a schedule entry (fresh copy). *)
 

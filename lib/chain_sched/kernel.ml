@@ -55,7 +55,6 @@ let sweep chain ~hull ~occupancy sc =
 
 let first_emission sc = sc.vals.(0)
 
-let chosen_vector sc ~proc = Array.sub sc.vals 0 proc
 
 let blit_chosen sc ~proc dst ~pos = Array.blit sc.vals 0 dst pos proc
 

@@ -29,20 +29,16 @@ val sweep :
 (** One fused candidates+select pass: returns the winning processor
     (1-based, the same index {!Algorithm.select} would pick) and leaves
     the winner's communication vector in the scratch buffer, readable
-    through {!first_emission} and {!chosen_vector}.  Does not mutate the
+    through {!first_emission} and {!blit_chosen}.  Does not mutate the
     state arrays.  O(p) time, zero allocation after warm-up. *)
 
 val first_emission : scratch -> int
 (** The winner's link-1 emission date (coordinate 1 of its vector) after
     a {!sweep}; negative when the next task no longer fits the horizon. *)
 
-val chosen_vector : scratch -> proc:int -> Msts_schedule.Comm_vector.t
-(** Copy of the winner's communication vector (length [proc]) after a
-    {!sweep} returning [proc].  The only allocation on the fast path. *)
-
 val blit_chosen : scratch -> proc:int -> int array -> pos:int -> unit
-(** Allocation-free variant of {!chosen_vector}: write the winner's vector
-    (length [proc]) into [dst] at [pos].  Lets {!Incremental} store
+(** Write the winner's communication vector (length [proc]) into [dst]
+    at [pos], after a {!sweep} returning [proc]; allocates nothing.  Lets {!Incremental} store
     placements in a preallocated pool, so the whole per-arrival path runs
     without touching the minor heap. *)
 

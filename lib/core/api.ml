@@ -1051,11 +1051,12 @@ let platform_kind = function
 
 (* ---------- the payload writers ---------- *)
 
-let write_comms w comms =
+(* C(i) straight from the plan's emission column *)
+let write_comms w emission sched i ~depth =
   W.char w '[';
-  for i = 0 to Array.length comms - 1 do
-    if i > 0 then W.char w ',';
-    W.int w comms.(i)
+  for k = 1 to depth do
+    if k > 1 then W.char w ',';
+    W.int w (emission sched i k)
   done;
   W.char w ']'
 
@@ -1064,23 +1065,23 @@ let write_entry w plan i =
   W.int w i;
   (match plan with
   | Plan.Chain sched ->
-      let e = Schedule.entry sched i in
+      let proc = Schedule.proc sched i in
       W.raw w ",\"proc\":";
-      W.int w e.Schedule.proc;
+      W.int w proc;
       W.raw w ",\"start\":";
-      W.int w e.Schedule.start;
+      W.int w (Schedule.start sched i);
       W.raw w ",\"comms\":";
-      write_comms w e.Schedule.comms
+      write_comms w Schedule.emission sched i ~depth:proc
   | Plan.Spider sched ->
-      let e = Spider_schedule.entry sched i in
+      let depth = Spider_schedule.depth sched i in
       W.raw w ",\"leg\":";
-      W.int w e.Spider_schedule.address.Spider.leg;
+      W.int w (Spider_schedule.leg sched i);
       W.raw w ",\"depth\":";
-      W.int w e.Spider_schedule.address.Spider.depth;
+      W.int w depth;
       W.raw w ",\"start\":";
-      W.int w e.Spider_schedule.start;
+      W.int w (Spider_schedule.start sched i);
       W.raw w ",\"comms\":";
-      write_comms w e.Spider_schedule.comms);
+      write_comms w Spider_schedule.emission sched i ~depth);
   W.char w '}'
 
 let write_plan w ~deadline plan =

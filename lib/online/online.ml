@@ -274,18 +274,37 @@ let degrade ?emit t ~at ~work_factor =
 
 (* ---------- snapshots ---------- *)
 
-let schedule t =
-  let m = t.unfrozen in
-  let total = t.fz_count + m in
-  (* Frozen prefix in increasing emission order, then the revisable suffix
-     (reverse construction order); all frozen emissions precede all
-     unfrozen ones, so the concatenation is emission order overall. *)
-  Schedule.make t.chain
-    (Array.init total (fun j ->
-         if j < t.fz_count then t.fz_entries.(j)
-         else Incremental.entry_at t.inc (m - 1 - (j - t.fz_count))))
+(* The frozen prefix in increasing emission order, then the first [m]
+   entries of the revisable suffix (reverse construction order); all
+   frozen emissions precede all unfrozen ones, so the concatenation is
+   emission order overall.  Written straight into the columns. *)
+let columns t ~m =
+  let n = t.fz_count + m in
+  let placement j = m - 1 - (j - t.fz_count) in
+  let proc j =
+    if j < t.fz_count then t.fz_entries.(j).Schedule.proc
+    else Incremental.proc_at t.inc (placement j)
+  in
+  let procs = Array.init n proc and offsets = Array.make (n + 1) 0 in
+  for j = 0 to n - 1 do
+    offsets.(j + 1) <- offsets.(j) + procs.(j)
+  done;
+  let starts = Array.make n 0 and emissions = Array.make offsets.(n) 0 in
+  for j = 0 to n - 1 do
+    if j < t.fz_count then begin
+      let e = t.fz_entries.(j) in
+      starts.(j) <- e.start;
+      Array.blit e.comms 0 emissions offsets.(j) e.proc
+    end
+    else begin
+      starts.(j) <- Incremental.start_at t.inc (placement j);
+      Incremental.blit_comms t.inc (placement j) emissions ~pos:offsets.(j)
+    end
+  done;
+  Schedule.of_columns t.chain ~procs ~starts ~offsets ~emissions
+
+let schedule t = columns t ~m:t.unfrozen
 
 let plan t = Msts.Plan.Chain (schedule t)
 
-let frozen_schedule t =
-  Schedule.make t.chain (Array.sub t.fz_entries 0 t.fz_count)
+let frozen_schedule t = columns t ~m:0

@@ -35,10 +35,11 @@ let of_spider_schedule s =
   done;
   let nodes = first.(legs) in
   let node (a : Spider.address) = first.(a.leg - 1) + a.depth - 1 in
+  let task_node i = first.(Spider_schedule.leg s i - 1) + Spider_schedule.depth s i - 1 in
   (* node v's tasks fill slots off.(v) .. off.(v+1) - 1 *)
   let off = Array.make (nodes + 1) 0 in
   for i = 1 to n do
-    let v = node (Spider_schedule.entry s i).address in
+    let v = task_node i in
     off.(v + 1) <- off.(v + 1) + 1
   done;
   for v = 1 to nodes do
@@ -48,16 +49,17 @@ let of_spider_schedule s =
   let starts = Array.make n 0 and arrivals = Array.make n 0 in
   let waiting = Array.make nodes 0 and max_wait = Array.make nodes 0 in
   for i = 1 to n do
-    let e = Spider_schedule.entry s i in
-    let v = node e.address and depth = e.address.depth in
+    let v = task_node i and depth = Spider_schedule.depth s i in
+    let start = Spider_schedule.start s i in
     let arrival =
-      e.comms.(depth - 1) + Chain.latency (Spider.leg_chain spider e.address.leg) depth
+      Spider_schedule.emission s i depth
+      + Chain.latency (Spider.leg_chain spider (Spider_schedule.leg s i)) depth
     in
-    starts.(fill.(v)) <- e.start;
+    starts.(fill.(v)) <- start;
     arrivals.(fill.(v)) <- arrival;
     fill.(v) <- fill.(v) + 1;
-    waiting.(v) <- waiting.(v) + e.start - arrival;
-    if e.start - arrival > max_wait.(v) then max_wait.(v) <- e.start - arrival
+    waiting.(v) <- waiting.(v) + start - arrival;
+    if start - arrival > max_wait.(v) then max_wait.(v) <- start - arrival
   done;
   (* the link into depth k carries every task executed at depth >= k *)
   let crossing = Array.make nodes 0 in

@@ -49,18 +49,22 @@ let lanes plan =
   in
   let links = per_node () and procs = per_node () and port = ref [] in
   for i = Spider_schedule.task_count s downto 1 do
-    let { Spider_schedule.address = { Spider.leg; depth }; start; comms } =
-      Spider_schedule.entry s i
-    in
+    let leg = Spider_schedule.leg s i and depth = Spider_schedule.depth s i in
     let chain = Spider.leg_chain spider leg in
-    port := { Intervals.start = comms.(0); duration = Chain.latency chain 1; tag = i } :: !port;
+    port :=
+      { Intervals.start = Spider_schedule.emission s i 1; duration = Chain.latency chain 1; tag = i }
+      :: !port;
     for k = 1 to depth do
       links.(leg - 1).(k - 1) <-
-        { Intervals.start = comms.(k - 1); duration = Chain.latency chain k; tag = i }
+        {
+          Intervals.start = Spider_schedule.emission s i k;
+          duration = Chain.latency chain k;
+          tag = i;
+        }
         :: links.(leg - 1).(k - 1)
     done;
     procs.(leg - 1).(depth - 1) <-
-      { Intervals.start; duration = Chain.work chain depth; tag = i }
+      { Intervals.start = Spider_schedule.start s i; duration = Chain.work chain depth; tag = i }
       :: procs.(leg - 1).(depth - 1)
   done;
   let label =

@@ -2,105 +2,109 @@ module Chain = Msts_platform.Chain
 
 type entry = { proc : int; start : int; comms : Comm_vector.t }
 
-type t = { chain : Chain.t; entries : entry array }
+type t = { chain : Chain.t; cols : Columns.t }
+
+let validate ~who chain (cols : Columns.t) =
+  let p = Chain.length chain in
+  for idx = 0 to Columns.length cols - 1 do
+    let task = idx + 1 and proc = cols.nodes.(idx) in
+    if proc < 1 || proc > p then
+      invalid_arg
+        (Printf.sprintf "%s: task %d on processor %d outside 1..%d" who task proc p);
+    if Columns.width cols idx <> proc then
+      invalid_arg
+        (Printf.sprintf "%s: task %d has %d communications for processor %d" who task
+           (Columns.width cols idx) proc)
+  done;
+  { chain; cols }
+
+let of_columns chain ~procs ~starts ~offsets ~emissions =
+  let who = "Schedule.of_columns" in
+  validate ~who chain
+    (Columns.make ~who ~nodes:procs ~starts ~offsets ~emissions)
 
 let make chain entries =
-  let p = Chain.length chain in
-  Array.iteri
-    (fun idx e ->
-      let task = idx + 1 in
-      if e.proc < 1 || e.proc > p then
-        invalid_arg
-          (Printf.sprintf "Schedule.make: task %d on processor %d outside 1..%d"
-             task e.proc p);
-      if Array.length e.comms <> e.proc then
-        invalid_arg
-          (Printf.sprintf
-             "Schedule.make: task %d has %d communications for processor %d"
-             task (Array.length e.comms) e.proc))
-    entries;
-  { chain; entries = Array.copy entries }
+  validate ~who:"Schedule.make" chain
+    (Columns.of_vectors
+       ~nodes:(Array.map (fun e -> e.proc) entries)
+       ~starts:(Array.map (fun e -> e.start) entries)
+       (fun idx -> entries.(idx).comms))
 
 let chain t = t.chain
+let columns t = t.cols
 
-let task_count t = Array.length t.entries
+let task_count t = Columns.length t.cols
 
-let entry t i =
+let check_task t i name =
   if i < 1 || i > task_count t then
     invalid_arg
-      (Printf.sprintf "Schedule.entry: task %d outside 1..%d" i (task_count t));
-  t.entries.(i - 1)
+      (Printf.sprintf "Schedule.%s: task %d outside 1..%d" name i (task_count t))
 
-let entries t = Array.copy t.entries
+let proc t i =
+  check_task t i "proc";
+  t.cols.nodes.(i - 1)
+
+let start t i =
+  check_task t i "start";
+  t.cols.starts.(i - 1)
+
+let emission t i k =
+  check_task t i "emission";
+  Columns.emission ~who:"Schedule.emission" t.cols (i - 1) k
+
+let entry t i =
+  check_task t i "entry";
+  { proc = t.cols.nodes.(i - 1); start = t.cols.starts.(i - 1); comms = Columns.comms t.cols (i - 1) }
+
+let entries t = Array.init (task_count t) (fun idx -> entry t (idx + 1))
 
 (* A loop, not a fold: a closure over [t] would cost words per call. *)
 let makespan t =
-  let m = ref 0 in
-  for i = 0 to Array.length t.entries - 1 do
-    let e = t.entries.(i) in
-    let finish = e.start + Chain.work t.chain e.proc in
+  let m = ref 0 and { Columns.nodes; starts; _ } = t.cols in
+  for i = 0 to Array.length starts - 1 do
+    let finish = starts.(i) + Chain.work t.chain nodes.(i) in
     if finish > !m then m := finish
   done;
   !m
 
-let start_time t =
-  Array.fold_left
-    (fun acc e -> min acc (Comm_vector.first_emission e.comms))
-    max_int t.entries
-
-let shift d t =
-  let move e =
-    { e with start = e.start - d; comms = Comm_vector.shift d e.comms }
-  in
-  { t with entries = Array.map move t.entries }
-
-let normalise t = if task_count t = 0 then t else shift (start_time t) t
+let normalise t =
+  if task_count t = 0 then t
+  else begin
+    let first = ref max_int in
+    for i = 0 to task_count t - 1 do
+      first := min !first t.cols.emissions.(t.cols.offsets.(i))
+    done;
+    { t with cols = Columns.shift t.cols ~delta:(- !first) }
+  end
 
 let tasks_on t k =
   let with_start =
     List.filter_map
-      (fun idx ->
-        let e = t.entries.(idx) in
-        if e.proc = k then Some (e.start, idx + 1) else None)
+      (fun idx -> if t.cols.nodes.(idx) = k then Some (t.cols.starts.(idx), idx + 1) else None)
       (List.init (task_count t) Fun.id)
   in
   List.map snd (List.sort compare with_start)
 
 let restrict_beyond_first t =
   let sub_chain = Chain.drop_first t.chain in
-  let entries =
-    Array.of_list
-      (List.filter_map
-         (fun e ->
-           if e.proc >= 2 then
-             Some
-               {
-                 proc = e.proc - 1;
-                 start = e.start;
-                 comms = Array.sub e.comms 1 (e.proc - 1);
-               }
-           else None)
-         (Array.to_list t.entries))
-  in
-  make sub_chain entries
+  let kept = Columns.filter t.cols ~keep:(fun i -> t.cols.nodes.(i - 1) >= 2) in
+  validate ~who:"Schedule.restrict_beyond_first" sub_chain
+    (Columns.of_vectors
+       ~nodes:(Array.map (fun proc -> proc - 1) kept.nodes)
+       ~starts:kept.starts
+       (fun idx -> Array.sub kept.emissions (kept.offsets.(idx) + 1) (Columns.width kept idx - 1)))
 
-let equal a b =
-  Chain.equal a.chain b.chain
-  && task_count a = task_count b
-  && Array.for_all2
-       (fun x y -> x.proc = y.proc && x.start = y.start && x.comms = y.comms)
-       a.entries b.entries
+let equal a b = Chain.equal a.chain b.chain && Columns.equal a.cols b.cols
 
 let equal_modulo_shift a b = equal (normalise a) (normalise b)
 
 let pp ppf t =
   Format.fprintf ppf "@[<v>schedule on %a (makespan %d):@," Chain.pp t.chain
     (makespan t);
-  Array.iteri
-    (fun idx e ->
-      Format.fprintf ppf "  task %d -> P%d, start %d, comms %a@," (idx + 1)
-        e.proc e.start Comm_vector.pp e.comms)
-    t.entries;
+  for idx = 0 to task_count t - 1 do
+    Format.fprintf ppf "  task %d -> P%d, start %d, comms %a@," (idx + 1)
+      t.cols.nodes.(idx) t.cols.starts.(idx) Comm_vector.pp (Columns.comms t.cols idx)
+  done;
   Format.fprintf ppf "@]"
 
 let to_string t = Format.asprintf "%a" pp t

@@ -11,24 +11,59 @@ type entry = {
   start : int;  (** T(i) *)
   comms : Comm_vector.t;  (** C(i); [Array.length comms = proc] *)
 }
+(** One task's row, built on demand by {!entry} and {!entries}: the
+    schedule itself keeps no record per task. *)
 
 type t
+(** Stored as {!Columns}: the processors, the starts, the offsets and one
+    emission column of [Σ P(i)] entries — four int blocks, [3 + P(i)]
+    words a task. *)
+
+val of_columns :
+  Msts_platform.Chain.t ->
+  procs:int array ->
+  starts:int array ->
+  offsets:int array ->
+  emissions:int array ->
+  t
+(** The validating constructor.  Task [i] runs on [procs.(i-1)] from
+    [starts.(i-1)], and C(i) is [emissions.(offsets.(i-1) ..
+    offsets.(i) - 1)]; the arrays are taken over, not copied, and must not
+    be written afterwards.  Performs only structural validation (column
+    lengths, each C(i) of length P(i), P(i) within the chain); temporal
+    feasibility is {!Plan.check}'s job.
+    @raise Invalid_argument on structural errors. *)
 
 val make : Msts_platform.Chain.t -> entry array -> t
-(** [make chain entries] with [entries.(i-1)] describing task [i].
-    Performs only structural validation (each [comms] length equals [proc],
-    [proc] within the chain); temporal feasibility is {!Plan.check}'s job.
+(** [make chain entries] with [entries.(i-1)] describing task [i]: the
+    rows written into columns, then {!of_columns}' checks.
     @raise Invalid_argument on structural errors. *)
 
 val chain : t -> Msts_platform.Chain.t
 
+val columns : t -> Columns.t
+(** The columns themselves, shared (a chain's spider view reads them). *)
+
 val task_count : t -> int
 
+val proc : t -> int -> int
+(** [proc t i]: P(i), for task [i] in [1..task_count t]. *)
+
+val start : t -> int -> int
+(** T(i). *)
+
+val emission : t -> int -> int -> int
+(** [emission t i k]: C^k(i), the start of task [i]'s transfer over link
+    [k], [k] in [1..P(i)].  Reads the column; allocates nothing. *)
+
 val entry : t -> int -> entry
-(** [entry t i] for task [i] in [1..task_count t]. *)
+(** [entry t i] for task [i] in [1..task_count t]: a fresh row, its
+    vector copied out of the emission column (two blocks, 5 + P(i)
+    words, each call).  The accessors above read the same values without
+    allocating. *)
 
 val entries : t -> entry array
-(** Fresh copy of all entries. *)
+(** Every task's {!entry}, fresh. *)
 
 val makespan : t -> int
 (** Definition 2: [max_i (T(i) + w_{P(i)})].  0 for an empty schedule. *)

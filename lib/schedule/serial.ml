@@ -1,27 +1,30 @@
-let ints_line ints = String.concat " " (List.map string_of_int ints)
+(* One task's line or CSV cells, read from the columns. *)
+let vector emission sched i ~depth = List.init depth (fun k -> emission sched i (k + 1))
+
+let task_lines header task sched n =
+  String.concat "\n"
+    (header
+    :: List.init n (fun idx ->
+           "task " ^ String.concat " " (List.map string_of_int (task sched (idx + 1)))))
+  ^ "\n"
 
 let schedule_to_string sched =
-  let entry (e : Schedule.entry) =
-    "task " ^ ints_line (e.proc :: e.start :: Array.to_list e.comms)
-  in
-  String.concat "\n"
-    ("chain-schedule"
-    :: List.map entry (Array.to_list (Schedule.entries sched)))
-  ^ "\n"
+  task_lines "chain-schedule"
+    (fun s i ->
+      let proc = Schedule.proc s i in
+      proc :: Schedule.start s i :: vector Schedule.emission s i ~depth:proc)
+    sched (Schedule.task_count sched)
 
 let spider_schedule_to_string sched =
-  let entry (e : Spider_schedule.entry) =
-    "task "
-    ^ ints_line
-        (e.address.Msts_platform.Spider.leg
-        :: e.address.Msts_platform.Spider.depth
-        :: e.start
-        :: Array.to_list e.comms)
-  in
-  String.concat "\n"
-    ("spider-schedule"
-    :: List.map entry (Array.to_list (Spider_schedule.entries sched)))
-  ^ "\n"
+  task_lines "spider-schedule"
+    (fun s i ->
+      let depth = Spider_schedule.depth s i in
+      Spider_schedule.leg s i :: depth :: Spider_schedule.start s i
+      :: vector Spider_schedule.emission s i ~depth)
+    sched
+    (Spider_schedule.task_count sched)
+
+let emissions_cell ints = String.concat ";" (List.map string_of_int ints)
 
 let schedule_to_csv sched =
   let chain = Schedule.chain sched in
@@ -29,17 +32,17 @@ let schedule_to_csv sched =
     Msts_util.Table.create ~title:"schedule"
       ~columns:[ "task"; "processor"; "start"; "completion"; "emissions" ]
   in
-  Array.iteri
-    (fun idx (e : Schedule.entry) ->
-      Msts_util.Table.add_row table
-        [
-          string_of_int (idx + 1);
-          string_of_int e.proc;
-          string_of_int e.start;
-          string_of_int (e.start + Msts_platform.Chain.work chain e.proc);
-          String.concat ";" (List.map string_of_int (Array.to_list e.comms));
-        ])
-    (Schedule.entries sched);
+  for i = 1 to Schedule.task_count sched do
+    let proc = Schedule.proc sched i and start = Schedule.start sched i in
+    Msts_util.Table.add_row table
+      [
+        string_of_int i;
+        string_of_int proc;
+        string_of_int start;
+        string_of_int (start + Msts_platform.Chain.work chain proc);
+        emissions_cell (vector Schedule.emission sched i ~depth:proc);
+      ]
+  done;
   Msts_util.Table.to_csv table
 
 let spider_schedule_to_csv sched =
@@ -48,18 +51,19 @@ let spider_schedule_to_csv sched =
     Msts_util.Table.create ~title:"schedule"
       ~columns:[ "task"; "leg"; "depth"; "start"; "completion"; "emissions" ]
   in
-  Array.iteri
-    (fun idx (e : Spider_schedule.entry) ->
-      Msts_util.Table.add_row table
-        [
-          string_of_int (idx + 1);
-          string_of_int e.address.Msts_platform.Spider.leg;
-          string_of_int e.address.Msts_platform.Spider.depth;
-          string_of_int e.start;
-          string_of_int (e.start + Msts_platform.Spider.work spider e.address);
-          String.concat ";" (List.map string_of_int (Array.to_list e.comms));
-        ])
-    (Spider_schedule.entries sched);
+  for i = 1 to Spider_schedule.task_count sched do
+    let leg = Spider_schedule.leg sched i and depth = Spider_schedule.depth sched i in
+    let start = Spider_schedule.start sched i in
+    Msts_util.Table.add_row table
+      [
+        string_of_int i;
+        string_of_int leg;
+        string_of_int depth;
+        string_of_int start;
+        string_of_int (start + Msts_platform.Spider.work spider { leg; depth });
+        emissions_cell (vector Spider_schedule.emission sched i ~depth);
+      ]
+  done;
   Msts_util.Table.to_csv table
 
 let meaningful_lines text =
@@ -97,35 +101,50 @@ let parse_body ~header ~entry_of_ints lines =
         loop [] rest
       end
 
+(* The parsed task lines, [(node, start, vector)] each, as columns. *)
+let columns tasks =
+  let n = List.length tasks in
+  let nodes = Array.make n 0 and starts = Array.make n 0 in
+  let offsets = Array.make (n + 1) 0 in
+  List.iteri
+    (fun i (node, start, comms) ->
+      nodes.(i) <- node;
+      starts.(i) <- start;
+      offsets.(i + 1) <- offsets.(i) + List.length comms)
+    tasks;
+  let emissions = Array.make offsets.(n) 0 in
+  List.iteri
+    (fun i (_, _, comms) -> List.iteri (fun k c -> emissions.(offsets.(i) + k) <- c) comms)
+    tasks;
+  (nodes, starts, offsets, emissions)
+
 let schedule_of_string chain text =
   let entry_of_ints lineno = function
-    | proc :: start :: comms when List.length comms = proc ->
-        Ok { Schedule.proc; start; comms = Array.of_list comms }
+    | proc :: start :: comms when List.length comms = proc -> Ok (proc, start, comms)
     | _ -> Error (Printf.sprintf "line %d: malformed chain task" lineno)
   in
   match parse_body ~header:"chain-schedule" ~entry_of_ints (meaningful_lines text) with
   | Error e -> Error e
-  | Ok entries -> (
-      match Schedule.make chain (Array.of_list entries) with
+  | Ok tasks -> (
+      let procs, starts, offsets, emissions = columns tasks in
+      match Schedule.of_columns chain ~procs ~starts ~offsets ~emissions with
       | sched -> Ok sched
       | exception Invalid_argument msg -> Error msg)
 
 let spider_schedule_of_string spider text =
   let entry_of_ints lineno = function
-    | leg :: depth :: start :: comms when List.length comms = depth ->
-        Ok
-          {
-            Spider_schedule.address = { Msts_platform.Spider.leg; depth };
-            start;
-            comms = Array.of_list comms;
-          }
+    | leg :: depth :: start :: comms when List.length comms = depth -> (
+        match Spider_schedule.node ~leg ~depth with
+        | node -> Ok (node, start, comms)
+        | exception Invalid_argument msg -> Error (Printf.sprintf "line %d: %s" lineno msg))
     | _ -> Error (Printf.sprintf "line %d: malformed spider task" lineno)
   in
   match
     parse_body ~header:"spider-schedule" ~entry_of_ints (meaningful_lines text)
   with
   | Error e -> Error e
-  | Ok entries -> (
-      match Spider_schedule.make spider (Array.of_list entries) with
+  | Ok tasks -> (
+      let nodes, starts, offsets, emissions = columns tasks in
+      match Spider_schedule.of_columns spider ~nodes ~starts ~offsets ~emissions with
       | sched -> Ok sched
       | exception Invalid_argument msg -> Error msg)

@@ -3,55 +3,88 @@ module Chain = Msts_platform.Chain
 
 type entry = { address : Spider.address; start : int; comms : Comm_vector.t }
 
-type t = { spider : Spider.t; entries : entry array }
+type t = { spider : Spider.t; cols : Columns.t }
+
+let validate ~who spider (cols : Columns.t) =
+  for idx = 0 to Columns.length cols - 1 do
+    let task = idx + 1 and leg = Columns.leg cols idx and depth = Columns.depth cols idx in
+    if leg < 1 || leg > Spider.legs spider then
+      invalid_arg (Printf.sprintf "%s: task %d on leg %d" who task leg);
+    let chain = Spider.leg_chain spider leg in
+    if depth < 1 || depth > Chain.length chain then
+      invalid_arg (Printf.sprintf "%s: task %d at depth %d on leg %d" who task depth leg);
+    if Columns.width cols idx <> depth then
+      invalid_arg (Printf.sprintf "%s: task %d comm vector length" who task)
+  done;
+  { spider; cols }
+
+let node = Columns.node
+
+let of_columns spider ~nodes ~starts ~offsets ~emissions =
+  let who = "Spider_schedule.of_columns" in
+  validate ~who spider (Columns.make ~who ~nodes ~starts ~offsets ~emissions)
 
 let make spider entries =
-  Array.iteri
-    (fun idx e ->
-      let task = idx + 1 in
-      let { Spider.leg; depth } = e.address in
-      if leg < 1 || leg > Spider.legs spider then
-        invalid_arg (Printf.sprintf "Spider_schedule.make: task %d on leg %d" task leg);
-      let chain = Spider.leg_chain spider leg in
-      if depth < 1 || depth > Chain.length chain then
-        invalid_arg
-          (Printf.sprintf "Spider_schedule.make: task %d at depth %d on leg %d"
-             task depth leg);
-      if Array.length e.comms <> depth then
-        invalid_arg
-          (Printf.sprintf "Spider_schedule.make: task %d comm vector length" task))
-    entries;
-  { spider; entries = Array.copy entries }
+  validate ~who:"Spider_schedule.make" spider
+    (Columns.of_vectors
+       ~nodes:(Array.map (fun e -> node ~leg:e.address.Spider.leg ~depth:e.address.depth) entries)
+       ~starts:(Array.map (fun e -> e.start) entries)
+       (fun idx -> entries.(idx).comms))
 
 let spider t = t.spider
+let columns t = t.cols
 
-let task_count t = Array.length t.entries
+let task_count t = Columns.length t.cols
 
-let entry t i =
+let check_task t i name =
   if i < 1 || i > task_count t then
     invalid_arg
-      (Printf.sprintf "Spider_schedule.entry: task %d outside 1..%d" i (task_count t));
-  t.entries.(i - 1)
+      (Printf.sprintf "Spider_schedule.%s: task %d outside 1..%d" name i (task_count t))
 
-let entries t = Array.copy t.entries
+let leg t i =
+  check_task t i "leg";
+  Columns.leg t.cols (i - 1)
+
+let depth t i =
+  check_task t i "depth";
+  Columns.depth t.cols (i - 1)
+
+let start t i =
+  check_task t i "start";
+  t.cols.starts.(i - 1)
+
+let emission t i k =
+  check_task t i "emission";
+  Columns.emission ~who:"Spider_schedule.emission" t.cols (i - 1) k
+
+let entry t i =
+  check_task t i "entry";
+  let c = t.cols and idx = i - 1 in
+  {
+    address = { Spider.leg = Columns.leg c idx; depth = Columns.depth c idx };
+    start = c.starts.(idx);
+    comms = Columns.comms c idx;
+  }
+
+let entries t = Array.init (task_count t) (fun idx -> entry t (idx + 1))
 
 (* A loop, not a fold: a closure over [t] would cost words per call. *)
 let makespan t =
-  let m = ref 0 in
-  for i = 0 to Array.length t.entries - 1 do
-    let e = t.entries.(i) in
-    let finish = e.start + Spider.work t.spider e.address in
+  let m = ref 0 and c = t.cols in
+  for i = 0 to Columns.length c - 1 do
+    let finish =
+      c.starts.(i) + Chain.work (Spider.leg_chain t.spider (Columns.leg c i)) (Columns.depth c i)
+    in
     if finish > !m then m := finish
   done;
   !m
 
 let tasks_on_leg t l =
+  let c = t.cols in
   let keyed =
     List.filter_map
       (fun idx ->
-        let e = t.entries.(idx) in
-        if e.address.Spider.leg = l then
-          Some (Comm_vector.first_emission e.comms, idx + 1)
+        if Columns.leg c idx = l then Some (c.emissions.(c.offsets.(idx)), idx + 1)
         else None)
       (List.init (task_count t) Fun.id)
   in
@@ -59,21 +92,10 @@ let tasks_on_leg t l =
 
 let leg_schedule t l =
   let chain = Spider.leg_chain t.spider l in
-  let entries =
-    Array.of_list
-      (List.filter_map
-         (fun e ->
-           if e.address.Spider.leg = l then
-             Some
-               {
-                 Schedule.proc = e.address.Spider.depth;
-                 start = e.start;
-                 comms = e.comms;
-               }
-           else None)
-         (Array.to_list t.entries))
-  in
-  Schedule.make chain entries
+  let c = Columns.filter t.cols ~keep:(fun i -> Columns.leg t.cols (i - 1) = l) in
+  Schedule.of_columns chain
+    ~procs:(Array.init (Columns.length c) (Columns.depth c))
+    ~starts:c.starts ~offsets:c.offsets ~emissions:c.emissions
 
 (* The resources [overlap] scans: link [k] of a leg, processor [k] of a
    leg, the master's port. *)
@@ -88,28 +110,28 @@ let on_port = 2
    its index.  Each date is packed with its tag into one int of [keys],
    which are then heapsorted; dates spread too wide to pack are sorted as
    pairs instead. *)
-let uses ~kind ~k (e : entry) =
-  kind = on_port
-  || (if kind = on_link then e.address.Spider.depth >= k else e.address.Spider.depth = k)
+let uses ~kind ~k c x =
+  kind = on_port || if kind = on_link then Columns.depth c x >= k else Columns.depth c x = k
 
-let date ~kind ~k (e : entry) = if kind = on_proc then e.start else e.comms.(k - 1)
+let date ~kind ~k (c : Columns.t) x =
+  if kind = on_proc then c.starts.(x) else c.emissions.(c.offsets.(x) + k - 1)
 
 (* The candidate at position [p], and its tag. *)
 let task_at ~kind ~by_leg p = if kind = on_port then p else by_leg.(p)
 let tag_at ~kind ~lo p = if kind = on_port then p + 1 else p - lo + 1
 
 let duration t ~kind ~k ~by_leg ~lo tag =
-  let e = t.entries.(if kind = on_port then tag - 1 else by_leg.(lo + tag - 1)) in
-  let chain = Spider.leg_chain t.spider e.address.Spider.leg in
+  let x = if kind = on_port then tag - 1 else by_leg.(lo + tag - 1) in
+  let chain = Spider.leg_chain t.spider (Columns.leg t.cols x) in
   if kind = on_proc then Chain.work chain k else Chain.latency chain k
 
 let overlap t ~by_leg ~keys ~lo ~hi ~kind ~k =
-  let entries = t.entries and n = Array.length t.entries in
+  let c = t.cols and n = Columns.length t.cols in
   let m = ref 0 and dmin = ref max_int and dmax = ref min_int in
   for p = lo to hi - 1 do
-    let e = entries.(task_at ~kind ~by_leg p) in
-    if uses ~kind ~k e then begin
-      let d = date ~kind ~k e in
+    let x = task_at ~kind ~by_leg p in
+    if uses ~kind ~k c x then begin
+      let d = date ~kind ~k c x in
       if d < !dmin then dmin := d;
       if d > !dmax then dmax := d;
       incr m
@@ -127,9 +149,9 @@ let overlap t ~by_leg ~keys ~lo ~hi ~kind ~k =
     if packable then begin
       let j = ref 0 in
       for p = lo to hi - 1 do
-        let e = entries.(task_at ~kind ~by_leg p) in
-        if uses ~kind ~k e then begin
-          keys.(!j) <- ((date ~kind ~k e - dmin) lsl bits) lor tag_at ~kind ~lo p;
+        let x = task_at ~kind ~by_leg p in
+        if uses ~kind ~k c x then begin
+          keys.(!j) <- ((date ~kind ~k c x - dmin) lsl bits) lor tag_at ~kind ~lo p;
           incr j
         end
       done;
@@ -139,8 +161,8 @@ let overlap t ~by_leg ~keys ~lo ~hi ~kind ~k =
     else begin
       let pairs = ref [] in
       for p = hi - 1 downto lo do
-        let e = entries.(task_at ~kind ~by_leg p) in
-        if uses ~kind ~k e then pairs := (date ~kind ~k e, tag_at ~kind ~lo p) :: !pairs
+        let x = task_at ~kind ~by_leg p in
+        if uses ~kind ~k c x then pairs := (date ~kind ~k c x, tag_at ~kind ~lo p) :: !pairs
       done;
       Array.of_list (List.stable_sort (fun (a, _) (b, _) -> Int.compare a b) !pairs)
     end
@@ -163,10 +185,10 @@ let overlap t ~by_leg ~keys ~lo ~hi ~kind ~k =
   done;
   !found
 
-let negative (e : entry) =
-  let neg = ref (e.start < 0) in
-  for j = 0 to Array.length e.comms - 1 do
-    if e.comms.(j) < 0 then neg := true
+let negative (c : Columns.t) x =
+  let neg = ref (c.starts.(x) < 0) in
+  for j = c.offsets.(x) to c.offsets.(x + 1) - 1 do
+    if c.emissions.(j) < 0 then neg := true
   done;
   !neg
 
@@ -179,11 +201,11 @@ let negative (e : entry) =
    link and processor overlaps resource by resource.  Messages are built
    only for violations. *)
 let violations ?(require_nonnegative = false) t =
-  let spider = t.spider and entries = t.entries in
-  let n = Array.length entries and legs = Spider.legs spider in
+  let spider = t.spider and c = t.cols in
+  let n = Columns.length c and legs = Spider.legs spider in
   let first = Array.make (legs + 2) 0 in
   for i = 0 to n - 1 do
-    let l = entries.(i).address.Spider.leg in
+    let l = Columns.leg c i in
     first.(l + 1) <- first.(l + 1) + 1
   done;
   for l = 1 to legs + 1 do
@@ -192,7 +214,7 @@ let violations ?(require_nonnegative = false) t =
   (* by_leg.(first.(l) .. first.(l+1) - 1): leg [l]'s tasks, entry order *)
   let by_leg = Array.make n 0 in
   for i = 0 to n - 1 do
-    let l = entries.(i).address.Spider.leg in
+    let l = Columns.leg c i in
     by_leg.(first.(l)) <- i;
     first.(l) <- first.(l) + 1
   done;
@@ -208,20 +230,21 @@ let violations ?(require_nonnegative = false) t =
     let lo = first.(l) and hi = first.(l + 1) in
     if require_nonnegative then
       for p = lo to hi - 1 do
-        if negative entries.(by_leg.(p)) then
+        if negative c by_leg.(p) then
           flag l (Printf.sprintf "task %d has a date before time 0" (p - lo + 1))
       done;
     (* properties 1 and 2, one task at a time *)
     for p = lo to hi - 1 do
-      let e = entries.(by_leg.(p)) and task = p - lo + 1 in
-      let depth = e.address.Spider.depth in
+      let x = by_leg.(p) and task = p - lo + 1 in
+      let depth = Columns.depth c x and o = c.offsets.(x) in
       for k = 2 to depth do
-        if e.comms.(k - 2) + Chain.latency chain (k - 1) > e.comms.(k - 1) then
+        if c.emissions.(o + k - 2) + Chain.latency chain (k - 1) > c.emissions.(o + k - 1)
+        then
           flag l
             (Printf.sprintf
                "task %d re-emitted on link %d before its reception completed" task k)
       done;
-      if e.comms.(depth - 1) + Chain.latency chain depth > e.start then
+      if c.emissions.(o + depth - 1) + Chain.latency chain depth > c.starts.(x) then
         flag l (Printf.sprintf "task %d starts before it is fully received" task)
     done;
     (* properties 3 and 4: all intervals on a resource have the same
@@ -261,54 +284,33 @@ let meets_deadline t ~deadline =
   is_feasible ~require_nonnegative:true t && makespan t <= deadline
 
 let shift t ~delta =
-  let move (e : entry) =
-    if e.start + delta < 0 || Array.exists (fun c -> c + delta < 0) e.comms then
-      invalid_arg "Spider_schedule.shift: negative date after shift";
-    { e with start = e.start + delta; comms = Array.map (( + ) delta) e.comms }
-  in
-  { t with entries = Array.map move t.entries }
+  let c = t.cols in
+  if Array.exists (fun d -> d + delta < 0) c.starts
+     || Array.exists (fun d -> d + delta < 0) c.emissions
+  then invalid_arg "Spider_schedule.shift: negative date after shift";
+  { t with cols = Columns.shift c ~delta }
 
-let filter_tasks t ~keep =
-  let entries =
-    Array.of_list
-      (List.filter_map
-         (fun idx -> if keep (idx + 1) then Some t.entries.(idx) else None)
-         (List.init (task_count t) Fun.id))
-  in
-  { t with entries }
+let filter_tasks t ~keep = { t with cols = Columns.filter t.cols ~keep }
 
 let concat a b =
-  if not (Msts_platform.Spider.equal a.spider b.spider) then
+  if not (Spider.equal a.spider b.spider) then
     invalid_arg "Spider_schedule.concat: schedules are on different spiders";
-  { a with entries = Array.append a.entries b.entries }
+  { a with cols = Columns.append a.cols b.cols }
 
+(* A chain's processor P(i) is its node on leg 1: the columns are shared. *)
 let of_chain_schedule sched =
-  let chain = Schedule.chain sched in
-  (* one address per depth, shared by every task executed there *)
-  let at = Array.init (Chain.length chain + 1) (fun depth -> { Spider.leg = 1; depth }) in
-  {
-    spider = Spider.of_chain chain;
-    entries =
-      Array.init (Schedule.task_count sched) (fun idx ->
-          let e = Schedule.entry sched (idx + 1) in
-          { address = at.(e.Schedule.proc); start = e.start; comms = e.comms });
-  }
+  { spider = Spider.of_chain (Schedule.chain sched); cols = Schedule.columns sched }
 
-let equal a b =
-  Spider.equal a.spider b.spider
-  && Array.length a.entries = Array.length b.entries
-  && Array.for_all2
-       (fun x y -> x.address = y.address && x.start = y.start && x.comms = y.comms)
-       a.entries b.entries
+let equal a b = Spider.equal a.spider b.spider && Columns.equal a.cols b.cols
 
 let pp ppf t =
+  let c = t.cols in
   Format.fprintf ppf "@[<v>spider schedule (makespan %d):@," (makespan t);
-  Array.iteri
-    (fun idx e ->
-      Format.fprintf ppf "  task %d -> leg %d depth %d, start %d, comms %a@,"
-        (idx + 1) e.address.Spider.leg e.address.Spider.depth e.start
-        Comm_vector.pp e.comms)
-    t.entries;
+  for idx = 0 to Columns.length c - 1 do
+    Format.fprintf ppf "  task %d -> leg %d depth %d, start %d, comms %a@," (idx + 1)
+      (Columns.leg c idx) (Columns.depth c idx) c.starts.(idx) Comm_vector.pp
+      (Columns.comms c idx)
+  done;
   Format.fprintf ppf "@]"
 
 let to_string t = Format.asprintf "%a" pp t

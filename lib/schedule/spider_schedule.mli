@@ -10,20 +10,65 @@ type entry = {
   start : int;  (** T(i) *)
   comms : Comm_vector.t;  (** emissions along the leg; length = depth *)
 }
+(** One task's row, built on demand by {!entry} and {!entries}: the
+    schedule itself keeps no record per task. *)
 
 type t
+(** Stored as {!Columns}: the packed nodes (leg and depth, {!node}), the
+    starts, the offsets and one emission column of [Σ depth] entries —
+    four int blocks, [3 + depth] words a task. *)
+
+val of_columns :
+  Msts_platform.Spider.t ->
+  nodes:int array ->
+  starts:int array ->
+  offsets:int array ->
+  emissions:int array ->
+  t
+(** The validating constructor.  Task [i] runs on the processor
+    [nodes.(i-1)] packs from [starts.(i-1)], and its emissions along the
+    leg are [emissions.(offsets.(i-1) .. offsets.(i) - 1)]; the arrays
+    are taken over, not copied, and must not be written afterwards.
+    Structural validation only (column lengths, addresses and vector
+    lengths).
+    @raise Invalid_argument on structural errors. *)
+
+val node : leg:int -> depth:int -> int
+(** The packed node of the processor at [depth] on [leg] ({!Columns.node});
+    on leg 1 it is [depth], so a chain's processors are its nodes. *)
 
 val make : Msts_platform.Spider.t -> entry array -> t
-(** Structural validation only (addresses and vector lengths).
+(** The rows written into columns, then {!of_columns}' checks.
     @raise Invalid_argument on structural errors. *)
 
 val spider : t -> Msts_platform.Spider.t
 
+val columns : t -> Columns.t
+(** The columns themselves, shared. *)
+
 val task_count : t -> int
 
+val leg : t -> int -> int
+(** [leg t i]: the leg task [i] (in [1..task_count t]) is routed down. *)
+
+val depth : t -> int -> int
+(** Its depth on that leg, the length of its emission vector. *)
+
+val start : t -> int -> int
+(** T(i). *)
+
+val emission : t -> int -> int -> int
+(** [emission t i k]: the start of task [i]'s transfer over hop [k] of its
+    leg, [k] in [1..depth t i]; hop 1 is the master's port.  Reads the
+    column; allocates nothing. *)
+
 val entry : t -> int -> entry
+(** A fresh row: an address, a record and a vector copied out of the
+    emission column (three blocks, 8 + depth words, each call).  The
+    accessors above read the same values without allocating. *)
 
 val entries : t -> entry array
+(** Every task's {!entry}, fresh. *)
 
 val makespan : t -> int
 
@@ -48,11 +93,14 @@ val is_feasible : ?require_nonnegative:bool -> t -> bool
 val meets_deadline : t -> deadline:int -> bool
 
 val of_chain_schedule : Schedule.t -> t
-(** View a chain schedule as a one-leg spider schedule (its entries'
-    communication vectors are shared, not copied). *)
+(** View a chain schedule as a one-leg spider schedule.  A chain's
+    processors are the nodes of leg 1, so the view shares all four of the
+    chain's columns: it costs the one-leg spider and a record, whatever
+    the task count. *)
 
 val shift : t -> delta:int -> t
-(** All dates (starts and emissions) moved by [delta] — re-anchors a plan
+(** All dates (starts and emissions) moved by [delta], into two new
+    columns (the nodes and offsets are shared) — re-anchors a plan
     computed from time 0 at an absolute date, e.g. when splicing a
     replanned suffix into a running execution.
     @raise Invalid_argument if any date would become negative. *)

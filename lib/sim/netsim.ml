@@ -138,8 +138,9 @@ module Fifo = struct
 end
 
 type mode =
-  | Plan of { dests : Spider.address array; release : int -> int }
-      (** emit in release-date order (stable), never before a task's date *)
+  | Plan of { plan : Spider_schedule.t; release : int -> int }
+      (** the plan's routes, emitted in release-date order (stable), never
+          before a task's date *)
   | Pull of { tasks : int; buffer : int }
       (** [buffer] initial requests per processor, address order *)
 
@@ -206,7 +207,9 @@ let run ?max_events ?(buffer = max_int) ?(decide = Keep) ~fn spider mode trace =
   and retries = ref 0 in
   let transfer_us = if Obs.enabled () then Some (Tally.create ()) else None in
   let n =
-    match mode with Plan { dests; _ } -> Array.length dests | Pull { tasks; _ } -> tasks
+    match mode with
+    | Plan { plan; _ } -> Spider_schedule.task_count plan
+    | Pull { tasks; _ } -> tasks
   in
   let maxd = ref 0 in
   for l = 1 to legs do
@@ -238,13 +241,12 @@ let run ?max_events ?(buffer = max_int) ?(decide = Keep) ~fn spider mode trace =
     tk.(q_prev + t) <- -1
   done;
   (match mode with
-  | Plan { dests; release } ->
-      Array.iteri
-        (fun t (a : Spider.address) ->
-          tk.(t_leg + t) <- a.leg;
-          tk.(t_depth + t) <- a.depth;
-          tk.(t_earliest + t) <- release t)
-        dests
+  | Plan { plan; release } ->
+      for t = 0 to n - 1 do
+        tk.(t_leg + t) <- Spider_schedule.leg plan (t + 1);
+        tk.(t_depth + t) <- Spider_schedule.depth plan (t + 1);
+        tk.(t_earliest + t) <- release t
+      done
   | Pull _ -> ());
   let stamps = ref 0 in
   let fresh () =
@@ -849,16 +851,21 @@ let run ?max_events ?(buffer = max_int) ?(decide = Keep) ~fn spider mode trace =
           processor?)")
   done;
   let completions = Array.sub tk t_finish n in
-  let entries =
-    Array.init n (fun t ->
-        {
-          Spider_schedule.address = dest t;
-          start = tk.(t_exec + t);
-          comms = Array.sub tk (t_comms + (t * maxd)) tk.(t_ncomms + t);
-        })
-  in
+  let offsets = Array.make (n + 1) 0 in
+  for t = 0 to n - 1 do
+    offsets.(t + 1) <- offsets.(t) + tk.(t_ncomms + t)
+  done;
+  let emissions = Array.make offsets.(n) 0 in
+  for t = 0 to n - 1 do
+    Array.blit tk (t_comms + (t * maxd)) emissions offsets.(t) tk.(t_ncomms + t)
+  done;
   {
-    observed = Spider_schedule.make spider entries;
+    observed =
+      Spider_schedule.of_columns spider
+        ~nodes:
+          (Array.init n (fun t ->
+               Spider_schedule.node ~leg:tk.(t_leg + t) ~depth:tk.(t_depth + t)))
+        ~starts:(Array.sub tk t_exec n) ~offsets ~emissions;
     observed_makespan = Array.fold_left max 0 completions;
     completions;
     aborted_ops = !aborted;
@@ -870,11 +877,7 @@ let run ?max_events ?(buffer = max_int) ?(decide = Keep) ~fn spider mode trace =
    date) on [spider]. *)
 let run_plan ?max_events ?buffer ?(release = fun _ -> 0) ?(trace = [])
     ?decide ~fn spider plan =
-  let entry i = Spider_schedule.entry plan (i + 1) in
-  let dests = Array.init (Spider_schedule.task_count plan) (fun i -> (entry i).address) in
-  run ?max_events ?buffer ?decide ~fn spider
-    (Plan { dests; release = (fun i -> release (entry i)) })
-    trace
+  run ?max_events ?buffer ?decide ~fn spider (Plan { plan; release }) trace
 
 (* ---------- entry points ---------- *)
 
@@ -886,8 +889,7 @@ let report_of plan (r : fault_report) =
     realized_makespan = Spider_schedule.makespan realized;
     per_task_slack =
       Array.init (Spider_schedule.task_count plan) (fun idx ->
-          (Spider_schedule.entry plan (idx + 1)).start
-          - (Spider_schedule.entry realized (idx + 1)).start);
+          Spider_schedule.start plan (idx + 1) - Spider_schedule.start realized (idx + 1));
   }
 
 let execute_spider plan =
@@ -903,8 +905,7 @@ let execute_spider plan =
      (the plan is feasible); the rest flows eagerly. *)
   report_of plan
     (run_plan ~fn:"Msts.Netsim.execute"
-       ~release:(fun (e : Spider_schedule.entry) ->
-         Msts_schedule.Comm_vector.first_emission e.comms)
+       ~release:(fun t -> Spider_schedule.emission plan (t + 1) 1)
        (Spider_schedule.spider plan) plan)
 
 let execute plan = execute_spider (Plan.to_spider plan)

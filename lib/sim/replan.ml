@@ -1,5 +1,6 @@
 module Spider = Msts_platform.Spider
 module Spider_schedule = Msts_schedule.Spider_schedule
+module Columns = Msts_schedule.Columns
 module Obs = Msts_obs.Obs
 module Trace = Msts_trace.Trace
 
@@ -28,16 +29,16 @@ let candidate snap =
           match Msts_spider.Algorithm.schedule_tasks residual m with
           | exception _ -> None
           | plan ->
-              let entries = Spider_schedule.entries plan in
-              if Array.length entries <> m then None
+              if Spider_schedule.task_count plan <> m then None
               else
-                let back (a : Spider.address) =
-                  { Spider.leg = leg_map.(a.Spider.leg - 1); depth = a.Spider.depth }
-                in
                 let redirect =
                   List.mapi
                     (fun j (id, _) ->
-                      (id, back entries.(j).Spider_schedule.address))
+                      ( id,
+                        {
+                          Spider.leg = leg_map.(Spider_schedule.leg plan (j + 1) - 1);
+                          depth = Spider_schedule.depth plan (j + 1);
+                        } ))
                     at_master
                 in
                 Some (redirect, plan, leg_map)))
@@ -53,21 +54,17 @@ let splice plan snap residual_plan leg_map =
   let kept =
     Spider_schedule.filter_tasks plan ~keep:(fun i -> not (List.mem i at_master_ids))
   in
+  (* the residual plan's dates, moved, on its legs' original numbers *)
+  let moved = Spider_schedule.shift residual_plan ~delta:snap.Fault.time in
+  let c = Spider_schedule.columns moved in
   let mapped =
-    Array.map
-      (fun (e : Spider_schedule.entry) ->
-        {
-          e with
-          Spider_schedule.address =
-            {
-              Spider.leg = leg_map.(e.address.Spider.leg - 1);
-              depth = e.address.Spider.depth;
-            };
-        })
-      (Spider_schedule.entries
-         (Spider_schedule.shift residual_plan ~delta:snap.Fault.time))
+    Spider_schedule.of_columns spider
+      ~nodes:
+        (Array.init (Columns.length c) (fun i ->
+             Spider_schedule.node ~leg:leg_map.(Columns.leg c i - 1) ~depth:(Columns.depth c i)))
+      ~starts:c.starts ~offsets:c.offsets ~emissions:c.emissions
   in
-  Spider_schedule.concat kept (Spider_schedule.make spider mapped)
+  Spider_schedule.concat kept mapped
 
 (* A lookahead is not part of the execution: a recorder installed around
    [replay] sees only the realised run. *)

@@ -46,9 +46,6 @@ let alive leg ~deadline =
   done;
   !lo
 
-let no_entry =
-  { Spider_schedule.address = { Spider.leg = 0; depth = 0 }; start = 0; comms = [||] }
-
 type steps = {
   counts : int array;
   comm : int array;
@@ -112,33 +109,37 @@ let allocate legs ~deadline ~budget =
   done;
   { counts; comm; work; leg; rank; accepted = Allocator.sweep ~comm ~work ~deadline ~budget }
 
-(* Step 5: the accepted placements written back from the legs' arrays, every
-   date moved [shift] earlier and the first emissions re-stamped
-   back-to-back in emission order. *)
+(* Step 5: the accepted placements written back from the legs' arrays into
+   the plan's columns, every date moved [shift] earlier and the first
+   emissions re-stamped back-to-back in emission order. *)
 let write spider legs steps ~shift =
   let accepted = steps.accepted in
-  let entries = Array.make (Array.length accepted) no_entry in
+  let n = Array.length accepted in
+  let nodes = Array.make n 0 and starts = Array.make n 0 in
+  let offsets = Array.make (n + 1) 0 in
+  for position = 0 to n - 1 do
+    let j = accepted.(position) in
+    let depth = Incremental.proc_at legs.(steps.leg.(j)).build steps.rank.(j) in
+    nodes.(position) <- Spider_schedule.node ~leg:(steps.leg.(j) + 1) ~depth;
+    offsets.(position + 1) <- offsets.(position) + depth
+  done;
+  let emissions = Array.make offsets.(n) 0 in
   let emission = ref 0 in
-  for position = 0 to Array.length accepted - 1 do
+  for position = 0 to n - 1 do
     let j = accepted.(position) in
     let build = legs.(steps.leg.(j)).build and i = steps.rank.(j) in
-    let comms = Incremental.comms_at build i in
-    for k = 0 to Array.length comms - 1 do
-      comms.(k) <- comms.(k) - shift
+    let o = offsets.(position) in
+    Incremental.blit_comms build i emissions ~pos:o;
+    for k = o to offsets.(position + 1) - 1 do
+      emissions.(k) <- emissions.(k) - shift
     done;
     (* Lemma 3: the allocator's emission is never later than the original
        first emission, so only this coordinate changes. *)
-    comms.(0) <- !emission;
+    emissions.(o) <- !emission;
     emission := !emission + steps.comm.(j);
-    entries.(position) <-
-      {
-        Spider_schedule.address =
-          { Spider.leg = steps.leg.(j) + 1; depth = Incremental.proc_at build i };
-        start = Incremental.start_at build i - shift;
-        comms;
-      }
+    starts.(position) <- Incremental.start_at build i - shift
   done;
-  Spider_schedule.make spider entries
+  Spider_schedule.of_columns spider ~nodes ~starts ~offsets ~emissions
 
 let schedule ?(budget = max_int) spider ~deadline =
   if deadline < 0 then invalid_arg "Spider algorithm: negative deadline";

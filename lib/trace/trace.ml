@@ -370,7 +370,7 @@ let of_spider_schedule sched =
   let tasks = Spider_schedule.task_count sched in
   let n = ref 0 in
   for i = 1 to tasks do
-    n := !n + (2 * ((Spider_schedule.entry sched i).address.Spider.depth + 1))
+    n := !n + (2 * (Spider_schedule.depth sched i + 1))
   done;
   let n = !n in
   (* emission order: each task's hops, then its execution *)
@@ -384,20 +384,20 @@ let of_spider_schedule sched =
     incr k
   in
   for idx = 0 to tasks - 1 do
-    let e = Spider_schedule.entry sched (idx + 1) in
     let task = idx + 1 in
-    let { Spider.leg; depth } = e.address in
+    let leg = Spider_schedule.leg sched task and depth = Spider_schedule.depth sched task in
     let chain = Spider.leg_chain spider leg in
     for hop = 1 to depth do
       let c = Chain.latency chain hop in
-      let start = e.comms.(hop - 1) in
+      let start = Spider_schedule.emission sched task hop in
       let op = Code.transfer ~leg ~hop in
       push start task (Code.start op);
       push (start + c) task (Code.finish op)
     done;
     let op = Code.compute ~leg ~depth in
-    push e.start task (Code.start op);
-    push (e.start + Chain.work chain depth) task (Code.finish op)
+    let start = Spider_schedule.start sched task in
+    push start task (Code.start op);
+    push (start + Chain.work chain depth) task (Code.finish op)
   done;
   (* Sort packed keys (time, rank, emission index) when they fit in an
      int, which they do for any schedule of sane size and horizon. *)

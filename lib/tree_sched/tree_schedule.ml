@@ -34,15 +34,24 @@ let to_spider spider t =
   let addresses = Array.of_list (Msts_platform.Spider.addresses spider) in
   if Array.length addresses <> Flat.node_count t.flat then
     invalid_arg "Tree_schedule.to_spider: the tree is not this spider's";
-  Msts_schedule.Spider_schedule.make spider
-    (Array.map
-       (fun e ->
-         {
-           Msts_schedule.Spider_schedule.address = addresses.(e.node - 1);
-           start = e.start;
-           comms = Array.copy e.comms;
-         })
-       t.entries)
+  let n = task_count t in
+  let offsets = Array.make (n + 1) 0 in
+  for i = 0 to n - 1 do
+    offsets.(i + 1) <- offsets.(i) + Array.length t.entries.(i).comms
+  done;
+  let emissions = Array.make offsets.(n) 0 in
+  Array.iteri
+    (fun i e -> Array.blit e.comms 0 emissions offsets.(i) (Array.length e.comms))
+    t.entries;
+  Msts_schedule.Spider_schedule.of_columns spider
+    ~nodes:
+      (Array.map
+         (fun e ->
+           let { Msts_platform.Spider.leg; depth } = addresses.(e.node - 1) in
+           Msts_schedule.Spider_schedule.node ~leg ~depth)
+         t.entries)
+    ~starts:(Array.map (fun e -> e.start) t.entries)
+    ~offsets ~emissions
 
 let tasks_on t node =
   let keyed =
