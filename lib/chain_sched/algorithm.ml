@@ -90,17 +90,18 @@ let reserve pool ~used ~proc =
   end
 
 (* The schedule's columns in task order, every date moved so that the
-   earliest emission is at 0 (the paper's final normalisation). *)
-let columns chain ~procs ~starts pool =
-  let n = Array.length procs in
-  let offsets = Array.make (n + 1) 0 in
-  for i = 0 to n - 1 do
-    offsets.(i + 1) <- offsets.(i) + procs.(i)
+   earliest emission is at 0 (the paper's final normalisation).
+   [offsets.(task)] holds the task's processor until the prefix sum. *)
+let columns chain ~starts ~offsets pool =
+  let n = Array.length starts in
+  for i = 1 to n do
+    offsets.(i) <- offsets.(i) + offsets.(i - 1)
   done;
   let total = offsets.(n) in
   let emissions = Array.make total 0 in
   for i = 0 to n - 1 do
-    Array.blit pool (total - offsets.(i + 1)) emissions offsets.(i) procs.(i)
+    Array.blit pool (total - offsets.(i + 1)) emissions offsets.(i)
+      (offsets.(i + 1) - offsets.(i))
   done;
   let first = ref max_int in
   for i = 0 to n - 1 do
@@ -115,16 +116,16 @@ let columns chain ~procs ~starts pool =
       emissions.(k) <- emissions.(k) - d
     done
   end;
-  Schedule.of_columns chain ~procs ~starts ~offsets ~emissions
+  Schedule.of_columns chain ~starts ~offsets ~emissions
 
 let schedule_core ~select ?on_step chain n =
   if n < 0 then invalid_arg "Algorithm.schedule: negative task count";
   Obs.span "chain.schedule" ~args:[ ("n", string_of_int n) ] @@ fun () ->
   let st = initial_state chain ~horizon:(horizon chain n) in
-  let procs = Array.make n 0 and starts = Array.make n 0 in
+  let starts = Array.make n 0 and offsets = Array.make (n + 1) 0 in
   let pool = ref (Array.make (2 * n) 0) and used = ref 0 in
   let record task ~proc ~start vector =
-    procs.(task - 1) <- proc;
+    offsets.(task) <- proc;
     starts.(task - 1) <- start;
     reserve pool ~used:!used ~proc;
     Array.blit vector 0 !pool !used proc;
@@ -142,25 +143,25 @@ let schedule_core ~select ?on_step chain n =
         let proc, vector, start = place_light ~select chain st in
         record task ~proc ~start vector
       done);
-  columns chain ~procs ~starts !pool
+  columns chain ~starts ~offsets !pool
 
 let fast_schedule chain n =
   if n < 0 then invalid_arg "Algorithm.schedule: negative task count";
   Obs.span "chain.schedule" ~args:[ ("n", string_of_int n) ] @@ fun () ->
   let st = initial_state chain ~horizon:(horizon chain n) in
   let sc = Kernel.scratch () in
-  let procs = Array.make n 0 and starts = Array.make n 0 in
+  let starts = Array.make n 0 and offsets = Array.make (n + 1) 0 in
   let pool = ref (Array.make (2 * n) 0) and used = ref 0 in
   for task = n downto 1 do
     let proc = Kernel.sweep chain ~hull:st.hull ~occupancy:st.occupancy sc in
     reserve pool ~used:!used ~proc;
     Kernel.blit_chosen sc ~proc !pool ~pos:!used;
     used := !used + proc;
-    procs.(task - 1) <- proc;
+    offsets.(task) <- proc;
     starts.(task - 1) <- Kernel.commit chain ~hull:st.hull ~occupancy:st.occupancy sc ~proc
   done;
   Kernel.flush sc;
-  columns chain ~procs ~starts !pool
+  columns chain ~starts ~offsets !pool
 
 let schedule ?on_step chain n =
   match on_step with

@@ -156,16 +156,15 @@ let extend t ~by =
    order, so the emission column is filled from its end. *)
 let schedule t =
   let n = t.placed in
-  let procs = Array.make n 0 and starts = Array.make n 0 in
+  let starts = Array.make n 0 in
   let offsets = Array.make (n + 1) 0 and emissions = Array.make t.pool_len 0 in
   for j = 0 to n - 1 do
     let i = n - 1 - j in
-    procs.(j) <- t.procs.(i);
     starts.(j) <- t.starts.(i);
     offsets.(j + 1) <- offsets.(j) + t.procs.(i);
     Array.blit t.pool t.offs.(i) emissions offsets.(j) t.procs.(i)
   done;
-  Schedule.of_columns t.chain ~procs ~starts ~offsets ~emissions
+  Schedule.of_columns t.chain ~starts ~offsets ~emissions
 
 let earliest_emission t =
   if t.placed = 0 then None else Some (emission_at t (t.placed - 1))

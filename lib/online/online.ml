@@ -285,9 +285,9 @@ let columns t ~m =
     if j < t.fz_count then t.fz_entries.(j).Schedule.proc
     else Incremental.proc_at t.inc (placement j)
   in
-  let procs = Array.init n proc and offsets = Array.make (n + 1) 0 in
+  let offsets = Array.make (n + 1) 0 in
   for j = 0 to n - 1 do
-    offsets.(j + 1) <- offsets.(j) + procs.(j)
+    offsets.(j + 1) <- offsets.(j) + proc j
   done;
   let starts = Array.make n 0 and emissions = Array.make offsets.(n) 0 in
   for j = 0 to n - 1 do
@@ -301,7 +301,7 @@ let columns t ~m =
       Incremental.blit_comms t.inc (placement j) emissions ~pos:offsets.(j)
     end
   done;
-  Schedule.of_columns t.chain ~procs ~starts ~offsets ~emissions
+  Schedule.of_columns t.chain ~starts ~offsets ~emissions
 
 let schedule t = columns t ~m:t.unfrozen
 

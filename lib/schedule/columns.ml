@@ -1,59 +1,56 @@
 type t = {
-  nodes : int array;
+  legs : int array;
   starts : int array;
   offsets : int array;
   emissions : int array;
 }
 
-let make ~who ~nodes ~starts ~offsets ~emissions =
-  let n = Array.length nodes in
-  if Array.length starts <> n || Array.length offsets <> n + 1 then
+let make ~who ~legs ~starts ~offsets ~emissions =
+  let n = Array.length starts in
+  if (Array.length legs <> n && Array.length legs <> 0) || Array.length offsets <> n + 1 then
     invalid_arg
-      (Printf.sprintf "%s: %d nodes, %d starts and %d offsets (want n, n and n + 1)"
-         who n (Array.length starts) (Array.length offsets));
-  if offsets.(0) <> 0 || offsets.(n) <> Array.length emissions then
+      (Printf.sprintf "%s: %d legs, %d starts and %d offsets (want n or 0, n and n + 1)"
+         who (Array.length legs) n (Array.length offsets));
+  let last = ref 0 in
+  for i = 0 to n do
+    if offsets.(i) < !last || (i = 0 && offsets.(0) <> 0) then
+      invalid_arg (Printf.sprintf "%s: offset %d out of order" who i);
+    last := offsets.(i)
+  done;
+  if offsets.(n) <> Array.length emissions then
     invalid_arg
-      (Printf.sprintf "%s: offsets run from %d to %d over %d emissions" who offsets.(0)
-         offsets.(n) (Array.length emissions));
-  { nodes; starts; offsets; emissions }
+      (Printf.sprintf "%s: offsets end at %d over %d emissions" who offsets.(n)
+         (Array.length emissions));
+  { legs; starts; offsets; emissions }
 
-let depth_bits = 31
-let depth_mask = (1 lsl depth_bits) - 1
+let on_leg_one c = { c with legs = [||] }
 
-let node ~leg ~depth =
-  if leg - 1 < -(1 lsl depth_bits) || leg - 1 > depth_mask || depth < 0 || depth > depth_mask
-  then
-    invalid_arg
-      (Printf.sprintf "Spider_schedule.node: leg %d, depth %d out of range" leg depth);
-  ((leg - 1) lsl depth_bits) + depth
+let length c = Array.length c.starts
 
-(* [asr], so that a leg out of range reads back as given, for the
-   schedules' messages *)
-let leg c i = (c.nodes.(i) asr depth_bits) + 1
-let depth c i = c.nodes.(i) land depth_mask
+(* a length test, not [= [||]]: polymorphic equality is a C call *)
+let all_on_leg_one c = Array.length c.legs = 0
 
-let length c = Array.length c.nodes
+let leg c i = if all_on_leg_one c then 1 else c.legs.(i)
 
-let width c i = c.offsets.(i + 1) - c.offsets.(i)
+let depth c i = c.offsets.(i + 1) - c.offsets.(i)
 
 let emission ~who c i k =
-  if k < 1 || k > width c i then
+  if k < 1 || k > depth c i then
     invalid_arg
-      (Printf.sprintf "%s: hop %d of task %d outside 1..%d" who k (i + 1) (width c i));
+      (Printf.sprintf "%s: hop %d of task %d outside 1..%d" who k (i + 1) (depth c i));
   c.emissions.(c.offsets.(i) + k - 1)
 
-let comms c i = Array.sub c.emissions c.offsets.(i) (width c i)
+let comms c i = Array.sub c.emissions c.offsets.(i) (depth c i)
 
-let of_vectors ~nodes ~starts comms =
-  let n = Array.length nodes in
-  let vectors = Array.init n comms in
+let of_vectors ~legs ~starts vectors =
+  let n = Array.length starts in
   let offsets = Array.make (n + 1) 0 in
   for i = 0 to n - 1 do
     offsets.(i + 1) <- offsets.(i) + Array.length vectors.(i)
   done;
   let emissions = Array.make offsets.(n) 0 in
   Array.iteri (fun i v -> Array.blit v 0 emissions offsets.(i) (Array.length v)) vectors;
-  { nodes; starts; offsets; emissions }
+  { legs; starts; offsets; emissions }
 
 let shift c ~delta =
   {
@@ -68,27 +65,29 @@ let filter c ~keep =
   for i = 0 to n - 1 do
     if keep (i + 1) then begin
       incr kept;
-      words := !words + width c i
+      words := !words + depth c i
     end
   done;
-  let nodes = Array.make !kept 0 and starts = Array.make !kept 0 in
-  let offsets = Array.make (!kept + 1) 0 and emissions = Array.make !words 0 in
+  let legs = if all_on_leg_one c then [||] else Array.make !kept 0 in
+  let starts = Array.make !kept 0 and offsets = Array.make (!kept + 1) 0 in
+  let emissions = Array.make !words 0 in
   let j = ref 0 in
   for i = 0 to n - 1 do
     if keep (i + 1) then begin
-      nodes.(!j) <- c.nodes.(i);
+      if not (all_on_leg_one c) then legs.(!j) <- c.legs.(i);
       starts.(!j) <- c.starts.(i);
-      Array.blit c.emissions c.offsets.(i) emissions offsets.(!j) (width c i);
-      offsets.(!j + 1) <- offsets.(!j) + width c i;
+      Array.blit c.emissions c.offsets.(i) emissions offsets.(!j) (depth c i);
+      offsets.(!j + 1) <- offsets.(!j) + depth c i;
       incr j
     end
   done;
-  { nodes; starts; offsets; emissions }
+  { legs; starts; offsets; emissions }
 
 let append a b =
   let na = length a and base = Array.length a.emissions in
+  let full c = if all_on_leg_one c then Array.make (length c) 1 else c.legs in
   {
-    nodes = Array.append a.nodes b.nodes;
+    legs = (if all_on_leg_one a && all_on_leg_one b then [||] else Array.append (full a) (full b));
     starts = Array.append a.starts b.starts;
     offsets =
       Array.init
@@ -98,5 +97,5 @@ let append a b =
   }
 
 let equal a b =
-  a.nodes = b.nodes && a.starts = b.starts && a.offsets = b.offsets
+  a.legs = b.legs && a.starts = b.starts && a.offsets = b.offsets
   && a.emissions = b.emissions

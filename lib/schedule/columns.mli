@@ -1,21 +1,22 @@
 (** The int columns every schedule is stored in (paper Definition 1).
 
     Task [i] (0-based in this module; the schedules number tasks from 1)
-    has a node, a start date T(i) and an emission vector C(i):
-    - [nodes.(i)] packs its leg and depth ({!node}); on a chain the leg is
-      1 and the node is the processor P(i) itself;
+    has a leg, a start date T(i) and an emission vector C(i):
+    - [legs.(i)] is its leg, and [legs] is [[||]] when every task is on
+      leg 1 (a chain, or any one-leg spider);
     - [starts.(i)] is T(i);
     - [offsets] has [n + 1] entries, from 0 to [Array.length emissions]:
-      C(i) is [emissions.(offsets.(i) .. offsets.(i+1) - 1)], so the
-      offset difference is the task's depth.
+      C(i) is [emissions.(offsets.(i) .. offsets.(i+1) - 1)].  Its length
+      is the task's depth on its leg (on a chain, its processor P(i)), so
+      no column stores the depth.
 
-    That is four blocks a schedule and [3 + depth] words a task.  A
-    schedule never writes its columns after construction, so schedules
-    derived from one another (a shift, a chain's spider view) share the
-    columns they do not change. *)
+    That is four blocks a schedule, and [3 + depth] words a task ([2 +
+    P(i)] on a chain).  A schedule never writes its columns after
+    construction, so schedules derived from one another (a shift, a
+    chain's spider view) share the columns they do not change. *)
 
 type t = private {
-  nodes : int array;
+  legs : int array;
   starts : int array;
   offsets : int array;
   emissions : int array;
@@ -23,46 +24,41 @@ type t = private {
 
 val make :
   who:string ->
-  nodes:int array ->
+  legs:int array ->
   starts:int array ->
   offsets:int array ->
   emissions:int array ->
   t
 (** The columns as given, not copied: the caller hands them over.  Checks
-    only their shape (lengths, [offsets.(0) = 0], [offsets.(n)] the
-    length of [emissions]); each schedule checks its tasks' nodes and
-    depths against its platform.
+    only their shape ([legs] of length [n] or empty, [starts] of length
+    [n], [offsets] nondecreasing from 0 to the length of [emissions]);
+    each schedule checks its tasks' legs and depths against its platform.
     @raise Invalid_argument, the message prefixed [who ^ ": "]. *)
 
-val node : leg:int -> depth:int -> int
-(** The packed node [(leg - 1) * 2^31 + depth]: [node ~leg:1 ~depth = depth].
-    {!leg} and {!depth} read back any [leg] in [-2^31 + 1 .. 2^31] and
-    [depth] in [0 .. 2^31 - 1], so a schedule's checks name the values
-    given.
-    @raise Invalid_argument outside those ranges. *)
+val on_leg_one : t -> t
+(** The same columns without the leg column: every task on leg 1. *)
 
 val leg : t -> int -> int
+
 val depth : t -> int -> int
+(** The length of C(i). *)
 
 val length : t -> int
 (** Number of tasks. *)
 
-val width : t -> int -> int
-(** [offsets.(i+1) - offsets.(i)], the length of C(i). *)
-
 val emission : who:string -> t -> int -> int -> int
-(** [emission ~who c i k] is C^k(i), [k] in [1..width c i].
+(** [emission ~who c i k] is C^k(i), [k] in [1..depth c i].
     @raise Invalid_argument outside that range. *)
 
 val comms : t -> int -> int array
 (** A fresh copy of C(i). *)
 
-val of_vectors : nodes:int array -> starts:int array -> (int -> int array) -> t
-(** Columns of [Array.length nodes] tasks whose vector [i] is [comms i]
-    (copied; called once per task, in order). *)
+val of_vectors : legs:int array -> starts:int array -> int array array -> t
+(** Columns of [Array.length starts] tasks whose vectors are given (each
+    copied into the emission column). *)
 
 val shift : t -> delta:int -> t
-(** Every start and emission moved by [delta]; nodes and offsets shared. *)
+(** Every start and emission moved by [delta]; legs and offsets shared. *)
 
 val filter : t -> keep:(int -> bool) -> t
 (** The tasks whose 1-based index satisfies [keep], in order. *)

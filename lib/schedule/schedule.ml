@@ -4,31 +4,41 @@ type entry = { proc : int; start : int; comms : Comm_vector.t }
 
 type t = { chain : Chain.t; cols : Columns.t }
 
-let validate ~who chain (cols : Columns.t) =
+(* Task [task] on processor [proc] with a vector of [width] dates; in
+   the columns the width is the processor. *)
+let check_row ~who chain ~task ~proc ~width =
   let p = Chain.length chain in
+  if proc < 1 || proc > p then
+    invalid_arg (Printf.sprintf "%s: task %d on processor %d outside 1..%d" who task proc p);
+  if width <> proc then
+    invalid_arg
+      (Printf.sprintf "%s: task %d has %d communications for processor %d" who task width
+         proc)
+
+let of_columns chain ~starts ~offsets ~emissions =
+  let who = "Schedule.of_columns" in
+  let cols = Columns.make ~who ~legs:[||] ~starts ~offsets ~emissions in
   for idx = 0 to Columns.length cols - 1 do
-    let task = idx + 1 and proc = cols.nodes.(idx) in
-    if proc < 1 || proc > p then
-      invalid_arg
-        (Printf.sprintf "%s: task %d on processor %d outside 1..%d" who task proc p);
-    if Columns.width cols idx <> proc then
-      invalid_arg
-        (Printf.sprintf "%s: task %d has %d communications for processor %d" who task
-           (Columns.width cols idx) proc)
+    let proc = Columns.depth cols idx in
+    check_row ~who chain ~task:(idx + 1) ~proc ~width:proc
   done;
   { chain; cols }
 
-let of_columns chain ~procs ~starts ~offsets ~emissions =
-  let who = "Schedule.of_columns" in
-  validate ~who chain
-    (Columns.make ~who ~nodes:procs ~starts ~offsets ~emissions)
-
+(* The rows' processors and vector lengths must agree: the columns keep
+   only the vectors. *)
 let make chain entries =
-  validate ~who:"Schedule.make" chain
-    (Columns.of_vectors
-       ~nodes:(Array.map (fun e -> e.proc) entries)
-       ~starts:(Array.map (fun e -> e.start) entries)
-       (fun idx -> entries.(idx).comms))
+  Array.iteri
+    (fun idx e ->
+      check_row ~who:"Schedule.make" chain ~task:(idx + 1) ~proc:e.proc
+        ~width:(Array.length e.comms))
+    entries;
+  {
+    chain;
+    cols =
+      Columns.of_vectors ~legs:[||]
+        ~starts:(Array.map (fun e -> e.start) entries)
+        (Array.map (fun e -> e.comms) entries);
+  }
 
 let chain t = t.chain
 let columns t = t.cols
@@ -42,7 +52,7 @@ let check_task t i name =
 
 let proc t i =
   check_task t i "proc";
-  t.cols.nodes.(i - 1)
+  Columns.depth t.cols (i - 1)
 
 let start t i =
   check_task t i "start";
@@ -54,15 +64,19 @@ let emission t i k =
 
 let entry t i =
   check_task t i "entry";
-  { proc = t.cols.nodes.(i - 1); start = t.cols.starts.(i - 1); comms = Columns.comms t.cols (i - 1) }
+  {
+    proc = Columns.depth t.cols (i - 1);
+    start = t.cols.starts.(i - 1);
+    comms = Columns.comms t.cols (i - 1);
+  }
 
 let entries t = Array.init (task_count t) (fun idx -> entry t (idx + 1))
 
 (* A loop, not a fold: a closure over [t] would cost words per call. *)
 let makespan t =
-  let m = ref 0 and { Columns.nodes; starts; _ } = t.cols in
-  for i = 0 to Array.length starts - 1 do
-    let finish = starts.(i) + Chain.work t.chain nodes.(i) in
+  let m = ref 0 and c = t.cols in
+  for i = 0 to Columns.length c - 1 do
+    let finish = c.starts.(i) + Chain.work t.chain (Columns.depth c i) in
     if finish > !m then m := finish
   done;
   !m
@@ -80,19 +94,22 @@ let normalise t =
 let tasks_on t k =
   let with_start =
     List.filter_map
-      (fun idx -> if t.cols.nodes.(idx) = k then Some (t.cols.starts.(idx), idx + 1) else None)
+      (fun idx ->
+        if Columns.depth t.cols idx = k then Some (t.cols.starts.(idx), idx + 1) else None)
       (List.init (task_count t) Fun.id)
   in
   List.map snd (List.sort compare with_start)
 
 let restrict_beyond_first t =
   let sub_chain = Chain.drop_first t.chain in
-  let kept = Columns.filter t.cols ~keep:(fun i -> t.cols.nodes.(i - 1) >= 2) in
-  validate ~who:"Schedule.restrict_beyond_first" sub_chain
-    (Columns.of_vectors
-       ~nodes:(Array.map (fun proc -> proc - 1) kept.nodes)
-       ~starts:kept.starts
-       (fun idx -> Array.sub kept.emissions (kept.offsets.(idx) + 1) (Columns.width kept idx - 1)))
+  let kept = Columns.filter t.cols ~keep:(fun i -> Columns.depth t.cols (i - 1) >= 2) in
+  {
+    chain = sub_chain;
+    cols =
+      Columns.of_vectors ~legs:[||] ~starts:kept.starts
+        (Array.init (Columns.length kept) (fun idx ->
+             Array.sub kept.emissions (kept.offsets.(idx) + 1) (Columns.depth kept idx - 1)));
+  }
 
 let equal a b = Chain.equal a.chain b.chain && Columns.equal a.cols b.cols
 
@@ -103,7 +120,7 @@ let pp ppf t =
     (makespan t);
   for idx = 0 to task_count t - 1 do
     Format.fprintf ppf "  task %d -> P%d, start %d, comms %a@," (idx + 1)
-      t.cols.nodes.(idx) t.cols.starts.(idx) Comm_vector.pp (Columns.comms t.cols idx)
+      (Columns.depth t.cols idx) t.cols.starts.(idx) Comm_vector.pp (Columns.comms t.cols idx)
   done;
   Format.fprintf ppf "@]"
 

@@ -15,28 +15,29 @@ type entry = {
     schedule itself keeps no record per task. *)
 
 type t
-(** Stored as {!Columns}: the processors, the starts, the offsets and one
-    emission column of [Σ P(i)] entries — four int blocks, [3 + P(i)]
-    words a task. *)
+(** Stored as {!Columns}: the starts, the offsets and one emission column
+    of [Σ P(i)] entries.  C(i) has P(i) dates, so its length is the
+    processor and no column stores it: three int blocks, [2 + P(i)] words
+    a task. *)
 
 val of_columns :
   Msts_platform.Chain.t ->
-  procs:int array ->
   starts:int array ->
   offsets:int array ->
   emissions:int array ->
   t
-(** The validating constructor.  Task [i] runs on [procs.(i-1)] from
-    [starts.(i-1)], and C(i) is [emissions.(offsets.(i-1) ..
-    offsets.(i) - 1)]; the arrays are taken over, not copied, and must not
-    be written afterwards.  Performs only structural validation (column
-    lengths, each C(i) of length P(i), P(i) within the chain); temporal
-    feasibility is {!Plan.check}'s job.
+(** The validating constructor.  Task [i] starts at [starts.(i-1)], and
+    C(i) is [emissions.(offsets.(i-1) .. offsets.(i) - 1)], so it runs on
+    processor [offsets.(i) - offsets.(i-1)].  The arrays are taken over,
+    not copied, and must not be written afterwards.  Performs only
+    structural validation (column lengths, ordered offsets, every P(i)
+    within the chain); temporal feasibility is {!Plan.check}'s job.
     @raise Invalid_argument on structural errors. *)
 
 val make : Msts_platform.Chain.t -> entry array -> t
-(** [make chain entries] with [entries.(i-1)] describing task [i]: the
-    rows written into columns, then {!of_columns}' checks.
+(** [make chain entries] with [entries.(i-1)] describing task [i]: each
+    row's [proc] checked against the chain and against its vector's
+    length, then the vectors written into the columns.
     @raise Invalid_argument on structural errors. *)
 
 val chain : t -> Msts_platform.Chain.t
@@ -47,7 +48,8 @@ val columns : t -> Columns.t
 val task_count : t -> int
 
 val proc : t -> int -> int
-(** [proc t i]: P(i), for task [i] in [1..task_count t]. *)
+(** [proc t i]: P(i), for task [i] in [1..task_count t] (the length of
+    C(i)). *)
 
 val start : t -> int -> int
 (** T(i). *)

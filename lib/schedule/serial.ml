@@ -101,14 +101,14 @@ let parse_body ~header ~entry_of_ints lines =
         loop [] rest
       end
 
-(* The parsed task lines, [(node, start, vector)] each, as columns. *)
+(* The parsed task lines, [(leg, start, vector)] each, as columns. *)
 let columns tasks =
   let n = List.length tasks in
-  let nodes = Array.make n 0 and starts = Array.make n 0 in
+  let legs = Array.make n 0 and starts = Array.make n 0 in
   let offsets = Array.make (n + 1) 0 in
   List.iteri
-    (fun i (node, start, comms) ->
-      nodes.(i) <- node;
+    (fun i (leg, start, comms) ->
+      legs.(i) <- leg;
       starts.(i) <- start;
       offsets.(i + 1) <- offsets.(i) + List.length comms)
     tasks;
@@ -116,27 +116,24 @@ let columns tasks =
   List.iteri
     (fun i (_, _, comms) -> List.iteri (fun k c -> emissions.(offsets.(i) + k) <- c) comms)
     tasks;
-  (nodes, starts, offsets, emissions)
+  (legs, starts, offsets, emissions)
 
 let schedule_of_string chain text =
   let entry_of_ints lineno = function
-    | proc :: start :: comms when List.length comms = proc -> Ok (proc, start, comms)
+    | proc :: start :: comms when List.length comms = proc -> Ok (1, start, comms)
     | _ -> Error (Printf.sprintf "line %d: malformed chain task" lineno)
   in
   match parse_body ~header:"chain-schedule" ~entry_of_ints (meaningful_lines text) with
   | Error e -> Error e
   | Ok tasks -> (
-      let procs, starts, offsets, emissions = columns tasks in
-      match Schedule.of_columns chain ~procs ~starts ~offsets ~emissions with
+      let _, starts, offsets, emissions = columns tasks in
+      match Schedule.of_columns chain ~starts ~offsets ~emissions with
       | sched -> Ok sched
       | exception Invalid_argument msg -> Error msg)
 
 let spider_schedule_of_string spider text =
   let entry_of_ints lineno = function
-    | leg :: depth :: start :: comms when List.length comms = depth -> (
-        match Spider_schedule.node ~leg ~depth with
-        | node -> Ok (node, start, comms)
-        | exception Invalid_argument msg -> Error (Printf.sprintf "line %d: %s" lineno msg))
+    | leg :: depth :: start :: comms when List.length comms = depth -> Ok (leg, start, comms)
     | _ -> Error (Printf.sprintf "line %d: malformed spider task" lineno)
   in
   match
@@ -144,7 +141,7 @@ let spider_schedule_of_string spider text =
   with
   | Error e -> Error e
   | Ok tasks -> (
-      let nodes, starts, offsets, emissions = columns tasks in
-      match Spider_schedule.of_columns spider ~nodes ~starts ~offsets ~emissions with
+      let legs, starts, offsets, emissions = columns tasks in
+      match Spider_schedule.of_columns spider ~legs ~starts ~offsets ~emissions with
       | sched -> Ok sched
       | exception Invalid_argument msg -> Error msg)

@@ -5,31 +5,42 @@ type entry = { address : Spider.address; start : int; comms : Comm_vector.t }
 
 type t = { spider : Spider.t; cols : Columns.t }
 
-let validate ~who spider (cols : Columns.t) =
-  for idx = 0 to Columns.length cols - 1 do
-    let task = idx + 1 and leg = Columns.leg cols idx and depth = Columns.depth cols idx in
-    if leg < 1 || leg > Spider.legs spider then
-      invalid_arg (Printf.sprintf "%s: task %d on leg %d" who task leg);
-    let chain = Spider.leg_chain spider leg in
-    if depth < 1 || depth > Chain.length chain then
-      invalid_arg (Printf.sprintf "%s: task %d at depth %d on leg %d" who task depth leg);
-    if Columns.width cols idx <> depth then
-      invalid_arg (Printf.sprintf "%s: task %d comm vector length" who task)
-  done;
-  { spider; cols }
+(* Task [task] at [depth] on [leg] with a vector of [width] dates; in the
+   columns the width is the depth. *)
+let check_row ~who spider ~task ~leg ~depth ~width =
+  if leg < 1 || leg > Spider.legs spider then
+    invalid_arg (Printf.sprintf "%s: task %d on leg %d" who task leg);
+  let chain = Spider.leg_chain spider leg in
+  if depth < 1 || depth > Chain.length chain then
+    invalid_arg (Printf.sprintf "%s: task %d at depth %d on leg %d" who task depth leg);
+  if width <> depth then invalid_arg (Printf.sprintf "%s: task %d comm vector length" who task)
 
-let node = Columns.node
+(* A one-leg spider keeps no leg column. *)
+let on spider cols =
+  { spider; cols = (if Spider.legs spider = 1 then Columns.on_leg_one cols else cols) }
 
-let of_columns spider ~nodes ~starts ~offsets ~emissions =
+let of_columns spider ~legs ~starts ~offsets ~emissions =
   let who = "Spider_schedule.of_columns" in
-  validate ~who spider (Columns.make ~who ~nodes ~starts ~offsets ~emissions)
+  let cols = Columns.make ~who ~legs ~starts ~offsets ~emissions in
+  for idx = 0 to Columns.length cols - 1 do
+    let depth = Columns.depth cols idx in
+    check_row ~who spider ~task:(idx + 1) ~leg:(Columns.leg cols idx) ~depth ~width:depth
+  done;
+  on spider cols
 
+(* The rows' depths and vector lengths must agree: the columns keep only
+   the vectors. *)
 let make spider entries =
-  validate ~who:"Spider_schedule.make" spider
+  Array.iteri
+    (fun idx e ->
+      check_row ~who:"Spider_schedule.make" spider ~task:(idx + 1) ~leg:e.address.Spider.leg
+        ~depth:e.address.depth ~width:(Array.length e.comms))
+    entries;
+  on spider
     (Columns.of_vectors
-       ~nodes:(Array.map (fun e -> node ~leg:e.address.Spider.leg ~depth:e.address.depth) entries)
+       ~legs:(Array.map (fun e -> e.address.Spider.leg) entries)
        ~starts:(Array.map (fun e -> e.start) entries)
-       (fun idx -> entries.(idx).comms))
+       (Array.map (fun e -> e.comms) entries))
 
 let spider t = t.spider
 let columns t = t.cols
@@ -93,9 +104,7 @@ let tasks_on_leg t l =
 let leg_schedule t l =
   let chain = Spider.leg_chain t.spider l in
   let c = Columns.filter t.cols ~keep:(fun i -> Columns.leg t.cols (i - 1) = l) in
-  Schedule.of_columns chain
-    ~procs:(Array.init (Columns.length c) (Columns.depth c))
-    ~starts:c.starts ~offsets:c.offsets ~emissions:c.emissions
+  Schedule.of_columns chain ~starts:c.starts ~offsets:c.offsets ~emissions:c.emissions
 
 (* The resources [overlap] scans: link [k] of a leg, processor [k] of a
    leg, the master's port. *)

@@ -14,31 +14,31 @@ type entry = {
     schedule itself keeps no record per task. *)
 
 type t
-(** Stored as {!Columns}: the packed nodes (leg and depth, {!node}), the
-    starts, the offsets and one emission column of [Σ depth] entries —
-    four int blocks, [3 + depth] words a task. *)
+(** Stored as {!Columns}: the legs, the starts, the offsets and one
+    emission column of [Σ depth] entries — four int blocks, [3 + depth]
+    words a task.  A task's depth is the length of its vector, so no
+    column stores it, and a one-leg spider (a chain's view) keeps no leg
+    column. *)
 
 val of_columns :
   Msts_platform.Spider.t ->
-  nodes:int array ->
+  legs:int array ->
   starts:int array ->
   offsets:int array ->
   emissions:int array ->
   t
-(** The validating constructor.  Task [i] runs on the processor
-    [nodes.(i-1)] packs from [starts.(i-1)], and its emissions along the
-    leg are [emissions.(offsets.(i-1) .. offsets.(i) - 1)]; the arrays
-    are taken over, not copied, and must not be written afterwards.
-    Structural validation only (column lengths, addresses and vector
-    lengths).
+(** The validating constructor.  Task [i] is routed down leg
+    [legs.(i-1)] and starts at [starts.(i-1)]; its emissions along the leg
+    are [emissions.(offsets.(i-1) .. offsets.(i) - 1)], so its depth is
+    [offsets.(i) - offsets.(i-1)].  [legs] may be [[||]] when every task
+    is on leg 1.  The arrays are taken over, not copied, and must not be
+    written afterwards.  Structural validation only (column lengths,
+    ordered offsets, legs and depths within the spider).
     @raise Invalid_argument on structural errors. *)
 
-val node : leg:int -> depth:int -> int
-(** The packed node of the processor at [depth] on [leg] ({!Columns.node});
-    on leg 1 it is [depth], so a chain's processors are its nodes. *)
-
 val make : Msts_platform.Spider.t -> entry array -> t
-(** The rows written into columns, then {!of_columns}' checks.
+(** Each row's address checked against the spider and its depth against
+    its vector's length, then the vectors written into the columns.
     @raise Invalid_argument on structural errors. *)
 
 val spider : t -> Msts_platform.Spider.t
@@ -94,13 +94,13 @@ val meets_deadline : t -> deadline:int -> bool
 
 val of_chain_schedule : Schedule.t -> t
 (** View a chain schedule as a one-leg spider schedule.  A chain's
-    processors are the nodes of leg 1, so the view shares all four of the
-    chain's columns: it costs the one-leg spider and a record, whatever
-    the task count. *)
+    processor is its depth on leg 1 and a one-leg spider keeps no leg
+    column, so the view shares the chain's columns: it costs the one-leg
+    spider and a record, whatever the task count. *)
 
 val shift : t -> delta:int -> t
 (** All dates (starts and emissions) moved by [delta], into two new
-    columns (the nodes and offsets are shared) — re-anchors a plan
+    columns (the legs and offsets are shared) — re-anchors a plan
     computed from time 0 at an absolute date, e.g. when splicing a
     replanned suffix into a running execution.
     @raise Invalid_argument if any date would become negative. *)

@@ -862,10 +862,7 @@ let run ?max_events ?(buffer = max_int) ?(decide = Keep) ~fn spider mode trace =
   {
     observed =
       Spider_schedule.of_columns spider
-        ~nodes:
-          (Array.init n (fun t ->
-               Spider_schedule.node ~leg:tk.(t_leg + t) ~depth:tk.(t_depth + t)))
-        ~starts:(Array.sub tk t_exec n) ~offsets ~emissions;
+        ~legs:(Array.sub tk t_leg n) ~starts:(Array.sub tk t_exec n) ~offsets ~emissions;
     observed_makespan = Array.fold_left max 0 completions;
     completions;
     aborted_ops = !aborted;

@@ -59,9 +59,7 @@ let splice plan snap residual_plan leg_map =
   let c = Spider_schedule.columns moved in
   let mapped =
     Spider_schedule.of_columns spider
-      ~nodes:
-        (Array.init (Columns.length c) (fun i ->
-             Spider_schedule.node ~leg:leg_map.(Columns.leg c i - 1) ~depth:(Columns.depth c i)))
+      ~legs:(Array.init (Columns.length c) (fun i -> leg_map.(Columns.leg c i - 1)))
       ~starts:c.starts ~offsets:c.offsets ~emissions:c.emissions
   in
   Spider_schedule.concat kept mapped

@@ -115,13 +115,13 @@ let allocate legs ~deadline ~budget =
 let write spider legs steps ~shift =
   let accepted = steps.accepted in
   let n = Array.length accepted in
-  let nodes = Array.make n 0 and starts = Array.make n 0 in
+  let on_leg = Array.make n 0 and starts = Array.make n 0 in
   let offsets = Array.make (n + 1) 0 in
   for position = 0 to n - 1 do
     let j = accepted.(position) in
-    let depth = Incremental.proc_at legs.(steps.leg.(j)).build steps.rank.(j) in
-    nodes.(position) <- Spider_schedule.node ~leg:(steps.leg.(j) + 1) ~depth;
-    offsets.(position + 1) <- offsets.(position) + depth
+    on_leg.(position) <- steps.leg.(j) + 1;
+    offsets.(position + 1) <-
+      offsets.(position) + Incremental.proc_at legs.(steps.leg.(j)).build steps.rank.(j)
   done;
   let emissions = Array.make offsets.(n) 0 in
   let emission = ref 0 in
@@ -139,7 +139,7 @@ let write spider legs steps ~shift =
     emission := !emission + steps.comm.(j);
     starts.(position) <- Incremental.start_at build i - shift
   done;
-  Spider_schedule.of_columns spider ~nodes ~starts ~offsets ~emissions
+  Spider_schedule.of_columns spider ~legs:on_leg ~starts ~offsets ~emissions
 
 let schedule ?(budget = max_int) spider ~deadline =
   if deadline < 0 then invalid_arg "Spider algorithm: negative deadline";

@@ -44,12 +44,7 @@ let to_spider spider t =
     (fun i e -> Array.blit e.comms 0 emissions offsets.(i) (Array.length e.comms))
     t.entries;
   Msts_schedule.Spider_schedule.of_columns spider
-    ~nodes:
-      (Array.map
-         (fun e ->
-           let { Msts_platform.Spider.leg; depth } = addresses.(e.node - 1) in
-           Msts_schedule.Spider_schedule.node ~leg ~depth)
-         t.entries)
+    ~legs:(Array.map (fun e -> addresses.(e.node - 1).Msts_platform.Spider.leg) t.entries)
     ~starts:(Array.map (fun e -> e.start) t.entries)
     ~offsets ~emissions
 
