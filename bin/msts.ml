@@ -70,7 +70,9 @@ let emit output text =
 let emit_json json = print_endline (Msts.Json.to_string ~pretty:true json)
 
 (* A typed reply's JSON, printed from the bytes the daemon would send. *)
-let emit_reply reply = print_endline (Msts.Api.pretty_json_of_reply reply)
+let emit_reply reply =
+  Msts.Api.output_pretty_reply stdout reply;
+  print_newline ()
 
 let json_of_table table =
   Msts.Json.of_table ~title:(Msts.Table.title table)
@@ -84,7 +86,7 @@ let print_table fmt table =
 (* Every solving subcommand routes through the typed request API: build an
    [Msts.Api.op], run it with {!Msts.Api.exec} over the direct (poolless)
    solver, render text from the typed reply or JSON from the one payload
-   writer ([Msts.Api.pretty_json_of_reply]) — the same code path
+   writer ([Msts.Api.output_pretty_reply]) — the same code path
    [msts serve] answers on. *)
 
 let die_api (e : Msts.Api.error) =

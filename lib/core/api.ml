@@ -1219,7 +1219,7 @@ and write_reply w = function
       write_batched w ~problems ~outcomes ~firsts ~stats ~cache_capacity
   | reply -> W.value w (json_of_reply reply)
 
-let pretty_json_of_reply reply = Json.pretty (W.to_string (fun w -> write_reply w reply))
+let output_pretty_reply oc reply = Json.output_pretty oc (fun w -> write_reply w reply)
 
 let response_line ~id ~trace result =
   W.to_string (fun w -> write_response w ~id ~trace write_reply result)

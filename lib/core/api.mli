@@ -7,7 +7,7 @@
     and an optional correlation id.  {!exec} runs an operation and returns
     a typed {!reply}.  One payload writer turns a reply into bytes: the
     daemon frames them with {!response_line}, and the CLI's
-    [--format=json] prints them indented with {!pretty_json_of_reply} — so
+    [--format=json] prints them indented with {!output_pretty_reply} — so
     an answer computed through a live [msts serve] socket is
     byte-identical to the same request answered by the CLI, because both
     are the same code path.
@@ -262,11 +262,12 @@ val json_of_reply : reply -> Msts_obs.Json.t
     bytes, and their tree is {!Msts_obs.Json.parse} of those bytes; every
     other kind is encoded as this tree and spliced into the bytes. *)
 
-val pretty_json_of_reply : reply -> string
-(** Exactly what the CLI's [--format=json] prints (before its final
-    newline): {!Msts_obs.Json.pretty} of the payload bytes
-    {!response_line} frames.  No tree is built for [Solved] and
-    [Batched] replies. *)
+val output_pretty_reply : out_channel -> reply -> unit
+(** What the CLI's [--format=json] prints (before its final newline):
+    {!Msts_obs.Json.output_pretty} of the payload bytes {!response_line}
+    frames, indented straight onto the channel.  No tree is built for
+    [Solved] and [Batched] replies, and neither the compact payload nor
+    the indented text is copied into a string. *)
 
 val response_line :
   id:int option -> trace:string option -> (reply, error) result -> string

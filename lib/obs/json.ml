@@ -160,22 +160,48 @@ module Writer = struct
     Bytes.unsafe_fill w.buf (w.len + 1) (2 * depth) ' ';
     w.len <- w.len + 1 + (2 * depth)
 
-  (* One pass over compact bytes: everything between two structural bytes
-     (a string, a number, a literal, an empty container) is copied as one
-     run.  An unterminated string runs off the end and raises. *)
-  let pretty w s =
-    let n = String.length s in
+  (* Where the pretty pass puts its runs: a writer, or straight onto a
+     channel. *)
+  type sink = Into of t | Onto of out_channel
+
+  let spaces = String.make 64 ' '
+
+  let sink_sub sink s off n =
+    match sink with Into w -> raw_sub w s off n | Onto oc -> output_substring oc s off n
+
+  let sink_char sink c = match sink with Into w -> char w c | Onto oc -> output_char oc c
+
+  let sink_indent sink depth =
+    match sink with
+    | Into w -> indent w depth
+    | Onto oc ->
+        output_char oc '\n';
+        let left = ref (2 * depth) in
+        while !left > 0 do
+          let k = min !left (String.length spaces) in
+          output_substring oc spaces 0 k;
+          left := !left - k
+        done
+
+  (* One pass over the compact bytes [s.[0 .. n-1]]: everything between
+     two structural bytes (a string, a number, a literal, an empty
+     container) goes to the sink as one run. *)
+  let pretty sink s n =
     let depth = ref 0 and run = ref 0 and i = ref 0 in
     let flush upto =
-      raw_sub w s !run (upto - !run);
+      sink_sub sink s !run (upto - !run);
       run := upto
+    in
+    let at j =
+      if j >= n then invalid_arg "Json.pretty: unterminated string";
+      String.unsafe_get s j
     in
     while !i < n do
       match String.unsafe_get s !i with
       | '"' ->
           incr i;
-          while s.[!i] <> '"' do
-            if s.[!i] = '\\' then incr i;
+          while at !i <> '"' do
+            if at !i = '\\' then incr i;
             incr i
           done;
           incr i
@@ -186,20 +212,20 @@ module Writer = struct
           incr i;
           flush !i;
           incr depth;
-          indent w !depth
+          sink_indent sink !depth
       | '}' | ']' ->
           flush !i;
           decr depth;
-          indent w !depth;
+          sink_indent sink !depth;
           incr i
       | ',' ->
           incr i;
           flush !i;
-          indent w !depth
+          sink_indent sink !depth
       | ':' ->
           incr i;
           flush !i;
-          char w ' '
+          sink_char sink ' '
       | _ -> incr i
     done;
     flush n
@@ -212,7 +238,8 @@ module Writer = struct
   let retain = 1 lsl 20
   let scratch = Domain.DLS.new_key (fun () -> create initial)
 
-  let to_string f =
+  (* [f] writes into a scratch writer, then [k] reads what it wrote. *)
+  let with_scratch f k =
     let shared = Domain.DLS.get scratch in
     let w = if shared.busy then create initial else shared in
     w.busy <- true;
@@ -221,17 +248,28 @@ module Writer = struct
       w.busy <- false;
       if Bytes.length w.buf > retain then w.buf <- Bytes.create initial
     in
-    match f w with
-    | () ->
-        let s = Bytes.sub_string w.buf 0 w.len in
+    match
+      f w;
+      k w
+    with
+    | result ->
         release ();
-        s
+        result
     | exception exn ->
         release ();
         raise exn
+
+  let to_string f = with_scratch f (fun w -> Bytes.sub_string w.buf 0 w.len)
+
+  (* The pass reads the writer's bytes in place: nothing is copied out. *)
+  let output_pretty oc f =
+    with_scratch f (fun w -> pretty (Onto oc) (Bytes.unsafe_to_string w.buf) w.len)
 end
 
-let pretty compact = Writer.to_string (fun w -> Writer.pretty w compact)
+let pretty compact =
+  Writer.to_string (fun w -> Writer.pretty (Writer.Into w) compact (String.length compact))
+
+let output_pretty = Writer.output_pretty
 
 let to_string ?pretty:(indent = false) json =
   let compact = Writer.to_string (fun w -> Writer.value w json) in

@@ -81,6 +81,12 @@ val pretty : string -> string
     whitespace outside strings).
     @raise Invalid_argument if a string in it is unterminated. *)
 
+val output_pretty : out_channel -> (Writer.t -> unit) -> unit
+(** [output_pretty oc f] writes onto [oc] what {!pretty} would return for
+    the bytes [f] writes into a scratch {!Writer}: the same pass, reading
+    those bytes in place and putting its runs on the channel, so neither
+    the compact bytes nor the indented text is copied into a string. *)
+
 val to_string : ?pretty:bool -> t -> string
 (** Serialise.  [pretty] (default false) is {!pretty} of the compact
     printing.  A non-finite [Float] prints as [null], so the output always

@@ -5,8 +5,8 @@
    (the sleep-path re-scan), but never the other way round — submitters
    release the shard lock before signalling.  This makes the classic
    lost-wakeup race impossible: a submitter's push happens-before its
-   broadcast (both ordered by the pool lock against the worker's re-scan
-   and wait). *)
+   signal (both ordered by the pool lock against the worker's re-scan
+   and wait).  A submission signals one worker; [shutdown] broadcasts. *)
 
 module Obs = Msts_obs.Obs
 
@@ -111,8 +111,14 @@ let enqueue_task t task =
   Mutex.lock shard.lock;
   Queue.push task shard.tasks;
   Mutex.unlock shard.lock;
+  (* One task wakes one idle worker, not all of them.  No wake-up is
+     lost: a worker re-scans every shard under the pool lock before it
+     waits, and this push precedes the signal, which is sent under that
+     lock; so either the worker's scan sees the task, or the worker is
+     already waiting when the signal comes.  A signal with no waiter
+     finds every worker busy, and each re-scans when its task ends. *)
   Mutex.lock t.lock;
-  Condition.broadcast t.work;
+  Condition.signal t.work;
   Mutex.unlock t.lock
 
 (* ---------- asynchronous submission ---------- *)

@@ -462,6 +462,16 @@ let wire_op_gen =
    test/api_reference.ml; and, for a reply, the tree [json_of_reply]
    reads back and the indented text the CLI prints, against the same
    trees. *)
+(* What [msts ... --format=json] prints for a reply, read back from the
+   channel it streams to. *)
+let streamed_pretty reply =
+  let path = Filename.temp_file "msts_pretty" ".json" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      Out_channel.with_open_bin path (fun oc -> Api.output_pretty_reply oc reply);
+      In_channel.with_open_bin path In_channel.input_all)
+
 let writer_matches_reference result id trace =
   let reference =
     Api_reference.response_to_line
@@ -475,7 +485,7 @@ let writer_matches_reference result id trace =
   | Error _ -> true
   | Ok reply ->
       let tree = Api_reference.json_of_reply reply in
-      let pretty = Api.pretty_json_of_reply reply
+      let pretty = streamed_pretty reply
       and want = Json_reference.to_string ~pretty:true tree in
       (Json.to_string (Api.json_of_reply reply) = Json.to_string tree
       || QCheck.Test.fail_reportf "json_of_reply differs from the reference tree:\n%s"

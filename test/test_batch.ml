@@ -380,6 +380,57 @@ let completion_pipe_wakes_a_select_loop () =
       let readable, _, _ = Unix.select [ fd ] [] [] 0.0 in
       Alcotest.(check bool) "pipe drained" true (readable = []))
 
+(* A submission wakes one idle worker.  Were a wake-up ever lost, a
+   task would sit queued while every worker sleeps and its [await] would
+   never return: 10 000 tiny submissions, awaited one by one and then in
+   bursts of 64, must all complete, at 2, 3 and 4 workers, before a
+   watchdog domain ends the run. *)
+let one_wakeup_per_task_loses_none () =
+  let finished = Atomic.make false in
+  let watchdog =
+    Domain.spawn (fun () ->
+        let deadline = Unix.gettimeofday () +. 60.0 in
+        while (not (Atomic.get finished)) && Unix.gettimeofday () < deadline do
+          Unix.sleepf 0.05
+        done;
+        if not (Atomic.get finished) then begin
+          prerr_endline "pool stress: a submission was never run within 60 s";
+          Unix._exit 1
+        end)
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      Atomic.set finished true;
+      Domain.join watchdog)
+    (fun () ->
+      List.iter
+        (fun jobs ->
+          Msts.Pool.with_pool ~jobs (fun pool ->
+              let sum = ref 0 in
+              for i = 1 to 10_000 do
+                match Msts.Pool.await pool (Msts.Pool.submit pool (fun () -> i land 7)) with
+                | Ok v -> sum := !sum + v
+                | Error e -> raise e
+              done;
+              let burst = 64 in
+              for b = 0 to (10_000 / burst) - 1 do
+                let tickets =
+                  Array.init burst (fun k ->
+                      let i = (b * burst) + k + 1 in
+                      Msts.Pool.submit pool (fun () -> i land 7))
+                in
+                Array.iter
+                  (fun ticket ->
+                    match Msts.Pool.await pool ticket with
+                    | Ok v -> sum := !sum + v
+                    | Error e -> raise e)
+                  tickets
+              done;
+              (* i land 7 over 1..10 000, then over the 156 bursts' 9 984 *)
+              Alcotest.(check int) (Printf.sprintf "jobs %d: every task ran" jobs)
+                (35_000 + 34_944) !sum))
+        [ 2; 3; 4 ])
+
 (* ---------- sharded execution ---------- *)
 
 (* shard / solve-in-any-order / assemble must reproduce run's bytes:
@@ -667,6 +718,7 @@ let suites =
         case "inline pool completes on submit" inline_pool_completes_on_submit;
         case "completion pipe wakes a select loop"
           completion_pipe_wakes_a_select_loop;
+        case "one wake-up per task loses no task" one_wakeup_per_task_loses_none;
       ] );
     ( "batch.sharding",
       [
