@@ -21,6 +21,10 @@ let on spider cols =
 
 let of_columns spider ~legs ~starts ~offsets ~emissions =
   let who = "Spider_schedule.of_columns" in
+  if Array.length legs <> Array.length starts then
+    invalid_arg
+      (Printf.sprintf "%s: %d legs for %d starts" who (Array.length legs)
+         (Array.length starts));
   let cols = Columns.make ~who ~legs ~starts ~offsets ~emissions in
   for idx = 0 to Columns.length cols - 1 do
     let depth = Columns.depth cols idx in

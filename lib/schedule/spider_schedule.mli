@@ -30,8 +30,7 @@ val of_columns :
 (** The validating constructor.  Task [i] is routed down leg
     [legs.(i-1)] and starts at [starts.(i-1)]; its emissions along the leg
     are [emissions.(offsets.(i-1) .. offsets.(i) - 1)], so its depth is
-    [offsets.(i) - offsets.(i-1)].  [legs] may be [[||]] when every task
-    is on leg 1.  The arrays are taken over, not copied, and must not be
+    [offsets.(i) - offsets.(i-1)].  The arrays are taken over, not copied, and must not be
     written afterwards.  Structural validation only (column lengths,
     ordered offsets, legs and depths within the spider).
     @raise Invalid_argument on structural errors. *)
