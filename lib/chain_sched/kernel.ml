@@ -55,7 +55,6 @@ let sweep chain ~hull ~occupancy sc =
 
 let first_emission sc = sc.vals.(0)
 
-
 let blit_chosen sc ~proc dst ~pos = Array.blit sc.vals 0 dst pos proc
 
 let commit chain ~hull ~occupancy sc ~proc =

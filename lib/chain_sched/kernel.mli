@@ -38,9 +38,9 @@ val first_emission : scratch -> int
 
 val blit_chosen : scratch -> proc:int -> int array -> pos:int -> unit
 (** Write the winner's communication vector (length [proc]) into [dst]
-    at [pos], after a {!sweep} returning [proc]; allocates nothing.  Lets {!Incremental} store
-    placements in a preallocated pool, so the whole per-arrival path runs
-    without touching the minor heap. *)
+    at [pos], after a {!sweep} returning [proc]; allocates nothing.  Lets
+    {!Incremental} and the chain solve store placements in a pool, so the
+    whole per-arrival path runs without touching the minor heap. *)
 
 val commit :
   Msts_platform.Chain.t ->

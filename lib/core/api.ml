@@ -7,7 +7,7 @@ module Json = Msts_obs.Json
 module Obs = Msts_obs.Obs
 module Parse = Msts_platform.Parse
 module Plan = Msts_schedule.Plan
-module Schedule = Msts_schedule.Schedule
+module Columns = Msts_schedule.Columns
 module Spider_schedule = Msts_schedule.Spider_schedule
 module Metrics = Msts_schedule.Metrics
 module Chain = Msts_platform.Chain
@@ -1051,38 +1051,30 @@ let platform_kind = function
 
 (* ---------- the payload writers ---------- *)
 
-(* C(i) straight from the plan's emission column *)
-let write_comms w emission sched i ~depth =
-  W.char w '[';
-  for k = 1 to depth do
-    if k > 1 then W.char w ',';
-    W.int w (emission sched i k)
-  done;
-  W.char w ']'
-
-let write_entry w plan i =
+(* Task [i] (0-based) straight from the plan's columns: a chain's
+   processor is its depth on the one leg its spider view has. *)
+let write_entry w plan (c : Columns.t) i =
   W.raw w "{\"task\":";
-  W.int w i;
+  W.int w (i + 1);
+  let depth = Columns.depth c i in
   (match plan with
-  | Plan.Chain sched ->
-      let proc = Schedule.proc sched i in
+  | Plan.Chain _ ->
       W.raw w ",\"proc\":";
-      W.int w proc;
-      W.raw w ",\"start\":";
-      W.int w (Schedule.start sched i);
-      W.raw w ",\"comms\":";
-      write_comms w Schedule.emission sched i ~depth:proc
-  | Plan.Spider sched ->
-      let depth = Spider_schedule.depth sched i in
+      W.int w depth
+  | Plan.Spider _ ->
       W.raw w ",\"leg\":";
-      W.int w (Spider_schedule.leg sched i);
+      W.int w (Columns.leg c i);
       W.raw w ",\"depth\":";
-      W.int w depth;
-      W.raw w ",\"start\":";
-      W.int w (Spider_schedule.start sched i);
-      W.raw w ",\"comms\":";
-      write_comms w Spider_schedule.emission sched i ~depth);
-  W.char w '}'
+      W.int w depth);
+  W.raw w ",\"start\":";
+  W.int w c.starts.(i);
+  W.raw w ",\"comms\":[";
+  let o = c.offsets.(i) in
+  for k = o to o + depth - 1 do
+    if k > o then W.char w ',';
+    W.int w c.emissions.(k)
+  done;
+  W.raw w "]}"
 
 let write_plan w ~deadline plan =
   W.char w '{';
@@ -1101,9 +1093,10 @@ let write_plan w ~deadline plan =
   W.raw w ",\"makespan\":";
   W.int w (Plan.makespan plan);
   W.raw w ",\"entries\":[";
-  for i = 1 to n do
-    if i > 1 then W.char w ',';
-    write_entry w plan i
+  let c = Spider_schedule.columns (Plan.to_spider plan) in
+  for i = 0 to n - 1 do
+    if i > 0 then W.char w ',';
+    write_entry w plan c i
   done;
   W.raw w "]}"
 

@@ -15,7 +15,7 @@
        {!Solve.solve_batch};}
     {- platform descriptions: {!Chain}, {!Fork}, {!Spider}, {!Tree},
        {!Generator}, {!Platform_format}, {!Dot};}
-    {- schedules and their audit: {!Comm_vector}, {!Schedule},
+    {- schedules and their audit: {!Comm_vector}, {!Columns}, {!Schedule},
        {!Spider_schedule}, {!Plan}, {!Metrics}, {!Intervals}, {!Gantt}, {!Svg};}
     {- the paper's algorithms: {!Chain_algorithm}, {!Chain_deadline},
        {!Chain_lemmas}, {!Chain_trace}, {!Fork_expansion}, {!Fork_allocator},
@@ -54,6 +54,7 @@ module Dot = Msts_platform.Dot
 
 (* Schedules *)
 module Comm_vector = Msts_schedule.Comm_vector
+module Columns = Msts_schedule.Columns
 module Schedule = Msts_schedule.Schedule
 module Spider_schedule = Msts_schedule.Spider_schedule
 module Intervals = Msts_schedule.Intervals

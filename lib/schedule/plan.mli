@@ -1,5 +1,7 @@
 (** The unified plan: one polymorphic result type covering both schedule
-    shapes the algorithms produce.
+    shapes the algorithms produce.  Both shapes store their tasks as int
+    columns ({!Columns}): a chain plan in three blocks, [2 + P(i)] words
+    a task; a spider plan in four, [3 + depth].
 
     [Msts.Solve] returns it, [Msts.Netsim.execute] consumes it, and the
     CLI renders every subcommand through it — so chains and spiders flow
@@ -24,8 +26,13 @@ val equal : t -> t -> bool
 
 val to_spider : t -> Spider_schedule.t
 (** The plan as a spider schedule: a chain plan is the one-leg spider of
-    {!Spider_schedule.of_chain_schedule}.  The audit, the measures, the
-    charts, the simulator and the planned traces all read this view. *)
+    {!Spider_schedule.of_chain_schedule}, which shares the chain's int
+    columns ({!Columns}) rather than copying them, so the view costs a
+    few words whatever the task count.  The audit, the measures, the
+    charts, the simulator and the planned traces all read this view,
+    through the column accessors ({!Spider_schedule.leg},
+    {!Spider_schedule.depth}, {!Spider_schedule.start},
+    {!Spider_schedule.emission}), not through rows. *)
 
 val check : ?require_nonnegative:bool -> t -> string list
 (** The Definition 1 audit ({!Spider_schedule.violations}); [[]] means

@@ -1,28 +1,24 @@
-(* One task's line or CSV cells, read from the columns. *)
+(* A task's emission vector, read from the columns. *)
 let vector emission sched i ~depth = List.init depth (fun k -> emission sched i (k + 1))
 
-let task_lines header task sched n =
+(* The header, then one "task ..." line of [row i]'s ints per task. *)
+let lines header n row =
   String.concat "\n"
     (header
     :: List.init n (fun idx ->
-           "task " ^ String.concat " " (List.map string_of_int (task sched (idx + 1)))))
+           "task " ^ String.concat " " (List.map string_of_int (row (idx + 1)))))
   ^ "\n"
 
-let schedule_to_string sched =
-  task_lines "chain-schedule"
-    (fun s i ->
+let schedule_to_string s =
+  lines "chain-schedule" (Schedule.task_count s) (fun i ->
       let proc = Schedule.proc s i in
       proc :: Schedule.start s i :: vector Schedule.emission s i ~depth:proc)
-    sched (Schedule.task_count sched)
 
-let spider_schedule_to_string sched =
-  task_lines "spider-schedule"
-    (fun s i ->
+let spider_schedule_to_string s =
+  lines "spider-schedule" (Spider_schedule.task_count s) (fun i ->
       let depth = Spider_schedule.depth s i in
       Spider_schedule.leg s i :: depth :: Spider_schedule.start s i
       :: vector Spider_schedule.emission s i ~depth)
-    sched
-    (Spider_schedule.task_count sched)
 
 let emissions_cell ints = String.concat ";" (List.map string_of_int ints)
 

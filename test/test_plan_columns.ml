@@ -284,7 +284,7 @@ let of_columns_refuses () =
       ~emissions:[| 0; 1; 2 |]
   in
   Alcotest.(check int) "a one-leg spider keeps no leg column" 0
-    (Array.length (S.columns sched).Msts_schedule.Columns.legs)
+    (Array.length (S.columns sched).Msts.Columns.legs)
 
 let suites =
   [
