@@ -97,47 +97,37 @@ let parse_body ~header ~entry_of_ints lines =
         loop [] rest
       end
 
-(* The parsed task lines, [(leg, start, vector)] each, as columns. *)
-let columns tasks =
-  let n = List.length tasks in
-  let legs = Array.make n 0 and starts = Array.make n 0 in
-  let offsets = Array.make (n + 1) 0 in
-  List.iteri
-    (fun i (leg, start, comms) ->
-      legs.(i) <- leg;
-      starts.(i) <- start;
-      offsets.(i + 1) <- offsets.(i) + List.length comms)
-    tasks;
-  let emissions = Array.make offsets.(n) 0 in
-  List.iteri
-    (fun i (_, _, comms) -> List.iteri (fun k c -> emissions.(offsets.(i) + k) <- c) comms)
-    tasks;
-  (legs, starts, offsets, emissions)
-
+(* The parsed lines go through [make], whose checks name it in the parse
+   errors [msts validate] prints. *)
 let schedule_of_string chain text =
   let entry_of_ints lineno = function
-    | proc :: start :: comms when List.length comms = proc -> Ok (1, start, comms)
+    | proc :: start :: comms when List.length comms = proc ->
+        Ok { Schedule.proc; start; comms = Array.of_list comms }
     | _ -> Error (Printf.sprintf "line %d: malformed chain task" lineno)
   in
   match parse_body ~header:"chain-schedule" ~entry_of_ints (meaningful_lines text) with
   | Error e -> Error e
-  | Ok tasks -> (
-      let _, starts, offsets, emissions = columns tasks in
-      match Schedule.of_columns chain ~starts ~offsets ~emissions with
+  | Ok entries -> (
+      match Schedule.make chain (Array.of_list entries) with
       | sched -> Ok sched
       | exception Invalid_argument msg -> Error msg)
 
 let spider_schedule_of_string spider text =
   let entry_of_ints lineno = function
-    | leg :: depth :: start :: comms when List.length comms = depth -> Ok (leg, start, comms)
+    | leg :: depth :: start :: comms when List.length comms = depth ->
+        Ok
+          {
+            Spider_schedule.address = { Msts_platform.Spider.leg; depth };
+            start;
+            comms = Array.of_list comms;
+          }
     | _ -> Error (Printf.sprintf "line %d: malformed spider task" lineno)
   in
   match
     parse_body ~header:"spider-schedule" ~entry_of_ints (meaningful_lines text)
   with
   | Error e -> Error e
-  | Ok tasks -> (
-      let legs, starts, offsets, emissions = columns tasks in
-      match Spider_schedule.of_columns spider ~legs ~starts ~offsets ~emissions with
+  | Ok entries -> (
+      match Spider_schedule.make spider (Array.of_list entries) with
       | sched -> Ok sched
       | exception Invalid_argument msg -> Error msg)
