@@ -11,16 +11,10 @@ let make ~who ~legs ~starts ~offsets ~emissions =
     invalid_arg
       (Printf.sprintf "%s: %d legs, %d starts and %d offsets (want n or 0, n and n + 1)"
          who (Array.length legs) n (Array.length offsets));
-  let last = ref 0 in
-  for i = 0 to n do
-    if offsets.(i) < !last || (i = 0 && offsets.(0) <> 0) then
-      invalid_arg (Printf.sprintf "%s: offset %d out of order" who i);
-    last := offsets.(i)
-  done;
-  if offsets.(n) <> Array.length emissions then
+  if offsets.(0) <> 0 || offsets.(n) <> Array.length emissions then
     invalid_arg
-      (Printf.sprintf "%s: offsets end at %d over %d emissions" who offsets.(n)
-         (Array.length emissions));
+      (Printf.sprintf "%s: offsets run from %d to %d over %d emissions" who offsets.(0)
+         offsets.(n) (Array.length emissions));
   { legs; starts; offsets; emissions }
 
 let on_leg_one c = { c with legs = [||] }

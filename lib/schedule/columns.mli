@@ -10,10 +10,11 @@
       is the task's depth on its leg (on a chain, its processor P(i)), so
       no column stores the depth.
 
-    That is four blocks a schedule, and [3 + depth] words a task ([2 +
-    P(i)] on a chain).  A schedule never writes its columns after
-    construction, so schedules derived from one another (a shift, a
-    chain's spider view) share the columns they do not change. *)
+    That is four blocks and [3 + depth] words a task on a spider of
+    several legs, three blocks and [2 + P(i)] words a task on a chain.
+    A schedule never writes its columns after construction, so schedules
+    derived from one another (a shift, a chain's spider view) share the
+    columns they do not change. *)
 
 type t = private {
   legs : int array;
@@ -31,8 +32,10 @@ val make :
   t
 (** The columns as given, not copied: the caller hands them over.  Checks
     only their shape ([legs] of length [n] or empty, [starts] of length
-    [n], [offsets] nondecreasing from 0 to the length of [emissions]);
-    each schedule checks its tasks' legs and depths against its platform.
+    [n], [offsets] from 0 to the length of [emissions]); each schedule
+    checks every task's leg and depth (an offset difference, so a depth
+    of at least 1 everywhere also orders the offsets) against its
+    platform.
     @raise Invalid_argument, the message prefixed [who ^ ": "]. *)
 
 val on_leg_one : t -> t

@@ -30,8 +30,8 @@ val of_columns :
     C(i) is [emissions.(offsets.(i-1) .. offsets.(i) - 1)], so it runs on
     processor [offsets.(i) - offsets.(i-1)].  The arrays are taken over,
     not copied, and must not be written afterwards.  Performs only
-    structural validation (column lengths, ordered offsets, every P(i)
-    within the chain); temporal feasibility is {!Plan.check}'s job.
+    structural validation (column lengths, every P(i) within the
+    chain); temporal feasibility is {!Plan.check}'s job.
     @raise Invalid_argument on structural errors. *)
 
 val make : Msts_platform.Chain.t -> entry array -> t

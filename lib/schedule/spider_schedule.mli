@@ -30,9 +30,9 @@ val of_columns :
 (** The validating constructor.  Task [i] is routed down leg
     [legs.(i-1)] and starts at [starts.(i-1)]; its emissions along the leg
     are [emissions.(offsets.(i-1) .. offsets.(i) - 1)], so its depth is
-    [offsets.(i) - offsets.(i-1)].  The arrays are taken over, not copied, and must not be
-    written afterwards.  Structural validation only (column lengths,
-    ordered offsets, legs and depths within the spider).
+    [offsets.(i) - offsets.(i-1)].  The arrays are taken over, not
+    copied, and must not be written afterwards.  Structural validation
+    only (column lengths, legs and depths within the spider).
     @raise Invalid_argument on structural errors. *)
 
 val make : Msts_platform.Spider.t -> entry array -> t

@@ -262,9 +262,9 @@ let of_columns_refuses () =
     Alcotest.check_raises what (Invalid_argument ("Spider_schedule.of_columns: " ^ msg))
       (fun () -> ignore (build ~legs ~offsets ~emissions))
   in
-  refuses "offsets past the emissions" "offsets end at 3 over 2 emissions" ~legs:[| 1 |]
+  refuses "offsets past the emissions" "offsets run from 0 to 3 over 2 emissions" ~legs:[| 1 |]
     ~offsets:[| 0; 3 |] ~emissions:[| 0; 1 |];
-  refuses "offsets out of order" "offset 2 out of order" ~legs:[| 1; 1 |]
+  refuses "offsets out of order" "task 2 at depth -1 on leg 1" ~legs:[| 1; 1 |]
     ~offsets:[| 0; 2; 1 |] ~emissions:[| 0 |];
   refuses "a leg the spider lacks" "task 1 on leg 3" ~legs:[| 3 |] ~offsets:[| 0; 1 |]
     ~emissions:[| 0 |];
