@@ -19,19 +19,20 @@ let make ~who ~legs ~starts ~offsets ~emissions =
 
 let on_leg_one c = { c with legs = [||] }
 
-let length c = Array.length c.starts
+let[@inline] length c = Array.length c.starts
 
 (* a length test, not [= [||]]: polymorphic equality is a C call *)
-let all_on_leg_one c = Array.length c.legs = 0
+let[@inline] all_on_leg_one c = Array.length c.legs = 0
 
-let leg c i = if all_on_leg_one c then 1 else c.legs.(i)
+let[@inline] leg c i = if all_on_leg_one c then 1 else c.legs.(i)
 
-let depth c i = c.offsets.(i + 1) - c.offsets.(i)
+let[@inline] depth c i = c.offsets.(i + 1) - c.offsets.(i)
 
-let emission ~who c i k =
-  if k < 1 || k > depth c i then
-    invalid_arg
-      (Printf.sprintf "%s: hop %d of task %d outside 1..%d" who k (i + 1) (depth c i));
+let[@inline never] no_hop ~who c i k =
+  invalid_arg (Printf.sprintf "%s: hop %d of task %d outside 1..%d" who k (i + 1) (depth c i))
+
+let[@inline] emission ~who c i k =
+  if k < 1 || k > depth c i then no_hop ~who c i k;
   c.emissions.(c.offsets.(i) + k - 1)
 
 let comms c i = Array.sub c.emissions c.offsets.(i) (depth c i)

@@ -45,20 +45,22 @@ let columns t = t.cols
 
 let task_count t = Columns.length t.cols
 
-let check_task t i name =
-  if i < 1 || i > task_count t then
-    invalid_arg
-      (Printf.sprintf "Schedule.%s: task %d outside 1..%d" name i (task_count t))
+(* The accessors below are inlined into their callers' loops; the
+   failure path is not. *)
+let[@inline never] no_task t i name =
+  invalid_arg (Printf.sprintf "Schedule.%s: task %d outside 1..%d" name i (task_count t))
 
-let proc t i =
+let[@inline] check_task t i name = if i < 1 || i > task_count t then no_task t i name
+
+let[@inline] proc t i =
   check_task t i "proc";
   Columns.depth t.cols (i - 1)
 
-let start t i =
+let[@inline] start t i =
   check_task t i "start";
   t.cols.starts.(i - 1)
 
-let emission t i k =
+let[@inline] emission t i k =
   check_task t i "emission";
   Columns.emission ~who:"Schedule.emission" t.cols (i - 1) k
 

@@ -51,24 +51,26 @@ let columns t = t.cols
 
 let task_count t = Columns.length t.cols
 
-let check_task t i name =
-  if i < 1 || i > task_count t then
-    invalid_arg
-      (Printf.sprintf "Spider_schedule.%s: task %d outside 1..%d" name i (task_count t))
+(* The accessors below are inlined into their callers' loops; the
+   failure path is not. *)
+let[@inline never] no_task t i name =
+  invalid_arg (Printf.sprintf "Spider_schedule.%s: task %d outside 1..%d" name i (task_count t))
 
-let leg t i =
+let[@inline] check_task t i name = if i < 1 || i > task_count t then no_task t i name
+
+let[@inline] leg t i =
   check_task t i "leg";
   Columns.leg t.cols (i - 1)
 
-let depth t i =
+let[@inline] depth t i =
   check_task t i "depth";
   Columns.depth t.cols (i - 1)
 
-let start t i =
+let[@inline] start t i =
   check_task t i "start";
   t.cols.starts.(i - 1)
 
-let emission t i k =
+let[@inline] emission t i k =
   check_task t i "emission";
   Columns.emission ~who:"Spider_schedule.emission" t.cols (i - 1) k
 
