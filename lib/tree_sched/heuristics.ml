@@ -127,16 +127,16 @@ let spider_cover policy tree n =
   in
   let spider_sched = Msts_spider.Algorithm.schedule_tasks spider n in
   let paths = Array.of_list paths in
-  let module S = Msts_schedule.Spider_schedule in
   let entries =
-    Array.init (S.task_count spider_sched) (fun idx ->
-        let i = idx + 1 in
-        let depth = S.depth spider_sched i in
+    Array.map
+      (fun (e : Msts_schedule.Spider_schedule.entry) ->
+        let { Spider.leg; depth } = e.address in
         {
-          Tree_schedule.node = List.nth paths.(S.leg spider_sched i - 1) (depth - 1);
-          start = S.start spider_sched i;
-          comms = Array.init depth (fun k -> S.emission spider_sched i (k + 1));
+          Tree_schedule.node = List.nth paths.(leg - 1) (depth - 1);
+          start = e.start;
+          comms = e.comms (* a fresh row's vector *);
         })
+      (Msts_schedule.Spider_schedule.entries spider_sched)
   in
   Tree_schedule.make flat entries
 
