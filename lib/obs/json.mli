@@ -15,8 +15,9 @@
     domain, that copies unescaped runs whole and writes integers in place.
     It writes compact bytes only: {!to_string} walks a tree into it; hot
     callers write their documents into it directly without building a
-    tree.  Indented output is one pass over those bytes ({!pretty}), so a
-    document written without a tree prints indented without one too.
+    tree.  Indented output is one pass over those bytes
+    ({!output_pretty}, [to_string ~pretty:true]), so a document written
+    without a tree prints indented without one too.
     There is one lexer, {!Reader}: a pull reader over the bytes in
     place, which reads integers of up to 18 digits inline and leaves a
     string as a span of the document until a caller asks for its text.  {!parse} builds a tree
@@ -72,25 +73,19 @@ module Writer : sig
       position. *)
 end
 
-val pretty : string -> string
-(** [pretty compact] indents a compact printing with two spaces, in one
-    pass over its bytes: a newline and indent after ['{'], ['\['] and
-    [','] and before a closing bracket, [": "] after a key; ["{}"],
-    ["\[\]"] and strings are copied as they are.  [compact] must be the
-    compact printing of a document (as {!Writer} writes it, with no
-    whitespace outside strings).
-    @raise Invalid_argument if a string in it is unterminated. *)
-
 val output_pretty : out_channel -> (Writer.t -> unit) -> unit
-(** [output_pretty oc f] writes onto [oc] what {!pretty} would return for
-    the bytes [f] writes into a scratch {!Writer}: the same pass, reading
-    those bytes in place and putting its runs on the channel, so neither
-    the compact bytes nor the indented text is copied into a string. *)
+(** [output_pretty oc f] writes onto [oc] the bytes [f] writes into a
+    scratch {!Writer}, indented with two spaces in one pass over them: a
+    newline and indent after ['{'], ['\['] and [','] and before a closing
+    bracket, [": "] after a key; ["{}"], ["\[\]"] and strings are copied
+    as they are.  The pass reads those bytes in place and puts its runs
+    on the channel, so neither the compact bytes nor the indented text is
+    copied into a string. *)
 
 val to_string : ?pretty:bool -> t -> string
-(** Serialise.  [pretty] (default false) is {!pretty} of the compact
-    printing.  A non-finite [Float] prints as [null], so the output always
-    parses. *)
+(** Serialise.  [pretty] (default false) indents the compact printing
+    by the pass of {!output_pretty}.  A non-finite [Float] prints as
+    [null], so the output always parses. *)
 
 (** The one lexer: a pull reader over a document's bytes, the mirror of
     {!Writer}.  A caller asks for the next value's kind with {!peek} and
