@@ -36,10 +36,7 @@ let fig2 () =
   let sched = Msts.Chain_algorithm.schedule chain n in
   Printf.printf "  makespan: %d (paper: 14)\n" (Msts.Schedule.makespan sched);
   let emissions =
-    List.map
-      (fun i ->
-        Msts.Comm_vector.first_emission (Msts.Schedule.entry sched i).comms)
-      [ 1; 2; 3; 4; 5 ]
+    List.map (fun i -> Msts.Schedule.emission sched i 1) [ 1; 2; 3; 4; 5 ]
   in
   Printf.printf "  emissions: %s (paper: 0,2,4,6,9)\n"
     (String.concat "," (List.map string_of_int emissions));

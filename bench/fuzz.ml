@@ -51,14 +51,10 @@ let smoke () =
     Msts.Spider.make
       [| Msts.Chain.of_pairs [ (2, 3) ]; Msts.Chain.of_pairs [ (3, 4) ] |]
   in
-  let entry leg start c0 =
-    {
-      Msts.Spider_schedule.address = { Msts.Spider.leg; depth = 1 };
-      start;
-      comms = [| c0 |];
-    }
+  let bad =
+    Msts.Spider_schedule.of_columns spider ~legs:[| 1; 2 |] ~starts:[| 2; 3 |]
+      ~offsets:[| 0; 1; 2 |] ~emissions:[| 0; 0 |]
   in
-  let bad = Msts.Spider_schedule.make spider [| entry 1 2 0; entry 2 3 0 |] in
   let bad_tr = Msts.Trace.of_plan (Msts.Plan.Spider bad) in
   let viols = Msts.Trace.check bad_tr in
   assert (List.exists (fun v -> v.Msts.Trace.invariant = "one-port") viols);

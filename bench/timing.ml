@@ -165,9 +165,7 @@ let component_costs () =
   let n = 500 in
   let sched = Msts.Chain_algorithm.schedule chain n in
   let spider_plan = Msts.Spider_schedule.of_chain_schedule sched in
-  let seq =
-    Array.map (fun (e : Msts.Schedule.entry) -> e.proc) (Msts.Schedule.entries sched)
-  in
+  let seq = Array.init n (fun idx -> Msts.Schedule.proc sched (idx + 1)) in
   let flat = Msts.Tree_flat.of_tree (Msts.Tree.of_spider (Msts.Spider.of_chain chain)) in
   let tests =
     Test.make_grouped ~name:"components"

@@ -43,9 +43,8 @@ type climb_report = {
 (* initial sequence: the earliest-completion greedy *)
 let greedy_sequence tree n =
   let sched = Msts_tree.Heuristics.(schedule Earliest_completion) tree n in
-  Array.map
-    (fun (e : Msts_tree.Tree_schedule.entry) -> e.node)
-    (Msts_tree.Tree_schedule.entries sched)
+  Array.init (Msts_tree.Tree_schedule.task_count sched) (fun idx ->
+      Msts_tree.Tree_schedule.node sched (idx + 1))
 
 let hill_climb ?(seed = 0) ?(max_rounds = 50) chain n =
   if n < 0 then invalid_arg "Local_search.hill_climb: negative task count";

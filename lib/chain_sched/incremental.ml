@@ -2,7 +2,7 @@ module Schedule = Msts_schedule.Schedule
 
 (* Placements live in a struct-of-arrays store (processor / start / comm
    vector offset, plus one flat int pool for the vectors themselves)
-   instead of a consed entry list: once the store has warmed up to its
+   instead of a consed list of records: once the store has warmed up to its
    working capacity, placing a task touches no allocator at all — the
    property the online scheduler's steady state is benchmarked on.
    Construction order is newest-first-in-time: placement [i] emits
@@ -131,9 +131,6 @@ let comms_at t i =
 let blit_comms t i dst ~pos =
   check_index t i "blit_comms";
   Array.blit t.pool t.offs.(i) dst pos t.procs.(i)
-
-let entry_at t i =
-  { Schedule.proc = proc_at t i; start = start_at t i; comms = comms_at t i }
 
 let extend t ~by =
   if by < 0 then

@@ -73,9 +73,6 @@ val blit_comms : t -> int -> int array -> pos:int -> unit
 (** [blit_comms t i dst ~pos] copies placement [i]'s communication vector
     into [dst] from [pos] ([proc_at t i] ints), allocating nothing. *)
 
-val entry_at : t -> int -> Msts_schedule.Schedule.entry
-(** Placement [i] as a schedule entry (fresh copy). *)
-
 val schedule : t -> Msts_schedule.Schedule.t
 (** Snapshot of the current schedule; tasks renumbered 1.. in emission
     order.  O(placed). *)

@@ -1,6 +1,7 @@
 module Chain = Msts_platform.Chain
 module Comm_vector = Msts_schedule.Comm_vector
 module Schedule = Msts_schedule.Schedule
+module Columns = Msts_schedule.Columns
 
 let suffix v q = Array.sub v (q - 1) (Array.length v - q + 1)
 
@@ -44,11 +45,13 @@ let subchain_projection chain n =
 
 let incremental_suffix chain n =
   let full = Algorithm.schedule chain n in
-  let all = Schedule.entries full in
   let ok = ref true in
   for m = 1 to n - 1 do
-    let tail = Array.sub all (n - m) m in
-    let tail_schedule = Schedule.make chain tail in
+    let tail = Columns.filter (Schedule.columns full) ~keep:(fun i -> i > n - m) in
+    let tail_schedule =
+      Schedule.of_columns chain ~starts:tail.starts ~offsets:tail.offsets
+        ~emissions:tail.emissions
+    in
     let expected = Algorithm.schedule chain m in
     if not (Schedule.equal_modulo_shift tail_schedule expected) then ok := false
   done;

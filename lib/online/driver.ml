@@ -20,27 +20,24 @@ type outcome = {
   refusals : (int * string) list;
 }
 
-(* The planned truth of one frozen placement, as the events the simulator
+(* The planned truth of frozen task [i] of [sched], as the events the simulator
    would record executing it: the chain is leg 1 of the degenerate spider,
    transfers walk hops 1..proc, the computation runs at depth proc.  Frozen
    tasks never sit on a processor degraded later (Online.degrade refuses)
    and degradations scale work only, so the current chain's durations are
    exact for every already-frozen placement. *)
-let emit_frozen chain ~task (e : Schedule.entry) =
-  let leg = 1 in
-  for hop = 1 to e.Schedule.proc do
+let emit_frozen chain ~task sched i =
+  let leg = 1 and depth = Schedule.proc sched i in
+  for hop = 1 to depth do
     let c = Chain.latency chain hop in
-    let start = e.Schedule.comms.(hop - 1) in
+    let start = Schedule.emission sched i hop in
     Trace.emit ~time:start ~task (Trace.Start (Trace.Transfer { leg; hop }));
     Trace.emit ~time:(start + c) ~task
       (Trace.Finish (Trace.Transfer { leg; hop }))
   done;
-  let depth = e.Schedule.proc in
-  let w = Chain.work chain depth in
-  Trace.emit ~time:e.Schedule.start ~task
-    (Trace.Start (Trace.Compute { leg; depth }));
-  Trace.emit ~time:(e.Schedule.start + w) ~task
-    (Trace.Finish (Trace.Compute { leg; depth }))
+  let w = Chain.work chain depth and start = Schedule.start sched i in
+  Trace.emit ~time:start ~task (Trace.Start (Trace.Compute { leg; depth }));
+  Trace.emit ~time:(start + w) ~task (Trace.Finish (Trace.Compute { leg; depth }))
 
 let run ?capacity ?emit chain ~deadline events =
   List.iter
@@ -57,10 +54,10 @@ let run ?capacity ?emit chain ~deadline events =
     ignore (Online.advance ?emit o ~time);
     if Trace.recording () then begin
       let fz = Online.frozen o in
-      for i = !seen to fz - 1 do
-        let id, entry = Online.frozen_entry o i in
-        emit_frozen (Online.chain o) ~task:id entry
-      done;
+      if fz > !seen then begin
+        let ids, sched = Online.frozen_since o !seen in
+        Array.iteri (fun j id -> emit_frozen (Online.chain o) ~task:id sched (j + 1)) ids
+      end;
       seen := fz
     end
   in

@@ -14,8 +14,8 @@ type replan = { replaced : int; extended_by : int; deadline : int }
 (* The construction places every new task strictly earlier on the timeline
    than all existing placements, so inside [inc] the frozen placements are
    exactly a suffix of construction order.  Frozen placements are copied
-   out into [fz_*] the moment they freeze (their dates are then immutable
-   truth); the copies left inside [inc] keep the hull/occupancy state
+   out into the [fz_*] columns the moment they freeze (their dates are
+   then immutable truth); the copies left inside [inc] keep the hull/occupancy state
    exact until the next extension or replan rebuilds [inc] from the
    unfrozen prefix alone.  After such a rebuild the state no longer knows
    the frozen tasks, so [floor] rises to the last frozen activity
@@ -31,14 +31,18 @@ type t = {
   mutable frontier : int;
   mutable floor : int; (* min emission once the state went stale *)
   mutable barrier : int; (* last activity end among frozen placements *)
-  mutable fz_entries : Schedule.entry array; (* increasing emission order *)
+  (* the frozen store, in increasing emission order: task [j] has arrival
+     id [fz_ids.(j)], start [fz_starts.(j)] and the vector
+     [fz_emissions.(fz_offsets.(j) .. fz_offsets.(j+1) - 1)]; each column
+     has room beyond [fz_count] *)
   mutable fz_ids : int array;
+  mutable fz_starts : int array;
+  mutable fz_offsets : int array;
+  mutable fz_emissions : int array;
   mutable fz_count : int;
   mutable arrivals : int;
   mutable rejected : int;
 }
-
-let dummy_entry = { Schedule.proc = 1; start = 0; comms = [| 0 |] }
 
 let create ?(capacity = 0) chain ~deadline =
   if deadline < 0 then invalid_arg "Msts.Online.create: negative deadline";
@@ -53,8 +57,10 @@ let create ?(capacity = 0) chain ~deadline =
     frontier = 0;
     floor = 0;
     barrier = 0;
-    fz_entries = [||];
     fz_ids = [||];
+    fz_starts = [||];
+    fz_offsets = [| 0 |];
+    fz_emissions = [||];
     fz_count = 0;
     arrivals = 0;
     rejected = 0;
@@ -66,11 +72,6 @@ let frontier t = t.frontier
 let rejected t = t.rejected
 let frozen t = t.fz_count
 let placed t = t.fz_count + t.unfrozen
-
-let frozen_entry t i =
-  if i < 0 || i >= t.fz_count then
-    invalid_arg "Msts.Online.frozen_entry: outside the frozen prefix";
-  (t.fz_ids.(i), t.fz_entries.(i))
 
 (* ---------- arrivals (the zero-allocation hot path) ---------- *)
 
@@ -123,42 +124,63 @@ let submit ?emit t n =
 
 (* ---------- freezing ---------- *)
 
-let fz_push t ~id entry =
-  let cap = Array.length t.fz_entries in
-  if t.fz_count >= cap then begin
-    let extra = max 8 cap in
-    t.fz_entries <- Array.append t.fz_entries (Array.make extra dummy_entry);
-    t.fz_ids <- Array.append t.fz_ids (Array.make extra 0)
-  end;
-  t.fz_entries.(t.fz_count) <- entry;
-  t.fz_ids.(t.fz_count) <- id;
-  t.fz_count <- t.fz_count + 1
+(* Room for [tasks] more frozen tasks of [dates] emission dates in all:
+   a column too short grows to twice its length, or exactly to the need
+   when that is more, so a freeze of a whole plan at once leaves no room
+   over. *)
+let fz_reserve t ~tasks ~dates =
+  let grown a need =
+    if need <= Array.length a then a
+    else begin
+      let b = Array.make (max need (2 * Array.length a)) 0 in
+      Array.blit a 0 b 0 (Array.length a);
+      b
+    end
+  in
+  let n = t.fz_count + tasks in
+  t.fz_ids <- grown t.fz_ids n;
+  t.fz_starts <- grown t.fz_starts n;
+  t.fz_offsets <- grown t.fz_offsets (n + 1);
+  t.fz_emissions <- grown t.fz_emissions (t.fz_offsets.(t.fz_count) + dates)
+
+(* Copy [inc] placement [i] onto the end of the frozen store. *)
+let freeze t i =
+  let j = t.fz_count and proc = Incremental.proc_at t.inc i in
+  let start = Incremental.start_at t.inc i and o = t.fz_offsets.(t.fz_count) in
+  t.fz_ids.(j) <- t.ids.(i);
+  t.fz_starts.(j) <- start;
+  Incremental.blit_comms t.inc i t.fz_emissions ~pos:o;
+  t.fz_offsets.(j + 1) <- o + proc;
+  t.fz_count <- j + 1;
+  let finish = start + Chain.work t.chain proc in
+  if finish > t.barrier then t.barrier <- finish
 
 let advance ?emit t ~time =
   if time > t.frontier then t.frontier <- time;
-  let newly = ref 0 in
   (* Emission dates decrease along construction order, so placements
      freeze from the end of [inc]'s unfrozen prefix backward — which is
-     increasing emission order, exactly the order [fz_entries] keeps. *)
-  while
-    t.unfrozen > 0
-    && Incremental.emission_at t.inc (t.unfrozen - 1) < t.frontier
-  do
-    let i = t.unfrozen - 1 in
-    let entry = Incremental.entry_at t.inc i in
-    fz_push t ~id:t.ids.(i) entry;
-    let finish = entry.Schedule.start + Chain.work t.chain entry.Schedule.proc in
-    if finish > t.barrier then t.barrier <- finish;
-    t.unfrozen <- i;
-    incr newly
+     increasing emission order, exactly the frozen store's order. *)
+  let first = ref t.unfrozen in
+  while !first > 0 && Incremental.emission_at t.inc (!first - 1) < t.frontier do
+    decr first
   done;
-  if !newly > 0 then begin
-    if Obs.enabled () then Obs.count ~n:!newly "online.frozen";
+  let newly = t.unfrozen - !first in
+  if newly > 0 then begin
+    let dates = ref 0 in
+    for i = !first to t.unfrozen - 1 do
+      dates := !dates + Incremental.proc_at t.inc i
+    done;
+    fz_reserve t ~tasks:newly ~dates:!dates;
+    for i = t.unfrozen - 1 downto !first do
+      freeze t i
+    done;
+    t.unfrozen <- !first;
+    if Obs.enabled () then Obs.count ~n:newly "online.frozen";
     match emit with
     | None -> ()
-    | Some f -> f (Frozen { frontier = t.frontier; tasks = !newly })
+    | Some f -> f (Frozen { frontier = t.frontier; tasks = newly })
   end;
-  !newly
+  newly
 
 (* ---------- rebuilding the revisable suffix ---------- *)
 
@@ -247,8 +269,8 @@ let degrade ?emit t ~at ~work_factor =
     Error "Msts.Online.degrade: work_factor must be >= 1"
   else begin
     let committed = ref 0 in
-    for i = 0 to t.fz_count - 1 do
-      if t.fz_entries.(i).Schedule.proc = at then incr committed
+    for j = 0 to t.fz_count - 1 do
+      if t.fz_offsets.(j + 1) - t.fz_offsets.(j) = at then incr committed
     done;
     if !committed > 0 then
       Error
@@ -274,37 +296,38 @@ let degrade ?emit t ~at ~work_factor =
 
 (* ---------- snapshots ---------- *)
 
-(* The frozen prefix in increasing emission order, then the first [m]
-   entries of the revisable suffix (reverse construction order); all
-   frozen emissions precede all unfrozen ones, so the concatenation is
-   emission order overall.  Written straight into the columns. *)
-let columns t ~m =
-  let n = t.fz_count + m in
-  let placement j = m - 1 - (j - t.fz_count) in
-  let proc j =
-    if j < t.fz_count then t.fz_entries.(j).Schedule.proc
-    else Incremental.proc_at t.inc (placement j)
-  in
+(* The frozen tasks from the [from]-th on, in increasing emission order,
+   then the first [m] placements of the revisable suffix (reverse
+   construction order); all frozen emissions precede all unfrozen ones,
+   so the concatenation is emission order overall.  The frozen part is a
+   blit of the store's columns. *)
+let columns t ~from ~m =
+  let k = t.fz_count - from in
+  let n = k + m and base = t.fz_offsets.(from) in
+  let placement j = m - 1 - (j - k) in
   let offsets = Array.make (n + 1) 0 in
-  for j = 0 to n - 1 do
-    offsets.(j + 1) <- offsets.(j) + proc j
+  for j = 1 to k do
+    offsets.(j) <- t.fz_offsets.(from + j) - base
+  done;
+  for j = k to n - 1 do
+    offsets.(j + 1) <- offsets.(j) + Incremental.proc_at t.inc (placement j)
   done;
   let starts = Array.make n 0 and emissions = Array.make offsets.(n) 0 in
-  for j = 0 to n - 1 do
-    if j < t.fz_count then begin
-      let e = t.fz_entries.(j) in
-      starts.(j) <- e.start;
-      Array.blit e.comms 0 emissions offsets.(j) e.proc
-    end
-    else begin
-      starts.(j) <- Incremental.start_at t.inc (placement j);
-      Incremental.blit_comms t.inc (placement j) emissions ~pos:offsets.(j)
-    end
+  Array.blit t.fz_starts from starts 0 k;
+  Array.blit t.fz_emissions base emissions 0 offsets.(k);
+  for j = k to n - 1 do
+    starts.(j) <- Incremental.start_at t.inc (placement j);
+    Incremental.blit_comms t.inc (placement j) emissions ~pos:offsets.(j)
   done;
   Schedule.of_columns t.chain ~starts ~offsets ~emissions
 
-let schedule t = columns t ~m:t.unfrozen
+let schedule t = columns t ~from:0 ~m:t.unfrozen
 
 let plan t = Msts.Plan.Chain (schedule t)
 
-let frozen_schedule t = columns t ~m:0
+let frozen_schedule t = columns t ~from:0 ~m:0
+
+let frozen_since t from =
+  if from < 0 || from > t.fz_count then
+    invalid_arg "Msts.Online.frozen_since: outside the frozen prefix";
+  (Array.sub t.fz_ids from (t.fz_count - from), columns t ~from ~m:0)

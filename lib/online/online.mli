@@ -113,8 +113,9 @@ val frozen_schedule : t -> Msts.Schedule.t
 (** The frozen prefix alone, as its own schedule — what has actually been
     executed; the object the trace invariants audit. *)
 
-val frozen_entry : t -> int -> int * Msts.Schedule.entry
-(** [frozen_entry t i] (0-based, [i < frozen t]): the arrival id and
-    placement of the [i]-th frozen task, in emission order.  Lets
-    executors stream trace events as the frontier advances.
-    @raise Invalid_argument outside the frozen prefix. *)
+val frozen_since : t -> int -> int array * Msts.Schedule.t
+(** [frozen_since t i] (0-based, [i <= frozen t]): the frozen tasks from
+    the [i]-th on, in emission order, as their arrival ids and their own
+    schedule (task [j] of it is the [(i + j)]-th frozen task); O(frozen t
+    - i).  Lets executors stream trace events as the frontier advances.
+    @raise Invalid_argument outside [0..frozen t]. *)

@@ -37,16 +37,6 @@ let[@inline] emission ~who c i k =
 
 let comms c i = Array.sub c.emissions c.offsets.(i) (depth c i)
 
-let of_vectors ~legs ~starts vectors =
-  let n = Array.length starts in
-  let offsets = Array.make (n + 1) 0 in
-  for i = 0 to n - 1 do
-    offsets.(i + 1) <- offsets.(i) + Array.length vectors.(i)
-  done;
-  let emissions = Array.make offsets.(n) 0 in
-  Array.iteri (fun i v -> Array.blit v 0 emissions offsets.(i) (Array.length v)) vectors;
-  { legs; starts; offsets; emissions }
-
 let shift c ~delta =
   {
     c with

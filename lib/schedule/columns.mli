@@ -2,8 +2,8 @@
 
     Task [i] (0-based in this module; the schedules number tasks from 1)
     has a leg, a start date T(i) and an emission vector C(i):
-    - [legs.(i)] is its leg, and [legs] is [[||]] when every task is on
-      leg 1 (a chain, or any one-leg spider);
+    - [legs.(i)] is its leg (on a tree, its node), and [legs] is [[||]]
+      when every task is on leg 1 (a chain, or any one-leg spider);
     - [starts.(i)] is T(i);
     - [offsets] has [n + 1] entries, from 0 to [Array.length emissions]:
       C(i) is [emissions.(offsets.(i) .. offsets.(i+1) - 1)].  Its length
@@ -11,7 +11,8 @@
       no column stores the depth.
 
     That is four blocks and [3 + depth] words a task on a spider of
-    several legs, three blocks and [2 + P(i)] words a task on a chain.
+    several legs or a tree, three blocks and [2 + P(i)] words a task on a
+    chain.
     A schedule never writes its columns after construction, so schedules
     derived from one another (a shift, a chain's spider view) share the
     columns they do not change. *)
@@ -56,16 +57,16 @@ val emission : who:string -> t -> int -> int -> int
 val comms : t -> int -> int array
 (** A fresh copy of C(i). *)
 
-val of_vectors : legs:int array -> starts:int array -> int array array -> t
-(** Columns of [Array.length starts] tasks whose vectors are given (each
-    copied into the emission column). *)
-
 val shift : t -> delta:int -> t
 (** Every start and emission moved by [delta]; legs and offsets shared. *)
 
 val filter : t -> keep:(int -> bool) -> t
-(** The tasks whose 1-based index satisfies [keep], in order. *)
+(** The tasks whose 1-based index satisfies [keep], in order.  Like
+    {!append}, it checks nothing: the schedules hand what it builds back
+    to their validating constructors. *)
 
 val append : t -> t -> t
+(** The tasks of both, first then second.  The leg column is dropped
+    only when both keep none. *)
 
 val equal : t -> t -> bool

@@ -16,10 +16,6 @@ let precedes a b = compare a b < 0
 
 let shift d v = Array.map (fun x -> x - d) v
 
-let first_emission v =
-  if Array.length v = 0 then invalid_arg "Comm_vector.first_emission: empty vector";
-  v.(0)
-
 let pp ppf v =
   Format.fprintf ppf "{%a}"
     (Format.pp_print_list

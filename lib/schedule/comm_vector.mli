@@ -23,9 +23,6 @@ val shift : int -> t -> t
 (** [shift d v] subtracts [d] from every coordinate (the paper's final
     normalisation step applies [shift (C¹_1)]). *)
 
-val first_emission : t -> int
-(** [C_1], the emission time on the master's port. *)
-
 val pp : Format.formatter -> t -> unit
 
 val to_string : t -> string

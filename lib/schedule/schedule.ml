@@ -1,44 +1,20 @@
 module Chain = Msts_platform.Chain
 
-type entry = { proc : int; start : int; comms : Comm_vector.t }
-
 type t = { chain : Chain.t; cols : Columns.t }
 
-(* Task [task] on processor [proc] with a vector of [width] dates; in
-   the columns the width is the processor. *)
-let check_row ~who chain ~task ~proc ~width =
-  let p = Chain.length chain in
-  if proc < 1 || proc > p then
-    invalid_arg (Printf.sprintf "%s: task %d on processor %d outside 1..%d" who task proc p);
-  if width <> proc then
-    invalid_arg
-      (Printf.sprintf "%s: task %d has %d communications for processor %d" who task width
-         proc)
-
+(* A task's processor is its vector's length, so checking it within the
+   chain (at least 1) also orders the offsets. *)
 let of_columns chain ~starts ~offsets ~emissions =
   let who = "Schedule.of_columns" in
   let cols = Columns.make ~who ~legs:[||] ~starts ~offsets ~emissions in
+  let p = Chain.length chain in
   for idx = 0 to Columns.length cols - 1 do
     let proc = Columns.depth cols idx in
-    check_row ~who chain ~task:(idx + 1) ~proc ~width:proc
+    if proc < 1 || proc > p then
+      invalid_arg
+        (Printf.sprintf "%s: task %d on processor %d outside 1..%d" who (idx + 1) proc p)
   done;
   { chain; cols }
-
-(* The rows' processors and vector lengths must agree: the columns keep
-   only the vectors. *)
-let make chain entries =
-  Array.iteri
-    (fun idx e ->
-      check_row ~who:"Schedule.make" chain ~task:(idx + 1) ~proc:e.proc
-        ~width:(Array.length e.comms))
-    entries;
-  {
-    chain;
-    cols =
-      Columns.of_vectors ~legs:[||]
-        ~starts:(Array.map (fun e -> e.start) entries)
-        (Array.map (fun e -> e.comms) entries);
-  }
 
 let chain t = t.chain
 let columns t = t.cols
@@ -63,16 +39,6 @@ let[@inline] start t i =
 let[@inline] emission t i k =
   check_task t i "emission";
   Columns.emission ~who:"Schedule.emission" t.cols (i - 1) k
-
-let entry t i =
-  check_task t i "entry";
-  {
-    proc = Columns.depth t.cols (i - 1);
-    start = t.cols.starts.(i - 1);
-    comms = Columns.comms t.cols (i - 1);
-  }
-
-let entries t = Array.init (task_count t) (fun idx -> entry t (idx + 1))
 
 (* A loop, not a fold: a closure over [t] would cost words per call. *)
 let makespan t =
@@ -103,15 +69,16 @@ let tasks_on t k =
   List.map snd (List.sort compare with_start)
 
 let restrict_beyond_first t =
-  let sub_chain = Chain.drop_first t.chain in
   let kept = Columns.filter t.cols ~keep:(fun i -> Columns.depth t.cols (i - 1) >= 2) in
-  {
-    chain = sub_chain;
-    cols =
-      Columns.of_vectors ~legs:[||] ~starts:kept.starts
-        (Array.init (Columns.length kept) (fun idx ->
-             Array.sub kept.emissions (kept.offsets.(idx) + 1) (Columns.depth kept idx - 1)));
-  }
+  let n = Columns.length kept in
+  (* each kept vector loses its first date, C¹ *)
+  let offsets = Array.mapi (fun j o -> o - j) kept.offsets in
+  let emissions = Array.make offsets.(n) 0 in
+  for j = 0 to n - 1 do
+    Array.blit kept.emissions (kept.offsets.(j) + 1) emissions offsets.(j)
+      (Columns.depth kept j - 1)
+  done;
+  of_columns (Chain.drop_first t.chain) ~starts:kept.starts ~offsets ~emissions
 
 let equal a b = Chain.equal a.chain b.chain && Columns.equal a.cols b.cols
 

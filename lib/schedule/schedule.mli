@@ -2,17 +2,12 @@
 
     A schedule for [n] tasks on a chain assigns each task [i] a processor
     [P(i)], a start time [T(i)], and a communication vector
-    [C(i) = (C¹ᵢ, ..., C^{P(i)}ᵢ)].  This module stores schedules, computes
-    the makespan (Definition 2) and the tasks per processor.  Feasibility is {!Plan.check}'s job, on the
-    one-leg spider view of the schedule. *)
-
-type entry = {
-  proc : int;  (** P(i): executing processor, 1-indexed *)
-  start : int;  (** T(i) *)
-  comms : Comm_vector.t;  (** C(i); [Array.length comms = proc] *)
-}
-(** One task's row, built on demand by {!entry} and {!entries}: the
-    schedule itself keeps no record per task. *)
+    [C(i) = (C¹ᵢ, ..., C^{P(i)}ᵢ)].  This module stores schedules as
+    those three functions' int columns ({!Columns}), with no record per
+    task: producers write the columns and hand them to {!of_columns},
+    readers use {!proc}, {!start} and {!emission}.  It computes the
+    makespan (Definition 2) and the tasks per processor.  Feasibility is
+    {!Plan.check}'s job, on the one-leg spider view of the schedule. *)
 
 type t
 (** Stored as {!Columns}: the starts, the offsets and one emission column
@@ -34,12 +29,6 @@ val of_columns :
     chain); temporal feasibility is {!Plan.check}'s job.
     @raise Invalid_argument on structural errors. *)
 
-val make : Msts_platform.Chain.t -> entry array -> t
-(** [make chain entries] with [entries.(i-1)] describing task [i]: each
-    row's [proc] checked against the chain and against its vector's
-    length, then the vectors written into the columns.
-    @raise Invalid_argument on structural errors. *)
-
 val chain : t -> Msts_platform.Chain.t
 
 val columns : t -> Columns.t
@@ -58,15 +47,6 @@ val emission : t -> int -> int -> int
 (** [emission t i k]: C^k(i), the start of task [i]'s transfer over link
     [k], [k] in [1..P(i)].  Reads the column; allocates nothing. *)
 
-val entry : t -> int -> entry
-(** [entry t i] for task [i] in [1..task_count t]: a fresh row, its
-    vector copied out of the emission column (two blocks, 5 + P(i)
-    words, each call).  The accessors above read the same values without
-    allocating. *)
-
-val entries : t -> entry array
-(** Every task's {!entry}, fresh. *)
-
 val makespan : t -> int
 (** Definition 2: [max_i (T(i) + w_{P(i)})].  0 for an empty schedule. *)
 
@@ -83,7 +63,7 @@ val restrict_beyond_first : t -> t
     @raise Invalid_argument on a single-processor chain. *)
 
 val equal : t -> t -> bool
-(** Same chain, same entries (dates included). *)
+(** Same chain, same tasks (dates included). *)
 
 val equal_modulo_shift : t -> t -> bool
 (** Equal after normalising both. *)

@@ -77,7 +77,9 @@ let parse_task_line (lineno, line) =
       else Ok (List.map Option.get ints))
   | _ -> Error (Printf.sprintf "line %d: expected 'task ...'" lineno)
 
-let parse_body ~header ~entry_of_ints lines =
+(* The task lines after [header], each read by [fields] into a vector
+   length (its processor or depth), then the ints before and the dates. *)
+let parse_body ~header ~fields lines =
   match lines with
   | [] -> Error "empty schedule description"
   | (lineno, first) :: rest ->
@@ -86,48 +88,63 @@ let parse_body ~header ~entry_of_ints lines =
       else begin
         let rec loop acc = function
           | [] -> Ok (List.rev acc)
-          | entry_line :: more -> (
-              match parse_task_line entry_line with
+          | task_line :: more -> (
+              match parse_task_line task_line with
               | Error e -> Error e
               | Ok ints -> (
-                  match entry_of_ints (fst entry_line) ints with
+                  match fields (fst task_line) ints with
                   | Error e -> Error e
-                  | Ok entry -> loop (entry :: acc) more))
+                  | Ok task -> loop (task :: acc) more))
         in
         loop [] rest
       end
 
-(* The parsed lines go through [make], whose checks name it in the parse
-   errors [msts validate] prints. *)
+(* The tasks' start dates and vectors written into columns. *)
+let columns tasks =
+  let n = List.length tasks in
+  let starts = Array.make n 0 and offsets = Array.make (n + 1) 0 in
+  List.iteri
+    (fun j (start, comms) ->
+      starts.(j) <- start;
+      offsets.(j + 1) <- offsets.(j) + List.length comms)
+    tasks;
+  let emissions = Array.make offsets.(n) 0 in
+  List.iteri (fun j (_, comms) -> List.iteri (fun k d -> emissions.(offsets.(j) + k) <- d) comms) tasks;
+  (starts, offsets, emissions)
+
+(* The validating constructor's refusal, named [was]: the parse errors
+   [msts validate] prints keep the name of the row constructor plans were
+   once parsed through. *)
+let refused ~who ~was build =
+  match build () with
+  | sched -> Ok sched
+  | exception Invalid_argument msg ->
+      let k = String.length who in
+      if String.length msg >= k && String.sub msg 0 k = who then
+        Error (was ^ String.sub msg k (String.length msg - k))
+      else Error msg
+
 let schedule_of_string chain text =
-  let entry_of_ints lineno = function
-    | proc :: start :: comms when List.length comms = proc ->
-        Ok { Schedule.proc; start; comms = Array.of_list comms }
+  let fields lineno = function
+    | proc :: start :: comms when List.length comms = proc -> Ok (start, comms)
     | _ -> Error (Printf.sprintf "line %d: malformed chain task" lineno)
   in
-  match parse_body ~header:"chain-schedule" ~entry_of_ints (meaningful_lines text) with
+  match parse_body ~header:"chain-schedule" ~fields (meaningful_lines text) with
   | Error e -> Error e
-  | Ok entries -> (
-      match Schedule.make chain (Array.of_list entries) with
-      | sched -> Ok sched
-      | exception Invalid_argument msg -> Error msg)
+  | Ok tasks ->
+      let starts, offsets, emissions = columns tasks in
+      refused ~who:"Schedule.of_columns" ~was:"Schedule.make" (fun () ->
+          Schedule.of_columns chain ~starts ~offsets ~emissions)
 
 let spider_schedule_of_string spider text =
-  let entry_of_ints lineno = function
-    | leg :: depth :: start :: comms when List.length comms = depth ->
-        Ok
-          {
-            Spider_schedule.address = { Msts_platform.Spider.leg; depth };
-            start;
-            comms = Array.of_list comms;
-          }
+  let fields lineno = function
+    | leg :: depth :: start :: comms when List.length comms = depth -> Ok (leg, (start, comms))
     | _ -> Error (Printf.sprintf "line %d: malformed spider task" lineno)
   in
-  match
-    parse_body ~header:"spider-schedule" ~entry_of_ints (meaningful_lines text)
-  with
+  match parse_body ~header:"spider-schedule" ~fields (meaningful_lines text) with
   | Error e -> Error e
-  | Ok entries -> (
-      match Spider_schedule.make spider (Array.of_list entries) with
-      | sched -> Ok sched
-      | exception Invalid_argument msg -> Error msg)
+  | Ok tasks ->
+      let starts, offsets, emissions = columns (List.map snd tasks) in
+      let legs = Array.of_list (List.map fst tasks) in
+      refused ~who:"Spider_schedule.of_columns" ~was:"Spider_schedule.make" (fun () ->
+          Spider_schedule.of_columns spider ~legs ~starts ~offsets ~emissions)

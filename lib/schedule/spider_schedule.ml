@@ -1,22 +1,20 @@
 module Spider = Msts_platform.Spider
 module Chain = Msts_platform.Chain
 
-type entry = { address : Spider.address; start : int; comms : Comm_vector.t }
-
 type t = { spider : Spider.t; cols : Columns.t }
 
-(* Task [task] at [depth] on [leg] with a vector of [width] dates; in the
-   columns the width is the depth. *)
-let check_row ~who spider ~task ~leg ~depth ~width =
-  if leg < 1 || leg > Spider.legs spider then
-    invalid_arg (Printf.sprintf "%s: task %d on leg %d" who task leg);
-  let chain = Spider.leg_chain spider leg in
-  if depth < 1 || depth > Chain.length chain then
-    invalid_arg (Printf.sprintf "%s: task %d at depth %d on leg %d" who task depth leg);
-  if width <> depth then invalid_arg (Printf.sprintf "%s: task %d comm vector length" who task)
-
-(* A one-leg spider keeps no leg column. *)
-let on spider cols =
+(* The columns' shape, then every task's leg and depth within the spider
+   (a depth of at least 1 everywhere also orders the offsets).  A one-leg
+   spider keeps no leg column. *)
+let checked ~who spider ~legs ~starts ~offsets ~emissions =
+  let cols = Columns.make ~who ~legs ~starts ~offsets ~emissions in
+  for idx = 0 to Columns.length cols - 1 do
+    let leg = Columns.leg cols idx and depth = Columns.depth cols idx in
+    if leg < 1 || leg > Spider.legs spider then
+      invalid_arg (Printf.sprintf "%s: task %d on leg %d" who (idx + 1) leg);
+    if depth < 1 || depth > Chain.length (Spider.leg_chain spider leg) then
+      invalid_arg (Printf.sprintf "%s: task %d at depth %d on leg %d" who (idx + 1) depth leg)
+  done;
   { spider; cols = (if Spider.legs spider = 1 then Columns.on_leg_one cols else cols) }
 
 let of_columns spider ~legs ~starts ~offsets ~emissions =
@@ -25,26 +23,11 @@ let of_columns spider ~legs ~starts ~offsets ~emissions =
     invalid_arg
       (Printf.sprintf "%s: %d legs for %d starts" who (Array.length legs)
          (Array.length starts));
-  let cols = Columns.make ~who ~legs ~starts ~offsets ~emissions in
-  for idx = 0 to Columns.length cols - 1 do
-    let depth = Columns.depth cols idx in
-    check_row ~who spider ~task:(idx + 1) ~leg:(Columns.leg cols idx) ~depth ~width:depth
-  done;
-  on spider cols
+  checked ~who spider ~legs ~starts ~offsets ~emissions
 
-(* The rows' depths and vector lengths must agree: the columns keep only
-   the vectors. *)
-let make spider entries =
-  Array.iteri
-    (fun idx e ->
-      check_row ~who:"Spider_schedule.make" spider ~task:(idx + 1) ~leg:e.address.Spider.leg
-        ~depth:e.address.depth ~width:(Array.length e.comms))
-    entries;
-  on spider
-    (Columns.of_vectors
-       ~legs:(Array.map (fun e -> e.address.Spider.leg) entries)
-       ~starts:(Array.map (fun e -> e.start) entries)
-       (Array.map (fun e -> e.comms) entries))
+(* The derived columns are checked as a producer's are. *)
+let rechecked ~who spider (c : Columns.t) =
+  checked ~who spider ~legs:c.legs ~starts:c.starts ~offsets:c.offsets ~emissions:c.emissions
 
 let spider t = t.spider
 let columns t = t.cols
@@ -73,17 +56,6 @@ let[@inline] start t i =
 let[@inline] emission t i k =
   check_task t i "emission";
   Columns.emission ~who:"Spider_schedule.emission" t.cols (i - 1) k
-
-let entry t i =
-  check_task t i "entry";
-  let c = t.cols and idx = i - 1 in
-  {
-    address = { Spider.leg = Columns.leg c idx; depth = Columns.depth c idx };
-    start = c.starts.(idx);
-    comms = Columns.comms c idx;
-  }
-
-let entries t = Array.init (task_count t) (fun idx -> entry t (idx + 1))
 
 (* A loop, not a fold: a closure over [t] would cost words per call. *)
 let makespan t =
@@ -208,7 +180,7 @@ let negative (c : Columns.t) x =
   !neg
 
 (* Definition 1 per leg, then the master's one-port rule, in one pass over
-   interval keys: the tasks are grouped by leg (entry order kept, and
+   interval keys: the tasks are grouped by leg (task order kept, and
    numbered within the leg as the leg's chain schedule would), and every
    resource's intervals are packed into one scratch array, sorted and
    scanned for the first overlapping neighbours.  Per leg the violations
@@ -226,7 +198,7 @@ let violations ?(require_nonnegative = false) t =
   for l = 1 to legs + 1 do
     first.(l) <- first.(l) + first.(l - 1)
   done;
-  (* by_leg.(first.(l) .. first.(l+1) - 1): leg [l]'s tasks, entry order *)
+  (* by_leg.(first.(l) .. first.(l+1) - 1): leg [l]'s tasks, task order *)
   let by_leg = Array.make n 0 in
   for i = 0 to n - 1 do
     let l = Columns.leg c i in
@@ -305,12 +277,13 @@ let shift t ~delta =
   then invalid_arg "Spider_schedule.shift: negative date after shift";
   { t with cols = Columns.shift c ~delta }
 
-let filter_tasks t ~keep = { t with cols = Columns.filter t.cols ~keep }
+let filter_tasks t ~keep =
+  rechecked ~who:"Spider_schedule.filter_tasks" t.spider (Columns.filter t.cols ~keep)
 
 let concat a b =
   if not (Spider.equal a.spider b.spider) then
     invalid_arg "Spider_schedule.concat: schedules are on different spiders";
-  { a with cols = Columns.append a.cols b.cols }
+  rechecked ~who:"Spider_schedule.concat" a.spider (Columns.append a.cols b.cols)
 
 (* A chain's processor P(i) is its node on leg 1: the columns are shared. *)
 let of_chain_schedule sched =

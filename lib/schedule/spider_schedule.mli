@@ -3,15 +3,13 @@
     Each task is routed down one leg of the spider; within the leg the chain
     rules of Definition 1 apply, and across legs the master may drive only
     one outgoing transfer at a time (its port is busy for [c₁] of the chosen
-    leg at each emission). *)
+    leg at each emission).
 
-type entry = {
-  address : Msts_platform.Spider.address;  (** executing processor *)
-  start : int;  (** T(i) *)
-  comms : Comm_vector.t;  (** emissions along the leg; length = depth *)
-}
-(** One task's row, built on demand by {!entry} and {!entries}: the
-    schedule itself keeps no record per task. *)
+    A schedule is stored as int columns ({!Columns}), with no record per
+    task.  Every way to build one, {!of_columns} and the derived schedules
+    ({!filter_tasks}, {!concat}, {!shift}, a chain's view), checks or
+    keeps each task's leg and depth within the spider; readers use
+    {!leg}, {!depth}, {!start} and {!emission}. *)
 
 type t
 (** Stored as {!Columns}: the legs, the starts, the offsets and one
@@ -35,11 +33,6 @@ val of_columns :
     only (column lengths, legs and depths within the spider).
     @raise Invalid_argument on structural errors. *)
 
-val make : Msts_platform.Spider.t -> entry array -> t
-(** Each row's address checked against the spider and its depth against
-    its vector's length, then the vectors written into the columns.
-    @raise Invalid_argument on structural errors. *)
-
 val spider : t -> Msts_platform.Spider.t
 
 val columns : t -> Columns.t
@@ -60,14 +53,6 @@ val emission : t -> int -> int -> int
 (** [emission t i k]: the start of task [i]'s transfer over hop [k] of its
     leg, [k] in [1..depth t i]; hop 1 is the master's port.  Reads the
     column; allocates nothing. *)
-
-val entry : t -> int -> entry
-(** A fresh row: an address, a record and a vector copied out of the
-    emission column (three blocks, 8 + depth words, each call).  The
-    accessors above read the same values without allocating. *)
-
-val entries : t -> entry array
-(** Every task's {!entry}, fresh. *)
 
 val makespan : t -> int
 
@@ -106,16 +91,21 @@ val shift : t -> delta:int -> t
 
 val filter_tasks : t -> keep:(int -> bool) -> t
 (** Sub-schedule of the tasks whose (1-based) index satisfies [keep];
-    survivors are renumbered consecutively, entry order preserved. *)
+    survivors are renumbered consecutively, task order preserved.  The
+    filtered columns go through {!of_columns}' checks (prefixed
+    [Spider_schedule.filter_tasks]), so a slip in the filter fails here,
+    not where a task is next read. *)
 
 val equal : t -> t -> bool
-(** Same spider, same entries (routes, starts and emission dates all
+(** Same spider, same tasks (routes, starts and emission dates all
     included). *)
 
 val concat : t -> t -> t
-(** Entries of both schedules, first then second, renumbered — the splice
-    of two partial schedules.  Purely structural: feasibility of the result
-    is the caller's claim to check.
+(** Tasks of both schedules, first then second, renumbered — the splice
+    of two partial schedules.  The appended columns go through
+    {!of_columns}' checks (prefixed [Spider_schedule.concat]), so a slip
+    in the splice fails here.  Feasibility of the result is the caller's
+    claim to check.
     @raise Invalid_argument if the spiders differ. *)
 
 val to_string : t -> string

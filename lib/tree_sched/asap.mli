@@ -19,10 +19,17 @@ val start : Flat.t -> state
 
 val copy : state -> state
 
-val push : state -> dest:int -> Tree_schedule.entry
-(** Route one more task to node [dest].
+val push : state -> dest:int -> emissions:int array -> pos:int -> int
+(** Route one more task to node [dest]: its emission date at each hop of
+    the node's path is written into [emissions] from [pos] (the path's
+    length of ints), and its start date is returned.  Allocates nothing.
     @raise Invalid_argument on an unknown node. *)
 
+val hops : Flat.t -> int array
+(** A scratch vector long enough for {!push} at [~pos:0] on any node. *)
+
 val of_sequence : Flat.t -> int array -> Tree_schedule.t
+(** The ASAP schedule of the sequence, its dates written straight into
+    the plan's columns. *)
 
 val makespan : Flat.t -> int array -> int

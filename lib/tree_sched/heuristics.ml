@@ -40,9 +40,9 @@ let schedule policy tree n =
   let count = Flat.node_count flat in
   let work dest = (Flat.info flat dest).Flat.work in
   (* one-step lookahead on a state snapshot *)
+  let hops = Asap.hops flat in
   let completion_if st dest =
-    let e = Asap.push (Asap.copy st) ~dest in
-    e.Tree_schedule.start + work dest
+    Asap.push (Asap.copy st) ~dest ~emissions:hops ~pos:0 + work dest
   in
   let choose =
     match policy with
@@ -73,8 +73,15 @@ let schedule policy tree n =
         let rng = Prng.create seed in
         fun _ -> Prng.int_in rng 1 count
   in
+  (* the policy picks the sequence; its ASAP timing is the schedule *)
   let st = Asap.start flat in
-  Tree_schedule.make flat (Array.init n (fun _ -> Asap.push st ~dest:(choose st)))
+  let seq =
+    Array.init n (fun _ ->
+        let dest = choose st in
+        ignore (Asap.push st ~dest ~emissions:hops ~pos:0);
+        dest)
+  in
+  Asap.of_sequence flat seq
 
 let makespan policy tree n = Tree_schedule.makespan (schedule policy tree n)
 
@@ -125,20 +132,15 @@ let spider_cover policy tree n =
                 path))
          paths)
   in
-  let spider_sched = Msts_spider.Algorithm.schedule_tasks spider n in
-  let paths = Array.of_list paths in
-  let entries =
-    Array.map
-      (fun (e : Msts_schedule.Spider_schedule.entry) ->
-        let { Spider.leg; depth } = e.address in
-        {
-          Tree_schedule.node = List.nth paths.(leg - 1) (depth - 1);
-          start = e.start;
-          comms = e.comms (* a fresh row's vector *);
-        })
-      (Msts_schedule.Spider_schedule.entries spider_sched)
-  in
-  Tree_schedule.make flat entries
+  let plan = Msts_spider.Algorithm.schedule_tasks spider n in
+  (* node_of.(leg - 1).(depth - 1): the tree node at that spider address *)
+  let node_of = Array.of_list (List.map Array.of_list paths) in
+  let c = Msts_schedule.Spider_schedule.columns plan in
+  Tree_schedule.of_columns flat
+    ~nodes:
+      (Array.init (Msts_schedule.Columns.length c) (fun i ->
+           node_of.(Msts_schedule.Columns.leg c i - 1).(Msts_schedule.Columns.depth c i - 1)))
+    ~starts:c.starts ~offsets:c.offsets ~emissions:c.emissions
 
 let spider_cover_makespan policy tree n =
   Tree_schedule.makespan (spider_cover policy tree n)

@@ -4,7 +4,7 @@ let search flat n =
   let count = Flat.node_count flat in
   let best = ref max_int in
   let best_seq = ref [||] in
-  let seq = Array.make (max n 1) 1 in
+  let seq = Array.make (max n 1) 1 and hops = Asap.hops flat in
   let rec explore st depth makespan =
     if makespan < !best then begin
       if depth = n then begin
@@ -14,11 +14,10 @@ let search flat n =
       else
         for dest = 1 to count do
           let st' = Asap.copy st in
-          let e = Asap.push st' ~dest in
+          let start = Asap.push st' ~dest ~emissions:hops ~pos:0 in
           seq.(depth) <- dest;
           explore st' (depth + 1)
-            (max makespan
-               (e.Tree_schedule.start + (Flat.info flat dest).Flat.work))
+            (max makespan (start + (Flat.info flat dest).Flat.work))
         done
     end
   in

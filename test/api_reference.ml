@@ -289,8 +289,8 @@ let json_of_plan ?(extra = []) plan =
   let entries =
     match plan with
     | Plan.Chain sched ->
-        Array.to_list (Schedule.entries sched)
-        |> List.mapi (fun idx (e : Schedule.entry) ->
+        Array.to_list (Schedule_reference.chain_rows sched)
+        |> List.mapi (fun idx (e : Schedule_reference.Schedule.entry) ->
                Obj
                  [
                    ("task", Int (idx + 1));
@@ -299,8 +299,8 @@ let json_of_plan ?(extra = []) plan =
                    ("comms", comms_json e.comms);
                  ])
     | Plan.Spider sched ->
-        Array.to_list (Spider_schedule.entries sched)
-        |> List.mapi (fun idx (e : Spider_schedule.entry) ->
+        Array.to_list (Schedule_reference.spider_rows sched)
+        |> List.mapi (fun idx (e : Schedule_reference.Spider_schedule.entry) ->
                Obj
                  [
                    ("task", Int (idx + 1));

@@ -47,11 +47,11 @@ let schedule chain n =
     tvec.(i) <- tvec.(i) - shift;
     cvec.(i) <- List.map (fun x -> x - shift) cvec.(i)
   done;
-  Schedule.make chain
+  Schedule_reference.chain_plan chain
     (Array.init n (fun idx ->
          let i = idx + 1 in
          {
-           Schedule.proc = pvec.(i);
+           Schedule_reference.Schedule.proc = pvec.(i);
            start = tvec.(i);
            comms = Array.of_list cvec.(i);
          }))

@@ -5,15 +5,13 @@
    [Tree.of_spider]. *)
 
 let spider_schedule spider seq =
-  let entry address =
-    {
-      Msts.Spider_schedule.address;
-      start = 0;
-      comms = Array.make address.Msts.Spider.depth 0;
-    }
-  in
+  let n = Array.length seq in
+  let offsets = Array.make (n + 1) 0 in
+  Array.iteri (fun i a -> offsets.(i + 1) <- offsets.(i) + a.Msts.Spider.depth) seq;
   (Msts.Netsim.replay_routing
-     (Msts.Spider_schedule.make spider (Array.map entry seq)))
+     (Msts.Spider_schedule.of_columns spider
+        ~legs:(Array.map (fun a -> a.Msts.Spider.leg) seq)
+        ~starts:(Array.make n 0) ~offsets ~emissions:(Array.make offsets.(n) 0)))
     .Msts.Netsim.realized
 
 let chain_schedule chain seq =

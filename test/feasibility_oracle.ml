@@ -49,9 +49,8 @@ let link_intervals t k =
   let c = Chain.latency (Schedule.chain t) k in
   List.filter_map
     (fun i ->
-      let e = Schedule.entry t i in
-      if e.Schedule.proc >= k then
-        Some { Intervals.start = e.comms.(k - 1); duration = c; tag = i }
+      if Schedule.proc t i >= k then
+        Some { Intervals.start = Schedule.emission t i k; duration = c; tag = i }
       else None)
     (Msts.Intx.range 1 (Schedule.task_count t))
 
@@ -59,23 +58,25 @@ let proc_intervals t k =
   let w = Chain.work (Schedule.chain t) k in
   List.filter_map
     (fun i ->
-      let e = Schedule.entry t i in
-      if e.Schedule.proc = k then Some { Intervals.start = e.start; duration = w; tag = i }
+      if Schedule.proc t i = k then
+        Some { Intervals.start = Schedule.start t i; duration = w; tag = i }
       else None)
     (Msts.Intx.range 1 (Schedule.task_count t))
 
 (* Properties 1 and 2, one task at a time. *)
-let per_task_violations chain i (e : Schedule.entry) =
+let per_task_violations t i =
+  let chain = Schedule.chain t and proc = Schedule.proc t i in
+  let c k = Schedule.emission t i k in
   let store_and_forward =
     List.filter_map
       (fun k ->
-        if e.comms.(k - 2) + Chain.latency chain (k - 1) > e.comms.(k - 1) then
+        if c (k - 1) + Chain.latency chain (k - 1) > c k then
           Some (Reemitted_before_received { task = i; link = k })
         else None)
-      (Msts.Intx.range 2 e.proc)
+      (Msts.Intx.range 2 proc)
   in
   let reception =
-    if e.comms.(e.proc - 1) + Chain.latency chain e.proc > e.start then
+    if c proc + Chain.latency chain proc > Schedule.start t i then
       [ Started_before_received { task = i } ]
     else []
   in
@@ -104,17 +105,19 @@ let resource_violations t =
 let negative_dates t =
   List.filter_map
     (fun i ->
-      let e = Schedule.entry t i in
-      if e.start < 0 || Array.exists (fun x -> x < 0) e.comms then
+      if
+        Schedule.start t i < 0
+        || List.exists (fun k -> Schedule.emission t i k < 0)
+             (Msts.Intx.range 1 (Schedule.proc t i))
+      then
         Some (Negative_date { task = i })
       else None)
     (Msts.Intx.range 1 (Schedule.task_count t))
 
 let check ?(require_nonnegative = false) t =
-  let chain = Schedule.chain t in
   let per_task =
     List.concat_map
-      (fun i -> per_task_violations chain i (Schedule.entry t i))
+      (fun i -> per_task_violations t i)
       (Msts.Intx.range 1 (Schedule.task_count t))
   in
   let negatives = if require_nonnegative then negative_dates t else [] in

@@ -122,11 +122,11 @@ let figure2_chain = Msts.Chain.of_pairs [ (2, 3); (3, 5) ]
 
 (* [s] with every date moved [d] earlier. *)
 let shift_schedule d s =
-  Msts.Schedule.make (Msts.Schedule.chain s)
+  Schedule_reference.chain_plan (Msts.Schedule.chain s)
     (Array.map
-       (fun (e : Msts.Schedule.entry) ->
+       (fun (e : Schedule_reference.Schedule.entry) ->
          { e with start = e.start - d; comms = Msts.Comm_vector.shift d e.comms })
-       (Msts.Schedule.entries s))
+       (Schedule_reference.chain_rows s))
 
 let spider_latency spider { Msts.Spider.leg; depth } =
   Msts.Chain.latency (Msts.Spider.leg_chain spider leg) depth
@@ -218,7 +218,7 @@ let segment events =
 
 let first_emission_keyed s =
   List.init (Msts.Schedule.task_count s) (fun idx ->
-      (Msts.Comm_vector.first_emission (Msts.Schedule.entry s (idx + 1)).comms, idx + 1))
+      (Msts.Schedule.emission s (idx + 1) 1, idx + 1))
 
 (* Tasks sorted by first-link emission date: the paper numbers tasks in
    this order. *)

@@ -55,7 +55,7 @@ module Transform = struct
     let m = Schedule.task_count sched in
     List.map
       (fun task ->
-        let first = Comm_vector.first_emission (Schedule.entry sched task).comms in
+        let first = Schedule.emission sched task 1 in
         let work = deadline - first - c1 in
         if work < 0 then
           invalid_arg
@@ -203,14 +203,14 @@ let earliest_emission t =
 
 let entry_at t i =
   {
-    Schedule.proc = t.procs.(i);
+    Schedule_reference.Schedule.proc = t.procs.(i);
     start = t.starts.(i);
     comms = Array.sub t.pool t.offs.(i) t.procs.(i);
   }
 
 (* Emission order is reverse construction order. *)
 let schedule t =
-  Schedule.make t.chain
+  Schedule_reference.chain_plan t.chain
     (Array.init t.placed (fun j -> entry_at t (t.placed - 1 - j)))
 
 let deadline_schedule ?max_tasks chain ~deadline =
@@ -311,18 +311,18 @@ let assemble spider legs ~deadline ~budget =
     let task =
       Transform.task_of_rank leg_sched ~rank:node.Msts.Fork_expansion.rank
     in
-    let original = Schedule.entry leg_sched task in
-    let comms = Array.copy original.comms in
+    let proc = Schedule.proc leg_sched task in
+    let comms = Schedule_reference.vector Schedule.emission leg_sched task ~depth:proc in
     (* Lemma 3: the allocator's emission is never later than the original
        first emission, so only this coordinate changes. *)
     comms.(0) <- emission;
     {
-      Spider_schedule.address = { Spider.leg; depth = original.proc };
-      start = original.start;
+      Schedule_reference.Spider_schedule.address = { Spider.leg; depth = proc };
+      start = Schedule.start leg_sched task;
       comms;
     }
   in
-  Spider_schedule.make spider (Array.of_list (List.map entry_of allocations))
+  Schedule_reference.spider_plan spider (Array.of_list (List.map entry_of allocations))
 
 let spider_plan ?(budget = max_int) spider ~deadline =
   if deadline < 0 then invalid_arg "Spider algorithm: negative deadline";

@@ -163,10 +163,10 @@ let fresh_record address =
   { address; start = 0; comms = Array.make address.Spider.depth 0 }
 
 let to_schedule spider records =
-  Spider_schedule.make spider
+  Schedule_reference.spider_plan spider
     (Array.map
        (fun r ->
-         { Spider_schedule.address = r.address; start = r.start; comms = r.comms })
+         { Schedule_reference.Spider_schedule.address = r.address; start = r.start; comms = r.comms })
        records)
 
 (* ---------- executors ---------- *)
@@ -186,15 +186,15 @@ let run_sequence_spider spider seq =
 let execute plan =
   let spider = Spider_schedule.spider plan in
   let net = build spider in
-  let entries = Spider_schedule.entries plan in
+  let entries = Schedule_reference.spider_rows plan in
   let records =
-    Array.map (fun (e : Spider_schedule.entry) -> fresh_record e.address) entries
+    Array.map (fun (e : Schedule_reference.Spider_schedule.entry) -> fresh_record e.address) entries
   in
   Array.iteri
-    (fun idx (e : Spider_schedule.entry) ->
+    (fun idx (e : Schedule_reference.Spider_schedule.entry) ->
       let record = records.(idx) in
       let c1 = Chain.latency (Spider.leg_chain spider e.address.Spider.leg) 1 in
-      let planned_emission = Msts.Comm_vector.first_emission e.comms in
+      let planned_emission = e.comms.(0) in
       let task = idx + 1 in
       let hop1 = Trace.Transfer { leg = e.address.Spider.leg; hop = 1 } in
       Engine.schedule_at net.engine planned_emission (fun () ->
@@ -222,8 +222,8 @@ let replay_routing ?(buffer = max_int) ?on plan =
   let credit { Spider.leg; depth } = credits.(leg - 1).(depth - 1) in
   let records =
     Array.map
-      (fun (e : Spider_schedule.entry) -> fresh_record e.address)
-      (Spider_schedule.entries plan)
+      (fun (e : Schedule_reference.Spider_schedule.entry) -> fresh_record e.address)
+      (Schedule_reference.spider_rows plan)
   in
   let rec forward_bounded record ~task ~at =
     let { Spider.leg; depth } = record.address in

@@ -30,7 +30,7 @@ let candidate snap =
           match Msts.Spider_algorithm.schedule_tasks residual m with
           | exception _ -> None
           | plan ->
-              let entries = Spider_schedule.entries plan in
+              let entries = Schedule_reference.spider_rows plan in
               if Array.length entries <> m then None
               else
                 let back (a : Spider.address) =
@@ -39,7 +39,7 @@ let candidate snap =
                 let redirect =
                   List.mapi
                     (fun j (id, _) ->
-                      (id, back entries.(j).Spider_schedule.address))
+                      (id, back entries.(j).Schedule_reference.Spider_schedule.address))
                     at_master
                 in
                 Some (redirect, plan, leg_map)))
@@ -52,19 +52,19 @@ let splice plan snap residual_plan leg_map =
   in
   let mapped =
     Array.map
-      (fun (e : Spider_schedule.entry) ->
+      (fun (e : Schedule_reference.Spider_schedule.entry) ->
         {
           e with
-          Spider_schedule.address =
+          Schedule_reference.Spider_schedule.address =
             {
               Spider.leg = leg_map.(e.address.Spider.leg - 1);
               depth = e.address.Spider.depth;
             };
         })
-      (Spider_schedule.entries
+      (Schedule_reference.spider_rows
          (Spider_schedule.shift residual_plan ~delta:snap.Fault.time))
   in
-  Spider_schedule.concat kept (Spider_schedule.make spider mapped)
+  Spider_schedule.concat kept (Schedule_reference.spider_plan spider mapped)
 
 let eval plan trace decisions =
   incr lookaheads;

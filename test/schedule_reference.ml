@@ -4,7 +4,9 @@
    read those records.  Kept frozen as the oracle of the differential
    suite in test_plan_columns.ml: every plan the library produces, read
    back into this layout, must give the same entries, makespan, per-leg
-   views, Definition 1 audit, text and serial forms. *)
+   views, Definition 1 audit, text and serial forms.  The converters at
+   the end carry plans between the two layouts, so tests that write plans
+   row by row build them here. *)
 
 module Comm_vector = Msts.Comm_vector
 
@@ -56,7 +58,7 @@ module Schedule = struct
 
   let start_time t =
     Array.fold_left
-      (fun acc e -> min acc (Comm_vector.first_emission e.comms))
+      (fun acc e -> min acc (e.comms.(0)))
       max_int t.entries
 
   let shift d t =
@@ -171,7 +173,7 @@ module Spider_schedule = struct
         (fun idx ->
           let e = t.entries.(idx) in
           if e.address.Spider.leg = l then
-            Some (Comm_vector.first_emission e.comms, idx + 1)
+            Some (e.comms.(0), idx + 1)
           else None)
         (List.init (task_count t) Fun.id)
     in
@@ -499,3 +501,60 @@ module Serial = struct
       (Spider_schedule.entries sched);
     Msts_util.Table.to_csv table
 end
+
+(* ---------- between the layouts ---------- *)
+
+(* Start dates and vectors as the library's columns. *)
+let columns starts vectors =
+  let offsets = Array.make (Array.length starts + 1) 0 in
+  Array.iteri (fun i v -> offsets.(i + 1) <- offsets.(i) + Array.length v) vectors;
+  (offsets, Array.concat (Array.to_list vectors))
+
+let vector emission sched i ~depth = Array.init depth (fun k -> emission sched i (k + 1))
+
+(* Reference rows, checked by the reference, to the library's columns
+   through its validating constructors. *)
+let chain_plan chain (rows : Schedule.entry array) =
+  ignore (Schedule.make chain rows);
+  let starts = Array.map (fun (e : Schedule.entry) -> e.start) rows in
+  let offsets, emissions = columns starts (Array.map (fun (e : Schedule.entry) -> e.comms) rows) in
+  Msts.Schedule.of_columns chain ~starts ~offsets ~emissions
+
+let spider_plan spider (rows : Spider_schedule.entry array) =
+  ignore (Spider_schedule.make spider rows);
+  let starts = Array.map (fun (e : Spider_schedule.entry) -> e.start) rows in
+  let offsets, emissions =
+    columns starts (Array.map (fun (e : Spider_schedule.entry) -> e.comms) rows)
+  in
+  Msts.Spider_schedule.of_columns spider
+    ~legs:(Array.map (fun (e : Spider_schedule.entry) -> e.address.Msts.Spider.leg) rows)
+    ~starts ~offsets ~emissions
+
+(* The library's columns read back as rows, through its accessors. *)
+let chain_row sched i =
+  let proc = Msts.Schedule.proc sched i in
+  {
+    Schedule.proc;
+    start = Msts.Schedule.start sched i;
+    comms = vector Msts.Schedule.emission sched i ~depth:proc;
+  }
+
+let spider_row sched i =
+  let module S = Msts.Spider_schedule in
+  let depth = S.depth sched i in
+  {
+    Spider_schedule.address = { Msts.Spider.leg = S.leg sched i; depth };
+    start = S.start sched i;
+    comms = vector S.emission sched i ~depth;
+  }
+
+let chain_rows sched =
+  Array.init (Msts.Schedule.task_count sched) (fun idx -> chain_row sched (idx + 1))
+
+let spider_rows sched =
+  Array.init (Msts.Spider_schedule.task_count sched) (fun idx -> spider_row sched (idx + 1))
+
+let of_chain_plan sched = Schedule.make (Msts.Schedule.chain sched) (chain_rows sched)
+
+let of_spider_plan sched =
+  Spider_schedule.make (Msts.Spider_schedule.spider sched) (spider_rows sched)

@@ -44,16 +44,16 @@ let asap_known_example () =
   let chain = Msts.Chain.of_pairs [ (2, 3) ] in
   let s = chain_asap chain [| 1; 1; 1 |] in
   Alcotest.(check int) "makespan" 11 (Msts.Schedule.makespan s);
-  Alcotest.(check int) "second start" 5 (Msts.Schedule.entry s 2).Msts.Schedule.start
+  Alcotest.(check int) "second start" 5 (Msts.Schedule.start s 2)
 
 let asap_push_rejects_bad_dest () =
   let st = Msts.Asap.start (Msts.Tree_flat.of_tree (chain_tree figure2_chain)) in
   Alcotest.check_raises "dest 0"
     (Invalid_argument "Flat.info: node 0 outside 1..2") (fun () ->
-      ignore (Msts.Asap.push st ~dest:0));
+      ignore (Msts.Asap.push st ~dest:0 ~emissions:[| 0; 0 |] ~pos:0));
   Alcotest.check_raises "dest 3"
     (Invalid_argument "Flat.info: node 3 outside 1..2") (fun () ->
-      ignore (Msts.Asap.push st ~dest:3))
+      ignore (Msts.Asap.push st ~dest:3 ~emissions:[| 0; 0 |] ~pos:0))
 
 let asap_spider_feasible =
   Helpers.to_alcotest

@@ -147,8 +147,8 @@ let slowdown_stretches_in_flight () =
 let drop_retries_after_backoff () =
   let spider = Msts.Spider.of_chain (Msts.Chain.of_pairs [ (2, 1); (3, 1) ]) in
   let plan =
-    Msts.Spider_schedule.make spider
-      [| { Msts.Spider_schedule.address = addr 1 2; start = 5; comms = [| 0; 2 |] } |]
+    Schedule_reference.spider_plan spider
+      [| { Schedule_reference.Spider_schedule.address = addr 1 2; start = 5; comms = [| 0; 2 |] } |]
   in
   let trace =
     [
@@ -162,9 +162,9 @@ let drop_retries_after_backoff () =
   Alcotest.(check int) "retried completion" 8 r.Msts.Netsim.observed_makespan;
   Alcotest.(check int) "one abort" 1 r.Msts.Netsim.aborted_ops;
   Alcotest.(check int) "one retry" 1 r.Msts.Netsim.transfer_retries;
-  let e = (Msts.Spider_schedule.entries r.Msts.Netsim.observed).(0) in
+  let e = (Schedule_reference.spider_rows r.Msts.Netsim.observed).(0) in
   Alcotest.(check (array int)) "second hop re-recorded" [| 0; 4 |]
-    e.Msts.Spider_schedule.comms;
+    e.Schedule_reference.Spider_schedule.comms;
   (* a drop while nothing is in flight is a no-op *)
   let quiet =
     Msts.Netsim.replay_under_faults
@@ -185,10 +185,10 @@ let drop_retries_after_backoff () =
 let equal_backoffs_keep_queue_order () =
   let spider = Msts.Spider.of_chain (Msts.Chain.of_pairs [ (5, 1) ]) in
   let plan =
-    Msts.Spider_schedule.make spider
+    Schedule_reference.spider_plan spider
       [|
-        { Msts.Spider_schedule.address = addr 1 1; start = 5; comms = [| 0 |] };
-        { Msts.Spider_schedule.address = addr 1 1; start = 10; comms = [| 5 |] };
+        { Schedule_reference.Spider_schedule.address = addr 1 1; start = 5; comms = [| 0 |] };
+        { Schedule_reference.Spider_schedule.address = addr 1 1; start = 10; comms = [| 5 |] };
       |]
   in
   let drop at penalty =
@@ -201,7 +201,7 @@ let equal_backoffs_keep_queue_order () =
      retry from 11 *)
   let r = Msts.Netsim.replay_under_faults ~trace:[ drop 1 10; drop 2 9 ] plan in
   let comms i =
-    (Msts.Spider_schedule.entries r.Msts.Netsim.observed).(i).Msts.Spider_schedule.comms
+    (Schedule_reference.spider_rows r.Msts.Netsim.observed).(i).Schedule_reference.Spider_schedule.comms
   in
   Alcotest.(check (array int)) "task 1 re-emitted first" [| 11 |] (comms 0);
   Alcotest.(check (array int)) "task 2 after it" [| 16 |] (comms 1);
@@ -220,8 +220,8 @@ let crash_returns_and_retargets () =
   Array.iteri
     (fun idx c ->
       Alcotest.(check bool) "completed" true (c > 0);
-      let e = (Msts.Spider_schedule.entries r.Msts.Netsim.observed).(idx) in
-      if e.Msts.Spider_schedule.address.Msts.Spider.leg = 2 then
+      let e = (Schedule_reference.spider_rows r.Msts.Netsim.observed).(idx) in
+      if e.Schedule_reference.Spider_schedule.address.Msts.Spider.leg = 2 then
         Alcotest.(check bool) "dead-leg completion predates the crash" true
           (c < crash_time))
     r.Msts.Netsim.completions;
@@ -321,15 +321,15 @@ let no_fault_refinement =
          let base =
            spider_asap spider
              (Array.map
-                (fun (e : Msts.Spider_schedule.entry) -> e.address)
-                (Msts.Spider_schedule.entries plan))
+                (fun (e : Schedule_reference.Spider_schedule.entry) -> e.address)
+                (Schedule_reference.spider_rows plan))
          in
          let f = Msts.Netsim.replay_under_faults plan in
          if f.Msts.Netsim.observed_makespan <> Msts.Spider_schedule.makespan base then
            QCheck.Test.fail_reportf "makespan %d <> %d"
              f.Msts.Netsim.observed_makespan (Msts.Spider_schedule.makespan base);
-         Msts.Spider_schedule.entries f.Msts.Netsim.observed
-         = Msts.Spider_schedule.entries base))
+         Schedule_reference.spider_rows f.Msts.Netsim.observed
+         = Schedule_reference.spider_rows base))
 
 let pull_no_fault_refinement =
   to_alcotest
@@ -339,8 +339,8 @@ let pull_no_fault_refinement =
        (fun (spider, n) ->
          let base = Netsim_reference.pull_policy ~buffer:1 spider ~tasks:n in
          let f = Msts.Netsim.pull_under_faults spider ~tasks:n in
-         Msts.Spider_schedule.entries f.Msts.Netsim.observed
-         = Msts.Spider_schedule.entries base))
+         Schedule_reference.spider_rows f.Msts.Netsim.observed
+         = Schedule_reference.spider_rows base))
 
 let slow_at_zero_is_degrade =
   to_alcotest
@@ -422,7 +422,7 @@ let replan_matches_reference =
          | Ok a, Ok b ->
              let report (o : Msts.Replan.outcome) =
                let r = o.report in
-               ( Msts.Spider_schedule.entries r.Msts.Netsim.observed,
+               ( Schedule_reference.spider_rows r.Msts.Netsim.observed,
                  r.Msts.Netsim.observed_makespan,
                  r.Msts.Netsim.completions,
                  r.Msts.Netsim.aborted_ops,
@@ -430,7 +430,7 @@ let replan_matches_reference =
                  r.Msts.Netsim.transfer_retries )
              in
              let intent (o : Msts.Replan.outcome) =
-               Option.map Msts.Spider_schedule.entries o.final_intent
+               Option.map Schedule_reference.spider_rows o.final_intent
              in
              report a = report b
              && a.replans = b.replans
@@ -465,12 +465,12 @@ let final_intent_covers_all_tasks () =
       Alcotest.(check int) "splice keeps the task count" n
         (Msts.Spider_schedule.task_count intent);
       Array.iter
-        (fun (e : Msts.Spider_schedule.entry) ->
+        (fun (e : Schedule_reference.Spider_schedule.entry) ->
           Alcotest.(check bool) "splice avoids the dead suffix" true
             (not
                (e.address.Msts.Spider.leg = 2 && e.address.Msts.Spider.depth >= 2)
             || e.start + Msts.Spider.work figure2_spider e.address <= 5))
-        (Msts.Spider_schedule.entries intent)
+        (Schedule_reference.spider_rows intent)
 
 let suites =
   [

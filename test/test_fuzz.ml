@@ -12,12 +12,12 @@ module Gen = QCheck.Gen
 
 (* ---------- the naive oracle ---------- *)
 
-let naive_feasible chain (entries : Msts.Schedule.entry array) =
+let naive_feasible chain (entries : Schedule_reference.Schedule.entry array) =
   let c = Msts.Chain.latency chain and w = Msts.Chain.work chain in
   let n = Array.length entries in
   let ok = ref true in
   Array.iter
-    (fun (e : Msts.Schedule.entry) ->
+    (fun (e : Schedule_reference.Schedule.entry) ->
       (* property 1 *)
       for k = 2 to e.proc do
         if e.comms.(k - 2) + c (k - 1) > e.comms.(k - 1) then ok := false
@@ -60,7 +60,7 @@ let mutation_gen n =
     ]
 
 let apply_mutation entries mutation =
-  let entries = Array.map (fun (e : Msts.Schedule.entry) -> { e with comms = Array.copy e.comms }) entries in
+  let entries = Array.map (fun (e : Schedule_reference.Schedule.entry) -> { e with comms = Array.copy e.comms }) entries in
   (match mutation with
   | Nudge_start (t, d) -> entries.(t) <- { (entries.(t)) with start = entries.(t).start + d }
   | Nudge_comm (t, hop, d) ->
@@ -91,9 +91,9 @@ let checker_agrees_with_naive_oracle =
        ~name:"checker verdicts match the naive Definition-1 oracle under mutation"
        fuzz_arb
        (fun (chain, n, mutation) ->
-         let base = Msts.Schedule.entries (Msts.Chain_algorithm.schedule chain n) in
+         let base = Schedule_reference.chain_rows (Msts.Chain_algorithm.schedule chain n) in
          let mutated = apply_mutation base mutation in
-         let sched = Msts.Schedule.make chain mutated in
+         let sched = Schedule_reference.chain_plan chain mutated in
          Feasibility_oracle.is_feasible sched = naive_feasible chain mutated))
 
 let checker_agrees_on_heuristic_schedules =
@@ -106,7 +106,7 @@ let checker_agrees_on_heuristic_schedules =
            (fun (_, policy) ->
              let s = Helpers.chain_heuristic policy chain n in
              Feasibility_oracle.is_feasible s
-             = naive_feasible chain (Msts.Schedule.entries s))
+             = naive_feasible chain (Schedule_reference.chain_rows s))
            Msts.Tree_heuristics.chain_policies))
 
 (* growing a comm/start never repairs anything the paper's order relies on:
@@ -122,8 +122,8 @@ let translation_invariance =
             Printf.sprintf "%s, n=%d, shift=%d" (Msts.Chain.to_string chain) n d)
           Gen.(pair fuzz_case_gen (int_range (-20) 20)))
        (fun ((chain, n, mutation), d) ->
-         let base = Msts.Schedule.entries (Msts.Chain_algorithm.schedule chain n) in
-         let mutated = Msts.Schedule.make chain (apply_mutation base mutation) in
+         let base = Schedule_reference.chain_rows (Msts.Chain_algorithm.schedule chain n) in
+         let mutated = Schedule_reference.chain_plan chain (apply_mutation base mutation) in
          Feasibility_oracle.is_feasible mutated
          = Feasibility_oracle.is_feasible (shift_schedule d mutated)))
 
@@ -136,8 +136,8 @@ let executed_plans_always_feasible =
        ~name:"eager re-execution of any feasible mutation stays feasible"
        fuzz_arb
        (fun (chain, n, mutation) ->
-         let base = Msts.Schedule.entries (Msts.Chain_algorithm.schedule chain n) in
-         let mutated = Msts.Schedule.make chain (apply_mutation base mutation) in
+         let base = Schedule_reference.chain_rows (Msts.Chain_algorithm.schedule chain n) in
+         let mutated = Schedule_reference.chain_plan chain (apply_mutation base mutation) in
          (* only feasible non-negative mutants can be executed *)
          QCheck.assume (Feasibility_oracle.is_feasible ~require_nonnegative:true mutated);
          let report = Msts.Netsim.execute (Msts.Plan.Chain mutated) in

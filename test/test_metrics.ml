@@ -13,10 +13,10 @@ let measure s = Msts.Metrics.of_plan (Msts.Plan.Chain s)
    for the processor and its completion. *)
 let timing s task =
   let chain = Msts.Schedule.chain s in
-  let e = Msts.Schedule.entry s task in
-  let p = e.Msts.Schedule.proc in
-  let arrival = e.Msts.Schedule.comms.(p - 1) + Msts.Chain.latency chain p in
-  (arrival, e.Msts.Schedule.start - arrival, e.Msts.Schedule.start + Msts.Chain.work chain p)
+  let e = Schedule_reference.chain_row s task in
+  let p = e.Schedule_reference.Schedule.proc in
+  let arrival = e.Schedule_reference.Schedule.comms.(p - 1) + Msts.Chain.latency chain p in
+  (arrival, e.Schedule_reference.Schedule.start - arrival, e.Schedule_reference.Schedule.start + Msts.Chain.work chain p)
 
 let waits s =
   List.init (Msts.Schedule.task_count s) (fun i ->
@@ -141,10 +141,10 @@ let tied_gen ~max_legs =
     let* depth = int_range 1 (List.length (List.nth legs (leg - 1))) in
     let* start = int_range 0 6 in
     let+ comms = array_size (return depth) (int_range 0 6) in
-    { Msts.Spider_schedule.address = { Msts.Spider.leg; depth }; start; comms }
+    { Schedule_reference.Spider_schedule.address = { Msts.Spider.leg; depth }; start; comms }
   in
   let+ entries = array_size (int_range 0 12) entry in
-  Msts.Spider_schedule.make spider entries
+  Schedule_reference.spider_plan spider entries
 
 let tied_arb ~max_legs =
   QCheck.make ~print:Msts.Spider_schedule.to_string (tied_gen ~max_legs)
@@ -156,13 +156,13 @@ let agrees_with_reference plan =
     (fun (v : Msts.Metrics.node) ->
       let timings =
         List.filter_map
-          (fun (e : Msts.Spider_schedule.entry) ->
+          (fun (e : Schedule_reference.Spider_schedule.entry) ->
             if e.address <> v.address then None
             else
               let chain = Msts.Spider.leg_chain spider v.address.leg in
               let depth = v.address.depth in
               Some (e.comms.(depth - 1) + Msts.Chain.latency chain depth, e.start))
-          (Array.to_list (Msts.Spider_schedule.entries s))
+          (Array.to_list (Schedule_reference.spider_rows s))
       in
       let expected = reference_high_water timings in
       if v.max_buffered <> expected then
@@ -190,10 +190,10 @@ let high_water_tie () =
      task 1 leaves the buffer: never two buffered at once *)
   let chain = Msts.Chain.of_pairs [ (2, 3) ] in
   let s =
-    Msts.Schedule.make chain
+    Schedule_reference.chain_plan chain
       [|
-        { Msts.Schedule.proc = 1; start = 5; comms = [| 0 |] };
-        { Msts.Schedule.proc = 1; start = 8; comms = [| 3 |] };
+        { Schedule_reference.Schedule.proc = 1; start = 5; comms = [| 0 |] };
+        { Schedule_reference.Schedule.proc = 1; start = 8; comms = [| 3 |] };
       |]
   in
   Alcotest.(check int) "oracle" 1 (reference_high_water [ (2, 5); (5, 8) ]);

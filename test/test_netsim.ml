@@ -114,7 +114,7 @@ let recorded f =
   (result, Msts.Trace.recorded r)
 
 let agree ~what (got, got_trace) (want, want_trace) =
-  if Msts.Spider_schedule.entries got <> Msts.Spider_schedule.entries want then
+  if Schedule_reference.spider_rows got <> Schedule_reference.spider_rows want then
     QCheck.Test.fail_reportf "%s: entries differ\ngot:\n%s\nwant:\n%s" what
       (print_plan got) (print_plan want);
   if Msts.Trace.length got_trace <> Msts.Trace.length want_trace then

@@ -108,10 +108,11 @@ let extends_match_batch ~name batch_schedule =
 
 (* ---------- freezing ---------- *)
 
-let emission (e : Msts.Schedule.entry) = e.Msts.Schedule.comms.(0)
+let emission (e : Schedule_reference.Schedule.entry) = e.Schedule_reference.Schedule.comms.(0)
 
 let frozen_entries o =
-  Array.init (Online.frozen o) (fun i -> Online.frozen_entry o i)
+  let ids, sched = Online.frozen_since o 0 in
+  Array.mapi (fun j id -> (id, Schedule_reference.chain_row sched (j + 1))) ids
 
 let freeze_gen =
   QCheck.Gen.(
@@ -241,7 +242,7 @@ let degrade_replaces_only_unfrozen =
          (* pick a processor with no frozen placements, if any *)
          let p = Msts.Chain.length chain in
          let holds at =
-           Array.exists (fun (_, e) -> e.Msts.Schedule.proc = at) before
+           Array.exists (fun (_, e) -> e.Schedule_reference.Schedule.proc = at) before
          in
          let free_proc =
            List.find_opt (fun at -> not (holds at)) (List.init p (fun i -> i + 1))
@@ -264,10 +265,7 @@ let degrade_refusals () =
   let o = Online.create figure2_chain ~deadline:14 in
   ignore (Online.submit o 5);
   ignore (Online.advance o ~time:14);
-  let committed =
-    let _, e = Online.frozen_entry o 0 in
-    e.Msts.Schedule.proc
-  in
+  let committed = Msts.Schedule.proc (snd (Online.frozen_since o 0)) 1 in
   (match Online.degrade o ~at:committed ~work_factor:2 with
   | Ok _ -> Alcotest.fail "degraded a processor with frozen placements"
   | Error msg ->
@@ -347,9 +345,9 @@ let error_prefixes () =
   Alcotest.check_raises "negative arrival count"
     (Invalid_argument "Msts.Online.submit: negative arrival count") (fun () ->
       ignore (Online.submit (Online.create figure2_chain ~deadline:5) (-1)));
-  Alcotest.check_raises "frozen_entry outside the prefix"
-    (Invalid_argument "Msts.Online.frozen_entry: outside the frozen prefix")
-    (fun () -> ignore (Online.frozen_entry (Online.create figure2_chain ~deadline:5) 0))
+  Alcotest.check_raises "frozen_since outside the prefix"
+    (Invalid_argument "Msts.Online.frozen_since: outside the frozen prefix")
+    (fun () -> ignore (Online.frozen_since (Online.create figure2_chain ~deadline:5) 1))
 
 (* ---------- deltas ---------- *)
 

@@ -11,42 +11,6 @@ module Spider = Msts.Spider
 
 (* ---------- the reference copy, read through the column accessors ---------- *)
 
-let vector emission sched i ~depth = Array.init depth (fun k -> emission sched i (k + 1))
-
-let ref_chain_entries sched =
-  Array.init (Schedule.task_count sched) (fun idx ->
-      let i = idx + 1 in
-      let proc = Schedule.proc sched i in
-      {
-        Ref.Schedule.proc;
-        start = Schedule.start sched i;
-        comms = vector Schedule.emission sched i ~depth:proc;
-      })
-
-let ref_spider_entries sched =
-  Array.init (S.task_count sched) (fun idx ->
-      let i = idx + 1 in
-      let depth = S.depth sched i in
-      {
-        Ref.Spider_schedule.address = { Spider.leg = S.leg sched i; depth };
-        start = S.start sched i;
-        comms = vector S.emission sched i ~depth;
-      })
-
-let same_chain_rows (a : Schedule.entry array) (b : Ref.Schedule.entry array) =
-  Array.length a = Array.length b
-  && Array.for_all2
-       (fun (x : Schedule.entry) (y : Ref.Schedule.entry) ->
-         x.proc = y.proc && x.start = y.start && x.comms = y.comms)
-       a b
-
-let same_spider_rows (a : S.entry array) (b : Ref.Spider_schedule.entry array) =
-  Array.length a = Array.length b
-  && Array.for_all2
-       (fun (x : S.entry) (y : Ref.Spider_schedule.entry) ->
-         x.address = y.address && x.start = y.start && x.comms = y.comms)
-       a b
-
 let agree what ok = if not ok then QCheck.Test.fail_reportf "%s differs from the reference" what
 
 let solved_line plan =
@@ -58,13 +22,13 @@ let solved_line plan =
 
 (* Everything a spider plan answers, against the record layout [r]. *)
 let spider_agrees sched (r : Ref.Spider_schedule.t) =
-  agree "entries" (same_spider_rows (S.entries sched) (Ref.Spider_schedule.entries r));
+  agree "entries" (Ref.spider_rows sched = Ref.Spider_schedule.entries r);
   agree "makespan" (S.makespan sched = Ref.Spider_schedule.makespan r);
   for l = 1 to Spider.legs (S.spider sched) do
     agree "tasks_on_leg" (S.tasks_on_leg sched l = Ref.Spider_schedule.tasks_on_leg r l);
     let leg = S.leg_schedule sched l and leg_ref = Ref.Spider_schedule.leg_schedule r l in
     agree "leg_schedule"
-      (same_chain_rows (Schedule.entries leg) (Ref.Schedule.entries leg_ref)
+      (Ref.chain_rows leg = Ref.Schedule.entries leg_ref
       && Schedule.to_string leg = Ref.Schedule.to_string leg_ref)
   done;
   List.iter
@@ -79,8 +43,7 @@ let spider_agrees sched (r : Ref.Spider_schedule.t) =
     && Msts.Serial.spider_schedule_to_csv sched = Ref.Serial.spider_schedule_to_csv r)
 
 let chain_agrees sched =
-  let r = Ref.Schedule.make (Schedule.chain sched) (ref_chain_entries sched) in
-  agree "chain entries" (same_chain_rows (Schedule.entries sched) (Ref.Schedule.entries r));
+  let r = Ref.of_chain_plan sched in
   agree "chain makespan" (Schedule.makespan sched = Ref.Schedule.makespan r);
   for k = 1 to Msts.Chain.length (Schedule.chain sched) do
     agree "tasks_on" (Schedule.tasks_on sched k = Ref.Schedule.tasks_on r k)
@@ -95,7 +58,7 @@ let chain_agrees sched =
 (* One task's start and one of its emissions moved, in both layouts, so
    the audit has violations to spell. *)
 let perturbed sched rng =
-  let rows = S.entries sched in
+  let rows = Ref.spider_rows sched in
   let n = Array.length rows in
   if n = 0 then ()
   else begin
@@ -106,26 +69,36 @@ let perturbed sched rng =
     comms.(k) <- comms.(k) + Msts.Prng.int_in rng (-4) 4;
     rows.(i) <- { e with start = e.start + Msts.Prng.int_in rng (-4) 4; comms };
     let spider = S.spider sched in
-    let moved = S.make spider rows in
-    let moved_ref =
-      Ref.Spider_schedule.make spider
-        (Array.map
-           (fun (e : S.entry) ->
-             { Ref.Spider_schedule.address = e.address; start = e.start; comms = e.comms })
-           rows)
-    in
-    spider_agrees moved moved_ref
+    spider_agrees (Ref.spider_plan spider rows) (Ref.Spider_schedule.make spider rows)
   end
 
 let plan_agrees plan rng =
   (match plan with
   | Plan.Chain sched -> chain_agrees sched
-  | Plan.Spider sched ->
-      spider_agrees sched (Ref.Spider_schedule.make (S.spider sched) (ref_spider_entries sched)));
+  | Plan.Spider sched -> spider_agrees sched (Ref.of_spider_plan sched));
   solved_line plan;
   perturbed (Plan.to_spider plan) rng
 
 (* ---------- the producers ---------- *)
+
+(* An online session on leg 1 through freezes, an extension, more
+   arrivals and a degradation (refused when its processor holds frozen
+   work), then frozen some more. *)
+let online_session spider n rng =
+  let module Online = Msts_online.Online in
+  let chain = Spider.leg_chain spider 1 in
+  let o = Online.create chain ~deadline:(4 * (n + 1)) in
+  ignore (Online.submit o n);
+  ignore (Online.advance o ~time:(Msts.Prng.int rng (2 * (n + 1))));
+  ignore (Online.extend o ~deadline:(Online.deadline o + Msts.Prng.int rng 8));
+  ignore (Online.submit o 2);
+  ignore (Online.advance o ~time:(Online.frontier o + Msts.Prng.int rng 4));
+  ignore
+    (Online.degrade o ~at:(1 + Msts.Prng.int rng (Msts.Chain.length chain)) ~work_factor:2);
+  ignore (Online.advance o ~time:(Online.frontier o + Msts.Prng.int rng 8));
+  o
+
+let covers = Msts.Tree.[| Fastest_processor; Cheapest_link; Best_rate |]
 
 let producers =
   [|
@@ -141,14 +114,10 @@ let producers =
         in
         ignore (Msts.Chain_incremental.fill inc ~max_tasks:n ());
         Plan.Chain (Msts.Chain_incremental.schedule inc) );
-    ( "online",
+    ("online plan", fun spider n rng -> Msts_online.Online.plan (online_session spider n rng));
+    ( "online frozen",
       fun spider n rng ->
-        let chain = Spider.leg_chain spider 1 in
-        let o = Msts_online.Online.create chain ~deadline:(4 * (n + 1)) in
-        ignore (Msts_online.Online.submit o n);
-        ignore (Msts_online.Online.advance o ~time:(Msts.Prng.int rng (2 * (n + 1))));
-        ignore (Msts_online.Online.submit o 2);
-        Msts_online.Online.plan o );
+        Plan.Chain (Msts_online.Online.frozen_schedule (online_session spider n rng)) );
     ("spider ceiling", fun spider n _ -> Plan.Spider (Msts.Spider_algorithm.schedule_tasks spider n));
     ( "spider deadline",
       fun spider n _ ->
@@ -162,6 +131,11 @@ let producers =
           Array.init n (fun _ -> 1 + Msts.Prng.int rng (Msts.Tree_flat.node_count flat))
         in
         Plan.Spider (Msts.Tree_schedule.to_spider spider (Msts.Asap.of_sequence flat seq)) );
+    ( "tree cover",
+      fun spider n rng ->
+        let policy = covers.(Msts.Prng.int rng (Array.length covers)) in
+        let cover = Msts.Tree_heuristics.spider_cover policy (Msts.Tree.of_spider spider) n in
+        Plan.Spider (Msts.Tree_schedule.to_spider spider cover) );
     ( "netsim observed",
       fun spider n rng ->
         let plan = Msts.Spider_algorithm.schedule_tasks spider n in

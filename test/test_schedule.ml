@@ -84,8 +84,7 @@ let cv_matches_specification =
        (fun (a, b) -> Msts.Comm_vector.precedes a b = (spec_compare a b < 0)))
 
 let cv_shift () =
-  Alcotest.(check bool) "shift" true (Msts.Comm_vector.shift 2 (vec [ 5; 7 ]) = vec [ 3; 5 ]);
-  Alcotest.(check int) "first emission" 5 (Msts.Comm_vector.first_emission (vec [ 5; 7 ]))
+  Alcotest.(check bool) "shift" true (Msts.Comm_vector.shift 2 (vec [ 5; 7 ]) = vec [ 3; 5 ])
 
 (* ---------- Intervals ---------- *)
 
@@ -107,11 +106,11 @@ let intervals_witness_nonadjacent () =
 
 (* ---------- Schedule structure ---------- *)
 
-let entry proc start comms = { Msts.Schedule.proc; start; comms = vec comms }
+let entry proc start comms = { Schedule_reference.Schedule.proc; start; comms = vec comms }
 
 let fig2_schedule () =
   (* The paper's Figure 2 schedule, written out by hand. *)
-  Msts.Schedule.make figure2_chain
+  Schedule_reference.chain_plan figure2_chain
     [|
       entry 1 2 [ 0 ];
       entry 1 5 [ 2 ];
@@ -137,12 +136,15 @@ let schedule_structure () =
   Alcotest.(check (list int)) "emission order" [ 1; 2; 3; 4; 5 ] (emission_order s)
 
 let schedule_validation () =
+  let build ~offsets ~emissions =
+    ignore (Msts.Schedule.of_columns figure2_chain ~starts:[| 0 |] ~offsets ~emissions)
+  in
   Alcotest.check_raises "bad proc"
-    (Invalid_argument "Schedule.make: task 1 on processor 7 outside 1..2")
-    (fun () -> ignore (Msts.Schedule.make figure2_chain [| entry 7 0 [ 0 ] |]));
-  Alcotest.check_raises "bad comms"
-    (Invalid_argument "Schedule.make: task 1 has 1 communications for processor 2")
-    (fun () -> ignore (Msts.Schedule.make figure2_chain [| entry 2 0 [ 0 ] |]))
+    (Invalid_argument "Schedule.of_columns: task 1 on processor 7 outside 1..2")
+    (fun () -> build ~offsets:[| 0; 7 |] ~emissions:(Array.make 7 0));
+  Alcotest.check_raises "offsets past the emissions"
+    (Invalid_argument "Schedule.of_columns: offsets run from 0 to 2 over 1 emissions")
+    (fun () -> build ~offsets:[| 0; 2 |] ~emissions:[| 0 |])
 
 let schedule_shift_normalise () =
   let s = fig2_schedule () in
@@ -158,9 +160,9 @@ let schedule_restrict () =
   let s = fig2_schedule () in
   let sub = Msts.Schedule.restrict_beyond_first s in
   Alcotest.(check int) "one task beyond P1" 1 (Msts.Schedule.task_count sub);
-  let e = Msts.Schedule.entry sub 1 in
-  Alcotest.(check int) "on sub-chain P1" 1 e.Msts.Schedule.proc;
-  Alcotest.(check bool) "comm vector dropped first" true (e.Msts.Schedule.comms = vec [ 6 ])
+  let e = Schedule_reference.chain_row sub 1 in
+  Alcotest.(check int) "on sub-chain P1" 1 e.Schedule_reference.Schedule.proc;
+  Alcotest.(check bool) "comm vector dropped first" true (e.Schedule_reference.Schedule.comms = vec [ 6 ])
 
 let schedule_intervals () =
   let s = fig2_schedule () in
@@ -189,7 +191,7 @@ let feasible_fig2 () =
 
 let property1_detected () =
   (* re-emitted on link 2 before received: C2 < C1 + c1 *)
-  let s = Msts.Schedule.make figure2_chain [| entry 2 20 [ 0; 1 ] |] in
+  let s = Schedule_reference.chain_plan figure2_chain [| entry 2 20 [ 0; 1 ] |] in
   match audit s with
   | [ Feasibility_oracle.Reemitted_before_received { task = 1; link = 2 } ] -> ()
   | vs ->
@@ -198,7 +200,7 @@ let property1_detected () =
 
 let property2_detected () =
   (* starts at 3 but only fully received at 0+2=2 on P1... use start 1 *)
-  let s = Msts.Schedule.make figure2_chain [| entry 1 1 [ 0 ] |] in
+  let s = Schedule_reference.chain_plan figure2_chain [| entry 1 1 [ 0 ] |] in
   match audit s with
   | [ Feasibility_oracle.Started_before_received { task = 1 } ] -> ()
   | vs ->
@@ -208,7 +210,7 @@ let property2_detected () =
 let property3_detected () =
   (* two tasks overlap on P1 (w1 = 3) *)
   let s =
-    Msts.Schedule.make figure2_chain [| entry 1 2 [ 0 ]; entry 1 4 [ 2 ] |]
+    Schedule_reference.chain_plan figure2_chain [| entry 1 2 [ 0 ]; entry 1 4 [ 2 ] |]
   in
   match audit s with
   | [ Feasibility_oracle.Computation_overlap { proc = 1; _ } ] -> ()
@@ -219,7 +221,7 @@ let property3_detected () =
 let property4_detected () =
   (* transfers overlap on link 1 (c1 = 2) *)
   let s =
-    Msts.Schedule.make figure2_chain [| entry 1 3 [ 0 ]; entry 1 6 [ 1 ] |]
+    Schedule_reference.chain_plan figure2_chain [| entry 1 3 [ 0 ]; entry 1 6 [ 1 ] |]
   in
   let has_comm_overlap =
     List.exists
@@ -229,7 +231,7 @@ let property4_detected () =
   Alcotest.(check bool) "link overlap detected" true has_comm_overlap
 
 let negative_dates_detected () =
-  let s = Msts.Schedule.make figure2_chain [| entry 1 0 [ -2 ] |] in
+  let s = Schedule_reference.chain_plan figure2_chain [| entry 1 0 [ -2 ] |] in
   Alcotest.(check bool) "allowed without flag" true
     (List.for_all
        (function Feasibility_oracle.Negative_date _ -> false | _ -> true)
@@ -253,16 +255,16 @@ let perturbed_chain_gen =
   let nudge = frequency [ (2, return 0); (1, int_range (-6) 6) ] in
   let* chain = chain_gen ~max_p:4 ~max_val:6 () in
   let* n = int_range 1 10 in
-  let base = Msts.Schedule.entries (Msts.Chain_algorithm.schedule chain n) in
+  let base = Schedule_reference.chain_rows (Msts.Chain_algorithm.schedule chain n) in
   let+ entries =
     flatten_a
       (Array.map
-         (fun (e : Msts.Schedule.entry) ->
+         (fun (e : Schedule_reference.Schedule.entry) ->
            let* ds = nudge and* dc = array_size (return (Array.length e.comms)) nudge in
            return { e with start = e.start + ds; comms = Array.map2 ( + ) e.comms dc })
          base)
   in
-  Msts.Schedule.make chain entries
+  Schedule_reference.chain_plan chain entries
 
 let chain_check_matches_oracle =
   Helpers.to_alcotest
@@ -287,11 +289,11 @@ let two_leg_spider =
   Msts.Spider.of_legs [ figure2_chain; Msts.Chain.of_pairs [ (1, 4) ] ]
 
 let sentry leg depth start comms =
-  { Msts.Spider_schedule.address = { Msts.Spider.leg; depth }; start; comms = vec comms }
+  { Schedule_reference.Spider_schedule.address = { Msts.Spider.leg; depth }; start; comms = vec comms }
 
 let spider_schedule_basics () =
   let s =
-    Msts.Spider_schedule.make two_leg_spider
+    Schedule_reference.spider_plan two_leg_spider
       [| sentry 1 1 2 [ 0 ]; sentry 2 1 3 [ 2 ] |]
   in
   Alcotest.(check int) "tasks" 2 (Msts.Spider_schedule.task_count s);
@@ -304,7 +306,7 @@ let spider_schedule_basics () =
 let spider_master_port_conflict () =
   (* both emissions at 0: master sends two tasks at once *)
   let s =
-    Msts.Spider_schedule.make two_leg_spider
+    Schedule_reference.spider_plan two_leg_spider
       [| sentry 1 1 2 [ 0 ]; sentry 2 1 10 [ 0 ] |]
   in
   Alcotest.(check bool) "master port violation" true
@@ -313,32 +315,35 @@ let spider_master_port_conflict () =
        (Msts.Spider_schedule.check s))
 
 let spider_leg_violation_reported () =
-  let s = Msts.Spider_schedule.make two_leg_spider [| sentry 1 1 1 [ 0 ] |] in
+  let s = Schedule_reference.spider_plan two_leg_spider [| sentry 1 1 1 [ 0 ] |] in
   Alcotest.(check bool) "leg 1 violation" true
     (List.exists
        (fun msg -> String.length msg >= 5 && String.sub msg 0 5 = "leg 1")
        (Msts.Spider_schedule.check s))
 
 let spider_schedule_validation () =
+  let build ~legs ~offsets ~emissions =
+    ignore
+      (Msts.Spider_schedule.of_columns two_leg_spider ~legs ~starts:[| 0 |] ~offsets ~emissions)
+  in
   Alcotest.check_raises "unknown leg"
-    (Invalid_argument "Spider_schedule.make: task 1 on leg 5") (fun () ->
-      ignore (Msts.Spider_schedule.make two_leg_spider [| sentry 5 1 0 [ 0 ] |]));
+    (Invalid_argument "Spider_schedule.of_columns: task 1 on leg 5") (fun () ->
+      build ~legs:[| 5 |] ~offsets:[| 0; 1 |] ~emissions:[| 0 |]);
   Alcotest.check_raises "bad depth"
-    (Invalid_argument "Spider_schedule.make: task 1 at depth 2 on leg 2")
-    (fun () ->
-      ignore (Msts.Spider_schedule.make two_leg_spider [| sentry 2 2 0 [ 0; 0 ] |]))
+    (Invalid_argument "Spider_schedule.of_columns: task 1 at depth 2 on leg 2")
+    (fun () -> build ~legs:[| 2 |] ~offsets:[| 0; 2 |] ~emissions:[| 0; 0 |])
 
 let spider_schedule_splice () =
   let s =
-    Msts.Spider_schedule.make two_leg_spider
+    Schedule_reference.spider_plan two_leg_spider
       [| sentry 1 1 2 [ 0 ]; sentry 2 1 3 [ 2 ]; sentry 1 2 8 [ 3; 5 ] |]
   in
   (* shift re-anchors every date *)
   let moved = Msts.Spider_schedule.shift s ~delta:4 in
-  let e = (Msts.Spider_schedule.entries moved).(2) in
-  Alcotest.(check int) "start moved" 12 e.Msts.Spider_schedule.start;
+  let e = (Schedule_reference.spider_rows moved).(2) in
+  Alcotest.(check int) "start moved" 12 e.Schedule_reference.Spider_schedule.start;
   Alcotest.(check (array int)) "comms moved" [| 7; 9 |]
-    e.Msts.Spider_schedule.comms;
+    e.Schedule_reference.Spider_schedule.comms;
   Alcotest.check_raises "negative dates rejected"
     (Invalid_argument "Spider_schedule.shift: negative date after shift")
     (fun () -> ignore (Msts.Spider_schedule.shift s ~delta:(-1)));
@@ -346,13 +351,13 @@ let spider_schedule_splice () =
   let odd = Msts.Spider_schedule.filter_tasks s ~keep:(fun i -> i mod 2 = 1) in
   Alcotest.(check int) "two survivors" 2 (Msts.Spider_schedule.task_count odd);
   Alcotest.(check int) "order preserved" 8
-    (Msts.Spider_schedule.entry odd 2).Msts.Spider_schedule.start;
+    (Schedule_reference.spider_row odd 2).Schedule_reference.Spider_schedule.start;
   (* concat splices two partial schedules *)
   let spliced = Msts.Spider_schedule.concat odd (Msts.Spider_schedule.filter_tasks s ~keep:(( = ) 2)) in
   Alcotest.(check int) "spliced tasks" 3 (Msts.Spider_schedule.task_count spliced);
   Alcotest.(check int) "second part appended" 3
-    (Msts.Spider_schedule.entry spliced 3).Msts.Spider_schedule.start;
-  let other = Msts.Spider_schedule.make (Msts.Spider.of_chain figure2_chain) [||] in
+    (Schedule_reference.spider_row spliced 3).Schedule_reference.Spider_schedule.start;
+  let other = Schedule_reference.spider_plan (Msts.Spider.of_chain figure2_chain) [||] in
   Alcotest.check_raises "different spiders rejected"
     (Invalid_argument "Spider_schedule.concat: schedules are on different spiders")
     (fun () -> ignore (Msts.Spider_schedule.concat s other))
@@ -405,7 +410,7 @@ let svg_renders () =
 
 let spider_gantt_renders () =
   let s =
-    Msts.Spider_schedule.make two_leg_spider
+    Schedule_reference.spider_plan two_leg_spider
       [| sentry 1 1 2 [ 0 ]; sentry 2 1 3 [ 2 ] |]
   in
   let chart = Msts.Plan.gantt ~width:40 (Msts.Plan.Spider s) in
@@ -454,7 +459,7 @@ let serial_errors () =
   expect_error "chain-schedule\ntask 1 2\n";
   (* comm count mismatch *)
   expect_error "chain-schedule\ntask 2 5 0\n";
-  (* processor out of range -> structural error from Schedule.make *)
+  (* processor out of range -> structural error from Schedule_reference.chain_plan *)
   expect_error "chain-schedule\ntask 9 5 0 1 2 3 4 5 6 7 8\n"
 
 let suites =
@@ -468,7 +473,7 @@ let suites =
         cv_total_order_transitive;
         cv_compare_reflexive;
         cv_matches_specification;
-        case "shift/first_emission/target" cv_shift;
+        case "shift/target" cv_shift;
       ] );
     ( "schedule.intervals",
       [

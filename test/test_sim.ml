@@ -169,8 +169,8 @@ let execute_plan_realized_feasible =
 let execute_plan_rejects_infeasible () =
   let bogus =
     Msts.Spider_schedule.of_chain_schedule
-      (Msts.Schedule.make figure2_chain
-         [| { Msts.Schedule.proc = 1; start = 1; comms = [| 0 |] } |])
+      (Schedule_reference.chain_plan figure2_chain
+         [| { Schedule_reference.Schedule.proc = 1; start = 1; comms = [| 0 |] } |])
   in
   Alcotest.(check bool) "raises" true
     (match Msts.Netsim.execute (Msts.Plan.Spider bogus) with

@@ -31,7 +31,7 @@ let figure7_virtual_nodes () =
   in
   let leg_sched = Msts.Chain_deadline.schedule figure2_chain ~deadline:14 in
   Alcotest.(check int) "node 8 is the P2 task" 2
-    (Msts.Schedule.entry leg_sched row.Msts.Spider_trace.leg_task).Msts.Schedule.proc
+    (Schedule_reference.chain_row leg_sched row.Msts.Spider_trace.leg_task).Schedule_reference.Schedule.proc
 
 let transform_rank_mapping () =
   let trace = figure7_trace () in
@@ -239,10 +239,10 @@ let spider_emission_earlier_than_leg_plan =
          (* each task still completes by the deadline after the re-stamp,
             and its first emission leaves room for c1 + remaining work *)
          Array.for_all
-           (fun (e : Msts.Spider_schedule.entry) ->
+           (fun (e : Schedule_reference.Spider_schedule.entry) ->
              let chain = Msts.Spider.leg_chain spider e.address.Msts.Spider.leg in
              e.comms.(0) + Msts.Chain.latency chain 1 <= deadline)
-           (Msts.Spider_schedule.entries s)))
+           (Schedule_reference.spider_rows s)))
 
 let suites =
   [

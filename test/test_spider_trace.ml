@@ -156,22 +156,20 @@ let trace_matches_list_pipeline =
                          leg_task;
                          emission;
                          original_emission =
-                           Msts.Comm_vector.first_emission
-                             (Msts.Schedule.entry legs.(leg - 1) leg_task).comms;
+                           Msts.Schedule.emission legs.(leg - 1) leg_task 1;
                          virtual_work = node.Msts.Fork_expansion.work;
                        })
                      (Kernel_reference.allocate nodes ~deadline
                         ~budget:(Option.value budget ~default:max_int))
                  in
-                 let entries = Msts.Spider_schedule.entries trace.Msts.Spider_trace.result in
+                 let entries = Schedule_reference.spider_rows trace.Msts.Spider_trace.result in
                  trace.Msts.Spider_trace.leg_tasks = Array.map Msts.Schedule.task_count legs
                  && trace.Msts.Spider_trace.virtual_nodes = nodes
                  && trace.Msts.Spider_trace.accepted = rows
                  && Array.length entries = List.length rows
                  && List.for_all
                       (fun a ->
-                        Msts.Comm_vector.first_emission
-                          entries.(a.Msts.Spider_trace.position).Msts.Spider_schedule.comms
+                        entries.(a.Msts.Spider_trace.position).Schedule_reference.Spider_schedule.comms.(0)
                         = a.Msts.Spider_trace.emission)
                       trace.Msts.Spider_trace.accepted)
                (Msts.Intx.range 0 (opt + 2)))

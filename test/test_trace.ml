@@ -148,13 +148,12 @@ let overlapping_port_plan () =
       [| Msts.Chain.of_pairs [ (2, 3) ]; Msts.Chain.of_pairs [ (3, 4) ] |]
   in
   let entry leg start c0 =
-    {
-      Msts.Spider_schedule.address = { Msts.Spider.leg; depth = 1 };
+    { Schedule_reference.Spider_schedule.address = { Msts.Spider.leg; depth = 1 };
       start;
       comms = [| c0 |];
     }
   in
-  Msts.Spider_schedule.make spider [| entry 1 2 0; entry 2 3 0 |]
+  Schedule_reference.spider_plan spider [| entry 1 2 0; entry 2 3 0 |]
 
 (* Checking a whole trace and checking its slices with one threaded state
    must agree — even slice by slice, and even on a dirty trace. *)
@@ -383,15 +382,15 @@ let differential_feasible_spiders =
 let corrupt_chain sched ~collide =
   let entries =
     Array.map
-      (fun e -> { e with Msts.Schedule.comms = Array.copy e.Msts.Schedule.comms })
-      (Msts.Schedule.entries sched)
+      (fun e -> { e with Schedule_reference.Schedule.comms = Array.copy e.Schedule_reference.Schedule.comms })
+      (Schedule_reference.chain_rows sched)
   in
   let a = entries.(0) and b = entries.(1) in
-  if collide then b.Msts.Schedule.comms.(0) <- a.Msts.Schedule.comms.(0)
+  if collide then b.Schedule_reference.Schedule.comms.(0) <- a.Schedule_reference.Schedule.comms.(0)
   else
     entries.(1) <-
-      { b with Msts.Schedule.start = b.Msts.Schedule.comms.(b.Msts.Schedule.proc - 1) };
-  Msts.Schedule.make (Msts.Schedule.chain sched) entries
+      { b with Schedule_reference.Schedule.start = b.Schedule_reference.Schedule.comms.(b.Schedule_reference.Schedule.proc - 1) };
+  Schedule_reference.chain_plan (Msts.Schedule.chain sched) entries
 
 let differential_corrupted_chains =
   to_alcotest
@@ -415,12 +414,12 @@ let differential_corrupted_spiders =
          let entries =
            Array.map
              (fun e ->
-               { e with Msts.Spider_schedule.comms = Array.copy e.Msts.Spider_schedule.comms })
-             (Msts.Spider_schedule.entries sched)
+               { e with Schedule_reference.Spider_schedule.comms = Array.copy e.Schedule_reference.Spider_schedule.comms })
+             (Schedule_reference.spider_rows sched)
          in
-         entries.(1).Msts.Spider_schedule.comms.(0) <-
-           entries.(0).Msts.Spider_schedule.comms.(0);
-         let sched = Msts.Spider_schedule.make spider entries in
+         entries.(1).Schedule_reference.Spider_schedule.comms.(0) <-
+           entries.(0).Schedule_reference.Spider_schedule.comms.(0);
+         let sched = Schedule_reference.spider_plan spider entries in
          let clean, viols = agree_on (Msts.Plan.Spider sched) in
          if clean then QCheck.Test.fail_reportf "port collision went undetected";
          List.exists (fun v -> v.Trace.invariant = "one-port") viols
@@ -467,9 +466,9 @@ let fuzz_replay =
          let trace = Msts.Fault.random rng spider ~events ~horizon in
          (* random arrival order: replay the same decisions from a permuted
             task numbering *)
-         let entries = Array.copy (Msts.Spider_schedule.entries plan) in
+         let entries = Array.copy (Schedule_reference.spider_rows plan) in
          Msts.Prng.shuffle rng entries;
-         let plan = Msts.Spider_schedule.make spider entries in
+         let plan = Schedule_reference.spider_plan spider entries in
          let report, tr =
            record (fun () ->
                Msts.Netsim.replay_under_faults ~max_events:200_000 ~trace plan)

@@ -136,21 +136,21 @@ let plan_gen =
     int_range 1 8 >>= fun n ->
     let plan = Msts.Spider_algorithm.schedule_tasks spider n in
     let entries = Array.map (fun e ->
-        { e with Msts.Spider_schedule.comms = Array.copy e.Msts.Spider_schedule.comms })
-        (Msts.Spider_schedule.entries plan) in
+        { e with Schedule_reference.Spider_schedule.comms = Array.copy e.Schedule_reference.Spider_schedule.comms })
+        (Schedule_reference.spider_rows plan) in
     oneof
       [
         return plan;
         map3
           (fun idx which delta ->
             let e = entries.(idx mod n) in
-            let hops = Array.length e.Msts.Spider_schedule.comms in
+            let hops = Array.length e.Schedule_reference.Spider_schedule.comms in
             (if which mod (hops + 1) = hops then
-               entries.(idx mod n) <- { e with Msts.Spider_schedule.start = e.start + delta }
+               entries.(idx mod n) <- { e with Schedule_reference.Spider_schedule.start = e.start + delta }
              else
                let j = which mod (hops + 1) in
-               e.Msts.Spider_schedule.comms.(j) <- e.comms.(j) + delta);
-            Msts.Spider_schedule.make spider entries)
+               e.Schedule_reference.Spider_schedule.comms.(j) <- e.comms.(j) + delta);
+            Schedule_reference.spider_plan spider entries)
           (int_range 0 7) (int_range 0 3) (int_range (-6) 6);
       ])
 

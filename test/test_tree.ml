@@ -89,14 +89,24 @@ let tree_asap_feasible =
          | problems ->
              QCheck.Test.fail_reportf "infeasible: %s" (String.concat "; " problems)))
 
+(* A tree plan written row by row: (node, start, emissions) a task. *)
+let tree_plan flat rows =
+  let starts = Array.map (fun (_, start, _) -> start) rows in
+  let offsets, emissions =
+    Schedule_reference.columns starts (Array.map (fun (_, _, comms) -> comms) rows)
+  in
+  Msts.Tree_schedule.of_columns flat
+    ~nodes:(Array.map (fun (node, _, _) -> node) rows)
+    ~starts ~offsets ~emissions
+
 let tree_checker_catches_port_conflict () =
   let flat = Msts.Tree_flat.of_tree sample_tree in
   (* two tasks emitted by the master at the same instant *)
   let s =
-    Msts.Tree_schedule.make flat
+    tree_plan flat
       [|
-        { Msts.Tree_schedule.node = 1; start = 1; comms = [| 0 |] };
-        { Msts.Tree_schedule.node = 5; start = 5; comms = [| 0 |] };
+        (1, 1, [| 0 |]);
+        (5, 5, [| 0 |]);
       |]
   in
   Alcotest.(check bool) "conflict detected" true
@@ -109,8 +119,8 @@ let tree_checker_catches_relay_violation () =
   let flat = Msts.Tree_flat.of_tree sample_tree in
   (* node 1 forwards to node 2 before receiving (c=1 on hop 1) *)
   let s =
-    Msts.Tree_schedule.make flat
-      [| { Msts.Tree_schedule.node = 2; start = 10; comms = [| 0; 0 |] } |]
+    tree_plan flat
+      [| (2, 10, [| 0; 0 |]) |]
   in
   Alcotest.(check bool) "relay violation detected" true
     (Msts.Tree_schedule.check s <> [])
@@ -118,10 +128,10 @@ let tree_checker_catches_relay_violation () =
 let tree_checker_catches_compute_overlap () =
   let flat = Msts.Tree_flat.of_tree sample_tree in
   let s =
-    Msts.Tree_schedule.make flat
+    tree_plan flat
       [|
-        { Msts.Tree_schedule.node = 1; start = 1; comms = [| 0 |] };
-        { Msts.Tree_schedule.node = 1; start = 2; comms = [| 1 |] };
+        (1, 1, [| 0 |]);
+        (1, 2, [| 1 |]);
       |]
   in
   Alcotest.(check bool) "overlap detected" true
@@ -133,14 +143,17 @@ let tree_checker_catches_compute_overlap () =
 let tree_schedule_structure () =
   let flat = Msts.Tree_flat.of_tree sample_tree in
   let s = Msts.Asap.of_sequence flat [| 1; 2; 1 |] in
-  Alcotest.(check int) "three tasks" 3 (Array.length (Msts.Tree_schedule.entries s));
+  Alcotest.(check int) "three tasks" 3 (Msts.Tree_schedule.task_count s);
+  Alcotest.(check (list int)) "nodes" [ 1; 2; 1 ]
+    (List.map (Msts.Tree_schedule.node s) [ 1; 2; 3 ]);
   Alcotest.(check (list int)) "node 1 runs 1 and 3" [ 1; 3 ]
     (Msts.Tree_schedule.tasks_on s 1);
   Alcotest.check_raises "bad node"
-    (Invalid_argument "Tree_schedule.make: task 1 on node 9") (fun () ->
-      ignore
-        (Msts.Tree_schedule.make flat
-           [| { Msts.Tree_schedule.node = 9; start = 0; comms = [| 0 |] } |]))
+    (Invalid_argument "Tree_schedule.of_columns: task 1 on node 9") (fun () ->
+      ignore (tree_plan flat [| (9, 0, [| 0 |]) |]));
+  Alcotest.check_raises "a vector shorter than the path"
+    (Invalid_argument "Tree_schedule.of_columns: task 1 comm vector length") (fun () ->
+      ignore (tree_plan flat [| (2, 0, [| 0 |]) |]))
 
 (* ---------- heuristics ---------- *)
 
@@ -152,7 +165,7 @@ let tree_heuristics_feasible =
          List.for_all
            (fun (_, policy) ->
              let s = Msts.Tree_heuristics.schedule policy tree n in
-             Array.length (Msts.Tree_schedule.entries s) = n
+             Msts.Tree_schedule.task_count s = n
              && Msts.Tree_schedule.is_feasible ~require_nonnegative:true s)
            Msts.Tree_heuristics.tree_policies))
 
@@ -167,7 +180,7 @@ let cover_feasible_on_tree =
          List.for_all
            (fun policy ->
              let s = Msts.Tree_heuristics.spider_cover policy tree n in
-             Array.length (Msts.Tree_schedule.entries s) = n
+             Msts.Tree_schedule.task_count s = n
              && Msts.Tree_schedule.is_feasible ~require_nonnegative:true s)
            [ Msts.Tree.Fastest_processor; Msts.Tree.Cheapest_link; Msts.Tree.Best_rate ]))
 

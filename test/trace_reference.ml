@@ -75,7 +75,7 @@ let of_spider_schedule sched =
     incr seq
   in
   Array.iteri
-    (fun idx (e : Spider_schedule.entry) ->
+    (fun idx (e : Schedule_reference.Spider_schedule.entry) ->
       let task = idx + 1 in
       let { Spider.leg; depth } = e.address in
       let chain = Spider.leg_chain spider leg in
@@ -88,7 +88,7 @@ let of_spider_schedule sched =
       let w = Chain.work chain depth in
       push e.start task (Start (Compute { leg; depth }));
       push (e.start + w) task (Finish (Compute { leg; depth })))
-    (Spider_schedule.entries sched);
+    (Schedule_reference.spider_rows sched);
   of_events !acc
 
 (* ---------- invariants ---------- *)
@@ -306,7 +306,7 @@ let spider_check ?(require_nonnegative = false) t =
   let port =
     List.map
       (fun i ->
-        let e = Spider_schedule.entry t i in
+        let e = Schedule_reference.spider_row t i in
         {
           Msts.Intervals.start = e.comms.(0);
           duration =
