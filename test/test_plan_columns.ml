@@ -199,7 +199,14 @@ let words_per_task plan platform_words =
    bench/timing.ml's spider_plan stage) and a 4-processor chain hold at
    most 5 words a task: 3 + depth in four int columns (4.69 on the
    spider), 2 + P(i) in three on a chain (4.15).  The record layout kept
-   10.64 and 8.15. *)
+   10.64 and 8.15.  A tree cover keeps 3 + depth words a task in its four
+   columns and 16 words over them (4.40 a task on a 12-node tree, against
+   7.38 for the record layout).  An online session's frozen store grows,
+   when one advance freezes a whole plan, to exactly its four columns:
+   3 + P(i) words a task (arrival id, start, offset, vector) and 8 words
+   over them (5.15 a task on the chain, against 9.20 for a record and a
+   vector a task).  Freezes spread over many advances can leave up to
+   half of each column as room, as any doubling buffer does. *)
 let retained_words () =
   let spider =
     Msts.Generator.spider (Msts.Prng.create 100) Msts.Generator.compute_bound_profile
@@ -214,7 +221,42 @@ let retained_words () =
     (fun (what, words) ->
       Alcotest.(check bool) (Printf.sprintf "%s: %.2f words a task <= 5" what words) true
         (words <= 5.0))
-    [ ("spider plan", spider_words); ("chain plan", chain_words) ]
+    [ ("spider plan", spider_words); ("chain plan", chain_words) ];
+  let bounded what ~words ~bound =
+    Alcotest.(check bool) (Printf.sprintf "%s: %d words <= %d" what words bound) true
+      (words <= bound)
+  in
+  let tree =
+    Msts.Generator.tree (Msts.Prng.create 7) Msts.Generator.default_profile ~nodes:12
+      ~max_children:3
+  in
+  let n = 400 in
+  let cover = Msts.Tree_heuristics.spider_cover Msts.Tree.Best_rate tree n in
+  let flat = Msts.Tree_schedule.flat cover in
+  let depths =
+    List.fold_left
+      (fun acc i ->
+        acc + (Msts.Tree_flat.info flat (Msts.Tree_schedule.node cover i)).Msts.Tree_flat.depth)
+      0 (Msts.Intx.range 1 n)
+  in
+  bounded "tree cover"
+    ~words:(Obj.reachable_words (Obj.repr cover) - Obj.reachable_words (Obj.repr flat))
+    ~bound:((3 * n) + depths + 16);
+  let module Online = Msts_online.Online in
+  let m = 500 in
+  let deadline = Msts.Chain_algorithm.makespan chain m in
+  let o = Online.create ~capacity:m chain ~deadline in
+  ignore (Online.submit o m);
+  let placed = Obj.reachable_words (Obj.repr o) in
+  ignore (Online.advance o ~time:(deadline + 1));
+  let frozen = Online.frozen_schedule o in
+  let procs =
+    List.fold_left (fun acc i -> acc + Schedule.proc frozen i) 0 (Msts.Intx.range 1 m)
+  in
+  Alcotest.(check int) "every task frozen" m (Online.frozen o);
+  bounded "online frozen store"
+    ~words:(Obj.reachable_words (Obj.repr o) - placed)
+    ~bound:((3 * m) + procs + 8)
 
 (* The view shares the chain's columns: it adds the one-leg spider and a
    record, whatever the task count. *)
@@ -225,6 +267,39 @@ let chain_view_shares_columns () =
   Alcotest.(check bool) "same columns" true (S.columns view == Schedule.columns sched);
   Alcotest.(check bool) "view words" true
     (Obj.reachable_words (Obj.repr (sched, view)) - Obj.reachable_words (Obj.repr sched) <= 16)
+
+(* A tree cover of a spider's tree, read as the spider's plan: only the
+   leg column is new (n + 1 words), with the plan's two records. *)
+let tree_cover_view_shares_columns () =
+  let spider =
+    Msts.Generator.spider (Msts.Prng.create 100) Msts.Generator.compute_bound_profile
+      ~legs:4 ~max_depth:3
+  in
+  let n = 192 in
+  let cover = Msts.Tree_heuristics.spider_cover Msts.Tree.Best_rate (Msts.Tree.of_spider spider) n in
+  let view = Msts.Tree_schedule.to_spider spider cover in
+  Alcotest.(check int) "every task" n (S.task_count view);
+  let words = Obj.reachable_words (Obj.repr (cover, spider, view)) in
+  let base = Obj.reachable_words (Obj.repr (cover, spider)) in
+  Alcotest.(check bool) (Printf.sprintf "view words %d <= n + 12" (words - base)) true
+    (words - base <= n + 12)
+
+(* A plan cut in two by [filter_tasks] and spliced back by [concat] is
+   the plan, task by task: a slip in either shows where the splice is
+   built, not where it is next read. *)
+let splice_is_the_plan =
+  to_alcotest
+    (QCheck.Test.make ~count:300 ~name:"concat of a plan's two parts is the plan"
+       QCheck.(
+         triple (spider_arb ~max_legs:3 ~max_depth:3 ()) (int_range 0 12) (int_range 0 12))
+       (fun (spider, n, k) ->
+         let plan = Msts.Spider_algorithm.schedule_tasks spider n in
+         let spliced =
+           S.concat
+             (S.filter_tasks plan ~keep:(fun i -> i <= k))
+             (S.filter_tasks plan ~keep:(fun i -> i > k))
+         in
+         S.equal spliced plan && Ref.spider_rows spliced = Ref.spider_rows plan))
 
 (* The constructor refuses columns that do not describe a schedule. *)
 let of_columns_refuses () =
@@ -267,6 +342,8 @@ let suites =
         every_producer_matches_reference;
         case "retained words per task" retained_words;
         case "a chain's spider view shares its columns" chain_view_shares_columns;
+        case "a tree cover's spider view shares its columns" tree_cover_view_shares_columns;
+        splice_is_the_plan;
         case "of_columns refuses malformed columns" of_columns_refuses;
       ] );
   ]
