@@ -12,7 +12,9 @@
     once the store has grown to its working capacity (or was created with
     [~capacity]), {!add_task} performs {e zero} minor-heap allocation —
     asserted by the test suite via [Gc.minor_words] and gated in
-    [BENCH_online.json].
+    [BENCH_online.json].  Readers take a placement field by field
+    ({!proc_at}, {!start_at}, {!emission_at}, {!blit_comms}); no record
+    is built per placement, and {!schedule} writes the plan's columns.
 
     Dates are absolute in [\[0, horizon\]]; no final shift is applied. *)
 

@@ -15,9 +15,9 @@ type replan = { replaced : int; extended_by : int; deadline : int }
    than all existing placements, so inside [inc] the frozen placements are
    exactly a suffix of construction order.  Frozen placements are copied
    out into the [fz_*] columns the moment they freeze (their dates are
-   then immutable truth); the copies left inside [inc] keep the hull/occupancy state
-   exact until the next extension or replan rebuilds [inc] from the
-   unfrozen prefix alone.  After such a rebuild the state no longer knows
+   then immutable truth); the copies left inside [inc] keep the
+   hull/occupancy state exact until the next extension or replan rebuilds
+   [inc] from the unfrozen prefix alone.  After such a rebuild the state no longer knows
    the frozen tasks, so [floor] rises to the last frozen activity
    ([barrier]): every later placement starts after all frozen activity has
    ended, which keeps the combined plan feasible by separation instead of

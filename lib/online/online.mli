@@ -23,6 +23,13 @@
     events, not the arrival hot path.  [BENCH_online.json] gates both
     properties.
 
+    Storage: a frozen task is copied, the moment it freezes, onto the
+    session's frozen store: growable int columns of arrival ids, starts,
+    offsets and one emission column, [3 + P(i)] words a task and no
+    record.  {!plan} and {!frozen_schedule} blit those columns into a
+    {!Msts.Schedule.t}, and {!frozen_since} hands executors the newly
+    frozen tail the same way.
+
     Telemetry: sessions count [online.sessions], [online.arrivals],
     [online.placed], [online.rejected], [online.frozen],
     [online.displaced], [online.extends] and [online.replans], and record

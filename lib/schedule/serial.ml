@@ -77,8 +77,7 @@ let parse_task_line (lineno, line) =
       else Ok (List.map Option.get ints))
   | _ -> Error (Printf.sprintf "line %d: expected 'task ...'" lineno)
 
-(* The task lines after [header], each read by [fields] into a vector
-   length (its processor or depth), then the ints before and the dates. *)
+(* The task lines after [header], each read by [fields]. *)
 let parse_body ~header ~fields lines =
   match lines with
   | [] -> Error "empty schedule description"
@@ -99,30 +98,23 @@ let parse_body ~header ~fields lines =
         loop [] rest
       end
 
-(* The tasks' start dates and vectors written into columns. *)
+(* The tasks' start dates and vectors as columns. *)
 let columns tasks =
-  let n = List.length tasks in
-  let starts = Array.make n 0 and offsets = Array.make (n + 1) 0 in
-  List.iteri
-    (fun j (start, comms) ->
-      starts.(j) <- start;
-      offsets.(j + 1) <- offsets.(j) + List.length comms)
-    tasks;
-  let emissions = Array.make offsets.(n) 0 in
-  List.iteri (fun j (_, comms) -> List.iteri (fun k d -> emissions.(offsets.(j) + k) <- d) comms) tasks;
-  (starts, offsets, emissions)
+  let vectors = Array.of_list (List.map (fun (_, comms) -> Array.of_list comms) tasks) in
+  let offsets = Array.make (Array.length vectors + 1) 0 in
+  Array.iteri (fun j v -> offsets.(j + 1) <- offsets.(j) + Array.length v) vectors;
+  (Array.of_list (List.map fst tasks), offsets, Array.concat (Array.to_list vectors))
 
-(* The validating constructor's refusal, named [was]: the parse errors
-   [msts validate] prints keep the name of the row constructor plans were
-   once parsed through. *)
+(* The parse errors [msts validate] prints name the row constructor plans
+   were once parsed through: the validating constructor's refusal is
+   spelled under that name. *)
 let refused ~who ~was build =
   match build () with
   | sched -> Ok sched
-  | exception Invalid_argument msg ->
+  | exception Invalid_argument msg when String.starts_with ~prefix:who msg ->
       let k = String.length who in
-      if String.length msg >= k && String.sub msg 0 k = who then
-        Error (was ^ String.sub msg k (String.length msg - k))
-      else Error msg
+      Error (was ^ String.sub msg k (String.length msg - k))
+  | exception Invalid_argument msg -> Error msg
 
 let schedule_of_string chain text =
   let fields lineno = function

@@ -11,7 +11,12 @@
     pointwise, so ASAP timing is makespan-optimal for its sequence.  On
     chains and spiders tasks are identical, so any feasible schedule can be
     renamed into FIFO order and minimising over sequences yields the true
-    optimum (the brute-force oracle). *)
+    optimum (the brute-force oracle).
+
+    {!push} returns a task's start and writes its emission dates into the
+    caller's array, so a search that only needs makespans keeps one
+    scratch vector ({!hops}) and {!of_sequence} writes the plan's columns
+    in place: no record is built per task. *)
 
 type state
 

@@ -2,6 +2,7 @@ module Tree = Msts_platform.Tree
 module Chain = Msts_platform.Chain
 module Spider = Msts_platform.Spider
 module Prng = Msts_util.Prng
+module Columns = Msts_schedule.Columns
 
 type policy =
   | Earliest_completion
@@ -138,8 +139,8 @@ let spider_cover policy tree n =
   let c = Msts_schedule.Spider_schedule.columns plan in
   Tree_schedule.of_columns flat
     ~nodes:
-      (Array.init (Msts_schedule.Columns.length c) (fun i ->
-           node_of.(Msts_schedule.Columns.leg c i - 1).(Msts_schedule.Columns.depth c i - 1)))
+      (Array.init (Columns.length c) (fun i ->
+           node_of.(Columns.leg c i - 1).(Columns.depth c i - 1)))
     ~starts:c.starts ~offsets:c.offsets ~emissions:c.emissions
 
 let spider_cover_makespan policy tree n =

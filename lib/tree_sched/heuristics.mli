@@ -47,7 +47,8 @@ val spider_cover :
 (** Extract a spider with the given policy, schedule [n] tasks optimally on
     it (§7), and replay the result on the tree (the unused subtrees stay
     idle).  Feasible on the tree because the legs are node-disjoint paths
-    sharing only the master. *)
+    sharing only the master.  The cover shares the spider plan's starts,
+    offsets and emissions: only its node column is new. *)
 
 val spider_cover_makespan :
   Msts_platform.Tree.extraction_policy -> Msts_platform.Tree.t -> int -> int
