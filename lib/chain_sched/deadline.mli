@@ -25,7 +25,7 @@ val construction :
     ([chain.deadline.schedule]) and errors as {!schedule}. *)
 
 val max_tasks : Msts_platform.Chain.t -> deadline:int -> int
-(** Number of tasks {!schedule} places (without materialising entries). *)
+(** Number of tasks {!schedule} places (without building its plan). *)
 
 val min_makespan_via_deadline : Msts_platform.Chain.t -> int -> int
 (** Optimal makespan for [n] tasks recovered by binary-searching the least

@@ -5,7 +5,7 @@
     - [legs.(i)] is its leg (on a tree, its node), and [legs] is [[||]]
       when every task is on leg 1 (a chain, or any one-leg spider);
     - [starts.(i)] is T(i);
-    - [offsets] has [n + 1] entries, from 0 to [Array.length emissions]:
+    - [offsets] has [n + 1] values, from 0 to [Array.length emissions]:
       C(i) is [emissions.(offsets.(i) .. offsets.(i+1) - 1)].  Its length
       is the task's depth on its leg (on a chain, its processor P(i)), so
       no column stores the depth.

@@ -37,7 +37,7 @@ let check ?require_nonnegative = function
   | Spider s -> Spider_schedule.check ?require_nonnegative s
 
 (* The chart rows {!gantt} and {!svg} draw, one per resource, in one pass
-   over the entries, last task first so that every lane lists its
+   over the tasks, last task first so that every lane lists its
    intervals in task order. *)
 let lanes plan =
   let s = to_spider plan in

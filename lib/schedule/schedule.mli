@@ -11,7 +11,7 @@
 
 type t
 (** Stored as {!Columns}: the starts, the offsets and one emission column
-    of [Σ P(i)] entries.  C(i) has P(i) dates, so its length is the
+    of [Σ P(i)] dates.  C(i) has P(i) dates, so its length is the
     processor and no column stores it: three int blocks, [2 + P(i)] words
     a task. *)
 

@@ -13,7 +13,7 @@
 
 type t
 (** Stored as {!Columns}: the legs, the starts, the offsets and one
-    emission column of [Σ depth] entries — four int blocks, [3 + depth]
+    emission column of [Σ depth] dates — four int blocks, [3 + depth]
     words a task.  A task's depth is the length of its vector, so no
     column stores it, and a one-leg spider (a chain's view) keeps no leg
     column. *)

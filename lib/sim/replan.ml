@@ -43,7 +43,7 @@ let candidate snap =
                 in
                 Some (redirect, plan, leg_map)))
 
-(* The spliced intended schedule: the original plan's entries for tasks
+(* The spliced intended schedule: the original plan's tasks
    already emitted (or done), followed by the residual plan re-anchored at
    the fault's instant and mapped back onto the original platform.  A
    statement of intent, not a certified-feasible schedule: in-flight tasks

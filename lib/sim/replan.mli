@@ -21,7 +21,7 @@ type outcome = {
   replans : int;  (** fault events where the redirect was adopted *)
   considered : int;  (** fault events where a redirect existed at all *)
   final_intent : Msts_schedule.Spider_schedule.t option;
-      (** at the last adopted replan: the original plan's entries for
+      (** at the last adopted replan: the original plan's tasks for
           already-emitted tasks spliced with the residual plan re-anchored
           at the fault's instant ({!Msts_schedule.Spider_schedule.shift} /
           [filter_tasks] / [concat]); [None] when no replan was adopted *)

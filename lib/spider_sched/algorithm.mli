@@ -19,7 +19,7 @@
     Every step runs on the leg constructions' flat arrays
     ({!Msts_chain.Deadline.construction}): each leg's nodes are already in
     work order, so the allocation order is a merge of the legs,
-    {!Msts_fork.Allocator.sweep} allocates, and the plan's entries are
+    {!Msts_fork.Allocator.sweep} allocates, and the plan's columns are
     written from the legs' arrays.  {!Ceiling.steps} hands the steps out
     with the plan they wrote, for {!Trace} ([msts explain]). *)
 
@@ -78,7 +78,7 @@ module Ceiling : sig
   (** [schedule ~budget spider ~deadline], read off the ceiling: each
       leg's placements of margin at most [deadline], their dates moved
       [horizon − deadline] earlier.  O(N·L) for the merge and the
-      allocation over the [N] surviving nodes, plus the entries.
+      allocation over the [N] surviving nodes, plus the plan's columns.
       @raise Invalid_argument outside [\[0, horizon\]]. *)
 
   val steps : t -> deadline:int -> steps * Msts_schedule.Spider_schedule.t

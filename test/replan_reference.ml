@@ -39,7 +39,7 @@ let candidate snap =
                 let redirect =
                   List.mapi
                     (fun j (id, _) ->
-                      (id, back entries.(j).Schedule_reference.Spider_schedule.address))
+                      (id, back entries.(j).address))
                     at_master
                 in
                 Some (redirect, plan, leg_map)))

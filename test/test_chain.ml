@@ -13,12 +13,12 @@ let figure2_exact () =
   List.iteri
     (fun idx (proc, start, comms) ->
       let e = Schedule_reference.chain_row s (idx + 1) in
-      Alcotest.(check int) (Printf.sprintf "P(%d)" (idx + 1)) proc e.Schedule_reference.Schedule.proc;
-      Alcotest.(check int) (Printf.sprintf "T(%d)" (idx + 1)) start e.Schedule_reference.Schedule.start;
+      Alcotest.(check int) (Printf.sprintf "P(%d)" (idx + 1)) proc e.proc;
+      Alcotest.(check int) (Printf.sprintf "T(%d)" (idx + 1)) start e.start;
       Alcotest.(check (list int))
         (Printf.sprintf "C(%d)" (idx + 1))
         comms
-        (Array.to_list e.Schedule_reference.Schedule.comms))
+        (Array.to_list e.comms))
     expect
 
 let figure2_second_task_buffered () =
@@ -26,10 +26,10 @@ let figure2_second_task_buffered () =
   let s = Msts.Chain_algorithm.schedule figure2_chain 5 in
   let e = Schedule_reference.chain_row s 2 in
   let arrival =
-    e.Schedule_reference.Schedule.comms.(0) + Msts.Chain.latency figure2_chain 1
+    e.comms.(0) + Msts.Chain.latency figure2_chain 1
   in
   Alcotest.(check int) "arrival" 4 arrival;
-  Alcotest.(check int) "start (delayed by one)" 5 e.Schedule_reference.Schedule.start
+  Alcotest.(check int) "start (delayed by one)" 5 e.start
 
 let horizon_formula () =
   Alcotest.(check int) "T-inf" 17 (Msts.Chain_algorithm.horizon figure2_chain 5);
@@ -52,7 +52,7 @@ let single_task () =
   (* n=1 picks the processor with minimal path latency + work *)
   let chain = Msts.Chain.of_pairs [ (2, 30); (3, 4); (1, 20) ] in
   let s = Msts.Chain_algorithm.schedule chain 1 in
-  Alcotest.(check int) "best processor" 2 (Schedule_reference.chain_row s 1).Schedule_reference.Schedule.proc;
+  Alcotest.(check int) "best processor" 2 (Msts.Schedule.proc s 1);
   Alcotest.(check int) "makespan" (2 + 3 + 4) (Msts.Schedule.makespan s)
 
 let zero_tasks () =

@@ -164,7 +164,7 @@ let drop_retries_after_backoff () =
   Alcotest.(check int) "one retry" 1 r.Msts.Netsim.transfer_retries;
   let e = (Schedule_reference.spider_rows r.Msts.Netsim.observed).(0) in
   Alcotest.(check (array int)) "second hop re-recorded" [| 0; 4 |]
-    e.Schedule_reference.Spider_schedule.comms;
+    e.comms;
   (* a drop while nothing is in flight is a no-op *)
   let quiet =
     Msts.Netsim.replay_under_faults
@@ -201,7 +201,7 @@ let equal_backoffs_keep_queue_order () =
      retry from 11 *)
   let r = Msts.Netsim.replay_under_faults ~trace:[ drop 1 10; drop 2 9 ] plan in
   let comms i =
-    (Schedule_reference.spider_rows r.Msts.Netsim.observed).(i).Schedule_reference.Spider_schedule.comms
+    (Schedule_reference.spider_rows r.Msts.Netsim.observed).(i).comms
   in
   Alcotest.(check (array int)) "task 1 re-emitted first" [| 11 |] (comms 0);
   Alcotest.(check (array int)) "task 2 after it" [| 16 |] (comms 1);
@@ -221,7 +221,7 @@ let crash_returns_and_retargets () =
     (fun idx c ->
       Alcotest.(check bool) "completed" true (c > 0);
       let e = (Schedule_reference.spider_rows r.Msts.Netsim.observed).(idx) in
-      if e.Schedule_reference.Spider_schedule.address.Msts.Spider.leg = 2 then
+      if e.address.Msts.Spider.leg = 2 then
         Alcotest.(check bool) "dead-leg completion predates the crash" true
           (c < crash_time))
     r.Msts.Netsim.completions;

@@ -14,9 +14,9 @@ let measure s = Msts.Metrics.of_plan (Msts.Plan.Chain s)
 let timing s task =
   let chain = Msts.Schedule.chain s in
   let e = Schedule_reference.chain_row s task in
-  let p = e.Schedule_reference.Schedule.proc in
-  let arrival = e.Schedule_reference.Schedule.comms.(p - 1) + Msts.Chain.latency chain p in
-  (arrival, e.Schedule_reference.Schedule.start - arrival, e.Schedule_reference.Schedule.start + Msts.Chain.work chain p)
+  let p = e.proc in
+  let arrival = e.comms.(p - 1) + Msts.Chain.latency chain p in
+  (arrival, e.start - arrival, e.start + Msts.Chain.work chain p)
 
 let waits s =
   List.init (Msts.Schedule.task_count s) (fun i ->

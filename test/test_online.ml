@@ -108,7 +108,7 @@ let extends_match_batch ~name batch_schedule =
 
 (* ---------- freezing ---------- *)
 
-let emission (e : Schedule_reference.Schedule.entry) = e.Schedule_reference.Schedule.comms.(0)
+let emission (e : Schedule_reference.Schedule.entry) = e.comms.(0)
 
 let frozen_entries o =
   let ids, sched = Online.frozen_since o 0 in
@@ -242,7 +242,7 @@ let degrade_replaces_only_unfrozen =
          (* pick a processor with no frozen placements, if any *)
          let p = Msts.Chain.length chain in
          let holds at =
-           Array.exists (fun (_, e) -> e.Schedule_reference.Schedule.proc = at) before
+           Array.exists (fun (_, (e : Schedule_reference.Schedule.entry)) -> e.proc = at) before
          in
          let free_proc =
            List.find_opt (fun at -> not (holds at)) (List.init p (fun i -> i + 1))

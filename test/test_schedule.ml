@@ -161,8 +161,8 @@ let schedule_restrict () =
   let sub = Msts.Schedule.restrict_beyond_first s in
   Alcotest.(check int) "one task beyond P1" 1 (Msts.Schedule.task_count sub);
   let e = Schedule_reference.chain_row sub 1 in
-  Alcotest.(check int) "on sub-chain P1" 1 e.Schedule_reference.Schedule.proc;
-  Alcotest.(check bool) "comm vector dropped first" true (e.Schedule_reference.Schedule.comms = vec [ 6 ])
+  Alcotest.(check int) "on sub-chain P1" 1 e.proc;
+  Alcotest.(check bool) "comm vector dropped first" true (e.comms = vec [ 6 ])
 
 let schedule_intervals () =
   let s = fig2_schedule () in
@@ -341,9 +341,9 @@ let spider_schedule_splice () =
   (* shift re-anchors every date *)
   let moved = Msts.Spider_schedule.shift s ~delta:4 in
   let e = (Schedule_reference.spider_rows moved).(2) in
-  Alcotest.(check int) "start moved" 12 e.Schedule_reference.Spider_schedule.start;
+  Alcotest.(check int) "start moved" 12 e.start;
   Alcotest.(check (array int)) "comms moved" [| 7; 9 |]
-    e.Schedule_reference.Spider_schedule.comms;
+    e.comms;
   Alcotest.check_raises "negative dates rejected"
     (Invalid_argument "Spider_schedule.shift: negative date after shift")
     (fun () -> ignore (Msts.Spider_schedule.shift s ~delta:(-1)));
@@ -351,12 +351,12 @@ let spider_schedule_splice () =
   let odd = Msts.Spider_schedule.filter_tasks s ~keep:(fun i -> i mod 2 = 1) in
   Alcotest.(check int) "two survivors" 2 (Msts.Spider_schedule.task_count odd);
   Alcotest.(check int) "order preserved" 8
-    (Schedule_reference.spider_row odd 2).Schedule_reference.Spider_schedule.start;
+    (Msts.Spider_schedule.start odd 2);
   (* concat splices two partial schedules *)
   let spliced = Msts.Spider_schedule.concat odd (Msts.Spider_schedule.filter_tasks s ~keep:(( = ) 2)) in
   Alcotest.(check int) "spliced tasks" 3 (Msts.Spider_schedule.task_count spliced);
   Alcotest.(check int) "second part appended" 3
-    (Schedule_reference.spider_row spliced 3).Schedule_reference.Spider_schedule.start;
+    (Msts.Spider_schedule.start spliced 3);
   let other = Schedule_reference.spider_plan (Msts.Spider.of_chain figure2_chain) [||] in
   Alcotest.check_raises "different spiders rejected"
     (Invalid_argument "Spider_schedule.concat: schedules are on different spiders")

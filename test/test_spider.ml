@@ -31,7 +31,7 @@ let figure7_virtual_nodes () =
   in
   let leg_sched = Msts.Chain_deadline.schedule figure2_chain ~deadline:14 in
   Alcotest.(check int) "node 8 is the P2 task" 2
-    (Schedule_reference.chain_row leg_sched row.Msts.Spider_trace.leg_task).Schedule_reference.Schedule.proc
+    (Msts.Schedule.proc leg_sched row.Msts.Spider_trace.leg_task)
 
 let transform_rank_mapping () =
   let trace = figure7_trace () in

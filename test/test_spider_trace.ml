@@ -169,7 +169,7 @@ let trace_matches_list_pipeline =
                  && Array.length entries = List.length rows
                  && List.for_all
                       (fun a ->
-                        entries.(a.Msts.Spider_trace.position).Schedule_reference.Spider_schedule.comms.(0)
+                        entries.(a.Msts.Spider_trace.position).comms.(0)
                         = a.Msts.Spider_trace.emission)
                       trace.Msts.Spider_trace.accepted)
                (Msts.Intx.range 0 (opt + 2)))

@@ -382,14 +382,14 @@ let differential_feasible_spiders =
 let corrupt_chain sched ~collide =
   let entries =
     Array.map
-      (fun e -> { e with Schedule_reference.Schedule.comms = Array.copy e.Schedule_reference.Schedule.comms })
+      (fun (e : Schedule_reference.Schedule.entry) -> { e with comms = Array.copy e.comms })
       (Schedule_reference.chain_rows sched)
   in
   let a = entries.(0) and b = entries.(1) in
-  if collide then b.Schedule_reference.Schedule.comms.(0) <- a.Schedule_reference.Schedule.comms.(0)
+  if collide then b.comms.(0) <- a.comms.(0)
   else
     entries.(1) <-
-      { b with Schedule_reference.Schedule.start = b.Schedule_reference.Schedule.comms.(b.Schedule_reference.Schedule.proc - 1) };
+      { b with Schedule_reference.Schedule.start = b.comms.(b.proc - 1) };
   Schedule_reference.chain_plan (Msts.Schedule.chain sched) entries
 
 let differential_corrupted_chains =
@@ -413,12 +413,11 @@ let differential_corrupted_spiders =
          let sched = Msts.Spider_algorithm.schedule_tasks spider n in
          let entries =
            Array.map
-             (fun e ->
-               { e with Schedule_reference.Spider_schedule.comms = Array.copy e.Schedule_reference.Spider_schedule.comms })
+             (fun (e : Schedule_reference.Spider_schedule.entry) ->
+               { e with comms = Array.copy e.comms })
              (Schedule_reference.spider_rows sched)
          in
-         entries.(1).Schedule_reference.Spider_schedule.comms.(0) <-
-           entries.(0).Schedule_reference.Spider_schedule.comms.(0);
+         entries.(1).comms.(0) <- entries.(0).comms.(0);
          let sched = Schedule_reference.spider_plan spider entries in
          let clean, viols = agree_on (Msts.Plan.Spider sched) in
          if clean then QCheck.Test.fail_reportf "port collision went undetected";

@@ -135,21 +135,23 @@ let plan_gen =
     small_spider >>= fun spider ->
     int_range 1 8 >>= fun n ->
     let plan = Msts.Spider_algorithm.schedule_tasks spider n in
-    let entries = Array.map (fun e ->
-        { e with Schedule_reference.Spider_schedule.comms = Array.copy e.Schedule_reference.Spider_schedule.comms })
-        (Schedule_reference.spider_rows plan) in
+    let entries =
+      Array.map
+        (fun (e : Schedule_reference.Spider_schedule.entry) -> { e with comms = Array.copy e.comms })
+        (Schedule_reference.spider_rows plan)
+    in
     oneof
       [
         return plan;
         map3
           (fun idx which delta ->
             let e = entries.(idx mod n) in
-            let hops = Array.length e.Schedule_reference.Spider_schedule.comms in
+            let hops = Array.length e.comms in
             (if which mod (hops + 1) = hops then
                entries.(idx mod n) <- { e with Schedule_reference.Spider_schedule.start = e.start + delta }
              else
                let j = which mod (hops + 1) in
-               e.Schedule_reference.Spider_schedule.comms.(j) <- e.comms.(j) + delta);
+               e.comms.(j) <- e.comms.(j) + delta);
             Schedule_reference.spider_plan spider entries)
           (int_range 0 7) (int_range 0 3) (int_range (-6) 6);
       ])
